@@ -13,6 +13,7 @@ let () =
       Test_inference.suite;
       Test_profgen.suite;
       Test_core.suite;
+      Test_ctx_reconstruct.suite;
       Test_orchestrator.suite;
       Test_pipeline.suite;
       Test_differential.suite;
