@@ -3,6 +3,7 @@ module Mach = Csspgo_codegen.Mach
 module Vm = Csspgo_vm
 module P = Csspgo_profile
 module Pg = Csspgo_profgen
+module CP = P.Ctx_profile
 
 type stats = {
   st_samples : int;
@@ -17,18 +18,129 @@ type stream = {
   sm_finish : unit -> P.Ctx_profile.t * stats;
 }
 
-(* One recorded trie bump from a memoized range attribution: either a probe
-   hit or a callsite-target count on an already-resolved ctx node. *)
-type attr_act =
-  | A_probe of P.Ctx_profile.node * int
-  | A_call of P.Ctx_profile.node * int * Ir.Guid.t
+(* Open-addressing hash map keyed on int triples, over flat arrays: a
+   lookup allocates nothing and hashes every word of its key. [find]
+   answers the table's [absent] value for a missing key. *)
+module Itab = struct
+  type 'a t = {
+    mutable keys : int array;  (** three per slot; [min_int] marks a free slot *)
+    mutable vals : 'a array;
+    mutable count : int;
+    absent : 'a;
+  }
+
+  let create absent =
+    { keys = Array.make (3 * 64) min_int; vals = Array.make 64 absent; count = 0; absent }
+
+  (* The slot holding the key, or the free slot where it belongs. *)
+  let slot t a b c =
+    let mask = Array.length t.vals - 1 in
+    let rec probe i =
+      let k = 3 * i in
+      let a' = t.keys.(k) in
+      if a' = min_int || (a' = a && t.keys.(k + 1) = b && t.keys.(k + 2) = c) then i
+      else probe ((i + 1) land mask)
+    in
+    let h = ((((a * 0x9E3779B1) + b) * 0x9E3779B1) + c) * 0x9E3779B1 in
+    probe ((h lxor (h lsr 29)) land mask)
+
+  let find t a b c = t.vals.(slot t a b c)
+
+  (* The key must be absent. The table doubles past half load. *)
+  let rec add t a b c v =
+    if 2 * (t.count + 1) > Array.length t.vals then begin
+      let keys = t.keys and vals = t.vals in
+      t.keys <- Array.make (2 * Array.length keys) min_int;
+      t.vals <- Array.make (2 * Array.length vals) t.absent;
+      t.count <- 0;
+      Array.iteri
+        (fun i v ->
+          if keys.(3 * i) <> min_int then
+            add t keys.(3 * i) keys.((3 * i) + 1) keys.((3 * i) + 2) v)
+        vals
+    end;
+    let i = slot t a b c in
+    t.keys.(3 * i) <- a;
+    t.keys.((3 * i) + 1) <- b;
+    t.keys.((3 * i) + 2) <- c;
+    t.vals.(i) <- v;
+    t.count <- t.count + 1
+end
+
+module Stacks = struct
+  type t = {
+    mutable parent : int array;
+    mutable top : int array;
+    mutable n : int;
+    children : int Itab.t;
+  }
+
+  let empty = 0
+
+  let create () =
+    { parent = Array.make 64 empty; top = Array.make 64 0; n = 1; children = Itab.create (-1) }
+
+  let push t id addr =
+    match Itab.find t.children id addr 0 with
+    | -1 ->
+        let c = t.n in
+        if c = Array.length t.parent then begin
+          t.parent <- Array.append t.parent (Array.make c empty);
+          t.top <- Array.append t.top (Array.make c 0)
+        end;
+        t.parent.(c) <- id;
+        t.top.(c) <- addr;
+        t.n <- c + 1;
+        Itab.add t.children id addr 0 c;
+        c
+    | c -> c
+
+  let pop t id = t.parent.(id)
+
+  let rec frames t id = if id = empty then [] else t.top.(id) :: frames t t.parent.(id)
+end
+
+(* A position in the trie: [Root] before the outermost frame, else the
+   node reached and the callsite probe its next callee hangs off. *)
+type cursor = Root | At of CP.node * int
+
+(* The outermost-first walk of one interned stack's return addresses,
+   computed once per stack from its parent's walk. Its caller path is
+   [w_ext] appended to stack [w_base]'s path, or to the empty path when
+   [w_base < 0] (a truncated context). *)
+type walk = {
+  w_base : int;
+  w_ext : (Ir.Guid.t * int) list;
+  w_expected : Ir.Guid.t option;  (** the callee the innermost call names *)
+  w_resolved : int;  (** gap counters, summed over the walk *)
+  w_failed : int;
+  w_inferred : int;
+  mutable w_cursor : cursor option;  (** the path's trie position, once needed *)
+}
+
+(* One attribution, recorded for replay: the trie nodes it bumps, one code
+   per node (probe id [2p], or callsite instruction index [2i + 1]), and
+   the gap counters it adds. *)
+type memo = {
+  m_nodes : CP.node array;
+  m_codes : int array;
+  m_resolved : int;
+  m_failed : int;
+  m_inferred : int;
+}
+
+let no_memo = { m_nodes = [||]; m_codes = [||]; m_resolved = 0; m_failed = 0; m_inferred = 0 }
+
+(* How a walk crosses from a call site to the function found below it. *)
+type gap = No_gap | Gap_failed | Gap_bridged of int * (Ir.Guid.t * int) list
 
 let start ?(name_of = fun _ -> None) ?missing ~checksum_of
     ?(obs = Csspgo_obs.Metrics.null) (ix : Pg.Bindex.t) =
   let b = Pg.Bindex.binary ix in
-  let trie = P.Ctx_profile.create () in
+  let trie = CP.create () in
+  (* Only a node being created needs a name. *)
   let name_for guid =
-    Option.value (name_of guid) ~default:(Format.asprintf "%a" Ir.Guid.pp guid)
+    match name_of guid with Some n -> n | None -> Format.asprintf "%a" Ir.Guid.pp guid
   in
   let dropped = ref 0 in
   let gaps_resolved = ref 0 in
@@ -39,163 +151,190 @@ let start ?(name_of = fun _ -> None) ?missing ~checksum_of
      byte-identity oracle it feeds) is unchanged by observation. *)
   let inferred = ref 0 in
   let depth_hist = Array.make 64 0 in
-  (* Resolve the ctx node for a flat outermost-first path + leaf. *)
-  let node_for (path : (Ir.Guid.t * int) list) (leaf : Ir.Guid.t) =
-    match path with
-    | [] -> Some (P.Ctx_profile.base trie leaf ~name:(name_for leaf))
-    | (f0, _) :: _ ->
-        (* Resolve the root's name before [node_at] can get-or-create it
-           with the hex-guid placeholder: root naming must not depend on
-           whether a shallow or a deep sample reaches the root first, or
-           shard partitioning diverges from the serial trie. *)
-        ignore (P.Ctx_profile.base trie f0 ~name:(name_for f0));
-        (* Convert [(f0,s0);(f1,s1);...] + leaf into node_at path format:
-           each element ((parent, site), child, child_name). *)
-        let rec pairs = function
-          | [ (f, s) ] -> [ ((f, s), leaf, name_for leaf) ]
-          | (f, s) :: ((g, _) :: _ as rest) -> ((f, s), g, name_for g) :: pairs rest
-          | [] -> []
+  (* A root gets its real name whichever sample reaches it first, so shard
+     tries name their roots as the serial trie does. *)
+  let node cur g =
+    match cur with
+    | Root -> (
+        match Ir.Guid.Tbl.find_opt trie.CP.roots g with
+        | Some n -> n
+        | None -> CP.base trie g ~name:(name_for g))
+    | At (parent, site) -> (
+        match Hashtbl.find_opt parent.CP.n_children (site, g) with
+        | Some n -> n
+        | None -> CP.attach trie ~parent:(Some parent) ~site g ~name:(name_for g))
+  in
+  let step cur (g, site) = At (node cur g, site) in
+  let ensure_checksum (node : CP.node) =
+    if Int64.equal node.CP.n_prof.P.Probe_profile.fe_checksum 0L then
+      node.CP.n_prof.P.Probe_profile.fe_checksum <- checksum_of node.CP.n_func
+  in
+  (* A call site naming [expected] whose next frame runs [to_func]: tail
+     calls dropped the frames between, which the missing-frame table may
+     restore. *)
+  let bridge expected to_func =
+    match expected with
+    | Some exp when not (Ir.Guid.equal exp to_func) -> (
+        match Option.bind missing (fun mf -> Missing_frame.resolve mf ~from_func:exp ~to_func) with
+        | Some chain ->
+            Gap_bridged
+              ( List.length chain,
+                List.concat_map
+                  (fun addr ->
+                    let ti = Pg.Bindex.idx_of_addr ix addr in
+                    if ti >= 0 then Pg.Bindex.level_path ix ti else [])
+                  chain )
+        | None -> Gap_failed)
+    | _ -> No_gap
+  in
+  let stacks = Stacks.create () in
+  let root_walk =
+    {
+      w_base = -1;
+      w_ext = [];
+      w_expected = None;
+      w_resolved = 0;
+      w_failed = 0;
+      w_inferred = 0;
+      w_cursor = Some Root;
+    }
+  in
+  let walks = ref (Array.make 64 root_walk) and n_walks = ref 1 in
+  (* Extend stack [parent]'s walk by return address [ret]: the inline
+     frames of the call before it, after repairing a tail-call gap. A
+     return address that follows no call truncates the context. *)
+  let walk_of parent ret =
+    let p = !walks.(parent) in
+    match Pg.Bindex.call_idx_before ix ret with
+    | -1 -> { p with w_base = -1; w_ext = []; w_expected = None; w_cursor = None }
+    | ci -> (
+        let w =
+          {
+            p with
+            w_base = parent;
+            w_ext = Pg.Bindex.level_path ix ci;
+            w_expected = Pg.Bindex.callee ix ci;
+            w_cursor = None;
+          }
         in
-        P.Ctx_profile.node_at trie ~path:(pairs path)
+        match bridge p.w_expected (Pg.Bindex.container ix ci) with
+        | No_gap -> w
+        | Gap_failed -> { w with w_base = -1; w_failed = w.w_failed + 1 }
+        | Gap_bridged (n, frames) ->
+            {
+              w with
+              w_ext = frames @ w.w_ext;
+              w_resolved = w.w_resolved + 1;
+              w_inferred = w.w_inferred + n;
+            })
   in
-  let ensure_checksum (node : P.Ctx_profile.node) =
-    if Int64.equal node.P.Ctx_profile.n_prof.P.Probe_profile.fe_checksum 0L then
-      node.P.Ctx_profile.n_prof.P.Probe_profile.fe_checksum <- checksum_of node.P.Ctx_profile.n_func
+  let push id ret =
+    let c = Stacks.push stacks id ret in
+    if c = !n_walks then begin
+      if c = Array.length !walks then walks := Array.append !walks (Array.make c root_walk);
+      !walks.(c) <- walk_of id ret;
+      incr n_walks
+    end;
+    c
   in
-  (* Build the outermost-first caller path from physical return addresses
-     (innermost-first list), repairing tail-call gaps. All per-LBR-entry
-     lookups (branch classification, call-before, inline level paths) hit
-     the dense [Bindex] tables — no hashing on this path. *)
-  let path_of_callers (callers : int list) (leaf_addr : int) : (Ir.Guid.t * int) list =
-    let path = ref [] in
-    (* expected: the function the previous (outer) level statically calls *)
-    let expected : Ir.Guid.t option ref = ref None in
-    let reset () =
-      path := [];
-      expected := None
+  let rec cursor id =
+    let w = !walks.(id) in
+    match w.w_cursor with
+    | Some c -> c
+    | None ->
+        let c =
+          List.fold_left step (if w.w_base < 0 then Root else cursor w.w_base) w.w_ext
+        in
+        w.w_cursor <- Some c;
+        c
+  in
+  (* Attribute range [lo, hi] under stack [id]: every probe in it, with its
+     inline chain, and every call site's target count. Trie nodes are made
+     only for a probe or call site that lands in them. *)
+  let resolve lo hi id =
+    let w = !walks.(id) in
+    (* The leaf level: tail calls between the innermost caller and the
+       range's own function. *)
+    let gap =
+      match Pg.Bindex.func_guid_of_addr ix lo with
+      | Some f -> bridge w.w_expected f
+      | None -> No_gap
     in
-    let bridge_gap ~to_func =
-      match !expected with
-      | Some exp when not (Ir.Guid.equal exp to_func) -> (
-          match missing with
-          | None ->
-              incr gaps_failed;
-              reset ()
-          | Some mf -> (
-              match Missing_frame.resolve mf ~from_func:exp ~to_func with
-              | Some chain ->
-                  incr gaps_resolved;
-                  inferred := !inferred + List.length chain;
-                  List.iter
-                    (fun addr ->
-                      let ti = Pg.Bindex.idx_of_addr ix addr in
-                      if ti >= 0 then path := !path @ Pg.Bindex.level_path ix ti)
-                    chain
-              | None ->
-                  incr gaps_failed;
-                  reset ()))
-      | _ -> ()
+    let ctx =
+      lazy
+        (match gap with
+        | No_gap -> cursor id
+        | Gap_failed -> Root
+        | Gap_bridged (_, frames) -> List.fold_left step (cursor id) frames)
+    in
+    let nodes = ref [] and codes = ref [] in
+    let hit n code =
+      ensure_checksum n;
+      nodes := n :: !nodes;
+      codes := code :: !codes
     in
     List.iter
-      (fun ret_addr ->
-        match Pg.Bindex.call_idx_before ix ret_addr with
-        | -1 -> reset ()
-        | ci ->
-            bridge_gap ~to_func:(Pg.Bindex.container ix ci);
-            path := !path @ Pg.Bindex.level_path ix ci;
-            expected := Pg.Bindex.callee ix ci)
-      (List.rev callers);
-    (* Leaf-level gap (tail calls between the innermost caller and the leaf). *)
-    (match Pg.Bindex.func_guid_of_addr ix leaf_addr with
-    | Some leaf_container -> bridge_gap ~to_func:leaf_container
-    | None -> ());
-    !path
+      (fun (pr : Mach.probe_rec) ->
+        let cur =
+          List.fold_right
+            (fun cs cur -> step cur (cs.Ir.Dloc.cs_func, cs.Ir.Dloc.cs_probe))
+            pr.Mach.pr_chain (Lazy.force ctx)
+        in
+        hit (node cur pr.Mach.pr_func) (2 * pr.Mach.pr_id))
+      (Probe_corr.probes_in_range b (lo, hi));
+    Pg.Bindex.iter_range ix (lo, hi) (fun ii ->
+        if Pg.Bindex.cs_probe ix ii > 0 && Option.is_some (Pg.Bindex.callee ix ii) then
+          (* The call belongs to the innermost frame of its inline path. *)
+          let rec owner cur = function
+            | [] -> ()
+            | [ (f, _) ] -> hit (node cur f) ((2 * ii) + 1)
+            | fr :: rest -> owner (step cur fr) rest
+          in
+          match Pg.Bindex.level_path ix ii with [] -> () | lp -> owner (Lazy.force ctx) lp);
+    let d_resolved, d_failed, d_inferred =
+      match gap with
+      | No_gap -> (0, 0, 0)
+      | Gap_failed -> (0, 1, 0)
+      | Gap_bridged (n, _) -> (1, 0, n)
+    in
+    {
+      m_nodes = Array.of_list (List.rev !nodes);
+      m_codes = Array.of_list (List.rev !codes);
+      m_resolved = w.w_resolved + d_resolved;
+      m_failed = w.w_failed + d_failed;
+      m_inferred = w.w_inferred + d_inferred;
+    }
   in
-  (* Hot loops replay the same few (range, caller-stack) pairs for
-     thousands of samples. Memoize the attribution of each pair — the ctx
-     nodes it bumps and the gap-counter deltas it causes — so repeats skip
-     path reconstruction, the probe scan and the inline-tree walks
-     entirely. Replaying recorded bumps is bit-identical to recomputing
-     them: every count is additive and nodes are stable once created. The
-     cache is keyed on program structure (distinct ranges x caller
-     stacks), not on sample count, and capped defensively. *)
-  let attr_cache : (int * int * int list, attr_act array * int * int * int) Hashtbl.t =
-    Hashtbl.create 1024
+  let replay m =
+    gaps_resolved := !gaps_resolved + m.m_resolved;
+    gaps_failed := !gaps_failed + m.m_failed;
+    inferred := !inferred + m.m_inferred;
+    Array.iteri
+      (fun k (n : CP.node) ->
+        let code = m.m_codes.(k) in
+        if code land 1 = 0 then P.Probe_profile.add_probe n.CP.n_prof (code lsr 1) 1L
+        else
+          let ii = code lsr 1 in
+          match Pg.Bindex.callee ix ii with
+          | Some callee ->
+              P.Probe_profile.add_call n.CP.n_prof (Pg.Bindex.cs_probe ix ii) callee 1L
+          | None -> ())
+      m.m_nodes
   in
-  let attr_cache_cap = 1 lsl 16 in
-  let replay acts =
-    Array.iter
-      (function
-        | A_probe (node, id) ->
-            P.Probe_profile.add_probe node.P.Ctx_profile.n_prof id 1L
-        | A_call (node, cs, callee) ->
-            P.Probe_profile.add_call node.P.Ctx_profile.n_prof cs callee 1L)
-      acts
-  in
-  (* Attribute one linear range under the given caller state. *)
-  let attribute (lo, hi) (callers : int list) =
+  (* Attributions repeat wherever a loop runs under one stack. The memo
+     is capped: recursion keeps making new stacks, and a key that misses
+     the memo is only recomputed, never wrong. *)
+  let memo = Itab.create no_memo in
+  let memo_cap = 1 lsl 16 in
+  let attribute lo hi id =
     if lo > 0 && hi >= lo then begin
-      let key = (lo, hi, callers) in
-      match Hashtbl.find_opt attr_cache key with
-      | Some (acts, d_resolved, d_failed, d_inferred) ->
-          gaps_resolved := !gaps_resolved + d_resolved;
-          gaps_failed := !gaps_failed + d_failed;
-          inferred := !inferred + d_inferred;
-          replay acts
-      | None ->
-          let resolved0 = !gaps_resolved
-          and failed0 = !gaps_failed
-          and inferred0 = !inferred in
-          let acts = ref [] in
-          let caller_path = path_of_callers callers lo in
-          (* Probe hits, with full inline expansion from the probe chain. *)
-          List.iter
-            (fun (pr : Mach.probe_rec) ->
-              let chain_path =
-                List.rev_map
-                  (fun cs -> (cs.Ir.Dloc.cs_func, cs.Ir.Dloc.cs_probe))
-                  pr.Mach.pr_chain
-              in
-              match node_for (caller_path @ chain_path) pr.Mach.pr_func with
-              | Some node ->
-                  ensure_checksum node;
-                  acts := A_probe (node, pr.Mach.pr_id) :: !acts
-              | None -> ())
-            (Probe_corr.probes_in_range b (lo, hi));
-          (* Callsite targets. *)
-          Pg.Bindex.iter_range ix (lo, hi) (fun ii ->
-              if Pg.Bindex.cs_probe ix ii > 0 then
-                match Pg.Bindex.callee ix ii with
-                | Some callee ->
-                    let lp = Pg.Bindex.level_path ix ii in
-                    (* The call's owner context: everything up to the owner. *)
-                    let rec split_last = function
-                      | [] -> ([], None)
-                      | [ (f, _) ] -> ([], Some f)
-                      | x :: rest ->
-                          let init, last = split_last rest in
-                          (x :: init, last)
-                    in
-                    let owner_prefix, owner = split_last lp in
-                    (match owner with
-                    | Some owner_func -> (
-                        match node_for (caller_path @ owner_prefix) owner_func with
-                        | Some node ->
-                            ensure_checksum node;
-                            acts :=
-                              A_call (node, Pg.Bindex.cs_probe ix ii, callee)
-                              :: !acts
-                        | None -> ())
-                    | None -> ())
-                | None -> ());
-          let acts = Array.of_list (List.rev !acts) in
-          replay acts;
-          if Hashtbl.length attr_cache < attr_cache_cap then
-            Hashtbl.add attr_cache key
-              ( acts,
-                !gaps_resolved - resolved0,
-                !gaps_failed - failed0,
-                !inferred - inferred0 )
+      let m = Itab.find memo lo hi id in
+      if m != no_memo then replay m
+      else begin
+        let m = resolve lo hi id in
+        replay m;
+        if memo.Itab.count < memo_cap then Itab.add memo lo hi id m
+      end
     end
   in
   let feed ~lbr ~lbr_len ~stack ~stack_len =
@@ -215,27 +354,21 @@ let start ?(name_of = fun _ -> None) ?missing ~checksum_of
       else begin
         let d = min (stack_len - 1) 63 in
         depth_hist.(d) <- depth_hist.(d) + 1;
-        let callers =
-          ref
-            (let rec go i acc = if i < 1 then acc else go (i - 1) (stack.(i) :: acc) in
-             go (stack_len - 1) [])
-        in
+        let id = ref Stacks.empty in
+        for i = stack_len - 1 downto 1 do
+          id := push !id stack.(i)
+        done;
         (* Newest run: from the last branch target to the sampled ip. *)
-        attribute (last_tgt, stack.(0)) !callers;
+        attribute last_tgt stack.(0) !id;
         (* Walk branches newest -> oldest, undoing each one. *)
         for i = lbr_len - 1 downto 1 do
-          let cur_src, _ = lbr.(i) in
+          let cur_src, cur_tgt = lbr.(i) in
           let _, older_tgt = lbr.(i - 1) in
           (match Pg.Bindex.kind_of_addr ix cur_src with
-          | Pg.Bindex.K_call -> ( match !callers with [] -> () | _ :: tl -> callers := tl)
-          | Pg.Bindex.K_tail_call -> ()
-          | Pg.Bindex.K_ret ->
-              callers :=
-                (let _, t = lbr.(i) in
-                 t)
-                :: !callers
-          | Pg.Bindex.K_other -> ());
-          attribute (older_tgt, cur_src) !callers
+          | Pg.Bindex.K_call -> id := Stacks.pop stacks !id
+          | Pg.Bindex.K_ret -> id := push !id cur_tgt
+          | Pg.Bindex.K_tail_call | Pg.Bindex.K_other -> ());
+          attribute older_tgt cur_src !id
         done
       end
     end

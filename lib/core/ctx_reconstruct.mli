@@ -23,16 +23,48 @@ type stats = {
   st_gaps_failed : int;     (** gaps that truncated the context *)
 }
 
+module Stacks : sig
+  (** Interned caller stacks. Every distinct stack of return addresses
+      has one dense int id: [empty] is the empty stack, and any other id
+      is one address pushed onto its parent id. Equal stacks get equal
+      ids however they were reached. *)
+
+  type t
+
+  val create : unit -> t
+
+  val empty : int
+
+  val push : t -> int -> int -> int
+  (** [push t id addr]: the id of stack [id] with [addr] pushed as its new
+      innermost frame. One lookup in a flat int-keyed table. *)
+
+  val pop : t -> int -> int
+  (** The id without its innermost frame; [pop t empty = empty]. *)
+
+  val frames : t -> int -> int list
+  (** The stack's return addresses, innermost first. *)
+end
+
 type stream
 (** Online reconstruction state. [start] once per profiled binary, [feed]
     each sample (scratch-safe: only ints are read out of the buffers),
     [finish] for the trie + stats. All per-LBR-entry work (branch
     classification, call-before resolution, inline level paths) runs on the
-    dense {!Csspgo_profgen.Bindex} tables — no hash lookups on the sample
-    path. With missing-frame inference the [Missing_frame.t] passed to
-    [start] must already be complete (built online during the profiling run
-    and finished before the first [feed]); path uniqueness depends on the
-    whole edge table. *)
+    dense {!Csspgo_profgen.Bindex} tables. With missing-frame inference the
+    [Missing_frame.t] passed to [start] must already be complete (built
+    online during the profiling run and finished before the first [feed]);
+    path uniqueness depends on the whole edge table.
+
+    Caller stacks are interned ({!Stacks}): undoing a call moves to the
+    parent id, undoing a return looks up a child id. Each stack id walks
+    its return addresses once, extending its parent's walk (tail-call gaps
+    included), and finds its trie node the first time an attribution
+    needs it. Attributions are memoized on [(range start, range end,
+    stack id)], with the bumped nodes and probe/callsite codes as the
+    value. A miss costs the leaf-level gap check, one pass over the
+    range's probes and call sites, and a trie step per inline frame; a
+    name is formatted only for a node being created. *)
 
 val start :
   ?name_of:(Csspgo_ir.Guid.t -> string option) ->

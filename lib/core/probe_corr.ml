@@ -26,10 +26,17 @@ let default_name guid = Format.asprintf "%a" Ir.Guid.pp guid
 let correlate_agg ?(name_of = fun _ -> None) ?index ~checksum_of
     ?(obs = Csspgo_obs.Metrics.null) (b : Mach.binary) (agg : Pg.Ranges.agg) =
   let prof = P.Probe_profile.create () in
-  let name_for guid = Option.value (name_of guid) ~default:(default_name guid) in
   let n_ranges = ref 0 and n_unmatched = ref 0 and n_hits = ref 0 and n_calls = ref 0 in
+  (* Named only when first added: the lookup and hex fallback are not
+     paid per probe hit. *)
   let fentry guid =
-    let fe = P.Probe_profile.get_or_add prof guid ~name:(name_for guid) in
+    let fe =
+      match P.Probe_profile.get prof guid with
+      | Some fe -> fe
+      | None ->
+          let name = match name_of guid with Some n -> n | None -> default_name guid in
+          P.Probe_profile.get_or_add prof guid ~name
+    in
     if Int64.equal fe.P.Probe_profile.fe_checksum 0L then
       fe.P.Probe_profile.fe_checksum <- checksum_of guid;
     fe

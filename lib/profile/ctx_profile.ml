@@ -61,7 +61,9 @@ let node_at t ~path =
   | [] -> None
   | ((root_guid, _), _, _) :: _ ->
       let root =
-        base t root_guid ~name:(Format.asprintf "%a" Ir.Guid.pp root_guid)
+        match Ir.Guid.Tbl.find_opt t.roots root_guid with
+        | Some n -> n
+        | None -> base t root_guid ~name:(Format.asprintf "%a" Ir.Guid.pp root_guid)
       in
       let cur = ref root in
       List.iter

@@ -67,8 +67,9 @@ let pp fmt t =
   Ir.Guid.Tbl.iter
     (fun guid fe ->
       let name =
-        Option.value (Ir.Guid.Tbl.find_opt t.names guid)
-          ~default:(Format.asprintf "%a" Ir.Guid.pp guid)
+        match Ir.Guid.Tbl.find_opt t.names guid with
+        | Some n -> n
+        | None -> Format.asprintf "%a" Ir.Guid.pp guid
       in
       Format.fprintf fmt "%s: total=%Ld head=%Ld checksum=%Lx@." name fe.fe_total fe.fe_head
         fe.fe_checksum;

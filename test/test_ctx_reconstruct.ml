@@ -189,7 +189,62 @@ let check_case c () =
       Alcotest.(check bool) "gaps resolved" true (st.CR.st_gaps_resolved > 0)
   | _ -> Alcotest.(check bool) "misaligned drops" true (st.CR.st_dropped_misaligned > 0)
 
+(* --- interned caller stacks ---------------------------------------------- *)
+
+module St = CR.Stacks
+
+let push_all t id addrs = List.fold_left (St.push t) id addrs
+
+let test_stacks () =
+  let t = St.create () in
+  let a = push_all t St.empty [ 10; 20; 30 ] in
+  Alcotest.(check (list int)) "innermost first" [ 30; 20; 10 ] (St.frames t a);
+  Alcotest.(check int) "re-pushing gives the same id" a (push_all t St.empty [ 10; 20; 30 ]);
+  Alcotest.(check int) "pop undoes push" a (St.pop t (St.push t a 40));
+  Alcotest.(check int) "pop of the empty stack" St.empty (St.pop t St.empty);
+  Alcotest.(check int) "pop to empty" St.empty (St.pop t (St.pop t (St.pop t a)));
+  (* Sixteen shared innermost frames above different outermost ones. *)
+  let shared = List.init 16 (fun i -> 100 + i) in
+  let x = push_all t (St.push t St.empty 1) shared in
+  let y = push_all t (St.push t St.empty 2) shared in
+  Alcotest.(check bool) "outermost frame tells stacks apart" true (x <> y);
+  Alcotest.(check (list int)) "frames of the first" (List.rev shared @ [ 1 ]) (St.frames t x);
+  Alcotest.(check (list int)) "frames of the second" (List.rev shared @ [ 2 ]) (St.frames t y)
+
+(* Random push/pop sequences against an int-list model: the id's frames
+   are the model's list, and ids and lists correspond one to one. *)
+let prop_stacks_model =
+  QCheck.Test.make ~name:"interned stacks replay push/pop like an int list" ~count:300
+    QCheck.(small_list (option (int_range 1 5)))
+    (fun ops ->
+      let t = St.create () in
+      let id_of = Hashtbl.create 16 and model_of = Hashtbl.create 16 in
+      let agrees id model =
+        St.frames t id = model
+        && (match Hashtbl.find_opt id_of model with
+           | Some id' -> id' = id
+           | None -> Hashtbl.replace id_of model id; true)
+        &&
+        match Hashtbl.find_opt model_of id with
+        | Some m -> m = model
+        | None -> Hashtbl.replace model_of id model; true
+      in
+      let rec go id model = function
+        | [] -> true
+        | op :: ops ->
+            let id, model =
+              match op with
+              | Some a -> (St.push t id a, a :: model)
+              | None -> (St.pop t id, match model with [] -> [] | _ :: tl -> tl)
+            in
+            agrees id model && go id model ops
+      in
+      go St.empty [] ops)
+
 let suite =
   ( "ctx-reconstruct",
     List.map (fun c -> Alcotest.test_case ("pinned: " ^ c.c_name) `Quick (check_case c)) cases
-  )
+    @ [
+        Alcotest.test_case "interned stacks" `Quick test_stacks;
+        QCheck_alcotest.to_alcotest prop_stacks_model;
+      ] )
