@@ -46,9 +46,9 @@ module Itab = struct
 
   let find t a b c = t.vals.(slot t a b c)
 
-  (* The key must be absent. The table doubles past half load. *)
+  (* The key must be absent. The table doubles past three-quarters load. *)
   let rec add t a b c v =
-    if 2 * (t.count + 1) > Array.length t.vals then begin
+    if 4 * (t.count + 1) > 3 * Array.length t.vals then begin
       let keys = t.keys and vals = t.vals in
       t.keys <- Array.make (2 * Array.length keys) min_int;
       t.vals <- Array.make (2 * Array.length vals) t.absent;
@@ -322,10 +322,11 @@ let start ?(name_of = fun _ -> None) ?missing ~checksum_of
       m.m_nodes
   in
   (* Attributions repeat wherever a loop runs under one stack. The memo
-     is capped: recursion keeps making new stacks, and a key that misses
-     the memo is only recomputed, never wrong. *)
+     is small: recursion keeps making new (range, stack) pairs (91,520 of
+     415,616 attributions on haas), so a large memo saves little time and
+     costs heap; a key that misses is recomputed, never wrong. *)
   let memo = Itab.create no_memo in
-  let memo_cap = 1 lsl 16 in
+  let memo_cap = 1 lsl 12 in
   let attribute lo hi id =
     if lo > 0 && hi >= lo then begin
       let m = Itab.find memo lo hi id in
