@@ -32,17 +32,19 @@ module Itab = struct
   let create absent =
     { keys = Array.make (3 * 64) min_int; vals = Array.make 64 absent; count = 0; absent }
 
+  (* Linear probing from slot [i]. Top level, not a local closure, so a
+     lookup allocates nothing. *)
+  let rec probe keys mask a b c i =
+    let k = 3 * i in
+    let a' = keys.(k) in
+    if a' = min_int || (a' = a && keys.(k + 1) = b && keys.(k + 2) = c) then i
+    else probe keys mask a b c ((i + 1) land mask)
+
   (* The slot holding the key, or the free slot where it belongs. *)
   let slot t a b c =
     let mask = Array.length t.vals - 1 in
-    let rec probe i =
-      let k = 3 * i in
-      let a' = t.keys.(k) in
-      if a' = min_int || (a' = a && t.keys.(k + 1) = b && t.keys.(k + 2) = c) then i
-      else probe ((i + 1) land mask)
-    in
     let h = ((((a * 0x9E3779B1) + b) * 0x9E3779B1) + c) * 0x9E3779B1 in
-    probe ((h lxor (h lsr 29)) land mask)
+    probe t.keys mask a b c ((h lxor (h lsr 29)) land mask)
 
   let find t a b c = t.vals.(slot t a b c)
 
@@ -175,7 +177,9 @@ let start ?(name_of = fun _ -> None) ?missing ~checksum_of
   let bridge expected to_func =
     match expected with
     | Some exp when not (Ir.Guid.equal exp to_func) -> (
-        match Option.bind missing (fun mf -> Missing_frame.resolve mf ~from_func:exp ~to_func) with
+        match
+          Option.bind missing (fun mf -> Missing_frame.resolve mf ~from_func:exp ~to_func)
+        with
         | Some chain ->
             Gap_bridged
               ( List.length chain,
@@ -309,17 +313,18 @@ let start ?(name_of = fun _ -> None) ?missing ~checksum_of
     gaps_resolved := !gaps_resolved + m.m_resolved;
     gaps_failed := !gaps_failed + m.m_failed;
     inferred := !inferred + m.m_inferred;
-    Array.iteri
-      (fun k (n : CP.node) ->
-        let code = m.m_codes.(k) in
-        if code land 1 = 0 then P.Probe_profile.add_probe n.CP.n_prof (code lsr 1) 1L
-        else
-          let ii = code lsr 1 in
-          match Pg.Bindex.callee ix ii with
-          | Some callee ->
-              P.Probe_profile.add_call n.CP.n_prof (Pg.Bindex.cs_probe ix ii) callee 1L
-          | None -> ())
-      m.m_nodes
+    (* A loop, not an iterator: a closure over [m] would allocate on
+       every memo hit. *)
+    for k = 0 to Array.length m.m_nodes - 1 do
+      let n = m.m_nodes.(k) and code = m.m_codes.(k) in
+      if code land 1 = 0 then P.Probe_profile.add_probe n.CP.n_prof (code lsr 1) 1L
+      else
+        let ii = code lsr 1 in
+        match Pg.Bindex.callee ix ii with
+        | Some callee ->
+            P.Probe_profile.add_call n.CP.n_prof (Pg.Bindex.cs_probe ix ii) callee 1L
+        | None -> ()
+    done
   in
   (* Attributions repeat wherever a loop runs under one stack. The memo
      is small: recursion keeps making new (range, stack) pairs (91,520 of

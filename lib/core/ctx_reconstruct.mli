@@ -62,7 +62,7 @@ type stream
     included), and finds its trie node the first time an attribution
     needs it. Attributions are memoized on [(range start, range end,
     stack id)], with the bumped nodes and probe/callsite codes as the
-    value. A miss costs the leaf-level gap check, one pass over the
+    value, in at most 4,096 entries. A miss costs the leaf-level gap check, one pass over the
     range's probes and call sites, and a trie step per inline frame; a
     name is formatted only for a node being created. *)
 
