@@ -242,7 +242,7 @@ let prop_stacks_model =
       go St.empty [] ops)
 
 let suite =
-  ( "ctx-reconstruct",
+  ( "ctx-recon",
     List.map (fun c -> Alcotest.test_case ("pinned: " ^ c.c_name) `Quick (check_case c)) cases
     @ [
         Alcotest.test_case "interned stacks" `Quick test_stacks;
