@@ -34,6 +34,10 @@ val build : Csspgo_codegen.Mach.binary -> Csspgo_vm.Machine.sample list -> t
 
 val n_edges : t -> int
 
+val edges : t -> (Csspgo_ir.Guid.t * int * Csspgo_ir.Guid.t) list
+(** Every tail-call edge as (calling function, call address, target
+    function), sorted. *)
+
 val union : t -> t -> t
 (** Merge two edge tables (inputs untouched). The union of per-shard
     tables equals the table one builder fed the whole stream would hold,
