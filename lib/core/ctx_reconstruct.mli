@@ -61,10 +61,14 @@ type stream
     its return addresses once, extending its parent's walk (tail-call gaps
     included), and finds its trie node the first time an attribution
     needs it. Attributions are memoized on [(range start, range end,
-    stack id)], with the bumped nodes and probe/callsite codes as the
-    value, in at most 4,096 entries. A miss costs the leaf-level gap check, one pass over the
+    stack id)] in the shared {!Csspgo_support.Itab}, with the bumped
+    nodes and probe/callsite codes as the value, in at most 4,096
+    entries. A miss costs the leaf-level gap check, one pass over the
     range's probes and call sites, and a trie step per inline frame; a
-    name is formatted only for a node being created. *)
+    name is formatted only for a node being created. A miss applies its
+    bumps at once; a hit only increments the entry's hit count, and
+    [finish] applies each entry's bumps and gap counters once, times its
+    hits. So the trie and the stats are complete only after [finish]. *)
 
 val start :
   ?name_of:(Csspgo_ir.Guid.t -> string option) ->
@@ -79,7 +83,7 @@ val feed :
   lbr:(int * int) array -> lbr_len:int -> stack:int array -> stack_len:int -> unit
 
 val finish : stream -> Csspgo_profile.Ctx_profile.t * stats
-(** Also flushes telemetry to [obs], accumulated locally during the run:
+(** Applies the memo's pending hits, then returns the trie. Also flushes telemetry to [obs], accumulated locally during the run:
     [ctx.samples], [ctx.dropped-misaligned], [ctx.gaps-resolved],
     [ctx.gaps-failed], [ctx.inferred-frames] counters and the
     [ctx.context-depth] histogram (stack depth per aligned sample).

@@ -491,6 +491,9 @@ module Plan = struct
     let prof = ref None in
     let prof_key = ref [] in
     let profile = ref None in
+    (* The correlated profile's serialized form: sized once by the
+       [correlate.profile-bytes] stat, and the rebuild key of a counter
+       profile. Later stages never re-render it. *)
     let profile_ser = ref "" in
     let profile_size = ref 0 in
     let recon = ref None in
@@ -508,10 +511,11 @@ module Plan = struct
       | Compile cs -> compile_spec := Some cs
       | Instrument is -> instr_spec := Some is
       | Profile_run ps ->
-          (* "stream-v2": [profile_run_out] changed shape (aggregates + log
-             instead of a sample list); the version element keeps stale
-             marshaled cache entries from being unsafely decoded. *)
-          let key = [ "stream-v2"; src_fp; fp !compile_spec; fp !instr_spec; fp ps ] in
+          (* "stream-v3": [profile_run_out] changed shape (aggregates + log
+             instead of a sample list in v2, int-table range counts in v3);
+             the version element keeps stale marshaled cache entries from
+             being unsafely decoded. *)
+          let key = [ "stream-v3"; src_fp; fp !compile_spec; fp !instr_spec; fp ps ] in
           prof_key := key;
           let out =
             hooks.memo ~kind:"profile-run" ~key ~ser:mser ~de:mde (fun () ->
@@ -699,7 +703,7 @@ module Plan = struct
                 stats.Ctx_reconstruct.st_gaps_failed;
               recon := Some stats;
               profile := Some (Prof_ctx { x_trie = trie; x_flat = flat });
-              profile_ser := text (* refreshed after Preinline *)
+              profile_ser := text
           | Corr_counters { cn_min_count; cn_min_ratio } ->
               let inst =
                 match po.pr_instr with
@@ -762,12 +766,10 @@ module Plan = struct
             | Some (Prof_lines lp) ->
                 let lp', rep = Stale_match.match_line ~obs:hooks.metrics ~target lp in
                 profile := Some (Prof_lines lp');
-                profile_ser := P.Text_io.to_string (P.Text_io.Line_prof lp');
                 rep
             | Some (Prof_probes pp) ->
                 let pp', rep = Stale_match.match_probe ~obs:hooks.metrics ~target pp in
                 profile := Some (Prof_probes pp');
-                profile_ser := P.Text_io.to_string (P.Text_io.Probe_prof pp');
                 rep
             | Some (Prof_ctx { x_trie; x_flat }) ->
                 let trie', rep = Stale_match.match_ctx ~obs:hooks.metrics ~target x_trie in
@@ -775,7 +777,6 @@ module Plan = struct
                    verdicts would double-count the trie's, so no obs here. *)
                 let flat', _ = Stale_match.match_probe ~target x_flat in
                 profile := Some (Prof_ctx { x_trie = trie'; x_flat = flat' });
-                profile_ser := P.Text_io.to_string (P.Text_io.Ctx_prof trie');
                 rep
             | Some (Prof_counters _) | None ->
                 invalid_arg "Plan.run: Stale_apply requires a correlated sampling profile"
@@ -819,8 +820,7 @@ module Plan = struct
                   (* Without the pre-inliner every context merges into base. *)
                   ignore (P.Ctx_profile.trim_cold x_trie ~threshold:Int64.max_int);
                   decisions := []);
-              profile_size := P.Ctx_profile.size_bytes x_trie;
-              profile_ser := P.Text_io.to_string (P.Text_io.Ctx_prof x_trie)
+              profile_size := P.Ctx_profile.size_bytes x_trie
           | _ -> () (* no context trie: nothing to pre-inline *))
       | Rebuild rs ->
           let prog = Frontend.Lower.compile !rebuild_source in

@@ -3,7 +3,6 @@ module Vm = Csspgo_vm
 module Pg = Csspgo_profgen
 module P = Csspgo_profile
 module Obs = Csspgo_obs
-module Counter = Csspgo_support.Counter
 
 type shard = Vm.Sample_log.t list
 
@@ -41,18 +40,6 @@ let observe ?(obs = Obs.Metrics.null) shards =
 
 (* --- range/branch aggregation ---------------------------------------- *)
 
-(* Fresh-table combine: tree_reduce may hand a node's operand to another
-   node on the serial path, so merges never mutate their inputs. Counter
-   addition is commutative/associative, so the reduced tables hold exactly
-   the counts one [Ranges.feed] pass over the whole stream would. *)
-let merge_agg a b =
-  let m = Pg.Ranges.create () in
-  Counter.merge_into ~into:m.Pg.Ranges.range_counts a.Pg.Ranges.range_counts;
-  Counter.merge_into ~into:m.Pg.Ranges.range_counts b.Pg.Ranges.range_counts;
-  Counter.merge_into ~into:m.Pg.Ranges.branch_counts a.Pg.Ranges.branch_counts;
-  Counter.merge_into ~into:m.Pg.Ranges.branch_counts b.Pg.Ranges.branch_counts;
-  m
-
 let aggregate ?obs ?metrics ?trace ~jobs shards =
   observe ?obs shards;
   let aggs =
@@ -64,7 +51,9 @@ let aggregate ?obs ?metrics ?trace ~jobs shards =
         agg)
       shards
   in
-  match S.tree_reduce ?metrics ?trace ~jobs merge_agg aggs with
+  (* [Ranges.merge] never mutates its inputs, as tree_reduce may hand a
+     node's operand to another node on the serial path. *)
+  match S.tree_reduce ?metrics ?trace ~jobs Pg.Ranges.merge aggs with
   | Some agg -> agg
   | None -> Pg.Ranges.create ()
 

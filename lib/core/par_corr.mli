@@ -6,8 +6,8 @@
     chunking), and every reduction here is exact under any whole-sample
     partition of the stream:
 
-    - range/branch aggregates are {!Csspgo_support.Counter} tables, which
-      merge by addition (commutative, associative);
+    - range/branch aggregates are int count tables, which merge by
+      addition ({!Csspgo_profgen.Ranges.merge}: commutative, associative);
     - tail-call edge tables merge by set union, and
       {!Missing_frame.resolve} is edge-order-independent;
     - per-shard context tries (each reconstructed against the {e complete}

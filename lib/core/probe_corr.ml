@@ -2,7 +2,7 @@ module Ir = Csspgo_ir
 module Mach = Csspgo_codegen.Mach
 module P = Csspgo_profile
 module Pg = Csspgo_profgen
-module Counter = Csspgo_support.Counter
+module Itab = Csspgo_support.Itab
 
 let probes_in_range (b : Mach.binary) (lo, hi) =
   let probes = b.Mach.probes in
@@ -42,18 +42,19 @@ let correlate_agg ?(name_of = fun _ -> None) ?index ~checksum_of
     fe
   in
   (* Probe counts: sum over all physical copies covered by ranges. *)
-  Counter.iter
-    (fun range n ->
+  Pg.Ranges.iter_ranges
+    (fun lo hi n ->
       incr n_ranges;
-      match probes_in_range b range with
+      match probes_in_range b (lo, hi) with
       | [] -> incr n_unmatched
       | prs ->
+          let n = Int64.of_int n in
           List.iter
             (fun (pr : Mach.probe_rec) ->
               incr n_hits;
               P.Probe_profile.add_probe (fentry pr.Mach.pr_func) pr.Mach.pr_id n)
             prs)
-    agg.Pg.Ranges.range_counts;
+    agg;
   (* Callsite targets: executed calls attributed to their callsite probe in
      the probe's owner function (the innermost inline frame's origin). *)
   let totals = Pg.Ranges.addr_totals ?index b agg in
@@ -62,8 +63,8 @@ let correlate_agg ?(name_of = fun _ -> None) ?index ~checksum_of
       if inst.Mach.i_cs_probe > 0 then
         match inst.Mach.i_op with
         | Mach.MCall c | Mach.MTail_call c -> (
-            match Counter.find_opt totals inst.Mach.i_addr with
-            | Some total when Int64.compare total 0L > 0 ->
+            match Itab.find totals inst.Mach.i_addr 0 0 with
+            | total when total > 0 ->
                 let owner =
                   if Ir.Dloc.is_none inst.Mach.i_dloc then
                     (* not inlined: owner is the containing function *)
@@ -72,19 +73,19 @@ let correlate_agg ?(name_of = fun _ -> None) ?index ~checksum_of
                 in
                 incr n_calls;
                 P.Probe_profile.add_call (fentry owner) inst.Mach.i_cs_probe c.Mach.m_callee
-                  total
+                  (Int64.of_int total)
             | _ -> ())
         | _ -> ())
     b.Mach.insts;
   (* Head counts. *)
-  Counter.iter
-    (fun (_, tgt) n ->
+  Pg.Ranges.iter_branches
+    (fun _ tgt n ->
       match Mach.func_index_of_addr b tgt with
       | Some i when b.Mach.funcs.(i).Mach.bf_start = tgt ->
           let fe = fentry b.Mach.funcs.(i).Mach.bf_guid in
-          fe.P.Probe_profile.fe_head <- Int64.add fe.P.Probe_profile.fe_head n
+          fe.P.Probe_profile.fe_head <- Int64.add fe.P.Probe_profile.fe_head (Int64.of_int n)
       | _ -> ())
-    agg.Pg.Ranges.branch_counts;
+    agg;
   let module M = Csspgo_obs.Metrics in
   M.bump (M.counter obs "probe-corr.ranges") !n_ranges;
   M.bump (M.counter obs "probe-corr.ranges-unmatched") !n_unmatched;

@@ -24,24 +24,26 @@ let profile_run src args =
 let test_aggregate_shapes () =
   let bin, samples = profile_run loop_src [ 4000L ] in
   let agg = Pg.Ranges.aggregate samples in
-  let module C = Csspgo_support.Counter in
-  Alcotest.(check bool) "ranges found" true (C.length agg.Pg.Ranges.range_counts > 0);
-  Alcotest.(check bool) "branches found" true (C.length agg.Pg.Ranges.branch_counts > 0);
+  let count iter = let n = ref 0 in iter (fun _ _ _ -> incr n) agg; !n in
+  Alcotest.(check bool) "ranges found" true (count Pg.Ranges.iter_ranges > 0);
+  Alcotest.(check bool) "branches found" true (count Pg.Ranges.iter_branches > 0);
   (* All range endpoints map into the text section. *)
-  C.iter
-    (fun (lo, hi) _ ->
+  Pg.Ranges.iter_ranges
+    (fun lo hi _ ->
       if hi < lo then Alcotest.fail "inverted range";
       if Cg.Mach.inst_at bin lo = None then Alcotest.fail "range start unmapped")
-    agg.Pg.Ranges.range_counts
+    agg
 
 let test_addr_totals_cover_hot_loop () =
   let bin, samples = profile_run loop_src [ 4000L ] in
   let agg = Pg.Ranges.aggregate samples in
   let totals = Pg.Ranges.addr_totals bin agg in
   let hottest =
-    Csspgo_support.Counter.fold (fun _ c acc -> Int64.max c acc) totals 0L
+    let m = ref 0 in
+    Csspgo_support.Itab.iter (fun _ _ _ c -> m := max c !m) totals;
+    !m
   in
-  Alcotest.(check bool) "hot addresses found" true (Int64.compare hottest 100L > 0)
+  Alcotest.(check bool) "hot addresses found" true (hottest > 100)
 
 let test_dwarf_correlation_produces_lines () =
   let bin, samples = profile_run loop_src [ 4000L ] in
