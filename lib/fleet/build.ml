@@ -204,8 +204,7 @@ let correlate_labeled ?obs ?(jobs = 1) ~(options : D.options) ~shape b log =
     end
     else None
   in
-  let slice_tries = ref [] in
-  let per_slice =
+  let sliced =
     Sched.map ~jobs
       (fun (label, slog) ->
         let agg = agg_of slog in
@@ -228,20 +227,16 @@ let correlate_labeled ?obs ?(jobs = 1) ~(options : D.options) ~shape b log =
               let trie, _stats = Core.Ctx_reconstruct.finish st in
               P.Text_io.Ctx_prof trie
         in
-        {
-          P.Labels.sl_label = label;
-          sl_weight = Int64.of_int (Vm.Sample_log.n_samples slog);
-          sl_profile = profile;
-        })
+        ( {
+            P.Labels.sl_label = label;
+            sl_weight = Int64.of_int (Vm.Sample_log.n_samples slog);
+            sl_profile = profile;
+          },
+          agg ))
       (Vm.Sample_log.slice_by_label log)
   in
-  List.iter
-    (fun s ->
-      match s.P.Labels.sl_profile with
-      | P.Text_io.Ctx_prof trie -> slice_tries := trie :: !slice_tries
-      | _ -> ())
-    per_slice;
-  let full_agg = agg_of log in
+  let per_slice, aggs = List.split sliced in
+  let full_agg = List.fold_left Pg.Ranges.merge (Pg.Ranges.create ()) aggs in
   let blend, flat =
     match shape with
     | Lines ->
@@ -255,7 +250,12 @@ let correlate_labeled ?obs ?(jobs = 1) ~(options : D.options) ~shape b log =
           None )
     | Ctx ->
         let trie = P.Ctx_profile.create () in
-        List.iter (fun t -> P.Merge.ctx ~into:trie ~weight:1L t) !slice_tries;
+        List.iter
+          (fun s ->
+            match s.P.Labels.sl_profile with
+            | P.Text_io.Ctx_prof t -> P.Merge.ctx ~into:trie ~weight:1L t
+            | _ -> ())
+          per_slice;
         if Int64.compare options.D.trim_threshold 0L > 0 then
           ignore (P.Ctx_profile.trim_cold trie ~threshold:options.D.trim_threshold);
         ( P.Text_io.Ctx_prof trie,
