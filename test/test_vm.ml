@@ -381,6 +381,62 @@ let test_no_allocation_per_instruction () =
     "fn fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }\nfn main(n) { return fib(n); }"
     [ 20L ]
 
+(* Allocation guard for the sample-replay kernels: replaying a recorded
+   log through range aggregation, the missing-frame builder and Algorithm 1
+   allocates less than one word per LBR entry beyond a replay that does
+   nothing. Counts are unboxed ints in a flat table and a memo hit only
+   counts, so what remains is per distinct key (table growth, a memo
+   miss) or per sample, not per entry. Words are counted on both heaps,
+   since a large table grows in the major heap. Each figure is the least
+   of three passes: the runtime's word counter can jump by most of a minor
+   heap once in a process, wherever that lands. *)
+let test_no_allocation_per_lbr_entry () =
+  let module SL = Vm.Sample_log in
+  let module Pg = Csspgo_profgen in
+  let module Core = Csspgo_core in
+  let module D = Core.Driver in
+  let w = Csspgo_workloads.Suite.adfinder in
+  let spec = List.hd w.D.w_train in
+  let bin = build ~probes:true w.D.w_source in
+  let log = SL.create () in
+  ignore
+    (Vm.Machine.run
+       ~pmu:(Some { Vm.Machine.default_pmu with Vm.Machine.sample_period = 1009 })
+       ~sink:(SL.sink log) ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
+       ~entry:w.D.w_entry);
+  let index = Pg.Bindex.create bin in
+  let missing = Core.Missing_frame.build bin (SL.to_samples log) in
+  let entries = ref 0 in
+  SL.iter log (fun ~lbr:_ ~lbr_len ~stack:_ ~stack_len:_ -> entries := !entries + lbr_len);
+  let words f =
+    let once () =
+      let minor, promoted, major = Gc.counters () in
+      f ();
+      let minor', promoted', major' = Gc.counters () in
+      minor' -. minor +. (major' -. major) -. (promoted' -. promoted)
+    in
+    List.fold_left Float.min (once ()) [ once (); once () ]
+  in
+  let noop = words (fun () -> SL.iter log (fun ~lbr:_ ~lbr_len:_ ~stack:_ ~stack_len:_ -> ())) in
+  let check name f =
+    let per = (words f -. noop) /. float_of_int !entries in
+    if per >= 1.0 then
+      Alcotest.failf "%s: %.3f words per LBR entry (%d entries)" name per !entries
+  in
+  check "Ranges" (fun () ->
+      let agg = Pg.Ranges.create () in
+      SL.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ -> Pg.Ranges.feed agg ~lbr ~lbr_len));
+  check "Missing_frame" (fun () ->
+      let mb = Core.Missing_frame.start index in
+      SL.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
+          Core.Missing_frame.feed mb ~lbr ~lbr_len);
+      ignore (Core.Missing_frame.finish mb));
+  check "Ctx_reconstruct" (fun () ->
+      let st = Core.Ctx_reconstruct.start ~missing ~checksum_of:(fun _ -> 0L) index in
+      SL.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
+          Core.Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
+      ignore (Core.Ctx_reconstruct.finish st))
+
 let suite =
   ( "vm",
     [
@@ -407,4 +463,5 @@ let suite =
       Alcotest.test_case "switch duplicate keys" `Quick test_switch_duplicate_keys;
       Alcotest.test_case "fuel bounds" `Quick test_fuel_bounds;
       Alcotest.test_case "no allocation per instruction" `Quick test_no_allocation_per_instruction;
+      Alcotest.test_case "no allocation per LBR entry" `Quick test_no_allocation_per_lbr_entry;
     ] )
