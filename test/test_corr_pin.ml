@@ -7,7 +7,14 @@
    int table. haas runs Algorithm 1 three ways (batch, one stream, and
    [Par_corr] at -j 2), and makes far more distinct (range, stack) pairs
    than the attribution memo holds, so both the memoized path and the
-   past-cap path are pinned. *)
+   past-cap path are pinned.
+
+   The production entry points are pinned the same way: the Driver's
+   ["correlate"] memo values (as a cache would serialize them) for the
+   three sampled variants at [hooks.jobs] 1 and 2, and the fleet's
+   [Build.correlate], [correlate_chunks] and [correlate_labeled] for all
+   three shapes, together with the counters each fleet call leaves in the
+   registry it is handed. *)
 module Ir = Csspgo_ir
 module F = Csspgo_frontend
 module Opt = Csspgo_opt
@@ -21,6 +28,8 @@ module Core = Csspgo_core
 module CR = Core.Ctx_reconstruct
 module D = Core.Driver
 module W = Csspgo_workloads
+module Fl = Csspgo_fleet
+module Obs = Csspgo_obs
 module Fnv = Csspgo_support.Fnv
 
 let hex s = Printf.sprintf "%016Lx" (Fnv.hash_string s)
@@ -142,8 +151,136 @@ let haas_case =
           ])
         [ ("batch", batch); ("stream", stream); ("-j 2", sharded) ] )
 
-(* Digests recorded from the Hashtbl-counted kernels, keyed by case and
-   aspect. *)
+(* --- production entry points ------------------------------------------ *)
+
+(* Profiling builds keep their tail calls, so the missing-frame table is
+   not empty and gaps get resolved. *)
+let fleet_options = { D.default_options with D.opt_profiling = no_inline }
+
+(* Every "correlate" memo value of one plan, serialized exactly as a cache
+   would store it, in the order the plan asks for them. *)
+let driver_case variant jobs =
+  ( Printf.sprintf "driver %s -j %d" (D.variant_name variant) jobs,
+    fun () ->
+      let kept = ref [] in
+      let memo ~kind ~key:_ ~ser ~de:_ f =
+        let v = f () in
+        if String.equal kind "correlate" then kept := ser v :: !kept;
+        v
+      in
+      let hooks = { D.Plan.default_hooks with D.Plan.memo; jobs } in
+      ignore (D.Plan.run ~hooks (D.Plan.make ~options:fleet_options ~variant W.Suite.adfinder));
+      List.mapi (fun i v -> (Printf.sprintf "memo %d" i, v)) (List.rev !kept) )
+
+let driver_cases =
+  List.concat_map
+    (fun v -> [ driver_case v 1; driver_case v 2 ])
+    [ D.Autofdo; D.Csspgo_probe_only; D.Csspgo_full ]
+
+let shapes = [ Fl.Build.Lines; Fl.Build.Probes; Fl.Build.Ctx ]
+
+let fleet_log ?labeled (b : Fl.Build.built) (w : D.workload) =
+  let log = SL.create () in
+  let run ?labels (spec : D.run_spec) =
+    ignore
+      (M.run ~pmu:(Some fleet_options.D.pmu) ?labels ~sink:(SL.sink log)
+         ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args b.Fl.Build.vb_bin
+         ~entry:w.D.w_entry)
+  in
+  (match labeled with
+  | None -> List.iter (fun spec -> run spec) w.D.w_train
+  | Some requests -> List.iter (fun (spec, labels) -> run ~labels spec) requests);
+  SL.compact log;
+  log
+
+(* Counters, gauges and histograms a call left in its registry; [sched.*]
+   depends on the domain schedule and is left out. *)
+let registry_text r =
+  let s = Obs.Metrics.snapshot r in
+  let keep name = not (String.length name >= 6 && String.sub name 0 6 = "sched.") in
+  let b = Buffer.create 1024 in
+  List.iter (fun (n, v) -> if keep n then Printf.bprintf b "c %s %d\n" n v) s.Obs.Metrics.s_counters;
+  List.iter (fun (n, v) -> if keep n then Printf.bprintf b "g %s %d\n" n v) s.Obs.Metrics.s_gauges;
+  List.iter
+    (fun (n, h) ->
+      if keep n then begin
+        Printf.bprintf b "h %s %d %d" n h.Obs.Metrics.h_count h.Obs.Metrics.h_sum;
+        List.iter (fun (k, c) -> Printf.bprintf b " %d:%d" k c) h.Obs.Metrics.h_nonzero;
+        Buffer.add_char b '\n'
+      end)
+    s.Obs.Metrics.s_histograms;
+  Buffer.contents b
+
+let texts (p, flat) =
+  [
+    ("profile", P.Text_io.to_string p);
+    ( "flat",
+      match flat with
+      | Some f -> P.Text_io.to_string (P.Text_io.Probe_prof f)
+      | None -> "" );
+  ]
+
+let prefixed tag = List.map (fun (aspect, s) -> (tag ^ " " ^ aspect, s))
+
+(* [Build.correlate] and [correlate_chunks] on adfinder's training log.
+   The chunk calls get one registry as both [obs] and [metrics], the way
+   [Fleet.Sim] wires them. *)
+let fleet_case shape =
+  ( "fleet " ^ Fl.Build.shape_name shape,
+    fun () ->
+      let w = W.Suite.adfinder in
+      let b = Fl.Build.profiling_build ~options:fleet_options ~shape ~source:w.D.w_source in
+      let log = fleet_log b w in
+      let obs = Obs.Metrics.create () in
+      let serial = Fl.Build.correlate ~obs ~options:fleet_options ~shape b log in
+      let chunks jobs =
+        let r = Obs.Metrics.create () in
+        let out =
+          Fl.Build.correlate_chunks ~obs:r ~metrics:r ~shard_target:16 ~jobs
+            ~options:fleet_options ~shape b (SL.split ~chunk:16 log)
+        in
+        (out, r)
+      in
+      let j1, r1 = chunks 1 and j2, _ = chunks 2 in
+      prefixed "correlate" (texts serial)
+      @ [ ("correlate counters", registry_text obs) ]
+      @ prefixed "chunks -j 1" (texts j1)
+      @ prefixed "chunks -j 2" (texts j2)
+      @ [ ("chunks counters", registry_text r1) ] )
+
+(* [correlate_labeled] on one labeled two-tenant log, at -j 1 and -j 2. *)
+let labeled_case shape =
+  ( "labeled " ^ Fl.Build.shape_name shape,
+    fun () ->
+      let mix =
+        W.Mix.make ~seed:11L ~requests:8
+          [
+            { W.Mix.t_name = "acme"; t_workload = W.Suite.adfinder; t_weight = 3 };
+            { W.Mix.t_name = "zeta"; t_workload = W.Suite.adranker; t_weight = 1 };
+          ]
+      in
+      let w = mix.W.Mix.mx_workload in
+      let b = Fl.Build.profiling_build ~options:fleet_options ~shape ~source:w.D.w_source in
+      let log = fleet_log ~labeled:mix.W.Mix.mx_requests b w in
+      let run jobs =
+        let obs = Obs.Metrics.create () in
+        let lc = Fl.Build.correlate_labeled ~obs ~jobs ~options:fleet_options ~shape b log in
+        ( [
+            ("slices", P.Labels.to_string lc.Fl.Build.lc_slices);
+            ("blend", P.Text_io.to_string lc.Fl.Build.lc_blend);
+            ( "flat",
+              match lc.Fl.Build.lc_flat with
+              | Some f -> P.Text_io.to_string (P.Text_io.Probe_prof f)
+              | None -> "" );
+          ],
+          obs )
+      in
+      let j1, r1 = run 1 and j2, _ = run 2 in
+      prefixed "-j 1" j1 @ prefixed "-j 2" j2 @ [ ("counters", registry_text r1) ] )
+
+(* Digests keyed by case and aspect: the kernel cases recorded from the
+   Hashtbl-counted kernels, the production entry points from the
+   hand-written correlation copies that preceded [Correlate]. *)
 let pinned =
   [
     ("adranker ranges", "22227ac3c6ebe9ee");
@@ -170,6 +307,59 @@ let pinned =
     ("haas ctx stream stats", "fb3893a8aaf57a50");
     ("haas ctx -j 2 text", "d0f8d4f3be5726b7");
     ("haas ctx -j 2 stats", "fb3893a8aaf57a50");
+    ("driver autofdo -j 1 memo 0", "885b9fea7ac78773");
+    ("driver autofdo -j 2 memo 0", "885b9fea7ac78773");
+    ("driver csspgo-probe-only -j 1 memo 0", "e000c7c137a50f00");
+    ("driver csspgo-probe-only -j 2 memo 0", "e000c7c137a50f00");
+    ("driver csspgo -j 1 memo 0", "8b9517a47020e42e");
+    ("driver csspgo -j 1 memo 1", "e000c7c137a50f00");
+    ("driver csspgo -j 2 memo 0", "8b9517a47020e42e");
+    ("driver csspgo -j 2 memo 1", "e000c7c137a50f00");
+    ("fleet lines correlate profile", "885b9fea7ac78773");
+    ("fleet lines correlate flat", "cbf29ce484222325");
+    ("fleet lines correlate counters", "6d4051bb25a70c9d");
+    ("fleet lines chunks -j 1 profile", "885b9fea7ac78773");
+    ("fleet lines chunks -j 1 flat", "cbf29ce484222325");
+    ("fleet lines chunks -j 2 profile", "885b9fea7ac78773");
+    ("fleet lines chunks -j 2 flat", "cbf29ce484222325");
+    ("fleet lines chunks counters", "a94db2901f9887f6");
+    ("fleet probes correlate profile", "e000c7c137a50f00");
+    ("fleet probes correlate flat", "cbf29ce484222325");
+    ("fleet probes correlate counters", "f1a8df9431b9cdf1");
+    ("fleet probes chunks -j 1 profile", "e000c7c137a50f00");
+    ("fleet probes chunks -j 1 flat", "cbf29ce484222325");
+    ("fleet probes chunks -j 2 profile", "e000c7c137a50f00");
+    ("fleet probes chunks -j 2 flat", "cbf29ce484222325");
+    ("fleet probes chunks counters", "e46a86ec9a90f3c5");
+    ("fleet ctx correlate profile", "930131de02d0373e");
+    ("fleet ctx correlate flat", "e000c7c137a50f00");
+    ("fleet ctx correlate counters", "112d45b834ac623f");
+    ("fleet ctx chunks -j 1 profile", "930131de02d0373e");
+    ("fleet ctx chunks -j 1 flat", "e000c7c137a50f00");
+    ("fleet ctx chunks -j 2 profile", "930131de02d0373e");
+    ("fleet ctx chunks -j 2 flat", "e000c7c137a50f00");
+    ("fleet ctx chunks counters", "ff3cfa7af39275b8");
+    ("labeled lines -j 1 slices", "7f32b6db730a58f9");
+    ("labeled lines -j 1 blend", "972bc751263354ae");
+    ("labeled lines -j 1 flat", "cbf29ce484222325");
+    ("labeled lines -j 2 slices", "7f32b6db730a58f9");
+    ("labeled lines -j 2 blend", "972bc751263354ae");
+    ("labeled lines -j 2 flat", "cbf29ce484222325");
+    ("labeled lines counters", "7f8af27453ecc771");
+    ("labeled probes -j 1 slices", "7e88a7d2fb6545bb");
+    ("labeled probes -j 1 blend", "7fe738e810731375");
+    ("labeled probes -j 1 flat", "cbf29ce484222325");
+    ("labeled probes -j 2 slices", "7e88a7d2fb6545bb");
+    ("labeled probes -j 2 blend", "7fe738e810731375");
+    ("labeled probes -j 2 flat", "cbf29ce484222325");
+    ("labeled probes counters", "1b9c50e54425fe29");
+    ("labeled ctx -j 1 slices", "8ec785234d1a4dd8");
+    ("labeled ctx -j 1 blend", "708b9d73aba4305d");
+    ("labeled ctx -j 1 flat", "7fe738e810731375");
+    ("labeled ctx -j 2 slices", "8ec785234d1a4dd8");
+    ("labeled ctx -j 2 blend", "708b9d73aba4305d");
+    ("labeled ctx -j 2 flat", "7fe738e810731375");
+    ("labeled ctx counters", "b89c7e86541b95e2");
   ]
 
 let check_case (name, run) () =
@@ -186,4 +376,6 @@ let suite =
   ( "corr-pin",
     List.map
       (fun ((name, _) as c) -> Alcotest.test_case name `Quick (check_case c))
-      (suite_cases @ [ haas_case ]) )
+      (suite_cases @ [ haas_case ] @ driver_cases
+      @ List.map fleet_case shapes
+      @ List.map labeled_case shapes) )
