@@ -471,19 +471,8 @@ let contexts_cmd =
     Core.Pseudo_probe.insert prog;
     Opt.Pass.optimize ~config:options.D.opt_profiling prog;
     let pbin = Cg.Emit.emit ~options:options.D.emit_opts prog in
-    let refp =
-      let p = F.Lower.compile w.D.w_source in
-      Core.Pseudo_probe.insert p;
-      p
-    in
-    let name_of g =
-      Option.map (fun f -> f.Ir.Func.name) (Ir.Program.find_func_by_guid refp g)
-    in
-    let checksum_of g =
-      match Ir.Program.find_func_by_guid refp g with
-      | Some f -> f.Ir.Func.checksum
-      | None -> 0L
-    in
+    let refp = F.Lower.compile w.D.w_source in
+    Core.Pseudo_probe.insert refp;
     let log = Vm.Sample_log.create () in
     List.iter
       (fun (spec : D.run_spec) ->
@@ -492,22 +481,17 @@ let contexts_cmd =
              ~sink:(Vm.Sample_log.sink log) ~globals_init:spec.D.rs_globals
              ~args:spec.D.rs_args pbin ~entry:w.D.w_entry))
       w.D.w_train;
-    let mb = Core.Missing_frame.start (Pg.Bindex.create pbin) in
-    Vm.Sample_log.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
-        Core.Missing_frame.feed mb ~lbr ~lbr_len);
-    let missing = Core.Missing_frame.finish mb in
-    let st =
-      Core.Ctx_reconstruct.start ~name_of ~missing ~checksum_of
-        (Pg.Bindex.create pbin)
+    let r =
+      Core.Correlate.run ~jobs:1 ~missing_frames:true ~trim:0L Core.Correlate.Ctx
+        (Core.Correlate.target (Core.Correlate.symbols refp) pbin)
+        (Core.Correlate.Log log)
     in
-    Vm.Sample_log.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
-        Core.Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
-    let trie, stats = Core.Ctx_reconstruct.finish st in
+    let stats = r.Core.Correlate.stats and trie = r.Core.Correlate.profile in
     Printf.printf "# samples=%d dropped=%d gaps: %d fixed / %d failed\n"
       stats.Core.Ctx_reconstruct.st_samples stats.Core.Ctx_reconstruct.st_dropped_misaligned
       stats.Core.Ctx_reconstruct.st_gaps_resolved stats.Core.Ctx_reconstruct.st_gaps_failed;
     (* The text profile format round-trips through Csspgo_profile.Text_io. *)
-    print_string (P.Text_io.to_string (P.Text_io.Ctx_prof trie))
+    print_string (P.Text_io.to_string trie)
   in
   Cmd.v
     (Cmd.info "contexts" ~doc:"Print the reconstructed context trie of a workload")

@@ -367,7 +367,6 @@ let start ?(name_of = fun _ -> None) ?missing ~checksum_of
 
 let feed s ~lbr ~lbr_len ~stack ~stack_len = s.sm_feed ~lbr ~lbr_len ~stack ~stack_len
 let finish s = s.sm_finish ()
-let sink s = { Vm.Machine.on_sample = s.sm_feed; on_labels = Vm.Machine.no_labels }
 
 let reconstruct ?name_of ?missing ~checksum_of (b : Mach.binary) samples =
   let st = start ?name_of ?missing ~checksum_of (Pg.Bindex.create b) in

@@ -89,10 +89,6 @@ val finish : stream -> Csspgo_profile.Ctx_profile.t * stats
     [ctx.context-depth] histogram (stack depth per aligned sample).
     Observation never changes attribution. *)
 
-val sink : stream -> Csspgo_vm.Machine.sink
-(** Attach reconstruction directly to a live PMU (only sound when no
-    missing-frame table is in play, or it was built by an earlier run). *)
-
 val reconstruct :
   ?name_of:(Csspgo_ir.Guid.t -> string option) ->
   ?missing:Missing_frame.t ->

@@ -416,10 +416,11 @@ module Plan = struct
   type instrumentation = { in_map : Instrument.t; in_vals : Instrument.values }
 
   (* The raw sample list is gone: the profiling run streams every sample
-     through a tee sink into (a) the range/branch aggregate, (b) the
-     missing-frame tail-call table, and (c) a compact flat-int log that
-     context reconstruction replays once the missing table is complete.
-     Peak live memory is the aggregate + log words, not boxed samples. *)
+     through the kernel's tee sink ([Correlate.recorder]) into (a) the
+     range/branch aggregate, (b) the missing-frame tail-call table, and
+     (c) a compact flat-int log that context reconstruction replays once
+     the missing table is complete. Peak live memory is the aggregate +
+     log words, not boxed samples. *)
   type profile_run_out = {
     pr_bin : Cg.Mach.binary;
     pr_agg : Pg.Ranges.agg;
@@ -430,11 +431,6 @@ module Plan = struct
     pr_counters : int64 array option;
     pr_values : (int, (int64, int64) Hashtbl.t) Hashtbl.t;
     pr_instr : instrumentation option;
-  }
-
-  type ref_info = {
-    ri_names : string Ir.Guid.Tbl.t;
-    ri_checksums : int64 Ir.Guid.Tbl.t;
   }
 
   type profile_data =
@@ -459,29 +455,17 @@ module Plan = struct
       | None ->
           let ri =
             hooks.memo ~kind:"ref-info" ~key:[ src_fp ] ~ser:mser ~de:mde (fun () ->
-                let refp = reference w in
-                let names = Ir.Guid.Tbl.create 64 in
-                let checksums = Ir.Guid.Tbl.create 64 in
-                Ir.Program.iter_funcs
-                  (fun f ->
-                    Ir.Guid.Tbl.replace names f.Ir.Func.guid f.Ir.Func.name;
-                    Ir.Guid.Tbl.replace checksums f.Ir.Func.guid f.Ir.Func.checksum)
-                  refp;
-                { ri_names = names; ri_checksums = checksums })
+                Correlate.symbols (reference w))
           in
           ref_info_cell := Some ri;
           ri
-    in
-    let name_of g = Ir.Guid.Tbl.find_opt (ref_info ()).ri_names g in
-    let checksum_of g =
-      Option.value (Ir.Guid.Tbl.find_opt (ref_info ()).ri_checksums g) ~default:0L
     in
     (* Probe/function checksums are first-class cache-key material: any CFG
        drift in the reference invalidates correlated profiles derived from
        it, so a stale cache degrades to recorrelation, never to wrong data. *)
     let checksum_digest () =
       let ri = ref_info () in
-      Ir.Guid.Tbl.fold (fun g c acc -> (g, c) :: acc) ri.ri_checksums []
+      Ir.Guid.Tbl.fold (fun g c acc -> (g, c) :: acc) ri.Correlate.checksums []
       |> List.sort compare
       |> List.fold_left (fun acc (g, c) -> Fnv.int64 (Fnv.int64 acc g) c) Fnv.init
       |> Printf.sprintf "%Lx"
@@ -542,36 +526,18 @@ module Plan = struct
                 in
                 Opt.Pass.optimize ~config:ps.p_config prog;
                 let bin = Cg.Emit.emit ~options:ps.p_emit prog in
-                let agg = Pg.Ranges.create () in
-                let log = Vm.Sample_log.create () in
-                let mb =
-                  match ps.p_pmu with
-                  | Some _ ->
-                      Some
-                        (Missing_frame.start ~obs:hooks.metrics (Pg.Bindex.create bin))
-                  | None -> None
-                in
-                let sink =
-                  {
-                    Vm.Machine.on_sample =
-                      (fun ~lbr ~lbr_len ~stack ~stack_len ->
-                        Pg.Ranges.feed agg ~lbr ~lbr_len;
-                        (match mb with
-                        | Some mb -> Missing_frame.feed mb ~lbr ~lbr_len
-                        | None -> ());
-                        Vm.Sample_log.add log ~lbr ~lbr_len ~stack ~stack_len);
-                    on_labels = Vm.Sample_log.set_label log;
-                  }
+                let sink, recorded =
+                  Correlate.recorder ~obs:hooks.metrics ~missing:(Option.is_some ps.p_pmu) bin
                 in
                 let r =
                   run_specs ~pmu:ps.p_pmu ~sink ~obs:hooks.metrics bin ~entry:ps.p_entry
                     ps.p_train
                 in
-                Vm.Sample_log.compact log;
+                let agg, missing, log = recorded () in
                 {
                   pr_bin = bin;
                   pr_agg = agg;
-                  pr_missing = Option.map Missing_frame.finish mb;
+                  pr_missing = missing;
                   pr_log = log;
                   pr_n_samples = r.r_n_samples;
                   pr_cycles = r.r_cycles;
@@ -589,47 +555,45 @@ module Plan = struct
             | Some po -> po
             | None -> invalid_arg "Plan.run: Correlate before Profile_run"
           in
-          (* Dense per-binary index for the streaming correlators; built
-             once per Correlate stage, shared by every consumer below. *)
-          let index = lazy (Pg.Bindex.create po.pr_bin) in
+          (* The kernel's view of the profiled binary (dense index plus
+             reference symbols); built once per Correlate stage, shared by
+             every consumer below. *)
+          let target = lazy (Correlate.target (ref_info ()) po.pr_bin) in
           (* Correlated profiles cache as canonical Text_io dumps; the memo
              thunk also hands back the freshly built value so the cache-off
              path never round-trips through text. *)
-          let memo_profile ~tag ~kind_p build =
+          let memo_profile shape =
+            let tag, kind =
+              match shape with
+              | Correlate.Lines -> ("lines", P.Text_io.Line)
+              | _ -> ("probes", P.Text_io.Probe)
+            in
             let built = ref None in
             let text =
               hooks.memo ~kind:"correlate"
                 ~key:(!prof_key @ [ tag; checksum_digest () ])
                 ~ser:Fun.id ~de:Fun.id
                 (fun () ->
-                  let p = build () in
+                  let p =
+                    Correlate.of_agg ~obs:hooks.metrics (Lazy.force target) shape po.pr_agg
+                  in
                   built := Some p;
                   P.Text_io.to_string p)
             in
-            let p = match !built with Some p -> p | None -> P.Text_io.read kind_p text in
+            let p = match !built with Some p -> p | None -> P.Text_io.read kind text in
             (p, text)
           in
           (* Probe-level (context-merged) correlation, shared between
              [Corr_probes] and the flat quality baseline of [Corr_ctx]. *)
           let probe_flat () =
-            match
-              memo_profile ~tag:"probes" ~kind_p:P.Text_io.Probe (fun () ->
-                  P.Text_io.Probe_prof
-                    (Probe_corr.correlate_agg ~name_of ~index:(Lazy.force index)
-                       ~checksum_of ~obs:hooks.metrics po.pr_bin po.pr_agg))
-            with
+            match memo_profile Correlate.Probes with
             | P.Text_io.Probe_prof pp, text -> (pp, text)
             | _ -> assert false
           in
           (match x_correlator with
           | Corr_lines ->
               let lp, text =
-                match
-                  memo_profile ~tag:"lines" ~kind_p:P.Text_io.Line (fun () ->
-                      P.Text_io.Line_prof
-                        (Pg.Dwarf_corr.correlate_agg ~name_of ~index:(Lazy.force index)
-                           ~obs:hooks.metrics po.pr_bin po.pr_agg))
-                with
+                match memo_profile Correlate.Lines with
                 | P.Text_io.Line_prof lp, text -> (lp, text)
                 | _ -> assert false
               in
@@ -650,45 +614,26 @@ module Plan = struct
                     @ [ "ctx"; fp (cc_missing_frames, cc_trim_threshold); checksum_digest () ])
                   ~ser:mser ~de:mde
                   (fun () ->
-                    (* The tail-call table was built online during the
-                       profiling run; reconstruction replays the compact
-                       log against it (Algorithm 1 needs the complete table
-                       before the first sample is attributed). With
-                       [hooks.jobs > 1] the replay shards on chunk
-                       boundaries and reduces under the Merge laws — the
-                       sharded result is byte-identical to serial, so the
-                       memo key above deliberately excludes the job
-                       count. *)
-                    let missing = if cc_missing_frames then po.pr_missing else None in
-                    let trie, stats =
-                      if hooks.jobs > 1 then
-                        Par_corr.reconstruct ~name_of ?missing ~checksum_of
-                          ~obs:hooks.metrics ~metrics:hooks.metrics
-                          ~jobs:hooks.jobs (Lazy.force index)
-                          (Par_corr.shards_of_log po.pr_log)
-                      else begin
-                        let st =
-                          Ctx_reconstruct.start ~name_of ?missing ~checksum_of
-                            ~obs:hooks.metrics (Lazy.force index)
-                        in
-                        Vm.Sample_log.iter po.pr_log
-                          (fun ~lbr ~lbr_len ~stack ~stack_len ->
-                            Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
-                        Ctx_reconstruct.finish st
-                      end
+                    (* The aggregate and the tail-call table were recorded
+                       during the profiling run; the kernel replays the
+                       compact log against the complete table. The result
+                       is byte-identical at any [hooks.jobs], so the memo
+                       key above deliberately excludes the job count. *)
+                    let r =
+                      Correlate.run ~obs:hooks.metrics ~metrics:hooks.metrics
+                        ~jobs:hooks.jobs ~missing_frames:cc_missing_frames
+                        ~trim:cc_trim_threshold ~recorded:(po.pr_agg, po.pr_missing)
+                        Correlate.Ctx (Lazy.force target) (Correlate.Log po.pr_log)
                     in
-                    if Int64.compare cc_trim_threshold 0L > 0 then
-                      ignore (P.Ctx_profile.trim_cold trie ~threshold:cc_trim_threshold);
-                    built := Some trie;
-                    (P.Text_io.to_string (P.Text_io.Ctx_prof trie), stats))
+                    built := Some r.Correlate.profile;
+                    (P.Text_io.to_string r.Correlate.profile, r.Correlate.stats))
               in
               let trie =
-                match !built with
-                | Some trie -> trie
-                | None -> (
-                    match P.Text_io.read P.Text_io.Ctx text with
-                    | P.Text_io.Ctx_prof trie -> trie
-                    | _ -> assert false)
+                match
+                  match !built with Some p -> p | None -> P.Text_io.read P.Text_io.Ctx text
+                with
+                | P.Text_io.Ctx_prof trie -> trie
+                | _ -> assert false
               in
               let flat, _ = probe_flat () in
               (* Reconstruction stats fire through the hook even on cache
@@ -969,106 +914,63 @@ let run_variant ?options variant (w : workload) =
 (* ------------------------------------------------------------------ *)
 (* Byte-identity oracle: the same profiling build and training inputs,
    pushed through either the materialized (sample-list) pipeline or the
-   streaming (sink + aggregate + log-replay) pipeline, must produce equal
+   correlation kernel (record-time sink + log replay), must produce equal
    canonical Text_io dumps. The VM is deterministic, so running it twice
    with different consumers observes the identical sample stream. *)
 
 let profile_pipeline_texts ?(options = default_options) ~streaming variant (w : workload) =
-  match variant with
-  | Nopgo | Instr_pgo -> []
-  | Autofdo | Csspgo_probe_only | Csspgo_full ->
-      let probes = match variant with Autofdo -> false | _ -> true in
-      let refp = reference w in
-      let names = Ir.Guid.Tbl.create 64 in
-      let checksums = Ir.Guid.Tbl.create 64 in
-      Ir.Program.iter_funcs
-        (fun f ->
-          Ir.Guid.Tbl.replace names f.Ir.Func.guid f.Ir.Func.name;
-          Ir.Guid.Tbl.replace checksums f.Ir.Func.guid f.Ir.Func.checksum)
-        refp;
-      let name_of g = Ir.Guid.Tbl.find_opt names g in
-      let checksum_of g = Option.value (Ir.Guid.Tbl.find_opt checksums g) ~default:0L in
+  let shape =
+    match variant with
+    | Nopgo | Instr_pgo -> None
+    | Autofdo -> Some Correlate.Lines
+    | Csspgo_probe_only -> Some Correlate.Probes
+    | Csspgo_full -> Some Correlate.Ctx
+  in
+  match shape with
+  | None -> []
+  | Some shape ->
+      let sy = Correlate.symbols (reference w) in
       let prog = compile w in
-      if probes then Pseudo_probe.insert prog;
+      if shape <> Correlate.Lines then Pseudo_probe.insert prog;
       Opt.Pass.optimize ~config:options.opt_profiling prog;
       let bin = Cg.Emit.emit ~options:options.emit_opts prog in
-      let trim trie =
-        if Int64.compare options.trim_threshold 0L > 0 then
-          ignore (P.Ctx_profile.trim_cold trie ~threshold:options.trim_threshold)
+      let texts profile flat =
+        let text = P.Text_io.to_string in
+        match flat with
+        | Some flat -> [ ("ctx", text profile); ("probes", text (P.Text_io.Probe_prof flat)) ]
+        | None -> [ ((if shape = Correlate.Lines then "lines" else "probes"), text profile) ]
       in
       if streaming then begin
-        let ix = Pg.Bindex.create bin in
-        let agg = Pg.Ranges.create () in
-        let log = Vm.Sample_log.create () in
-        let mb = Missing_frame.start ix in
-        let sink =
-          {
-            Vm.Machine.on_sample =
-              (fun ~lbr ~lbr_len ~stack ~stack_len ->
-                Pg.Ranges.feed agg ~lbr ~lbr_len;
-                Missing_frame.feed mb ~lbr ~lbr_len;
-                Vm.Sample_log.add log ~lbr ~lbr_len ~stack ~stack_len);
-            on_labels = Vm.Sample_log.set_label log;
-          }
-        in
+        let sink, recorded = Correlate.recorder ~missing:true bin in
         (* debug_poison: the oracle also proves our own sinks never alias
            the scratch buffers. *)
         ignore
           (run_specs ~pmu:(Some options.pmu) ~sink ~debug_poison:true bin
              ~entry:w.w_entry w.w_train);
-        let flat_probes () =
-          P.Text_io.to_string
-            (P.Text_io.Probe_prof
-               (Probe_corr.correlate_agg ~name_of ~index:ix ~checksum_of bin agg))
+        let agg, missing, log = recorded () in
+        let r =
+          Correlate.run ~jobs:1 ~missing_frames:options.use_missing_frame_inference
+            ~trim:options.trim_threshold ~recorded:(agg, missing) shape
+            (Correlate.target sy bin) (Correlate.Log log)
         in
-        match variant with
-        | Autofdo ->
-            [
-              ( "lines",
-                P.Text_io.to_string
-                  (P.Text_io.Line_prof (Pg.Dwarf_corr.correlate_agg ~name_of ~index:ix bin agg))
-              );
-            ]
-        | Csspgo_probe_only -> [ ("probes", flat_probes ()) ]
-        | _ ->
-            let missing =
-              if options.use_missing_frame_inference then Some (Missing_frame.finish mb)
-              else None
-            in
-            let st = Ctx_reconstruct.start ~name_of ?missing ~checksum_of ix in
-            Vm.Sample_log.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
-                Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
-            let trie, _ = Ctx_reconstruct.finish st in
-            trim trie;
-            [
-              ("ctx", P.Text_io.to_string (P.Text_io.Ctx_prof trie));
-              ("probes", flat_probes ());
-            ]
+        texts r.Correlate.profile (Option.map Lazy.force r.Correlate.flat)
       end
       else begin
-        let r = run_specs ~pmu:(Some options.pmu) bin ~entry:w.w_entry w.w_train in
-        let samples = r.r_samples in
-        let flat_probes () =
-          P.Text_io.to_string
-            (P.Text_io.Probe_prof (Probe_corr.correlate ~name_of ~checksum_of bin samples))
+        let samples =
+          (run_specs ~pmu:(Some options.pmu) bin ~entry:w.w_entry w.w_train).r_samples
         in
-        match variant with
-        | Autofdo ->
-            [
-              ( "lines",
-                P.Text_io.to_string
-                  (P.Text_io.Line_prof (Pg.Dwarf_corr.correlate ~name_of bin samples)) );
-            ]
-        | Csspgo_probe_only -> [ ("probes", flat_probes ()) ]
-        | _ ->
+        let name_of = Correlate.name_of sy and checksum_of = Correlate.checksum_of sy in
+        let flat () = Probe_corr.correlate ~name_of ~checksum_of bin samples in
+        match shape with
+        | Correlate.Lines ->
+            texts (P.Text_io.Line_prof (Pg.Dwarf_corr.correlate ~name_of bin samples)) None
+        | Correlate.Probes -> texts (P.Text_io.Probe_prof (flat ())) None
+        | Correlate.Ctx ->
             let missing =
               if options.use_missing_frame_inference then Some (Missing_frame.build bin samples)
               else None
             in
             let trie, _ = Ctx_reconstruct.reconstruct ~name_of ?missing ~checksum_of bin samples in
-            trim trie;
-            [
-              ("ctx", P.Text_io.to_string (P.Text_io.Ctx_prof trie));
-              ("probes", flat_probes ());
-            ]
+            Correlate.trim ~threshold:options.trim_threshold trie;
+            texts (P.Text_io.Ctx_prof trie) (Some (flat ()))
       end

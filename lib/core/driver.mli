@@ -216,19 +216,19 @@ module Plan : sig
       the stage. Hooks may open a trace span there — the default runs the
       thunk untouched.
 
-      [metrics] is handed to the VM, the correlators, and context
-      reconstruction for their hot-path instruments ([vm.*], [probe-corr.*],
-      [dwarf-corr.*], [ctx.*], [missing-frame.*]). {!Csspgo_obs.Metrics.null}
+      [metrics] is handed to the VM and the correlation kernel for their
+      hot-path instruments ([vm.*], [probe-corr.*], [dwarf-corr.*],
+      [ctx.*], [missing-frame.*]) and its shard counters ([parcorr.*]). {!Csspgo_obs.Metrics.null}
       disables them. Note that memoized stages skip their thunk on a cache
       hit, so registry counts depend on cache warmth; only the [stat]
       counters above are warmth-independent.
 
-      [jobs] is the intra-stage parallelism knob: a [Correlate] stage with
-      [jobs > 1] runs context reconstruction through the sharded
-      correlator ({!Par_corr}) on up to [jobs] domains. The result is
-      byte-identical to serial at any [jobs] — which is why [jobs] is
-      {e not} part of any memo key: a cache entry written at one job count
-      is valid at every other. *)
+      [jobs] is the [Correlate] stage's parallelism, handed to the
+      correlation kernel ({!Correlate.run}, clamped to the core count): at
+      1 the log replays as one shard, above it as chunk shards on up to
+      [jobs] domains. The result is byte-identical at any [jobs], which is
+      why [jobs] is {e not} part of any memo key: a cache entry written at
+      one job count is valid at every other. *)
 
   val default_hooks : hooks
   (** Runs every thunk directly — no caching; drops stats; null metrics;
@@ -259,8 +259,9 @@ val profile_pipeline_texts :
     variant's profiling binary, run the training inputs, correlate, and
     return the resulting canonical {!Csspgo_profile.Text_io} dumps as
     [(tag, text)] pairs — via the materialized sample-list pipeline
-    ([streaming:false]) or the zero-materialization sink pipeline
-    ([streaming:true], which also runs the VM with scratch poisoning on).
+    ([streaming:false]) or the correlation kernel fed by its record-time
+    sink ({!Correlate}; [streaming:true], which also runs the VM with
+    scratch poisoning on).
     The two must be byte-equal for every variant; [Nopgo]/[Instr_pgo] have
     no sampled profile and return []. [Csspgo_full] yields both the context
     trie (trimmed as the plan would) and the flat probe profile. *)

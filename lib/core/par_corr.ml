@@ -34,28 +34,23 @@ let plan ?(target = Vm.Sample_log.chunk_samples) chunks =
 
 let bump obs name v = Obs.Metrics.bump (Obs.Metrics.counter obs name) v
 
-let observe ?(obs = Obs.Metrics.null) shards =
-  bump obs "parcorr.shards" (List.length shards);
-  bump obs "parcorr.samples" (List.fold_left (fun a s -> a + shard_samples s) 0 shards)
+(* Shard telemetry rides the scheduler's registry: a call that passes no
+   [metrics] (a one-shard reference run, label slices) counts no shards. *)
+let observe ?(metrics = Obs.Metrics.null) shards =
+  bump metrics "parcorr.shards" (List.length shards);
+  bump metrics "parcorr.samples" (List.fold_left (fun a s -> a + shard_samples s) 0 shards)
 
 (* --- range/branch aggregation ---------------------------------------- *)
 
-let aggregate ?obs ?metrics ?trace ~jobs shards =
-  observe ?obs shards;
-  let aggs =
-    S.map ?metrics ?trace ~jobs
-      (fun shard ->
-        let agg = Pg.Ranges.create () in
-        iter_shard shard (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
-            Pg.Ranges.feed agg ~lbr ~lbr_len);
-        agg)
-      shards
-  in
-  (* [Ranges.merge] never mutates its inputs, as tree_reduce may hand a
-     node's operand to another node on the serial path. *)
-  match S.tree_reduce ?metrics ?trace ~jobs Pg.Ranges.merge aggs with
-  | Some agg -> agg
-  | None -> Pg.Ranges.create ()
+let aggregates ?metrics ?trace ~jobs shards =
+  observe ?metrics shards;
+  S.map ?metrics ?trace ~jobs
+    (fun shard ->
+      let agg = Pg.Ranges.create () in
+      iter_shard shard (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
+          Pg.Ranges.feed agg ~lbr ~lbr_len);
+      agg)
+    shards
 
 (* --- tail-call edge table --------------------------------------------- *)
 
@@ -104,23 +99,23 @@ let add_stats a b =
       a.Ctx_reconstruct.st_gaps_failed + b.Ctx_reconstruct.st_gaps_failed;
   }
 
-let reconstruct ?name_of ?missing ~checksum_of ?obs ?metrics ?trace ~jobs index
+let reconstructs ?name_of ?missing ~checksum_of ?obs ?metrics ?trace ~jobs index
     shards =
-  observe ?obs shards;
-  let parts =
-    S.map ?metrics ?trace ~jobs
-      (fun shard ->
-        (* The complete missing-frame table is shared by every shard (path
-           uniqueness needs the whole edge set), and attribution is
-           per-sample given that table, so shard tries partition the
-           serial trie's counts exactly. [obs] is the sharded metrics
-           registry: per-shard flushes sum to the serial totals. *)
-        let st = Ctx_reconstruct.start ?name_of ?missing ~checksum_of ?obs index in
-        iter_shard shard (fun ~lbr ~lbr_len ~stack ~stack_len ->
-            Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
-        Ctx_reconstruct.finish st)
-      shards
-  in
+  observe ?metrics shards;
+  S.map ?metrics ?trace ~jobs
+    (fun shard ->
+      (* The complete missing-frame table is shared by every shard (path
+         uniqueness needs the whole edge set), and attribution is
+         per-sample given that table, so shard tries partition the
+         serial trie's counts exactly. [obs] is the sharded metrics
+         registry: per-shard flushes sum to the serial totals. *)
+      let st = Ctx_reconstruct.start ?name_of ?missing ~checksum_of ?obs index in
+      iter_shard shard (fun ~lbr ~lbr_len ~stack ~stack_len ->
+          Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
+      Ctx_reconstruct.finish st)
+    shards
+
+let merge_tries ?metrics ?trace ~jobs parts =
   let merge (ta, sa) (tb, sb) =
     let trie = P.Ctx_profile.create () in
     P.Merge.ctx ~into:trie ~weight:1L ta;
@@ -130,3 +125,9 @@ let reconstruct ?name_of ?missing ~checksum_of ?obs ?metrics ?trace ~jobs index
   match S.tree_reduce ?metrics ?trace ~jobs merge parts with
   | Some r -> r
   | None -> (P.Ctx_profile.create (), zero_stats)
+
+let reconstruct ?name_of ?missing ~checksum_of ?obs ?metrics ?trace ~jobs index
+    shards =
+  merge_tries ?metrics ?trace ~jobs
+    (reconstructs ?name_of ?missing ~checksum_of ?obs ?metrics ?trace ~jobs index
+       shards)

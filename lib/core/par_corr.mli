@@ -20,8 +20,11 @@
     [jobs] — parallelism changes wall-clock only. The non-additive stage,
     DWARF line correlation (line counts take a {e max} across instructions
     sharing a line), is deliberately left out of the parallel region:
-    callers parallelize {!aggregate} and run [Dwarf_corr.correlate_agg]
-    once on the merged aggregate, which is the exact serial computation. *)
+    callers parallelize {!aggregates} and run [Dwarf_corr.correlate_agg]
+    once on the merged aggregate, which is the exact serial computation.
+
+    {!Correlate} is the one caller in the library: it clamps [jobs] and
+    picks the shards. *)
 
 type shard = Csspgo_vm.Sample_log.t list
 (** One shard: a run of chunks fed in order. Chunks are never copied or
@@ -42,19 +45,16 @@ val plan : ?target:int -> Csspgo_vm.Sample_log.t list -> shard list
     count.
     @raise Invalid_argument when [target] is not positive. *)
 
-val aggregate :
-  ?obs:Csspgo_obs.Metrics.t ->
+val aggregates :
   ?metrics:Csspgo_obs.Metrics.t ->
   ?trace:Csspgo_obs.Trace.t ->
   jobs:int ->
   shard list ->
-  Csspgo_profgen.Ranges.agg
-(** Per-shard [Ranges.feed] replay on up to [jobs] domains, reduced by
-    counter addition via [Scheduler.tree_reduce]: exactly the aggregate
-    one serial pass over the whole stream builds. [obs] gets the
-    [parcorr.shards] / [parcorr.samples] counters; [metrics]/[trace] flow
-    to the scheduler (task counters, per-shard spans on wall-clock
-    traces). *)
+  Csspgo_profgen.Ranges.agg list
+(** Per-shard [Ranges.feed] replay on up to [jobs] domains, one aggregate
+    per shard; they reduce by {!Csspgo_profgen.Ranges.merge} to exactly
+    the aggregate one serial pass builds. [metrics] gets [parcorr.shards] /
+    [parcorr.samples] and, with [trace], flows to the scheduler. *)
 
 val missing :
   ?obs:Csspgo_obs.Metrics.t ->
@@ -68,6 +68,33 @@ val missing :
     The [missing-frame.edges] counter on [obs] is credited once with the
     union's count — the serial number, not the per-shard sum. *)
 
+val reconstructs :
+  ?name_of:(Csspgo_ir.Guid.t -> string option) ->
+  ?missing:Missing_frame.t ->
+  checksum_of:(Csspgo_ir.Guid.t -> int64) ->
+  ?obs:Csspgo_obs.Metrics.t ->
+  ?metrics:Csspgo_obs.Metrics.t ->
+  ?trace:Csspgo_obs.Trace.t ->
+  jobs:int ->
+  Csspgo_profgen.Bindex.t ->
+  shard list ->
+  (Csspgo_profile.Ctx_profile.t * Ctx_reconstruct.stats) list
+(** The shard worker: Algorithm 1 per shard against the shared (complete)
+    [missing] table, one trie per shard. [obs] takes the [ctx.*]
+    counters, [metrics] the same as in {!aggregates}. *)
+
+val zero_stats : Ctx_reconstruct.stats
+
+val merge_tries :
+  ?metrics:Csspgo_obs.Metrics.t ->
+  ?trace:Csspgo_obs.Trace.t ->
+  jobs:int ->
+  (Csspgo_profile.Ctx_profile.t * Ctx_reconstruct.stats) list ->
+  Csspgo_profile.Ctx_profile.t * Ctx_reconstruct.stats
+(** Equal-weight {!Csspgo_profile.Merge.ctx} with summed stats; a single
+    trie is returned as is. Trimming is the caller's job, {e after} the
+    merge. *)
+
 val reconstruct :
   ?name_of:(Csspgo_ir.Guid.t -> string option) ->
   ?missing:Missing_frame.t ->
@@ -79,7 +106,4 @@ val reconstruct :
   Csspgo_profgen.Bindex.t ->
   shard list ->
   Csspgo_profile.Ctx_profile.t * Ctx_reconstruct.stats
-(** Per-shard Algorithm 1 against the shared (complete) [missing] table,
-    reduced by equal-weight {!Csspgo_profile.Merge.ctx} with summed stats.
-    Cold-context trimming is the caller's job, applied {e after} the merge
-    (exactly where the serial recipe applies it). *)
+(** {!merge_tries} of {!reconstructs}. *)

@@ -2,24 +2,19 @@
 
     Each binary version in flight gets one {!built}: the probed profiling
     binary its instances serve traffic on, plus the pre-optimization IR
-    that anchors correlation names/checksums and stale matching. Once the
-    collector has reassembled a version's sample log, {!correlate} runs
-    the same streaming recipe as a [Driver.Plan] [Correlate] stage (range
-    aggregation + missing-frame table + context-trie replay), so a
-    single-version fleet at full duty produces a profile byte-identical to
-    the plan pipeline's. *)
+    that anchors correlation names/checksums and stale matching. Every
+    correlation below is one {!Csspgo_core.Correlate.run}, the kernel a
+    [Driver.Plan] [Correlate] stage runs too, so a single-version fleet
+    at full duty produces a profile byte-identical to the plan
+    pipeline's. The three forms differ only in their shards: the whole
+    log, the collector's chunk groups, or the request-label slices. *)
 
-type shape = Lines | Probes | Ctx
+type shape = Csspgo_core.Correlate.shape = Lines | Probes | Ctx
 (** The sampled profile shape: DWARF line (AutoFDO), flat pseudo-probe,
     or context trie (full CSSPGO). *)
 
 val shape_name : shape -> string
 val kind_of_shape : shape -> Csspgo_profile.Text_io.kind
-
-val shape_of_variant : Csspgo_core.Driver.variant -> shape option
-(** [None] for the unsampled variants ([Nopgo], [Instr_pgo]). *)
-
-val variant_of_shape : shape -> Csspgo_core.Driver.variant
 
 type built = {
   vb_source : string;
@@ -28,8 +23,7 @@ type built = {
   vb_target : Csspgo_ir.Program.t;
       (** pre-opt IR, probed for the probe shapes — the stale-match target
           and the name/checksum reference *)
-  vb_names : string Csspgo_ir.Guid.Tbl.t;
-  vb_checksums : int64 Csspgo_ir.Guid.Tbl.t;
+  vb_symbols : Csspgo_core.Correlate.symbols;  (** [vb_target]'s symbols *)
 }
 
 val profiling_build :
@@ -42,10 +36,12 @@ val correlate :
   built ->
   Csspgo_vm.Sample_log.t ->
   Csspgo_profile.Text_io.profile * Csspgo_profile.Probe_profile.t option
-(** Correlate a (merged) sample log collected on [built]'s binary. For
-    [Ctx] the context trie is trimmed at [options.trim_threshold] and the
-    flat (context-merged) probe profile rides along as the quality
-    baseline; other shapes return [None]. *)
+(** Correlate a (merged) sample log collected on [built]'s binary: the
+    kernel run with the whole log as its one shard, at [-j 1] — the serial
+    reference the sharded forms are held against. For [Ctx] the context
+    trie is trimmed at [options.trim_threshold] and the flat
+    (context-merged) probe profile rides along as the quality baseline;
+    other shapes return [None]. [obs] takes the correlator counters. *)
 
 val correlate_chunks :
   ?obs:Csspgo_obs.Metrics.t ->
@@ -58,12 +54,14 @@ val correlate_chunks :
   built ->
   Csspgo_vm.Sample_log.t list ->
   Csspgo_profile.Text_io.profile * Csspgo_profile.Probe_profile.t option
-(** Sharded {!correlate} over a decoded chunk list (the
-    [Collector.drain_chunks] shape) — the concatenated log is never
-    materialized. Byte-identical to [correlate] on the concatenation at
-    any [jobs]: chunk grouping is a pure function of the chunk list, and
-    every per-shard reduction is exact ({!Csspgo_core.Par_corr}). [obs]
-    takes the correlator counters, [metrics]/[trace] the scheduler's.
+(** The kernel run over a decoded chunk list (the [Collector.drain_chunks]
+    shape), with [Par_corr.plan]'s chunk groups as its shards — the
+    concatenated log is never materialized. Byte-identical to [correlate]
+    on the concatenation at any [jobs]: chunk grouping is a pure function
+    of the chunk list, and every per-shard reduction is exact
+    ({!Csspgo_core.Par_corr}). [jobs] is clamped to the core count. [obs]
+    takes the correlator counters, [metrics] the shard and scheduler
+    counters ([parcorr.*], [sched.*]), [trace] the scheduler's spans.
     [shard_target] overrides [Par_corr.plan]'s samples-per-shard target —
     tests and oracles shrink it to force multi-shard merges on logs far
     smaller than production windows. *)
@@ -86,17 +84,17 @@ val correlate_labeled :
   built ->
   Csspgo_vm.Sample_log.t ->
   labeled
-(** Label-sliced {!correlate}: partition the log by request label set
-    ({!Csspgo_vm.Sample_log.slice_by_label}), correlate every slice (on up
-    to [jobs] domains — slices are independent once the full-log
-    missing-frame table is built), and blend the whole stream. The
-    missing-frame table comes from the {e full} log and is shared by every
-    slice; line and probe blends correlate the merged range aggregate (per
-    line counts are not additive at profile level); the [Ctx] blend merges
-    the untrimmed slice tries at weight 1 and trims at
-    [options.trim_threshold]. The blend is byte-identical to {!correlate}
-    on the same log at any [jobs] (oracle family 10); an unlabeled log
-    yields the single implicit empty-label slice. *)
+(** Label-sliced {!correlate}: the kernel run with the request-label
+    slices ({!Csspgo_vm.Sample_log.slice_by_label}) as its shards,
+    keeping each slice's profile. Slices correlate on up to [jobs]
+    domains. The missing-frame table is built from every slice, so from
+    the {e full} log, and is shared by all of them. The blend is the
+    kernel's reduction: line and probe blends correlate the merged range
+    aggregate (per-line counts are not additive at profile level), and
+    the [Ctx] blend merges the untrimmed slice tries at weight 1 and
+    trims at [options.trim_threshold]. It is byte-identical to
+    {!correlate} on the same log at any [jobs] (oracle family 10); an
+    unlabeled log yields the single implicit empty-label slice. *)
 
 val match_onto :
   ?obs:Csspgo_obs.Metrics.t ->

@@ -78,5 +78,6 @@ val drain_chunks :
 (** The fused-correlation drain: same gathering, ordering, corrupt-blob
     and emptying behavior as {!drain}, but each version keeps its decoded
     chunk partition (concatenating [k_chunks] in order would reproduce
-    [m_log] exactly). Feed the chunks to [Build.correlate_chunks] /
-    [Par_corr] and the per-version log never exists in one arena. *)
+    [m_log] exactly). Feed the chunks to [Build.correlate_chunks], the
+    correlation kernel's chunk-sharded run, and the per-version log never
+    exists in one arena. *)

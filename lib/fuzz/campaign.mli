@@ -13,10 +13,10 @@
     - {b profile quality}: [Core.Quality.block_overlap] of the probe
       profile against the instrumentation ground truth stays above
       [cf_quality_floor] (skipped for nearly-unexecuted programs);
-    - {b streaming identity}: the zero-materialization sink pipeline
-      produces byte-identical canonical profile dumps to the materialized
-      sample-list pipeline ([Core.Driver.profile_pipeline_texts], AutoFDO
-      and full CSSPGO);
+    - {b streaming identity}: the correlation kernel ([Core.Correlate]) fed
+      by its record-time sink produces byte-identical canonical profile
+      dumps to the materialized sample-list pipeline
+      ([Core.Driver.profile_pipeline_texts], AutoFDO and full CSSPGO);
     - {b stale matching}: the source is drifted with a seeded edit script
       ([Workloads.Drift], seed derived from the campaign seed) and each
       sampling variant stale-matches its build-N profile onto version N+1
@@ -32,11 +32,11 @@
       reproduces the single-instance profile byte-for-byte, draining is
       job-count independent, and [Profile.Merge] satisfies its algebraic
       laws on real correlated profiles from two drifted binary versions;
-    - {b parallel correlation}: sharded correlation over the chunk-split
-      sample log ([Fleet.Build.correlate_chunks] / [Core.Par_corr]) is
-      byte-identical to the serial streaming correlator, for every profile
-      shape and at several job counts, with a shard target small enough to
-      force real multi-shard merges;
+    - {b parallel correlation}: the correlation kernel over the chunk-split
+      sample log's shards ([Fleet.Build.correlate_chunks]) is
+      byte-identical to its one-shard run ([Fleet.Build.correlate]), for
+      every profile shape and at several job counts, with a shard target
+      small enough to force real multi-shard merges;
     - {b health telemetry}: a health-instrumented fleet window
       ([Obs.Series] / [Obs.Health], fresh registry, fixed clock) closes to
       byte-identical canonical report and series JSON at -j 1 and -j 2,
@@ -83,7 +83,7 @@ type site =
   | Variant of Csspgo_core.Driver.variant
   | Quality
   | Stream of Csspgo_core.Driver.variant
-      (** streaming-vs-materialized profile byte-identity
+      (** kernel-vs-materialized profile byte-identity
           ({!Csspgo_core.Driver.profile_pipeline_texts}) *)
   | Stale of {
       sl_variant : Csspgo_core.Driver.variant option;
@@ -101,9 +101,9 @@ type site =
           byte identity, jobs-independent drain; the string names the
           failing leg *)
   | Parcorr of string
-      (** parallel-correlation oracle family ([Fleet.Build.correlate_chunks],
-          [Core.Par_corr]): sharded-vs-serial byte identity per profile
-          shape; the string names the shape *)
+      (** parallel-correlation oracle family ([Core.Correlate] via
+          [Fleet.Build.correlate_chunks]): many-shard vs one-shard byte
+          identity per profile shape; the string names the shape *)
   | Health of string
       (** health telemetry oracle family ([Obs.Series], [Obs.Health],
           [Obs.Export]): jobs-independent report/series byte identity,

@@ -17,7 +17,8 @@ type t = {
   mutable evicted : int;
 }
 
-let create ?(retain = 64) ?(drop_prefixes = [ "sched." ]) ?clock () =
+let create ?(retain = 64) ?(drop_prefixes = [ "sched."; "parcorr.jobs-clamped" ]) ?clock
+    () =
   let clock = match clock with Some c -> c | None -> Clock.fixed () in
   {
     retain = max 1 retain;

@@ -12,8 +12,9 @@
     window's [w_at_us] is a pure tick count, so two runs that record the
     same snapshots produce byte-identical series whatever the schedule —
     the same discipline as {!Metrics} snapshots. Counters whose names
-    carry a schedule-dependent prefix ([sched.] by default) are dropped at
-    record time so the remaining windows really are schedule-independent.
+    carry a schedule-dependent prefix ([sched.] and
+    [parcorr.jobs-clamped] by default) are dropped at record time so the
+    remaining windows really are schedule-independent.
 
     Retention is a bounded ring: only the newest [retain] windows are
     kept; older ones are evicted (counted, never silently lost).
@@ -40,8 +41,9 @@ type t
 val create :
   ?retain:int -> ?drop_prefixes:string list -> ?clock:Clock.t -> unit -> t
 (** A fresh series. [retain] (default 64, min 1) bounds the ring.
-    [drop_prefixes] (default [["sched."]]) names schedule-dependent
-    instruments to exclude. [clock] (default a fixed clock) provides the
+    [drop_prefixes] (default [["sched."; "parcorr.jobs-clamped"]]) names
+    schedule-dependent instruments to exclude: the scheduler's own, and
+    the count of [-j] requests clamped to the host's cores. [clock] (default a fixed clock) provides the
     per-record timestamps via its own cursor. *)
 
 val record : t -> Metrics.snapshot -> window

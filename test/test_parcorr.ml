@@ -3,7 +3,8 @@
    size, splits that never divide a sample), deterministic edge cases at
    0 / 1 / chunk-1 / chunk / chunk+1 samples, shard planning, the central
    serial-vs-parallel byte-identity property for all three profile shapes
-   at -j 1/2/4, and the lossy collector's counted-drop behavior. *)
+   at -j 1/2/4, the clamp of -j to the host's cores, and the lossy
+   collector's counted-drop behavior. *)
 module P = Csspgo_profile
 module Vm = Csspgo_vm
 module Core = Csspgo_core
@@ -194,6 +195,47 @@ let test_parallel_identity () =
         [ 1; 2; 4 ])
     [ Fl.Build.Lines; Fl.Build.Probes; Fl.Build.Ctx ]
 
+(* --- -j clamp ----------------------------------------------------------- *)
+
+let clamped registry =
+  Obs.Metrics.find_counter (Obs.Metrics.snapshot registry) "parcorr.jobs-clamped"
+
+(* Asking for more domains than the host has cores gives the -j 1 bytes
+   and counts one clamp per kernel run, for the fleet's chunked call and
+   for the Driver's Correlate stage. *)
+let test_jobs_clamp () =
+  let over = Domain.recommended_domain_count () + 2 in
+  let shape = Fl.Build.Ctx in
+  let b = Fl.Build.profiling_build ~options ~shape ~source:w.D.w_source in
+  let chunks = SL.split ~chunk:16 (training_log b) in
+  let chunked jobs =
+    let metrics = Obs.Metrics.create () in
+    let out =
+      Fl.Build.correlate_chunks ~metrics ~shard_target:16 ~jobs ~options ~shape b
+        chunks
+    in
+    (profile_texts out, clamped metrics)
+  in
+  let bytes1, clamps1 = chunked 1 and bytes_over, clamps_over = chunked over in
+  Alcotest.(check string) "chunked bytes equal -j 1" bytes1 bytes_over;
+  Alcotest.(check (option int)) "-j 1 not clamped" None clamps1;
+  Alcotest.(check (option int)) "chunked clamp counted" (Some 1) clamps_over;
+  let plan jobs =
+    let metrics = Obs.Metrics.create () and kept = ref [] in
+    let memo ~kind ~key:_ ~ser ~de:_ f =
+      let v = f () in
+      if String.equal kind "correlate" then kept := ser v :: !kept;
+      v
+    in
+    let hooks = { D.Plan.default_hooks with D.Plan.memo; metrics; jobs } in
+    ignore (D.Plan.run ~hooks (D.Plan.make ~options ~variant:D.Csspgo_full w));
+    (!kept, clamped metrics)
+  in
+  let memo1, plan_clamps1 = plan 1 and memo_over, plan_clamps_over = plan over in
+  Alcotest.(check (list string)) "correlate memo bytes equal -j 1" memo1 memo_over;
+  Alcotest.(check (option int)) "plan -j 1 not clamped" None plan_clamps1;
+  Alcotest.(check (option int)) "plan clamp counted" (Some 1) plan_clamps_over
+
 (* --- lossy collector -------------------------------------------------- *)
 
 let batch ?(version = 0) ?(seq = 0) ~blob instance =
@@ -234,6 +276,7 @@ let suite =
       Alcotest.test_case "shard planning" `Quick test_plan;
       Alcotest.test_case "serial vs -j 1/2/4 byte identity" `Quick
         test_parallel_identity;
+      Alcotest.test_case "-j above the core count clamps" `Quick test_jobs_clamp;
       Alcotest.test_case "lossy collector counts drops" `Quick
         test_lossy_collector;
     ] )
