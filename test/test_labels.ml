@@ -410,7 +410,7 @@ let test_slice_merge_identity () =
 
 let test_single_tenant_degenerate () =
   (* One tenant: exactly one slice, and (with trimming off) the slice IS
-     the blend. *)
+     the blend; with trimming on, the slice stays whole. *)
   let mix =
     W.Mix.make ~seed:3L ~requests:3
       [ { W.Mix.t_name = "solo"; t_workload = W.Suite.adfinder; t_weight = 1 } ]
@@ -423,10 +423,25 @@ let test_single_tenant_degenerate () =
   let l = Fl.Build.correlate_labeled ~options ~shape:Fl.Build.Ctx b log in
   Alcotest.(check int) "one slice" 1 (P.Labels.n_slices l.Fl.Build.lc_slices);
   match P.Labels.slices l.Fl.Build.lc_slices with
-  | [ s ] ->
+  | [ s ] -> (
       Alcotest.(check string) "slice equals blend"
         (profile_sig l.Fl.Build.lc_blend)
-        (profile_sig s.P.Labels.sl_profile)
+        (profile_sig s.P.Labels.sl_profile);
+      (* With trimming on, only the blend is trimmed: the lone slice keeps
+         the untrimmed trie. *)
+      let trimmed = { options with D.trim_threshold = 200L } in
+      let t = Fl.Build.correlate_labeled ~options:trimmed ~shape:Fl.Build.Ctx b log in
+      Alcotest.(check bool) "trimming removes contexts" false
+        (String.equal (profile_sig l.Fl.Build.lc_blend) (profile_sig t.Fl.Build.lc_blend));
+      Alcotest.(check string) "trimmed blend equals serial"
+        (profile_sig (fst (Fl.Build.correlate ~options:trimmed ~shape:Fl.Build.Ctx b log)))
+        (profile_sig t.Fl.Build.lc_blend);
+      match P.Labels.slices t.Fl.Build.lc_slices with
+      | [ s' ] ->
+          Alcotest.(check string) "lone slice stays untrimmed"
+            (profile_sig s.P.Labels.sl_profile)
+            (profile_sig s'.P.Labels.sl_profile)
+      | _ -> assert false)
   | _ -> assert false
 
 let test_labels_container_laws () =
