@@ -1021,12 +1021,14 @@ let format_bench () =
   let _, t_cold = time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks cache) plan) in
   let _, t_warm = time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks cache) plan) in
   let _, t_a = time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks cache) (stale 3L)) in
-  let stats = O.Orchestrate.create_stats () in
+  let module M = Csspgo_obs.Metrics in
+  let obs = M.create () in
   let _, t_delta =
-    time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks ~stats cache) (stale 4L))
+    time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks ~obs cache) (stale 4L))
   in
-  let n_rec = O.Orchestrate.stats_get stats "rebuild.funcs-recompiled" in
-  let n_reu = O.Orchestrate.stats_get stats "rebuild.funcs-reused" in
+  let plan_count name = Option.value ~default:0 (M.find_counter (M.snapshot obs) name) in
+  let n_rec = plan_count "plan.rebuild.funcs-recompiled" in
+  let n_reu = plan_count "plan.rebuild.funcs-reused" in
   pf "incremental rebuild (clangish, full CSSPGO, in-memory cache):\n";
   pf "  cold build                 %7.3fs\n" t_cold;
   pf "  warm rerun (binary hit)    %7.3fs   (%.1fx faster)\n" t_warm (t_cold /. t_warm);
@@ -1527,7 +1529,7 @@ let health_bench () =
      measured against. *)
   let metrics = Obs.Metrics.create () in
   let t_window =
-    time_best (fun () -> Fl.Sim.run ~metrics fleet_cfg ~workload:w ~versions)
+    time_best (fun () -> Fl.Sim.run ~obs:metrics fleet_cfg ~workload:w ~versions)
   in
   (* The health layer's marginal cost per window is one registry snapshot,
      one series record and one health observe; the overhead claim is that
@@ -1549,14 +1551,14 @@ let health_bench () =
   (* End-to-end cross-check: whole windows with and without the layer. *)
   let t_plain =
     time_best (fun () ->
-        Fl.Sim.run ~metrics:(Obs.Metrics.create ()) fleet_cfg ~workload:w ~versions)
+        Fl.Sim.run ~obs:(Obs.Metrics.create ()) fleet_cfg ~workload:w ~versions)
   in
   let t_obs =
     time_best (fun () ->
         let m = Obs.Metrics.create () in
         let s = Obs.Series.create () in
         let h = Obs.Health.create () in
-        Fl.Sim.run ~metrics:m ~series:s ~health:h fleet_cfg ~workload:w ~versions)
+        Fl.Sim.run ~obs:m ~series:s ~health:h fleet_cfg ~workload:w ~versions)
   in
   pf "end-to-end: metrics only %.2f ms | + series + health %.2f ms  (%+.2f%%)\n"
     (t_plain *. 1e3) (t_obs *. 1e3)

@@ -132,7 +132,7 @@ let all_variants_flag =
     & info [ "all" ]
         ~doc:"Run all five variants as one orchestrated matrix (honors -j)")
 
-let cache_of_dir ?metrics dirs = Option.map (fun dir -> O.Cache.create ?metrics ~dir ()) dirs
+let cache_of_dir ?obs dirs = Option.map (fun dir -> O.Cache.create ?obs ~dir ()) dirs
 
 (* --- observability plumbing ----------------------------------------- *)
 
@@ -161,16 +161,21 @@ let fixed_clock_arg =
           "Run the trace on the deterministic virtual clock: exported bytes are \
            identical for every -j level")
 
-let mk_trace ~fixed = function
-  | None -> None
-  | Some _ ->
+(* The command's one telemetry handle: live when [live] or when --trace
+   asks for a trace, which rides on the registry. A trace without
+   --metrics still runs on a live registry whose snapshot is not written. *)
+let mk_obs ?(fixed = false) ?trace_file ~live () =
+  match trace_file with
+  | None when not live -> Obs.Metrics.null
+  | _ ->
       let clock = if fixed then Obs.Clock.fixed () else Obs.Clock.wall () in
-      Some (Obs.Trace.create ~clock ())
+      let trace = Option.map (fun _ -> Obs.Trace.create ~clock ()) trace_file in
+      Obs.Metrics.create ?trace ()
 
 (* Both exporters self-check: the emitted JSON must parse back before it is
    written, so a malformed export fails loudly instead of landing on disk. *)
-let export_trace trace path =
-  match (trace, path) with
+let export_trace obs path =
+  match (Obs.Metrics.trace obs, path) with
   | Some tr, Some path ->
       let s = Obs.Trace.to_chrome_json tr in
       ignore (Obs.Json.parse_exn s);
@@ -178,10 +183,10 @@ let export_trace trace path =
       Printf.eprintf "[obs] trace: %d events -> %s\n%!" (Obs.Trace.n_events tr) path
   | _ -> ()
 
-let export_metrics metrics path =
-  match (metrics, path) with
-  | Some m, Some path ->
-      let s = Obs.Json.to_string (Obs.Report.metrics_to_json (Obs.Metrics.snapshot m)) in
+let export_metrics obs path =
+  match path with
+  | Some path ->
+      let s = Obs.Json.to_string (Obs.Report.metrics_to_json (Obs.Metrics.snapshot obs)) in
       ignore (Obs.Json.parse_exn s);
       write_out path s;
       Printf.eprintf "[obs] metrics -> %s\n%!" path
@@ -260,14 +265,12 @@ let pgo_cmd =
   let run name variant all jobs cache_dir trace_file metrics_file fixed_clock
       stale_seed stale_edits =
     let w = Option.get (W.Suite.find name) in
-    let metrics = Option.map (fun _ -> Obs.Metrics.create ()) metrics_file in
-    let cache = cache_of_dir ?metrics cache_dir in
-    let trace = mk_trace ~fixed:fixed_clock trace_file in
+    let obs = mk_obs ~fixed:fixed_clock ?trace_file ~live:(metrics_file <> None) () in
+    let cache = cache_of_dir ~obs cache_dir in
     let plan v = stale_plan ~seed:stale_seed ~edits:stale_edits v w in
     if all then begin
       let outs =
-        O.Orchestrate.run_plans ?cache ?metrics ?trace ~jobs
-          (List.map plan all_variants)
+        O.Orchestrate.run_plans ?cache ~obs ~jobs (List.map plan all_variants)
       in
       Printf.printf "%-18s %12s %12s %10s %10s\n" "variant" "eval-cycles" "prof-cycles"
         "text-B" "profile-B";
@@ -285,8 +288,7 @@ let pgo_cmd =
          sharded correlation over the sample log's chunks. *)
       let o =
         match
-          O.Orchestrate.run_plans ?cache ?metrics ?trace ~stage_jobs:jobs
-            ~jobs:1 [ plan variant ]
+          O.Orchestrate.run_plans ?cache ~obs ~stage_jobs:jobs ~jobs:1 [ plan variant ]
         with
         | [ o ] -> o
         | _ -> assert false
@@ -294,8 +296,8 @@ let pgo_cmd =
       print_outcome variant o
     end;
     print_cache_stats cache;
-    export_trace trace trace_file;
-    export_metrics metrics metrics_file
+    export_trace obs trace_file;
+    export_metrics obs metrics_file
   in
   Cmd.v
     (Cmd.info "pgo" ~doc:"Run PGO variant(s) end-to-end on a named workload")
@@ -327,8 +329,8 @@ let stale_cmd =
       (fun e -> Printf.printf "  %s\n" (W.Drift.edit_to_string e))
       drift.W.Drift.dr_edits;
     let vs = match variant with Some v -> [ v ] | None -> sampling_variants in
-    let metrics = Option.map (fun _ -> Obs.Metrics.create ()) metrics_file in
-    let cache = cache_of_dir ?metrics cache_dir in
+    let obs = mk_obs ~live:(metrics_file <> None) () in
+    let cache = cache_of_dir ~obs cache_dir in
     (* Per variant: the stale pipeline (profile on N, match + rebuild on N+1)
        and the fresh pipeline on N+1; one instrumentation ground truth on N+1
        anchors the block-overlap comparison. *)
@@ -342,7 +344,7 @@ let stale_cmd =
         vs
       @ [ D.Plan.make ~variant:D.Instr_pgo w_new ]
     in
-    let outs = Array.of_list (O.Orchestrate.run_plans ?cache ?metrics ~jobs plans) in
+    let outs = Array.of_list (O.Orchestrate.run_plans ?cache ~obs ~jobs plans) in
     let truth = outs.(2 * List.length vs) in
     List.iteri
       (fun i v ->
@@ -361,7 +363,7 @@ let stale_cmd =
           st.D.o_eval.D.ev_cycles fr.D.o_eval.D.ev_cycles)
       vs;
     print_cache_stats cache;
-    export_metrics metrics metrics_file
+    export_metrics obs metrics_file
   in
   Cmd.v
     (Cmd.info "stale"
@@ -382,12 +384,10 @@ let report_cmd =
     let w = Option.get (W.Suite.find name) in
     (* The report always runs with a live registry: its metrics section is
        the point. --metrics additionally dumps the same snapshot to a file. *)
-    let metrics = Obs.Metrics.create () in
-    let cache = cache_of_dir ~metrics cache_dir in
-    let trace = mk_trace ~fixed:fixed_clock trace_file in
+    let obs = mk_obs ~fixed:fixed_clock ?trace_file ~live:true () in
+    let cache = cache_of_dir ~obs cache_dir in
     let rows =
-      O.Orchestrate.run_matrix ?cache ~metrics ?trace ~jobs ~variants:all_variants
-        ~workloads:[ w ] ()
+      O.Orchestrate.run_matrix ?cache ~obs ~jobs ~variants:all_variants ~workloads:[ w ] ()
     in
     let truth =
       List.find_map
@@ -417,7 +417,7 @@ let report_cmd =
       {
         Obs.Report.rp_workload = w.D.w_name;
         rp_rows = List.map row rows;
-        rp_metrics = Obs.Metrics.snapshot metrics;
+        rp_metrics = Obs.Metrics.snapshot obs;
       }
     in
     if json then begin
@@ -427,8 +427,8 @@ let report_cmd =
       print_newline ()
     end
     else print_string (Obs.Report.to_text report);
-    export_trace trace trace_file;
-    export_metrics (Some metrics) metrics_file
+    export_trace obs trace_file;
+    export_metrics obs metrics_file
   in
   Cmd.v
     (Cmd.info "report"
@@ -975,7 +975,7 @@ let health_cmd =
     let metrics = Obs.Metrics.create () in
     let series = Obs.Series.create () in
     let tracker = Obs.Health.create () in
-    let gens = Fl.Train.run ~metrics ~series ~health:tracker cfg w in
+    let gens = Fl.Train.run ~obs:metrics ~series ~health:tracker cfg w in
     ignore gens;
     let rep = Obs.Health.report tracker in
     (* The canonical JSON must reparse whether or not it is printed. *)
@@ -1372,7 +1372,7 @@ let fuzz_cmd =
       }
     in
     let cache = cache_of_dir cache_dir in
-    let metrics = Option.map (fun _ -> Obs.Metrics.create ()) metrics_file in
+    let obs = mk_obs ~live:(metrics_file <> None) () in
     (* Progress and summary stats go to stderr; stdout carries only the
        machine-parseable FAIL records. *)
     let total = hi - lo + 1 in
@@ -1382,7 +1382,7 @@ let fuzz_cmd =
         (Fuzz.Campaign.n_failures st)
     in
     let st =
-      Fuzz.Campaign.run ?out_dir:out ~progress ?cache ?metrics ~jobs cfg ~seeds:(lo, hi)
+      Fuzz.Campaign.run ?out_dir:out ~progress ?cache ~obs ~jobs cfg ~seeds:(lo, hi)
     in
     Printf.eprintf "\n%!";
     List.iter
@@ -1399,7 +1399,7 @@ let fuzz_cmd =
         | None -> ())
       (List.rev st.Fuzz.Campaign.st_failures);
     Format.eprintf "%a@." Fuzz.Campaign.pp_stats st;
-    export_metrics metrics metrics_file;
+    export_metrics obs metrics_file;
     if Fuzz.Campaign.n_failures st > 0 then exit 1
   in
   Cmd.v

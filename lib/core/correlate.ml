@@ -77,14 +77,14 @@ type result = {
 
 (* More domains than cores only adds domain overhead; the output is the
    same at any job count. *)
-let clamp ?(metrics = Obs.Metrics.null) jobs =
+let clamp ?(obs = Obs.Metrics.null) jobs =
   let cores = Domain.recommended_domain_count () in
-  if jobs > cores then Obs.Metrics.incr (Obs.Metrics.counter metrics "parcorr.jobs-clamped");
+  if jobs > cores then Obs.Metrics.incr (Obs.Metrics.counter obs "parcorr.jobs-clamped");
   min jobs cores
 
-let run ?obs ?metrics ?trace ~jobs ~missing_frames ~trim:threshold ?recorded
-    ?(keep_shards = false) shape t input =
-  let jobs = clamp ?metrics jobs in
+let run ?obs ~jobs ~missing_frames ~trim:threshold ?recorded ?(keep_shards = false)
+    shape t input =
+  let jobs = clamp ?obs jobs in
   (* A serial log is one shard: no trie merge and no second pass over it. *)
   let shards =
     match input with
@@ -96,12 +96,12 @@ let run ?obs ?metrics ?trace ~jobs ~missing_frames ~trim:threshold ?recorded
     match recorded with
     | Some (agg, _) -> ([], agg)
     | None ->
-        let aggs = Par_corr.aggregates ?metrics ?trace ~jobs shards in
+        let aggs = Par_corr.aggregates ?obs ~jobs shards in
         (* [Ranges.merge] never mutates its inputs, as tree_reduce may hand
            a node's operand to another node on the serial path. *)
         ( aggs,
           Option.value ~default:(Pg.Ranges.create ())
-            (S.tree_reduce ?metrics ?trace ~jobs Pg.Ranges.merge aggs) )
+            (S.tree_reduce ?obs ~jobs Pg.Ranges.merge aggs) )
   in
   match shape with
   | Lines | Probes ->
@@ -110,7 +110,7 @@ let run ?obs ?metrics ?trace ~jobs ~missing_frames ~trim:threshold ?recorded
         flat = None;
         stats = Par_corr.zero_stats;
         slices =
-          (if keep_shards then S.map ?metrics ?trace ~jobs (of_agg ?obs t shape) aggs
+          (if keep_shards then S.map ?obs ~jobs (of_agg ?obs t shape) aggs
            else []);
       }
   | Ctx ->
@@ -118,11 +118,11 @@ let run ?obs ?metrics ?trace ~jobs ~missing_frames ~trim:threshold ?recorded
         match recorded with
         | _ when not missing_frames -> None
         | Some (_, missing) -> missing
-        | None -> Some (Par_corr.missing ?obs ?metrics ?trace ~jobs t.index shards)
+        | None -> Some (Par_corr.missing ?obs ~jobs t.index shards)
       in
       let parts =
         Par_corr.reconstructs ~name_of:(name_of t.sy) ?missing
-          ~checksum_of:(checksum_of t.sy) ?obs ?metrics ?trace ~jobs t.index shards
+          ~checksum_of:(checksum_of t.sy) ?obs ~jobs t.index shards
       in
       let trie, stats =
         match parts with
@@ -131,7 +131,7 @@ let run ?obs ?metrics ?trace ~jobs ~missing_frames ~trim:threshold ?recorded
             let copy = P.Ctx_profile.create () in
             P.Merge.ctx ~into:copy ~weight:1L trie;
             (copy, stats)
-        | _ -> Par_corr.merge_tries ?metrics ?trace ~jobs parts
+        | _ -> Par_corr.merge_tries ?obs ~jobs parts
       in
       trim ~threshold trie;
       {

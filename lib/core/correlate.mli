@@ -68,8 +68,6 @@ type result = {
 
 val run :
   ?obs:Csspgo_obs.Metrics.t ->
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
   jobs:int ->
   missing_frames:bool ->
   trim:int64 ->
@@ -81,11 +79,13 @@ val run :
   result
 (** Correlate a sample stream. [jobs] is clamped to
     [Domain.recommended_domain_count ()], each clamp counted in
-    [parcorr.jobs-clamped] on [metrics]. The aggregate and, for [Ctx] with
+    [parcorr.jobs-clamped] on [obs]. The aggregate and, for [Ctx] with
     [missing_frames], the missing-frame table come from [recorded] or are
     replayed from the shards. [Ctx] runs Algorithm 1 per shard against the
     complete table, merges the tries and trims the merge at [trim].
 
-    [obs] takes the correlator counters ([dwarf-corr.*], [probe-corr.*],
-    [ctx.*], [missing-frame.edges]), [metrics] the shard and scheduler
-    counters ([parcorr.*], [sched.*]), [trace] the scheduler's spans. *)
+    [obs] is the run's one telemetry handle. It takes the correlator
+    counters ([dwarf-corr.*], [probe-corr.*], [ctx.*],
+    [missing-frame.edges]) and the shard and scheduler counters
+    ([parcorr.*], [sched.*]), and its trace the scheduler's spans. Every
+    run counts its shards, a one-shard serial run included. *)

@@ -362,18 +362,16 @@ module Plan = struct
       de:(string -> 'a) ->
       (unit -> 'a) ->
       'a;
-    stat : name:string -> int -> unit;
     span : 'a. name:string -> (unit -> 'a) -> 'a;
-    metrics : Obs.Metrics.t;
+    obs : Obs.Metrics.t;
     jobs : int;
   }
 
   let default_hooks =
     {
       memo = (fun ~kind:_ ~key:_ ~ser:_ ~de:_ f -> f ());
-      stat = (fun ~name:_ _ -> ());
       span = (fun ~name:_ f -> f ());
-      metrics = Obs.Metrics.null;
+      obs = Obs.Metrics.null;
       jobs = 1;
     }
 
@@ -443,6 +441,8 @@ module Plan = struct
       }
 
   let run ?(hooks = default_hooks) (plan : t) =
+    (* Stage counters: warmth-independent, so they fire on cache hits too. *)
+    let stat name n = Obs.Metrics.bump (Obs.Metrics.counter hooks.obs name) n in
     let w = plan.pl_workload in
     let src_fp = fp_string w.w_source in
     (* Reference program symbol names and pseudo-probe CFG checksums, shared
@@ -527,10 +527,10 @@ module Plan = struct
                 Opt.Pass.optimize ~config:ps.p_config prog;
                 let bin = Cg.Emit.emit ~options:ps.p_emit prog in
                 let sink, recorded =
-                  Correlate.recorder ~obs:hooks.metrics ~missing:(Option.is_some ps.p_pmu) bin
+                  Correlate.recorder ~obs:hooks.obs ~missing:(Option.is_some ps.p_pmu) bin
                 in
                 let r =
-                  run_specs ~pmu:ps.p_pmu ~sink ~obs:hooks.metrics bin ~entry:ps.p_entry
+                  run_specs ~pmu:ps.p_pmu ~sink ~obs:hooks.obs bin ~entry:ps.p_entry
                     ps.p_train
                 in
                 let agg, missing, log = recorded () in
@@ -546,8 +546,8 @@ module Plan = struct
                   pr_instr = instr;
                 })
           in
-          hooks.stat ~name:"profile-run.samples" out.pr_n_samples;
-          hooks.stat ~name:"profile-run.log-words" (Vm.Sample_log.words out.pr_log);
+          stat "plan.profile-run.samples" out.pr_n_samples;
+          stat "plan.profile-run.log-words" (Vm.Sample_log.words out.pr_log);
           prof := Some out
       | Correlate { x_correlator } ->
           let po =
@@ -575,7 +575,7 @@ module Plan = struct
                 ~ser:Fun.id ~de:Fun.id
                 (fun () ->
                   let p =
-                    Correlate.of_agg ~obs:hooks.metrics (Lazy.force target) shape po.pr_agg
+                    Correlate.of_agg ~obs:hooks.obs (Lazy.force target) shape po.pr_agg
                   in
                   built := Some p;
                   P.Text_io.to_string p)
@@ -620,9 +620,9 @@ module Plan = struct
                        is byte-identical at any [hooks.jobs], so the memo
                        key above deliberately excludes the job count. *)
                     let r =
-                      Correlate.run ~obs:hooks.metrics ~metrics:hooks.metrics
-                        ~jobs:hooks.jobs ~missing_frames:cc_missing_frames
-                        ~trim:cc_trim_threshold ~recorded:(po.pr_agg, po.pr_missing)
+                      Correlate.run ~obs:hooks.obs ~jobs:hooks.jobs
+                        ~missing_frames:cc_missing_frames ~trim:cc_trim_threshold
+                        ~recorded:(po.pr_agg, po.pr_missing)
                         Correlate.Ctx (Lazy.force target) (Correlate.Log po.pr_log)
                     in
                     built := Some r.Correlate.profile;
@@ -636,16 +636,14 @@ module Plan = struct
                 | _ -> assert false
               in
               let flat, _ = probe_flat () in
-              (* Reconstruction stats fire through the hook even on cache
-                 hits — they are part of the memoized value, so the numbers
-                 a warm run reports match the cold run that built it. *)
-              hooks.stat ~name:"correlate.recon-samples" stats.Ctx_reconstruct.st_samples;
-              hooks.stat ~name:"correlate.recon-dropped"
+              (* Reconstruction stats are counted even on cache hits —
+                 they are part of the memoized value, so the numbers a
+                 warm run reports match the cold run that built it. *)
+              stat "plan.correlate.recon-samples" stats.Ctx_reconstruct.st_samples;
+              stat "plan.correlate.recon-dropped"
                 stats.Ctx_reconstruct.st_dropped_misaligned;
-              hooks.stat ~name:"correlate.gaps-resolved"
-                stats.Ctx_reconstruct.st_gaps_resolved;
-              hooks.stat ~name:"correlate.gaps-failed"
-                stats.Ctx_reconstruct.st_gaps_failed;
+              stat "plan.correlate.gaps-resolved" stats.Ctx_reconstruct.st_gaps_resolved;
+              stat "plan.correlate.gaps-failed" stats.Ctx_reconstruct.st_gaps_failed;
               recon := Some stats;
               profile := Some (Prof_ctx { x_trie = trie; x_flat = flat });
               profile_ser := text
@@ -675,7 +673,7 @@ module Plan = struct
               profile := Some (Prof_counters { x_counts = counts; x_dominant = dominant });
               profile_ser := mser v;
               profile_size := 8 * inst.in_map.Instrument.n_counters);
-          hooks.stat ~name:"correlate.profile-bytes" (String.length !profile_ser)
+          stat "plan.correlate.profile-bytes" (String.length !profile_ser)
       | Use_profile us ->
           (* Adopt an externally merged profile as this plan's correlated
              profile. The text is already canonical, so it doubles as the
@@ -699,7 +697,7 @@ module Plan = struct
               profile := Some (Prof_ctx { x_trie = trie; x_flat = flat });
               profile_size := P.Ctx_profile.size_bytes trie);
           profile_ser := us.u_text;
-          hooks.stat ~name:"correlate.profile-bytes" (String.length !profile_ser)
+          stat "plan.correlate.profile-bytes" (String.length !profile_ser)
       | Stale_apply ss ->
           (* The match target is the *pre-optimization* IR of the new build,
              probed for the probe variants so checksums and callsite ids
@@ -709,15 +707,15 @@ module Plan = struct
           let rep =
             match !profile with
             | Some (Prof_lines lp) ->
-                let lp', rep = Stale_match.match_line ~obs:hooks.metrics ~target lp in
+                let lp', rep = Stale_match.match_line ~obs:hooks.obs ~target lp in
                 profile := Some (Prof_lines lp');
                 rep
             | Some (Prof_probes pp) ->
-                let pp', rep = Stale_match.match_probe ~obs:hooks.metrics ~target pp in
+                let pp', rep = Stale_match.match_probe ~obs:hooks.obs ~target pp in
                 profile := Some (Prof_probes pp');
                 rep
             | Some (Prof_ctx { x_trie; x_flat }) ->
-                let trie', rep = Stale_match.match_ctx ~obs:hooks.metrics ~target x_trie in
+                let trie', rep = Stale_match.match_ctx ~obs:hooks.obs ~target x_trie in
                 (* The flat quality baseline must survive the same drift; its
                    verdicts would double-count the trie's, so no obs here. *)
                 let flat', _ = Stale_match.match_probe ~target x_flat in
@@ -728,10 +726,8 @@ module Plan = struct
           in
           stale_report := Some rep;
           rebuild_source := ss.st_source;
-          hooks.stat ~name:"stale.counts-recovered"
-            (Int64.to_int rep.Stale_match.r_recovered);
-          hooks.stat ~name:"stale.counts-dropped"
-            (Int64.to_int rep.Stale_match.r_dropped_counts)
+          stat "plan.stale.counts-recovered" (Int64.to_int rep.Stale_match.r_recovered);
+          stat "plan.stale.counts-dropped" (Int64.to_int rep.Stale_match.r_dropped_counts)
       | Preinline { pi_config } -> (
           match !profile with
           | Some (Prof_ctx { x_trie; _ }) ->
@@ -849,8 +845,8 @@ module Plan = struct
                         Ir.Program.add_func prog f'
                       end)
                     prog;
-                  hooks.stat ~name:"rebuild.funcs-recompiled" !recompiled;
-                  hooks.stat ~name:"rebuild.funcs-reused" !reused;
+                  stat "plan.rebuild.funcs-recompiled" !recompiled;
+                  stat "plan.rebuild.funcs-reused" !reused;
                   if config.Opt.Config.verify_between_passes then begin
                     match Ir.Verify.program prog with
                     | [] -> ()
@@ -874,7 +870,7 @@ module Plan = struct
             hooks.memo ~kind:"evaluate" ~key:(!final_key @ [ fp es ]) ~ser:mser ~de:mde
               (fun () ->
                 let r =
-                  run_specs ~pmu:None ~obs:hooks.metrics bin ~entry:es.e_entry es.e_eval
+                  run_specs ~pmu:None ~obs:hooks.obs bin ~entry:es.e_entry es.e_eval
                 in
                 {
                   ev_cycles = r.r_cycles;

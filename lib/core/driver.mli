@@ -192,9 +192,8 @@ module Plan : sig
       de:(string -> 'a) ->
       (unit -> 'a) ->
       'a;
-    stat : name:string -> int -> unit;
     span : 'a. name:string -> (unit -> 'a) -> 'a;
-    metrics : Csspgo_obs.Metrics.t;
+    obs : Csspgo_obs.Metrics.t;
     jobs : int;
   }
   (** [memo] is the memoization hook threaded through {!run}. [kind] names
@@ -206,22 +205,24 @@ module Plan : sig
       return the thunk's result or a deserialized value from a previous
       identical call.
 
-      [stat] receives per-stage counters (fired on cache hits too):
-      ["profile-run.samples"], ["profile-run.log-words"],
-      ["correlate.profile-bytes"], ["correlate.recon-samples"],
-      ["correlate.recon-dropped"], ["correlate.gaps-resolved"],
-      ["correlate.gaps-failed"].
-
       [span] wraps the execution of each stage; [name] is {!stage_name} of
       the stage. Hooks may open a trace span there — the default runs the
       thunk untouched.
 
-      [metrics] is handed to the VM and the correlation kernel for their
-      hot-path instruments ([vm.*], [probe-corr.*], [dwarf-corr.*],
-      [ctx.*], [missing-frame.*]) and its shard counters ([parcorr.*]). {!Csspgo_obs.Metrics.null}
-      disables them. Note that memoized stages skip their thunk on a cache
-      hit, so registry counts depend on cache warmth; only the [stat]
-      counters above are warmth-independent.
+      [obs] is the plan's telemetry handle. The stage counters land there
+      under a [plan.] prefix, fired on cache hits too:
+      ["plan.profile-run.samples"], ["plan.profile-run.log-words"],
+      ["plan.correlate.profile-bytes"], ["plan.correlate.recon-samples"],
+      ["plan.correlate.recon-dropped"], ["plan.correlate.gaps-resolved"],
+      ["plan.correlate.gaps-failed"], ["plan.stale.counts-recovered"],
+      ["plan.stale.counts-dropped"], ["plan.rebuild.funcs-recompiled"] and
+      ["plan.rebuild.funcs-reused"]. It is also handed to the VM and the
+      correlation kernel for their hot-path instruments ([vm.*],
+      [probe-corr.*], [dwarf-corr.*], [ctx.*], [missing-frame.*]) and
+      shard counters ([parcorr.*], [sched.*]). {!Csspgo_obs.Metrics.null}
+      disables all of them. Memoized stages skip their thunk on a cache
+      hit, so those instrument counts depend on cache warmth; only the
+      [plan.*] counters are warmth-independent.
 
       [jobs] is the [Correlate] stage's parallelism, handed to the
       correlation kernel ({!Correlate.run}, clamped to the core count): at
@@ -231,8 +232,8 @@ module Plan : sig
       one job count is valid at every other. *)
 
   val default_hooks : hooks
-  (** Runs every thunk directly — no caching; drops stats; null metrics;
-      [jobs = 1] (serial stages). *)
+  (** Runs every thunk directly — no caching; null registry; [jobs = 1]
+      (serial stages). *)
 
   val stage_name : stage -> string
   (** Stable lower-case stage label: ["compile"], ["instrument"],

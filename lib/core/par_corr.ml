@@ -34,17 +34,15 @@ let plan ?(target = Vm.Sample_log.chunk_samples) chunks =
 
 let bump obs name v = Obs.Metrics.bump (Obs.Metrics.counter obs name) v
 
-(* Shard telemetry rides the scheduler's registry: a call that passes no
-   [metrics] (a one-shard reference run, label slices) counts no shards. *)
-let observe ?(metrics = Obs.Metrics.null) shards =
-  bump metrics "parcorr.shards" (List.length shards);
-  bump metrics "parcorr.samples" (List.fold_left (fun a s -> a + shard_samples s) 0 shards)
+let observe ?(obs = Obs.Metrics.null) shards =
+  bump obs "parcorr.shards" (List.length shards);
+  bump obs "parcorr.samples" (List.fold_left (fun a s -> a + shard_samples s) 0 shards)
 
 (* --- range/branch aggregation ---------------------------------------- *)
 
-let aggregates ?metrics ?trace ~jobs shards =
-  observe ?metrics shards;
-  S.map ?metrics ?trace ~jobs
+let aggregates ?obs ~jobs shards =
+  observe ?obs shards;
+  S.map ?obs ~jobs
     (fun shard ->
       let agg = Pg.Ranges.create () in
       iter_shard shard (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
@@ -54,9 +52,9 @@ let aggregates ?metrics ?trace ~jobs shards =
 
 (* --- tail-call edge table --------------------------------------------- *)
 
-let missing ?(obs = Obs.Metrics.null) ?metrics ?trace ~jobs index shards =
+let missing ?obs ~jobs index shards =
   let tables =
-    S.map ?metrics ?trace ~jobs
+    S.map ?obs ~jobs
       (fun shard ->
         (* Per-shard builders run on a null registry: each shard counts
            the edges *it* first saw, and duplicates across shards would
@@ -69,12 +67,13 @@ let missing ?(obs = Obs.Metrics.null) ?metrics ?trace ~jobs index shards =
       shards
   in
   let t =
-    match S.tree_reduce ?metrics ?trace ~jobs Missing_frame.union tables with
+    match S.tree_reduce ?obs ~jobs Missing_frame.union tables with
     | Some t -> t
     | None ->
         Missing_frame.finish (Missing_frame.start ~obs:Obs.Metrics.null index)
   in
-  bump obs "missing-frame.edges" (Missing_frame.n_edges t);
+  bump (Option.value obs ~default:Obs.Metrics.null) "missing-frame.edges"
+    (Missing_frame.n_edges t);
   t
 
 (* --- context reconstruction ------------------------------------------- *)
@@ -99,10 +98,9 @@ let add_stats a b =
       a.Ctx_reconstruct.st_gaps_failed + b.Ctx_reconstruct.st_gaps_failed;
   }
 
-let reconstructs ?name_of ?missing ~checksum_of ?obs ?metrics ?trace ~jobs index
-    shards =
-  observe ?metrics shards;
-  S.map ?metrics ?trace ~jobs
+let reconstructs ?name_of ?missing ~checksum_of ?obs ~jobs index shards =
+  observe ?obs shards;
+  S.map ?obs ~jobs
     (fun shard ->
       (* The complete missing-frame table is shared by every shard (path
          uniqueness needs the whole edge set), and attribution is
@@ -115,19 +113,17 @@ let reconstructs ?name_of ?missing ~checksum_of ?obs ?metrics ?trace ~jobs index
       Ctx_reconstruct.finish st)
     shards
 
-let merge_tries ?metrics ?trace ~jobs parts =
+let merge_tries ?obs ~jobs parts =
   let merge (ta, sa) (tb, sb) =
     let trie = P.Ctx_profile.create () in
     P.Merge.ctx ~into:trie ~weight:1L ta;
     P.Merge.ctx ~into:trie ~weight:1L tb;
     (trie, add_stats sa sb)
   in
-  match S.tree_reduce ?metrics ?trace ~jobs merge parts with
+  match S.tree_reduce ?obs ~jobs merge parts with
   | Some r -> r
   | None -> (P.Ctx_profile.create (), zero_stats)
 
-let reconstruct ?name_of ?missing ~checksum_of ?obs ?metrics ?trace ~jobs index
-    shards =
-  merge_tries ?metrics ?trace ~jobs
-    (reconstructs ?name_of ?missing ~checksum_of ?obs ?metrics ?trace ~jobs index
-       shards)
+let reconstruct ?name_of ?missing ~checksum_of ?obs ~jobs index shards =
+  merge_tries ?obs ~jobs
+    (reconstructs ?name_of ?missing ~checksum_of ?obs ~jobs index shards)

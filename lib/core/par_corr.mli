@@ -46,48 +46,43 @@ val plan : ?target:int -> Csspgo_vm.Sample_log.t list -> shard list
     @raise Invalid_argument when [target] is not positive. *)
 
 val aggregates :
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
+  ?obs:Csspgo_obs.Metrics.t ->
   jobs:int ->
   shard list ->
   Csspgo_profgen.Ranges.agg list
 (** Per-shard [Ranges.feed] replay on up to [jobs] domains, one aggregate
     per shard; they reduce by {!Csspgo_profgen.Ranges.merge} to exactly
-    the aggregate one serial pass builds. [metrics] gets [parcorr.shards] /
-    [parcorr.samples] and, with [trace], flows to the scheduler. *)
+    the aggregate one serial pass builds. [obs] gets [parcorr.shards] /
+    [parcorr.samples] and flows to the scheduler. *)
 
 val missing :
   ?obs:Csspgo_obs.Metrics.t ->
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
   jobs:int ->
   Csspgo_profgen.Bindex.t ->
   shard list ->
   Missing_frame.t
 (** Per-shard tail-call-graph construction reduced by {!Missing_frame.union}.
     The [missing-frame.edges] counter on [obs] is credited once with the
-    union's count — the serial number, not the per-shard sum. *)
+    union's count — the serial number, not the per-shard sum; the
+    scheduler counts on [obs] too. *)
 
 val reconstructs :
   ?name_of:(Csspgo_ir.Guid.t -> string option) ->
   ?missing:Missing_frame.t ->
   checksum_of:(Csspgo_ir.Guid.t -> int64) ->
   ?obs:Csspgo_obs.Metrics.t ->
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
   jobs:int ->
   Csspgo_profgen.Bindex.t ->
   shard list ->
   (Csspgo_profile.Ctx_profile.t * Ctx_reconstruct.stats) list
 (** The shard worker: Algorithm 1 per shard against the shared (complete)
     [missing] table, one trie per shard. [obs] takes the [ctx.*]
-    counters, [metrics] the same as in {!aggregates}. *)
+    counters and the same shard counters as {!aggregates}. *)
 
 val zero_stats : Ctx_reconstruct.stats
 
 val merge_tries :
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
+  ?obs:Csspgo_obs.Metrics.t ->
   jobs:int ->
   (Csspgo_profile.Ctx_profile.t * Ctx_reconstruct.stats) list ->
   Csspgo_profile.Ctx_profile.t * Ctx_reconstruct.stats
@@ -100,8 +95,6 @@ val reconstruct :
   ?missing:Missing_frame.t ->
   checksum_of:(Csspgo_ir.Guid.t -> int64) ->
   ?obs:Csspgo_obs.Metrics.t ->
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
   jobs:int ->
   Csspgo_profgen.Bindex.t ->
   shard list ->

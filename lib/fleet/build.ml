@@ -41,10 +41,9 @@ let profiling_build ~(options : D.options) ~shape ~source =
 
 (* Every fleet correlation is one kernel run over a shard list, under the
    options' missing-frame and trim settings. *)
-let run ?obs ?metrics ?trace ?keep_shards ~jobs ~(options : D.options) ~shape b
-    shards =
+let run ?obs ?keep_shards ~jobs ~(options : D.options) ~shape b shards =
   let r =
-    Core.Correlate.run ?obs ?metrics ?trace ?keep_shards ~jobs
+    Core.Correlate.run ?obs ?keep_shards ~jobs
       ~missing_frames:options.D.use_missing_frame_inference
       ~trim:options.D.trim_threshold shape
       (Core.Correlate.target b.vb_symbols b.vb_bin)
@@ -60,10 +59,9 @@ let correlate ?obs ~options ~shape b log =
 (* The decoded chunk list is never concatenated: chunks group into shards
    ([Par_corr.plan], a pure function of the chunk list), so the result is
    byte-identical to [correlate] on the concatenated log at any [jobs]. *)
-let correlate_chunks ?obs ?metrics ?trace ?shard_target ~jobs ~options ~shape b
-    chunks =
+let correlate_chunks ?obs ?shard_target ~jobs ~options ~shape b chunks =
   snd
-    (run ?obs ?metrics ?trace ~jobs ~options ~shape b
+    (run ?obs ~jobs ~options ~shape b
        (Core.Par_corr.plan ?target:shard_target chunks))
 
 (* --- label-sliced correlation ----------------------------------------- *)

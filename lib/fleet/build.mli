@@ -41,12 +41,11 @@ val correlate :
     reference the sharded forms are held against. For [Ctx] the context
     trie is trimmed at [options.trim_threshold] and the flat
     (context-merged) probe profile rides along as the quality baseline;
-    other shapes return [None]. [obs] takes the correlator counters. *)
+    other shapes return [None]. [obs] takes the kernel's correlator,
+    shard and scheduler counters ({!Csspgo_core.Correlate.run}). *)
 
 val correlate_chunks :
   ?obs:Csspgo_obs.Metrics.t ->
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
   ?shard_target:int ->
   jobs:int ->
   options:Csspgo_core.Driver.options ->
@@ -60,11 +59,10 @@ val correlate_chunks :
     on the concatenation at any [jobs]: chunk grouping is a pure function
     of the chunk list, and every per-shard reduction is exact
     ({!Csspgo_core.Par_corr}). [jobs] is clamped to the core count. [obs]
-    takes the correlator counters, [metrics] the shard and scheduler
-    counters ([parcorr.*], [sched.*]), [trace] the scheduler's spans.
-    [shard_target] overrides [Par_corr.plan]'s samples-per-shard target —
-    tests and oracles shrink it to force multi-shard merges on logs far
-    smaller than production windows. *)
+    takes the same counters as in {!correlate}, and its trace the
+    scheduler's spans. [shard_target] overrides [Par_corr.plan]'s
+    samples-per-shard target — tests and oracles shrink it to force
+    multi-shard merges on logs far smaller than production windows. *)
 
 type labeled = {
   lc_slices : Csspgo_profile.Labels.t;
@@ -94,7 +92,8 @@ val correlate_labeled :
     the [Ctx] blend merges the untrimmed slice tries at weight 1 and
     trims at [options.trim_threshold]. It is byte-identical to
     {!correlate} on the same log at any [jobs] (oracle family 10); an
-    unlabeled log yields the single implicit empty-label slice. *)
+    unlabeled log yields the single implicit empty-label slice. [obs]
+    takes the same counters as in {!correlate}, one shard per slice. *)
 
 val match_onto :
   ?obs:Csspgo_obs.Metrics.t ->

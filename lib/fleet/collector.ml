@@ -16,6 +16,7 @@ type shard_stat = {
 type t = {
   c_shards : Instance.batch list ref array;  (** newest-first per shard *)
   c_lossy : bool;
+  c_obs : Obs.Metrics.t;
   c_batches : Obs.Metrics.counter;
   c_bytes : Obs.Metrics.counter;
   c_samples : Obs.Metrics.counter;
@@ -29,6 +30,7 @@ let create ?(obs = Obs.Metrics.null) ?(lossy = false) ~shards () =
   {
     c_shards = Array.init shards (fun _ -> ref []);
     c_lossy = lossy;
+    c_obs = obs;
     c_batches = Obs.Metrics.counter obs "collector.batches";
     c_bytes = Obs.Metrics.counter obs "collector.bytes";
     c_samples = Obs.Metrics.counter obs "collector.samples";
@@ -115,7 +117,7 @@ let decode t (b : Instance.batch) =
 (* Gather every shard (emptied) in deterministic (version, instance, seq)
    order, parallel-decode each blob to its chunk list — no concatenation —
    and group by version. The shared front half of both drains. *)
-let drain_decoded ?metrics ?trace ~jobs t =
+let drain_decoded ~jobs t =
   let all =
     Array.fold_left (fun acc shard -> List.rev_append !shard acc) [] t.c_shards
   in
@@ -133,7 +135,7 @@ let drain_decoded ?metrics ?trace ~jobs t =
   in
   (* Blob decode is the parallel stage; the batch order is already fixed,
      so map's index-placement keeps (version, instance, seq) order. *)
-  let results = S.map ?metrics ?trace ~jobs (decode t) ordered in
+  let results = S.map ~obs:t.c_obs ~jobs (decode t) ordered in
   (* Serial epilogue: attribute lossy drops to their shards, then close
      the per-shard series window for this drain epoch. *)
   List.iter2
@@ -171,12 +173,12 @@ let concat a b =
   Vm.Sample_log.append ~into:log b;
   log
 
-let drain ?metrics ?trace ~jobs t =
-  drain_decoded ?metrics ?trace ~jobs t
+let drain ~jobs t =
+  drain_decoded ~jobs t
   |> List.map (fun (v, batches) ->
          let logs = List.concat_map snd batches in
          let log =
-           match S.tree_reduce ?metrics ?trace ~jobs concat logs with
+           match S.tree_reduce ~obs:t.c_obs ~jobs concat logs with
            | Some log -> log
            | None -> Vm.Sample_log.create ()
          in
@@ -188,8 +190,8 @@ let drain ?metrics ?trace ~jobs t =
            m_bytes = batch_bytes batches;
          })
 
-let drain_chunks ?metrics ?trace ~jobs t =
-  drain_decoded ?metrics ?trace ~jobs t
+let drain_chunks ~jobs t =
+  drain_decoded ~jobs t
   |> List.map (fun (v, batches) ->
          let parts = List.concat_map snd batches in
          {

@@ -19,12 +19,14 @@ type t
 
 val create :
   ?obs:Csspgo_obs.Metrics.t -> ?lossy:bool -> shards:int -> unit -> t
-(** [shards] must be positive. [obs] receives [collector.batches],
-    [collector.bytes] and [collector.samples] counters as batches arrive,
-    plus [collector.dropped-blobs] for every undecodable blob seen at
-    drain time. With [lossy] (default [false]) a corrupt blob is counted
-    and skipped instead of failing the drain — continuous-profiling
-    ingest should degrade to losing one batch, not losing the window. *)
+(** [shards] must be positive. [obs] is the collector's telemetry handle
+    for its whole life: it receives [collector.batches], [collector.bytes]
+    and [collector.samples] counters as batches arrive, plus
+    [collector.dropped-blobs] for every undecodable blob seen at drain
+    time, and every drain's scheduler counters and spans. With [lossy]
+    (default [false]) a corrupt blob is counted and skipped instead of
+    failing the drain — continuous-profiling ingest should degrade to
+    losing one batch, not losing the window. *)
 
 val shards : t -> int
 
@@ -49,8 +51,6 @@ type merged = {
 }
 
 val drain :
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
   jobs:int ->
   t ->
   merged list
@@ -70,8 +70,6 @@ type chunks = {
 }
 
 val drain_chunks :
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
   jobs:int ->
   t ->
   chunks list

@@ -102,12 +102,18 @@ let validate cfg versions =
         invalid_arg "Sim.run: negative version weight")
     versions
 
-let run ?(metrics = Obs.Metrics.null) ?trace ?series ?health
-    cfg ~(workload : D.workload) ~versions =
+(* Telemetry windows need counters to observe, so a run that closes one
+   without a live registry gets a private one. *)
+let registry ?(obs = Obs.Metrics.null) ~windows () =
+  if windows && not (Obs.Metrics.enabled obs) then Obs.Metrics.create () else obs
+
+let run ?obs ?series ?health cfg ~(workload : D.workload) ~versions =
   validate cfg versions;
+  let windows = series <> None || health <> None in
+  let obs = registry ?obs ~windows () in
   let versions = List.sort (fun a b -> compare a.v_id b.v_id) versions in
   let span name f =
-    match trace with
+    match Obs.Metrics.trace obs with
     | None -> f ()
     | Some t ->
         let track = Obs.Trace.track t ~tid:0 ~name:"fleet" in
@@ -118,7 +124,7 @@ let run ?(metrics = Obs.Metrics.null) ?trace ?series ?health
   (* Phase 1: one profiling build per version in flight. *)
   let builds =
     span "fleet-build" (fun () ->
-        S.map ~metrics ?trace ~jobs
+        S.map ~obs ~jobs
           (fun v ->
             Build.profiling_build ~options:cfg.f_options ~shape:cfg.f_shape
               ~source:v.v_source)
@@ -141,7 +147,7 @@ let run ?(metrics = Obs.Metrics.null) ?trace ?series ?health
   in
   let served =
     span "fleet-serve" (fun () ->
-        S.map ~metrics ?trace ~jobs
+        S.map ~obs ~jobs
           (fun (id, v, block) ->
             let b = Hashtbl.find built_of v.v_id in
             let batches = ref [] in
@@ -163,7 +169,7 @@ let run ?(metrics = Obs.Metrics.null) ?trace ?series ?health
   in
   (* Phase 3: collect and drain. Ingest order is deterministic (instance
      order) but drain re-sorts anyway, so arrival order never matters. *)
-  let collector = Collector.create ~obs:metrics ~shards:cfg.f_shards () in
+  let collector = Collector.create ~obs ~shards:cfg.f_shards () in
   List.iter
     (fun (_report, batches) -> List.iter (Collector.ingest collector) batches)
     served;
@@ -172,7 +178,7 @@ let run ?(metrics = Obs.Metrics.null) ?trace ?series ?health
      wire and the correlators. *)
   let merged =
     span "fleet-drain" (fun () ->
-        Collector.drain_chunks ~metrics ?trace ~jobs collector)
+        Collector.drain_chunks ~jobs collector)
   in
   let merged_of = Hashtbl.create 8 in
   List.iter
@@ -192,8 +198,8 @@ let run ?(metrics = Obs.Metrics.null) ?trace ?series ?health
               | Some m -> m.Collector.k_chunks
               | None -> []
             in
-            Build.correlate_chunks ~obs:metrics ~metrics ?trace ~jobs
-              ~options:cfg.f_options ~shape:cfg.f_shape b chunks)
+            Build.correlate_chunks ~obs ~jobs ~options:cfg.f_options
+              ~shape:cfg.f_shape b chunks)
           versions)
   in
   (* Phase 5: stale-route old versions onto the newest, then merge. *)
@@ -206,8 +212,7 @@ let run ?(metrics = Obs.Metrics.null) ?trace ?series ?health
             if v.v_id = target_v.v_id then (v, prof, flat, None)
             else
               let prof', rep =
-                Build.match_onto ~obs:metrics ~target:target_b.Build.vb_target
-                  prof
+                Build.match_onto ~obs ~target:target_b.Build.vb_target prof
               in
               let flat' =
                 Option.map
@@ -278,7 +283,7 @@ let run ?(metrics = Obs.Metrics.null) ?trace ?series ?health
       (fun acc (r, _) -> Int64.add acc r.Instance.ir_cycles)
       0L served
   in
-  let c name v = Obs.Metrics.bump (Obs.Metrics.counter metrics name) v in
+  let c name v = Obs.Metrics.bump (Obs.Metrics.counter obs name) v in
   c "fleet.instances" (List.length instances);
   c "fleet.requests" (sum (fun pv -> pv.pv_requests));
   c "fleet.sampled" (sum (fun pv -> pv.pv_sampled));
@@ -286,8 +291,8 @@ let run ?(metrics = Obs.Metrics.null) ?trace ?series ?health
   c "fleet.batches" (sum (fun pv -> pv.pv_batches));
   (* One telemetry window per collection window: the cumulative snapshot
      closes both the series window and the health window. *)
-  (if series <> None || health <> None then begin
-     let snap = Obs.Metrics.snapshot metrics in
+  (if windows then begin
+     let snap = Obs.Metrics.snapshot obs in
      Option.iter (fun s -> ignore (Obs.Series.record s snap)) series;
      Option.iter (fun h -> ignore (Obs.Health.observe h snap)) health
    end);

@@ -65,9 +65,15 @@ type outcome = {
   fs_cycles : int64;  (** total serving cycles across the fleet *)
 }
 
+val registry :
+  ?obs:Csspgo_obs.Metrics.t -> windows:bool -> unit -> Csspgo_obs.Metrics.t
+(** The registry a run that closes telemetry windows reports to: [obs]
+    when it is live or when [windows] is false, else a private live
+    registry, so a window always has counters to observe. {!run} and
+    [Train.run] both apply it. *)
+
 val run :
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
+  ?obs:Csspgo_obs.Metrics.t ->
   ?series:Csspgo_obs.Series.t ->
   ?health:Csspgo_obs.Health.tracker ->
   config ->
@@ -76,10 +82,13 @@ val run :
   outcome
 (** [versions] must be non-empty with distinct ids and positive cohorts.
     Deterministic: equal inputs yield a byte-identical [fs_profile]
-    whatever [f_jobs] is. Emits [fleet.*] counters to [metrics] and
-    per-phase spans (tid 0, ["fleet-build"], ["fleet-serve"],
-    ["fleet-drain"], ["fleet-correlate"], ["fleet-merge"]) to [trace].
-    A collection window is a telemetry window: when [series] or [health]
-    is given, the run closes exactly one {!Csspgo_obs.Series} window /
-    {!Csspgo_obs.Health} window from [metrics]'s cumulative snapshot at
-    the end (pass a live [metrics], or the windows observe nothing). *)
+    whatever [f_jobs] is. [obs] is the run's one telemetry handle: every
+    layer below (scheduler, collector, correlation kernel, stale
+    matcher) reports to it, the run adds the [fleet.*] counters, and
+    its trace gets per-phase spans (tid 0, ["fleet-build"],
+    ["fleet-serve"], ["fleet-drain"], ["fleet-correlate"],
+    ["fleet-merge"]). A collection window is a telemetry window: when
+    [series] or [health] is given, the run closes exactly one
+    {!Csspgo_obs.Series} window / {!Csspgo_obs.Health} window from the
+    cumulative snapshot of {!registry}[ ?obs ~windows:true ()] at the
+    end. *)

@@ -73,7 +73,7 @@ let validate cfg =
   if not (cfg.ty_duty >= 0.0 && cfg.ty_duty <= 1.0) then
     invalid_arg "Tenancy.collect: ty_duty must be in [0, 1]"
 
-let collect ?(metrics = Obs.Metrics.null) cfg (mix : W.Mix.t) =
+let collect ?(obs = Obs.Metrics.null) cfg (mix : W.Mix.t) =
   validate cfg;
   let jobs = max 1 cfg.ty_jobs in
   let options = cfg.ty_options in
@@ -83,7 +83,7 @@ let collect ?(metrics = Obs.Metrics.null) cfg (mix : W.Mix.t) =
   in
   let blocks = partition cfg.ty_instances mix.W.Mix.mx_requests in
   let served =
-    S.map ~metrics ~jobs
+    S.map ~obs ~jobs
       (fun (id, block) ->
         let batches = ref [] in
         let report =
@@ -102,18 +102,18 @@ let collect ?(metrics = Obs.Metrics.null) cfg (mix : W.Mix.t) =
         (report, List.rev !batches))
       (List.mapi (fun id block -> (id, block)) blocks)
   in
-  let collector = Collector.create ~obs:metrics ~shards:cfg.ty_shards () in
+  let collector = Collector.create ~obs ~shards:cfg.ty_shards () in
   List.iter
     (fun (_report, batches) -> List.iter (Collector.ingest collector) batches)
     served;
   let log =
-    match Collector.drain ~metrics ~jobs collector with
+    match Collector.drain ~jobs collector with
     | [ m ] -> m.Collector.m_log
     | [] -> Vm.Sample_log.create ()
     | _ -> assert false (* single version in flight *)
   in
   let labeled =
-    Build.correlate_labeled ~obs:metrics ~jobs ~options ~shape:cfg.ty_shape
+    Build.correlate_labeled ~obs ~jobs ~options ~shape:cfg.ty_shape
       build log
   in
   let sum f = List.fold_left (fun a (r, _) -> a + f r) 0 served in

@@ -40,15 +40,15 @@ type collected = {
 }
 
 val collect :
-  ?metrics:Csspgo_obs.Metrics.t ->
+  ?obs:Csspgo_obs.Metrics.t ->
   config ->
   Csspgo_workloads.Mix.t ->
   collected
 (** Build the mix's profiling binary, serve the labeled train stream
     ({!Instance.serve_labeled}; contiguous request partition over
     [ty_instances], fleet-deterministic seeds), drain the collector, and
-    run {!Build.correlate_labeled}. Deterministic for equal inputs at any
-    [ty_jobs]. *)
+    run {!Build.correlate_labeled}, all reporting to [obs]. Deterministic
+    for equal inputs at any [ty_jobs]. *)
 
 type specialized = {
   sp_tenant : string;

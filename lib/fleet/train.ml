@@ -50,21 +50,15 @@ let edits_for cfg g =
   | Some e -> e
   | None -> cfg.t_edits
 
-let run ?metrics ?trace ?series ?health cfg (w : D.workload) =
+let run ?obs ?series ?health cfg (w : D.workload) =
   if cfg.t_generations < 1 then
     invalid_arg "Train.run: t_generations must be at least 1";
   if cfg.t_skew < 0 then invalid_arg "Train.run: negative t_skew";
   List.iter
     (fun e -> if e < 0 then invalid_arg "Train.run: negative scheduled edits")
     cfg.t_edit_schedule;
-  (* Health windows need counters to observe: if the caller asked for
-     telemetry windows without a registry, give the fleet a private one. *)
-  let metrics =
-    match (metrics, series, health) with
-    | Some m, _, _ -> Some m
-    | None, None, None -> None
-    | None, _, _ -> Some (Obs.Metrics.create ())
-  in
+  let windows = series <> None || health <> None in
+  let obs = Sim.registry ?obs ~windows () in
   let options = cfg.t_fleet.Sim.f_options in
   (* Drift chain: each release drifts from its predecessor, so edits
      compound down the train the way real source history does. The edit
@@ -96,13 +90,13 @@ let run ?metrics ?trace ?series ?health cfg (w : D.workload) =
               v_instances = cfg.t_cohort;
             })
       in
-      let fleet = Sim.run ?metrics ?trace cfg.t_fleet ~workload:gen_w ~versions in
+      let fleet = Sim.run ~obs cfg.t_fleet ~workload:gen_w ~versions in
       let profile, flat, carry_rep =
         match !carried with
         | None -> (fleet.Sim.fs_profile, fleet.Sim.fs_flat, None)
         | Some (prev, prev_flat) ->
             let target = fleet.Sim.fs_target.Build.vb_target in
-            let matched, rep = Build.match_onto ?obs:metrics ~target prev in
+            let matched, rep = Build.match_onto ~obs ~target prev in
             let profile =
               P.Merge.weighted ~kind
                 [
@@ -138,12 +132,12 @@ let run ?metrics ?trace ?series ?health cfg (w : D.workload) =
       in
       prev_window := Some fleet.Sim.fs_profile;
       let g_health =
-        match (series, health, metrics) with
-        | None, None, _ | _, _, None -> None
-        | _ ->
-            let snap = Obs.Metrics.snapshot (Option.get metrics) in
-            Option.iter (fun s -> ignore (Obs.Series.record s snap)) series;
-            Option.map (fun h -> Obs.Health.observe ?overlap:wov h snap) health
+        if not windows then None
+        else begin
+          let snap = Obs.Metrics.snapshot obs in
+          Option.iter (fun s -> ignore (Obs.Series.record s snap)) series;
+          Option.map (fun h -> Obs.Health.observe ?overlap:wov h snap) health
+        end
       in
       let plan = D.Plan.make_with_profile ~options ~profile ?flat gen_w in
       let outcome = D.Plan.run plan in

@@ -52,8 +52,7 @@ type generation = {
 }
 
 val run :
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
+  ?obs:Csspgo_obs.Metrics.t ->
   ?series:Csspgo_obs.Series.t ->
   ?health:Csspgo_obs.Health.tracker ->
   config ->
@@ -62,9 +61,10 @@ val run :
 (** Generation 0 first. Deterministic for equal inputs, independent of
     [t_fleet.f_jobs].
 
-    When [series] or [health] is given, each generation closes one
-    telemetry window from the cumulative metrics snapshot (a private live
-    registry is created if [metrics] was not supplied), and the health
+    [obs] is handed to every generation's {!Sim.run}. When [series] or
+    [health] is given, each generation closes one telemetry window from
+    the cumulative snapshot of {!Sim.registry}[ ?obs ~windows:true ()]
+    — a private live registry when [obs] is not live — and the health
     window carries the window-over-window
     {!Csspgo_core.Quality.profile_overlap} of consecutive fresh fleet
     profiles — generation 0 has no predecessor, so its overlap indicator

@@ -574,8 +574,7 @@ let check_format ?cache ~seed src args =
   guarded_build site (fun () ->
       ignore cache;
       let c = O.Cache.create () in
-      let stats = O.Orchestrate.create_stats () in
-      let h = O.Orchestrate.hooks ~stats c in
+      let h = O.Orchestrate.hooks c in
       let plan = D.Plan.make ~options:driver_options ~variant:D.Csspgo_full w in
       let cold = D.Plan.run ~hooks:h plan in
       let warm = D.Plan.run ~hooks:h plan in
@@ -769,7 +768,7 @@ let check_health ~seed src args =
     let series = Obs.Series.create () in
     let tracker = Obs.Health.create () in
     let (_ : Fl.Sim.outcome) =
-      Fl.Sim.run ~metrics ~series ~health:tracker
+      Fl.Sim.run ~obs:metrics ~series ~health:tracker
         { fleet_config with Fl.Sim.f_jobs = jobs }
         ~workload:w ~versions:[ version 2 ]
     in
@@ -819,7 +818,7 @@ let check_health ~seed src args =
       let metrics = Obs.Metrics.create () in
       let series = Obs.Series.create () in
       let (_ : Fl.Sim.outcome) =
-        Fl.Sim.run ~metrics ~series fleet_config ~workload:w
+        Fl.Sim.run ~obs:metrics ~series fleet_config ~workload:w
           ~versions:[ version 1 ]
       in
       let check tag txt =
@@ -1153,17 +1152,13 @@ let write_corpus dir cfg fl =
        (Reduce.count_source_lines fl.fl_source)
        (repro_command cfg ~seed:fl.fl_seed))
 
-let run_seed ?(stats : stats option) ?cache (cfg : config) seed =
+let run_seed ~(stats : stats) ?cache (cfg : config) seed =
   let src = W.Gen.random_source ~n_funcs:cfg.cf_n_funcs ~size:cfg.cf_size ~seed () in
-  let on_overlap ov =
-    match stats with
-    | Some st -> if ov < st.st_min_overlap then st.st_min_overlap <- ov
-    | None -> ()
-  in
+  let on_overlap ov = if ov < stats.st_min_overlap then stats.st_min_overlap <- ov in
   match classify ~on_overlap ?cache cfg ~seed src with
   | C_pass -> None
   | C_discard ->
-      (match stats with Some st -> st.st_discards <- st.st_discards + 1 | None -> ());
+      stats.st_discards <- stats.st_discards + 1;
       None
   | C_fail (kind, site, detail) ->
       let minimized =
@@ -1193,18 +1188,15 @@ let fresh_stats () =
     st_failures = [];
   }
 
-let run ?out_dir ?(progress = fun (_ : stats) -> ()) ?cache ?metrics ?(jobs = 1)
-    (cfg : config) ~seeds:(lo, hi) =
+let run ?out_dir ?(progress = fun (_ : stats) -> ()) ?cache ?(obs = Obs.Metrics.null)
+    ?(jobs = 1) (cfg : config) ~seeds:(lo, hi) =
   (* Without a caller-provided cache the campaign still wants the per-seed
      stage sharing (reference, profiling runs, correlations), so it makes a
      private in-memory one. *)
   let cache = match cache with Some c -> c | None -> O.Cache.create () in
   (* Registry bumps happen only at the (seed-ordered) merge points below,
      so the counts are identical whatever [jobs] is. *)
-  let m = match metrics with Some m -> m | None -> Csspgo_obs.Metrics.null in
-  let mbump name n =
-    if n > 0 then Csspgo_obs.Metrics.bump (Csspgo_obs.Metrics.counter m name) n
-  in
+  let mbump name n = if n > 0 then Obs.Metrics.bump (Obs.Metrics.counter obs name) n in
   let st = fresh_stats () in
   let stop () =
     match cfg.cf_max_failures with Some n -> n_failures st >= n | None -> false

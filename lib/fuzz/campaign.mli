@@ -170,22 +170,23 @@ val n_failures : stats -> int
 val pp_stats : Format.formatter -> stats -> unit
 
 val run_seed :
-  ?stats:stats ->
+  stats:stats ->
   ?cache:Csspgo_orchestrator.Cache.t ->
   config ->
   int64 ->
   failure option
-(** Check a single seed; [None] is a pass or a discard (discards are
-    counted into [stats] when given). Minimization runs when the config
-    asks for it. With [cache], the -O0 reference and the shareable plan
-    stages (reference symbol info, probed profiling run, flat correlation)
-    each compute once per seed instead of once per variant. *)
+(** Check a single seed; [None] is a pass or a discard (discards and the
+    minimum overlap are recorded in [stats]). Minimization runs when the
+    config asks for it. With [cache], the -O0 reference and the shareable
+    plan stages (reference symbol info, probed profiling run, flat
+    correlation) each compute once per seed instead of once per
+    variant. *)
 
 val run :
   ?out_dir:string ->
   ?progress:(stats -> unit) ->
   ?cache:Csspgo_orchestrator.Cache.t ->
-  ?metrics:Csspgo_obs.Metrics.t ->
+  ?obs:Csspgo_obs.Metrics.t ->
   ?jobs:int ->
   config ->
   seeds:int * int ->
@@ -202,6 +203,6 @@ val run :
     in-memory cache; pass a disk-backed one to reuse artifacts across
     campaign invocations.
 
-    [metrics] receives [fuzz.seeds], [fuzz.discards] and [fuzz.failures];
+    [obs] receives [fuzz.seeds], [fuzz.discards] and [fuzz.failures];
     bumps fire at the seed-ordered merge points, so the totals match the
     serial campaign for any [jobs]. *)

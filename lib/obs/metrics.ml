@@ -23,6 +23,7 @@ type t = {
   m_counters : (string, counter) Hashtbl.t;
   m_gauges : (string, gauge) Hashtbl.t;
   m_hists : (string, histogram) Hashtbl.t;
+  m_trace : Trace.t option;
 }
 
 let null =
@@ -33,13 +34,14 @@ let null =
     m_counters = Hashtbl.create 1;
     m_gauges = Hashtbl.create 1;
     m_hists = Hashtbl.create 1;
+    m_trace = None;
   }
 
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let create ?shards () =
+let create ?shards ?trace () =
   let shards =
     match shards with
     | Some s -> next_pow2 (max 1 s)
@@ -52,9 +54,11 @@ let create ?shards () =
     m_counters = Hashtbl.create 32;
     m_gauges = Hashtbl.create 16;
     m_hists = Hashtbl.create 16;
+    m_trace = trace;
   }
 
 let enabled t = t.m_live
+let trace t = t.m_trace
 
 let locked t f =
   Mutex.lock t.m_lock;

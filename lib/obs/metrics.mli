@@ -11,19 +11,27 @@
     Snapshots merge shards with order-independent operations only —
     counters and histogram buckets sum, gauges take the maximum — so a
     snapshot is a pure function of the multiset of observations, not of
-    the schedule that produced them. Name lists are sorted. *)
+    the schedule that produced them. Name lists are sorted.
+
+    The registry is the one telemetry handle of the library: every layer
+    takes it as [?obs], and a run's {!Trace} rides on it, so counters and
+    spans reach a call through the same parameter. *)
 
 type t
 
 val null : t
 (** The disabled registry: registration returns no-op handles, [enabled]
-    is false, snapshots are empty. *)
+    is false, snapshots are empty, and no trace is attached. *)
 
-val create : ?shards:int -> unit -> t
+val create : ?shards:int -> ?trace:Trace.t -> unit -> t
 (** A live registry. [shards] (rounded up to a power of two) defaults to
-    at least 8 and at least [Domain.recommended_domain_count ()]. *)
+    at least 8 and at least [Domain.recommended_domain_count ()]. [trace]
+    is the run's span trace, handed back by {!trace}. *)
 
 val enabled : t -> bool
+
+val trace : t -> Trace.t option
+(** The trace given to {!create}; [None] on {!null}. *)
 
 (** {1 Instruments} *)
 

@@ -32,7 +32,7 @@ let rec mkdir_p d =
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
   end
 
-let create ?(metrics = M.null) ?dir () =
+let create ?(obs = M.null) ?dir () =
   Option.iter mkdir_p dir;
   {
     cdir = dir;
@@ -42,10 +42,10 @@ let create ?(metrics = M.null) ?dir () =
     c_misses = 0;
     c_stores = 0;
     c_corrupt = 0;
-    m_hit = M.counter metrics "cache.hit";
-    m_miss = M.counter metrics "cache.miss";
-    m_store = M.counter metrics "cache.store";
-    m_poisoned = M.counter metrics "cache.poisoned";
+    m_hit = M.counter obs "cache.hit";
+    m_miss = M.counter obs "cache.miss";
+    m_store = M.counter obs "cache.store";
+    m_poisoned = M.counter obs "cache.poisoned";
   }
 
 let dir t = t.cdir

@@ -19,10 +19,10 @@
 
 type t
 
-val create : ?metrics:Csspgo_obs.Metrics.t -> ?dir:string -> unit -> t
+val create : ?obs:Csspgo_obs.Metrics.t -> ?dir:string -> unit -> t
 (** [create ~dir ()] backs the cache with directory [dir] (created if
     missing); omitting [dir] keeps the cache purely in-memory. With
-    [?metrics], every lookup/store also bumps the [cache.hit],
+    [?obs], every lookup/store also bumps the [cache.hit],
     [cache.miss], [cache.store] and [cache.poisoned] registry counters
     (handles resolved once here, not per operation). *)
 

@@ -1,97 +1,54 @@
 module D = Csspgo_core.Driver
 module Obs = Csspgo_obs
 
-type stats = {
-  st_mutex : Mutex.t;
-  st_counts : (string, int ref) Hashtbl.t;
-}
-
-let create_stats () = { st_mutex = Mutex.create (); st_counts = Hashtbl.create 16 }
-
-let stats_list s =
-  Mutex.lock s.st_mutex;
-  let l = Hashtbl.fold (fun name r acc -> (name, !r) :: acc) s.st_counts [] in
-  Mutex.unlock s.st_mutex;
-  (* The sort is the determinism contract: Hashtbl.fold order depends on
-     insertion history (and thus on the parallel schedule), the sorted list
-     does not. *)
-  List.sort compare l
-
-let stats_get s name =
-  Mutex.lock s.st_mutex;
-  let v = match Hashtbl.find_opt s.st_counts name with Some r -> !r | None -> 0 in
-  Mutex.unlock s.st_mutex;
-  v
-
-let stat_hook ?metrics stats =
-  let base =
-    match stats with
-    | None -> fun ~name:_ _ -> ()
-    | Some s ->
-        fun ~name n ->
-          Mutex.lock s.st_mutex;
-          (match Hashtbl.find_opt s.st_counts name with
-          | Some r -> r := !r + n
-          | None -> Hashtbl.add s.st_counts name (ref n));
-          Mutex.unlock s.st_mutex
-  in
-  match metrics with
-  | Some m when Obs.Metrics.enabled m ->
-      fun ~name n ->
-        Obs.Metrics.bump (Obs.Metrics.counter m ("plan." ^ name)) n;
-        base ~name n
-  | _ -> base
-
 let plan_label (p : D.Plan.t) =
   p.D.Plan.pl_workload.D.w_name ^ "/" ^ D.variant_name p.D.Plan.pl_variant
 
-let mk_hooks ?cache ?stats ?metrics ?track ?(stage_jobs = 1) () =
+let mk_hooks ?cache ?(obs = Obs.Metrics.null) ?track ?(stage_jobs = 1) () =
   {
     D.Plan.memo =
       (fun ~kind ~key ~ser ~de f ->
         match cache with
         | Some c -> Cache.memo c ~kind ~key ~ser ~de f
         | None -> f ());
-    stat = stat_hook ?metrics stats;
     span =
       (fun ~name f ->
         match track with
         | Some tk -> Obs.Trace.with_span tk name f
         | None -> f ());
-    metrics = Option.value metrics ~default:Obs.Metrics.null;
+    obs;
     jobs = stage_jobs;
   }
 
-let hooks ?stats ?metrics ?track ?stage_jobs cache =
-  mk_hooks ~cache ?stats ?metrics ?track ?stage_jobs ()
+let hooks ?obs ?track ?stage_jobs cache = mk_hooks ~cache ?obs ?track ?stage_jobs ()
 
-let run_plans ?cache ?stats ?metrics ?trace ?stage_jobs ~jobs plans =
+let run_plans ?cache ?obs ?stage_jobs ~jobs plans =
   (* Tracks are registered serially here, in plan order, with the plan
      index as tid — an identity independent of which domain later runs the
      plan. That (plus per-track clock cursors) is what makes fixed-clock
      traces byte-identical across -j levels. *)
   let tracks =
-    match trace with
+    match Option.bind obs Obs.Metrics.trace with
     | None -> List.map (fun _ -> None) plans
     | Some tr ->
         List.mapi (fun i p -> Some (Obs.Trace.track tr ~tid:i ~name:(plan_label p))) plans
   in
-  Scheduler.map ?metrics ?trace ~jobs
+  Scheduler.map ?obs ~jobs
     (fun (plan, track) ->
-      let hooks = mk_hooks ?cache ?stats ?metrics ?track ?stage_jobs () in
+      let hooks = mk_hooks ?cache ?obs ?track ?stage_jobs () in
       match track with
       | Some tk ->
           Obs.Trace.with_span tk (plan_label plan) (fun () -> D.Plan.run ~hooks plan)
       | None -> D.Plan.run ~hooks plan)
     (List.combine plans tracks)
 
-let run_matrix ?cache ?stats ?metrics ?trace ?options ~jobs ~variants ~workloads () =
+let run_matrix ?cache ?obs ?options ~jobs ~variants ~workloads () =
   let plans =
     List.concat_map
       (fun w -> List.map (fun variant -> D.Plan.make ?options ~variant w) variants)
       workloads
   in
-  let outcomes = run_plans ?cache ?stats ?metrics ?trace ~jobs plans in
+  let outcomes = run_plans ?cache ?obs ~jobs plans in
   List.map2
     (fun (plan : D.Plan.t) o -> (plan.D.Plan.pl_workload, plan.D.Plan.pl_variant, o))
     plans outcomes

@@ -8,50 +8,27 @@
     deterministic: binaries, profiles, and [Text_io] dumps are byte-identical
     to the serial ([jobs = 1]) schedule. *)
 
-type stats
-(** Mutex-protected cross-domain accumulator for the per-stage counters the
-    plans emit through [Plan.hooks.stat] (samples streamed, sample-log
-    words, serialized profile bytes, reconstruction stats). *)
-
-val create_stats : unit -> stats
-
-val stats_list : stats -> (string * int) list
-(** Accumulated (counter name, total) pairs, {e sorted by counter name}.
-    The ordering is part of the contract: the underlying accumulator is an
-    unordered hash table whose iteration order depends on the parallel
-    schedule, so callers (and tests) rely on this list being identical for
-    identical counter multisets whatever [jobs] was. *)
-
-val stats_get : stats -> string -> int
-(** One counter's accumulated total, 0 if it never fired. The incremental
-    rebuild tests read ["rebuild.funcs-recompiled"] /
-    ["rebuild.funcs-reused"] through this. *)
-
 val plan_label : Csspgo_core.Driver.Plan.t -> string
 (** ["<workload>/<variant>"] — span and track naming for a plan. *)
 
 val hooks :
-  ?stats:stats ->
-  ?metrics:Csspgo_obs.Metrics.t ->
+  ?obs:Csspgo_obs.Metrics.t ->
   ?track:Csspgo_obs.Trace.track ->
   ?stage_jobs:int ->
   Cache.t ->
   Csspgo_core.Driver.Plan.hooks
 (** Memoization hooks backed by [cache]: stage values round-trip through the
     cache's byte store, so every hit is a fresh deserialized copy (safe to
-    mutate, safe across domains). With [?stats], stage counters accumulate
-    there (cache hits included); with [?metrics], the same counters also
-    land in the registry under a [plan.] prefix and the registry is handed
-    to the VM/correlator instruments; with [?track], every stage runs under
+    mutate, safe across domains). [?obs] becomes [hooks.obs]: the plan's
+    stage counters land there as [plan.*] (cache hits included) next to
+    the VM/correlator instruments. With [?track], every stage runs under
     a span on that track. [?stage_jobs] (default 1) is handed to the plan
     as [hooks.jobs] — intra-stage parallelism for the sharded correlator,
     byte-identical to serial at any level. *)
 
 val run_plans :
   ?cache:Cache.t ->
-  ?stats:stats ->
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
+  ?obs:Csspgo_obs.Metrics.t ->
   ?stage_jobs:int ->
   jobs:int ->
   Csspgo_core.Driver.Plan.t list ->
@@ -59,17 +36,18 @@ val run_plans :
 (** Execute plans on up to [jobs] domains ([?stage_jobs] additionally
     parallelizes inside each plan's Correlate stage — use it when running
     a single plan, where plan-level parallelism has nothing to chew on;
-    results are byte-identical either way). Results in input order. With
-    [?trace], each plan gets its own track (tid = plan index, name =
-    {!plan_label}), registered serially before scheduling, carrying one
-    whole-plan span plus one span per stage; on a fixed-clock trace the
-    exported bytes are identical for every [jobs] level. *)
+    results are byte-identical either way). Results in input order. Every
+    plan reports to the one [obs] registry: [plan.*] counters sum over
+    plans in a schedule-independent way, so a snapshot's name list and
+    values are the same at every [jobs]. When [obs] carries a trace, each
+    plan gets its own track (tid = plan index, name = {!plan_label}),
+    registered serially before scheduling, carrying one whole-plan span
+    plus one span per stage; on a fixed-clock trace the exported bytes
+    are identical for every [jobs] level. *)
 
 val run_matrix :
   ?cache:Cache.t ->
-  ?stats:stats ->
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
+  ?obs:Csspgo_obs.Metrics.t ->
   ?options:Csspgo_core.Driver.options ->
   jobs:int ->
   variants:Csspgo_core.Driver.variant list ->

@@ -29,11 +29,10 @@ let steal_back d =
   Mutex.unlock d.lock;
   r
 
-let map ?metrics ?trace ~jobs f xs =
-  let m = Option.value metrics ~default:Obs.Metrics.null in
-  let c_tasks = Obs.Metrics.counter m "sched.tasks" in
-  let c_steals = Obs.Metrics.counter m "sched.steals" in
-  let g_depth = Obs.Metrics.gauge m "sched.queue-depth" in
+let map ?(obs = Obs.Metrics.null) ~jobs f xs =
+  let c_tasks = Obs.Metrics.counter obs "sched.tasks" in
+  let c_steals = Obs.Metrics.counter obs "sched.steals" in
+  let g_depth = Obs.Metrics.gauge obs "sched.queue-depth" in
   let n = List.length xs in
   let jobs = max 1 (min jobs n) in
   if jobs <= 1 then begin
@@ -69,7 +68,7 @@ let map ?metrics ?trace ~jobs f xs =
        they exist only on wall-clock traces; a deterministic (fixed-clock)
        trace carries per-plan tracks only. *)
     let domain_track wid =
-      match trace with
+      match Obs.Metrics.trace obs with
       | Some tr when not (Obs.Trace.deterministic tr) ->
           Some (Obs.Trace.track tr ~tid:(1000 + wid) ~name:(Printf.sprintf "domain-%d" wid))
       | _ -> None
@@ -106,7 +105,7 @@ let map ?metrics ?trace ~jobs f xs =
          | None -> assert false)
   end
 
-let rec tree_reduce ?metrics ?trace ~jobs f xs =
+let rec tree_reduce ?obs ~jobs f xs =
   match xs with
   | [] -> None
   | [ x ] -> Some x
@@ -120,8 +119,8 @@ let rec tree_reduce ?metrics ?trace ~jobs f xs =
         | [] -> []
       in
       let merged =
-        map ?metrics ?trace ~jobs
+        map ?obs ~jobs
           (function a, Some b -> f a b | a, None -> a)
           (pairs xs)
       in
-      tree_reduce ?metrics ?trace ~jobs f merged
+      tree_reduce ?obs ~jobs f merged

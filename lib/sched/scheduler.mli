@@ -11,8 +11,7 @@
     schedules only change completion order, never the merge order. *)
 
 val map :
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
+  ?obs:Csspgo_obs.Metrics.t ->
   jobs:int ->
   ('a -> 'b) ->
   'a list ->
@@ -23,16 +22,15 @@ val map :
     the exception of the smallest input index is re-raised after all
     workers finish.
 
-    [metrics] receives [sched.tasks] (one per task run), [sched.steals]
+    [obs] receives [sched.tasks] (one per task run), [sched.steals]
     (successful steals — schedule-dependent, always 0 serially) and the
-    [sched.queue-depth] gauge (max initial deque fill). [trace] adds one
+    [sched.queue-depth] gauge (max initial deque fill). Its trace gets one
     [domain-N] track per worker with a [task-i] span per task — but only on
     wall-clock traces: worker assignment is schedule-dependent, so
     deterministic (fixed-clock) traces omit scheduler tracks entirely. *)
 
 val tree_reduce :
-  ?metrics:Csspgo_obs.Metrics.t ->
-  ?trace:Csspgo_obs.Trace.t ->
+  ?obs:Csspgo_obs.Metrics.t ->
   jobs:int ->
   ('a -> 'a -> 'a) ->
   'a list ->

@@ -222,9 +222,8 @@ let texts (p, flat) =
 
 let prefixed tag = List.map (fun (aspect, s) -> (tag ^ " " ^ aspect, s))
 
-(* [Build.correlate] and [correlate_chunks] on adfinder's training log.
-   The chunk calls get one registry as both [obs] and [metrics], the way
-   [Fleet.Sim] wires them. *)
+(* [Build.correlate] and [correlate_chunks] on adfinder's training log,
+   each call on its own registry. *)
 let fleet_case shape =
   ( "fleet " ^ Fl.Build.shape_name shape,
     fun () ->
@@ -236,7 +235,7 @@ let fleet_case shape =
       let chunks jobs =
         let r = Obs.Metrics.create () in
         let out =
-          Fl.Build.correlate_chunks ~obs:r ~metrics:r ~shard_target:16 ~jobs
+          Fl.Build.correlate_chunks ~obs:r ~shard_target:16 ~jobs
             ~options:fleet_options ~shape b (SL.split ~chunk:16 log)
         in
         (out, r)
@@ -280,7 +279,10 @@ let labeled_case shape =
 
 (* Digests keyed by case and aspect: the kernel cases recorded from the
    Hashtbl-counted kernels, the production entry points from the
-   hand-written correlation copies that preceded [Correlate]. *)
+   hand-written correlation copies that preceded [Correlate]. The serial
+   [correlate] and labeled counter digests were re-recorded when the one
+   [obs] registry began taking the shard counters: they gained only the
+   [parcorr.shards] and [parcorr.samples] lines. *)
 let pinned =
   [
     ("adranker ranges", "22227ac3c6ebe9ee");
@@ -317,7 +319,7 @@ let pinned =
     ("driver csspgo -j 2 memo 1", "e000c7c137a50f00");
     ("fleet lines correlate profile", "885b9fea7ac78773");
     ("fleet lines correlate flat", "cbf29ce484222325");
-    ("fleet lines correlate counters", "6d4051bb25a70c9d");
+    ("fleet lines correlate counters", "44c3468444a7ae26");
     ("fleet lines chunks -j 1 profile", "885b9fea7ac78773");
     ("fleet lines chunks -j 1 flat", "cbf29ce484222325");
     ("fleet lines chunks -j 2 profile", "885b9fea7ac78773");
@@ -325,7 +327,7 @@ let pinned =
     ("fleet lines chunks counters", "a94db2901f9887f6");
     ("fleet probes correlate profile", "e000c7c137a50f00");
     ("fleet probes correlate flat", "cbf29ce484222325");
-    ("fleet probes correlate counters", "f1a8df9431b9cdf1");
+    ("fleet probes correlate counters", "15ed5fc6c2069eeb");
     ("fleet probes chunks -j 1 profile", "e000c7c137a50f00");
     ("fleet probes chunks -j 1 flat", "cbf29ce484222325");
     ("fleet probes chunks -j 2 profile", "e000c7c137a50f00");
@@ -333,7 +335,7 @@ let pinned =
     ("fleet probes chunks counters", "e46a86ec9a90f3c5");
     ("fleet ctx correlate profile", "930131de02d0373e");
     ("fleet ctx correlate flat", "e000c7c137a50f00");
-    ("fleet ctx correlate counters", "112d45b834ac623f");
+    ("fleet ctx correlate counters", "a3eab20f6a02ae9c");
     ("fleet ctx chunks -j 1 profile", "930131de02d0373e");
     ("fleet ctx chunks -j 1 flat", "e000c7c137a50f00");
     ("fleet ctx chunks -j 2 profile", "930131de02d0373e");
@@ -345,21 +347,21 @@ let pinned =
     ("labeled lines -j 2 slices", "7f32b6db730a58f9");
     ("labeled lines -j 2 blend", "972bc751263354ae");
     ("labeled lines -j 2 flat", "cbf29ce484222325");
-    ("labeled lines counters", "7f8af27453ecc771");
+    ("labeled lines counters", "d5d6a08481d37e9a");
     ("labeled probes -j 1 slices", "7e88a7d2fb6545bb");
     ("labeled probes -j 1 blend", "7fe738e810731375");
     ("labeled probes -j 1 flat", "cbf29ce484222325");
     ("labeled probes -j 2 slices", "7e88a7d2fb6545bb");
     ("labeled probes -j 2 blend", "7fe738e810731375");
     ("labeled probes -j 2 flat", "cbf29ce484222325");
-    ("labeled probes counters", "1b9c50e54425fe29");
+    ("labeled probes counters", "70d8b1eb9a6d4318");
     ("labeled ctx -j 1 slices", "8ec785234d1a4dd8");
     ("labeled ctx -j 1 blend", "708b9d73aba4305d");
     ("labeled ctx -j 1 flat", "7fe738e810731375");
     ("labeled ctx -j 2 slices", "8ec785234d1a4dd8");
     ("labeled ctx -j 2 blend", "708b9d73aba4305d");
     ("labeled ctx -j 2 flat", "7fe738e810731375");
-    ("labeled ctx counters", "b89c7e86541b95e2");
+    ("labeled ctx counters", "288abc2cb5831c1e");
   ]
 
 let check_case (name, run) () =

@@ -9,6 +9,7 @@ module Core = Csspgo_core
 module D = Core.Driver
 module W = Csspgo_workloads
 module Fl = Csspgo_fleet
+module Obs = Csspgo_obs
 
 let w = W.Suite.adfinder
 
@@ -117,6 +118,42 @@ let test_train_smoke () =
   Alcotest.(check bool) "generation 1 drifted" true
     (not (String.equal g1.Fl.Train.g_source (List.hd gens).Fl.Train.g_source))
 
+(* One live registry with a fixed-clock trace reaches every layer a
+   two-version window runs through: scheduler, collector, sharded
+   correlation, the ctx shape's correlators and the stale matcher report
+   to it, and the trace gets the fleet's phase spans. *)
+let test_handle_reaches_layers () =
+  let trace = Obs.Trace.create ~clock:(Obs.Clock.fixed ()) () in
+  let obs = Obs.Metrics.create ~trace () in
+  let drifted = (W.Drift.apply ~seed:3L ~edits:1 w.D.w_source).W.Drift.dr_source in
+  ignore
+    (Fl.Sim.run ~obs { cfg with Fl.Sim.f_jobs = 2 } ~workload:w
+       ~versions:[ version w.D.w_source; version ~id:1 drifted ]);
+  let names = List.map fst (Obs.Metrics.snapshot obs).Obs.Metrics.s_counters in
+  List.iter
+    (fun family ->
+      Alcotest.(check bool) (family ^ "* counters") true
+        (List.exists (String.starts_with ~prefix:family) names))
+    [
+      "fleet."; "collector."; "parcorr."; "sched."; "ctx."; "probe-corr.";
+      "missing-frame."; "stale.";
+    ];
+  let events =
+    Option.bind
+      (Obs.Json.member "traceEvents" (Obs.Json.parse_exn (Obs.Trace.to_chrome_json trace)))
+      Obs.Json.to_list
+    |> Option.value ~default:[]
+  in
+  let spans =
+    List.filter_map
+      (fun e ->
+        match Obs.Json.member "name" e with Some (Obs.Json.String n) -> Some n | _ -> None)
+      events
+  in
+  List.iter
+    (fun phase -> Alcotest.(check bool) (phase ^ " span") true (List.mem phase spans))
+    [ "fleet-build"; "fleet-serve"; "fleet-drain"; "fleet-correlate"; "fleet-merge" ]
+
 let suite =
   ( "fleet",
     [
@@ -128,4 +165,6 @@ let suite =
       Alcotest.test_case "collector routing and drain" `Quick
         test_collector_drain;
       Alcotest.test_case "release-train smoke" `Quick test_train_smoke;
+      Alcotest.test_case "one handle reaches every layer" `Quick
+        test_handle_reaches_layers;
     ] )

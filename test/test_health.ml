@@ -289,7 +289,7 @@ let run_train ?generations ?schedule jobs w =
   let series = S.create () in
   let tracker = H.create () in
   let gens =
-    Fl.Train.run ~metrics ~series ~health:tracker
+    Fl.Train.run ~obs:metrics ~series ~health:tracker
       (train_config ?generations ?schedule jobs)
       w
   in
@@ -317,6 +317,29 @@ let test_train_identity_across_jobs () =
         (Printf.sprintf "series bytes identical at -j %d" jobs)
         ref_series series_j)
     [ 2; 4 ]
+
+(* A collection window closed without a caller registry still observes
+   the fleet: [Sim.run] reports to a private live registry. *)
+let test_sim_window_without_registry () =
+  let series = S.create () and tracker = H.create () in
+  let version =
+    { Fl.Sim.v_id = 0; v_source = train_workload.D.w_source; v_weight = 1L; v_instances = 1 }
+  in
+  ignore
+    (Fl.Sim.run ~series ~health:tracker Fl.Sim.default ~workload:train_workload
+       ~versions:[ version ]);
+  (match S.windows series with
+  | [ win ] ->
+      let samples =
+        Option.value ~default:0 (List.assoc_opt "fleet.samples" win.S.w_counters)
+      in
+      Alcotest.(check bool) "series window saw fleet samples" true (samples > 0)
+  | ws -> Alcotest.failf "%d series windows, expected 1" (List.length ws));
+  match (H.report tracker).H.hp_windows with
+  | [ wr ] ->
+      let hit = List.find (fun i -> i.H.in_name = "corr.hit-rate") wr.H.wr_indicators in
+      Alcotest.(check bool) "health window saw correlation" true (hit.H.in_value <> None)
+  | ws -> Alcotest.failf "%d health windows, expected 1" (List.length ws)
 
 let test_train_drift_spike_alert () =
   (* uniform 2-edit drift with a 4-edit spike into generation 2: the EWMA
@@ -346,6 +369,8 @@ let suite =
         test_export_snapshot;
       Alcotest.test_case "openmetrics series exposition" `Quick
         test_export_series;
+      Alcotest.test_case "sim window without a registry" `Quick
+        test_sim_window_without_registry;
       Alcotest.test_case "train report identical at -j 1/2/4" `Slow
         test_train_identity_across_jobs;
       Alcotest.test_case "drift spike trips a crit alert" `Slow

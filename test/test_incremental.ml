@@ -17,6 +17,7 @@ module D = Csspgo_core.Driver
 module O = Csspgo_orchestrator
 module W = Csspgo_workloads
 module Cg = Csspgo_codegen
+module M = Csspgo_obs.Metrics
 
 (* clangish keeps the most functions alive through inlining (four), so it
    is the one suite workload where a partial recompile is observable.
@@ -52,42 +53,43 @@ let bin_projection (b : Cg.Mach.binary) =
     [ Marshal.No_sharing ]
 
 let proj (o : D.outcome) = bin_projection o.D.o_binary
-let recompiled s = O.Orchestrate.stats_get s "rebuild.funcs-recompiled"
-let reused s = O.Orchestrate.stats_get s "rebuild.funcs-reused"
+let plan_count name obs = Option.value ~default:0 (M.find_counter (M.snapshot obs) name)
+let recompiled = plan_count "plan.rebuild.funcs-recompiled"
+let reused = plan_count "plan.rebuild.funcs-reused"
 
 (* One cold build, shared by the tests below; its cache is the warm state
    every incremental scenario starts from. *)
 let cold =
   lazy
     (let cache = O.Cache.create () in
-     let stats = O.Orchestrate.create_stats () in
-     let out = D.Plan.run ~hooks:(O.Orchestrate.hooks ~stats cache) plan in
-     (cache, stats, out))
+     let obs = M.create () in
+     let out = D.Plan.run ~hooks:(O.Orchestrate.hooks ~obs cache) plan in
+     (cache, obs, out))
 
 let test_warm_rerun () =
-  let cache, stats_cold, out_cold = Lazy.force cold in
+  let cache, obs_cold, out_cold = Lazy.force cold in
   Alcotest.(check bool)
     "cold build compiles at least one function" true
-    (recompiled stats_cold > 0);
-  Alcotest.(check int) "cold build reuses nothing" 0 (reused stats_cold);
-  let stats = O.Orchestrate.create_stats () in
-  let out = D.Plan.run ~hooks:(O.Orchestrate.hooks ~stats cache) plan in
+    (recompiled obs_cold > 0);
+  Alcotest.(check int) "cold build reuses nothing" 0 (reused obs_cold);
+  let obs = M.create () in
+  let out = D.Plan.run ~hooks:(O.Orchestrate.hooks ~obs cache) plan in
   (* A whole-binary hit never reaches the per-function layer, so neither
      counter may fire. *)
-  Alcotest.(check int) "warm rerun recompiles nothing" 0 (recompiled stats);
+  Alcotest.(check int) "warm rerun recompiles nothing" 0 (recompiled obs);
   Alcotest.(check int)
-    "warm rerun skips the per-function layer" 0 (reused stats);
+    "warm rerun skips the per-function layer" 0 (reused obs);
   Alcotest.(check bool)
     "warm rerun binary is byte-identical" true
     (String.equal (proj out_cold) (proj out))
 
 let test_function_layer_complete () =
-  let cache, stats_cold, out_cold = Lazy.force cold in
+  let cache, obs_cold, out_cold = Lazy.force cold in
   (* Bypass the whole-binary entry while keeping every other stage cached:
      the final build must be reconstructible from per-function hits
      alone. *)
-  let stats = O.Orchestrate.create_stats () in
-  let h = O.Orchestrate.hooks ~stats cache in
+  let obs = M.create () in
+  let h = O.Orchestrate.hooks ~obs cache in
   let hooks =
     {
       h with
@@ -98,28 +100,28 @@ let test_function_layer_complete () =
     }
   in
   let out = D.Plan.run ~hooks plan in
-  Alcotest.(check int) "no function recompiles" 0 (recompiled stats);
+  Alcotest.(check int) "no function recompiles" 0 (recompiled obs);
   Alcotest.(check int)
     "every function is a per-function hit"
-    (recompiled stats_cold) (reused stats);
+    (recompiled obs_cold) (reused obs);
   Alcotest.(check bool)
     "respliced binary is byte-identical" true
     (String.equal (proj out_cold) (proj out))
 
 let test_drifted_rebuild () =
-  let cache, stats_cold, _ = Lazy.force cold in
-  let stats = O.Orchestrate.create_stats () in
-  let inc = D.Plan.run ~hooks:(O.Orchestrate.hooks ~stats cache) stale_plan in
+  let cache, obs_cold, _ = Lazy.force cold in
+  let obs = M.create () in
+  let inc = D.Plan.run ~hooks:(O.Orchestrate.hooks ~obs cache) stale_plan in
   (* A source edit shifts debug locations of everything inlined from or
      laid out after it, and the line table is part of the emitted binary,
      so the whole-function digest rightly treats those functions as
      drifted too: the rebuild recompiles rather than reuse stale debug
      info. *)
   Alcotest.(check bool)
-    "drifted functions recompile" true (recompiled stats >= 1);
+    "drifted functions recompile" true (recompiled obs >= 1);
   Alcotest.(check bool)
     "no more functions than the cold build" true
-    (recompiled stats + reused stats <= recompiled stats_cold);
+    (recompiled obs + reused obs <= recompiled obs_cold);
   let clean = D.Plan.run stale_plan in
   Alcotest.(check bool)
     "incremental rebuild is byte-identical to clean" true
@@ -130,18 +132,18 @@ let test_profile_delta_subset () =
      with version A's build cached recompiles exactly the re-edited
      function and reuses every other per-function entry. *)
   let cache = O.Cache.create () in
-  let stats_a = O.Orchestrate.create_stats () in
-  let _ = D.Plan.run ~hooks:(O.Orchestrate.hooks ~stats:stats_a cache) stale_plan_a in
-  let total = recompiled stats_a in
-  let stats_b = O.Orchestrate.create_stats () in
-  let inc = D.Plan.run ~hooks:(O.Orchestrate.hooks ~stats:stats_b cache) stale_plan in
+  let obs_a = M.create () in
+  let _ = D.Plan.run ~hooks:(O.Orchestrate.hooks ~obs:obs_a cache) stale_plan_a in
+  let total = recompiled obs_a in
+  let obs_b = M.create () in
+  let inc = D.Plan.run ~hooks:(O.Orchestrate.hooks ~obs:obs_b cache) stale_plan in
   Alcotest.(check bool)
     "only the re-edited function recompiles" true
-    (recompiled stats_b >= 1 && recompiled stats_b < total);
-  Alcotest.(check bool) "unchanged functions reuse" true (reused stats_b >= 1);
+    (recompiled obs_b >= 1 && recompiled obs_b < total);
+  Alcotest.(check bool) "unchanged functions reuse" true (reused obs_b >= 1);
   Alcotest.(check int)
     "every surviving function is either reused or recompiled" total
-    (recompiled stats_b + reused stats_b);
+    (recompiled obs_b + reused obs_b);
   let clean = D.Plan.run stale_plan in
   Alcotest.(check bool)
     "delta rebuild is byte-identical to clean" true
@@ -152,12 +154,12 @@ let test_jobs_determinism () =
   List.iter
     (fun jobs ->
       let cache = O.Cache.create () in
-      let stats = O.Orchestrate.create_stats () in
-      (match O.Orchestrate.run_plans ~cache ~stats ~jobs [ plan ] with
+      let obs = M.create () in
+      (match O.Orchestrate.run_plans ~cache ~obs ~jobs [ plan ] with
       | [ _ ] -> ()
       | _ -> Alcotest.fail "warm-up returned wrong arity");
       let outs =
-        O.Orchestrate.run_plans ~cache ~stats ~jobs [ stale_plan; stale_plan ]
+        O.Orchestrate.run_plans ~cache ~obs ~jobs [ stale_plan; stale_plan ]
       in
       List.iteri
         (fun i o ->

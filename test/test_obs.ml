@@ -294,10 +294,10 @@ let schedule_independent snap =
 let test_trace_identity_across_jobs () =
   let w = gen_workload 11L in
   let run_at jobs =
-    let metrics = M.create () in
     let trace = Obs.Trace.create ~clock:(Obs.Clock.fixed ()) () in
+    let metrics = M.create ~trace () in
     let plans = List.map (fun v -> D.Plan.make ~options ~variant:v w) variants in
-    let outcomes = O.Orchestrate.run_plans ~metrics ~trace ~jobs plans in
+    let outcomes = O.Orchestrate.run_plans ~obs:metrics ~jobs plans in
     Alcotest.(check int) "one outcome per plan" (List.length variants)
       (List.length outcomes);
     let bytes = Obs.Trace.to_chrome_json trace in

@@ -8,6 +8,7 @@
 module D = Csspgo_core.Driver
 module O = Csspgo_orchestrator
 module W = Csspgo_workloads
+module Obs = Csspgo_obs
 
 let variants =
   [ D.Nopgo; D.Autofdo; D.Csspgo_probe_only; D.Csspgo_full; D.Instr_pgo ]
@@ -107,37 +108,29 @@ let test_malformed_plans () =
           (function D.Plan.Compile _ -> false | _ -> true)
           p.D.Plan.pl_stages))
 
-(* --- stats accumulator ordering -------------------------------------- *)
+(* --- plan counters in the registry ------------------------------------ *)
 
-let test_stats_list_ordering () =
-  (* stats_list promises name-sorted output whatever order (and from
-     whatever domains) the counters arrived in — the hash table underneath
-     has no usable iteration order. *)
-  let stats = O.Orchestrate.create_stats () in
-  let hooks = O.Orchestrate.hooks ~stats (O.Cache.create ()) in
-  let stat name n = hooks.D.Plan.stat ~name n in
-  List.iter
-    (fun (name, n) -> stat name n)
-    [ ("zeta", 1); ("alpha", 2); ("mid", 3); ("zeta", 10); ("alpha", 20) ];
-  Alcotest.(check (list (pair string int)))
-    "sorted by name, totals summed"
-    [ ("alpha", 22); ("mid", 3); ("zeta", 11) ]
-    (O.Orchestrate.stats_list stats);
-  (* concurrent bumps from several domains land in the same sorted shape *)
-  let stats2 = O.Orchestrate.create_stats () in
-  let hooks2 = O.Orchestrate.hooks ~stats:stats2 (O.Cache.create ()) in
-  let names = [ "w"; "q"; "a"; "m" ] in
-  let ds =
-    List.init 4 (fun i ->
-        Domain.spawn (fun () ->
-            List.iteri
-              (fun j name -> hooks2.D.Plan.stat ~name ((i * 10) + j))
-              names))
+let test_plan_counters_sorted () =
+  (* Every plan bumps its stage counters as [plan.*] on the one registry,
+     from whatever domain runs it; the snapshot lists them name-sorted,
+     with the same names and totals at every -j. *)
+  let plan_counters jobs =
+    let obs = Obs.Metrics.create () in
+    ignore
+      (O.Orchestrate.run_plans ~obs ~jobs
+         (List.map (fun v -> D.Plan.make ~variant:v w) [ D.Autofdo; D.Csspgo_full ]));
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"plan." name)
+      (Obs.Metrics.snapshot obs).Obs.Metrics.s_counters
   in
-  List.iter Domain.join ds;
-  Alcotest.(check (list string))
-    "names sorted after parallel feed" [ "a"; "m"; "q"; "w" ]
-    (List.map fst (O.Orchestrate.stats_list stats2))
+  let c1 = plan_counters 1 and c4 = plan_counters 4 in
+  let names = List.map fst c1 in
+  Alcotest.(check bool) "plan counters recorded" true
+    (List.mem "plan.correlate.recon-samples" names
+    && List.mem "plan.rebuild.funcs-recompiled" names);
+  Alcotest.(check (list string)) "sorted by name" (List.sort compare names) names;
+  Alcotest.(check (list string)) "same names at -j 4" names (List.map fst c4);
+  Alcotest.(check (list (pair string int))) "same totals at -j 4" c1 c4
 
 (* --- determinism: 1 / 2 / 4 domains --------------------------------- *)
 
@@ -213,8 +206,8 @@ let suite =
         test_scheduler_map;
       Alcotest.test_case "plan stage lists per variant" `Quick test_plan_shapes;
       Alcotest.test_case "malformed plans rejected" `Quick test_malformed_plans;
-      Alcotest.test_case "stats_list is name-sorted" `Quick
-        test_stats_list_ordering;
+      Alcotest.test_case "plan counters are name-sorted" `Quick
+        test_plan_counters_sorted;
       Alcotest.test_case "1/2/4 domains byte-identical" `Slow
         test_determinism_across_jobs;
       Alcotest.test_case "cache poisoning degrades to rebuild" `Quick

@@ -211,7 +211,7 @@ let test_jobs_clamp () =
   let chunked jobs =
     let metrics = Obs.Metrics.create () in
     let out =
-      Fl.Build.correlate_chunks ~metrics ~shard_target:16 ~jobs ~options ~shape b
+      Fl.Build.correlate_chunks ~obs:metrics ~shard_target:16 ~jobs ~options ~shape b
         chunks
     in
     (profile_texts out, clamped metrics)
@@ -227,7 +227,7 @@ let test_jobs_clamp () =
       if String.equal kind "correlate" then kept := ser v :: !kept;
       v
     in
-    let hooks = { D.Plan.default_hooks with D.Plan.memo; metrics; jobs } in
+    let hooks = { D.Plan.default_hooks with D.Plan.memo; obs = metrics; jobs } in
     ignore (D.Plan.run ~hooks (D.Plan.make ~options ~variant:D.Csspgo_full w));
     (!kept, clamped metrics)
   in

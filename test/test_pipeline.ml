@@ -82,9 +82,8 @@ let recording_hooks tbl mutex =
           Mutex.unlock mutex
         end;
         v);
-    stat = (fun ~name:_ _ -> ());
     span = (fun ~name:_ f -> f ());
-    metrics = Csspgo_obs.Metrics.null;
+    obs = Csspgo_obs.Metrics.null;
     jobs = 1;
   }
 
