@@ -475,10 +475,6 @@ module Plan = struct
     let prof = ref None in
     let prof_key = ref [] in
     let profile = ref None in
-    (* The correlated profile's serialized form: sized once by the
-       [correlate.profile-bytes] stat, and the rebuild key of a counter
-       profile. Later stages never re-render it. *)
-    let profile_ser = ref "" in
     let profile_size = ref 0 in
     let recon = ref None in
     let decisions = ref [] in
@@ -559,125 +555,119 @@ module Plan = struct
              reference symbols); built once per Correlate stage, shared by
              every consumer below. *)
           let target = lazy (Correlate.target (ref_info ()) po.pr_bin) in
-          (* Correlated profiles cache as canonical Text_io dumps; the memo
-             thunk also hands back the freshly built value so the cache-off
-             path never round-trips through text. *)
+          (* Correlated profiles memoize as values and serialize as
+             canonical Text_io dumps. A hook may call [ser] long after this
+             stage, so the stages below never mutate a memoized value: the
+             context trie they prune and mark is the Driver's own copy. *)
           let memo_profile shape =
             let tag, kind =
               match shape with
               | Correlate.Lines -> ("lines", P.Text_io.Line)
               | _ -> ("probes", P.Text_io.Probe)
             in
-            let built = ref None in
-            let text =
-              hooks.memo ~kind:"correlate"
-                ~key:(!prof_key @ [ tag; checksum_digest () ])
-                ~ser:Fun.id ~de:Fun.id
-                (fun () ->
-                  let p =
-                    Correlate.of_agg ~obs:hooks.obs (Lazy.force target) shape po.pr_agg
-                  in
-                  built := Some p;
-                  P.Text_io.to_string p)
-            in
-            let p = match !built with Some p -> p | None -> P.Text_io.read kind text in
-            (p, text)
+            hooks.memo ~kind:"correlate"
+              ~key:(!prof_key @ [ tag; checksum_digest () ])
+              ~ser:P.Text_io.to_string ~de:(P.Text_io.read kind)
+              (fun () -> Correlate.of_agg ~obs:hooks.obs (Lazy.force target) shape po.pr_agg)
           in
           (* Probe-level (context-merged) correlation, shared between
              [Corr_probes] and the flat quality baseline of [Corr_ctx]. *)
           let probe_flat () =
             match memo_profile Correlate.Probes with
-            | P.Text_io.Probe_prof pp, text -> (pp, text)
+            | P.Text_io.Probe_prof pp -> pp
             | _ -> assert false
           in
-          (match x_correlator with
-          | Corr_lines ->
-              let lp, text =
+          (* The serialized size, for [plan.correlate.profile-bytes]: only a
+             live registry records it, so only then is the text rendered. *)
+          let text_bytes p () = String.length (P.Text_io.to_string p) in
+          let bytes =
+            match x_correlator with
+            | Corr_lines -> (
                 match memo_profile Correlate.Lines with
-                | P.Text_io.Line_prof lp, text -> (lp, text)
-                | _ -> assert false
-              in
-              profile := Some (Prof_lines lp);
-              profile_ser := text;
-              profile_size := line_profile_size lp
-          | Corr_probes ->
-              let pp, text = probe_flat () in
-              profile := Some (Prof_probes pp);
-              profile_ser := text;
-              profile_size := probe_profile_size pp
-          | Corr_ctx { cc_missing_frames; cc_trim_threshold } ->
-              let built = ref None in
-              let text, stats =
-                hooks.memo ~kind:"correlate"
-                  ~key:
-                    (!prof_key
-                    @ [ "ctx"; fp (cc_missing_frames, cc_trim_threshold); checksum_digest () ])
-                  ~ser:mser ~de:mde
-                  (fun () ->
-                    (* The aggregate and the tail-call table were recorded
-                       during the profiling run; the kernel replays the
-                       compact log against the complete table. The result
-                       is byte-identical at any [hooks.jobs], so the memo
-                       key above deliberately excludes the job count. *)
-                    let r =
-                      Correlate.run ~obs:hooks.obs ~jobs:hooks.jobs
-                        ~missing_frames:cc_missing_frames ~trim:cc_trim_threshold
-                        ~recorded:(po.pr_agg, po.pr_missing)
-                        Correlate.Ctx (Lazy.force target) (Correlate.Log po.pr_log)
-                    in
-                    built := Some r.Correlate.profile;
-                    (P.Text_io.to_string r.Correlate.profile, r.Correlate.stats))
-              in
-              let trie =
-                match
-                  match !built with Some p -> p | None -> P.Text_io.read P.Text_io.Ctx text
-                with
-                | P.Text_io.Ctx_prof trie -> trie
-                | _ -> assert false
-              in
-              let flat, _ = probe_flat () in
-              (* Reconstruction stats are counted even on cache hits —
-                 they are part of the memoized value, so the numbers a
-                 warm run reports match the cold run that built it. *)
-              stat "plan.correlate.recon-samples" stats.Ctx_reconstruct.st_samples;
-              stat "plan.correlate.recon-dropped"
-                stats.Ctx_reconstruct.st_dropped_misaligned;
-              stat "plan.correlate.gaps-resolved" stats.Ctx_reconstruct.st_gaps_resolved;
-              stat "plan.correlate.gaps-failed" stats.Ctx_reconstruct.st_gaps_failed;
-              recon := Some stats;
-              profile := Some (Prof_ctx { x_trie = trie; x_flat = flat });
-              profile_ser := text
-          | Corr_counters { cn_min_count; cn_min_ratio } ->
-              let inst =
-                match po.pr_instr with
-                | Some i -> i
-                | None -> invalid_arg "Plan.run: Corr_counters without Instrument"
-              in
-              let v =
-                hooks.memo ~kind:"correlate"
-                  ~key:(!prof_key @ [ "counters"; fp (cn_min_count, cn_min_ratio) ])
-                  ~ser:mser ~de:mde
-                  (fun () ->
-                    let counts =
-                      Instrument.block_counts inst.in_map
-                        (Option.value po.pr_counters
-                           ~default:(Array.make inst.in_map.Instrument.n_counters 0L))
-                    in
-                    let dominant =
-                      Instrument.dominant_values inst.in_vals po.pr_values
-                        ~min_count:cn_min_count ~min_ratio:cn_min_ratio
-                    in
-                    (counts, dominant))
-              in
-              let counts, dominant = v in
-              profile := Some (Prof_counters { x_counts = counts; x_dominant = dominant });
-              profile_ser := mser v;
-              profile_size := 8 * inst.in_map.Instrument.n_counters);
-          stat "plan.correlate.profile-bytes" (String.length !profile_ser)
+                | P.Text_io.Line_prof lp as p ->
+                    profile := Some (Prof_lines lp);
+                    profile_size := line_profile_size lp;
+                    text_bytes p
+                | _ -> assert false)
+            | Corr_probes ->
+                let pp = probe_flat () in
+                profile := Some (Prof_probes pp);
+                profile_size := probe_profile_size pp;
+                text_bytes (P.Text_io.Probe_prof pp)
+            | Corr_ctx { cc_missing_frames; cc_trim_threshold } ->
+                let p, stats =
+                  hooks.memo ~kind:"correlate"
+                    ~key:
+                      (!prof_key
+                      @ [ "ctx"; fp (cc_missing_frames, cc_trim_threshold); checksum_digest () ])
+                    ~ser:(fun (p, stats) -> mser (P.Text_io.to_string p, stats))
+                    ~de:(fun s ->
+                      let text, stats = mde s in
+                      (P.Text_io.read P.Text_io.Ctx text, stats))
+                    (fun () ->
+                      (* The aggregate and the tail-call table were recorded
+                         during the profiling run; the kernel replays the
+                         compact log against the complete table. The result
+                         is byte-identical at any [hooks.jobs], so the memo
+                         key above deliberately excludes the job count. *)
+                      let r =
+                        Correlate.run ~obs:hooks.obs ~jobs:hooks.jobs
+                          ~missing_frames:cc_missing_frames ~trim:cc_trim_threshold
+                          ~recorded:(po.pr_agg, po.pr_missing)
+                          Correlate.Ctx (Lazy.force target) (Correlate.Log po.pr_log)
+                      in
+                      (r.Correlate.profile, r.Correlate.stats))
+                in
+                let trie =
+                  match p with
+                  | P.Text_io.Ctx_prof trie -> P.Ctx_profile.copy trie
+                  | _ -> assert false
+                in
+                let flat = probe_flat () in
+                (* Reconstruction stats are counted even on cache hits —
+                   they are part of the memoized value, so the numbers a
+                   warm run reports match the cold run that built it. *)
+                stat "plan.correlate.recon-samples" stats.Ctx_reconstruct.st_samples;
+                stat "plan.correlate.recon-dropped"
+                  stats.Ctx_reconstruct.st_dropped_misaligned;
+                stat "plan.correlate.gaps-resolved" stats.Ctx_reconstruct.st_gaps_resolved;
+                stat "plan.correlate.gaps-failed" stats.Ctx_reconstruct.st_gaps_failed;
+                recon := Some stats;
+                profile := Some (Prof_ctx { x_trie = trie; x_flat = flat });
+                text_bytes p
+            | Corr_counters { cn_min_count; cn_min_ratio } ->
+                let inst =
+                  match po.pr_instr with
+                  | Some i -> i
+                  | None -> invalid_arg "Plan.run: Corr_counters without Instrument"
+                in
+                let v =
+                  hooks.memo ~kind:"correlate"
+                    ~key:(!prof_key @ [ "counters"; fp (cn_min_count, cn_min_ratio) ])
+                    ~ser:mser ~de:mde
+                    (fun () ->
+                      let counts =
+                        Instrument.block_counts inst.in_map
+                          (Option.value po.pr_counters
+                             ~default:(Array.make inst.in_map.Instrument.n_counters 0L))
+                      in
+                      let dominant =
+                        Instrument.dominant_values inst.in_vals po.pr_values
+                          ~min_count:cn_min_count ~min_ratio:cn_min_ratio
+                      in
+                      (counts, dominant))
+                in
+                let counts, dominant = v in
+                profile := Some (Prof_counters { x_counts = counts; x_dominant = dominant });
+                profile_size := 8 * inst.in_map.Instrument.n_counters;
+                fun () -> String.length (mser v)
+          in
+          if Obs.Metrics.enabled hooks.obs then
+            stat "plan.correlate.profile-bytes" (bytes ())
       | Use_profile us ->
           (* Adopt an externally merged profile as this plan's correlated
-             profile. The text is already canonical, so it doubles as the
-             serialized form the caches key on. *)
+             profile. The text is already canonical, so its length is the
+             serialized size. *)
           (match P.Text_io.of_string us.u_text with
           | P.Text_io.Line_prof lp ->
               profile := Some (Prof_lines lp);
@@ -696,8 +686,7 @@ module Plan = struct
               in
               profile := Some (Prof_ctx { x_trie = trie; x_flat = flat });
               profile_size := P.Ctx_profile.size_bytes trie);
-          profile_ser := us.u_text;
-          stat "plan.correlate.profile-bytes" (String.length !profile_ser)
+          stat "plan.correlate.profile-bytes" (String.length us.u_text)
       | Stale_apply ss ->
           (* The match target is the *pre-optimization* IR of the new build,
              probed for the probe variants so checksums and callsite ids
@@ -804,7 +793,8 @@ module Plan = struct
                 Printf.sprintf "pfp:%Lx" (P.Fingerprint.merged (P.Text_io.Probe_prof pp))
             | Some (Prof_ctx { x_trie; _ }) ->
                 Printf.sprintf "pfp:%Lx" (P.Fingerprint.merged (P.Text_io.Ctx_prof x_trie))
-            | Some (Prof_counters _) | None -> fp_string !profile_ser
+            | Some (Prof_counters { x_counts; x_dominant }) -> fp (x_counts, x_dominant)
+            | None -> fp_string ""
           in
           let key = [ fp_string !rebuild_source; fp rs; profile_fp ] in
           final_key := key;

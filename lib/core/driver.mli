@@ -203,7 +203,10 @@ module Plan : sig
       [ser]/[de] convert the stage value to/from bytes (profiles serialize
       as canonical {!Csspgo_profile.Text_io} text). A hook must either
       return the thunk's result or a deserialized value from a previous
-      identical call.
+      identical call. A hook may call [ser] at any later time, even after
+      {!run} has returned: the Driver never mutates a value after [memo]
+      returns it (a context trie is copied before the later stages prune
+      and mark it), and it renders nothing that only [ser] needs.
 
       [span] wraps the execution of each stage; [name] is {!stage_name} of
       the stage. Hooks may open a trace span there — the default runs the
@@ -216,7 +219,10 @@ module Plan : sig
       ["plan.correlate.recon-dropped"], ["plan.correlate.gaps-resolved"],
       ["plan.correlate.gaps-failed"], ["plan.stale.counts-recovered"],
       ["plan.stale.counts-dropped"], ["plan.rebuild.funcs-recompiled"] and
-      ["plan.rebuild.funcs-reused"]. It is also handed to the VM and the
+      ["plan.rebuild.funcs-reused"]. [plan.correlate.profile-bytes] is the
+      length of the correlated profile's canonical text (a counter
+      profile's marshaled image), which the Driver renders only for an
+      enabled registry. It is also handed to the VM and the
       correlation kernel for their hot-path instruments ([vm.*],
       [probe-corr.*], [dwarf-corr.*], [ctx.*], [missing-frame.*]) and
       shard counters ([parcorr.*], [sched.*]). {!Csspgo_obs.Metrics.null}

@@ -8,6 +8,7 @@ type node = {
   mutable n_inlined : bool;
   n_prof : Probe_profile.fentry;
   n_children : (frame_key, node) Hashtbl.t;
+  mutable n_sub : int64;
 }
 
 and frame_key = int * Ir.Guid.t
@@ -32,6 +33,7 @@ let mk_node guid name =
     n_inlined = false;
     n_prof = fresh_fentry ();
     n_children = Hashtbl.create 4;
+    n_sub = 0L;
   }
 
 let create () = { roots = Ir.Guid.Tbl.create 64 }
@@ -110,22 +112,31 @@ let merge_fentry ~(into : Probe_profile.fentry) (src : Probe_profile.fentry) =
   if Int64.equal into.Probe_profile.fe_checksum 0L then
     into.Probe_profile.fe_checksum <- src.Probe_profile.fe_checksum
 
-(* Merge [src] into [dst] recursively (same function). *)
+(* Merge [src] into [dst] recursively (same function). Returns how much
+   the totals under [dst] grew, so a trim can keep the cached subtree total
+   of every node the merge reaches. *)
 let rec merge_node ~(dst : node) (src : node) =
+  let before = dst.n_prof.Probe_profile.fe_total in
   merge_fentry ~into:dst.n_prof src.n_prof;
+  let added = ref (Int64.sub dst.n_prof.Probe_profile.fe_total before) in
   Hashtbl.iter
     (fun key child ->
       match Hashtbl.find_opt dst.n_children key with
-      | Some existing -> merge_node ~dst:existing child
-      | None -> Hashtbl.replace dst.n_children key child)
+      | Some existing -> added := Int64.add !added (merge_node ~dst:existing child)
+      | None ->
+          Hashtbl.replace dst.n_children key child;
+          added := Int64.add !added child.n_sub)
     src.n_children;
+  dst.n_sub <- Int64.add dst.n_sub !added;
   (* Detach the source subtree so a second promotion of the same node (e.g.
      from a stale traversal snapshot) cannot double-count. *)
   Hashtbl.reset src.n_children;
   src.n_prof.Probe_profile.fe_total <- 0L;
   src.n_prof.Probe_profile.fe_head <- 0L;
+  src.n_sub <- 0L;
   Hashtbl.reset src.n_prof.Probe_profile.fe_probes;
-  Hashtbl.reset src.n_prof.Probe_profile.fe_calls
+  Hashtbl.reset src.n_prof.Probe_profile.fe_calls;
+  !added
 
 let promote_to_base t ~parent ~key =
   match Hashtbl.find_opt parent.n_children key with
@@ -134,30 +145,42 @@ let promote_to_base t ~parent ~key =
       Hashtbl.remove parent.n_children key;
       let b = base t child.n_func ~name:child.n_name in
       b.n_name <- child.n_name;
-      merge_node ~dst:b child
+      ignore (merge_node ~dst:b child)
 
-let subtree_total node =
-  let rec go n =
-    Hashtbl.fold (fun _ c acc -> Int64.add acc (go c)) n.n_children n.n_prof.Probe_profile.fe_total
-  in
-  go node
+let rec fill_sub n =
+  n.n_sub <-
+    Hashtbl.fold (fun _ c acc -> Int64.add acc (fill_sub c)) n.n_children
+      n.n_prof.Probe_profile.fe_total;
+  n.n_sub
 
+(* [n_sub] is every node's subtree total, filled once and kept by the
+   promotions: [merge_node] adds what it moves into a base at once, and
+   [sweep] returns what it promoted out of a subtree so each ancestor
+   subtracts it as the walk unwinds. A node's total is stale only while
+   its own sweep runs, and a sweep reads only its children's. *)
 let trim_cold t ~threshold =
   let removed = ref 0 in
   let rec sweep node =
     let keys = Hashtbl.fold (fun k _ acc -> k :: acc) node.n_children [] in
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt node.n_children key with
-        | None -> ()
-        | Some child ->
-            if Int64.compare (subtree_total child) threshold < 0 then begin
-              promote_to_base t ~parent:node ~key;
-              incr removed
-            end
-            else sweep child)
-      (List.sort compare keys)
+    let gone =
+      List.fold_left
+        (fun gone key ->
+          match Hashtbl.find_opt node.n_children key with
+          | None -> gone
+          | Some child ->
+              if Int64.compare child.n_sub threshold < 0 then begin
+                let sub = child.n_sub in
+                promote_to_base t ~parent:node ~key;
+                incr removed;
+                Int64.add gone sub
+              end
+              else Int64.add gone (sweep child))
+        0L (List.sort compare keys)
+    in
+    node.n_sub <- Int64.sub node.n_sub gone;
+    gone
   in
+  Ir.Guid.Tbl.iter (fun _ root -> ignore (fill_sub root)) t.roots;
   (* Promotion re-roots subtrees under other bases (possibly creating new
      roots mid-iteration), so sweep over root snapshots until a fixpoint. *)
   let continue_ = ref true in
@@ -167,33 +190,51 @@ let trim_cold t ~threshold =
     List.iter
       (fun g ->
         match Ir.Guid.Tbl.find_opt t.roots g with
-        | Some root -> sweep root
+        | Some root -> ignore (sweep root)
         | None -> ())
       (List.sort Ir.Guid.compare roots);
     continue_ := !removed > before
   done;
   !removed
 
-let n_nodes t =
-  let n = ref 0 in
-  iter_nodes t (fun _ _ -> incr n);
-  !n
+(* Summaries visit every node in any order: a fold over the tables, with
+   the depth as the only context they need. *)
+let fold_nodes t f acc =
+  let rec go depth n acc =
+    Hashtbl.fold (fun _ c acc -> go (depth + 1) c acc) n.n_children (f depth n acc)
+  in
+  Ir.Guid.Tbl.fold (fun _ root acc -> go 0 root acc) t.roots acc
+
+let n_nodes t = fold_nodes t (fun _ _ n -> n + 1) 0
 
 let size_bytes t =
-  let bytes = ref 0 in
-  iter_nodes t (fun ctx node ->
+  fold_nodes t
+    (fun depth node bytes ->
       (* context string + per-probe entries + per-call-target entries *)
-      bytes := !bytes + 24 + (12 * List.length ctx);
-      bytes := !bytes + (10 * Hashtbl.length node.n_prof.Probe_profile.fe_probes);
-      Hashtbl.iter
-        (fun _ tbl -> bytes := !bytes + (18 * Hashtbl.length tbl))
-        node.n_prof.Probe_profile.fe_calls);
-  !bytes
+      let fe = node.n_prof in
+      Hashtbl.fold
+        (fun _ tbl acc -> acc + (18 * Hashtbl.length tbl))
+        fe.Probe_profile.fe_calls
+        (bytes + 24 + (12 * depth) + (10 * Hashtbl.length fe.Probe_profile.fe_probes)))
+    0
 
 let total_samples t =
-  let total = ref 0L in
-  iter_nodes t (fun _ node -> total := Int64.add !total node.n_prof.Probe_profile.fe_total);
-  !total
+  fold_nodes t (fun _ node acc -> Int64.add acc node.n_prof.Probe_profile.fe_total) 0L
+
+let copy_fentry (fe : Probe_profile.fentry) =
+  let calls = Hashtbl.copy fe.Probe_profile.fe_calls in
+  Hashtbl.filter_map_inplace (fun _ tbl -> Some (Hashtbl.copy tbl)) calls;
+  { fe with Probe_profile.fe_probes = Hashtbl.copy fe.Probe_profile.fe_probes; fe_calls = calls }
+
+let copy t =
+  let rec node n =
+    let children = Hashtbl.copy n.n_children in
+    Hashtbl.filter_map_inplace (fun _ c -> Some (node c)) children;
+    { n with n_prof = copy_fentry n.n_prof; n_children = children }
+  in
+  let roots = Ir.Guid.Tbl.copy t.roots in
+  Ir.Guid.Tbl.filter_map_inplace (fun _ n -> Some (node n)) roots;
+  { roots }
 
 let pp fmt t =
   iter_nodes t (fun ctx node ->

@@ -22,6 +22,8 @@ type node = {
   mutable n_inlined : bool;  (** pre-inliner decision for this context *)
   n_prof : Probe_profile.fentry;
   n_children : (frame_key, node) Hashtbl.t;
+  mutable n_sub : int64;
+      (** subtree total cached by {!trim_cold}; stale outside a trim *)
 }
 
 and frame_key = int * Csspgo_ir.Guid.t
@@ -66,7 +68,14 @@ val promote_to_base : t -> parent:node -> key:frame_key -> unit
 val trim_cold : t -> threshold:int64 -> int
 (** Promote every context node (depth >= 1) whose subtree total is below
     [threshold] into the base profile. Returns the number of contexts
-    removed. The §III.B scalability mitigation. *)
+    removed. The §III.B scalability mitigation. Children are visited in
+    sorted key order and roots are re-swept until nothing moves; the cost
+    of one sweep is linear in the nodes plus the merges it does. *)
+
+val copy : t -> t
+(** A deep copy that keeps every table's iteration order, so a pass that
+    walks the copy with [Hashtbl.iter] makes the same choices it would
+    make on the original. *)
 
 val n_nodes : t -> int
 val size_bytes : t -> int

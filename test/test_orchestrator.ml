@@ -132,6 +132,96 @@ let test_plan_counters_sorted () =
   Alcotest.(check (list string)) "same names at -j 4" names (List.map fst c4);
   Alcotest.(check (list (pair string int))) "same totals at -j 4" c1 c4
 
+(* --- "correlate" memo values --------------------------------------- *)
+
+(* A hook may serialize a memoized value long after [memo] returned it
+   (bench/perf's recomposition does), so the Driver must never mutate one.
+   Every "correlate" value serializes to the same bytes at [memo] time and
+   after [Plan.run] has returned. *)
+let test_deferred_ser () =
+  List.iter
+    (fun (wl : D.workload) ->
+      List.iter
+        (fun v ->
+          let plan = D.Plan.make ~variant:v wl in
+          let run ~eager =
+            let kept = ref [] in
+            let memo ~kind ~key:_ ~ser ~de:_ f =
+              let x = f () in
+              if String.equal kind "correlate" then
+                kept := (if eager then Fun.const (ser x) else fun () -> ser x) :: !kept;
+              x
+            in
+            ignore (D.Plan.run ~hooks:{ D.Plan.default_hooks with D.Plan.memo } plan);
+            List.rev_map (fun bytes -> bytes ()) !kept
+          in
+          let eager = run ~eager:true and deferred = run ~eager:false in
+          let name = wl.D.w_name ^ "/" ^ D.variant_name v in
+          Alcotest.(check int) (name ^ " values") (List.length eager) (List.length deferred);
+          List.iteri
+            (fun i (e, d) ->
+              if not (String.equal e d) then
+                Alcotest.failf "%s: correlate value %d changed after memo returned" name i)
+            (List.combine eager deferred))
+        variants)
+    [ W.Suite.haas; W.Suite.adretriever ]
+
+(* [plan.correlate.profile-bytes] is the length of the correlated profile's
+   canonical text. Only a live registry records it, so only then does the
+   Driver render that text: the stage's own allocation (its memo thunks
+   excluded) grows by at least the text's length between a null and a live
+   registry. *)
+let test_profile_bytes () =
+  List.iter
+    (fun v ->
+      let plan = D.Plan.make ~variant:v W.Suite.haas in
+      let run obs =
+        let texts = ref [] and thunk_bytes = ref 0. and own_bytes = ref 0. in
+        let memo ~kind ~key:_ ~ser ~de:_ f =
+          let a0 = Gc.allocated_bytes () in
+          let x = f () in
+          thunk_bytes := !thunk_bytes +. (Gc.allocated_bytes () -. a0);
+          if String.equal kind "correlate" then texts := (fun () -> ser x) :: !texts;
+          x
+        in
+        let span ~name f =
+          if not (String.equal name "correlate") then f ()
+          else begin
+            thunk_bytes := 0.;
+            let a0 = Gc.allocated_bytes () in
+            let x = f () in
+            own_bytes := Gc.allocated_bytes () -. a0 -. !thunk_bytes;
+            x
+          end
+        in
+        let hooks = { D.Plan.default_hooks with D.Plan.memo; span; obs } in
+        ignore (D.Plan.run ~hooks plan);
+        (List.map (fun ser -> ser ()) !texts, !own_bytes)
+      in
+      let name = D.variant_name v in
+      let obs = Obs.Metrics.create () in
+      let texts, live_own = run obs in
+      (* The last "correlate" value is the variant's profile, except that a
+         context profile comes before its flat baseline and its memo value
+         also carries the reconstruction stats. *)
+      let text =
+        match (v, texts) with
+        | D.Csspgo_full, _flat :: ser :: _ ->
+            fst (Marshal.from_string ser 0 : string * Csspgo_core.Ctx_reconstruct.stats)
+        | _, text :: _ -> text
+        | _, [] -> Alcotest.failf "%s: no correlate value" name
+      in
+      Alcotest.(check (option int)) (name ^ " profile-bytes") (Some (String.length text))
+        (Obs.Metrics.find_counter (Obs.Metrics.snapshot obs) "plan.correlate.profile-bytes");
+      let _, null_own = run Obs.Metrics.null in
+      Alcotest.(check (option int)) (name ^ " null records nothing") None
+        (Obs.Metrics.find_counter (Obs.Metrics.snapshot Obs.Metrics.null)
+           "plan.correlate.profile-bytes");
+      if live_own -. null_own < float_of_int (String.length text) then
+        Alcotest.failf "%s: a null registry still renders (own allocation null %.0f B, live %.0f B; text %d B)"
+          name null_own live_own (String.length text))
+    [ D.Autofdo; D.Csspgo_probe_only; D.Csspgo_full ]
+
 (* --- determinism: 1 / 2 / 4 domains --------------------------------- *)
 
 let test_determinism_across_jobs () =
@@ -208,6 +298,9 @@ let suite =
       Alcotest.test_case "malformed plans rejected" `Quick test_malformed_plans;
       Alcotest.test_case "plan counters are name-sorted" `Quick
         test_plan_counters_sorted;
+      Alcotest.test_case "correlate values survive the plan" `Quick test_deferred_ser;
+      Alcotest.test_case "profile-bytes only with a live registry" `Quick
+        test_profile_bytes;
       Alcotest.test_case "1/2/4 domains byte-identical" `Slow
         test_determinism_across_jobs;
       Alcotest.test_case "cache poisoning degrades to rebuild" `Quick

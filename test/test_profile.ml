@@ -340,6 +340,174 @@ let prop_ctx_profile_roundtrip =
       let s = ctx_to_string t in
       String.equal s (ctx_to_string (read_ctx s)))
 
+(* --- one-pass trim against the seed's re-walking trim ----------------- *)
+
+(* The seed [trim_cold], kept only here as the reference: it recomputes
+   every child's subtree total at every level it descends. *)
+let reference_trim t ~threshold =
+  let rec subtree_total n =
+    Hashtbl.fold
+      (fun _ c acc -> Int64.add acc (subtree_total c))
+      n.CP.n_children n.CP.n_prof.PP.fe_total
+  in
+  let removed = ref 0 in
+  let rec sweep node =
+    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) node.CP.n_children [] in
+    List.iter
+      (fun key ->
+        match Hashtbl.find_opt node.CP.n_children key with
+        | None -> ()
+        | Some child ->
+            if Int64.compare (subtree_total child) threshold < 0 then begin
+              CP.promote_to_base t ~parent:node ~key;
+              incr removed
+            end
+            else sweep child)
+      (List.sort compare keys)
+  in
+  let continue_ = ref true in
+  while !continue_ do
+    let before = !removed in
+    let roots = Ir.Guid.Tbl.fold (fun g _ acc -> g :: acc) t.CP.roots [] in
+    List.iter
+      (fun g ->
+        match Ir.Guid.Tbl.find_opt t.CP.roots g with
+        | Some root -> sweep root
+        | None -> ())
+      (List.sort Ir.Guid.compare roots);
+    continue_ := !removed > before
+  done;
+  !removed
+
+(* A self-recursive chain: [depth] frames of [fn fi] calling itself at
+   [site] under a root, [count] samples and one call edge at every level. *)
+let add_chain t ~root ~fi ~site ~depth ~count =
+  let rec go parent d =
+    if d > 0 then begin
+      let n = CP.attach t ~parent:(Some parent) ~site (g (fname fi)) ~name:(fname fi) in
+      PP.add_probe n.CP.n_prof 1 count;
+      PP.add_call n.CP.n_prof site (g (fname fi)) count;
+      go n (d - 1)
+    end
+  in
+  go (CP.base t (g (fname root)) ~name:(fname root)) depth
+
+let trim_spec_gen =
+  QCheck.(
+    triple
+      (list_of_size
+         Gen.(0 -- 30)
+         (pair
+            (pair (int_range 0 3) (list_of_size Gen.(0 -- 8) (pair (int_range 1 9) (int_range 0 3))))
+            (list_of_size Gen.(0 -- 6) (pair (int_range 1 30) (int_range 0 2_000)))))
+      (list_of_size
+         Gen.(0 -- 6)
+         (pair (pair (int_range 0 3) (int_range 0 3))
+            (pair (int_range 1 9) (pair (int_range 1 40) (int_range 0 500)))))
+      (oneof
+         [
+           always 0L;
+           always Int64.max_int;
+           map Int64.of_int (int_range 1 200);
+           map Int64.of_int (int_range 1 60_000);
+         ]))
+
+let build_trim_trie (contexts, chains) =
+  let t = CP.create () in
+  List.iter
+    (fun ((root_fi, frames), probes) ->
+      let node =
+        List.fold_left
+          (fun parent (site, child_fi) ->
+            CP.attach t ~parent:(Some parent) ~site (g (fname child_fi)) ~name:(fname child_fi))
+          (CP.base t (g (fname root_fi)) ~name:(fname root_fi))
+          frames
+      in
+      List.iter
+        (fun (id, c) ->
+          PP.add_probe node.CP.n_prof id (Int64.of_int c);
+          PP.add_call node.CP.n_prof id (g (fname (id mod 4))) (Int64.of_int c))
+        probes)
+    contexts;
+  List.iter
+    (fun ((root, fi), (site, (depth, count))) ->
+      add_chain t ~root ~fi ~site ~depth ~count:(Int64.of_int count))
+    chains;
+  t
+
+(* Structural equality, linear in the nodes: a deep chain's text grows
+   with the square of its depth. *)
+let rec same_node (a : CP.node) (b : CP.node) =
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  let calls fe = List.map (fun (s, tbl) -> (s, sorted tbl)) (sorted fe.PP.fe_calls) in
+  Ir.Guid.equal a.CP.n_func b.CP.n_func
+  && String.equal a.CP.n_name b.CP.n_name
+  && a.CP.n_inlined = b.CP.n_inlined
+  && Int64.equal a.CP.n_prof.PP.fe_total b.CP.n_prof.PP.fe_total
+  && Int64.equal a.CP.n_prof.PP.fe_head b.CP.n_prof.PP.fe_head
+  && sorted a.CP.n_prof.PP.fe_probes = sorted b.CP.n_prof.PP.fe_probes
+  && calls a.CP.n_prof = calls b.CP.n_prof
+  && Hashtbl.length a.CP.n_children = Hashtbl.length b.CP.n_children
+  && Hashtbl.fold
+       (fun k c ok ->
+         ok
+         &&
+         match Hashtbl.find_opt b.CP.n_children k with
+         | Some c' -> same_node c c'
+         | None -> false)
+       a.CP.n_children true
+
+let same_trie (a : CP.t) (b : CP.t) =
+  Ir.Guid.Tbl.length a.CP.roots = Ir.Guid.Tbl.length b.CP.roots
+  && Ir.Guid.Tbl.fold
+       (fun g r ok ->
+         ok
+         &&
+         match Ir.Guid.Tbl.find_opt b.CP.roots g with
+         | Some r' -> same_node r r'
+         | None -> false)
+       a.CP.roots true
+
+let prop_trim_matches_reference =
+  QCheck.Test.make ~name:"one-pass trim matches the re-walking trim" ~count:200
+    trim_spec_gen (fun (contexts, chains, threshold) ->
+      let t = build_trim_trie (contexts, chains) in
+      let expect = read_ctx (ctx_to_string t) in
+      let expect_removed = reference_trim expect ~threshold in
+      let removed = CP.trim_cold t ~threshold in
+      expect_removed = removed && String.equal (ctx_to_string expect) (ctx_to_string t))
+
+(* Recursion 5,000 frames deep. Fully trimmed (the Driver's path without
+   the pre-inliner), the chain unwinds one frame per fixpoint pass and must
+   match the reference. With a cold side call under every frame and a hot
+   leaf, one sweep walks the whole chain promoting at every level; the
+   reference needs seconds there, so the expected trie is spelled out. *)
+let test_trim_deep_recursion () =
+  let chain () =
+    let t = CP.create () in
+    add_chain t ~root:0 ~fi:1 ~site:4 ~depth:5_000 ~count:1L;
+    t
+  in
+  let t = chain () and expect = chain () in
+  let expect_removed = reference_trim expect ~threshold:Int64.max_int in
+  Alcotest.(check int) "full trim removed" expect_removed
+    (CP.trim_cold t ~threshold:Int64.max_int);
+  Alcotest.(check bool) "full trim same trie" true (same_trie expect t);
+  let t = chain () in
+  let rec side n =
+    let s = CP.attach t ~parent:(Some n) ~site:9 (g "side") ~name:"side" in
+    PP.add_probe s.CP.n_prof 1 1L;
+    match Hashtbl.find_opt n.CP.n_children (4, g (fname 1)) with
+    | Some c -> side c
+    | None -> PP.add_probe n.CP.n_prof 2 100_000L
+  in
+  side (CP.base t (g (fname 0)) ~name:(fname 0));
+  let total = CP.total_samples t in
+  Alcotest.(check int) "side calls removed" 5_001 (CP.trim_cold t ~threshold:3L);
+  Alcotest.(check int) "chain kept" 5_002 (CP.n_nodes t);
+  Alcotest.(check int64) "samples conserved" total (CP.total_samples t);
+  Alcotest.(check int64) "side base" 5_001L (CP.base t (g "side") ~name:"side").CP.n_prof.PP.fe_total
+
 let prop_merge_fentry_conserves =
   QCheck.Test.make ~name:"merge_fentry conserves probe totals" ~count:100
     QCheck.(list (pair (int_range 1 20) (int_range 1 1000)))
@@ -383,4 +551,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_line_profile_roundtrip;
       QCheck_alcotest.to_alcotest prop_ctx_profile_roundtrip;
       QCheck_alcotest.to_alcotest prop_merge_fentry_conserves;
+      QCheck_alcotest.to_alcotest prop_trim_matches_reference;
+      Alcotest.test_case "trim a 5,000-deep recursive chain" `Quick
+        test_trim_deep_recursion;
     ] )
