@@ -14,8 +14,7 @@ type stats = {
 }
 
 type stream = {
-  sm_feed :
-    lbr:(int * int) array -> lbr_len:int -> stack:int array -> stack_len:int -> unit;
+  sm_feed : lbr:int array -> lbr_len:int -> stack:int array -> stack_len:int -> unit;
   sm_finish : unit -> P.Ctx_profile.t * stats;
 }
 
@@ -306,7 +305,7 @@ let start ?(name_of = fun _ -> None) ?missing ~checksum_of
   let feed ~lbr ~lbr_len ~stack ~stack_len =
     incr n_samples;
     if lbr_len > 0 && stack_len > 0 then begin
-      let _, last_tgt = lbr.(lbr_len - 1) in
+      let last_tgt = lbr.((2 * lbr_len) - 1) in
       (* Synchronization check: the sampled leaf frame must live in the
          function the last LBR branch landed in. *)
       let aligned =
@@ -328,8 +327,8 @@ let start ?(name_of = fun _ -> None) ?missing ~checksum_of
         attribute last_tgt stack.(0) !id;
         (* Walk branches newest -> oldest, undoing each one. *)
         for i = lbr_len - 1 downto 1 do
-          let cur_src, cur_tgt = lbr.(i) in
-          let _, older_tgt = lbr.(i - 1) in
+          let cur_src = lbr.(2 * i) and cur_tgt = lbr.((2 * i) + 1) in
+          let older_tgt = lbr.((2 * i) - 1) in
           (match Pg.Bindex.kind_of_addr ix cur_src with
           | Pg.Bindex.K_call -> id := Stacks.pop stacks !id
           | Pg.Bindex.K_ret -> id := push !id cur_tgt
@@ -372,7 +371,8 @@ let reconstruct ?name_of ?missing ~checksum_of (b : Mach.binary) samples =
   let st = start ?name_of ?missing ~checksum_of (Pg.Bindex.create b) in
   List.iter
     (fun (s : Vm.Machine.sample) ->
-      st.sm_feed ~lbr:s.Vm.Machine.s_lbr
+      st.sm_feed
+        ~lbr:(Vm.Machine.flat_lbr s.Vm.Machine.s_lbr)
         ~lbr_len:(Array.length s.Vm.Machine.s_lbr)
         ~stack:s.Vm.Machine.s_stack
         ~stack_len:(Array.length s.Vm.Machine.s_stack))

@@ -79,8 +79,8 @@ val start :
   stream
 
 val feed :
-  stream ->
-  lbr:(int * int) array -> lbr_len:int -> stack:int array -> stack_len:int -> unit
+  stream -> lbr:int array -> lbr_len:int -> stack:int array -> stack_len:int -> unit
+(** One sample, LBR in {!Csspgo_vm.Machine.sink}'s flat layout. *)
 
 val finish : stream -> Csspgo_profile.Ctx_profile.t * stats
 (** Applies the memo's pending hits, then returns the trie. Also flushes telemetry to [obs], accumulated locally during the run:

@@ -29,7 +29,7 @@ let start ?(obs = Csspgo_obs.Metrics.null) index =
 
 let feed mb ~lbr ~lbr_len =
   for i = 0 to lbr_len - 1 do
-    let src, tgt = lbr.(i) in
+    let src = lbr.(2 * i) and tgt = lbr.((2 * i) + 1) in
     if Itab.find mb.mb_seen src tgt 0 = 0 then begin
       Itab.add mb.mb_seen src tgt 0 1;
       if Pg.Bindex.kind_of_addr mb.mb_index src = Pg.Bindex.K_tail_call then
@@ -57,7 +57,8 @@ let build (b : Mach.binary) samples =
   let mb = start (Pg.Bindex.create b) in
   List.iter
     (fun (s : Vm.Machine.sample) ->
-      feed mb ~lbr:s.Vm.Machine.s_lbr ~lbr_len:(Array.length s.Vm.Machine.s_lbr))
+      let lbr = s.Vm.Machine.s_lbr in
+      feed mb ~lbr:(Vm.Machine.flat_lbr lbr) ~lbr_len:(Array.length lbr))
     samples;
   finish mb
 

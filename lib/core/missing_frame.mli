@@ -22,8 +22,9 @@ type builder
 
 val start : ?obs:Csspgo_obs.Metrics.t -> Csspgo_profgen.Bindex.t -> builder
 
-val feed : builder -> lbr:(int * int) array -> lbr_len:int -> unit
-(** Consume one sample's LBR entries (copies nothing; scratch-safe). *)
+val feed : builder -> lbr:int array -> lbr_len:int -> unit
+(** Consume one sample's LBR entries, in {!Csspgo_vm.Machine.sink}'s flat
+    layout (copies nothing; scratch-safe). *)
 
 val finish : builder -> t
 (** Also bumps the [missing-frame.edges] counter on [obs] (once, with the

@@ -164,24 +164,10 @@ let batch_bytes batches =
     (fun acc ((b : Instance.batch), _) -> acc + String.length b.Instance.b_blob)
     0 batches
 
-(* Fresh-log combine: [append ~into] mutates, and tree_reduce may reuse a
-   node's operand as another node's input on the serial path, so every
-   merge allocates its own arena. *)
-let concat a b =
-  let log = Vm.Sample_log.create () in
-  Vm.Sample_log.append ~into:log a;
-  Vm.Sample_log.append ~into:log b;
-  log
-
 let drain ~jobs t =
   drain_decoded ~jobs t
   |> List.map (fun (v, batches) ->
-         let logs = List.concat_map snd batches in
-         let log =
-           match S.tree_reduce ~obs:t.c_obs ~jobs concat logs with
-           | Some log -> log
-           | None -> Vm.Sample_log.create ()
-         in
+         let log = Vm.Sample_log.concat (List.concat_map snd batches) in
          {
            m_version = v;
            m_log = log;

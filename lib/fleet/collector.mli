@@ -8,9 +8,9 @@
 
     Drain ordering is deterministic and independent of both arrival order
     and [jobs]: batches sort by (version, instance, seq) — the collection
-    order within each instance, instances in fleet order — and per-version
-    logs concatenate through {!Csspgo_orchestrator.Scheduler.tree_reduce},
-    whose tree shape is a pure function of the batch count. With contiguous
+    order within each instance, instances in fleet order — and each
+    version's chunks concatenate in that order in one pass
+    ({!Csspgo_vm.Sample_log.concat}). With contiguous
     request partitioning and full duty, a version's merged log is
     byte-identical (under re-encoding) to the log a single instance serving
     the whole stream would have produced. *)

@@ -43,7 +43,6 @@ let serve_labeled cfg ~pmu ~bin ~entry ~requests ~ship =
     if !pending > 0 then begin
       let n = Vm.Sample_log.n_samples !log in
       (if n > 0 then begin
-         Vm.Sample_log.compact !log;
          ship
            {
              b_instance = cfg.ic_instance;

@@ -10,10 +10,10 @@ let create () = { ranges = Itab.create 0; branches = Itab.create 0 }
 
 let feed agg ~lbr ~lbr_len =
   for i = 0 to lbr_len - 1 do
-    let src, tgt = lbr.(i) in
+    let src = lbr.(2 * i) and tgt = lbr.((2 * i) + 1) in
     Itab.bump agg.branches src tgt 0 1;
     if i > 0 then begin
-      let _, prev_tgt = lbr.(i - 1) in
+      let prev_tgt = lbr.((2 * i) - 1) in
       (* A sane range stays within one linear run; discard wrap-arounds
          caused by LBR entries recorded around program shutdown. *)
       if prev_tgt <> 0 && src >= prev_tgt then Itab.bump agg.ranges prev_tgt src 0 1
@@ -43,7 +43,8 @@ let aggregate samples =
   let agg = create () in
   List.iter
     (fun (s : Vm.Machine.sample) ->
-      feed agg ~lbr:s.Vm.Machine.s_lbr ~lbr_len:(Array.length s.Vm.Machine.s_lbr))
+      let lbr = s.Vm.Machine.s_lbr in
+      feed agg ~lbr:(Vm.Machine.flat_lbr lbr) ~lbr_len:(Array.length lbr))
     samples;
   agg
 

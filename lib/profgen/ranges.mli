@@ -17,8 +17,9 @@ type agg
 
 val create : unit -> agg
 
-val feed : agg -> lbr:(int * int) array -> lbr_len:int -> unit
-(** Consume one sample's LBR (the first [lbr_len] entries, oldest first).
+val feed : agg -> lbr:int array -> lbr_len:int -> unit
+(** Consume one sample's LBR (the first [lbr_len] entries, oldest first,
+    in {!Csspgo_vm.Machine.sink}'s flat layout).
     Reads only ints out of the scratch — safe against buffer reuse. *)
 
 val iter_ranges : (int -> int -> int -> unit) -> agg -> unit

@@ -5,9 +5,14 @@ let prime = 0x100000001B3L
 
 let byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
 
+(* An index loop over a local accumulator: the compiler keeps [h] unboxed,
+   so only the result is boxed. A closure over a [ref] (e.g. [String.iter])
+   boxes a fresh [Int64] per byte. *)
 let string h s =
   let h = ref h in
-  String.iter (fun c -> h := byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) prime
+  done;
   !h
 
 let int64 h x =

@@ -5,6 +5,8 @@ type t = int64
 
 val init : t
 val string : t -> string -> t
+(** Fold a string's bytes into the hash. Allocates only the result. *)
+
 val int : t -> int -> t
 val int64 : t -> int64 -> t
 

@@ -41,7 +41,19 @@ module Enc = struct
       else byte t (b lor 0x80)
     done
 
-  let varint t v = varint64 t (Int64.of_int v)
+  (* A non-negative int is the same LEB128 as its 64-bit pattern, so it
+     encodes straight from the native int; only negative ints take the
+     [Int64] path, which gives them their 10 bytes. *)
+  let varint t v =
+    if v < 0 then varint64 t (Int64.of_int v)
+    else begin
+      let v = ref v in
+      while !v >= 0x80 do
+        Buffer.add_char t (Char.unsafe_chr ((!v land 0x7f) lor 0x80));
+        v := !v lsr 7
+      done;
+      Buffer.add_char t (Char.unsafe_chr !v)
+    end
 
   let string t s =
     varint t (String.length s);
@@ -63,9 +75,8 @@ module Dec = struct
     t.pos <- t.pos + 1;
     b
 
-  (* Hot path: 7-bit groups up to shift 49 (56 bits) accumulate in a
-     native int — one [Int64] conversion per varint instead of boxed
-     arithmetic per byte. Only the 9th and 10th bytes touch [Int64]. *)
+  (* The general decoder: 7-bit groups up to shift 49 (56 bits) accumulate
+     in a native int, and only the 9th and 10th bytes touch [Int64]. *)
   let varint64 t =
     let b0 = byte t in
     if b0 land 0x80 = 0 then Int64.of_int b0
@@ -86,12 +97,29 @@ module Dec = struct
       Int64.logor !hi (Int64.of_int !acc)
     end
 
-  let varint t =
+  (* A varint of 9 or more bytes, from [start]: re-decoded by [varint64],
+     which owns the 64-bit tail, the length limit and the range check. *)
+  let varint_long t start =
+    t.pos <- start;
     let v = varint64 t in
     let n = Int64.to_int v in
     if not (Int64.equal (Int64.of_int n) v) then
       fail (Malformed "varint exceeds the native int range");
     n
+
+  (* Up to 8 bytes (56 bits) decode in a native int and allocate nothing;
+     longer ones rewind to [varint_long], so values, the final cursor and
+     errors are exactly [varint64]'s. *)
+  let varint t =
+    let start = t.pos in
+    let acc = ref 0 and shift = ref 0 and more = ref true in
+    while !more && !shift <= 49 do
+      let b = byte t in
+      acc := !acc lor ((b land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      more := b land 0x80 <> 0
+    done;
+    if !more then varint_long t start else !acc
 
   let string t =
     let n = varint t in
@@ -100,65 +128,53 @@ module Dec = struct
     t.pos <- t.pos + n;
     s
 
+  (* The bounds-checked primitive, not [String.get_int64_le]: a call into
+     the stdlib would box the word. The mask test reads the same in either
+     byte order, and the bytes themselves are read one by one. *)
+  external get_int64 : string -> int -> int64 = "%caml_string_get64"
+
   let msb_mask = 0x8080808080808080L
 
   (* Bulk decode of [n] varints into [a.(0 .. n-1)]. Varint streams here
      (sample-log arenas) are dominated by runs of small values, so the hot
      path loads 8 bytes at once: a word with no continuation bit set is 8
-     complete single-byte varints. A word that does carry continuation
-     bits still yields one varint decoded straight out of the register —
-     no per-byte bounds checks or cursor stores. Only varints spilling
-     past the loaded word (or the buffer tail) take the byte-at-a-time
-     path, so error behavior is identical to [varint] per element. *)
+     complete single-byte varints. Otherwise one varint is decoded from the
+     8 bytes known to be in bounds, unchecked; one that runs past them, and
+     every varint near the buffer tail, takes [varint], so error behavior
+     is identical to [varint] per element. Nothing here allocates unless a
+     varint is 9 bytes or longer. *)
   let varint_into t a n =
     if n < 0 || n > Array.length a then
       invalid_arg "Wire.Dec.varint_into: count out of range";
+    let buf = t.buf in
     let i = ref 0 in
     while !i < n do
-      if !i + 8 <= n && t.pos + 8 <= t.limit then begin
-        let w = String.get_int64_le t.buf t.pos in
-        let byte_at k = Int64.to_int (Int64.shift_right_logical w (8 * k)) land 0xff in
-        if Int64.equal (Int64.logand w msb_mask) 0L then begin
-          let i0 = !i in
-          a.(i0) <- byte_at 0;
-          a.(i0 + 1) <- byte_at 1;
-          a.(i0 + 2) <- byte_at 2;
-          a.(i0 + 3) <- byte_at 3;
-          a.(i0 + 4) <- byte_at 4;
-          a.(i0 + 5) <- byte_at 5;
-          a.(i0 + 6) <- byte_at 6;
-          a.(i0 + 7) <- byte_at 7;
-          t.pos <- t.pos + 8;
-          i := i0 + 8
-        end
-        else begin
-          (* First terminator byte (continuation bit clear) within the
-             word; -1 when the varint continues past it. *)
-          let rec term k =
-            if k >= 8 then -1
-            else if byte_at k land 0x80 = 0 then k
-            else term (k + 1)
-          in
-          match term 0 with
-          | -1 ->
-              (* >= 9 encoded bytes: the general path handles the int64
-                 tail and the longer-than-10-bytes check. *)
-              a.(!i) <- varint t;
-              incr i
-          | last ->
-              (* At most 8 groups of 7 bits = 56 bits: always fits the
-                 native int, no overflow check needed. *)
-              let v = ref 0 in
-              for k = last downto 0 do
-                v := (!v lsl 7) lor (byte_at k land 0x7f)
-              done;
-              a.(!i) <- !v;
-              t.pos <- t.pos + last + 1;
-              incr i
-        end
+      let pos = t.pos in
+      if pos + 8 > t.limit then begin
+        a.(!i) <- varint t;
+        incr i
+      end
+      else if !i + 8 <= n && Int64.logand (get_int64 buf pos) msb_mask = 0L then begin
+        let i0 = !i in
+        for k = 0 to 7 do
+          Array.unsafe_set a (i0 + k) (Char.code (String.unsafe_get buf (pos + k)))
+        done;
+        t.pos <- pos + 8;
+        i := i0 + 8
       end
       else begin
-        a.(!i) <- varint t;
+        let acc = ref 0 and k = ref 0 and more = ref true in
+        while !more && !k < 8 do
+          let b = Char.code (String.unsafe_get buf (pos + !k)) in
+          acc := !acc lor ((b land 0x7f) lsl (7 * !k));
+          incr k;
+          more := b land 0x80 <> 0
+        done;
+        if !more then a.(!i) <- varint t
+        else begin
+          a.(!i) <- !acc;
+          t.pos <- pos + !k
+        end;
         incr i
       end
     done
@@ -177,21 +193,33 @@ let add_digest buf d =
 
 let frame ~magic ~version sections =
   if String.length magic <> 4 then invalid_arg "Wire.frame: magic must be 4 bytes";
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf magic;
   let hdr = Enc.create () in
   Enc.varint hdr version;
   Enc.varint hdr (List.length sections);
-  Buffer.add_string buf (Enc.contents hdr);
-  List.iter
-    (fun (tag, payload) ->
-      let sec = Enc.create () in
-      Enc.varint sec tag;
-      Enc.varint sec (String.length payload);
-      Buffer.add_string buf (Enc.contents sec);
+  let heads =
+    List.map
+      (fun (tag, payload) ->
+        let sec = Enc.create () in
+        Enc.varint sec tag;
+        Enc.varint sec (String.length payload);
+        Enc.contents sec)
+      sections
+  in
+  (* Sized up front: the blob is assembled without regrowing. *)
+  let size =
+    List.fold_left2
+      (fun acc head (_, payload) -> acc + String.length head + String.length payload + 8)
+      (4 + Buffer.length hdr) heads sections
+  in
+  let buf = Buffer.create size in
+  Buffer.add_string buf magic;
+  Buffer.add_buffer buf hdr;
+  List.iter2
+    (fun head (tag, payload) ->
+      Buffer.add_string buf head;
       Buffer.add_string buf payload;
       add_digest buf (digest ~tag payload))
-    sections;
+    heads sections;
   Buffer.contents buf
 
 let sniff ~magic s =

@@ -42,7 +42,9 @@ module Enc : sig
   (** Unsigned LEB128 of the 64-bit pattern (negative = 10 bytes). *)
 
   val varint : t -> int -> unit
-  (** [varint64] of [Int64.of_int]. *)
+  (** [varint64] of [Int64.of_int]: a non-negative int is written straight
+      from the native int, allocating nothing; a negative one takes the
+      [Int64] path (10 bytes). *)
 
   val string : t -> string -> unit
   (** Varint length prefix + bytes. *)
@@ -59,16 +61,22 @@ module Dec : sig
   val of_string : string -> t
   val byte : t -> int
   val varint64 : t -> int64
+
   val varint : t -> int
+  (** [varint64] narrowed to the native int ([Malformed] outside its
+      range). Varints of up to 8 bytes decode in a native int and
+      allocate nothing. *)
+
   val string : t -> string
 
   val varint_into : t -> int array -> int -> unit
   (** [varint_into t a n] decodes [n] varints into [a.(0 .. n-1)] — the
-      bulk form of {!varint} the sample-log decoder runs on. Runs of
-      single-byte varints decode 8 at a time from one 64-bit load, and
-      multi-byte varints that terminate within a loaded word decode
-      without per-byte cursor traffic; element-wise results and error
-      behavior are identical to [n] calls of {!varint}.
+      bulk form of {!varint} the sample-log decoder runs on. One mask test
+      on 8 loaded bytes decodes a run of 8 single-byte varints at once;
+      other varints that end within 8 in-bounds bytes are read without
+      bounds checks or cursor traffic. Nothing is allocated unless a varint
+      is 9 bytes or longer. Element-wise results, the final cursor and
+      error behavior are identical to [n] calls of {!varint}.
       @raise Invalid_argument when [n] is negative or exceeds [a]'s
       length. *)
 

@@ -20,12 +20,22 @@ type sample = {
 }
 
 type sink = {
-  on_sample :
-    lbr:(int * int) array -> lbr_len:int -> stack:int array -> stack_len:int -> unit;
+  on_sample : lbr:int array -> lbr_len:int -> stack:int array -> stack_len:int -> unit;
   on_labels : Csspgo_support.Label_set.t -> unit;
 }
 
 let no_labels (_ : Csspgo_support.Label_set.t) = ()
+
+let flat_lbr pairs =
+  let a = Array.make (2 * Array.length pairs) 0 in
+  Array.iteri
+    (fun i (src, tgt) ->
+      a.(2 * i) <- src;
+      a.((2 * i) + 1) <- tgt)
+    pairs;
+  a
+
+let lbr_pairs lbr lbr_len = Array.init lbr_len (fun i -> (lbr.(2 * i), lbr.((2 * i) + 1)))
 
 type result = {
   cycles : int64;
@@ -395,7 +405,7 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = [])
   (* Streaming sample delivery: the ring and frame chain are flushed into
      reusable scratch buffers and handed to the sink. Nothing per-sample
      survives the callback unless the sink copies it. *)
-  let lbr_scratch = Array.make lbr_depth (0, 0) in
+  let lbr_scratch = Array.make (2 * lbr_depth) 0 in
   let stack_scratch = ref (Array.make 64 0) in
   let n_samples = ref 0 in
   let collected = ref [] in
@@ -408,7 +418,7 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = [])
           on_sample =
             (fun ~lbr ~lbr_len ~stack ~stack_len ->
               collected :=
-                { s_lbr = Array.sub lbr 0 lbr_len; s_stack = Array.sub stack 0 stack_len }
+                { s_lbr = lbr_pairs lbr lbr_len; s_stack = Array.sub stack 0 stack_len }
                 :: !collected);
           on_labels = no_labels;
         }
@@ -416,7 +426,6 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = [])
   (* The request's label set is announced through the sink once, before
      the first sample: every sample this run flushes carries it. *)
   (match labels with Some ls -> the_sink.on_labels ls | None -> ());
-  let poison_pair = (min_int, min_int) in
   let rng = Rng.create (match pmu with Some p -> p.seed | None -> 1L) in
   let icache = Array.make icache_lines (-1) in
   let predictor = Array.make (max n_inst 1) 1 in
@@ -475,12 +484,13 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = [])
     let n = st.lbr_len in
     for i = 0 to n - 1 do
       let pos = (st.lbr_pos - n + i + ring) mod ring in
-      lbr_scratch.(i) <- (st.lbr_src.(pos), st.lbr_tgt.(pos))
+      lbr_scratch.(2 * i) <- st.lbr_src.(pos);
+      lbr_scratch.((2 * i) + 1) <- st.lbr_tgt.(pos)
     done;
     the_sink.on_sample ~lbr:lbr_scratch ~lbr_len:n ~stack:!stack_scratch ~stack_len;
     if debug_poison then begin
       (* Catch sinks that alias the scratch instead of copying. *)
-      Array.fill lbr_scratch 0 (Array.length lbr_scratch) poison_pair;
+      Array.fill lbr_scratch 0 (Array.length lbr_scratch) min_int;
       Array.fill !stack_scratch 0 (Array.length !stack_scratch) min_int
     end;
     match pmu with

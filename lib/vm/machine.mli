@@ -33,17 +33,20 @@ type sample = {
 }
 
 type sink = {
-  on_sample :
-    lbr:(int * int) array -> lbr_len:int -> stack:int array -> stack_len:int -> unit;
+  on_sample : lbr:int array -> lbr_len:int -> stack:int array -> stack_len:int -> unit;
   on_labels : Csspgo_support.Label_set.t -> unit;
 }
 (** Streaming sample consumer. The PMU flushes each sample into reusable
-    scratch buffers and invokes [on_sample] with the valid prefix lengths:
-    [lbr.(0 .. lbr_len-1)] is the ring oldest-first, [stack.(0 ..
-    stack_len-1)] is the frame walk leaf-first. The arrays are scratch —
-    they are overwritten by the next sample — so a sink must copy anything
-    it keeps. With [debug_poison], the scratches are clobbered after every
-    flush so aliasing sinks fail loudly.
+    scratch buffers and invokes [on_sample] with the valid prefix lengths.
+    [lbr] is the ring oldest-first as one flat int array of [lbr_len]
+    entries: entry [i]'s branch address at [lbr.(2 * i)] and its target
+    at [lbr.(2 * i + 1)], the layout of a {!Sample_log} record, so no
+    entry is boxed on its way to a sink. [stack.(0 .. stack_len-1)] is the
+    frame walk leaf-first. The arrays are scratch — they are overwritten
+    by the next sample — so a sink must copy anything it keeps. The flush
+    itself allocates nothing. With [debug_poison], both scratches are
+    filled with [min_int] after every flush so aliasing sinks fail
+    loudly.
 
     [on_labels] is the request-label channel: when [run] is given
     [?labels], the PMU announces the request's label set through it once,
@@ -55,6 +58,13 @@ type sink = {
 val no_labels : Csspgo_support.Label_set.t -> unit
 (** [ignore] with the sink's label-channel type — for sinks indifferent to
     request labels. *)
+
+val flat_lbr : (int * int) array -> int array
+(** A materialized sample's [s_lbr] in the sink's flat layout. *)
+
+val lbr_pairs : int array -> int -> (int * int) array
+(** [lbr_pairs lbr lbr_len]: the first [lbr_len] entries of a flat LBR as
+    the pairs of [s_lbr]. *)
 
 type result = {
   cycles : int64;

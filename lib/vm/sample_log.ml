@@ -32,11 +32,19 @@ let create () =
     cur = 0;
   }
 
+(* [Array.blit] stores through [caml_modify] once the target has reached
+   the major heap, as the arena and the replay scratches soon do; a loop
+   over [int array]s stores directly. *)
+let blit_ints (src : int array) src_pos (dst : int array) dst_pos n =
+  for k = 0 to n - 1 do
+    dst.(dst_pos + k) <- src.(src_pos + k)
+  done
+
 let ensure t extra =
   let need = t.len + extra in
   if need > Array.length t.data then begin
     let a = Array.make (max need (max 256 (2 * Array.length t.data))) 0 in
-    Array.blit t.data 0 a 0 t.len;
+    blit_ints t.data 0 a 0 t.len;
     t.data <- a
   end
 
@@ -62,7 +70,7 @@ let ensure_runs t extra =
   let need = t.runs_len + extra in
   if need > Array.length t.runs then begin
     let a = Array.make (max need (max 16 (2 * Array.length t.runs))) 0 in
-    Array.blit t.runs 0 a 0 t.runs_len;
+    blit_ints t.runs 0 a 0 t.runs_len;
     t.runs <- a
   end
 
@@ -78,25 +86,18 @@ let stamp t id =
     t.runs_len <- t.runs_len + 2
   end
 
+(* The sink's flat LBR layout is the arena's own, so a sample is two
+   copies. *)
 let add t ~lbr ~lbr_len ~stack ~stack_len =
   ensure t (2 + (2 * lbr_len) + stack_len);
   let d = t.data in
-  let p = ref t.len in
-  d.(!p) <- lbr_len;
-  incr p;
-  for i = 0 to lbr_len - 1 do
-    let src, tgt = lbr.(i) in
-    d.(!p) <- src;
-    d.(!p + 1) <- tgt;
-    p := !p + 2
-  done;
-  d.(!p) <- stack_len;
-  incr p;
-  for i = 0 to stack_len - 1 do
-    d.(!p) <- stack.(i);
-    incr p
-  done;
-  t.len <- !p;
+  let p = t.len in
+  d.(p) <- lbr_len;
+  blit_ints lbr 0 d (p + 1) (2 * lbr_len);
+  let p = p + 1 + (2 * lbr_len) in
+  d.(p) <- stack_len;
+  blit_ints stack 0 d (p + 1) stack_len;
+  t.len <- p + 1 + stack_len;
   t.n <- t.n + 1;
   stamp t t.cur
 
@@ -108,36 +109,32 @@ let sink t =
   }
 
 let iter t f =
-  let lbr = ref (Array.make 16 (0, 0)) in
+  let lbr = ref (Array.make 32 0) in
   let stack = ref (Array.make 64 0) in
   let d = t.data in
   let p = ref 0 in
   for _ = 1 to t.n do
     let ln = d.(!p) in
-    incr p;
-    if ln > Array.length !lbr then lbr := Array.make (max ln (2 * Array.length !lbr)) (0, 0);
-    let lb = !lbr in
-    for i = 0 to ln - 1 do
-      lb.(i) <- (d.(!p), d.(!p + 1));
-      p := !p + 2
-    done;
+    if 2 * ln > Array.length !lbr then
+      lbr := Array.make (max (2 * ln) (2 * Array.length !lbr)) 0;
+    blit_ints d (!p + 1) !lbr 0 (2 * ln);
+    p := !p + 1 + (2 * ln);
     let sn = d.(!p) in
-    incr p;
     if sn > Array.length !stack then
       stack := Array.make (max sn (2 * Array.length !stack)) 0;
-    let sb = !stack in
-    for i = 0 to sn - 1 do
-      sb.(i) <- d.(!p);
-      incr p
-    done;
-    f ~lbr:lb ~lbr_len:ln ~stack:sb ~stack_len:sn
+    blit_ints d (!p + 1) !stack 0 sn;
+    p := !p + 1 + sn;
+    f ~lbr:!lbr ~lbr_len:ln ~stack:!stack ~stack_len:sn
   done
 
 let to_samples t =
   let out = ref [] in
   iter t (fun ~lbr ~lbr_len ~stack ~stack_len ->
       out :=
-        { Machine.s_lbr = Array.sub lbr 0 lbr_len; s_stack = Array.sub stack 0 stack_len }
+        {
+          Machine.s_lbr = Machine.lbr_pairs lbr lbr_len;
+          s_stack = Array.sub stack 0 stack_len;
+        }
         :: !out);
   List.rev !out
 
@@ -161,7 +158,7 @@ let append_runs into runs lo extra =
 
 let append ~into src =
   ensure into src.len;
-  Array.blit src.data 0 into.data into.len src.len;
+  blit_ints src.data 0 into.data into.len src.len;
   into.len <- into.len + src.len;
   into.n <- into.n + src.n;
   (* Remap the source's label ids through [into]'s interning table, then
@@ -175,6 +172,14 @@ let append ~into src =
     i := !i + 2
   done;
   append_runs into remapped 0 src.runs_len
+
+let concat = function
+  | [ t ] -> t
+  | parts ->
+      let out = create () in
+      out.data <- Array.make (List.fold_left (fun acc p -> acc + p.len) 0 parts) 0;
+      List.iter (fun p -> append ~into:out p) parts;
+      out
 
 let n_samples t = t.n
 let words t = Array.length t.data + Array.length t.runs + 4
@@ -274,7 +279,7 @@ let slice_by_label t =
     walk_records t.data p cnt;
     let s = List.assoc id slices in
     ensure s (!p - start);
-    Array.blit t.data start s.data s.len (!p - start);
+    blit_ints t.data start s.data s.len (!p - start);
     s.len <- s.len + (!p - start);
     s.n <- s.n + cnt;
     for _ = 1 to cnt do
@@ -347,7 +352,7 @@ let rebuild records =
   let t = create () in
   List.iter
     (fun (lbr, stack) ->
-      add t ~lbr ~lbr_len:(Array.length lbr) ~stack ~stack_len:(Array.length stack))
+      add t ~lbr ~lbr_len:(Array.length lbr / 2) ~stack ~stack_len:(Array.length stack))
     (List.rev records);
   t
 
@@ -379,20 +384,19 @@ let of_text s =
                       let ints = List.filter_map Fun.id ints in
                       match ints with
                       | ln :: rest when ln >= 0 && List.length rest >= 2 * ln -> (
-                          let lbr = Array.make (max ln 1) (0, 0) in
+                          let lbr = Array.make (2 * ln) 0 in
                           let rest = ref rest in
-                          for j = 0 to ln - 1 do
+                          for j = 0 to (2 * ln) - 1 do
                             match !rest with
-                            | src :: tgt :: r ->
-                                lbr.(j) <- (src, tgt);
+                            | x :: r ->
+                                lbr.(j) <- x;
                                 rest := r
-                            | _ -> assert false
+                            | [] -> assert false
                           done;
                           match !rest with
                           | sn :: addrs when sn >= 0 && List.length addrs = sn ->
                               incr nrec;
-                              records :=
-                                (Array.sub lbr 0 ln, Array.of_list addrs) :: !records
+                              records := (lbr, Array.of_list addrs) :: !records
                           | _ ->
                               bad :=
                                 Some
@@ -629,14 +633,6 @@ let decode_sections s =
         Ok (parts, labels)
       with Wire.Error e -> Error e)
 
-let concat_parts = function
-  | [ t ] -> t
-  | parts ->
-      let out = create () in
-      List.iter (fun p -> append ~into:out p) parts;
-      out.cur <- 0;
-      out
-
 (* Split a decoded label run stream along the chunk partition, attaching
    each chunk its own window of the runs. *)
 let distribute_labels parts (sets, runs) =
@@ -667,7 +663,7 @@ let decode s =
   match decode_sections s with
   | Error e -> Error e
   | Ok (parts, labels) -> (
-      let log = concat_parts parts in
+      let log = concat parts in
       match labels with
       | None -> Ok log
       | Some lab ->

@@ -19,11 +19,12 @@ type t
 
 val create : unit -> t
 
-val add :
-  t -> lbr:(int * int) array -> lbr_len:int -> stack:int array -> stack_len:int -> unit
-(** Append one sample (copies the scratch contents; sink-safe). The sample
-    is stamped with the log's current label set (initially empty; see
-    {!set_label}). *)
+val add : t -> lbr:int array -> lbr_len:int -> stack:int array -> stack_len:int -> unit
+(** Append one sample (copies the scratch contents; sink-safe). [lbr] is
+    {!Machine.sink}'s flat layout, [lbr_len] entries of (branch, target)
+    at [2i] and [2i + 1] — the arena's own record layout, so the copy is a
+    blit. The sample is stamped with the log's current label set
+    (initially empty; see {!set_label}). *)
 
 val set_label : t -> Csspgo_support.Label_set.t -> unit
 (** Set the label set stamped on subsequently added samples. Interns the
@@ -39,12 +40,12 @@ val sink : t -> Machine.sink
     every sample of that run. *)
 
 val iter :
-  t ->
-  (lbr:(int * int) array -> lbr_len:int -> stack:int array -> stack_len:int -> unit) ->
-  unit
+  t -> (lbr:int array -> lbr_len:int -> stack:int array -> stack_len:int -> unit) -> unit
 (** Replay the log in collection order through a sink-shaped callback. The
     callback receives reusable scratch buffers, exactly like a live
-    [Machine.sink] — same copy discipline applies. Labels are not
+    [Machine.sink] — same flat LBR layout, same copy discipline. Each
+    sample is two blits out of the arena; the replay allocates nothing per
+    sample once the scratches fit the longest record. Labels are not
     replayed: correlation is label-blind, slicing happens on the log
     ({!slice_by_label}) before replay. *)
 
@@ -58,6 +59,12 @@ val append : into:t -> t -> unit
     ride along: [src]'s ids are remapped through [into]'s intern table and
     its runs spliced on (merged at the boundary when the label does not
     change). *)
+
+val concat : t list -> t
+(** The parts' record streams in order as one log, copied in one pass
+    into an arena sized up front: the result replays like [append]ing
+    each part onto a fresh log, labels included. A single part is
+    returned as is, not copied; [[]] gives an empty log. *)
 
 val n_samples : t -> int
 

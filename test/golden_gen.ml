@@ -81,7 +81,7 @@ let cslg () =
   let log = Vm.Sample_log.create () in
   let add lbr stack =
     let lbr = Array.of_list lbr and stack = Array.of_list stack in
-    Vm.Sample_log.add log ~lbr ~lbr_len:(Array.length lbr) ~stack
+    Vm.Sample_log.add log ~lbr:(Vm.Machine.flat_lbr lbr) ~lbr_len:(Array.length lbr) ~stack
       ~stack_len:(Array.length stack)
   in
   let acme = Ls.of_list [ ("tenant", "acme"); ("endpoint", "adfinder") ] in

@@ -104,14 +104,14 @@ let distinct_pairs index log =
         for i = stack_len - 1 downto 1 do
           id := CR.Stacks.push stacks !id stack.(i)
         done;
-        Hashtbl.replace seen (snd lbr.(lbr_len - 1), stack.(0), !id) ();
+        Hashtbl.replace seen (lbr.((2 * lbr_len) - 1), stack.(0), !id) ();
         for i = lbr_len - 1 downto 1 do
-          let src, tgt = lbr.(i) in
+          let src = lbr.(2 * i) and tgt = lbr.((2 * i) + 1) in
           (match Pg.Bindex.kind_of_addr index src with
           | Pg.Bindex.K_call -> id := CR.Stacks.pop stacks !id
           | Pg.Bindex.K_ret -> id := CR.Stacks.push stacks !id tgt
           | Pg.Bindex.K_tail_call | Pg.Bindex.K_other -> ());
-          Hashtbl.replace seen (snd lbr.(i - 1), src, !id) ()
+          Hashtbl.replace seen (lbr.((2 * i) - 1), src, !id) ()
         done
       end);
   Hashtbl.length seen

@@ -109,7 +109,7 @@ let log_of_labeled records =
     (fun ((lbr, stack), li) ->
       SL.set_label log label_pool.(li);
       let lbr = Array.of_list lbr and stack = Array.of_list stack in
-      SL.add log ~lbr ~lbr_len:(Array.length lbr) ~stack
+      SL.add log ~lbr:(Vm.Machine.flat_lbr lbr) ~lbr_len:(Array.length lbr) ~stack
         ~stack_len:(Array.length stack))
     records;
   log
@@ -230,7 +230,7 @@ let prop_chunks_and_append_carry_labels =
 
 let test_label_free_is_implicit_slice () =
   let log = SL.create () in
-  let lbr = [| (1, 2) |] and stack = [| 3 |] in
+  let lbr = [| 1; 2 |] and stack = [| 3 |] in
   for _ = 1 to 5 do
     SL.add log ~lbr ~lbr_len:1 ~stack ~stack_len:1
   done;

@@ -19,7 +19,7 @@ let log_of_records records =
   List.iter
     (fun (lbr, stack) ->
       let lbr = Array.of_list lbr and stack = Array.of_list stack in
-      SL.add log ~lbr ~lbr_len:(Array.length lbr) ~stack
+      SL.add log ~lbr:(Vm.Machine.flat_lbr lbr) ~lbr_len:(Array.length lbr) ~stack
         ~stack_len:(Array.length stack))
     records;
   log

@@ -158,8 +158,8 @@ let test_debug_poison_catches_aliasing () =
     (List.length r.Vm.Machine.samples);
   List.iter
     (fun (lbr, lbr_len, stack, stack_len) ->
-      for i = 0 to lbr_len - 1 do
-        if lbr.(i) <> (min_int, min_int) then
+      for i = 0 to (2 * lbr_len) - 1 do
+        if lbr.(i) <> min_int then
           Alcotest.fail "aliased lbr scratch survived un-poisoned"
       done;
       for i = 0 to stack_len - 1 do
@@ -182,7 +182,7 @@ let test_copying_sink_matches_collect () =
         (fun ~lbr ~lbr_len ~stack ~stack_len ->
           copied :=
             {
-              Vm.Machine.s_lbr = Array.sub lbr 0 lbr_len;
+              Vm.Machine.s_lbr = Vm.Machine.lbr_pairs lbr lbr_len;
               s_stack = Array.sub stack 0 stack_len;
             }
             :: !copied);

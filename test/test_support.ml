@@ -131,7 +131,10 @@ let test_fnv_known () =
   Alcotest.(check int64) "empty" 0xCBF29CE484222325L (Fnv.hash_string "");
   Alcotest.(check bool) "distinct" true
     (not (Int64.equal (Fnv.hash_string "foo") (Fnv.hash_string "bar")));
-  Alcotest.(check int64) "stable" (Fnv.hash_string "csspgo") (Fnv.hash_string "csspgo")
+  Alcotest.(check int64) "stable" (Fnv.hash_string "csspgo") (Fnv.hash_string "csspgo");
+  (* Published FNV-1a 64 test vectors. *)
+  Alcotest.(check int64) "a" 0xaf63dc4c8601ec8cL (Fnv.hash_string "a");
+  Alcotest.(check int64) "foobar" 0x85944171f73967e8L (Fnv.hash_string "foobar")
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200

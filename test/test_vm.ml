@@ -381,15 +381,15 @@ let test_no_allocation_per_instruction () =
     "fn fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }\nfn main(n) { return fib(n); }"
     [ 20L ]
 
-(* Allocation guard for the sample-replay kernels: replaying a recorded
-   log through range aggregation, the missing-frame builder and Algorithm 1
-   allocates less than one word per LBR entry beyond a replay that does
-   nothing. Counts are unboxed ints in a flat table and a memo hit only
-   counts, so what remains is per distinct key (table growth, a memo
-   miss) or per sample, not per entry. Words are counted on both heaps,
-   since a large table grows in the major heap. Each figure is the least
-   of three passes: the runtime's word counter can jump by most of a minor
-   heap once in a process, wherever that lands. *)
+(* Allocation guards for the sample stream, on a recorded adfinder log.
+   The PMU's flush into a sink that keeps nothing, and a replay that does
+   nothing, each allocate nothing per LBR entry (under 0.01 words; a
+   boxed (src, tgt) pair is 3). Replaying through range aggregation, the
+   missing-frame builder and Algorithm 1 allocates less than one word per
+   LBR entry, replay included: counts are unboxed ints in a flat table and
+   a memo hit only counts, so what remains is per distinct key (table
+   growth, a memo miss) or per sample, not per entry. Words are counted on
+   both heaps, least of three passes ({!Alloc.words}). *)
 let test_no_allocation_per_lbr_entry () =
   let module SL = Vm.Sample_log in
   let module Pg = Csspgo_profgen in
@@ -398,28 +398,32 @@ let test_no_allocation_per_lbr_entry () =
   let w = Csspgo_workloads.Suite.adfinder in
   let spec = List.hd w.D.w_train in
   let bin = build ~probes:true w.D.w_source in
+  let pmu = Some { Vm.Machine.default_pmu with Vm.Machine.sample_period = 1009 } in
+  let run ?sink pmu =
+    ignore
+      (Vm.Machine.run ~pmu ?sink ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
+         ~entry:w.D.w_entry)
+  in
   let log = SL.create () in
-  ignore
-    (Vm.Machine.run
-       ~pmu:(Some { Vm.Machine.default_pmu with Vm.Machine.sample_period = 1009 })
-       ~sink:(SL.sink log) ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
-       ~entry:w.D.w_entry);
+  run ~sink:(SL.sink log) pmu;
   let index = Pg.Bindex.create bin in
   let missing = Core.Missing_frame.build bin (SL.to_samples log) in
   let entries = ref 0 in
   SL.iter log (fun ~lbr:_ ~lbr_len ~stack:_ ~stack_len:_ -> entries := !entries + lbr_len);
-  let words f =
-    let once () =
-      let minor, promoted, major = Gc.counters () in
-      f ();
-      let minor', promoted', major' = Gc.counters () in
-      minor' -. minor +. (major' -. major) -. (promoted' -. promoted)
-    in
-    List.fold_left Float.min (once ()) [ once (); once () ]
+  let per words = words /. float_of_int !entries in
+  let check_free name words =
+    if per words >= 0.01 then
+      Alcotest.failf "%s: %.4f words per LBR entry (%d entries)" name (per words) !entries
   in
-  let noop = words (fun () -> SL.iter log (fun ~lbr:_ ~lbr_len:_ ~stack:_ ~stack_len:_ -> ())) in
+  let noop = { Vm.Machine.on_sample = (fun ~lbr:_ ~lbr_len:_ ~stack:_ ~stack_len:_ -> ());
+               on_labels = Vm.Machine.no_labels } in
+  (* The same run unprofiled pays the same decoding and setup. *)
+  check_free "Machine sink"
+    (Alloc.words (fun () -> run ~sink:noop pmu) -. Alloc.words (fun () -> run ~sink:noop None));
+  check_free "Sample_log.iter"
+    (Alloc.words (fun () -> SL.iter log (fun ~lbr:_ ~lbr_len:_ ~stack:_ ~stack_len:_ -> ())));
   let check name f =
-    let per = (words f -. noop) /. float_of_int !entries in
+    let per = per (Alloc.words f) in
     if per >= 1.0 then
       Alcotest.failf "%s: %.3f words per LBR entry (%d entries)" name per !entries
   in
@@ -436,6 +440,39 @@ let test_no_allocation_per_lbr_entry () =
       SL.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
           Core.Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
       ignore (Core.Ctx_reconstruct.finish st))
+
+(* Allocation guard for the CSLG codec: encoding an adfinder log and
+   decoding it back to chunks each allocate at most 2 words per arena int
+   — the decoded arena itself is one, the framed bytes a fraction. Boxing
+   per byte or per varint costs several times that. *)
+let test_codec_allocation () =
+  let module SL = Vm.Sample_log in
+  let module D = Csspgo_core.Driver in
+  let w = Csspgo_workloads.Suite.adfinder in
+  let bin = build ~probes:true w.D.w_source in
+  let log = SL.create () in
+  List.iter
+    (fun (spec : D.run_spec) ->
+      ignore
+        (Vm.Machine.run
+           ~pmu:(Some { Vm.Machine.default_pmu with Vm.Machine.sample_period = 499 })
+           ~sink:(SL.sink log) ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
+           ~entry:w.D.w_entry))
+    w.D.w_train;
+  let ints = ref 0 in
+  SL.iter log (fun ~lbr:_ ~lbr_len ~stack:_ ~stack_len ->
+      ints := !ints + 2 + (2 * lbr_len) + stack_len);
+  let blob = SL.encode log in
+  let check name f =
+    let per = Alloc.words f /. float_of_int !ints in
+    if per > 2.0 then
+      Alcotest.failf "%s: %.3f words per arena int (%d ints)" name per !ints
+  in
+  check "encode" (fun () -> ignore (SL.encode log));
+  check "decode_chunks" (fun () ->
+      match SL.decode_chunks blob with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Csspgo_support.Wire.error_to_string e))
 
 let suite =
   ( "vm",
@@ -464,4 +501,5 @@ let suite =
       Alcotest.test_case "fuel bounds" `Quick test_fuel_bounds;
       Alcotest.test_case "no allocation per instruction" `Quick test_no_allocation_per_instruction;
       Alcotest.test_case "no allocation per LBR entry" `Quick test_no_allocation_per_lbr_entry;
+      Alcotest.test_case "codec words per arena int" `Quick test_codec_allocation;
     ] )
