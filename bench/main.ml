@@ -3,7 +3,7 @@
    next to the paper's reference values.
 
    Usage: main.exe
-     [fig6|fig7|fig8|fig9|table1|client|drift|stale|ablation|orch|micro|pipeline|format|fleet|corr|health|labels|all]
+     [fig6|fig7|fig8|fig9|table1|client|drift|stale|ablation|orch|micro|format|fleet|corr|health|labels|all]
    Default: all. *)
 
 module F = Csspgo_frontend
@@ -35,7 +35,7 @@ let cycles w v = Int64.to_float (outcome w v).D.o_eval.D.ev_cycles
 
 (* Profiling run measurement shared by fig8 / table1 / micro: the -O2
    profiling build (probed or plain) run over the training inputs under
-   the sampling PMU. Returns the binary, the materialized samples and the
+   the sampling PMU. Returns the binary, the recorded sample log and the
    total training cycles. *)
 let profiling_run ~probes (w : D.workload) =
   let options = D.default_options in
@@ -54,7 +54,7 @@ let profiling_run ~probes (w : D.workload) =
       in
       cycles := Int64.add !cycles r.Vm.Machine.cycles)
     w.D.w_train;
-  (bin, Vm.Sample_log.to_samples log, !cycles)
+  (bin, log, !cycles)
 
 let gain_vs_autofdo w v =
   let base = cycles w D.Autofdo in
@@ -375,25 +375,30 @@ let ablation () =
       ~config:{ Opt.Config.o2_nopgo with Opt.Config.inline_mode = Opt.Config.Inline_none }
       prog;
     let bin = Cg.Emit.emit ~options:Cg.Emit.default_options prog in
-    let samples =
-      List.concat_map
-        (fun (spec : D.run_spec) ->
+    let log = Vm.Sample_log.create () in
+    List.iter
+      (fun (spec : D.run_spec) ->
+        ignore
           (Vm.Machine.run
              ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 1009 })
-             ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin ~entry:w.D.w_entry)
-            .Vm.Machine.samples)
-        w.D.w_train
+             ~sink:(Vm.Sample_log.sink log) ~globals_init:spec.D.rs_globals
+             ~args:spec.D.rs_args bin ~entry:w.D.w_entry))
+      w.D.w_train;
+    (Core.Correlate.target (Core.Correlate.symbols refp) bin, log)
+  in
+  (* The untrimmed trie and Algorithm 1's stats of one recorded log. *)
+  let contexts ~missing_frames (target, log) =
+    let r =
+      Core.Correlate.run ~jobs:1 ~missing_frames ~trim:0L Core.Correlate.Ctx target
+        (Core.Correlate.Log log)
     in
-    (refp, bin, samples)
+    match r.Core.Correlate.profile with
+    | P.Text_io.Ctx_prof trie -> (trie, r.Core.Correlate.stats)
+    | _ -> assert false
   in
   let w = W.Suite.hhvm in
   (* 1. cold-context trimming: profile size with and without *)
-  let refp, pbin, samples = profile_no_inline W.Suite.haas in
-  let name_of g = Option.map (fun f -> f.Ir.Func.name) (Ir.Program.find_func_by_guid refp g) in
-  let checksum_of g =
-    match Ir.Program.find_func_by_guid refp g with Some f -> f.Ir.Func.checksum | None -> 0L
-  in
-  let trie, _ = Core.Ctx_reconstruct.reconstruct ~name_of ~checksum_of pbin samples in
+  let trie, _ = contexts ~missing_frames:false (profile_no_inline W.Suite.haas) in
   let untrimmed = P.Ctx_profile.size_bytes trie in
   let n_before = P.Ctx_profile.n_nodes trie in
   let removed = P.Ctx_profile.trim_cold trie ~threshold:64L in
@@ -406,16 +411,9 @@ let ablation () =
   pf "  to parity with context-insensitive profiles)\n\n";
   (* 2. missing-frame inference recovery rate on a tail-call-heavy build
      (adfinder's pass_all chain ends in a tail call when not inlined) *)
-  let refp, pbin, samples = profile_no_inline W.Suite.adfinder in
-  let name_of g = Option.map (fun f -> f.Ir.Func.name) (Ir.Program.find_func_by_guid refp g) in
-  let checksum_of g =
-    match Ir.Program.find_func_by_guid refp g with Some f -> f.Ir.Func.checksum | None -> 0L
-  in
-  let mf = Core.Missing_frame.build pbin samples in
-  let _, st_with =
-    Core.Ctx_reconstruct.reconstruct ~name_of ~missing:mf ~checksum_of pbin samples
-  in
-  let _, st_without = Core.Ctx_reconstruct.reconstruct ~name_of ~checksum_of pbin samples in
+  let adfinder = profile_no_inline W.Suite.adfinder in
+  let _, st_with = contexts ~missing_frames:true adfinder in
+  let _, st_without = contexts ~missing_frames:false adfinder in
   let rate (s : Core.Ctx_reconstruct.stats) =
     let tot = s.Core.Ctx_reconstruct.st_gaps_resolved + s.Core.Ctx_reconstruct.st_gaps_failed in
     if tot = 0 then 100.0
@@ -599,7 +597,7 @@ let orch () =
 let micro () =
   sep "Microbenchmarks (Bechamel) — offline pipeline component cost";
   let w = W.Suite.adretriever in
-  let pbin, samples, _ = profiling_run ~probes:true w in
+  let pbin, log, _ = profiling_run ~probes:true w in
   let refp =
     let p = F.Lower.compile w.D.w_source in
     Core.Pseudo_probe.insert p;
@@ -608,15 +606,19 @@ let micro () =
   let checksum_of g =
     match Ir.Program.find_func_by_guid refp g with Some f -> f.Ir.Func.checksum | None -> 0L
   in
-  let samples_short = List.filteri (fun i _ -> i < 500) samples in
+  let log_short = List.hd (Vm.Sample_log.split ~chunk:500 log) in
+  let reconstruct () =
+    let st = Core.Ctx_reconstruct.start ~checksum_of (Csspgo_profgen.Bindex.create pbin) in
+    Vm.Sample_log.iter log_short (Core.Ctx_reconstruct.feed st);
+    Core.Ctx_reconstruct.finish st
+  in
   let annotated = (outcome w D.Csspgo_probe_only).D.o_annotated in
   let open Bechamel in
   let tests =
     [
       (* Fig.6/Table I pipeline: Algorithm 1 context reconstruction *)
       Test.make ~name:"algo1-reconstruct-500-samples"
-        (Staged.stage (fun () ->
-             ignore (Core.Ctx_reconstruct.reconstruct ~checksum_of pbin samples_short)));
+        (Staged.stage (fun () -> ignore (reconstruct ())));
       (* profile inference (Profi / MCF) on an annotated program *)
       Test.make ~name:"mcf-inference-program"
         (Staged.stage (fun () ->
@@ -631,14 +633,17 @@ let micro () =
       (* Algorithm 2+3: pre-inliner over a fresh trie *)
       Test.make ~name:"algo2-preinliner"
         (Staged.stage (fun () ->
-             let trie, _ = Core.Ctx_reconstruct.reconstruct ~checksum_of pbin samples_short in
+             let trie, _ = reconstruct () in
              ignore (P.Ctx_profile.trim_cold trie ~threshold:8L);
              let sizes = Core.Size_extract.compute pbin in
              ignore (Core.Preinliner.run trie sizes)));
       (* DWARF correlation for the AutoFDO baseline *)
       Test.make ~name:"dwarf-correlate-500-samples"
         (Staged.stage (fun () ->
-             ignore (Csspgo_profgen.Dwarf_corr.correlate pbin samples_short)));
+             let agg = Csspgo_profgen.Ranges.create () in
+             Vm.Sample_log.iter log_short (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
+                 Csspgo_profgen.Ranges.feed agg ~lbr ~lbr_len);
+             ignore (Csspgo_profgen.Dwarf_corr.correlate_agg pbin agg)));
     ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
@@ -658,174 +663,6 @@ let micro () =
           | _ -> pf "  %-36s (no estimate)\n" name)
         ols)
     tests
-
-(* ------------------------------------------------------------------ *)
-(* Streaming pipeline: samples/sec and live-heap vs the materialized    *)
-(* sample-list path, on an hhvm-shaped profiling run.                   *)
-
-(* Words retained by a pipeline state: live heap with the state held,
-   minus live heap after dropping it. The state sits in a module-level
-   ref — a stack slot would already be dead at the first compaction under
-   ocamlopt (its last use precedes the call), making the delta read 0. *)
-let heap_probe : Obj.t option ref = ref None
-
-let live_delta f =
-  heap_probe := Some (Obj.repr (f ()));
-  Gc.compact ();
-  let held = (Gc.stat ()).Gc.live_words in
-  heap_probe := None;
-  Gc.compact ();
-  let dropped = (Gc.stat ()).Gc.live_words in
-  held - dropped
-
-let pipeline () =
-  sep "Pipeline — streaming vs materialized sample processing (hhvm)";
-  let module Pg = Csspgo_profgen in
-  let w = W.Suite.hhvm in
-  let prog = F.Lower.compile w.D.w_source in
-  Core.Pseudo_probe.insert prog;
-  let refp = Ir.Program.copy prog in
-  Opt.Pass.optimize ~config:Opt.Config.o2_nopgo prog;
-  let bin = Cg.Emit.emit ~options:Cg.Emit.default_options prog in
-  let name_of g =
-    Option.map (fun f -> f.Ir.Func.name) (Ir.Program.find_func_by_guid refp g)
-  in
-  let checksum_of g =
-    match Ir.Program.find_func_by_guid refp g with Some f -> f.Ir.Func.checksum | None -> 0L
-  in
-  (* One PMU run, recorded as the compact int log — the stand-in for the
-     raw sample stream both pipelines consume. Dense period so the
-     throughput numbers are sample-bound, not VM-bound. *)
-  let period = 499 in
-  let pmu = Some { Vm.Machine.default_pmu with sample_period = period } in
-  let log = Vm.Sample_log.create () in
-  List.iter
-    (fun (spec : D.run_spec) ->
-      ignore
-        (Vm.Machine.run ~pmu ~sink:(Vm.Sample_log.sink log)
-           ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin ~entry:w.D.w_entry))
-    w.D.w_train;
-  Vm.Sample_log.compact log;
-  let n = Vm.Sample_log.n_samples log in
-  pf "profiling run: %d samples (period %d), log %d words\n" n period
-    (Vm.Sample_log.words log);
-  (* Materialized pipeline, as the seed shipped it (bench/legacy.ml): the
-     sample list is built once, then re-walked by each consumer, with
-     tuple-keyed Hashtbl bumps and inst_at hash lookups per LBR entry. *)
-  let materialized lg =
-    let samples = Vm.Sample_log.to_samples lg in
-    let flat = Legacy.probe_correlate ~name_of ~checksum_of bin samples in
-    let missing = Legacy.missing_build bin samples in
-    let trie =
-      Legacy.reconstruct ~name_of ~missing ~checksum_of bin samples
-    in
-    (samples, flat, trie)
-  in
-  (* Streaming pipeline, as Plan.run now wires it: one dense index, one
-     replay feeding range aggregation + tail-call edges, one replay for
-     context reconstruction. *)
-  let streaming lg =
-    let ix = Pg.Bindex.create bin in
-    let agg = Pg.Ranges.create () in
-    let mb = Core.Missing_frame.start ix in
-    Vm.Sample_log.iter lg (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
-        Pg.Ranges.feed agg ~lbr ~lbr_len;
-        Core.Missing_frame.feed mb ~lbr ~lbr_len);
-    let missing = Core.Missing_frame.finish mb in
-    let flat = Core.Probe_corr.correlate_agg ~name_of ~index:ix ~checksum_of bin agg in
-    let st = Core.Ctx_reconstruct.start ~name_of ~missing ~checksum_of ix in
-    Vm.Sample_log.iter lg (fun ~lbr ~lbr_len ~stack ~stack_len ->
-        Core.Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
-    let trie, _ = Core.Ctx_reconstruct.finish st in
-    (agg, flat, trie)
-  in
-  (* Byte-identity sanity before timing anything. *)
-  let texts (flat, trie) =
-    ( P.Text_io.to_string (P.Text_io.Probe_prof flat),
-      P.Text_io.to_string (P.Text_io.Ctx_prof trie) )
-  in
-  let _, mf, mt = materialized log in
-  let _, sf, st = streaming log in
-  if texts (mf, mt) <> texts (sf, st) then
-    failwith "pipeline: streaming diverged from materialized";
-  (* Throughput (bechamel, monotonic clock). *)
-  let open Bechamel in
-  let estimate name f =
-    let test = Test.make ~name (Staged.stage f) in
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) ~kde:None () in
-    let results =
-      Benchmark.all cfg [ instance ]
-        (Test.make_grouped ~name:"pipeline" ~fmt:"%s/%s" [ test ])
-    in
-    let ols =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        instance results
-    in
-    let est = ref nan in
-    Hashtbl.iter
-      (fun _ o ->
-        match Analyze.OLS.estimates o with Some [ e ] -> est := e | _ -> ())
-      ols;
-    !est (* ns per run *)
-  in
-  let ns_mat = estimate "materialized" (fun () -> ignore (materialized log)) in
-  let ns_str = estimate "streaming" (fun () -> ignore (streaming log)) in
-  let rate ns = float_of_int n /. (ns /. 1e9) in
-  let speedup = ns_mat /. ns_str in
-  pf "materialized: %10.0f samples/sec  (%.2f ms/pipeline)\n" (rate ns_mat)
-    (ns_mat /. 1e6);
-  pf "streaming:    %10.0f samples/sec  (%.2f ms/pipeline)\n" (rate ns_str)
-    (ns_str /. 1e6);
-  pf "speedup:      %9.2fx  (target: >= 3x)\n" speedup;
-  (* Peak live heap: words retained by each pipeline's state, at full and
-     at half the sample count. The materialized list scales with samples;
-     the streaming state (counters + trie + tail-call edges) tracks the
-     binary, not the run length. *)
-  let half = Vm.Sample_log.create () in
-  let seen = ref 0 in
-  Vm.Sample_log.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
-      if !seen < n / 2 then Vm.Sample_log.add half ~lbr ~lbr_len ~stack ~stack_len;
-      incr seen);
-  Vm.Sample_log.compact half;
-  let mat_half = live_delta (fun () -> Vm.Sample_log.to_samples half) in
-  let mat_full = live_delta (fun () -> Vm.Sample_log.to_samples log) in
-  let str_half = live_delta (fun () -> streaming half) in
-  let str_full = live_delta (fun () -> streaming log) in
-  let ratio a b = float_of_int a /. float_of_int (max b 1) in
-  pf "live heap words (half -> full samples):\n";
-  pf "  materialized list  %9d -> %9d   (x%.2f — proportional)\n" mat_half mat_full
-    (ratio mat_full mat_half);
-  pf "  streaming state    %9d -> %9d   (x%.2f — flat)\n" str_half str_full
-    (ratio str_full str_half);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"workload\": \"hhvm\",\n\
-      \  \"sample_period\": %d,\n\
-      \  \"n_samples\": %d,\n\
-      \  \"log_words\": %d,\n\
-      \  \"materialized_ns_per_pipeline\": %.0f,\n\
-      \  \"streaming_ns_per_pipeline\": %.0f,\n\
-      \  \"materialized_samples_per_sec\": %.0f,\n\
-      \  \"streaming_samples_per_sec\": %.0f,\n\
-      \  \"speedup\": %.3f,\n\
-      \  \"live_words_materialized_half\": %d,\n\
-      \  \"live_words_materialized_full\": %d,\n\
-      \  \"live_words_streaming_half\": %d,\n\
-      \  \"live_words_streaming_full\": %d,\n\
-      \  \"cores\": %d\n\
-       }\n"
-      period n (Vm.Sample_log.words log) ns_mat ns_str (rate ns_mat) (rate ns_str)
-      speedup mat_half mat_full str_half str_full
-      (Domain.recommended_domain_count ())
-  in
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc json;
-  close_out oc;
-  pf "wrote BENCH_pipeline.json\n";
-  if speedup < 3.0 then failwith "pipeline: streaming speedup below 3x target"
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the streaming correlate pipeline with a live  *)
@@ -945,7 +782,7 @@ let format_bench () =
     { D.default_options with
       D.pmu = { Vm.Machine.default_pmu with sample_period = 499 } }
   in
-  let texts = D.profile_pipeline_texts ~options:opts ~streaming:true D.Csspgo_full w in
+  let texts = D.profile_pipeline_texts ~options:opts ~replay:false D.Csspgo_full w in
   pf "profile codec (hhvm, dense period %d):\n" 499;
   let shapes =
     List.map
@@ -1768,7 +1605,6 @@ let () =
   | "ablation" -> ablation ()
   | "orch" -> orch ()
   | "micro" -> micro ()
-  | "pipeline" -> pipeline ()
   | "obs" -> obs_overhead ()
   | "format" -> format_bench ()
   | "fleet" -> fleet_bench ()
@@ -1787,7 +1623,6 @@ let () =
       ablation ();
       orch ();
       micro ();
-      pipeline ();
       obs_overhead ();
       format_bench ();
       fleet_bench ();

@@ -1175,6 +1175,9 @@ let bench_check_cmd =
       & info [] ~docv:"FILE" ~doc:"BENCH_*.json files to validate")
   in
   let required = function
+    (* History: no experiment regenerates this file since the
+       materialized sample-list pipeline it timed was deleted; the schema
+       still guards the committed record. *)
     | "BENCH_pipeline.json" ->
         [ "workload"; "n_samples"; "speedup"; "streaming_samples_per_sec" ]
     | "BENCH_stale.json" -> [ "distances"; "workloads"; "aggregate_overlap" ]
@@ -1280,7 +1283,10 @@ let fuzz_cmd =
     Arg.(
       value & flag
       & info [ "no-stream-oracle" ]
-          ~doc:"Skip the streaming-vs-materialized profile byte-identity oracle")
+          ~doc:
+            "Skip the recorded-vs-replayed profile byte-identity oracle: the correlation \
+             kernel with the tee sink's aggregate and missing-frame table against both \
+             replayed from the recorded sample log")
   in
   let no_stale_arg =
     Arg.(

@@ -34,7 +34,7 @@ let profiling_run (w : D.workload) =
            ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
            ~entry:w.D.w_entry))
     w.D.w_train;
-  (bin, Vm.Sample_log.to_samples log)
+  (bin, log)
 
 let () =
   print_endline "== CSSPGO quickstart: the scalarOp example (paper Fig. 3/4) ==\n";
@@ -52,7 +52,7 @@ let () =
     }
   in
   (* Steps 1-3: look inside the context-sensitive profile. *)
-  let pbin, samples = profiling_run w in
+  let pbin, log = profiling_run w in
   let refp =
     let p = F.Lower.compile w.D.w_source in
     Core.Pseudo_probe.insert p;
@@ -62,7 +62,11 @@ let () =
   let checksum_of g =
     match Ir.Program.find_func_by_guid refp g with Some f -> f.Ir.Func.checksum | None -> 0L
   in
-  let trie, stats = Core.Ctx_reconstruct.reconstruct ~name_of ~checksum_of pbin samples in
+  let trie, stats =
+    let st = Core.Ctx_reconstruct.start ~name_of ~checksum_of (Csspgo_profgen.Bindex.create pbin) in
+    Vm.Sample_log.iter log (Core.Ctx_reconstruct.feed st);
+    Core.Ctx_reconstruct.finish st
+  in
   Printf.printf "collected %d samples (%d dropped as misaligned)\n\n"
     stats.Core.Ctx_reconstruct.st_samples stats.Core.Ctx_reconstruct.st_dropped_misaligned;
   print_endline "contexts observed for scalar_op (Fig. 3b — one per caller):";

@@ -110,20 +110,21 @@ let profile_v1 () =
     let refp = Ir.Program.copy p in
     Opt.Pass.optimize ~config:Opt.Config.o2_nopgo p;
     let bin = Cg.Emit.emit ~options:Cg.Emit.default_options p in
-    let r =
-      Vm.Machine.run
-        ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 503 })
-        ~globals_init:(globals ()) bin ~entry:"main" ~args:[ 4000L ]
-    in
-    (refp, bin, r.Vm.Machine.samples)
+    let agg = Csspgo_profgen.Ranges.create () in
+    ignore
+      (Vm.Machine.run
+         ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 503 })
+         ~sink:(Csspgo_profgen.Ranges.sink agg) ~globals_init:(globals ()) bin ~entry:"main"
+         ~args:[ 4000L ]);
+    (refp, bin, agg)
   in
-  let _, dbin, dsamples = build ~probes:false in
-  let line_prof = Csspgo_profgen.Dwarf_corr.correlate dbin dsamples in
-  let refp, pbin, psamples = build ~probes:true in
+  let _, dbin, dagg = build ~probes:false in
+  let line_prof = Csspgo_profgen.Dwarf_corr.correlate_agg dbin dagg in
+  let refp, pbin, pagg = build ~probes:true in
   let checksum_of g =
     match Ir.Program.find_func_by_guid refp g with Some f -> f.Ir.Func.checksum | None -> 0L
   in
-  let probe_prof = Core.Probe_corr.correlate ~checksum_of pbin psamples in
+  let probe_prof = Core.Probe_corr.correlate_agg ~checksum_of pbin pagg in
   (line_prof, probe_prof)
 
 let eval_with src annotate =

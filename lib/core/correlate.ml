@@ -27,7 +27,7 @@ let checksum_of sy g = Option.value (Ir.Guid.Tbl.find_opt sy.checksums g) ~defau
 
 (* The profiling run streams every sample into the range aggregate, the
    tail-call table and a compact flat-int log, so peak live memory is the
-   aggregate plus the log words, never a boxed sample list. *)
+   aggregate plus the log words. *)
 let recorder ?obs ~missing bin =
   let agg = Pg.Ranges.create () in
   let log = Vm.Sample_log.create () in

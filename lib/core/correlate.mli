@@ -1,8 +1,9 @@
 (** The log-to-profile correlation kernel: one sample stream in, one line,
     probe or context profile out, as the paper's profile generator does.
-    The Driver's [Correlate] stage, the streaming half of
-    [Driver.profile_pipeline_texts], the fleet's serial, chunk-sharded and
-    label-sliced correlation and the [contexts] command all run it.
+    The Driver's [Correlate] stage, [Driver.profile_pipeline_texts], the
+    fleet's serial, chunk-sharded and label-sliced correlation and the
+    [contexts] command all run it; no other path turns samples into a
+    profile.
 
     It owns the reference symbol tables, the record-time tee sink, the
     shape dispatch, the trim step and the shard replay. Replay runs

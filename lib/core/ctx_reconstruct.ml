@@ -1,6 +1,5 @@
 module Ir = Csspgo_ir
 module Mach = Csspgo_codegen.Mach
-module Vm = Csspgo_vm
 module P = Csspgo_profile
 module Pg = Csspgo_profgen
 module CP = P.Ctx_profile
@@ -366,15 +365,3 @@ let start ?(name_of = fun _ -> None) ?missing ~checksum_of
 
 let feed s ~lbr ~lbr_len ~stack ~stack_len = s.sm_feed ~lbr ~lbr_len ~stack ~stack_len
 let finish s = s.sm_finish ()
-
-let reconstruct ?name_of ?missing ~checksum_of (b : Mach.binary) samples =
-  let st = start ?name_of ?missing ~checksum_of (Pg.Bindex.create b) in
-  List.iter
-    (fun (s : Vm.Machine.sample) ->
-      st.sm_feed
-        ~lbr:(Vm.Machine.flat_lbr s.Vm.Machine.s_lbr)
-        ~lbr_len:(Array.length s.Vm.Machine.s_lbr)
-        ~stack:s.Vm.Machine.s_stack
-        ~stack_len:(Array.length s.Vm.Machine.s_stack))
-    samples;
-  st.sm_finish ()

@@ -88,11 +88,3 @@ val finish : stream -> Csspgo_profile.Ctx_profile.t * stats
     [ctx.gaps-failed], [ctx.inferred-frames] counters and the
     [ctx.context-depth] histogram (stack depth per aligned sample).
     Observation never changes attribution. *)
-
-val reconstruct :
-  ?name_of:(Csspgo_ir.Guid.t -> string option) ->
-  ?missing:Missing_frame.t ->
-  checksum_of:(Csspgo_ir.Guid.t -> int64) ->
-  Csspgo_codegen.Mach.binary ->
-  Csspgo_vm.Machine.sample list ->
-  Csspgo_profile.Ctx_profile.t * stats

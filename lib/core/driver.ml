@@ -83,7 +83,6 @@ let reference (w : workload) =
   p
 
 type runs = {
-  r_samples : Vm.Machine.sample list;
   r_n_samples : int;
   r_cycles : int64;
   r_instrs : int64;
@@ -94,63 +93,56 @@ type runs = {
 }
 
 let run_specs ?(pmu = None) ?sink ?debug_poison ?obs (bin : Cg.Mach.binary) ~entry specs =
-  (* Collect mode accumulates newest-first and reverses once at the end;
-     the old [acc @ r.samples] was quadratic in the number of runs. *)
-  let acc =
-    List.fold_left
-      (fun acc spec ->
-        let r =
-          Vm.Machine.run ~pmu ?sink ?debug_poison ?obs ~globals_init:spec.rs_globals
-            ~args:spec.rs_args bin ~entry
-        in
-        let counters =
-          match acc.r_counters with
-          | None -> Some r.Vm.Machine.counters
-          | Some cs ->
-              Array.iteri
-                (fun i c -> if i < Array.length cs then cs.(i) <- Int64.add cs.(i) c)
-                r.Vm.Machine.counters;
-              Some cs
-        in
-        Hashtbl.iter
-          (fun site hist ->
-            let dst =
-              match Hashtbl.find_opt acc.r_values site with
-              | Some dst -> dst
-              | None ->
-                  let dst = Hashtbl.create 8 in
-                  Hashtbl.replace acc.r_values site dst;
-                  dst
-            in
-            Hashtbl.iter
-              (fun v c ->
-                Hashtbl.replace dst v
-                  (Int64.add c (Option.value (Hashtbl.find_opt dst v) ~default:0L)))
-              hist)
-          r.Vm.Machine.value_profiles;
-        {
-          acc with
-          r_samples = List.rev_append r.Vm.Machine.samples acc.r_samples;
-          r_n_samples = acc.r_n_samples + r.Vm.Machine.n_samples;
-          r_cycles = Int64.add acc.r_cycles r.Vm.Machine.cycles;
-          r_instrs = Int64.add acc.r_instrs r.Vm.Machine.instructions;
-          r_imiss = Int64.add acc.r_imiss r.Vm.Machine.icache_misses;
-          r_branches = Int64.add acc.r_branches r.Vm.Machine.taken_branches;
-          r_counters = counters;
-        })
+  List.fold_left
+    (fun acc spec ->
+      let r =
+        Vm.Machine.run ~pmu ?sink ?debug_poison ?obs ~globals_init:spec.rs_globals
+          ~args:spec.rs_args bin ~entry
+      in
+      let counters =
+        match acc.r_counters with
+        | None -> Some r.Vm.Machine.counters
+        | Some cs ->
+            Array.iteri
+              (fun i c -> if i < Array.length cs then cs.(i) <- Int64.add cs.(i) c)
+              r.Vm.Machine.counters;
+            Some cs
+      in
+      Hashtbl.iter
+        (fun site hist ->
+          let dst =
+            match Hashtbl.find_opt acc.r_values site with
+            | Some dst -> dst
+            | None ->
+                let dst = Hashtbl.create 8 in
+                Hashtbl.replace acc.r_values site dst;
+                dst
+          in
+          Hashtbl.iter
+            (fun v c ->
+              Hashtbl.replace dst v
+                (Int64.add c (Option.value (Hashtbl.find_opt dst v) ~default:0L)))
+            hist)
+        r.Vm.Machine.value_profiles;
       {
-        r_samples = [];
-        r_n_samples = 0;
-        r_cycles = 0L;
-        r_instrs = 0L;
-        r_imiss = 0L;
-        r_branches = 0L;
-        r_counters = None;
-        r_values = Hashtbl.create 8;
-      }
-      specs
-  in
-  { acc with r_samples = List.rev acc.r_samples }
+        acc with
+        r_n_samples = acc.r_n_samples + r.Vm.Machine.n_samples;
+        r_cycles = Int64.add acc.r_cycles r.Vm.Machine.cycles;
+        r_instrs = Int64.add acc.r_instrs r.Vm.Machine.instructions;
+        r_imiss = Int64.add acc.r_imiss r.Vm.Machine.icache_misses;
+        r_branches = Int64.add acc.r_branches r.Vm.Machine.taken_branches;
+        r_counters = counters;
+      })
+    {
+      r_n_samples = 0;
+      r_cycles = 0L;
+      r_instrs = 0L;
+      r_imiss = 0L;
+      r_branches = 0L;
+      r_counters = None;
+      r_values = Hashtbl.create 8;
+    }
+    specs
 
 let evaluate_opts (bin : Cg.Mach.binary) (w : workload) =
   let r = run_specs ~pmu:None bin ~entry:w.w_entry w.w_eval in
@@ -413,12 +405,11 @@ module Plan = struct
 
   type instrumentation = { in_map : Instrument.t; in_vals : Instrument.values }
 
-  (* The raw sample list is gone: the profiling run streams every sample
-     through the kernel's tee sink ([Correlate.recorder]) into (a) the
-     range/branch aggregate, (b) the missing-frame tail-call table, and
-     (c) a compact flat-int log that context reconstruction replays once
-     the missing table is complete. Peak live memory is the aggregate +
-     log words, not boxed samples. *)
+  (* The profiling run streams every sample through the kernel's tee sink
+     ([Correlate.recorder]) into (a) the range/branch aggregate, (b) the
+     missing-frame tail-call table, and (c) a compact flat-int log that
+     context reconstruction replays once the missing table is complete.
+     Peak live memory is the aggregate + log words. *)
   type profile_run_out = {
     pr_bin : Cg.Mach.binary;
     pr_agg : Pg.Ranges.agg;
@@ -898,13 +889,14 @@ let run_variant ?options variant (w : workload) =
   Plan.run (Plan.make ?options ~variant w)
 
 (* ------------------------------------------------------------------ *)
-(* Byte-identity oracle: the same profiling build and training inputs,
-   pushed through either the materialized (sample-list) pipeline or the
-   correlation kernel (record-time sink + log replay), must produce equal
-   canonical Text_io dumps. The VM is deterministic, so running it twice
-   with different consumers observes the identical sample stream. *)
+(* Recorded-vs-replayed oracle: the profiling build's training runs feed
+   [Correlate.recorder]'s tee sink under scratch poisoning, and the kernel
+   correlates the recorded log either with the aggregate and missing-frame
+   table the tee built during the run or with both replayed from the log.
+   The VM is deterministic, so every call records the same log, and the
+   two forms must give equal canonical Text_io dumps. *)
 
-let profile_pipeline_texts ?(options = default_options) ~streaming variant (w : workload) =
+let profile_pipeline_texts ?(options = default_options) ~replay variant (w : workload) =
   let shape =
     match variant with
     | Nopgo | Instr_pgo -> None
@@ -926,37 +918,17 @@ let profile_pipeline_texts ?(options = default_options) ~streaming variant (w : 
         | Some flat -> [ ("ctx", text profile); ("probes", text (P.Text_io.Probe_prof flat)) ]
         | None -> [ ((if shape = Correlate.Lines then "lines" else "probes"), text profile) ]
       in
-      if streaming then begin
-        let sink, recorded = Correlate.recorder ~missing:true bin in
-        (* debug_poison: the oracle also proves our own sinks never alias
-           the scratch buffers. *)
-        ignore
-          (run_specs ~pmu:(Some options.pmu) ~sink ~debug_poison:true bin
-             ~entry:w.w_entry w.w_train);
-        let agg, missing, log = recorded () in
-        let r =
-          Correlate.run ~jobs:1 ~missing_frames:options.use_missing_frame_inference
-            ~trim:options.trim_threshold ~recorded:(agg, missing) shape
-            (Correlate.target sy bin) (Correlate.Log log)
-        in
-        texts r.Correlate.profile (Option.map Lazy.force r.Correlate.flat)
-      end
-      else begin
-        let samples =
-          (run_specs ~pmu:(Some options.pmu) bin ~entry:w.w_entry w.w_train).r_samples
-        in
-        let name_of = Correlate.name_of sy and checksum_of = Correlate.checksum_of sy in
-        let flat () = Probe_corr.correlate ~name_of ~checksum_of bin samples in
-        match shape with
-        | Correlate.Lines ->
-            texts (P.Text_io.Line_prof (Pg.Dwarf_corr.correlate ~name_of bin samples)) None
-        | Correlate.Probes -> texts (P.Text_io.Probe_prof (flat ())) None
-        | Correlate.Ctx ->
-            let missing =
-              if options.use_missing_frame_inference then Some (Missing_frame.build bin samples)
-              else None
-            in
-            let trie, _ = Ctx_reconstruct.reconstruct ~name_of ?missing ~checksum_of bin samples in
-            Correlate.trim ~threshold:options.trim_threshold trie;
-            texts (P.Text_io.Ctx_prof trie) (Some (flat ()))
-      end
+      let sink, recorded = Correlate.recorder ~missing:true bin in
+      (* debug_poison: the oracle also proves the tee never aliases the
+         scratch buffers. *)
+      ignore
+        (run_specs ~pmu:(Some options.pmu) ~sink ~debug_poison:true bin ~entry:w.w_entry
+           w.w_train);
+      let agg, missing, log = recorded () in
+      let r =
+        Correlate.run ~jobs:1 ~missing_frames:options.use_missing_frame_inference
+          ~trim:options.trim_threshold
+          ?recorded:(if replay then None else Some (agg, missing))
+          shape (Correlate.target sy bin) (Correlate.Log log)
+      in
+      texts r.Correlate.profile (Option.map Lazy.force r.Correlate.flat)

@@ -261,14 +261,14 @@ val evaluate : Csspgo_codegen.Mach.binary -> workload -> eval
 (** Run the eval inputs (no PMU) and aggregate. *)
 
 val profile_pipeline_texts :
-  ?options:options -> streaming:bool -> variant -> workload -> (string * string) list
-(** The byte-identity oracle behind the streaming refactor: build the
-    variant's profiling binary, run the training inputs, correlate, and
-    return the resulting canonical {!Csspgo_profile.Text_io} dumps as
-    [(tag, text)] pairs — via the materialized sample-list pipeline
-    ([streaming:false]) or the correlation kernel fed by its record-time
-    sink ({!Correlate}; [streaming:true], which also runs the VM with
-    scratch poisoning on).
-    The two must be byte-equal for every variant; [Nopgo]/[Instr_pgo] have
-    no sampled profile and return []. [Csspgo_full] yields both the context
-    trie (trimmed as the plan would) and the flat probe profile. *)
+  ?options:options -> replay:bool -> variant -> workload -> (string * string) list
+(** Build the variant's profiling binary, record its training runs through
+    {!Correlate.recorder}'s tee sink with scratch poisoning on, correlate
+    the recorded log with {!Correlate.run}, and return the canonical
+    {!Csspgo_profile.Text_io} dumps as [(tag, text)] pairs. With
+    [replay:false] the kernel uses the range aggregate and missing-frame
+    table the tee built during the run; with [replay:true] it replays both
+    from the log. The two must be byte-equal for every variant (oracle
+    family 4). [Nopgo]/[Instr_pgo] have no sampled profile and return [].
+    [Csspgo_full] yields both the context trie (trimmed as the plan would)
+    and the flat probe profile. *)

@@ -1,6 +1,4 @@
 module Ir = Csspgo_ir
-module Mach = Csspgo_codegen.Mach
-module Vm = Csspgo_vm
 module Pg = Csspgo_profgen
 module Itab = Csspgo_support.Itab
 
@@ -52,15 +50,6 @@ let finish mb =
   let module M = Csspgo_obs.Metrics in
   M.bump (M.counter mb.mb_obs "missing-frame.edges") mb.mb_n;
   { edges = mb.mb_edges; n_edges = mb.mb_n }
-
-let build (b : Mach.binary) samples =
-  let mb = start (Pg.Bindex.create b) in
-  List.iter
-    (fun (s : Vm.Machine.sample) ->
-      let lbr = s.Vm.Machine.s_lbr in
-      feed mb ~lbr:(Vm.Machine.flat_lbr lbr) ~lbr_len:(Array.length lbr))
-    samples;
-  finish mb
 
 let n_edges t = t.n_edges
 

@@ -30,9 +30,6 @@ val finish : builder -> t
 (** Also bumps the [missing-frame.edges] counter on [obs] (once, with the
     final edge count). *)
 
-val build : Csspgo_codegen.Mach.binary -> Csspgo_vm.Machine.sample list -> t
-(** Batch wrapper: [start] + [feed] per sample + [finish]. *)
-
 val n_edges : t -> int
 
 val edges : t -> (Csspgo_ir.Guid.t * int * Csspgo_ir.Guid.t) list

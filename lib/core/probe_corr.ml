@@ -92,6 +92,3 @@ let correlate_agg ?(name_of = fun _ -> None) ?index ~checksum_of
   M.bump (M.counter obs "probe-corr.probe-hits") !n_hits;
   M.bump (M.counter obs "probe-corr.callsites") !n_calls;
   prof
-
-let correlate ?name_of ~checksum_of ?obs (b : Mach.binary) samples =
-  correlate_agg ?name_of ~checksum_of ?obs b (Pg.Ranges.aggregate samples)

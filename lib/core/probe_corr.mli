@@ -17,20 +17,11 @@ val correlate_agg :
   Csspgo_codegen.Mach.binary ->
   Csspgo_profgen.Ranges.agg ->
   Csspgo_profile.Probe_profile.t
-(** Correlate an online-built aggregate (the streaming entry point). With
-    [?index], range expansion walks the dense instruction index. [obs]
-    receives [probe-corr.ranges], [probe-corr.ranges-unmatched] (ranges
-    covering no probe), [probe-corr.probe-hits] and [probe-corr.callsites],
-    each bumped once at the end. *)
-
-val correlate :
-  ?name_of:(Csspgo_ir.Guid.t -> string option) ->
-  checksum_of:(Csspgo_ir.Guid.t -> int64) ->
-  ?obs:Csspgo_obs.Metrics.t ->
-  Csspgo_codegen.Mach.binary ->
-  Csspgo_vm.Machine.sample list ->
-  Csspgo_profile.Probe_profile.t
-(** Batch wrapper: [correlate_agg] over [Ranges.aggregate]. *)
+(** Correlate an online-built aggregate. With [?index], range expansion
+    walks the dense instruction index. [obs] receives [probe-corr.ranges],
+    [probe-corr.ranges-unmatched] (ranges covering no probe),
+    [probe-corr.probe-hits] and [probe-corr.callsites], each bumped once
+    at the end. *)
 
 val probes_in_range :
   Csspgo_codegen.Mach.binary -> int * int -> Csspgo_codegen.Mach.probe_rec list

@@ -99,7 +99,7 @@ let site_to_string = function
   | Plan pl -> "plan " ^ plan_to_string pl
   | Variant v -> "pgo variant " ^ D.variant_name v
   | Quality -> "probe-vs-instrumentation profile quality"
-  | Stream v -> "streaming-vs-materialized profile (" ^ D.variant_name v ^ ")"
+  | Stream v -> "recorded-vs-replayed profile (" ^ D.variant_name v ^ ")"
   | Stale s ->
       (* Both seeds in the message: the campaign seed is on the FAIL line,
          the edit-script seed here, so any staleness counterexample replays
@@ -137,7 +137,9 @@ type config = {
   cf_minimize : bool;
   cf_max_failures : int option;  (** stop the campaign after this many *)
   cf_stream_oracle : bool;
-      (** streaming-vs-materialized profile byte-identity differential *)
+      (** recorded-vs-replayed profile byte-identity differential: the
+          tee sink's aggregate and missing-frame table against both
+          replayed from the recorded log *)
   cf_stale_oracle : bool;
       (** stale-profile matching oracle family: drift the source with a
           seeded edit script, stale-match, and check that matching never
@@ -352,28 +354,28 @@ let check_variant ?hooks cfg v w args ref_result =
            Printf.sprintf "reference=%Ld %s=%Ld" ref_result (D.variant_name v) r ));
   o
 
-(* Streaming-vs-materialized differential: the zero-materialization sink
-   pipeline must reproduce the materialized sample-list pipeline's canonical
-   Text_io dumps byte for byte. Bounded to AutoFDO + full CSSPGO — between
-   them these exercise every streaming consumer (range aggregation, probe
-   correlation, missing-frame inference, context reconstruction). *)
+(* Recorded-vs-replayed differential: the kernel given the aggregate and
+   missing-frame table that the tee sink built during the poisoned
+   profiling run must reproduce its own output from both replayed out of
+   the recorded log, canonical Text_io dumps byte for byte. Bounded to
+   AutoFDO + full CSSPGO — between them these exercise every tee consumer
+   (range aggregation, missing-frame inference) and every replay (ranges,
+   tail-call edges, context reconstruction). Sharded-vs-serial replay and
+   the sample-log round trips are the parcorr and format families'. *)
 let stream_variants = [ D.Autofdo; D.Csspgo_full ]
 
 let check_stream v ~seed src =
   let site = Stream v in
   let w = workload_of ~seed src (args_of_seed seed) in
-  let mat =
+  let texts replay =
     guarded_build site (fun () ->
-        D.profile_pipeline_texts ~options:driver_options ~streaming:false v w)
+        D.profile_pipeline_texts ~options:driver_options ~replay v w)
   in
-  let str =
-    guarded_build site (fun () ->
-        D.profile_pipeline_texts ~options:driver_options ~streaming:true v w)
-  in
-  if mat <> str then begin
+  let recorded = texts false and replayed = texts true in
+  if recorded <> replayed then begin
     let tag =
       match
-        List.find_opt (fun (t, x) -> List.assoc_opt t str <> Some x) mat
+        List.find_opt (fun (t, x) -> List.assoc_opt t replayed <> Some x) recorded
       with
       | Some (t, _) -> t
       | None -> "shape"
@@ -382,7 +384,7 @@ let check_stream v ~seed src =
       (Fail
          ( Result_mismatch,
            site,
-           Printf.sprintf "streaming %s profile differs from materialized" tag ))
+           Printf.sprintf "recorded %s profile differs from replayed" tag ))
   end
 
 (* The overlap oracle is only meaningful when the profiling run was long
@@ -514,7 +516,7 @@ let check_format ?cache ~seed src args =
       let site = Format ("text-binary round-trip " ^ D.variant_name v) in
       let texts =
         guarded_build site (fun () ->
-            D.profile_pipeline_texts ~options:driver_options ~streaming:true v w)
+            D.profile_pipeline_texts ~options:driver_options ~replay:false v w)
       in
       List.iter
         (fun (tag, text) ->
@@ -546,7 +548,7 @@ let check_format ?cache ~seed src args =
   let site = Format "sample-log round-trip" in
   guarded_build site (fun () ->
       (* Probed profiling build, training runs streamed straight into a
-         recording log (no boxed sample-list materialization). *)
+         recording log. *)
       let prog = F.Lower.compile w.D.w_source in
       Core.Pseudo_probe.insert prog;
       Opt.Pass.optimize ~config:driver_options.D.opt_profiling prog;

@@ -13,10 +13,12 @@
     - {b profile quality}: [Core.Quality.block_overlap] of the probe
       profile against the instrumentation ground truth stays above
       [cf_quality_floor] (skipped for nearly-unexecuted programs);
-    - {b streaming identity}: the correlation kernel ([Core.Correlate]) fed
-      by its record-time sink produces byte-identical canonical profile
-      dumps to the materialized sample-list pipeline
-      ([Core.Driver.profile_pipeline_texts], AutoFDO and full CSSPGO);
+    - {b recorded-vs-replayed identity}: the correlation kernel
+      ([Core.Correlate]) given the range aggregate and missing-frame table
+      that its record-time tee sink built under scratch poisoning produces
+      byte-identical canonical profile dumps to the same kernel replaying
+      both from the recorded log ([Core.Driver.profile_pipeline_texts],
+      AutoFDO and full CSSPGO);
     - {b stale matching}: the source is drifted with a seeded edit script
       ([Workloads.Drift], seed derived from the campaign seed) and each
       sampling variant stale-matches its build-N profile onto version N+1
@@ -83,7 +85,7 @@ type site =
   | Variant of Csspgo_core.Driver.variant
   | Quality
   | Stream of Csspgo_core.Driver.variant
-      (** kernel-vs-materialized profile byte-identity
+      (** recorded-vs-replayed profile byte-identity
           ({!Csspgo_core.Driver.profile_pipeline_texts}) *)
   | Stale of {
       sl_variant : Csspgo_core.Driver.variant option;

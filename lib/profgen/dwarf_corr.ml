@@ -68,6 +68,3 @@ let correlate_agg ?(name_of = fun _ -> None) ?index ?(obs = Csspgo_obs.Metrics.n
   M.bump (M.counter obs "dwarf-corr.addrs-unmapped") !n_unmapped;
   M.bump (M.counter obs "dwarf-corr.callsites") !n_calls;
   prof
-
-let correlate ?name_of ?obs (b : Mach.binary) samples =
-  correlate_agg ?name_of ?obs b (Ranges.aggregate samples)

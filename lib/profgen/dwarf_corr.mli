@@ -19,15 +19,6 @@ val correlate_agg :
   Csspgo_codegen.Mach.binary ->
   Ranges.agg ->
   Csspgo_profile.Line_profile.t
-(** Correlate an online-built aggregate (the streaming entry point). [obs]
-    receives [dwarf-corr.addrs], [dwarf-corr.addrs-unmapped] (no
-    instruction or no debug location at the sampled address) and
-    [dwarf-corr.callsites], bumped once at the end. *)
-
-val correlate :
-  ?name_of:(Csspgo_ir.Guid.t -> string option) ->
-  ?obs:Csspgo_obs.Metrics.t ->
-  Csspgo_codegen.Mach.binary ->
-  Csspgo_vm.Machine.sample list ->
-  Csspgo_profile.Line_profile.t
-(** Batch wrapper: [correlate_agg] over [Ranges.aggregate]. *)
+(** Correlate an online-built aggregate. [obs] receives [dwarf-corr.addrs],
+    [dwarf-corr.addrs-unmapped] (no instruction or no debug location at the
+    sampled address) and [dwarf-corr.callsites], bumped once at the end. *)

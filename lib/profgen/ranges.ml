@@ -39,15 +39,6 @@ let sink agg =
     on_labels = Vm.Machine.no_labels;
   }
 
-let aggregate samples =
-  let agg = create () in
-  List.iter
-    (fun (s : Vm.Machine.sample) ->
-      let lbr = s.Vm.Machine.s_lbr in
-      feed agg ~lbr:(Vm.Machine.flat_lbr lbr) ~lbr_len:(Array.length lbr))
-    samples;
-  agg
-
 let iter_range_insts (b : Mach.binary) (lo, hi) f =
   let rec go addr steps =
     if steps > 100_000 then ()

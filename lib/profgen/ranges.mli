@@ -3,11 +3,11 @@
     the entries themselves give edge (branch) counts. This is the common
     front half of both AutoFDO and CSSPGO profile generation.
 
-    Aggregation is online: [create] an empty aggregate, [feed] it each
+    Aggregation is online: [create] an empty aggregate and [feed] it each
     sample's LBR as it streams out of the PMU (or attach [sink] to
-    [Vm.Machine.run]); [aggregate] is the batch wrapper over a materialized
-    sample list. Counts are unboxed ints in the shared pair-keyed
-    {!Csspgo_support.Itab}: a bump per LBR entry allocates nothing. *)
+    [Vm.Machine.run]) or out of a replayed sample log. Counts are unboxed
+    ints in the shared pair-keyed {!Csspgo_support.Itab}: a bump per LBR
+    entry allocates nothing. *)
 
 module Mach = Csspgo_codegen.Mach
 
@@ -37,9 +37,6 @@ val merge : agg -> agg -> agg
 
 val sink : agg -> Csspgo_vm.Machine.sink
 (** A sink that [feed]s every sample into [agg] (stack ignored). *)
-
-val aggregate : Csspgo_vm.Machine.sample list -> agg
-(** Batch wrapper: [create] + [feed] per sample. *)
 
 val addr_totals : ?index:Bindex.t -> Mach.binary -> agg -> int Csspgo_support.Itab.t
 (** Expand ranges to per-instruction-address execution totals, keyed

@@ -14,11 +14,6 @@ type pmu = {
 let default_pmu =
   { sample_period = 9973; lbr_depth = 16; pebs = true; skid_prob = 0.35; seed = 42L }
 
-type sample = {
-  s_lbr : (int * int) array;
-  s_stack : int array;
-}
-
 type sink = {
   on_sample : lbr:int array -> lbr_len:int -> stack:int array -> stack_len:int -> unit;
   on_labels : Csspgo_support.Label_set.t -> unit;
@@ -26,22 +21,10 @@ type sink = {
 
 let no_labels (_ : Csspgo_support.Label_set.t) = ()
 
-let flat_lbr pairs =
-  let a = Array.make (2 * Array.length pairs) 0 in
-  Array.iteri
-    (fun i (src, tgt) ->
-      a.(2 * i) <- src;
-      a.((2 * i) + 1) <- tgt)
-    pairs;
-  a
-
-let lbr_pairs lbr lbr_len = Array.init lbr_len (fun i -> (lbr.(2 * i), lbr.((2 * i) + 1)))
-
 type result = {
   cycles : int64;
   instructions : int64;
   ret_value : int64;
-  samples : sample list;
   n_samples : int;
   counters : int64 array;
   icache_misses : int64;
@@ -408,20 +391,11 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = [])
   let lbr_scratch = Array.make (2 * lbr_depth) 0 in
   let stack_scratch = ref (Array.make 64 0) in
   let n_samples = ref 0 in
-  let collected = ref [] in
   let the_sink =
     match sink with
     | Some s -> s
     | None ->
-        (* Collect sink: reproduces the historical [sample list]. *)
-        {
-          on_sample =
-            (fun ~lbr ~lbr_len ~stack ~stack_len ->
-              collected :=
-                { s_lbr = lbr_pairs lbr lbr_len; s_stack = Array.sub stack 0 stack_len }
-                :: !collected);
-          on_labels = no_labels;
-        }
+        { on_sample = (fun ~lbr:_ ~lbr_len:_ ~stack:_ ~stack_len:_ -> ()); on_labels = no_labels }
   in
   (* The request's label set is announced through the sink once, before
      the first sample: every sample this run flushes carries it. *)
@@ -671,7 +645,6 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = [])
     cycles = Int64.of_int st.cycles;
     instructions = Int64.of_int st.instructions;
     ret_value = !ret_value;
-    samples = List.rev !collected;
     n_samples = !n_samples;
     counters = Array.map Int64.of_int counters;
     icache_misses = Int64.of_int st.icache_misses;

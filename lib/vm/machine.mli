@@ -27,11 +27,6 @@ type pmu = {
 val default_pmu : pmu
 (** period 9973 (prime, to avoid lockstep), depth 16, PEBS on. *)
 
-type sample = {
-  s_lbr : (int * int) array;  (** oldest first; (branch addr, target addr) *)
-  s_stack : int array;        (** leaf first: ip, then return addresses *)
-}
-
 type sink = {
   on_sample : lbr:int array -> lbr_len:int -> stack:int array -> stack_len:int -> unit;
   on_labels : Csspgo_support.Label_set.t -> unit;
@@ -59,19 +54,11 @@ val no_labels : Csspgo_support.Label_set.t -> unit
 (** [ignore] with the sink's label-channel type — for sinks indifferent to
     request labels. *)
 
-val flat_lbr : (int * int) array -> int array
-(** A materialized sample's [s_lbr] in the sink's flat layout. *)
-
-val lbr_pairs : int array -> int -> (int * int) array
-(** [lbr_pairs lbr lbr_len]: the first [lbr_len] entries of a flat LBR as
-    the pairs of [s_lbr]. *)
-
 type result = {
   cycles : int64;
   instructions : int64;
   ret_value : int64;
-  samples : sample list;       (** in collection order; [] when a sink is given *)
-  n_samples : int;             (** samples taken (counted in sink mode too) *)
+  n_samples : int;             (** samples taken, with or without a sink *)
   counters : int64 array;      (** instrumentation counters *)
   icache_misses : int64;
   taken_branches : int64;
@@ -102,11 +89,11 @@ val run :
     caps the instructions executed; values above [max_int] are clamped to
     it.
 
-    Without [sink], samples are collected into [result.samples] exactly as
-    before (an internal collect sink copies the scratches). With [sink],
-    every sample is streamed through it, [result.samples] is [[]] and no
-    per-sample allocation happens inside the VM. [debug_poison] (default
-    off) poisons the scratch buffers after each flush.
+    With [sink], every sample is streamed through it and no per-sample
+    allocation happens inside the VM; without one, samples are still taken
+    (same cycles and RNG draws) and counted in [n_samples], but nothing is
+    kept. [debug_poison] (default off) poisons the scratch buffers after
+    each flush.
 
     [obs] records per-run telemetry ([vm.runs], [vm.samples-flushed],
     [vm.instructions], [vm.cycles], and a [vm.samples-per-mcycle]
@@ -122,5 +109,4 @@ val run :
     bf_nslots 1] spill slots at a base offset, the callee just above its
     caller, and a spill slot past its frame's end reads 0 and drops
     writes. Immediates are decoded once per run into an off-heap constant
-    pool; LBR entries become [(src, tgt)] pairs only when a sample is
-    flushed. *)
+    pool. *)

@@ -127,17 +127,6 @@ let iter t f =
     f ~lbr:!lbr ~lbr_len:ln ~stack:!stack ~stack_len:sn
   done
 
-let to_samples t =
-  let out = ref [] in
-  iter t (fun ~lbr ~lbr_len ~stack ~stack_len ->
-      out :=
-        {
-          Machine.s_lbr = Machine.lbr_pairs lbr lbr_len;
-          s_stack = Array.sub stack 0 stack_len;
-        }
-        :: !out);
-  List.rev !out
-
 (* Append [extra] run ints from [runs] (id already remapped into [into]),
    merging the boundary when the label does not change. *)
 let append_runs into runs lo extra =

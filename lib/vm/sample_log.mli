@@ -1,10 +1,10 @@
 (** Compact, replayable PMU sample log: a flat unboxed [int array] arena
     (one record per sample: LBR length, src/tgt pairs, stack length, frame
-    addresses). This is the bridge between single-pass sample streaming and
-    consumers that need a second look at the stream — notably context
-    reconstruction, whose missing-frame table must be complete before the
-    first sample is attributed. Two orders of magnitude denser than a
-    [Machine.sample list] (no per-sample arrays, no tuple boxing), and
+    addresses). It is the only stored form of a sample stream: the VM
+    keeps no samples itself, so every consumer that needs a second look at
+    the stream replays a log — notably context reconstruction, whose
+    missing-frame table must be complete before the first sample is
+    attributed. No per-sample arrays, no tuple boxing, and
     [Marshal]-safe for the plan cache.
 
     Every sample additionally carries a request {!Csspgo_support.Label_set}
@@ -48,9 +48,6 @@ val iter :
     sample once the scratches fit the longest record. Labels are not
     replayed: correlation is label-blind, slicing happens on the log
     ({!slice_by_label}) before replay. *)
-
-val to_samples : t -> Machine.sample list
-(** Materialize as the historical boxed sample list (compat / bench). *)
 
 val append : into:t -> t -> unit
 (** Concatenate [src]'s record stream onto [into] (one arena blit; [src]

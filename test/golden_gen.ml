@@ -79,17 +79,18 @@ let binary text = P.Binary_io.encode (P.Text_io.of_string text)
    blob of its unlabeled copy pins the lossless downgrade framing. *)
 let cslg () =
   let log = Vm.Sample_log.create () in
+  (* [lbr] is flat: each entry's branch address, then its target. *)
   let add lbr stack =
     let lbr = Array.of_list lbr and stack = Array.of_list stack in
-    Vm.Sample_log.add log ~lbr:(Vm.Machine.flat_lbr lbr) ~lbr_len:(Array.length lbr) ~stack
+    Vm.Sample_log.add log ~lbr ~lbr_len:(Array.length lbr / 2) ~stack
       ~stack_len:(Array.length stack)
   in
   let acme = Ls.of_list [ ("tenant", "acme"); ("endpoint", "adfinder") ] in
   Vm.Sample_log.set_label log acme;
-  add [ (10, 20); (22, 30) ] [ 30; 7 ];
-  add [ (30, 10) ] [ 12 ];
+  add [ 10; 20; 22; 30 ] [ 30; 7 ];
+  add [ 30; 10 ] [ 12 ];
   Vm.Sample_log.set_label log (Ls.of_list [ ("tenant", "zeta") ]);
-  add [ (40, 44) ] [ 44; 9; 3 ];
+  add [ 40; 44 ] [ 44; 9; 3 ];
   Vm.Sample_log.set_label log acme;
   add [] [ 50 ];
   log

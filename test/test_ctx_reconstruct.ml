@@ -2,8 +2,7 @@
    canonical ctx text and the stats record of one reconstruction, and
    checks the digests against values recorded from the list-keyed
    reconstruction that preceded interned caller stacks. Every case runs
-   three ways: the batch [reconstruct] over a sample list, one
-   [start]/[feed]/[finish] stream over the sample log, and
+   two ways: one [start]/[feed]/[finish] stream over the sample log, and
    [Par_corr.reconstruct] over small shards at -j 2. *)
 module F = Csspgo_frontend
 module Ir = Csspgo_ir
@@ -150,16 +149,20 @@ let setup c =
     | Some f -> f.Ir.Func.checksum
     | None -> 0L
   in
+  let index = Pg.Bindex.create bin in
   let missing =
-    if c.c_missing then Some (Core.Missing_frame.build bin (SL.to_samples log))
+    if c.c_missing then begin
+      let mb = Core.Missing_frame.start index in
+      SL.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
+          Core.Missing_frame.feed mb ~lbr ~lbr_len);
+      Some (Core.Missing_frame.finish mb)
+    end
     else None
   in
-  (bin, log, name_of, checksum_of, missing)
+  (index, log, name_of, checksum_of, missing)
 
 let check_case c () =
-  let bin, log, name_of, checksum_of, missing = setup c in
-  let batch = CR.reconstruct ~name_of ?missing ~checksum_of bin (SL.to_samples log) in
-  let index = Pg.Bindex.create bin in
+  let index, log, name_of, checksum_of, missing = setup c in
   let stream =
     let st = CR.start ~name_of ?missing ~checksum_of index in
     SL.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
@@ -176,7 +179,7 @@ let check_case c () =
       let text, stats = digests r in
       Alcotest.(check string) (c.c_name ^ " " ^ how ^ ": ctx text digest") c.c_text text;
       Alcotest.(check string) (c.c_name ^ " " ^ how ^ ": stats digest") c.c_stats stats)
-    [ ("batch", batch); ("stream", stream); ("-j 2", sharded) ];
+    [ ("stream", stream); ("-j 2", sharded) ];
   (* The pins must cover what each case exists for. *)
   let _, (st : CR.stats) = stream in
   match c.c_name with

@@ -18,9 +18,9 @@ let log_of_records records =
   let log = SL.create () in
   List.iter
     (fun (lbr, stack) ->
-      let lbr = Array.of_list lbr and stack = Array.of_list stack in
-      SL.add log ~lbr:(Vm.Machine.flat_lbr lbr) ~lbr_len:(Array.length lbr) ~stack
-        ~stack_len:(Array.length stack))
+      let lbr = Array.of_list (List.concat_map (fun (src, tgt) -> [ src; tgt ]) lbr) in
+      let stack = Array.of_list stack in
+      SL.add log ~lbr ~lbr_len:(Array.length lbr / 2) ~stack ~stack_len:(Array.length stack))
     records;
   log
 

@@ -10,20 +10,23 @@ module P = Csspgo_profile
 let loop_src =
   "fn main(n) { let s = 0; let i = 0; while (i < n) { s = s + i * 3; i = i + 1; } return s; }"
 
+(* A sampled run of [bin], aggregated online as the PMU flushes. *)
+let aggregate bin args =
+  let agg = Pg.Ranges.create () in
+  ignore
+    (Vm.Machine.run
+       ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 101 })
+       ~sink:(Pg.Ranges.sink agg) bin ~entry:"main" ~args);
+  agg
+
 let profile_run src args =
   let p = F.Lower.compile src in
   Opt.Pass.optimize ~config:Opt.Config.o2_nopgo p;
   let bin = Cg.Emit.emit ~options:Cg.Emit.default_options p in
-  let r =
-    Vm.Machine.run
-      ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 101 })
-      bin ~entry:"main" ~args
-  in
-  (bin, r.Vm.Machine.samples)
+  (bin, aggregate bin args)
 
 let test_aggregate_shapes () =
-  let bin, samples = profile_run loop_src [ 4000L ] in
-  let agg = Pg.Ranges.aggregate samples in
+  let bin, agg = profile_run loop_src [ 4000L ] in
   let count iter = let n = ref 0 in iter (fun _ _ _ -> incr n) agg; !n in
   Alcotest.(check bool) "ranges found" true (count Pg.Ranges.iter_ranges > 0);
   Alcotest.(check bool) "branches found" true (count Pg.Ranges.iter_branches > 0);
@@ -35,8 +38,7 @@ let test_aggregate_shapes () =
     agg
 
 let test_addr_totals_cover_hot_loop () =
-  let bin, samples = profile_run loop_src [ 4000L ] in
-  let agg = Pg.Ranges.aggregate samples in
+  let bin, agg = profile_run loop_src [ 4000L ] in
   let totals = Pg.Ranges.addr_totals bin agg in
   let hottest =
     let m = ref 0 in
@@ -46,8 +48,8 @@ let test_addr_totals_cover_hot_loop () =
   Alcotest.(check bool) "hot addresses found" true (hottest > 100)
 
 let test_dwarf_correlation_produces_lines () =
-  let bin, samples = profile_run loop_src [ 4000L ] in
-  let prof = Pg.Dwarf_corr.correlate bin samples in
+  let bin, agg = profile_run loop_src [ 4000L ] in
+  let prof = Pg.Dwarf_corr.correlate_agg bin agg in
   let fe = Option.get (P.Line_profile.get prof (Ir.Guid.of_name "main")) in
   Alcotest.(check bool) "line entries" true (Hashtbl.length fe.P.Line_profile.fe_lines > 0);
   (* The loop body line (function-relative) must dominate. *)
@@ -64,12 +66,7 @@ let test_dwarf_call_targets () =
   (* keep the call *)
   Opt.Pass.optimize ~config:{ Opt.Config.o2_nopgo with inline_mode = Opt.Config.Inline_none } p;
   let bin = Cg.Emit.emit ~options:Cg.Emit.default_options p in
-  let r =
-    Vm.Machine.run
-      ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 101 })
-      bin ~entry:"main" ~args:[ 200L ]
-  in
-  let prof = Pg.Dwarf_corr.correlate bin r.Vm.Machine.samples in
+  let prof = Pg.Dwarf_corr.correlate_agg bin (aggregate bin [ 200L ]) in
   let fe = Option.get (P.Line_profile.get prof (Ir.Guid.of_name "main")) in
   let has_target =
     Hashtbl.fold

@@ -57,7 +57,7 @@ let profiles_of w =
           match P.Text_io.detect_kind text with
           | None -> None
           | Some kind -> Some (P.Text_io.of_string ~kind text))
-        (D.profile_pipeline_texts ~options ~streaming:true v w))
+        (D.profile_pipeline_texts ~options ~replay:false v w))
     [ D.Autofdo; D.Csspgo_full ]
 
 (* Profiling a suite workload costs a full build+train pipeline; do it

@@ -5,12 +5,27 @@ module Cg = Csspgo_codegen
 module Mach = Cg.Mach
 module Vm = Csspgo_vm
 module Opt = Csspgo_opt
+module SL = Vm.Sample_log
 
 let build ?(probes = false) ?(config = Opt.Config.o2_nopgo) src =
   let p = F.Lower.compile src in
   if probes then Csspgo_core.Pseudo_probe.insert p;
   Opt.Pass.optimize ~config p;
   Cg.Emit.emit ~options:Cg.Emit.default_options p
+
+(* A sampled run of [main] with every sample recorded into a log. *)
+let record pmu bin args =
+  let log = SL.create () in
+  let r = Vm.Machine.run ~pmu:(Some pmu) ~sink:(SL.sink log) bin ~entry:"main" ~args in
+  (r, log)
+
+(* The longest recorded LBR and stack. *)
+let max_lens log =
+  let lbr = ref 0 and stack = ref 0 in
+  SL.iter log (fun ~lbr:_ ~lbr_len ~stack:_ ~stack_len ->
+      lbr := max !lbr lbr_len;
+      stack := max !stack stack_len);
+  (!lbr, !stack)
 
 let test_arith_semantics () =
   let bin = build "fn main(a, b) { return (a * b + a / b - a % b) ^ (a & b) | (a << 2); }" in
@@ -47,22 +62,13 @@ let test_fuel_trap () =
 
 let test_lbr_records_branches () =
   let bin = build "fn main(n) { let s = 0; let i = 0; while (i < n) { s = s + i; i = i + 1; } return s; }" in
-  let r =
-    Vm.Machine.run
-      ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 200 })
-      bin ~entry:"main" ~args:[ 2000L ]
-  in
-  Alcotest.(check bool) "samples collected" true (List.length r.Vm.Machine.samples > 3);
-  List.iter
-    (fun (s : Vm.Machine.sample) ->
-      Alcotest.(check bool) "lbr bounded" true (Array.length s.Vm.Machine.s_lbr <= 16);
-      (* consecutive entries form plausible ranges: target <= next source for
-         linear runs (guaranteed by construction inside one run) *)
-      Array.iter
-        (fun (src, tgt) ->
-          if src = 0 || tgt = 0 then Alcotest.fail "zero LBR entry")
-        s.Vm.Machine.s_lbr)
-    r.Vm.Machine.samples
+  let _, log = record { Vm.Machine.default_pmu with sample_period = 200 } bin [ 2000L ] in
+  Alcotest.(check bool) "samples collected" true (SL.n_samples log > 3);
+  Alcotest.(check bool) "lbr bounded" true (fst (max_lens log) <= 16);
+  SL.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
+      for i = 0 to (2 * lbr_len) - 1 do
+        if lbr.(i) = 0 then Alcotest.fail "zero LBR entry"
+      done)
 
 let test_stack_samples_have_callers () =
   let src =
@@ -74,16 +80,8 @@ let test_stack_samples_have_callers () =
   in
   (* Force no inlining so the call chain exists physically. *)
   let bin = build ~config:Opt.Config.o0 src in
-  let r =
-    Vm.Machine.run
-      ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 100 })
-      bin ~entry:"main" ~args:[ 40L ]
-  in
-  let deep =
-    List.exists (fun (s : Vm.Machine.sample) -> Array.length s.Vm.Machine.s_stack >= 3)
-      r.Vm.Machine.samples
-  in
-  Alcotest.(check bool) "some sample sees main->outer->inner" true deep
+  let _, log = record { Vm.Machine.default_pmu with sample_period = 100 } bin [ 40L ] in
+  Alcotest.(check bool) "some sample sees main->outer->inner" true (snd (max_lens log) >= 3)
 
 let test_counters_exact () =
   let src = "fn main(n) { let s = 0; let i = 0; while (i < n) { s = s + i; i = i + 1; } return s; }" in
@@ -121,9 +119,9 @@ let test_value_profiles_captured () =
 let test_determinism () =
   let bin = build Csspgo_workloads.Suite.vecop_example in
   let run () =
-    let r = Vm.Machine.run ~pmu:(Some Vm.Machine.default_pmu) bin ~entry:"main" ~args:[ 256L; 40L ] in
+    let r, log = record Vm.Machine.default_pmu bin [ 256L; 40L ] in
     (r.Vm.Machine.cycles, r.Vm.Machine.instructions, r.Vm.Machine.ret_value,
-     List.length r.Vm.Machine.samples)
+     SL.to_text log)
   in
   Alcotest.(check bool) "identical reruns" true (run () = run ())
 
@@ -184,35 +182,38 @@ let test_tail_call_semantics () =
 let test_lbr_depth_config () =
   let src = "fn main(n) { let s = 0; let i = 0; while (i < n) { s = s + i; i = i + 1; } return s; }" in
   let bin = build src in
-  let r =
-    Vm.Machine.run
-      ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 100; lbr_depth = 32 })
-      bin ~entry:"main" ~args:[ 5000L ]
+  let _, log =
+    record { Vm.Machine.default_pmu with sample_period = 100; lbr_depth = 32 } bin [ 5000L ]
   in
-  let full = List.exists (fun (s : Vm.Machine.sample) -> Array.length s.Vm.Machine.s_lbr = 32)
-      r.Vm.Machine.samples in
-  Alcotest.(check bool) "32-deep LBR fills" true full;
-  List.iter
-    (fun (s : Vm.Machine.sample) ->
-      if Array.length s.Vm.Machine.s_lbr > 32 then Alcotest.fail "LBR overflow")
-    r.Vm.Machine.samples
+  let deepest = fst (max_lens log) in
+  Alcotest.(check bool) "32-deep LBR fills" true (deepest >= 32);
+  if deepest > 32 then Alcotest.fail "LBR overflow"
+
+(* Without a sink the PMU still fires on schedule and counts every sample,
+   though nothing is kept. *)
+let test_n_samples_without_sink () =
+  let bin = build Csspgo_workloads.Suite.vecop_example in
+  let pmu = { Vm.Machine.default_pmu with sample_period = 97; pebs = false } in
+  let bare = Vm.Machine.run ~pmu:(Some pmu) bin ~entry:"main" ~args:[ 256L; 40L ] in
+  let r, log = record pmu bin [ 256L; 40L ] in
+  Alcotest.(check bool) "samples taken" true (r.Vm.Machine.n_samples > 0);
+  Alcotest.(check int) "same count" r.Vm.Machine.n_samples bare.Vm.Machine.n_samples;
+  Alcotest.(check int) "all recorded" r.Vm.Machine.n_samples (SL.n_samples log);
+  Alcotest.(check int64) "same cycles" r.Vm.Machine.cycles bare.Vm.Machine.cycles
 
 let test_pebs_suppresses_skid () =
   (* With PEBS on, skid_prob must have no effect: identical samples. *)
   let src = "fn f(x) { return x * 2 + 1; }\nfn main(n) { let s = 0; let i = 0; while (i < n) { s = s + f(i); i = i + 1; } return s; }" in
   let bin = build ~config:Opt.Config.o0 src in
   let run skid =
-    (Vm.Machine.run
-       ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 97; pebs = true; skid_prob = skid })
-       bin ~entry:"main" ~args:[ 2000L ])
-      .Vm.Machine.samples
+    snd
+      (record
+         { Vm.Machine.default_pmu with sample_period = 97; pebs = true; skid_prob = skid }
+         bin [ 2000L ])
   in
-  Alcotest.(check int) "same sample count" (List.length (run 0.0)) (List.length (run 0.9));
-  Alcotest.(check bool) "identical stacks" true
-    (List.for_all2
-       (fun (a : Vm.Machine.sample) (b : Vm.Machine.sample) ->
-         a.Vm.Machine.s_stack = b.Vm.Machine.s_stack)
-       (run 0.0) (run 0.9))
+  let calm = run 0.0 and skiddy = run 0.9 in
+  Alcotest.(check int) "same sample count" (SL.n_samples calm) (SL.n_samples skiddy);
+  Alcotest.(check string) "identical samples" (SL.to_text calm) (SL.to_text skiddy)
 
 let test_globals_init_shapes () =
   let src = "global g[4];\nfn main() { return g[0] + g[1] + g[2] + g[3]; }" in
@@ -243,18 +244,9 @@ let test_deep_recursion_grows_frames () =
      fn main(n) { return down(n); }"
   in
   let bin = build ~config:Opt.Config.o0 src in
-  let r =
-    Vm.Machine.run
-      ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 1009 })
-      bin ~entry:"main" ~args:[ 5000L ]
-  in
+  let r, log = record { Vm.Machine.default_pmu with sample_period = 1009 } bin [ 5000L ] in
   Alcotest.(check int64) "depth returned" 5000L r.Vm.Machine.ret_value;
-  let deepest =
-    List.fold_left
-      (fun m (s : Vm.Machine.sample) -> max m (Array.length s.Vm.Machine.s_stack))
-      0 r.Vm.Machine.samples
-  in
-  Alcotest.(check bool) "a sample walks thousands of frames" true (deepest > 4000)
+  Alcotest.(check bool) "a sample walks thousands of frames" true (snd (max_lens log) > 4000)
 
 let func_named bin name =
   List.find (fun f -> f.Mach.bf_name = name) (Array.to_list bin.Mach.funcs)
@@ -391,7 +383,6 @@ let test_no_allocation_per_instruction () =
    growth, a memo miss) or per sample, not per entry. Words are counted on
    both heaps, least of three passes ({!Alloc.words}). *)
 let test_no_allocation_per_lbr_entry () =
-  let module SL = Vm.Sample_log in
   let module Pg = Csspgo_profgen in
   let module Core = Csspgo_core in
   let module D = Core.Driver in
@@ -407,7 +398,13 @@ let test_no_allocation_per_lbr_entry () =
   let log = SL.create () in
   run ~sink:(SL.sink log) pmu;
   let index = Pg.Bindex.create bin in
-  let missing = Core.Missing_frame.build bin (SL.to_samples log) in
+  let missing_of () =
+    let mb = Core.Missing_frame.start index in
+    SL.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
+        Core.Missing_frame.feed mb ~lbr ~lbr_len);
+    Core.Missing_frame.finish mb
+  in
+  let missing = missing_of () in
   let entries = ref 0 in
   SL.iter log (fun ~lbr:_ ~lbr_len ~stack:_ ~stack_len:_ -> entries := !entries + lbr_len);
   let per words = words /. float_of_int !entries in
@@ -430,11 +427,7 @@ let test_no_allocation_per_lbr_entry () =
   check "Ranges" (fun () ->
       let agg = Pg.Ranges.create () in
       SL.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ -> Pg.Ranges.feed agg ~lbr ~lbr_len));
-  check "Missing_frame" (fun () ->
-      let mb = Core.Missing_frame.start index in
-      SL.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
-          Core.Missing_frame.feed mb ~lbr ~lbr_len);
-      ignore (Core.Missing_frame.finish mb));
+  check "Missing_frame" (fun () -> ignore (missing_of ()));
   check "Ctx_reconstruct" (fun () ->
       let st = Core.Ctx_reconstruct.start ~missing ~checksum_of:(fun _ -> 0L) index in
       SL.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
@@ -446,7 +439,6 @@ let test_no_allocation_per_lbr_entry () =
    — the decoded arena itself is one, the framed bytes a fraction. Boxing
    per byte or per varint costs several times that. *)
 let test_codec_allocation () =
-  let module SL = Vm.Sample_log in
   let module D = Csspgo_core.Driver in
   let w = Csspgo_workloads.Suite.adfinder in
   let bin = build ~probes:true w.D.w_source in
@@ -492,6 +484,7 @@ let suite =
       Alcotest.test_case "tail call semantics" `Quick test_tail_call_semantics;
       Alcotest.test_case "lbr depth config" `Quick test_lbr_depth_config;
       Alcotest.test_case "pebs suppresses skid" `Quick test_pebs_suppresses_skid;
+      Alcotest.test_case "n_samples without a sink" `Quick test_n_samples_without_sink;
       Alcotest.test_case "globals init shapes" `Quick test_globals_init_shapes;
       Alcotest.test_case "negative index wraps" `Quick test_negative_index_wraps;
       Alcotest.test_case "deep recursion grows frames" `Quick test_deep_recursion_grows_frames;
