@@ -18,6 +18,22 @@ module W = Csspgo_workloads
 
 let pf = Printf.printf
 
+(* Wall time of one call, with its result. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* Best wall time of three calls. *)
+let time_best f =
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
 (* ------------------------------------------------------------------ *)
 (* Shared measurement cache: one driver run per (workload, variant).    *)
 
@@ -518,11 +534,6 @@ let orch () =
     [ D.Nopgo; D.Autofdo; D.Csspgo_probe_only; D.Csspgo_full; D.Instr_pgo ]
   in
   let workloads = W.Suite.server_workloads in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let matrix ~cache jobs = O.Orchestrate.run_matrix ~cache ~jobs ~variants ~workloads () in
   (* Byte-level digest of everything a build produces. [o_annotated] is
      excluded: its hashtable images are layout-sensitive even when every
@@ -848,11 +859,6 @@ let format_bench () =
   let stale seed =
     let d = W.Drift.apply ~seed ~edits:1 wc.D.w_source in
     D.Plan.make_stale ~variant:D.Csspgo_full ~stale_source:d.W.Drift.dr_source wc
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
   in
   let cache = O.Cache.create () in
   let _, t_cold = time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks cache) plan) in
@@ -1199,15 +1205,6 @@ let corr_bench () =
   in
   pf "correlation (ctx shape): %d shards (target %d samples/shard)\n" n_shards
     shard_target;
-  let time_best f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
   let text (p, flat) =
     P.Text_io.to_string p
     ^
@@ -1347,15 +1344,6 @@ let health_bench () =
         match Analyze.OLS.estimates o with Some [ e ] -> est := e | _ -> ())
       ols;
     !est
-  in
-  let time_best f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
   in
   let w = W.Suite.adfinder in
   let fleet_cfg = { Fl.Sim.default with Fl.Sim.f_request_copies = 2 } in

@@ -1241,6 +1241,19 @@ let seeds_conv =
   let print fmt (lo, hi) = Format.fprintf fmt "%d-%d" lo hi in
   Arg.conv (parse, print)
 
+(* A count below 1 is a usage error that points at [--skip FAMILY], the
+   one way to turn a family off. *)
+let count_conv ~family =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ ->
+        Error
+          (`Msg (Printf.sprintf "must be at least 1; use --skip %s to turn it off" family))
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let fuzz_cmd =
   let seeds_arg =
     Arg.(
@@ -1254,7 +1267,9 @@ let fuzz_cmd =
   in
   let plans_arg =
     Arg.(
-      value & opt int Fuzz.Campaign.default_config.Fuzz.Campaign.cf_plans_per_seed
+      value
+      & opt (count_conv ~family:"plans")
+          Fuzz.Campaign.default_config.Fuzz.Campaign.cf_plans_per_seed
       & info [ "plans" ] ~docv:"N" ~doc:"Random pipeline permutations per seed")
   in
   let n_funcs_arg =
@@ -1273,72 +1288,26 @@ let fuzz_cmd =
       & info [ "quality-floor" ] ~docv:"F"
           ~doc:"Minimum probe-vs-instrumentation block overlap")
   in
-  let no_variants_arg =
-    Arg.(value & flag & info [ "no-variants" ] ~doc:"Skip the five Driver PGO variants")
-  in
   let no_minimize_arg =
     Arg.(value & flag & info [ "no-minimize" ] ~doc:"Report failures without shrinking")
   in
-  let no_stream_arg =
+  let skip_arg =
+    let names = List.map (fun f -> f.Fuzz.Campaign.fam_name) Fuzz.Campaign.families in
     Arg.(
-      value & flag
-      & info [ "no-stream-oracle" ]
+      value
+      & opt_all (enum (List.map (fun n -> (n, n)) names)) []
+      & info [ "skip" ] ~docv:"FAMILY"
           ~doc:
-            "Skip the recorded-vs-replayed profile byte-identity oracle: the correlation \
-             kernel with the tee sink's aggregate and missing-frame table against both \
-             replayed from the recorded sample log")
-  in
-  let no_stale_arg =
-    Arg.(
-      value & flag
-      & info [ "no-stale-oracle" ]
-          ~doc:"Skip the stale-profile matching oracle family")
-  in
-  let no_format_arg =
-    Arg.(
-      value & flag
-      & info [ "no-format-oracle" ]
-          ~doc:
-            "Skip the binary/text profile format oracle family (round-trips, \
-             sample logs, incremental rebuilds)")
-  in
-  let no_fleet_arg =
-    Arg.(
-      value & flag
-      & info [ "no-fleet-oracle" ]
-          ~doc:
-            "Skip the fleet merge oracle family (sharded-fleet-vs-single \
-             identity, merge laws on correlated profiles)")
-  in
-  let no_parcorr_arg =
-    Arg.(
-      value & flag
-      & info [ "no-parcorr-oracle" ]
-          ~doc:
-            "Skip the parallel-correlation oracle family (sharded-vs-serial \
-             correlation byte identity per profile shape)")
-  in
-  let no_health_arg =
-    Arg.(
-      value & flag
-      & info [ "no-health-oracle" ]
-          ~doc:
-            "Skip the health telemetry oracle family (jobs-independent \
-             report/series byte identity, series merge laws, OpenMetrics \
-             trailer)")
-  in
-  let no_labels_arg =
-    Arg.(
-      value & flag
-      & info [ "no-label-oracle" ]
-          ~doc:
-            "Skip the request-label oracle family (label-sliced \
-             slice-then-merge blend identity per profile shape, implicit \
-             single slice for label-free logs, lossless v3 -> v2 downgrade)")
+            (Printf.sprintf
+               "Skip an oracle family; repeatable. $(docv) is %s (run in \
+                that order; $(b,variants) includes the profile-quality oracle)."
+               (Arg.doc_alts names)))
   in
   let fuzz_stale_edits_arg =
     Arg.(
-      value & opt int Fuzz.Campaign.default_config.Fuzz.Campaign.cf_stale_edits
+      value
+      & opt (count_conv ~family:"stale")
+          Fuzz.Campaign.default_config.Fuzz.Campaign.cf_stale_edits
       & info [ "stale-edits" ] ~docv:"N"
           ~doc:"Drift edit-script length for the stale-matching oracle")
   in
@@ -1353,25 +1322,16 @@ let fuzz_cmd =
       & info [ "inject-bug" ]
           ~doc:"Append a deliberately broken pass to every pipeline (harness self-test)")
   in
-  let run (lo, hi) out plans n_funcs size floor no_variants no_minimize no_stream
-      no_stale no_format no_fleet no_parcorr no_health no_labels stale_edits
+  let run (lo, hi) out plans n_funcs size floor no_minimize skip stale_edits
       max_failures inject jobs cache_dir metrics_file =
     let cfg =
       {
-        Fuzz.Campaign.default_config with
         Fuzz.Campaign.cf_plans_per_seed = plans;
         cf_n_funcs = n_funcs;
         cf_size = size;
         cf_quality_floor = floor;
-        cf_variants = not no_variants;
         cf_minimize = not no_minimize;
-        cf_stream_oracle = not no_stream;
-        cf_stale_oracle = not no_stale;
-        cf_format_oracle = not no_format;
-        cf_fleet_oracle = not no_fleet;
-        cf_parcorr_oracle = not no_parcorr;
-        cf_health_oracle = not no_health;
-        cf_label_oracle = not no_labels;
+        cf_skip = skip;
         cf_stale_edits = stale_edits;
         cf_max_failures = max_failures;
         cf_inject = (if inject then Some Fuzz.Campaign.planted_bug else None);
@@ -1415,10 +1375,8 @@ let fuzz_cmd =
           against an -O0 reference, with test-case minimization")
     Term.(
       const run $ seeds_arg $ out_arg $ plans_arg $ n_funcs_arg $ size_arg $ floor_arg
-      $ no_variants_arg $ no_minimize_arg $ no_stream_arg $ no_stale_arg
-      $ no_format_arg $ no_fleet_arg $ no_parcorr_arg $ no_health_arg
-      $ no_labels_arg $ fuzz_stale_edits_arg $ max_failures_arg $ inject_arg $ jobs_arg
-      $ cache_dir_arg $ metrics_arg)
+      $ no_minimize_arg $ skip_arg $ fuzz_stale_edits_arg $ max_failures_arg
+      $ inject_arg $ jobs_arg $ cache_dir_arg $ metrics_arg)
 
 (* --- cache ---------------------------------------------------------- *)
 

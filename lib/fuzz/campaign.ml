@@ -1,13 +1,12 @@
 (* Differential fuzzing campaign runner.
 
    Per seed: generate a MiniC program, build a fixed -O0 reference, then
-   check three oracle families against it:
-   - randomly permuted pass pipelines (sampled from [Opt.Pass.all_steps],
-     probes/instrumentation/layout/inlining randomized) must compute the
-     same result, with [Ir.Verify] run after every pass;
-   - all five [Core.Driver] PGO variants must compute the same result;
-   - the probe profile's block overlap against the instrumentation ground
-     truth must stay above a floor (profile-quality regression oracle).
+   run the oracle families of [families] against it, in table order:
+   permuted pass pipelines, the five [Core.Driver] PGO variants with the
+   probe-vs-instrumentation quality check, and the profile-level
+   differentials (streams, staleness, formats, fleets, parallel
+   correlation, health telemetry, request labels). [cf_skip] names the
+   families to leave out.
 
    Failures are minimized with [Reduce] and written to a corpus directory
    as a .minic reproducer plus a .repro replay note. Everything is
@@ -128,63 +127,11 @@ type config = {
   cf_plans_per_seed : int;
   cf_n_funcs : int;
   cf_size : int;
-  cf_fuel : int64;           (** budget for the -O0 reference run *)
-  cf_variants : bool;        (** also run the five Driver PGO variants *)
   cf_quality_floor : float;
-  cf_quality_min_total : int64;
-      (** skip the quality oracle below this ground-truth block count:
-          overlap on nearly-unexecuted programs is all noise *)
   cf_minimize : bool;
   cf_max_failures : int option;  (** stop the campaign after this many *)
-  cf_stream_oracle : bool;
-      (** recorded-vs-replayed profile byte-identity differential: the
-          tee sink's aggregate and missing-frame table against both
-          replayed from the recorded log *)
-  cf_stale_oracle : bool;
-      (** stale-profile matching oracle family: drift the source with a
-          seeded edit script, stale-match, and check that matching never
-          crashes, the stale-built binary computes the drifted program's
-          -O0 result, and probe recovery >= DWARF recovery *)
-  cf_stale_edits : int;      (** drift edit-script length for the oracle *)
-  cf_format_oracle : bool;
-      (** binary/text format oracle family: every pipeline profile dump
-          must survive text -> binary -> text byte-identically, sample
-          logs must round-trip through both forms, and an incremental
-          (cache-warm) rebuild must produce the same binary as a clean
-          one *)
-  cf_fleet_oracle : bool;
-      (** fleet merge oracle family: a sharded multi-instance fleet at
-          full duty must produce the profile a single instance serving the
-          whole stream would ([Fleet.Sim]), draining must be independent
-          of the job count, and [Profile.Merge] must satisfy its laws
-          (commutative, associative, weight-linear, identity-on-empty) on
-          real correlated profiles from two drifted binary versions *)
-  cf_parcorr_oracle : bool;
-      (** parallel-correlation oracle family: sharded correlation over the
-          chunk-split sample log ([Fleet.Build.correlate_chunks] /
-          [Core.Par_corr]) must be byte-identical to the serial streaming
-          correlator on the whole log, for every profile shape and at
-          every job count — the determinism claim the fused fleet drain
-          rides on. A tiny shard target forces real multi-shard merges on
-          the fuzzer's short logs. *)
-  cf_health_oracle : bool;
-      (** health telemetry oracle family: a health-instrumented fleet
-          window (fresh registry, fixed clock) must close to byte-identical
-          canonical report and series JSON at -j 1 and -j 2, both
-          documents must reparse as fixed points of the strict Json
-          parser, [Obs.Series.merge] must satisfy its laws (commutative,
-          associative, identity-on-empty) on really-recorded windows, and
-          the OpenMetrics exposition must render with its [# EOF] trailer *)
-  cf_label_oracle : bool;
-      (** request-label oracle family: label the training stream with two
-          synthetic tenants and demand (1) slice-then-merge identity —
-          [Fleet.Build.correlate_labeled]'s blend is byte-identical to the
-          unlabeled serial correlator on the same log, for every profile
-          shape and job count, with slice weights matching the observed
-          per-label sample counts; (2) label-free logs decode as the
-          single implicit slice; (3) forcing v3 framing on an unlabeled
-          log downgrades losslessly — the decoded log re-encodes to the
-          plain v2 bytes *)
+  cf_skip : string list;  (** names of the [families] not to run *)
+  cf_stale_edits : int;      (** drift edit-script length for the stale family *)
   cf_inject : (string * (Ir.Func.t -> unit)) option;
       (** deliberately broken extra pass appended to every plan pipeline —
           the harness's own mutation test *)
@@ -195,22 +142,22 @@ let default_config =
     cf_plans_per_seed = 4;
     cf_n_funcs = 5;
     cf_size = 2;
-    cf_fuel = 20_000_000L;
-    cf_variants = true;
     cf_quality_floor = 0.5;
-    cf_quality_min_total = 300L;
     cf_minimize = true;
     cf_max_failures = None;
-    cf_stream_oracle = true;
-    cf_stale_oracle = true;
+    cf_skip = [];
     cf_stale_edits = 3;
-    cf_format_oracle = true;
-    cf_fleet_oracle = true;
-    cf_parcorr_oracle = true;
-    cf_health_oracle = true;
-    cf_label_oracle = true;
     cf_inject = None;
   }
+
+(* Fuel for the -O0 reference run; a build under test gets four times as
+   much. *)
+let fuel = 20_000_000L
+let build_fuel = Int64.mul 4L fuel
+
+(* Skip the quality oracle below this ground-truth block count: overlap on
+   nearly-unexecuted programs is all noise. *)
+let quality_min_total = 300L
 
 (* A constfold that "folds" conditional branches by dropping the guard and
    always taking the false edge — the planted miscompile used to prove the
@@ -319,39 +266,76 @@ let total_counts p =
   Ir.Program.iter_funcs (fun f -> t := Int64.add !t (Ir.Func.total_count f)) p;
   !t
 
+(* Everything an oracle family sees of one seed. *)
+type env = {
+  e_cfg : config;
+  e_seed : int64;
+  e_src : string;
+  e_args : int64 list;
+  e_workload : D.workload;  (** [workload_of] the seed's source and args *)
+  e_ref : int64;  (** the -O0 reference result *)
+  e_hooks : D.Plan.hooks option;
+  e_cache : O.Cache.t option;
+  e_on_overlap : (float -> unit) option;
+}
+
+(* Run every training spec of [w] on [bin] under the driver's PMU into a
+   fresh sample log; [labels i] tags the i-th run. *)
+let record_training ?labels (w : D.workload) bin =
+  let log = Vm.Sample_log.create () in
+  List.iteri
+    (fun i (spec : D.run_spec) ->
+      ignore
+        (Vm.Machine.run ~pmu:(Some driver_options.D.pmu)
+           ~sink:(Vm.Sample_log.sink log)
+           ?labels:(Option.map (fun f -> f i) labels)
+           ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
+           ~entry:w.D.w_entry))
+    w.D.w_train;
+  log
+
+(* Canonical text of a [Fl.Build] correlation: the profile plus, for the
+   context shape, its flat baseline. *)
+let build_text (p, flat) =
+  P.Text_io.to_string p
+  ^ match flat with Some f -> P.Text_io.to_string (P.Text_io.Probe_prof f) | None -> ""
+
 type checked = C_pass | C_discard | C_fail of failure_kind * site * string
 
 (* Run one plan against the reference result; raises [Fail] / [Discarded]. *)
-let check_plan cfg pl src args ref_result =
+let check_plan e pl =
   let site = Plan pl in
-  let bin = guarded_build site (fun () -> build_plan ?inject:cfg.cf_inject pl src) in
-  let r = guarded_run site (fun () -> run_bin ~fuel:(Int64.mul 4L cfg.cf_fuel) bin args) in
-  if not (Int64.equal r ref_result) then
+  let bin =
+    guarded_build site (fun () -> build_plan ?inject:e.e_cfg.cf_inject pl e.e_src)
+  in
+  let r = guarded_run site (fun () -> run_bin ~fuel:build_fuel bin e.e_args) in
+  if not (Int64.equal r e.e_ref) then
     raise
       (Fail
          ( Result_mismatch,
            site,
-           Printf.sprintf "reference=%Ld plan=%Ld" ref_result r ))
+           Printf.sprintf "reference=%Ld plan=%Ld" e.e_ref r ))
 
-(* Run one Driver PGO variant against the reference result. Submitted as a
-   staged plan so the cache hooks share stages across variants of a seed —
-   the reference symbol/checksum info, the probed profiling run (probe-only
-   and full), and the flat probe correlation all compute once. *)
-let check_variant ?hooks cfg v w args ref_result =
+(* Build one Driver PGO variant. Submitted as a staged plan so the cache
+   hooks share stages across variants of a seed — the reference
+   symbol/checksum info, the probed profiling run (probe-only and full),
+   and the flat probe correlation all compute once. *)
+let run_variant e v =
+  guarded_build (Variant v) (fun () ->
+      D.Plan.run ?hooks:e.e_hooks
+        (D.Plan.make ~options:driver_options ~variant:v e.e_workload))
+
+(* Run one Driver PGO variant against the reference result. *)
+let check_variant e v =
   let site = Variant v in
-  let o =
-    guarded_build site (fun () ->
-        D.Plan.run ?hooks (D.Plan.make ~options:driver_options ~variant:v w))
-  in
-  let r =
-    guarded_run site (fun () -> run_bin ~fuel:(Int64.mul 4L cfg.cf_fuel) o.D.o_binary args)
-  in
-  if not (Int64.equal r ref_result) then
+  let o = run_variant e v in
+  let r = guarded_run site (fun () -> run_bin ~fuel:build_fuel o.D.o_binary e.e_args) in
+  if not (Int64.equal r e.e_ref) then
     raise
       (Fail
          ( Result_mismatch,
            site,
-           Printf.sprintf "reference=%Ld %s=%Ld" ref_result (D.variant_name v) r ));
+           Printf.sprintf "reference=%Ld %s=%Ld" e.e_ref (D.variant_name v) r ));
   o
 
 (* Recorded-vs-replayed differential: the kernel given the aggregate and
@@ -364,12 +348,11 @@ let check_variant ?hooks cfg v w args ref_result =
    the sample-log round trips are the parcorr and format families'. *)
 let stream_variants = [ D.Autofdo; D.Csspgo_full ]
 
-let check_stream v ~seed src =
+let check_stream e v =
   let site = Stream v in
-  let w = workload_of ~seed src (args_of_seed seed) in
   let texts replay =
     guarded_build site (fun () ->
-        D.profile_pipeline_texts ~options:driver_options ~replay v w)
+        D.profile_pipeline_texts ~options:driver_options ~replay v e.e_workload)
   in
   let recorded = texts false and replayed = texts true in
   if recorded <> replayed then begin
@@ -395,24 +378,27 @@ let check_stream v ~seed src =
    enough ground-truth weight and enough expected samples. *)
 let quality_min_samples = 20L
 
-let check_quality cfg ?on_overlap ~truth ~cand ~pcycles () =
+(* [truth] is the instrumented build, [cand] the probe-only one. *)
+let check_quality e ~(truth : D.outcome) ~(cand : D.outcome) =
   let period =
     Int64.of_int driver_options.D.pmu.Vm.Machine.sample_period
   in
-  let expected_samples = Int64.div pcycles period in
+  let expected_samples = Int64.div cand.D.o_profiling_cycles period in
   if
-    Int64.compare (total_counts truth) cfg.cf_quality_min_total >= 0
+    Int64.compare (total_counts truth.D.o_annotated) quality_min_total >= 0
     && Int64.compare expected_samples quality_min_samples >= 0
   then begin
-    let ov = Core.Quality.block_overlap ~truth cand in
-    (match on_overlap with Some f -> f ov | None -> ());
-    if ov < cfg.cf_quality_floor then
+    let ov =
+      Core.Quality.block_overlap ~truth:truth.D.o_annotated cand.D.o_annotated
+    in
+    (match e.e_on_overlap with Some f -> f ov | None -> ());
+    if ov < e.e_cfg.cf_quality_floor then
       raise
         (Fail
            ( Quality_low,
              Quality,
              Printf.sprintf "block overlap %.3f below floor %.2f" ov
-               cfg.cf_quality_floor ))
+               e.e_cfg.cf_quality_floor ))
   end
 
 (* Stale-matching oracle family. Drift the source with a seeded edit script
@@ -428,30 +414,31 @@ let check_quality cfg ?on_overlap ~truth ~cand ~pcycles () =
      to carry signal. *)
 let drift_seed_of seed = Int64.logxor seed 0xC3A5C85C97CB3127L
 
-let check_stale ?hooks ?cache cfg ~seed src args =
-  let drift_seed = drift_seed_of seed in
-  let edits = cfg.cf_stale_edits in
+let check_stale e =
+  let drift_seed = drift_seed_of e.e_seed in
+  let edits = e.e_cfg.cf_stale_edits in
   let site v = Stale { sl_variant = v; sl_drift_seed = drift_seed; sl_edits = edits } in
   let d =
     guarded_build (site None) (fun () ->
-        W.Drift.apply ~seed:drift_seed ~edits src)
+        W.Drift.apply ~seed:drift_seed ~edits e.e_src)
   in
   let new_src = d.W.Drift.dr_source in
   let new_ref =
-    let bin = guarded_build (site None) (fun () -> build_reference ?cache new_src) in
-    guarded_run (site None) (fun () -> run_bin ~fuel:cfg.cf_fuel bin args)
+    let bin =
+      guarded_build (site None) (fun () -> build_reference ?cache:e.e_cache new_src)
+    in
+    guarded_run (site None) (fun () -> run_bin ~fuel bin e.e_args)
   in
-  let w = workload_of ~seed src args in
   let check v =
     let o =
       guarded_build (site (Some v)) (fun () ->
-          D.Plan.run ?hooks
+          D.Plan.run ?hooks:e.e_hooks
             (D.Plan.make_stale ~options:driver_options ~variant:v
-               ~stale_source:new_src w))
+               ~stale_source:new_src e.e_workload))
     in
     let r =
       guarded_run (site (Some v)) (fun () ->
-          run_bin ~fuel:(Int64.mul 4L cfg.cf_fuel) o.D.o_binary args)
+          run_bin ~fuel:build_fuel o.D.o_binary e.e_args)
     in
     if not (Int64.equal r new_ref) then
       raise
@@ -509,8 +496,8 @@ let bin_projection (b : Cg.Mach.binary) =
       b.Cg.Mach.probe_meta_size )
     [ Marshal.No_sharing ]
 
-let check_format ?cache ~seed src args =
-  let w = workload_of ~seed src args in
+let check_format e =
+  let w = e.e_workload in
   List.iter
     (fun v ->
       let site = Format ("text-binary round-trip " ^ D.variant_name v) in
@@ -552,15 +539,9 @@ let check_format ?cache ~seed src args =
       let prog = F.Lower.compile w.D.w_source in
       Core.Pseudo_probe.insert prog;
       Opt.Pass.optimize ~config:driver_options.D.opt_profiling prog;
-      let bin = Cg.Emit.emit ~options:driver_options.D.emit_opts prog in
-      let log = Vm.Sample_log.create () in
-      List.iter
-        (fun (spec : D.run_spec) ->
-          ignore
-            (Vm.Machine.run ~pmu:(Some driver_options.D.pmu)
-               ~sink:(Vm.Sample_log.sink log) ~globals_init:spec.D.rs_globals
-               ~args:spec.D.rs_args bin ~entry:w.D.w_entry))
-        w.D.w_train;
+      let log =
+        record_training w (Cg.Emit.emit ~options:driver_options.D.emit_opts prog)
+      in
       let txt = Vm.Sample_log.to_text log in
       (match Vm.Sample_log.of_text txt with
       | Ok log' when String.equal (Vm.Sample_log.to_text log') txt -> ()
@@ -574,7 +555,6 @@ let check_format ?cache ~seed src args =
       | Error e -> raise (Fail (Result_mismatch, site, S.Wire.error_to_string e)));
   let site = Format "incremental-vs-clean rebuild" in
   guarded_build site (fun () ->
-      ignore cache;
       let c = O.Cache.create () in
       let h = O.Orchestrate.hooks c in
       let plan = D.Plan.make ~options:driver_options ~variant:D.Csspgo_full w in
@@ -584,7 +564,7 @@ let check_format ?cache ~seed src args =
         not
           (String.equal (bin_projection cold.D.o_binary) (bin_projection warm.D.o_binary))
       then raise (Fail (Result_mismatch, site, "warm rebuild differs from cold build"));
-      let d = W.Drift.apply ~seed:(drift_seed_of seed) ~edits:1 src in
+      let d = W.Drift.apply ~seed:(drift_seed_of e.e_seed) ~edits:1 e.e_src in
       let stale_plan =
         D.Plan.make_stale ~options:driver_options ~variant:D.Csspgo_full
           ~stale_source:d.W.Drift.dr_source w
@@ -616,8 +596,8 @@ let fleet_config =
     f_batch_requests = 3;
   }
 
-let check_fleet ~seed src args =
-  let w = workload_of ~seed src args in
+let check_fleet e =
+  let w = e.e_workload and src = e.e_src in
   let version ?(id = 0) ~n source =
     { Fl.Sim.v_id = id; v_source = source; v_weight = 1L; v_instances = n }
   in
@@ -642,7 +622,7 @@ let check_fleet ~seed src args =
         raise (Fail (Result_mismatch, site, "-j 2 drain differs from -j 1")));
   let site = Fleet "merge laws" in
   guarded_build site (fun () ->
-      let d = W.Drift.apply ~seed:(drift_seed_of seed) ~edits:2 src in
+      let d = W.Drift.apply ~seed:(drift_seed_of e.e_seed) ~edits:2 src in
       let out =
         Fl.Sim.run fleet_config ~workload:w
           ~versions:
@@ -701,39 +681,23 @@ let check_fleet ~seed src args =
 
 let parcorr_chunk = 16
 
-let check_parcorr ~seed src args =
-  let w = workload_of ~seed src args in
+let check_parcorr e =
   List.iter
     (fun shape ->
       let site = Parcorr (Fl.Build.shape_name shape) in
       guarded_build site (fun () ->
           let b =
-            Fl.Build.profiling_build ~options:driver_options ~shape ~source:src
+            Fl.Build.profiling_build ~options:driver_options ~shape ~source:e.e_src
           in
-          let log = Vm.Sample_log.create () in
-          List.iter
-            (fun (spec : D.run_spec) ->
-              ignore
-                (Vm.Machine.run ~pmu:(Some driver_options.D.pmu)
-                   ~sink:(Vm.Sample_log.sink log)
-                   ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args
-                   b.Fl.Build.vb_bin ~entry:w.D.w_entry))
-            w.D.w_train;
-          let text (p, flat) =
-            P.Text_io.to_string p
-            ^
-            match flat with
-            | Some f -> P.Text_io.to_string (P.Text_io.Probe_prof f)
-            | None -> ""
-          in
+          let log = record_training e.e_workload b.Fl.Build.vb_bin in
           let serial =
-            text (Fl.Build.correlate ~options:driver_options ~shape b log)
+            build_text (Fl.Build.correlate ~options:driver_options ~shape b log)
           in
           let chunks = Vm.Sample_log.split ~chunk:parcorr_chunk log in
           List.iter
             (fun jobs ->
               let par =
-                text
+                build_text
                   (Fl.Build.correlate_chunks ~shard_target:parcorr_chunk ~jobs
                      ~options:driver_options ~shape b chunks)
               in
@@ -760,10 +724,10 @@ let check_parcorr ~seed src args =
    - the OpenMetrics exposition renders without crashing and carries the
      spec's terminating "# EOF" line. *)
 
-let check_health ~seed src args =
-  let w = workload_of ~seed src args in
+let check_health e =
+  let w = e.e_workload in
   let version n =
-    { Fl.Sim.v_id = 0; v_source = src; v_weight = 1L; v_instances = n }
+    { Fl.Sim.v_id = 0; v_source = e.e_src; v_weight = 1L; v_instances = n }
   in
   let window jobs =
     let metrics = Obs.Metrics.create () in
@@ -848,40 +812,24 @@ let check_health ~seed src args =
    - forcing v3 framing on an unlabeled log downgrades losslessly: the
      decoded log re-encodes to the plain v2 bytes. *)
 
-let check_labels ~seed src args =
-  let w = workload_of ~seed src args in
+let check_labels e =
   let tenant i =
     S.Label_set.of_list
       [ ("tenant", if i land 1 = 0 then "even" else "odd") ]
   in
-  let record (b : Fl.Build.built) log =
-    List.iteri
-      (fun i (spec : D.run_spec) ->
-        ignore
-          (Vm.Machine.run ~pmu:(Some driver_options.D.pmu)
-             ~sink:(Vm.Sample_log.sink log) ~labels:(tenant i)
-             ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args
-             b.Fl.Build.vb_bin ~entry:w.D.w_entry))
-      w.D.w_train
+  let record (b : Fl.Build.built) =
+    record_training ~labels:tenant e.e_workload b.Fl.Build.vb_bin
   in
   List.iter
     (fun shape ->
       let site = Labels (Fl.Build.shape_name shape) in
       guarded_build site (fun () ->
           let b =
-            Fl.Build.profiling_build ~options:driver_options ~shape ~source:src
+            Fl.Build.profiling_build ~options:driver_options ~shape ~source:e.e_src
           in
-          let log = Vm.Sample_log.create () in
-          record b log;
-          let text (p, flat) =
-            P.Text_io.to_string p
-            ^
-            match flat with
-            | Some f -> P.Text_io.to_string (P.Text_io.Probe_prof f)
-            | None -> ""
-          in
+          let log = record b in
           let serial =
-            text (Fl.Build.correlate ~options:driver_options ~shape b log)
+            build_text (Fl.Build.correlate ~options:driver_options ~shape b log)
           in
           List.iter
             (fun jobs ->
@@ -892,7 +840,7 @@ let check_labels ~seed src args =
               if
                 not
                   (String.equal serial
-                     (text (lc.Fl.Build.lc_blend, lc.Fl.Build.lc_flat)))
+                     (build_text (lc.Fl.Build.lc_blend, lc.Fl.Build.lc_flat)))
               then
                 raise
                   (Fail
@@ -939,10 +887,9 @@ let check_labels ~seed src args =
   guarded_build site (fun () ->
       let b =
         Fl.Build.profiling_build ~options:driver_options ~shape:Fl.Build.Probes
-          ~source:src
+          ~source:e.e_src
       in
-      let log = Vm.Sample_log.create () in
-      record b log;
+      let log = record b in
       let counts = Vm.Sample_log.label_counts in
       let blob = Vm.Sample_log.encode log in
       (match Vm.Sample_log.decode blob with
@@ -1001,72 +948,94 @@ let check_labels ~seed src args =
                    site,
                    "v3 -> v2 downgrade of an unlabeled log is not lossless" )))
 
+(* --- the family table ------------------------------------------------ *)
+
+type family = {
+  fam_name : string;
+  fam_owns : site -> bool;
+  fam_check : env -> site option -> unit;
+}
+
+(* A family that replays whole whatever site failed: minimization only
+   needs "same kind". *)
+let whole fam_name fam_owns check =
+  { fam_name; fam_owns; fam_check = (fun e _ -> check e) }
+
+let families =
+  [
+    {
+      fam_name = "plans";
+      fam_owns = (function Plan _ -> true | _ -> false);
+      fam_check =
+        (fun e -> function
+          | Some (Plan pl) -> check_plan e pl
+          | _ ->
+              let rng = plan_rng e.e_seed in
+              for _ = 1 to e.e_cfg.cf_plans_per_seed do
+                check_plan e (sample_plan rng)
+              done);
+    };
+    {
+      fam_name = "variants";
+      fam_owns = (function Variant _ | Quality -> true | _ -> false);
+      fam_check =
+        (fun e -> function
+          | Some (Variant v) -> ignore (check_variant e v)
+          | Some Quality ->
+              check_quality e ~truth:(run_variant e D.Instr_pgo)
+                ~cand:(run_variant e D.Csspgo_probe_only)
+          | _ ->
+              let outcomes = List.map (fun v -> (v, check_variant e v)) all_variants in
+              check_quality e
+                ~truth:(List.assq D.Instr_pgo outcomes)
+                ~cand:(List.assq D.Csspgo_probe_only outcomes));
+    };
+    {
+      fam_name = "stream";
+      fam_owns = (function Stream _ -> true | _ -> false);
+      fam_check =
+        (fun e -> function
+          | Some (Stream v) -> check_stream e v
+          | _ -> List.iter (check_stream e) stream_variants);
+    };
+    whole "stale" (function Stale _ -> true | _ -> false) check_stale;
+    whole "format" (function Format _ -> true | _ -> false) check_format;
+    whole "fleet" (function Fleet _ -> true | _ -> false) check_fleet;
+    whole "parcorr" (function Parcorr _ -> true | _ -> false) check_parcorr;
+    whole "health" (function Health _ -> true | _ -> false) check_health;
+    whole "labels" (function Labels _ -> true | _ -> false) check_labels;
+  ]
+
+let family_of site = List.find_opt (fun f -> f.fam_owns site) families
+let skipped cfg f = List.mem f.fam_name cfg.cf_skip
+
 (* Classify one source. [only] restricts the check to a single failing site
    — the focused replay the minimizer drives; [reducing] makes sources that
    no longer parse uninteresting instead of crash reports. *)
 let classify ?(reducing = false) ?only ?on_overlap ?cache (cfg : config) ~seed src =
   let args = args_of_seed seed in
-  let hooks = Option.map O.Orchestrate.hooks cache in
   try
     let ref_result =
       let bin = guarded_build Reference (fun () -> build_reference ?cache src) in
-      guarded_run Reference (fun () -> run_bin ~fuel:cfg.cf_fuel bin args)
+      guarded_run Reference (fun () -> run_bin ~fuel bin args)
+    in
+    let e =
+      {
+        e_cfg = cfg;
+        e_seed = seed;
+        e_src = src;
+        e_args = args;
+        e_workload = workload_of ~seed src args;
+        e_ref = ref_result;
+        e_hooks = Option.map O.Orchestrate.hooks cache;
+        e_cache = cache;
+        e_on_overlap = on_overlap;
+      }
     in
     (match only with
-    | Some Reference -> ()
-    | Some (Plan pl) -> check_plan cfg pl src args ref_result
-    | Some (Variant v) ->
-        ignore (check_variant ?hooks cfg v (workload_of ~seed src args) args ref_result)
-    | Some Quality ->
-        let w = workload_of ~seed src args in
-        let truth =
-          (guarded_build (Variant D.Instr_pgo) (fun () ->
-               D.Plan.run ?hooks
-                 (D.Plan.make ~options:driver_options ~variant:D.Instr_pgo w)))
-            .D.o_annotated
-        in
-        let cand_o =
-          guarded_build (Variant D.Csspgo_probe_only) (fun () ->
-              D.Plan.run ?hooks
-                (D.Plan.make ~options:driver_options ~variant:D.Csspgo_probe_only w))
-        in
-        check_quality cfg ?on_overlap ~truth ~cand:cand_o.D.o_annotated
-          ~pcycles:cand_o.D.o_profiling_cycles ()
-    | Some (Stream v) -> check_stream v ~seed src
-    | Some (Stale _) ->
-        (* The whole family replays: minimization only needs "same kind". *)
-        check_stale ?hooks ?cache cfg ~seed src args
-    | Some (Format _) -> check_format ?cache ~seed src args
-    | Some (Fleet _) -> check_fleet ~seed src args
-    | Some (Parcorr _) -> check_parcorr ~seed src args
-    | Some (Health _) -> check_health ~seed src args
-    | Some (Labels _) -> check_labels ~seed src args
+    | Some site -> Option.iter (fun f -> f.fam_check e only) (family_of site)
     | None ->
-        let rng = plan_rng seed in
-        for _ = 1 to cfg.cf_plans_per_seed do
-          check_plan cfg (sample_plan rng) src args ref_result
-        done;
-        if cfg.cf_variants then begin
-          let w = workload_of ~seed src args in
-          let outcomes =
-            List.map
-              (fun v -> (v, check_variant ?hooks cfg v w args ref_result))
-              all_variants
-          in
-          let truth = (List.assq D.Instr_pgo outcomes).D.o_annotated in
-          let cand_o = List.assq D.Csspgo_probe_only outcomes in
-          check_quality cfg ?on_overlap ~truth ~cand:cand_o.D.o_annotated
-            ~pcycles:cand_o.D.o_profiling_cycles ()
-        end;
-        if cfg.cf_stream_oracle then
-          List.iter (fun v -> check_stream v ~seed src) stream_variants;
-        if cfg.cf_stale_oracle && cfg.cf_stale_edits > 0 then
-          check_stale ?hooks ?cache cfg ~seed src args;
-        if cfg.cf_format_oracle then check_format ?cache ~seed src args;
-        if cfg.cf_fleet_oracle then check_fleet ~seed src args;
-        if cfg.cf_parcorr_oracle then check_parcorr ~seed src args;
-        if cfg.cf_health_oracle then check_health ~seed src args;
-        if cfg.cf_label_oracle then check_labels ~seed src args);
+        List.iter (fun f -> if not (skipped cfg f) then f.fam_check e None) families);
     C_pass
   with
   | Discarded -> C_discard
@@ -1107,17 +1076,12 @@ let interesting ?cache cfg ~seed site kind cand =
   | C_pass | C_discard -> false
 
 let repro_command cfg ~seed =
-  Printf.sprintf
-    "csspgo_tool fuzz --seeds %Ld-%Ld --plans %d --n-funcs %d --size %d%s%s%s%s%s%s%s%s%s%s%s --out corpus/"
+  Printf.sprintf "csspgo_tool fuzz --seeds %Ld-%Ld --plans %d --n-funcs %d --size %d%s%s%s%s --out corpus/"
     seed seed cfg.cf_plans_per_seed cfg.cf_n_funcs cfg.cf_size
-    (if cfg.cf_variants then "" else " --no-variants")
-    (if cfg.cf_stream_oracle then "" else " --no-stream-oracle")
-    (if cfg.cf_stale_oracle then "" else " --no-stale-oracle")
-    (if cfg.cf_format_oracle then "" else " --no-format-oracle")
-    (if cfg.cf_fleet_oracle then "" else " --no-fleet-oracle")
-    (if cfg.cf_parcorr_oracle then "" else " --no-parcorr-oracle")
-    (if cfg.cf_health_oracle then "" else " --no-health-oracle")
-    (if cfg.cf_label_oracle then "" else " --no-label-oracle")
+    (String.concat ""
+       (List.filter_map
+          (fun f -> if skipped cfg f then Some (" --skip " ^ f.fam_name) else None)
+          families))
     (if cfg.cf_stale_edits = default_config.cf_stale_edits then ""
      else Printf.sprintf " --stale-edits %d" cfg.cf_stale_edits)
     (if cfg.cf_quality_floor = default_config.cf_quality_floor then ""
@@ -1192,6 +1156,11 @@ let fresh_stats () =
 
 let run ?out_dir ?(progress = fun (_ : stats) -> ()) ?cache ?(obs = Obs.Metrics.null)
     ?(jobs = 1) (cfg : config) ~seeds:(lo, hi) =
+  List.iter
+    (fun n ->
+      if not (List.exists (fun f -> f.fam_name = n) families) then
+        invalid_arg ("Campaign.run: no oracle family named " ^ n))
+    cfg.cf_skip;
   (* Without a caller-provided cache the campaign still wants the per-seed
      stage sharing (reference, profiling runs, correlations), so it makes a
      private in-memory one. *)

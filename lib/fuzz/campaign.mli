@@ -2,24 +2,27 @@
 
     Each seed deterministically yields one random MiniC program
     ([Workloads.Gen]), one -O0 reference build, [cf_plans_per_seed]
-    randomly permuted pass pipelines, and (optionally) all five
-    [Core.Driver] PGO variants. Ten oracle families guard the paper's
-    central claim — that probes, context-sensitive profiles and aggressive
-    optimization never perturb semantics or profile quality:
+    randomly permuted pass pipelines, and all five [Core.Driver] PGO
+    variants. Ten oracles, run by the nine entries of {!families} (named
+    in brackets; [cf_skip] and the CLI's [--skip NAME] leave one out),
+    guard the paper's central claim — that probes, context-sensitive
+    profiles and aggressive optimization never perturb semantics or
+    profile quality:
 
-    - {b result equality}: every build computes the reference result;
-    - {b IR well-formedness}: [Ir.Verify] is re-run after every pass of
-      every permuted pipeline;
-    - {b profile quality}: [Core.Quality.block_overlap] of the probe
-      profile against the instrumentation ground truth stays above
+    - {b result equality} [plans], [variants]: every build computes the
+      reference result;
+    - {b IR well-formedness} [plans]: [Ir.Verify] is re-run after every
+      pass of every permuted pipeline;
+    - {b profile quality} [variants]: [Core.Quality.block_overlap] of the
+      probe profile against the instrumentation ground truth stays above
       [cf_quality_floor] (skipped for nearly-unexecuted programs);
-    - {b recorded-vs-replayed identity}: the correlation kernel
+    - {b recorded-vs-replayed identity} [stream]: the correlation kernel
       ([Core.Correlate]) given the range aggregate and missing-frame table
       that its record-time tee sink built under scratch poisoning produces
       byte-identical canonical profile dumps to the same kernel replaying
       both from the recorded log ([Core.Driver.profile_pipeline_texts],
       AutoFDO and full CSSPGO);
-    - {b stale matching}: the source is drifted with a seeded edit script
+    - {b stale matching} [stale]: the source is drifted with a seeded edit script
       ([Workloads.Drift], seed derived from the campaign seed) and each
       sampling variant stale-matches its build-N profile onto version N+1
       ([Core.Stale_match]) — matching must never crash, the stale-built
@@ -27,19 +30,19 @@
       probe matcher's count recovery must never fall below the DWARF
       matcher's. Failure sites carry the edit-script seed and length, so
       every counterexample replays from the CLI in one command;
-    - {b profile formats}: every pipeline profile dump survives
+    - {b profile formats} [format]: every pipeline profile dump survives
       text → binary → text byte-identically, sample logs round-trip
       through both forms, and cache-warm rebuilds reproduce clean builds;
-    - {b fleet merging}: a sharded multi-instance fleet at full duty
+    - {b fleet merging} [fleet]: a sharded multi-instance fleet at full duty
       reproduces the single-instance profile byte-for-byte, draining is
       job-count independent, and [Profile.Merge] satisfies its algebraic
       laws on real correlated profiles from two drifted binary versions;
-    - {b parallel correlation}: the correlation kernel over the chunk-split
+    - {b parallel correlation} [parcorr]: the correlation kernel over the chunk-split
       sample log's shards ([Fleet.Build.correlate_chunks]) is
       byte-identical to its one-shard run ([Fleet.Build.correlate]), for
       every profile shape and at several job counts, with a shard target
       small enough to force real multi-shard merges;
-    - {b health telemetry}: a health-instrumented fleet window
+    - {b health telemetry} [health]: a health-instrumented fleet window
       ([Obs.Series] / [Obs.Health], fresh registry, fixed clock) closes to
       byte-identical canonical report and series JSON at -j 1 and -j 2,
       both documents reparse as print/parse fixed points of the strict
@@ -47,7 +50,7 @@
       (commutative, associative, identity-on-empty) on really-recorded
       windows, and the OpenMetrics exposition ([Obs.Export]) renders with
       its [# EOF] trailer;
-    - {b request labels}: the training stream is re-served under two
+    - {b request labels} [labels]: the training stream is re-served under two
       alternating synthetic tenant labels and the slice-then-merge
       identity must hold — [Fleet.Build.correlate_labeled]'s blend is
       byte-identical to the unlabeled serial correlator per profile shape
@@ -133,20 +136,13 @@ type config = {
   cf_plans_per_seed : int;
   cf_n_funcs : int;
   cf_size : int;
-  cf_fuel : int64;
-  cf_variants : bool;
   cf_quality_floor : float;
-  cf_quality_min_total : int64;
   cf_minimize : bool;
-  cf_max_failures : int option;
-  cf_stream_oracle : bool;
-  cf_stale_oracle : bool;
-  cf_stale_edits : int;
-  cf_format_oracle : bool;
-  cf_fleet_oracle : bool;
-  cf_parcorr_oracle : bool;
-  cf_health_oracle : bool;
-  cf_label_oracle : bool;
+  cf_max_failures : int option;  (** stop the campaign after this many *)
+  cf_skip : string list;
+      (** names of the {!families} not to run; {!run} rejects any other
+          name *)
+  cf_stale_edits : int;  (** drift edit-script length for [stale] *)
   cf_inject : (string * (Csspgo_ir.Func.t -> unit)) option;
 }
 
@@ -156,6 +152,29 @@ val planted_bug : string * (Csspgo_ir.Func.t -> unit)
 (** A deliberately broken pass (conditional guards dropped, false edge
     always taken) used to prove the harness detects and minimizes planted
     miscompiles. Wire it in via [cf_inject]. *)
+
+type env
+(** What every family sees of one seed: the config, seed, source, its
+    arguments and driver workload, the -O0 result, the artifact cache and
+    its plan hooks, and the quality oracle's overlap callback. *)
+
+type family = {
+  fam_name : string;  (** the [cf_skip] / [--skip] name *)
+  fam_owns : site -> bool;  (** the failure sites this family reports *)
+  fam_check : env -> site option -> unit;
+      (** run the family, raising on the first failure; [Some site] is the
+          minimizer's focused replay of one owned site ([plans],
+          [variants] and [stream] rerun only the failing plan, variant or
+          quality pair; the others rerun whole) *)
+}
+
+val families : family list
+(** In run order: [plans], [variants] (with the quality oracle, which
+    reads their outcomes), [stream], [stale], [format], [fleet],
+    [parcorr], [health], [labels]. *)
+
+val family_of : site -> family option
+(** The family that owns a site; [None] for [Reference]. *)
 
 type stats = {
   mutable st_runs : int;
@@ -194,6 +213,8 @@ val run :
   seeds:int * int ->
   stats
 (** Run seeds [lo..hi] inclusive, stopping early at [cf_max_failures].
+    Raises [Invalid_argument] when [cf_skip] holds a name that is not in
+    {!families}.
     When [out_dir] is given, each failure is written there as
     [seed-N.minic] (minimized), [seed-N.orig.minic] and [seed-N.repro].
     [progress] is called after every seed (in seed order).
