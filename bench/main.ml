@@ -2,9 +2,8 @@
    evaluation (§IV) on the simulated substrate, printing measured numbers
    next to the paper's reference values.
 
-   Usage: main.exe
-     [fig6|fig7|fig8|fig9|table1|client|drift|stale|ablation|orch|micro|format|fleet|corr|health|labels|all]
-   Default: all. *)
+   Usage: main.exe [NAME|all], NAME one of the [experiments] table at the
+   bottom. Default: all. *)
 
 module F = Csspgo_frontend
 module Ir = Csspgo_ir
@@ -15,62 +14,16 @@ module P = Csspgo_profile
 module Core = Csspgo_core
 module D = Core.Driver
 module W = Csspgo_workloads
-
-let pf = Printf.printf
-
-(* Wall time of one call, with its result. *)
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Best wall time of three calls. *)
-let time_best f =
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best
-
-(* ------------------------------------------------------------------ *)
-(* Shared measurement cache: one driver run per (workload, variant).    *)
-
-let cache : (string * D.variant, D.outcome) Hashtbl.t = Hashtbl.create 64
-
-let outcome (w : D.workload) v =
-  match Hashtbl.find_opt cache (w.D.w_name, v) with
-  | Some o -> o
-  | None ->
-      let o = D.run_variant v w in
-      Hashtbl.replace cache (w.D.w_name, v) o;
-      o
+module Fl = Csspgo_fleet
+module O = Csspgo_orchestrator
+module Obs = Csspgo_obs
+module Json = Obs.Json
+open Fixture
 
 let cycles w v = Int64.to_float (outcome w v).D.o_eval.D.ev_cycles
 
-(* Profiling run measurement shared by fig8 / table1 / micro: the -O2
-   profiling build (probed or plain) run over the training inputs under
-   the sampling PMU. Returns the binary, the recorded sample log and the
-   total training cycles. *)
-let profiling_run ~probes (w : D.workload) =
-  let options = D.default_options in
-  let prog = F.Lower.compile w.D.w_source in
-  if probes then Core.Pseudo_probe.insert prog;
-  Opt.Pass.optimize ~config:options.D.opt_profiling prog;
-  let bin = Cg.Emit.emit ~options:options.D.emit_opts prog in
-  let log = Vm.Sample_log.create () in
-  let cycles = ref 0L in
-  List.iter
-    (fun (spec : D.run_spec) ->
-      let r =
-        Vm.Machine.run ~pmu:(Some options.D.pmu) ~sink:(Vm.Sample_log.sink log)
-          ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
-          ~entry:w.D.w_entry
-      in
-      cycles := Int64.add !cycles r.Vm.Machine.cycles)
-    w.D.w_train;
-  (bin, log, !cycles)
+(* Percent change of [c] over [base]. *)
+let overhead ~base c = (Int64.to_float c -. Int64.to_float base) /. Int64.to_float base *. 100.
 
 let gain_vs_autofdo w v =
   let base = cycles w D.Autofdo in
@@ -80,10 +33,24 @@ let size_vs_autofdo w v =
   let base = float_of_int (outcome w D.Autofdo).D.o_text_size in
   (float_of_int (outcome w v).D.o_text_size -. base) /. base *. 100.0
 
-let sep title =
-  pf "\n==================================================================\n";
-  pf "%s\n" title;
-  pf "==================================================================\n"
+(* Block overlap (%) of a variant's profile against instrumentation truth. *)
+let overlap ?options w v =
+  Core.Quality.block_overlap ~truth:(outcome w D.Instr_pgo).D.o_annotated
+    (outcome ?options w v).D.o_annotated
+  *. 100.
+
+(* hhvm at a dense sample period: the biggest profiles and logs the
+   substrate produces; [format] and [corr] share its profiling run. *)
+let dense =
+  { D.default_options with D.pmu = { Vm.Machine.default_pmu with sample_period = 499 } }
+
+(* A correlation's canonical texts: the profile, then the flat baseline. *)
+let profile_texts (p, flat) =
+  P.Text_io.to_string p
+  :: Option.to_list (Option.map (fun f -> P.Text_io.to_string (P.Text_io.Probe_prof f)) flat)
+
+let float_list l = Json.List (List.map (fun x -> Json.Float x) l)
+let int64 n = Json.Int (Int64.to_int n)
 
 (* ------------------------------------------------------------------ *)
 
@@ -131,10 +98,9 @@ let fig8 () =
   pf "%-12s %14s %14s %10s\n" "workload" "plain(cyc)" "probed(cyc)" "overhead";
   List.iter
     (fun w ->
-      let _, _, plain = profiling_run ~probes:false w in
-      let _, _, probed = profiling_run ~probes:true w in
-      pf "%-12s %14Ld %14Ld %+9.2f%%\n" w.D.w_name plain probed
-        ((Int64.to_float probed -. Int64.to_float plain) /. Int64.to_float plain *. 100.))
+      let plain = (profile ~shape:Fl.Build.Lines w).cycles in
+      let probed = (profile ~shape:Fl.Build.Ctx w).cycles in
+      pf "%-12s %14Ld %14Ld %+9.2f%%\n" w.D.w_name plain probed (overhead ~base:plain probed))
     W.Suite.server_workloads
 
 let fig9 () =
@@ -162,13 +128,11 @@ let table1 () =
   pf "  block overlap        88.2%%    92.3%%      100%%\n";
   pf "  profiling overhead      0%%    0.04%%    73.06%%\n\n";
   let w = W.Suite.hhvm in
-  let truth = (outcome w D.Instr_pgo).D.o_annotated in
-  let ov v = Core.Quality.block_overlap ~truth (outcome w v).D.o_annotated *. 100. in
+  let ov = overlap w in
   (* Profiling overhead: training-run cycles vs the plain sampling run. *)
-  let _, _, plain = profiling_run ~probes:false w in
-  let _, _, probed = profiling_run ~probes:true w in
+  let ovh = overhead ~base:(profile ~shape:Fl.Build.Lines w).cycles in
+  let probed = (profile ~shape:Fl.Build.Ctx w).cycles in
   let instr_cycles = (outcome w D.Instr_pgo).D.o_profiling_cycles in
-  let ovh c = (Int64.to_float c -. Int64.to_float plain) /. Int64.to_float plain *. 100. in
   pf "measured:            AutoFDO   CSSPGO   Instr PGO\n";
   pf "  block overlap       %5.1f%%   %5.1f%%     %5.1f%%\n" (ov D.Autofdo)
     (ov D.Csspgo_full) (ov D.Instr_pgo);
@@ -177,9 +141,8 @@ let table1 () =
   pf "\nblock overlap, all workloads (AutoFDO / CSSPGO):\n";
   List.iter
     (fun w ->
-      let truth = (outcome w D.Instr_pgo).D.o_annotated in
-      let ov v = Core.Quality.block_overlap ~truth (outcome w v).D.o_annotated *. 100. in
-      pf "  %-12s %5.1f%% / %5.1f%%\n" w.D.w_name (ov D.Autofdo) (ov D.Csspgo_full))
+      pf "  %-12s %5.1f%% / %5.1f%%\n" w.D.w_name (overlap w D.Autofdo)
+        (overlap w D.Csspgo_full))
     W.Suite.server_workloads
 
 let client () =
@@ -222,7 +185,6 @@ let stale () =
   pf "underneath the profile, where line-based correlation silently decays.\n";
   pf "Recovery = block overlap of the stale-matched build-N profile against\n";
   pf "instrumentation ground truth on version N+1.\n\n";
-  let module O = Csspgo_orchestrator in
   let workloads = [ W.Suite.adretriever; W.Suite.adfinder; W.Suite.haas ] in
   let variants = [ D.Autofdo; D.Csspgo_probe_only; D.Csspgo_full ] in
   let nv = List.length variants in
@@ -317,49 +279,30 @@ let stale () =
       pf "\n")
     distances;
   (* JSON dump: per-workload and aggregate recovery curves. *)
-  let buf = Buffer.create 2048 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let float_list sel lst =
-    String.concat ", " (List.map (fun x -> Printf.sprintf "%.4f" (sel x)) lst)
+  let per_variant f =
+    Json.Obj (List.mapi (fun vi v -> (D.variant_name v, float_list (f vi))) variants)
   in
-  bpf "{\n  \"distances\": [%s],\n"
-    (String.concat ", " (List.map string_of_int distances));
-  bpf "  \"workloads\": [\n";
-  List.iteri
-    (fun i ((w : D.workload), seed, drow) ->
-      bpf "    {\"name\": \"%s\", \"drift_seed\": %Ld,\n" w.D.w_name seed;
-      bpf "     \"overlap\": {";
-      List.iteri
-        (fun vi v ->
-          bpf "%s\"%s\": [%s]"
-            (if vi = 0 then "" else ", ")
-            (D.variant_name v)
-            (float_list (fun (_, cells) -> fst (List.nth cells vi)) drow))
-        variants;
-      bpf "},\n     \"count_recovery\": {";
-      List.iteri
-        (fun vi v ->
-          bpf "%s\"%s\": [%s]"
-            (if vi = 0 then "" else ", ")
-            (D.variant_name v)
-            (float_list (fun (_, cells) -> snd (List.nth cells vi)) drow))
-        variants;
-      bpf "}}%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  bpf "  ],\n  \"aggregate_overlap\": {";
-  List.iteri
-    (fun vi v ->
-      bpf "%s\"%s\": [%s]"
-        (if vi = 0 then "" else ", ")
-        (D.variant_name v)
-        (String.concat ", "
-           (List.mapi (fun di _ -> Printf.sprintf "%.4f" (mean di vi)) distances)))
-    variants;
-  bpf "},\n  \"cores\": %d\n}\n" (Domain.recommended_domain_count ());
-  let oc = open_out "BENCH_stale.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  pf "wrote BENCH_stale.json\n";
+  let cell sel drow vi = List.map (fun (_, cells) -> sel (List.nth cells vi)) drow in
+  write_bench "BENCH_stale.json"
+    (Json.Obj
+       [
+         ("distances", Json.List (List.map (fun d -> Json.Int d) distances));
+         ( "workloads",
+           Json.List
+             (List.map
+                (fun ((w : D.workload), seed, drow) ->
+                  Json.Obj
+                    [
+                      ("name", Json.String w.D.w_name);
+                      ("drift_seed", int64 seed);
+                      ("overlap", per_variant (cell fst drow));
+                      ("count_recovery", per_variant (cell snd drow));
+                    ])
+                rows) );
+         ( "aggregate_overlap",
+           per_variant (fun vi -> List.mapi (fun di _ -> mean di vi) distances) );
+         ("cores", Json.Int cores);
+       ]);
   (* The paper's stability claim, enforced: at every edit distance > 0 the
      probe-based variants must recover strictly more aggregate overlap than
      the DWARF baseline (variant 0). *)
@@ -383,30 +326,18 @@ let ablation () =
   (* Context depth requires surviving calls, so the trimming and
      missing-frame ablations profile with the in-compiler inliner off —
      like a production binary with deep call chains. *)
-  let profile_no_inline (w : D.workload) =
-    let prog = F.Lower.compile w.D.w_source in
-    Core.Pseudo_probe.insert prog;
-    let refp = Ir.Program.copy prog in
-    Opt.Pass.optimize
-      ~config:{ Opt.Config.o2_nopgo with Opt.Config.inline_mode = Opt.Config.Inline_none }
-      prog;
-    let bin = Cg.Emit.emit ~options:Cg.Emit.default_options prog in
-    let log = Vm.Sample_log.create () in
-    List.iter
-      (fun (spec : D.run_spec) ->
-        ignore
-          (Vm.Machine.run
-             ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 1009 })
-             ~sink:(Vm.Sample_log.sink log) ~globals_init:spec.D.rs_globals
-             ~args:spec.D.rs_args bin ~entry:w.D.w_entry))
-      w.D.w_train;
-    (Core.Correlate.target (Core.Correlate.symbols refp) bin, log)
+  let no_inline =
+    { D.default_options with
+      D.opt_profiling =
+        { Opt.Config.o2_nopgo with Opt.Config.inline_mode = Opt.Config.Inline_none } }
   in
   (* The untrimmed trie and Algorithm 1's stats of one recorded log. *)
-  let contexts ~missing_frames (target, log) =
+  let contexts ~missing_frames w =
+    let p = profile ~options:no_inline ~shape:Fl.Build.Ctx w in
     let r =
-      Core.Correlate.run ~jobs:1 ~missing_frames ~trim:0L Core.Correlate.Ctx target
-        (Core.Correlate.Log log)
+      Core.Correlate.run ~jobs:1 ~missing_frames ~trim:0L Core.Correlate.Ctx
+        (Core.Correlate.target p.build.Fl.Build.vb_symbols p.build.Fl.Build.vb_bin)
+        (Core.Correlate.Log p.log)
     in
     match r.Core.Correlate.profile with
     | P.Text_io.Ctx_prof trie -> (trie, r.Core.Correlate.stats)
@@ -414,7 +345,7 @@ let ablation () =
   in
   let w = W.Suite.hhvm in
   (* 1. cold-context trimming: profile size with and without *)
-  let trie, _ = contexts ~missing_frames:false (profile_no_inline W.Suite.haas) in
+  let trie, _ = contexts ~missing_frames:false W.Suite.haas in
   let untrimmed = P.Ctx_profile.size_bytes trie in
   let n_before = P.Ctx_profile.n_nodes trie in
   let removed = P.Ctx_profile.trim_cold trie ~threshold:64L in
@@ -427,9 +358,8 @@ let ablation () =
   pf "  to parity with context-insensitive profiles)\n\n";
   (* 2. missing-frame inference recovery rate on a tail-call-heavy build
      (adfinder's pass_all chain ends in a tail call when not inlined) *)
-  let adfinder = profile_no_inline W.Suite.adfinder in
-  let _, st_with = contexts ~missing_frames:true adfinder in
-  let _, st_without = contexts ~missing_frames:false adfinder in
+  let _, st_with = contexts ~missing_frames:true W.Suite.adfinder in
+  let _, st_without = contexts ~missing_frames:false W.Suite.adfinder in
   let rate (s : Core.Ctx_reconstruct.stats) =
     let tot = s.Core.Ctx_reconstruct.st_gaps_resolved + s.Core.Ctx_reconstruct.st_gaps_failed in
     if tot = 0 then 100.0
@@ -445,80 +375,61 @@ let ablation () =
     st_without.Core.Ctx_reconstruct.st_gaps_failed;
   (* 3. PEBS vs skid: haas is call/return dense (recursive evaluator), so
      stack-lag misalignment actually shows up there. *)
-  let wh = W.Suite.haas in
-  let opts_skid =
-    { D.default_options with
-      D.pmu = { Vm.Machine.default_pmu with sample_period = 1009; pebs = false; skid_prob = 0.5 } }
-  in
-  let o_pebs = outcome wh D.Csspgo_full in
-  let o_skid = D.run_variant ~options:opts_skid D.Csspgo_full wh in
-  let drop (o : D.outcome) =
-    match o.D.o_recon_stats with
+  let drop options =
+    match (outcome ~options W.Suite.haas D.Csspgo_full).D.o_recon_stats with
     | Some s ->
         float_of_int s.Core.Ctx_reconstruct.st_dropped_misaligned
         /. float_of_int (max s.Core.Ctx_reconstruct.st_samples 1)
         *. 100.
     | None -> 0.0
   in
-  pf "PEBS synchronization (haas): dropped samples %.1f%% with PEBS,\n" (drop o_pebs);
-  pf "  %.1f%% without (skid detection; paper: PEBS eliminates the skid)\n\n" (drop o_skid);
-  (* 4. layout algorithm: full Ext-TSP greedy (default) vs hot-path DFS *)
-  let opts_dfs =
+  let skid =
     { D.default_options with
-      D.emit_opts = { Cg.Emit.default_options with Cg.Emit.layout = `Hot_path } }
+      D.pmu = { Vm.Machine.default_pmu with sample_period = 1009; pebs = false; skid_prob = 0.5 } }
   in
-  let o_dfs = D.run_variant ~options:opts_dfs D.Csspgo_full w in
-  pf "block layout (hhvm, full CSSPGO): Ext-TSP greedy (default) %Ld cycles,\n"
-    (outcome w D.Csspgo_full).D.o_eval.D.ev_cycles;
-  pf "  hot-path DFS %Ld cycles (Ext-TSP %+.2f%% better)\n\n" o_dfs.D.o_eval.D.ev_cycles
-    ((Int64.to_float o_dfs.D.o_eval.D.ev_cycles
-     -. Int64.to_float (outcome w D.Csspgo_full).D.o_eval.D.ev_cycles)
-    /. Int64.to_float o_dfs.D.o_eval.D.ev_cycles
-    *. 100.);
-  (* 5. the "flexible framework" knob (§III.A): probes as strong barriers *)
-  let strong =
-    { Opt.Config.o2_nopgo with Opt.Config.probes_strong = true }
+  pf "PEBS synchronization (haas): dropped samples %.1f%% with PEBS,\n"
+    (drop D.default_options);
+  pf "  %.1f%% without (skid detection; paper: PEBS eliminates the skid)\n\n" (drop skid);
+  (* 4. layout algorithm: full Ext-TSP greedy (default) vs hot-path DFS *)
+  let ext_tsp = (outcome w D.Csspgo_full).D.o_eval.D.ev_cycles in
+  let dfs =
+    (outcome
+       ~options:
+         { D.default_options with
+           D.emit_opts = { Cg.Emit.default_options with Cg.Emit.layout = `Hot_path } }
+       w D.Csspgo_full)
+      .D.o_eval.D.ev_cycles
   in
+  pf "block layout (hhvm, full CSSPGO): Ext-TSP greedy (default) %Ld cycles,\n" ext_tsp;
+  pf "  hot-path DFS %Ld cycles (Ext-TSP %+.2f%% better)\n\n" dfs
+    ((Int64.to_float dfs -. Int64.to_float ext_tsp) /. Int64.to_float dfs *. 100.);
+  (* 5. the "flexible framework" knob (§III.A): probes as strong barriers.
+     Sampling costs no simulated cycles, so the profiling runs' training
+     cycles are the builds' run time. *)
   let overhead_of config =
-    let build ~probes =
-      let prog = F.Lower.compile w.D.w_source in
-      if probes then Core.Pseudo_probe.insert prog;
-      Opt.Pass.optimize ~config prog;
-      let bin = Cg.Emit.emit ~options:Cg.Emit.default_options prog in
-      List.fold_left
-        (fun acc (spec : D.run_spec) ->
-          Int64.add acc
-            (Vm.Machine.run ~pmu:None ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args
-               bin ~entry:w.D.w_entry)
-              .Vm.Machine.cycles)
-        0L w.D.w_train
-    in
-    let plain = build ~probes:false in
-    let probed = build ~probes:true in
-    (Int64.to_float probed -. Int64.to_float plain) /. Int64.to_float plain *. 100.
+    let options = { D.default_options with D.opt_profiling = config } in
+    let cycles shape = (profile ~options ~shape w).cycles in
+    overhead ~base:(cycles Fl.Build.Lines) (cycles Fl.Build.Ctx)
   in
   pf "probe strength (hhvm profiling build, the §III.A flexibility knob):\n";
   pf "  fine-tuned (default) probes: %+.2f%% run-time overhead\n"
     (overhead_of Opt.Config.o2_nopgo);
   pf "  strong-barrier probes:       %+.2f%% run-time overhead\n"
-    (overhead_of strong);
+    (overhead_of { Opt.Config.o2_nopgo with Opt.Config.probes_strong = true });
   pf "  (stronger barriers preserve more control flow for correlation at\n";
   pf "   the price of run-time cost — the paper's overhead/accuracy dial)\n\n";
   (* 6. LBR depth 16 vs 32 *)
   let recon_with depth =
-    let opts =
-      { D.default_options with
-        D.pmu = { Vm.Machine.default_pmu with sample_period = 1009; lbr_depth = depth } }
-    in
-    let o = D.run_variant ~options:opts D.Csspgo_probe_only W.Suite.adretriever in
-    Core.Quality.block_overlap
-      ~truth:(outcome W.Suite.adretriever D.Instr_pgo).D.o_annotated o.D.o_annotated
-    *. 100.
+    overlap
+      ~options:
+        { D.default_options with
+          D.pmu = { Vm.Machine.default_pmu with sample_period = 1009; lbr_depth = depth } }
+      W.Suite.adretriever D.Csspgo_probe_only
   in
   pf "LBR depth (adretriever, probe-only overlap): 16-deep %.1f%%, 32-deep %.1f%%\n\n"
     (recon_with 16) (recon_with 32);
   (* 7. pre-inliner on/off *)
-  let o_nopre = D.run_variant ~options:{ D.default_options with D.preinline = None } D.Csspgo_full w in
+  let o_nopre = outcome ~options:{ D.default_options with D.preinline = None } w D.Csspgo_full in
   pf "pre-inliner (hhvm): full %+.2f%% vs no-pre-inliner %+.2f%% (over AutoFDO)\n"
     (gain_vs_autofdo w D.Csspgo_full)
     ((cycles w D.Autofdo -. Int64.to_float o_nopre.D.o_eval.D.ev_cycles)
@@ -529,7 +440,6 @@ let ablation () =
 
 let orch () =
   sep "Orchestrator — plan scheduling and artifact cache (lib/orchestrator)";
-  let module O = Csspgo_orchestrator in
   let variants =
     [ D.Nopgo; D.Autofdo; D.Csspgo_probe_only; D.Csspgo_full; D.Instr_pgo ]
   in
@@ -603,197 +513,17 @@ let orch () =
   (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: the offline components' own cost.         *)
-
-let micro () =
-  sep "Microbenchmarks (Bechamel) — offline pipeline component cost";
-  let w = W.Suite.adretriever in
-  let pbin, log, _ = profiling_run ~probes:true w in
-  let refp =
-    let p = F.Lower.compile w.D.w_source in
-    Core.Pseudo_probe.insert p;
-    p
-  in
-  let checksum_of g =
-    match Ir.Program.find_func_by_guid refp g with Some f -> f.Ir.Func.checksum | None -> 0L
-  in
-  let log_short = List.hd (Vm.Sample_log.split ~chunk:500 log) in
-  let reconstruct () =
-    let st = Core.Ctx_reconstruct.start ~checksum_of (Csspgo_profgen.Bindex.create pbin) in
-    Vm.Sample_log.iter log_short (Core.Ctx_reconstruct.feed st);
-    Core.Ctx_reconstruct.finish st
-  in
-  let annotated = (outcome w D.Csspgo_probe_only).D.o_annotated in
-  let open Bechamel in
-  let tests =
-    [
-      (* Fig.6/Table I pipeline: Algorithm 1 context reconstruction *)
-      Test.make ~name:"algo1-reconstruct-500-samples"
-        (Staged.stage (fun () -> ignore (reconstruct ())));
-      (* profile inference (Profi / MCF) on an annotated program *)
-      Test.make ~name:"mcf-inference-program"
-        (Staged.stage (fun () ->
-             let p = Ir.Program.copy annotated in
-             Csspgo_inference.Infer.infer p));
-      (* Ext-TSP style layout *)
-      Test.make ~name:"layout-order-program"
-        (Staged.stage (fun () ->
-             Ir.Program.iter_funcs
-               (fun f -> ignore (Cg.Layout.order ~split:true f))
-               annotated));
-      (* Algorithm 2+3: pre-inliner over a fresh trie *)
-      Test.make ~name:"algo2-preinliner"
-        (Staged.stage (fun () ->
-             let trie, _ = reconstruct () in
-             ignore (P.Ctx_profile.trim_cold trie ~threshold:8L);
-             let sizes = Core.Size_extract.compute pbin in
-             ignore (Core.Preinliner.run trie sizes)));
-      (* DWARF correlation for the AutoFDO baseline *)
-      Test.make ~name:"dwarf-correlate-500-samples"
-        (Staged.stage (fun () ->
-             let agg = Csspgo_profgen.Ranges.create () in
-             Vm.Sample_log.iter log_short (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
-                 Csspgo_profgen.Ranges.feed agg ~lbr ~lbr_len);
-             ignore (Csspgo_profgen.Dwarf_corr.correlate_agg pbin agg)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" ~fmt:"%s/%s" [ test ]) in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          instance results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> pf "  %-36s %12.1f us/run\n" name (est /. 1000.)
-          | _ -> pf "  %-36s (no estimate)\n" name)
-        ols)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Observability overhead: the streaming correlate pipeline with a live  *)
-(* metrics registry vs the null one. The design target is "free when      *)
-(* off, cheap when on": instruments bump local state on the hot path and *)
-(* flush to the registry at stage finish.                                *)
-
-let obs_overhead () =
-  sep "Obs — telemetry overhead on the streaming correlate pipeline (adretriever)";
-  let module Pg = Csspgo_profgen in
-  let module M = Csspgo_obs.Metrics in
-  let w = W.Suite.adretriever in
-  let prog = F.Lower.compile w.D.w_source in
-  Core.Pseudo_probe.insert prog;
-  let refp = Ir.Program.copy prog in
-  Opt.Pass.optimize ~config:Opt.Config.o2_nopgo prog;
-  let bin = Cg.Emit.emit ~options:Cg.Emit.default_options prog in
-  let name_of g =
-    Option.map (fun f -> f.Ir.Func.name) (Ir.Program.find_func_by_guid refp g)
-  in
-  let checksum_of g =
-    match Ir.Program.find_func_by_guid refp g with Some f -> f.Ir.Func.checksum | None -> 0L
-  in
-  let period = 499 in
-  let pmu = Some { Vm.Machine.default_pmu with sample_period = period } in
-  let log = Vm.Sample_log.create () in
-  List.iter
-    (fun (spec : D.run_spec) ->
-      ignore
-        (Vm.Machine.run ~pmu ~sink:(Vm.Sample_log.sink log)
-           ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin ~entry:w.D.w_entry))
-    w.D.w_train;
-  Vm.Sample_log.compact log;
-  let n = Vm.Sample_log.n_samples log in
-  pf "profiling run: %d samples (period %d)\n" n period;
-  let streaming ?obs () =
-    let ix = Pg.Bindex.create bin in
-    let agg = Pg.Ranges.create () in
-    let mb = Core.Missing_frame.start ?obs ix in
-    Vm.Sample_log.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
-        Pg.Ranges.feed agg ~lbr ~lbr_len;
-        Core.Missing_frame.feed mb ~lbr ~lbr_len);
-    let missing = Core.Missing_frame.finish mb in
-    let flat = Core.Probe_corr.correlate_agg ~name_of ~index:ix ~checksum_of ?obs bin agg in
-    let st = Core.Ctx_reconstruct.start ~name_of ~missing ~checksum_of ?obs ix in
-    Vm.Sample_log.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
-        Core.Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
-    let trie, _ = Core.Ctx_reconstruct.finish st in
-    (flat, trie)
-  in
-  let open Bechamel in
-  let estimate name f =
-    let test = Test.make ~name (Staged.stage f) in
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) ~kde:None () in
-    let results =
-      Benchmark.all cfg [ instance ]
-        (Test.make_grouped ~name:"obs" ~fmt:"%s/%s" [ test ])
-    in
-    let ols =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        instance results
-    in
-    let est = ref nan in
-    Hashtbl.iter
-      (fun _ o ->
-        match Analyze.OLS.estimates o with Some [ e ] -> est := e | _ -> ())
-      ols;
-    !est
-  in
-  let live = M.create () in
-  let ns_off = estimate "telemetry-off" (fun () -> ignore (streaming ())) in
-  let ns_null = estimate "telemetry-null" (fun () -> ignore (streaming ~obs:M.null ())) in
-  let ns_on = estimate "telemetry-on" (fun () -> ignore (streaming ~obs:live ())) in
-  let pct a = (a /. ns_off -. 1.) *. 100. in
-  pf "no obs argument:     %10.2f ms/pipeline\n" (ns_off /. 1e6);
-  pf "null registry:       %10.2f ms/pipeline  (%+.1f%%)\n" (ns_null /. 1e6) (pct ns_null);
-  pf "live registry:       %10.2f ms/pipeline  (%+.1f%%)\n" (ns_on /. 1e6) (pct ns_on);
-  let snap = M.snapshot live in
-  (match M.find_counter snap "ctx.samples" with
-  | Some c -> pf "live registry saw %d ctx samples across timed runs\n" c
-  | None -> ())
-
-(* ------------------------------------------------------------------ *)
 (* Binary profile format: decode vs text parse on an hhvm-scale profile, *)
 (* plus the profile-delta incremental rebuild the fingerprints enable.   *)
 
 let format_bench () =
   sep "Format — binary profile codec vs text, and delta-driven rebuilds";
-  let module O = Csspgo_orchestrator in
-  let open Bechamel in
-  let estimate name f =
-    let test = Test.make ~name (Staged.stage f) in
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None () in
-    let results =
-      Benchmark.all cfg [ instance ]
-        (Test.make_grouped ~name:"format" ~fmt:"%s/%s" [ test ])
-    in
-    let ols =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        instance results
-    in
-    let est = ref nan in
-    Hashtbl.iter
-      (fun _ o ->
-        match Analyze.OLS.estimates o with Some [ e ] -> est := e | _ -> ())
-      ols;
-    !est (* ns per run *)
+  (* One context trie and one flat probe profile of the dense hhvm run. *)
+  let p = profile ~options:dense ~shape:Fl.Build.Ctx W.Suite.hhvm in
+  let texts =
+    List.combine [ "ctx"; "probes" ]
+      (profile_texts (Fl.Build.correlate ~options:dense ~shape:Fl.Build.Ctx p.build p.log))
   in
-  (* hhvm at a dense sample period: the biggest profiles the substrate
-     produces, one context trie and one flat probe profile. *)
-  let w = W.Suite.hhvm in
-  let opts =
-    { D.default_options with
-      D.pmu = { Vm.Machine.default_pmu with sample_period = 499 } }
-  in
-  let texts = D.profile_pipeline_texts ~options:opts ~replay:false D.Csspgo_full w in
   pf "profile codec (hhvm, dense period %d):\n" 499;
   let shapes =
     List.map
@@ -816,27 +546,21 @@ let format_bench () =
         pf "  %-12s decode speedup %.2fx (target >= 3x), size %.2fx smaller\n" ""
           speedup
           (float_of_int (String.length text) /. float_of_int (String.length b));
-        (tag, String.length text, String.length b, ns_parse, ns_decode, ns_encode, speedup))
+        ( (tag, speedup),
+          Json.Obj
+            [
+              ("tag", Json.String tag);
+              ("text_bytes", Json.Int (String.length text));
+              ("binary_bytes", Json.Int (String.length b));
+              ("parse_ns", Json.Float ns_parse);
+              ("decode_ns", Json.Float ns_decode);
+              ("encode_ns", Json.Float ns_encode);
+              ("decode_speedup", Json.Float speedup);
+            ] ))
       texts
   in
-  (* Sample-log codec on the same run shape. *)
-  let log =
-    let prog = F.Lower.compile w.D.w_source in
-    Core.Pseudo_probe.insert prog;
-    Opt.Pass.optimize ~config:Opt.Config.o2_nopgo prog;
-    let bin = Cg.Emit.emit ~options:Cg.Emit.default_options prog in
-    let pmu = Some { Vm.Machine.default_pmu with sample_period = 499 } in
-    let log = Vm.Sample_log.create () in
-    List.iter
-      (fun (spec : D.run_spec) ->
-        ignore
-          (Vm.Machine.run ~pmu ~sink:(Vm.Sample_log.sink log)
-             ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
-             ~entry:w.D.w_entry))
-      w.D.w_train;
-    Vm.Sample_log.compact log;
-    log
-  in
+  (* Sample-log codec on the same run. *)
+  let log = p.log in
   let log_text = Vm.Sample_log.to_text log in
   let log_bin = Vm.Sample_log.encode log in
   let ns_log_parse =
@@ -864,12 +588,13 @@ let format_bench () =
   let _, t_cold = time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks cache) plan) in
   let _, t_warm = time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks cache) plan) in
   let _, t_a = time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks cache) (stale 3L)) in
-  let module M = Csspgo_obs.Metrics in
-  let obs = M.create () in
+  let obs = Obs.Metrics.create () in
   let _, t_delta =
     time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks ~obs cache) (stale 4L))
   in
-  let plan_count name = Option.value ~default:0 (M.find_counter (M.snapshot obs) name) in
+  let plan_count name =
+    Option.value ~default:0 (Obs.Metrics.find_counter (Obs.Metrics.snapshot obs) name)
+  in
   let n_rec = plan_count "plan.rebuild.funcs-recompiled" in
   let n_reu = plan_count "plan.rebuild.funcs-reused" in
   pf "incremental rebuild (clangish, full CSSPGO, in-memory cache):\n";
@@ -878,34 +603,37 @@ let format_bench () =
   pf "  drifted rebuild (v2)       %7.3fs\n" t_a;
   pf "  delta rebuild (v2 -> v2')  %7.3fs   (%d recompiled, %d reused)\n" t_delta
     n_rec n_reu;
-  let buf = Buffer.create 1024 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n  \"workload\": \"hhvm\",\n  \"sample_period\": 499,\n  \"profiles\": [\n";
-  List.iteri
-    (fun i (tag, tb, bb, np, nd, ne, sp) ->
-      bpf
-        "    {\"tag\": \"%s\", \"text_bytes\": %d, \"binary_bytes\": %d,\n\
-        \     \"parse_ns\": %.0f, \"decode_ns\": %.0f, \"encode_ns\": %.0f,\n\
-        \     \"decode_speedup\": %.3f}%s\n"
-        tag tb bb np nd ne sp
-        (if i = List.length shapes - 1 then "" else ","))
-    shapes;
-  bpf "  ],\n";
-  bpf "  \"sample_log\": {\"n_samples\": %d, \"text_bytes\": %d, \"binary_bytes\": %d,\n"
-    (Vm.Sample_log.n_samples log) (String.length log_text) (String.length log_bin);
-  bpf "    \"parse_ns\": %.0f, \"decode_ns\": %.0f, \"decode_speedup\": %.3f},\n"
-    ns_log_parse ns_log_decode (ns_log_parse /. ns_log_decode);
-  bpf "  \"incremental\": {\"workload\": \"clangish\", \"cold_s\": %.4f, \"warm_s\": %.4f,\n"
-    t_cold t_warm;
-  bpf "    \"drifted_s\": %.4f, \"delta_s\": %.4f, \"delta_recompiled\": %d, \"delta_reused\": %d},\n"
-    t_a t_delta n_rec n_reu;
-  bpf "  \"cores\": %d\n}\n" (Domain.recommended_domain_count ());
-  let oc = open_out "BENCH_format.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  pf "wrote BENCH_format.json\n";
+  write_bench "BENCH_format.json"
+    (Json.Obj
+       [
+         ("workload", Json.String "hhvm");
+         ("sample_period", Json.Int 499);
+         ("profiles", Json.List (List.map snd shapes));
+         ( "sample_log",
+           Json.Obj
+             [
+               ("n_samples", Json.Int (Vm.Sample_log.n_samples log));
+               ("text_bytes", Json.Int (String.length log_text));
+               ("binary_bytes", Json.Int (String.length log_bin));
+               ("parse_ns", Json.Float ns_log_parse);
+               ("decode_ns", Json.Float ns_log_decode);
+               ("decode_speedup", Json.Float (ns_log_parse /. ns_log_decode));
+             ] );
+         ( "incremental",
+           Json.Obj
+             [
+               ("workload", Json.String "clangish");
+               ("cold_s", Json.Float t_cold);
+               ("warm_s", Json.Float t_warm);
+               ("drifted_s", Json.Float t_a);
+               ("delta_s", Json.Float t_delta);
+               ("delta_recompiled", Json.Int n_rec);
+               ("delta_reused", Json.Int n_reu);
+             ] );
+         ("cores", Json.Int cores);
+       ]);
   List.iter
-    (fun (tag, _, _, _, _, _, sp) ->
+    (fun ((tag, sp), _) ->
       if sp < 3.0 then
         failwith
           (Printf.sprintf "format: %s binary decode speedup %.2fx below 3x target" tag sp))
@@ -917,32 +645,20 @@ let format_bench () =
 
 let fleet_bench () =
   sep "Fleet — continuous profiling (sharded collectors, cross-version merge)";
-  let module Fl = Csspgo_fleet in
   let w = W.Suite.adfinder in
-  let options = D.default_options in
   let version ?(id = 0) ?(n = 1) src =
     { Fl.Sim.v_id = id; v_source = src; v_weight = 1L; v_instances = n }
   in
   (* One rebuild measurement per distinct source: inject the merged
      profile through the plan pipeline, compare against no-PGO and the
      instrumentation truth of the same source. *)
-  let baselines = Hashtbl.create 8 in
   let measure src (out : Fl.Sim.outcome) =
     let gen_w = { w with D.w_source = src } in
-    let nopgo, truth =
-      match Hashtbl.find_opt baselines src with
-      | Some b -> b
-      | None ->
-          let b =
-            ( (D.run_variant ~options D.Nopgo gen_w).D.o_eval,
-              (D.run_variant ~options D.Instr_pgo gen_w).D.o_annotated )
-          in
-          Hashtbl.replace baselines src b;
-          b
-    in
+    let nopgo = (outcome gen_w D.Nopgo).D.o_eval in
+    let truth = (outcome gen_w D.Instr_pgo).D.o_annotated in
     let o =
       D.Plan.run
-        (D.Plan.make_with_profile ~options ~profile:out.Fl.Sim.fs_profile
+        (D.Plan.make_with_profile ~profile:out.Fl.Sim.fs_profile
            ?flat:out.Fl.Sim.fs_flat gen_w)
     in
     let speedup =
@@ -954,9 +670,7 @@ let fleet_bench () =
      byte-identical to the single-instance baseline whatever the fleet
      size — sharding and partitioning must be invisible. *)
   let sizes = [ 1; 4; 16; 64 ] in
-  let size_cfg =
-    { Fl.Sim.default with Fl.Sim.f_options = options; f_request_copies = 64 }
-  in
+  let size_cfg = { Fl.Sim.default with Fl.Sim.f_request_copies = 64 } in
   pf "fleet size sweep (duty 1.0, %d stream copies):\n" 64;
   let single = ref "" in
   let size_rows =
@@ -1003,9 +717,7 @@ let fleet_bench () =
      onto the newest and merged. *)
   let skews = [ 0; 1; 2 ] in
   pf "version skew sweep (cohort 4, 16 stream copies):\n";
-  let skew_cfg =
-    { Fl.Sim.default with Fl.Sim.f_options = options; f_request_copies = 16 }
-  in
+  let skew_cfg = { Fl.Sim.default with Fl.Sim.f_request_copies = 16 } in
   let skew_rows =
     List.map
       (fun skew ->
@@ -1050,8 +762,7 @@ let fleet_bench () =
       Fl.Train.default with
       Fl.Train.t_generations = 3;
       t_cohort = 4;
-      t_fleet =
-        { Fl.Sim.default with Fl.Sim.f_options = options; f_request_copies = 8 };
+      t_fleet = { Fl.Sim.default with Fl.Sim.f_request_copies = 8 };
     }
   in
   let gens = Fl.Train.run train_cfg w in
@@ -1067,56 +778,63 @@ let fleet_bench () =
         | Some r -> Printf.sprintf "%.3f" (Core.Stale_match.recovery_rate r)
         | None -> "-"))
     gens;
-  (* JSON export mirrors the other BENCH_* artifacts. *)
-  let buf = Buffer.create 2048 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n  \"workload\": \"%s\",\n  \"fleet_sizes\": [\n" w.D.w_name;
-  List.iteri
-    (fun i (n, (out : Fl.Sim.outcome), speedup, overlap, identical) ->
-      bpf
-        "    {\"instances\": %d, \"samples\": %d, \"bytes\": %d, \"batches\": %d,\n\
-        \     \"speedup\": %.4f, \"overlap\": %.4f, \"identical_to_single\": %b}%s\n"
-        n out.Fl.Sim.fs_samples out.Fl.Sim.fs_bytes out.Fl.Sim.fs_batches speedup
-        overlap identical
-        (if i = List.length size_rows - 1 then "" else ","))
-    size_rows;
-  bpf "  ],\n  \"duty_sweep\": [\n";
-  List.iteri
-    (fun i (duty, (out : Fl.Sim.outcome), speedup, overlap) ->
-      bpf
-        "    {\"duty\": %.2f, \"sampled\": %d, \"requests\": %d, \"samples\": %d,\n\
-        \     \"bytes\": %d, \"speedup\": %.4f, \"overlap\": %.4f}%s\n"
-        duty out.Fl.Sim.fs_sampled out.Fl.Sim.fs_requests out.Fl.Sim.fs_samples
-        out.Fl.Sim.fs_bytes speedup overlap
-        (if i = List.length duty_rows - 1 then "" else ","))
-    duty_rows;
-  bpf "  ],\n  \"skew_sweep\": [\n";
-  List.iteri
-    (fun i (skew, (out : Fl.Sim.outcome), recovery, speedup, overlap) ->
-      bpf
-        "    {\"skew\": %d, \"versions\": %d, \"samples\": %d, \"recovery\": %.4f,\n\
-        \     \"speedup\": %.4f, \"overlap\": %.4f}%s\n"
-        skew (skew + 1) out.Fl.Sim.fs_samples recovery speedup overlap
-        (if i = List.length skew_rows - 1 then "" else ","))
-    skew_rows;
-  bpf "  ],\n  \"train\": [\n";
-  List.iteri
-    (fun i (g : Fl.Train.generation) ->
-      bpf "    {\"id\": %d, \"speedup\": %.4f, \"overlap\": %s, \"carry_recovery\": %s}%s\n"
-        g.Fl.Train.g_id g.Fl.Train.g_speedup
-        (match g.Fl.Train.g_overlap with
-        | Some f -> Printf.sprintf "%.4f" f
-        | None -> "null")
-        (match g.Fl.Train.g_carry with
-        | Some r -> Printf.sprintf "%.4f" (Core.Stale_match.recovery_rate r)
-        | None -> "null")
-        (if i = List.length gens - 1 then "" else ","))
-    gens;
-  bpf "  ],\n  \"cores\": %d\n}\n" (Domain.recommended_domain_count ());
-  let oc = open_out "BENCH_fleet.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  pf "wrote BENCH_fleet.json\n"
+  let num_opt f = function Some x -> Json.Float (f x) | None -> Json.Null in
+  let rows f l = Json.List (List.map (fun r -> Json.Obj (f r)) l) in
+  write_bench "BENCH_fleet.json"
+    (Json.Obj
+       [
+         ("workload", Json.String w.D.w_name);
+         ( "fleet_sizes",
+           rows
+             (fun (n, (out : Fl.Sim.outcome), speedup, overlap, identical) ->
+               [
+                 ("instances", Json.Int n);
+                 ("samples", Json.Int out.Fl.Sim.fs_samples);
+                 ("bytes", Json.Int out.Fl.Sim.fs_bytes);
+                 ("batches", Json.Int out.Fl.Sim.fs_batches);
+                 ("speedup", Json.Float speedup);
+                 ("overlap", Json.Float overlap);
+                 ("identical_to_single", Json.Bool identical);
+               ])
+             size_rows );
+         ( "duty_sweep",
+           rows
+             (fun (duty, (out : Fl.Sim.outcome), speedup, overlap) ->
+               [
+                 ("duty", Json.Float duty);
+                 ("sampled", Json.Int out.Fl.Sim.fs_sampled);
+                 ("requests", Json.Int out.Fl.Sim.fs_requests);
+                 ("samples", Json.Int out.Fl.Sim.fs_samples);
+                 ("bytes", Json.Int out.Fl.Sim.fs_bytes);
+                 ("speedup", Json.Float speedup);
+                 ("overlap", Json.Float overlap);
+               ])
+             duty_rows );
+         ( "skew_sweep",
+           rows
+             (fun (skew, (out : Fl.Sim.outcome), recovery, speedup, overlap) ->
+               [
+                 ("skew", Json.Int skew);
+                 ("versions", Json.Int (skew + 1));
+                 ("samples", Json.Int out.Fl.Sim.fs_samples);
+                 ("recovery", Json.Float recovery);
+                 ("speedup", Json.Float speedup);
+                 ("overlap", Json.Float overlap);
+               ])
+             skew_rows );
+         ( "train",
+           rows
+             (fun (g : Fl.Train.generation) ->
+               [
+                 ("id", Json.Int g.Fl.Train.g_id);
+                 ("speedup", Json.Float g.Fl.Train.g_speedup);
+                 ("overlap", num_opt Fun.id g.Fl.Train.g_overlap);
+                 ( "carry_recovery",
+                   num_opt Core.Stale_match.recovery_rate g.Fl.Train.g_carry );
+               ])
+             gens );
+         ("cores", Json.Int cores);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Corr — sharded parallel correlation over chunk-framed sample logs:   *)
@@ -1125,49 +843,8 @@ let fleet_bench () =
 
 let corr_bench () =
   sep "Corr — sharded parallel correlation over chunk-framed sample logs";
-  let module Fl = Csspgo_fleet in
-  let open Bechamel in
-  let estimate name f =
-    let test = Test.make ~name (Staged.stage f) in
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None () in
-    let results =
-      Benchmark.all cfg [ instance ]
-        (Test.make_grouped ~name:"corr" ~fmt:"%s/%s" [ test ])
-    in
-    let ols =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        instance results
-    in
-    let est = ref nan in
-    Hashtbl.iter
-      (fun _ o ->
-        match Analyze.OLS.estimates o with Some [ e ] -> est := e | _ -> ())
-      ols;
-    !est (* ns per run *)
-  in
   let w = W.Suite.hhvm in
-  let opts =
-    { D.default_options with
-      D.pmu = { Vm.Machine.default_pmu with sample_period = 499 } }
-  in
-  let b =
-    Fl.Build.profiling_build ~options:opts ~shape:Fl.Build.Ctx
-      ~source:w.D.w_source
-  in
-  let log =
-    let log = Vm.Sample_log.create () in
-    List.iter
-      (fun (spec : D.run_spec) ->
-        ignore
-          (Vm.Machine.run ~pmu:(Some opts.D.pmu)
-             ~sink:(Vm.Sample_log.sink log) ~globals_init:spec.D.rs_globals
-             ~args:spec.D.rs_args b.Fl.Build.vb_bin ~entry:w.D.w_entry))
-      w.D.w_train;
-    Vm.Sample_log.compact log;
-    log
-  in
+  let { build = b; log; _ } = profile ~options:dense ~shape:Fl.Build.Ctx w in
   let n = Vm.Sample_log.n_samples log in
   let blob = Vm.Sample_log.encode log in
   let log_text = Vm.Sample_log.to_text log in
@@ -1185,57 +862,44 @@ let corr_bench () =
         | Error _ -> assert false)
   in
   let decode_speedup = ns_parse /. ns_decode in
-  pf "sample log (hhvm, period %d): %d samples, %d chunks\n" 499 n
-    (match Vm.Sample_log.decode_chunks blob with
-    | Ok parts -> List.length parts
-    | Error _ -> assert false);
-  pf "  text parse %10.1f us | v2 decode %10.1f us  (%.2fx, target >= 3x)\n"
-    (ns_parse /. 1e3) (ns_decode /. 1e3) decode_speedup;
-  (* Sharded correlation. The shard target scales with the log so the
-     shard count, not the production 4096-sample default, bounds the
-     available parallelism on this substrate-sized log. *)
   let chunks =
     match Vm.Sample_log.decode_chunks blob with
     | Ok parts -> parts
     | Error _ -> assert false
   in
+  pf "sample log (hhvm, period %d): %d samples, %d chunks\n" 499 n (List.length chunks);
+  pf "  text parse %10.1f us | v2 decode %10.1f us  (%.2fx, target >= 3x)\n"
+    (ns_parse /. 1e3) (ns_decode /. 1e3) decode_speedup;
+  (* Sharded correlation. The shard target scales with the log so the
+     shard count, not the production 4096-sample default, bounds the
+     available parallelism on this substrate-sized log. *)
   let shard_target = max 256 (n / 16) in
   let n_shards =
     List.length (Core.Par_corr.plan ~target:shard_target chunks)
   in
   pf "correlation (ctx shape): %d shards (target %d samples/shard)\n" n_shards
     shard_target;
-  let text (p, flat) =
-    P.Text_io.to_string p
-    ^
-    match flat with
-    | Some f -> P.Text_io.to_string (P.Text_io.Probe_prof f)
-    | None -> ""
+  let text r = String.concat "" (profile_texts r) in
+  (* Best-of-three time of a correlation, with its text. *)
+  let timed f =
+    let out = ref "" in
+    let t = time_best (fun () -> out := text (f ())) in
+    (!out, t)
   in
-  let serial_out = ref "" in
-  let t_serial =
-    time_best (fun () ->
-        let out = text (Fl.Build.correlate ~options:opts ~shape:Fl.Build.Ctx b log) in
-        serial_out := out;
-        out)
+  let serial_out, t_serial =
+    timed (fun () -> Fl.Build.correlate ~options:dense ~shape:Fl.Build.Ctx b log)
   in
   pf "  serial       %8.3fs   %9.0f samples/s\n" t_serial
     (float_of_int n /. t_serial);
   let runs =
     List.map
       (fun jobs ->
-        let out = ref "" in
-        let t =
-          time_best (fun () ->
-              let o =
-                text
-                  (Fl.Build.correlate_chunks ~shard_target ~jobs ~options:opts
-                     ~shape:Fl.Build.Ctx b chunks)
-              in
-              out := o;
-              o)
+        let out, t =
+          timed (fun () ->
+              Fl.Build.correlate_chunks ~shard_target ~jobs ~options:dense
+                ~shape:Fl.Build.Ctx b chunks)
         in
-        if not (String.equal !out !serial_out) then
+        if not (String.equal out serial_out) then
           failwith
             (Printf.sprintf "corr: -j %d output differs from serial" jobs);
         pf "  -j %d         %8.3fs   %9.0f samples/s  (%.2fx, identical)\n" jobs
@@ -1248,57 +912,51 @@ let corr_bench () =
   (* The other two shapes ride the identity check without timing. *)
   List.iter
     (fun shape ->
-      let b =
-        Fl.Build.profiling_build ~options:opts ~shape ~source:w.D.w_source
-      in
-      let log =
-        let log = Vm.Sample_log.create () in
-        List.iter
-          (fun (spec : D.run_spec) ->
-            ignore
-              (Vm.Machine.run ~pmu:(Some opts.D.pmu)
-                 ~sink:(Vm.Sample_log.sink log)
-                 ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args
-                 b.Fl.Build.vb_bin ~entry:w.D.w_entry))
-          w.D.w_train;
-        log
-      in
-      let serial = text (Fl.Build.correlate ~options:opts ~shape b log) in
+      let { build = b; log; _ } = profile ~options:dense ~shape w in
+      let serial = text (Fl.Build.correlate ~options:dense ~shape b log) in
       let par =
         text
-          (Fl.Build.correlate_chunks ~shard_target ~jobs:4 ~options:opts ~shape
+          (Fl.Build.correlate_chunks ~shard_target ~jobs:4 ~options:dense ~shape
              b (Vm.Sample_log.split log))
       in
       if not (String.equal serial par) then
         failwith ("corr: " ^ Fl.Build.shape_name shape ^ " -j 4 differs"))
     [ Fl.Build.Lines; Fl.Build.Probes ];
-  let cores = Domain.recommended_domain_count () in
-  let t4 = List.assoc 4 runs in
-  let speedup4 = t_serial /. t4 in
-  let buf = Buffer.create 512 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n  \"workload\": \"hhvm\",\n  \"sample_period\": 499,\n";
-  bpf "  \"n_samples\": %d,\n  \"n_shards\": %d,\n  \"cores\": %d,\n" n n_shards
-    cores;
-  bpf "  \"decode\": {\"parse_ns\": %.0f, \"decode_ns\": %.0f, \"speedup\": %.3f},\n"
-    ns_parse ns_decode decode_speedup;
-  bpf "  \"correlate\": {\"serial_s\": %.4f, \"serial_samples_per_s\": %.0f,\n"
-    t_serial
-    (float_of_int n /. t_serial);
-  bpf "    \"jobs\": [\n";
-  List.iteri
-    (fun i (jobs, t) ->
-      bpf "      {\"jobs\": %d, \"s\": %.4f, \"samples_per_s\": %.0f, \"speedup\": %.3f}%s\n"
-        jobs t
-        (float_of_int n /. t)
-        (t_serial /. t)
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  bpf "    ]\n  }\n}\n";
-  let oc = open_out "BENCH_corr.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  pf "wrote BENCH_corr.json\n";
+  let speedup4 = t_serial /. List.assoc 4 runs in
+  write_bench "BENCH_corr.json"
+    (Json.Obj
+       [
+         ("workload", Json.String "hhvm");
+         ("sample_period", Json.Int 499);
+         ("n_samples", Json.Int n);
+         ("n_shards", Json.Int n_shards);
+         ("cores", Json.Int cores);
+         ( "decode",
+           Json.Obj
+             [
+               ("parse_ns", Json.Float ns_parse);
+               ("decode_ns", Json.Float ns_decode);
+               ("speedup", Json.Float decode_speedup);
+             ] );
+         ( "correlate",
+           Json.Obj
+             [
+               ("serial_s", Json.Float t_serial);
+               ("serial_samples_per_s", Json.Float (float_of_int n /. t_serial));
+               ( "jobs",
+                 Json.List
+                   (List.map
+                      (fun (jobs, t) ->
+                        Json.Obj
+                          [
+                            ("jobs", Json.Int jobs);
+                            ("s", Json.Float t);
+                            ("samples_per_s", Json.Float (float_of_int n /. t));
+                            ("speedup", Json.Float (t_serial /. t));
+                          ])
+                      runs) );
+             ] );
+       ]);
   if decode_speedup < 3.0 then
     failwith
       (Printf.sprintf "corr: v2 decode speedup %.2fx below 3x target"
@@ -1322,29 +980,6 @@ let corr_bench () =
 
 let health_bench () =
   sep "Health — windowed telemetry overhead and the drift alarm";
-  let module Fl = Csspgo_fleet in
-  let module Obs = Csspgo_obs in
-  let open Bechamel in
-  let estimate name f =
-    let test = Test.make ~name (Staged.stage f) in
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None () in
-    let results =
-      Benchmark.all cfg [ instance ]
-        (Test.make_grouped ~name:"health" ~fmt:"%s/%s" [ test ])
-    in
-    let ols =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        instance results
-    in
-    let est = ref nan in
-    Hashtbl.iter
-      (fun _ o ->
-        match Analyze.OLS.estimates o with Some [ e ] -> est := e | _ -> ())
-      ols;
-    !est
-  in
   let w = W.Suite.adfinder in
   let fleet_cfg = { Fl.Sim.default with Fl.Sim.f_request_copies = 2 } in
   let versions =
@@ -1405,7 +1040,7 @@ let health_bench () =
     }
   in
   let tracker = Obs.Health.create () in
-  let gens = Fl.Train.run ~health:tracker train_cfg w in
+  ignore (Fl.Train.run ~health:tracker train_cfg w);
   let rep = Obs.Health.report tracker in
   pf "drift alarm (4 generations, spike 4 edits into gen 2):\n";
   print_string (Obs.Health.report_to_text rep);
@@ -1415,28 +1050,30 @@ let health_bench () =
       rep.Obs.Health.hp_alerts
   in
   let n_windows = List.length rep.Obs.Health.hp_windows in
-  let cores = Domain.recommended_domain_count () in
-  let buf = Buffer.create 512 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n  \"workload\": \"adfinder\",\n";
-  bpf "  \"window_ms\": %.3f,\n  \"close_us\": %.3f,\n" (t_window *. 1e3)
-    (ns_close /. 1e3);
-  bpf "  \"overhead_pct\": %.4f,\n" overhead_pct;
-  bpf "  \"end_to_end\": {\"plain_ms\": %.3f, \"telemetry_ms\": %.3f},\n"
-    (t_plain *. 1e3) (t_obs *. 1e3);
-  bpf "  \"windows\": %d,\n  \"crit_alerts\": %d,\n" n_windows
-    (List.length crit_alerts);
-  (match crit_alerts with
-  | [ a ] ->
-      bpf "  \"alert_window\": %d,\n  \"alert_indicator\": \"%s\",\n"
-        a.Obs.Health.al_window a.Obs.Health.al_indicator
-  | _ -> ());
-  bpf "  \"cores\": %d\n}\n" cores;
-  let oc = open_out "BENCH_health.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  pf "wrote BENCH_health.json\n";
-  ignore gens;
+  write_bench "BENCH_health.json"
+    (Json.Obj
+       ([
+          ("workload", Json.String "adfinder");
+          ("window_ms", Json.Float (t_window *. 1e3));
+          ("close_us", Json.Float (ns_close /. 1e3));
+          ("overhead_pct", Json.Float overhead_pct);
+          ( "end_to_end",
+            Json.Obj
+              [
+                ("plain_ms", Json.Float (t_plain *. 1e3));
+                ("telemetry_ms", Json.Float (t_obs *. 1e3));
+              ] );
+          ("windows", Json.Int n_windows);
+          ("crit_alerts", Json.Int (List.length crit_alerts));
+        ]
+       @ (match crit_alerts with
+         | [ a ] ->
+             [
+               ("alert_window", Json.Int a.Obs.Health.al_window);
+               ("alert_indicator", Json.String a.Obs.Health.al_indicator);
+             ]
+         | _ -> [])
+       @ [ ("cores", Json.Int cores) ]));
   if overhead_pct >= 1.0 then
     failwith
       (Printf.sprintf "health: window-close overhead %.4f%% above 1%% target"
@@ -1465,7 +1102,6 @@ let health_bench () =
 
 let labels_bench () =
   sep "Labels — blended vs label-sliced PGO across tenant skew and drift";
-  let module Fl = Csspgo_fleet in
   let requests = 16 in
   let cfg = { Fl.Tenancy.default with Fl.Tenancy.ty_jobs = 2 } in
   let run ~tag ~diurnal (w_maj, w_min) =
@@ -1485,24 +1121,36 @@ let labels_bench () =
     let cmp = Fl.Tenancy.quality cfg mix co sp in
     pf "%-10s %-10s %5s %7s %8s %8s %12s %12s %12s\n" tag "tenant" "reqs"
       "share" "sliced" "blended" "cyc-sliced" "cyc-blended" "cyc-nopgo";
-    List.iter
-      (fun (c : Fl.Tenancy.comparison) ->
-        let reqs =
-          match List.assoc_opt c.Fl.Tenancy.cp_tenant mix.W.Mix.mx_counts with
-          | Some n -> n
-          | None -> 0
-        in
-        pf "%-10s %-10s %5d %6.1f%% %8s %8.4f %12s %12Ld %12Ld\n" "" c.Fl.Tenancy.cp_tenant
-          reqs
-          (100. *. c.Fl.Tenancy.cp_share)
-          (if Float.is_nan c.Fl.Tenancy.cp_sliced_overlap then "-"
-           else Printf.sprintf "%.4f" c.Fl.Tenancy.cp_sliced_overlap)
-          c.Fl.Tenancy.cp_blended_overlap
-          (if c.Fl.Tenancy.cp_sliced_cycles < 0L then "-"
-           else Printf.sprintf "%Ld" c.Fl.Tenancy.cp_sliced_cycles)
-          c.Fl.Tenancy.cp_blended_cycles c.Fl.Tenancy.cp_nopgo_cycles)
-      cmp;
-    (mix, cmp)
+    let rows =
+      List.map
+        (fun (c : Fl.Tenancy.comparison) ->
+          let reqs =
+            Option.value ~default:0 (List.assoc_opt c.Fl.Tenancy.cp_tenant mix.W.Mix.mx_counts)
+          in
+          let sliced_cycles = c.Fl.Tenancy.cp_sliced_cycles in
+          pf "%-10s %-10s %5d %6.1f%% %8s %8.4f %12s %12Ld %12Ld\n" "" c.Fl.Tenancy.cp_tenant
+            reqs
+            (100. *. c.Fl.Tenancy.cp_share)
+            (if Float.is_nan c.Fl.Tenancy.cp_sliced_overlap then "-"
+             else Printf.sprintf "%.4f" c.Fl.Tenancy.cp_sliced_overlap)
+            c.Fl.Tenancy.cp_blended_overlap
+            (if sliced_cycles < 0L then "-" else Printf.sprintf "%Ld" sliced_cycles)
+            c.Fl.Tenancy.cp_blended_cycles c.Fl.Tenancy.cp_nopgo_cycles;
+          (* A tenant with no slice has a NaN overlap, which prints as null. *)
+          Json.Obj
+            [
+              ("tenant", Json.String c.Fl.Tenancy.cp_tenant);
+              ("requests", Json.Int reqs);
+              ("share", Json.Float c.Fl.Tenancy.cp_share);
+              ("sliced_overlap", Json.Float c.Fl.Tenancy.cp_sliced_overlap);
+              ("blended_overlap", Json.Float c.Fl.Tenancy.cp_blended_overlap);
+              ("sliced_cycles", if sliced_cycles < 0L then Json.Null else int64 sliced_cycles);
+              ("blended_cycles", int64 c.Fl.Tenancy.cp_blended_cycles);
+              ("nopgo_cycles", int64 c.Fl.Tenancy.cp_nopgo_cycles);
+            ])
+        cmp
+    in
+    (cmp, ("per_tenant", Json.List rows))
   in
   let skews = [ ("1:1", (1, 1)); ("3:1", (3, 1)); ("9:1", (9, 1)) ] in
   let skew_results =
@@ -1512,56 +1160,36 @@ let labels_bench () =
      curve rotates which tenant dominates across the stream. *)
   let drift_period = 8 in
   let drift_tag = Printf.sprintf "3:1/d%d" drift_period in
-  let drift_result = run ~tag:drift_tag ~diurnal:drift_period (3, 1) in
-  let cores = Domain.recommended_domain_count () in
-  let buf = Buffer.create 1024 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let bpf_rows (mix : W.Mix.t) cmp =
-    bpf "    \"per_tenant\": [\n";
-    List.iteri
-      (fun i (c : Fl.Tenancy.comparison) ->
-        let reqs =
-          match List.assoc_opt c.Fl.Tenancy.cp_tenant mix.W.Mix.mx_counts with
-          | Some n -> n
-          | None -> 0
-        in
-        bpf "      {\"tenant\": \"%s\", \"requests\": %d, \"share\": %.4f, "
-          c.Fl.Tenancy.cp_tenant reqs c.Fl.Tenancy.cp_share;
-        (if Float.is_nan c.Fl.Tenancy.cp_sliced_overlap then
-           bpf "\"sliced_overlap\": null, "
-         else bpf "\"sliced_overlap\": %.4f, " c.Fl.Tenancy.cp_sliced_overlap);
-        bpf "\"blended_overlap\": %.4f, " c.Fl.Tenancy.cp_blended_overlap;
-        (if c.Fl.Tenancy.cp_sliced_cycles < 0L then bpf "\"sliced_cycles\": null, "
-         else bpf "\"sliced_cycles\": %Ld, " c.Fl.Tenancy.cp_sliced_cycles);
-        bpf "\"blended_cycles\": %Ld, \"nopgo_cycles\": %Ld}%s\n"
-          c.Fl.Tenancy.cp_blended_cycles c.Fl.Tenancy.cp_nopgo_cycles
-          (if i = List.length cmp - 1 then "" else ","))
-      cmp;
-    bpf "    ]\n"
-  in
-  bpf "{\n  \"tenants\": [\"adretriever\", \"adfinder\"],\n";
-  bpf "  \"requests\": %d,\n" requests;
-  bpf "  \"skew_levels\": [\n";
-  List.iteri
-    (fun i (tag, (w_maj, w_min), (mix, cmp)) ->
-      bpf "   {\"skew\": \"%s\", \"weights\": [%d, %d],\n" tag w_maj w_min;
-      bpf_rows mix cmp;
-      bpf "   }%s\n" (if i = List.length skew_results - 1 then "" else ","))
-    skew_results;
-  bpf "  ],\n";
-  bpf "  \"drift\": {\"skew\": \"3:1\", \"diurnal_period\": %d,\n" drift_period;
-  (let mix, cmp = drift_result in
-   bpf_rows mix cmp);
-  bpf "  },\n";
-  bpf "  \"cores\": %d\n}\n" cores;
-  let oc = open_out "BENCH_labels.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  pf "wrote BENCH_labels.json\n";
+  let _, drift_rows = run ~tag:drift_tag ~diurnal:drift_period (3, 1) in
+  write_bench "BENCH_labels.json"
+    (Json.Obj
+       [
+         ("tenants", Json.List [ Json.String "adretriever"; Json.String "adfinder" ]);
+         ("requests", Json.Int requests);
+         ( "skew_levels",
+           Json.List
+             (List.map
+                (fun (tag, (w_maj, w_min), (_, rows)) ->
+                  Json.Obj
+                    [
+                      ("skew", Json.String tag);
+                      ("weights", Json.List [ Json.Int w_maj; Json.Int w_min ]);
+                      rows;
+                    ])
+                skew_results) );
+         ( "drift",
+           Json.Obj
+             [
+               ("skew", Json.String "3:1");
+               ("diurnal_period", Json.Int drift_period);
+               drift_rows;
+             ] );
+         ("cores", Json.Int cores);
+       ]);
   (* The headline claim: on the most-skewed mix, the minority tenant's
      own slice must annotate its code at least as faithfully as the
      majority-dominated blend. *)
-  let _, _, (_, most_skewed) = List.nth skew_results (List.length skew_results - 1) in
+  let _, _, (most_skewed, _) = List.nth skew_results (List.length skew_results - 1) in
   List.iter
     (fun (c : Fl.Tenancy.comparison) ->
       if
@@ -1578,46 +1206,36 @@ let labels_bench () =
 
 (* ------------------------------------------------------------------ *)
 
+let experiments =
+  [
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("fig9", fig9);
+    ("table1", table1);
+    ("client", client);
+    ("drift", drift);
+    ("stale", stale);
+    ("ablation", ablation);
+    ("orch", orch);
+    ("format", format_bench);
+    ("fleet", fleet_bench);
+    ("corr", corr_bench);
+    ("health", health_bench);
+    ("labels", labels_bench);
+  ]
+
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
+  let run =
+    match (which, List.assoc_opt which experiments) with
+    | _, Some run -> run
+    | "all", None -> fun () -> List.iter (fun (_, run) -> run ()) experiments
+    | _, None ->
+        Printf.eprintf "unknown experiment %S; valid: %s all\n" which
+          (String.concat " " (List.map fst experiments));
+        exit 1
+  in
   let t0 = Unix.gettimeofday () in
-  (match which with
-  | "fig6" -> fig6 ()
-  | "fig7" -> fig7 ()
-  | "fig8" -> fig8 ()
-  | "fig9" -> fig9 ()
-  | "table1" -> table1 ()
-  | "client" -> client ()
-  | "drift" -> drift ()
-  | "stale" -> stale ()
-  | "ablation" -> ablation ()
-  | "orch" -> orch ()
-  | "micro" -> micro ()
-  | "obs" -> obs_overhead ()
-  | "format" -> format_bench ()
-  | "fleet" -> fleet_bench ()
-  | "corr" -> corr_bench ()
-  | "health" -> health_bench ()
-  | "labels" -> labels_bench ()
-  | "all" ->
-      fig6 ();
-      fig7 ();
-      fig8 ();
-      fig9 ();
-      table1 ();
-      client ();
-      drift ();
-      stale ();
-      ablation ();
-      orch ();
-      micro ();
-      obs_overhead ();
-      format_bench ();
-      fleet_bench ();
-      corr_bench ();
-      health_bench ();
-      labels_bench ()
-  | other ->
-      pf "unknown experiment %S\n" other;
-      exit 1);
+  run ();
   pf "\n(total %.1fs)\n" (Unix.gettimeofday () -. t0)

@@ -1175,11 +1175,6 @@ let bench_check_cmd =
       & info [] ~docv:"FILE" ~doc:"BENCH_*.json files to validate")
   in
   let required = function
-    (* History: no experiment regenerates this file since the
-       materialized sample-list pipeline it timed was deleted; the schema
-       still guards the committed record. *)
-    | "BENCH_pipeline.json" ->
-        [ "workload"; "n_samples"; "speedup"; "streaming_samples_per_sec" ]
     | "BENCH_stale.json" -> [ "distances"; "workloads"; "aggregate_overlap" ]
     | "BENCH_format.json" -> [ "workload"; "profiles"; "sample_log"; "incremental" ]
     | "BENCH_fleet.json" ->

@@ -144,17 +144,6 @@ let run_specs ?(pmu = None) ?sink ?debug_poison ?obs (bin : Cg.Mach.binary) ~ent
     }
     specs
 
-let evaluate_opts (bin : Cg.Mach.binary) (w : workload) =
-  let r = run_specs ~pmu:None bin ~entry:w.w_entry w.w_eval in
-  {
-    ev_cycles = r.r_cycles;
-    ev_instructions = r.r_instrs;
-    ev_icache_misses = r.r_imiss;
-    ev_taken_branches = r.r_branches;
-  }
-
-let evaluate bin w = evaluate_opts bin w
-
 (* ------------------------------------------------------------------ *)
 (* Staged build plans: the supported surface for running variants.     *)
 

@@ -257,9 +257,6 @@ end
 val run_variant : ?options:options -> variant -> workload -> outcome
 (** Thin wrapper: [Plan.run (Plan.make ?options ~variant w)]. *)
 
-val evaluate : Csspgo_codegen.Mach.binary -> workload -> eval
-(** Run the eval inputs (no PMU) and aggregate. *)
-
 val profile_pipeline_texts :
   ?options:options -> replay:bool -> variant -> workload -> (string * string) list
 (** Build the variant's profiling binary, record its training runs through

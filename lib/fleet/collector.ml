@@ -1,6 +1,6 @@
 module Vm = Csspgo_vm
 module Obs = Csspgo_obs
-module S = Csspgo_orchestrator.Scheduler
+module S = Csspgo_sched.Scheduler
 
 (* Cumulative per-shard ingest/drop totals: the raw material for the
    per-shard series. Ingest is single-threaded (the parallel phases never

@@ -3,7 +3,7 @@ module P = Csspgo_profile
 module Obs = Csspgo_obs
 module Core = Csspgo_core
 module D = Core.Driver
-module S = Csspgo_orchestrator.Scheduler
+module S = Csspgo_sched.Scheduler
 module Fnv = Csspgo_support.Fnv
 module Label_set = Csspgo_support.Label_set
 module W = Csspgo_workloads

@@ -440,7 +440,6 @@ let encode ?(chunk = chunk_samples) ?(frame = `Auto) t =
   let v =
     match frame with
     | `Auto -> if is_labeled t then 3 else 2
-    | `V2 -> 2
     | `V3 -> 3
   in
   let sections = ref [] in

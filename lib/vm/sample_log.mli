@@ -135,14 +135,12 @@ val of_text : string -> (t, Csspgo_support.Wire.error) result
 (** Parse the text form; structural problems come back as
     [Error (Malformed _)]. *)
 
-val encode : ?chunk:int -> ?frame:[ `Auto | `V2 | `V3 ] -> t -> string
+val encode : ?chunk:int -> ?frame:[ `Auto | `V3 ] -> t -> string
 (** Binary blob, one section per [chunk] (default {!chunk_samples})
     samples; chunk boundaries walk whole records, never dividing a sample.
     An empty log frames a single empty chunk. [`Auto] (default) frames
-    labeled logs as v3 and label-free logs as v2; [`V2] forces the
-    pre-label framing, dropping labels (lossless exactly when the log is
-    label-free — the downgrade path); [`V3] forces a label section even
-    for a label-free log.
+    labeled logs as v3 and label-free logs as v2; [`V3] forces a label
+    section even for a label-free log.
     @raise Invalid_argument when [chunk] is not positive. *)
 
 val decode : string -> (t, Csspgo_support.Wire.error) result
