@@ -14,7 +14,11 @@
    three sampled variants at [hooks.jobs] 1 and 2, and the fleet's
    [Build.correlate], [correlate_chunks] and [correlate_labeled] for all
    three shapes, together with the counters each fleet call leaves in the
-   registry it is handed. *)
+   registry it is handed. The fleet windows above the kernel are pinned
+   whole: a two-version [Sim.run] (each version's profile, its stale
+   routing, the merged profile and flat), a two-generation [Train.run]
+   (each generation's profile, carry routing and annotated IR) and
+   [Tenancy.collect] on the labeled mix. *)
 module Ir = Csspgo_ir
 module F = Csspgo_frontend
 module Opt = Csspgo_opt
@@ -281,17 +285,17 @@ let fleet_case shape =
       @ prefixed "chunks -j 2" (texts j2)
       @ [ ("chunks counters", registry_text r1) ] )
 
+let mix =
+  W.Mix.make ~seed:11L ~requests:8
+    [
+      { W.Mix.t_name = "acme"; t_workload = W.Suite.adfinder; t_weight = 3 };
+      { W.Mix.t_name = "zeta"; t_workload = W.Suite.adranker; t_weight = 1 };
+    ]
+
 (* [correlate_labeled] on one labeled two-tenant log, at -j 1 and -j 2. *)
 let labeled_case shape =
   ( "labeled " ^ Fl.Build.shape_name shape,
     fun () ->
-      let mix =
-        W.Mix.make ~seed:11L ~requests:8
-          [
-            { W.Mix.t_name = "acme"; t_workload = W.Suite.adfinder; t_weight = 3 };
-            { W.Mix.t_name = "zeta"; t_workload = W.Suite.adranker; t_weight = 1 };
-          ]
-      in
       let w = mix.W.Mix.mx_workload in
       let b = Fl.Build.profiling_build ~options:fleet_options ~shape ~source:w.D.w_source in
       let log = fleet_log ~labeled:mix.W.Mix.mx_requests b w in
@@ -311,12 +315,127 @@ let labeled_case shape =
       let j1, r1 = run 1 and j2, _ = run 2 in
       prefixed "-j 1" j1 @ prefixed "-j 2" j2 @ [ ("counters", registry_text r1) ] )
 
+(* --- fleet windows -------------------------------------------------- *)
+
+let report = function
+  | Some r -> Core.Stale_match.report_to_string r
+  | None -> ""
+
+let adfinder_next =
+  (W.Drift.apply ~seed:3L ~edits:2 W.Suite.adfinder.D.w_source).W.Drift.dr_source
+
+(* One two-version [Sim.run] window, adfinder N and a drifted N+1: the
+   merged profile and flat, each version's own profile and its routing
+   onto N+1, the totals and the registry. *)
+let sim_case shape =
+  ( "sim " ^ Fl.Build.shape_name shape,
+    fun () ->
+      let w = W.Suite.adfinder in
+      let cfg =
+        {
+          Fl.Sim.default with
+          Fl.Sim.f_batch_requests = 2;
+          f_jobs = 2;
+          f_shape = shape;
+          f_options = fleet_options;
+        }
+      in
+      let version id source weight n =
+        { Fl.Sim.v_id = id; v_source = source; v_weight = weight; v_instances = n }
+      in
+      let obs = Obs.Metrics.create () in
+      let out =
+        Fl.Sim.run ~obs cfg ~workload:w
+          ~versions:[ version 0 w.D.w_source 1L 3; version 1 adfinder_next 3L 2 ]
+      in
+      texts (out.Fl.Sim.fs_profile, out.Fl.Sim.fs_flat)
+      @ List.concat_map
+          (fun pv ->
+            let tag = Printf.sprintf "v%d" pv.Fl.Sim.pv_id in
+            [
+              (tag ^ " profile", P.Text_io.to_string pv.Fl.Sim.pv_profile);
+              (tag ^ " stale", report pv.Fl.Sim.pv_stale);
+            ])
+          out.Fl.Sim.fs_per_version
+      @ [
+          ( "counts",
+            Printf.sprintf "%d %d %d %d %d %Ld" out.Fl.Sim.fs_requests
+              out.Fl.Sim.fs_sampled out.Fl.Sim.fs_samples out.Fl.Sim.fs_batches
+              out.Fl.Sim.fs_bytes out.Fl.Sim.fs_cycles );
+          ("counters", registry_text obs);
+        ] )
+
+(* A two-generation [Train.run]: each generation's build profile, its
+   carry routing, and the quality-oracle IR the carried flat annotates. *)
+let train_case shape =
+  ( "train " ^ Fl.Build.shape_name shape,
+    fun () ->
+      let cfg =
+        {
+          Fl.Train.default with
+          Fl.Train.t_generations = 2;
+          t_overlap = false;
+          t_fleet =
+            {
+              Fl.Sim.default with
+              Fl.Sim.f_batch_requests = 2;
+              f_shape = shape;
+              f_options = fleet_options;
+            };
+        }
+      in
+      List.concat_map
+        (fun (g : Fl.Train.generation) ->
+          let tag = Printf.sprintf "gen %d" g.Fl.Train.g_id in
+          [
+            (tag ^ " profile", P.Text_io.to_string g.Fl.Train.g_profile);
+            (tag ^ " carry", report g.Fl.Train.g_carry);
+            ( tag ^ " annotated",
+              Format.asprintf "%a" Ir.Program.pp g.Fl.Train.g_outcome.D.o_annotated );
+          ])
+        (Fl.Train.run cfg W.Suite.adfinder) )
+
+(* [Tenancy.collect] on the labeled two-tenant mix. *)
+let tenancy_case shape =
+  ( "tenancy " ^ Fl.Build.shape_name shape,
+    fun () ->
+      let cfg =
+        {
+          Fl.Tenancy.default with
+          Fl.Tenancy.ty_instances = 3;
+          ty_batch_requests = 2;
+          ty_jobs = 2;
+          ty_shape = shape;
+          ty_options = fleet_options;
+        }
+      in
+      let obs = Obs.Metrics.create () in
+      let co = Fl.Tenancy.collect ~obs cfg mix in
+      let lc = co.Fl.Tenancy.co_labeled in
+      [
+        ("blend", P.Text_io.to_string lc.Fl.Build.lc_blend);
+        ( "flat",
+          match lc.Fl.Build.lc_flat with
+          | Some f -> P.Text_io.to_string (P.Text_io.Probe_prof f)
+          | None -> "" );
+        ("slices", P.Labels.to_string lc.Fl.Build.lc_slices);
+        ("tenants", P.Labels.to_string co.Fl.Tenancy.co_tenants);
+        ( "counts",
+          Printf.sprintf "%d %d %d %d %d %Ld" co.Fl.Tenancy.co_requests
+            co.Fl.Tenancy.co_sampled co.Fl.Tenancy.co_samples co.Fl.Tenancy.co_batches
+            co.Fl.Tenancy.co_bytes co.Fl.Tenancy.co_cycles );
+        ("counters", registry_text obs);
+      ] )
+
 (* Digests keyed by case and aspect: the kernel cases recorded from the
    Hashtbl-counted kernels, the production entry points from the
    hand-written correlation copies that preceded [Correlate]. The serial
    [correlate] and labeled counter digests were re-recorded when the one
    [obs] registry began taking the shard counters: they gained only the
-   [parcorr.shards] and [parcorr.samples] lines. *)
+   [parcorr.shards] and [parcorr.samples] lines. The [sim], [train] and
+   [tenancy] digests were recorded while [Sim], [Train] and [Tenancy]
+   each still wrote their own request partition, serve loop and
+   route-then-merge step. *)
 let pinned =
   [
     ("adranker ranges", "22227ac3c6ebe9ee");
@@ -396,6 +515,52 @@ let pinned =
     ("labeled ctx -j 2 blend", "708b9d73aba4305d");
     ("labeled ctx -j 2 flat", "7fe738e810731375");
     ("labeled ctx counters", "288abc2cb5831c1e");
+    ("sim ctx profile", "4dc73093a20b4281");
+    ("sim ctx flat", "ae5013c66b638992");
+    ("sim ctx v0 profile", "930131de02d0373e");
+    ("sim ctx v0 stale", "dced7804127d3822");
+    ("sim ctx v1 profile", "3962e7cfd662b31c");
+    ("sim ctx v1 stale", "cbf29ce484222325");
+    ("sim ctx counts", "884e5123dd945052");
+    ("sim ctx counters", "602a725166244b7d");
+    ("sim lines profile", "be1442ddca0c6da4");
+    ("sim lines flat", "cbf29ce484222325");
+    ("sim lines v0 profile", "885b9fea7ac78773");
+    ("sim lines v0 stale", "35d979f1ac866ede");
+    ("sim lines v1 profile", "92397f1a4c0d84d9");
+    ("sim lines v1 stale", "cbf29ce484222325");
+    ("sim lines counts", "807f5925cfb2d275");
+    ("sim lines counters", "7c69b082a9b73fc6");
+    ("train ctx gen 0 profile", "930131de02d0373e");
+    ("train ctx gen 0 carry", "cbf29ce484222325");
+    ("train ctx gen 0 annotated", "179083a6ef5a5c8d");
+    ("train ctx gen 1 profile", "fccde8382553859a");
+    ("train ctx gen 1 carry", "dced7804127d3822");
+    ("train ctx gen 1 annotated", "fcc725105922f772");
+    ("train lines gen 0 profile", "885b9fea7ac78773");
+    ("train lines gen 0 carry", "cbf29ce484222325");
+    ("train lines gen 0 annotated", "18cef524e1b57fb3");
+    ("train lines gen 1 profile", "56bced60d60b956a");
+    ("train lines gen 1 carry", "e7c494f29529b663");
+    ("train lines gen 1 annotated", "552aa23f59443da9");
+    ("tenancy lines blend", "972bc751263354ae");
+    ("tenancy lines flat", "cbf29ce484222325");
+    ("tenancy lines slices", "7f32b6db730a58f9");
+    ("tenancy lines tenants", "c3470dc9da001340");
+    ("tenancy lines counts", "f4ca3c120a1e0818");
+    ("tenancy lines counters", "4cf892f028bd9b4f");
+    ("tenancy probes blend", "7fe738e810731375");
+    ("tenancy probes flat", "cbf29ce484222325");
+    ("tenancy probes slices", "7e88a7d2fb6545bb");
+    ("tenancy probes tenants", "7743a047de4875c0");
+    ("tenancy probes counts", "d66f6526228b84d0");
+    ("tenancy probes counters", "71c8203a162d985d");
+    ("tenancy ctx blend", "708b9d73aba4305d");
+    ("tenancy ctx flat", "7fe738e810731375");
+    ("tenancy ctx slices", "8ec785234d1a4dd8");
+    ("tenancy ctx tenants", "6cdacbac360bb727");
+    ("tenancy ctx counts", "d66f6526228b84d0");
+    ("tenancy ctx counters", "28193f1082bff927");
   ]
 
 let check_case (name, run) () =
@@ -414,4 +579,7 @@ let suite =
       (fun ((name, _) as c) -> Alcotest.test_case name `Quick (check_case c))
       (suite_cases @ [ haas_case; hhvm_pipeline_case ] @ driver_cases
       @ List.map fleet_case shapes
-      @ List.map labeled_case shapes) )
+      @ List.map labeled_case shapes
+      @ List.map sim_case [ Fl.Build.Ctx; Fl.Build.Lines ]
+      @ List.map train_case [ Fl.Build.Ctx; Fl.Build.Lines ]
+      @ List.map tenancy_case shapes) )
