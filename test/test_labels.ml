@@ -1,7 +1,8 @@
 (* Request-labeled profiles: label-set canonicalization laws, labeled
    sample-log slicing/framing (CSLG v3), the slice-then-merge byte-identity
    for all three profile shapes at -j 1/2/4, label-set projection and
-   re-blending, and the multi-tenant mix generator. *)
+   re-blending, the multi-tenant mix generator, and the tenancy blend
+   against the unlabeled fleet path on the same traffic. *)
 module LS = Csspgo_support.Label_set
 module Wire = Csspgo_support.Wire
 module Vm = Csspgo_vm
@@ -482,6 +483,90 @@ let test_labels_container_laws () =
         (profile_sig (P.Labels.reblend proj [ (1L, s.P.Labels.sl_label) ]))
   | [] -> Alcotest.fail "no projected slices"
 
+(* [Tenancy.collect]'s blend is the unlabeled fleet path on the same
+   traffic: one [Sim.run] version whose cohort serves the mix's requests
+   without labels, under the same instances, shards, duty, batch size and
+   seed. Bytes differ by design (v3 label sections), so they are left
+   out. *)
+let test_blend_is_unlabeled_fleet () =
+  let mix =
+    W.Mix.make ~seed:5L ~requests:8
+      [
+        { W.Mix.t_name = "acme"; t_workload = W.Suite.adfinder; t_weight = 3 };
+        { W.Mix.t_name = "zeta"; t_workload = W.Suite.adranker; t_weight = 1 };
+      ]
+  in
+  let w =
+    { mix.W.Mix.mx_workload with D.w_train = List.map fst mix.W.Mix.mx_requests }
+  in
+  let flat_sig = function
+    | Some f -> profile_sig (P.Text_io.Probe_prof f)
+    | None -> ""
+  in
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun jobs ->
+          let what =
+            Printf.sprintf "%s -j %d" (Fl.Build.shape_name shape) jobs
+          in
+          let ty =
+            {
+              Fl.Tenancy.ty_instances = 3;
+              ty_shards = 2;
+              ty_duty = 0.75;
+              ty_batch_requests = 2;
+              ty_jobs = jobs;
+              ty_shape = shape;
+              ty_options = options;
+              ty_seed = 9L;
+            }
+          in
+          let co = Fl.Tenancy.collect ty mix in
+          let fs =
+            Fl.Sim.run
+              {
+                Fl.Sim.f_shards = ty.Fl.Tenancy.ty_shards;
+                f_duty = ty.Fl.Tenancy.ty_duty;
+                f_batch_requests = ty.Fl.Tenancy.ty_batch_requests;
+                f_request_copies = 1;
+                f_jobs = jobs;
+                f_shape = shape;
+                f_options = options;
+                f_seed = ty.Fl.Tenancy.ty_seed;
+              }
+              ~workload:w
+              ~versions:
+                [
+                  {
+                    Fl.Sim.v_id = 0;
+                    v_source = w.D.w_source;
+                    v_weight = 1L;
+                    v_instances = ty.Fl.Tenancy.ty_instances;
+                  };
+                ]
+          in
+          let lc = co.Fl.Tenancy.co_labeled in
+          Alcotest.(check string) (what ^ " profile")
+            (profile_sig fs.Fl.Sim.fs_profile)
+            (profile_sig lc.Fl.Build.lc_blend);
+          Alcotest.(check string) (what ^ " flat")
+            (flat_sig fs.Fl.Sim.fs_flat)
+            (flat_sig lc.Fl.Build.lc_flat);
+          Alcotest.(check (list int)) (what ^ " requests, sampled, samples, batches")
+            [
+              fs.Fl.Sim.fs_requests; fs.Fl.Sim.fs_sampled; fs.Fl.Sim.fs_samples;
+              fs.Fl.Sim.fs_batches;
+            ]
+            [
+              co.Fl.Tenancy.co_requests; co.Fl.Tenancy.co_sampled;
+              co.Fl.Tenancy.co_samples; co.Fl.Tenancy.co_batches;
+            ];
+          Alcotest.(check int64) (what ^ " cycles") fs.Fl.Sim.fs_cycles
+            co.Fl.Tenancy.co_cycles)
+        [ 1; 2 ])
+    [ Fl.Build.Lines; Fl.Build.Probes; Fl.Build.Ctx ]
+
 let suite =
   ( "labels",
     [
@@ -508,4 +593,6 @@ let suite =
         test_single_tenant_degenerate;
       Alcotest.test_case "label-container projection and re-blend laws" `Quick
         test_labels_container_laws;
+      Alcotest.test_case "tenancy blend is the unlabeled fleet path" `Quick
+        test_blend_is_unlabeled_fleet;
     ] )
