@@ -367,23 +367,24 @@ module Plan = struct
     | Rebuild _ -> "rebuild"
     | Evaluate _ -> "evaluate"
 
-  (* Rough serialized-size estimates (one row per entry), shared by the
-     Correlate and Use_profile stages. *)
-  let line_profile_size (lp : P.Line_profile.t) =
-    Ir.Guid.Tbl.fold
-      (fun _ fe acc ->
-        acc + 24
-        + (12 * Hashtbl.length fe.P.Line_profile.fe_lines)
-        + (18 * Hashtbl.length fe.P.Line_profile.fe_calls))
-      lp.P.Line_profile.funcs 0
-
-  let probe_profile_size (pp : P.Probe_profile.t) =
-    Ir.Guid.Tbl.fold
-      (fun _ fe acc ->
-        acc + 24
-        + (10 * Hashtbl.length fe.P.Probe_profile.fe_probes)
-        + (18 * Hashtbl.length fe.P.Probe_profile.fe_calls))
-      pp.P.Probe_profile.funcs 0
+  (* Rough serialized-size estimates (one row per entry) of a sampled
+     profile, shared by the Correlate and Use_profile stages. *)
+  let sampled_size = function
+    | P.Text_io.Line_prof lp ->
+        Ir.Guid.Tbl.fold
+          (fun _ fe acc ->
+            acc + 24
+            + (12 * Hashtbl.length fe.P.Line_profile.fe_lines)
+            + (18 * Hashtbl.length fe.P.Line_profile.fe_calls))
+          lp.P.Line_profile.funcs 0
+    | P.Text_io.Probe_prof pp ->
+        Ir.Guid.Tbl.fold
+          (fun _ fe acc ->
+            acc + 24
+            + (10 * Hashtbl.length fe.P.Probe_profile.fe_probes)
+            + (18 * Hashtbl.length fe.P.Probe_profile.fe_calls))
+          pp.P.Probe_profile.funcs 0
+    | P.Text_io.Ctx_prof trie -> P.Ctx_profile.size_bytes trie
 
   (* Fingerprints for cache keys: FNV-1a over the Marshal image of a spec.
      Every spec type is a closure-free record, so this is total. *)
@@ -411,10 +412,10 @@ module Plan = struct
     pr_instr : instrumentation option;
   }
 
+  (* A sampled profile of any kind; a context trie carries its flat
+     (context-merged) probe profile as the quality baseline. *)
   type profile_data =
-    | Prof_lines of P.Line_profile.t
-    | Prof_probes of P.Probe_profile.t
-    | Prof_ctx of { x_trie : P.Ctx_profile.t; x_flat : P.Probe_profile.t }
+    | Prof_sampled of { x_profile : P.Text_io.profile; x_flat : P.Probe_profile.t option }
     | Prof_counters of {
         x_counts : (Ir.Guid.t * Ir.Types.label, int64) Hashtbl.t;
         x_dominant : (Instrument.vsite_key, int64) Hashtbl.t;
@@ -550,30 +551,19 @@ module Plan = struct
               ~ser:P.Text_io.to_string ~de:(P.Text_io.read kind)
               (fun () -> Correlate.of_agg ~obs:hooks.obs (Lazy.force target) shape po.pr_agg)
           in
-          (* Probe-level (context-merged) correlation, shared between
-             [Corr_probes] and the flat quality baseline of [Corr_ctx]. *)
-          let probe_flat () =
-            match memo_profile Correlate.Probes with
-            | P.Text_io.Probe_prof pp -> pp
-            | _ -> assert false
-          in
           (* The serialized size, for [plan.correlate.profile-bytes]: only a
              live registry records it, so only then is the text rendered. *)
           let text_bytes p () = String.length (P.Text_io.to_string p) in
           let bytes =
             match x_correlator with
-            | Corr_lines -> (
-                match memo_profile Correlate.Lines with
-                | P.Text_io.Line_prof lp as p ->
-                    profile := Some (Prof_lines lp);
-                    profile_size := line_profile_size lp;
-                    text_bytes p
-                | _ -> assert false)
-            | Corr_probes ->
-                let pp = probe_flat () in
-                profile := Some (Prof_probes pp);
-                profile_size := probe_profile_size pp;
-                text_bytes (P.Text_io.Probe_prof pp)
+            | Corr_lines | Corr_probes ->
+                let p =
+                  memo_profile
+                    (if x_correlator = Corr_lines then Correlate.Lines else Correlate.Probes)
+                in
+                profile := Some (Prof_sampled { x_profile = p; x_flat = None });
+                profile_size := sampled_size p;
+                text_bytes p
             | Corr_ctx { cc_missing_frames; cc_trim_threshold } ->
                 let p, stats =
                   hooks.memo ~kind:"correlate"
@@ -603,7 +593,13 @@ module Plan = struct
                   | P.Text_io.Ctx_prof trie -> P.Ctx_profile.copy trie
                   | _ -> assert false
                 in
-                let flat = probe_flat () in
+                (* The probe-level (context-merged) correlation is the flat
+                   quality baseline. *)
+                let flat =
+                  match memo_profile Correlate.Probes with
+                  | P.Text_io.Probe_prof pp -> pp
+                  | _ -> assert false
+                in
                 (* Reconstruction stats are counted even on cache hits —
                    they are part of the memoized value, so the numbers a
                    warm run reports match the cold run that built it. *)
@@ -613,7 +609,8 @@ module Plan = struct
                 stat "plan.correlate.gaps-resolved" stats.Ctx_reconstruct.st_gaps_resolved;
                 stat "plan.correlate.gaps-failed" stats.Ctx_reconstruct.st_gaps_failed;
                 recon := Some stats;
-                profile := Some (Prof_ctx { x_trie = trie; x_flat = flat });
+                profile :=
+                  Some (Prof_sampled { x_profile = P.Text_io.Ctx_prof trie; x_flat = Some flat });
                 text_bytes p
             | Corr_counters { cn_min_count; cn_min_ratio } ->
                 let inst =
@@ -648,24 +645,20 @@ module Plan = struct
           (* Adopt an externally merged profile as this plan's correlated
              profile. The text is already canonical, so its length is the
              serialized size. *)
-          (match P.Text_io.of_string us.u_text with
-          | P.Text_io.Line_prof lp ->
-              profile := Some (Prof_lines lp);
-              profile_size := line_profile_size lp
-          | P.Text_io.Probe_prof pp ->
-              profile := Some (Prof_probes pp);
-              profile_size := probe_profile_size pp
-          | P.Text_io.Ctx_prof trie ->
-              let flat =
+          let p = P.Text_io.of_string us.u_text in
+          let flat =
+            match p with
+            | P.Text_io.Ctx_prof trie -> (
                 match us.u_flat_text with
                 | Some t -> (
                     match P.Text_io.read P.Text_io.Probe t with
-                    | P.Text_io.Probe_prof pp -> pp
+                    | P.Text_io.Probe_prof pp -> Some pp
                     | _ -> assert false)
-                | None -> P.Merge.flatten_ctx trie
-              in
-              profile := Some (Prof_ctx { x_trie = trie; x_flat = flat });
-              profile_size := P.Ctx_profile.size_bytes trie);
+                | None -> Some (P.Merge.flatten_ctx trie))
+            | P.Text_io.Line_prof _ | P.Text_io.Probe_prof _ -> None
+          in
+          profile := Some (Prof_sampled { x_profile = p; x_flat = flat });
+          profile_size := sampled_size p;
           stat "plan.correlate.profile-bytes" (String.length us.u_text)
       | Stale_apply ss ->
           (* The match target is the *pre-optimization* IR of the new build,
@@ -675,20 +668,12 @@ module Plan = struct
           if ss.st_probes then Pseudo_probe.insert target;
           let rep =
             match !profile with
-            | Some (Prof_lines lp) ->
-                let lp', rep = Stale_match.match_line ~obs:hooks.obs ~target lp in
-                profile := Some (Prof_lines lp');
-                rep
-            | Some (Prof_probes pp) ->
-                let pp', rep = Stale_match.match_probe ~obs:hooks.obs ~target pp in
-                profile := Some (Prof_probes pp');
-                rep
-            | Some (Prof_ctx { x_trie; x_flat }) ->
-                let trie', rep = Stale_match.match_ctx ~obs:hooks.obs ~target x_trie in
-                (* The flat quality baseline must survive the same drift; its
-                   verdicts would double-count the trie's, so no obs here. *)
-                let flat', _ = Stale_match.match_probe ~target x_flat in
-                profile := Some (Prof_ctx { x_trie = trie'; x_flat = flat' });
+            | Some (Prof_sampled { x_profile; x_flat }) ->
+                (* The flat quality baseline must survive the same drift. *)
+                let (p, flat), rep =
+                  Stale_match.route ~obs:hooks.obs ~target (x_profile, x_flat)
+                in
+                profile := Some (Prof_sampled { x_profile = p; x_flat = flat });
                 rep
             | Some (Prof_counters _) | None ->
                 invalid_arg "Plan.run: Stale_apply requires a correlated sampling profile"
@@ -699,7 +684,7 @@ module Plan = struct
           stat "plan.stale.counts-dropped" (Int64.to_int rep.Stale_match.r_dropped_counts)
       | Preinline { pi_config } -> (
           match !profile with
-          | Some (Prof_ctx { x_trie; _ }) ->
+          | Some (Prof_sampled { x_profile = P.Text_io.Ctx_prof x_trie; _ }) ->
               (match pi_config with
               | Some cfg ->
                   let sizes =
@@ -740,9 +725,12 @@ module Plan = struct
           | None -> ());
           (match !profile with
           | None -> ()
-          | Some (Prof_lines lp) -> Annotate.lines lp prog
-          | Some (Prof_probes pp) -> stales := Annotate.probes pp prog
-          | Some (Prof_ctx { x_trie; _ }) -> stales := Annotate.ctx x_trie prog
+          | Some (Prof_sampled { x_profile = P.Text_io.Line_prof lp; _ }) ->
+              Annotate.lines lp prog
+          | Some (Prof_sampled { x_profile = P.Text_io.Probe_prof pp; _ }) ->
+              stales := Annotate.probes pp prog
+          | Some (Prof_sampled { x_profile = P.Text_io.Ctx_prof trie; _ }) ->
+              stales := Annotate.ctx trie prog
           | Some (Prof_counters { x_counts; x_dominant }) ->
               Annotate.exact x_counts prog;
               (* Value-profile-guided divisor specialization:
@@ -754,7 +742,7 @@ module Plan = struct
              (context-merged) probe profile from the same samples — the same
              correlation mechanism Table I's "CSSPGO" row measures. *)
           (match !profile with
-          | Some (Prof_ctx { x_flat; _ }) ->
+          | Some (Prof_sampled { x_flat = Some x_flat; _ }) ->
               let qp = Frontend.Lower.compile !rebuild_source in
               Pseudo_probe.insert qp;
               ignore (Annotate.probes x_flat qp);
@@ -767,12 +755,8 @@ module Plan = struct
              Exact counter profiles keep the raw text hash. *)
           let profile_fp =
             match !profile with
-            | Some (Prof_lines lp) ->
-                Printf.sprintf "pfp:%Lx" (P.Fingerprint.merged (P.Text_io.Line_prof lp))
-            | Some (Prof_probes pp) ->
-                Printf.sprintf "pfp:%Lx" (P.Fingerprint.merged (P.Text_io.Probe_prof pp))
-            | Some (Prof_ctx { x_trie; _ }) ->
-                Printf.sprintf "pfp:%Lx" (P.Fingerprint.merged (P.Text_io.Ctx_prof x_trie))
+            | Some (Prof_sampled { x_profile; _ }) ->
+                Printf.sprintf "pfp:%Lx" (P.Fingerprint.merged x_profile)
             | Some (Prof_counters { x_counts; x_dominant }) -> fp (x_counts, x_dominant)
             | None -> fp_string ""
           in

@@ -579,3 +579,21 @@ let match_ctx ?obs ~target (trie : CP.t) =
       faccs []
   in
   (out, close_report ?obs verdicts)
+
+let route ?obs ~target (profile, flat) =
+  let profile, rep =
+    match profile with
+    | P.Text_io.Line_prof lp ->
+        let lp, rep = match_line ?obs ~target lp in
+        (P.Text_io.Line_prof lp, rep)
+    | P.Text_io.Probe_prof pp ->
+        let pp, rep = match_probe ?obs ~target pp in
+        (P.Text_io.Probe_prof pp, rep)
+    | P.Text_io.Ctx_prof trie ->
+        let trie, rep = match_ctx ?obs ~target trie in
+        (P.Text_io.Ctx_prof trie, rep)
+  in
+  (* The flat baseline rides the same routing; its verdicts would
+     double-count the profile's, so no obs here. *)
+  let flat = Option.map (fun f -> fst (match_probe ~target f)) flat in
+  ((profile, flat), rep)

@@ -88,3 +88,15 @@ val match_ctx :
     [Exact] iff every node matched exactly, [Dropped] iff every node
     dropped, [Fuzzy] otherwise. Pre-inliner marks ([n_inlined]) are
     preserved on matched nodes. *)
+
+val route :
+  ?obs:Csspgo_obs.Metrics.t ->
+  target:Csspgo_ir.Program.t ->
+  Csspgo_profile.Text_io.profile * Csspgo_profile.Probe_profile.t option ->
+  (Csspgo_profile.Text_io.profile * Csspgo_profile.Probe_profile.t option)
+  * report
+(** Route a sampled profile of any kind, and its optional flat quality
+    baseline, onto [target]: the kind's matcher above for the profile,
+    {!match_probe} for the flat. The report and the [stale.*] counters
+    on [obs] cover the profile only; the flat's verdicts would count the
+    same functions twice. *)

@@ -100,13 +100,5 @@ let correlate_labeled ?obs ?(jobs = 1) ~options ~shape b log =
   }
 
 let match_onto ?obs ~target p =
-  match p with
-  | P.Text_io.Line_prof lp ->
-      let lp', rep = Core.Stale_match.match_line ?obs ~target lp in
-      (P.Text_io.Line_prof lp', rep)
-  | P.Text_io.Probe_prof pp ->
-      let pp', rep = Core.Stale_match.match_probe ?obs ~target pp in
-      (P.Text_io.Probe_prof pp', rep)
-  | P.Text_io.Ctx_prof trie ->
-      let trie', rep = Core.Stale_match.match_ctx ?obs ~target trie in
-      (P.Text_io.Ctx_prof trie', rep)
+  let (p, _), rep = Core.Stale_match.route ?obs ~target (p, None) in
+  (p, rep)

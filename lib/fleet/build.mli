@@ -100,5 +100,5 @@ val match_onto :
   target:Csspgo_ir.Program.t ->
   Csspgo_profile.Text_io.profile ->
   Csspgo_profile.Text_io.profile * Csspgo_core.Stale_match.report
-(** Kind-dispatched stale matching — route one version's profile onto
-    another version's {!built}[.vb_target] before merging. *)
+(** {!Csspgo_core.Stale_match.route} of a profile without a flat
+    baseline onto another version's {!built}[.vb_target]. *)

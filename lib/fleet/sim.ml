@@ -5,6 +5,7 @@ module Core = Csspgo_core
 module D = Core.Driver
 module S = Csspgo_sched.Scheduler
 module Fnv = Csspgo_support.Fnv
+module Label_set = Csspgo_support.Label_set
 
 type version = {
   v_id : int;
@@ -83,7 +84,63 @@ let partition k xs =
   in
   go 0 xs
 
-let replicate n xs = List.concat (List.init n (fun _ -> xs))
+(* --- the collection path ------------------------------------------------ *)
+
+type served = {
+  sv_version : int;
+  sv_report : Instance.report;
+  sv_batches : Instance.batch list;
+}
+
+(* Instance ids are assigned fleet-wide in (cohort, slot) order; each
+   instance accumulates its batches locally so the parallel stage never
+   touches the collector. *)
+let serve ?obs ~jobs ~duty ~batch_requests ~seed ~pmu ~entry cohorts requests =
+  let instances =
+    List.concat_map
+      (fun (version, bin, n) ->
+        List.map (fun block -> (version, bin, block)) (partition n requests))
+      cohorts
+  in
+  S.map ?obs ~jobs
+    (fun (id, (version, bin, block)) ->
+      let batches = ref [] in
+      let report =
+        Instance.serve_labeled
+          {
+            Instance.ic_instance = id;
+            ic_version = version;
+            ic_duty = duty;
+            ic_batch_requests = batch_requests;
+            ic_seed = Fnv.int64 (Fnv.int seed id) (Int64.of_int version);
+          }
+          ~pmu ~bin ~entry ~requests:block
+          ~ship:(fun batch -> batches := batch :: !batches)
+      in
+      { sv_version = version; sv_report = report; sv_batches = List.rev !batches })
+    (List.mapi (fun id inst -> (id, inst)) instances)
+
+(* Ingest order is deterministic (instance order) but drain re-sorts
+   anyway, so arrival order never matters. *)
+let ingest ?obs ~shards served =
+  let collector = Collector.create ?obs ~shards () in
+  List.iter (fun s -> List.iter (Collector.ingest collector) s.sv_batches) served;
+  collector
+
+(* The served instances' reports summed, and the CSLG bytes they shipped. *)
+let total served =
+  let sum f = List.fold_left (fun a s -> a + f s.sv_report) 0 served in
+  let bytes s = List.fold_left (fun a b -> a + String.length b.Instance.b_blob) 0 s.sv_batches in
+  ( {
+      Instance.ir_batches = sum (fun r -> r.Instance.ir_batches);
+      ir_requests = sum (fun r -> r.Instance.ir_requests);
+      ir_sampled = sum (fun r -> r.Instance.ir_sampled);
+      ir_samples = sum (fun r -> r.Instance.ir_samples);
+      ir_cycles = List.fold_left (fun a s -> Int64.add a s.sv_report.ir_cycles) 0L served;
+    },
+    List.fold_left (fun a s -> a + bytes s) 0 served )
+
+(* --- one collection window --------------------------------------------- *)
 
 let validate cfg versions =
   if versions = [] then invalid_arg "Sim.run: empty version list";
@@ -120,7 +177,9 @@ let run ?obs ?series ?health cfg ~(workload : D.workload) ~versions =
         Obs.Trace.with_span track name f
   in
   let jobs = max 1 cfg.f_jobs in
-  let requests = replicate cfg.f_request_copies workload.D.w_train in
+  let requests =
+    List.concat (List.init cfg.f_request_copies (fun _ -> workload.D.w_train))
+  in
   (* Phase 1: one profiling build per version in flight. *)
   let builds =
     span "fleet-build" (fun () ->
@@ -130,165 +189,83 @@ let run ?obs ?series ?health cfg ~(workload : D.workload) ~versions =
               ~source:v.v_source)
           versions)
   in
-  let built_of = Hashtbl.create 8 in
-  List.iter2 (fun v b -> Hashtbl.replace built_of v.v_id b) versions builds;
-  (* Phase 2: serve. Instance ids are assigned fleet-wide in (version,
-     cohort-slot) order; each instance accumulates its batches locally so
-     the parallel stage never touches the collector. *)
-  let instances =
-    List.concat_map
-      (fun v ->
-        List.mapi (fun slot block -> (v, slot, block))
-          (partition v.v_instances requests))
-      versions
-  in
-  let instances =
-    List.mapi (fun id (v, _slot, block) -> (id, v, block)) instances
-  in
+  (* Phase 2: serve every version's cohort its own copy of the stream. *)
   let served =
     span "fleet-serve" (fun () ->
-        S.map ~obs ~jobs
-          (fun (id, v, block) ->
-            let b = Hashtbl.find built_of v.v_id in
-            let batches = ref [] in
-            let report =
-              Instance.serve
-                {
-                  Instance.ic_instance = id;
-                  ic_version = v.v_id;
-                  ic_duty = cfg.f_duty;
-                  ic_batch_requests = cfg.f_batch_requests;
-                  ic_seed = Fnv.int64 (Fnv.int cfg.f_seed id) (Int64.of_int v.v_id);
-                }
-                ~pmu:cfg.f_options.D.pmu ~bin:b.Build.vb_bin
-                ~entry:workload.D.w_entry ~requests:block
-                ~ship:(fun batch -> batches := batch :: !batches)
-            in
-            (report, List.rev !batches))
-          instances)
+        serve ~obs ~jobs ~duty:cfg.f_duty ~batch_requests:cfg.f_batch_requests
+          ~seed:cfg.f_seed ~pmu:cfg.f_options.D.pmu ~entry:workload.D.w_entry
+          (List.map2 (fun v b -> (v.v_id, b.Build.vb_bin, v.v_instances)) versions builds)
+          (List.map (fun r -> (r, Label_set.empty)) requests))
   in
-  (* Phase 3: collect and drain. Ingest order is deterministic (instance
-     order) but drain re-sorts anyway, so arrival order never matters. *)
-  let collector = Collector.create ~obs ~shards:cfg.f_shards () in
-  List.iter
-    (fun (_report, batches) -> List.iter (Collector.ingest collector) batches)
-    served;
-  (* The fused drain: each version keeps its decoded chunk partition, so
-     the concatenated per-version log is never materialized between the
-     wire and the correlators. *)
+  (* Phase 3: collect and drain. The fused drain: each version keeps its
+     decoded chunk partition, so the concatenated per-version log is never
+     materialized between the wire and the correlators. *)
+  let collector = ingest ~obs ~shards:cfg.f_shards served in
   let merged =
     span "fleet-drain" (fun () ->
         Collector.drain_chunks ~jobs collector)
   in
-  let merged_of = Hashtbl.create 8 in
-  List.iter
-    (fun (m : Collector.chunks) ->
-      Hashtbl.replace merged_of m.Collector.k_version m)
-    merged;
   (* Phase 4: per-version correlation on the version's own build. The
      parallelism lives *inside* each correlation (sharded chunk replay),
      where the samples are, rather than across the handful of versions. *)
   let profiles =
     span "fleet-correlate" (fun () ->
-        List.map
-          (fun v ->
-            let b = Hashtbl.find built_of v.v_id in
+        List.map2
+          (fun v b ->
             let chunks =
-              match Hashtbl.find_opt merged_of v.v_id with
+              match
+                List.find_opt (fun (m : Collector.chunks) -> m.k_version = v.v_id) merged
+              with
               | Some m -> m.Collector.k_chunks
               | None -> []
             in
             Build.correlate_chunks ~obs ~jobs ~options:cfg.f_options
               ~shape:cfg.f_shape b chunks)
-          versions)
+          versions builds)
   in
   (* Phase 5: stale-route old versions onto the newest, then merge. *)
   let target_v = List.nth versions (List.length versions - 1) in
-  let target_b = Hashtbl.find built_of target_v.v_id in
+  let target_b = List.nth builds (List.length builds - 1) in
   let routed =
     span "fleet-merge" (fun () ->
         List.map2
-          (fun v (prof, flat) ->
-            if v.v_id = target_v.v_id then (v, prof, flat, None)
+          (fun v pair ->
+            if v.v_id = target_v.v_id then (pair, None)
             else
-              let prof', rep =
-                Build.match_onto ~obs ~target:target_b.Build.vb_target prof
+              let pair, rep =
+                Core.Stale_match.route ~obs ~target:target_b.Build.vb_target pair
               in
-              let flat' =
-                Option.map
-                  (fun f ->
-                    (* The flat baseline rides the same routing; its
-                       verdicts would double-count the trie's. *)
-                    fst
-                      (Core.Stale_match.match_probe
-                         ~target:target_b.Build.vb_target f))
-                  flat
-              in
-              (v, prof', flat', Some rep))
+              (pair, Some rep))
           versions profiles)
   in
-  let kind = Build.kind_of_shape cfg.f_shape in
-  let fs_profile =
-    P.Merge.weighted ~kind
-      (List.map (fun (v, prof, _flat, _rep) -> (v.v_weight, prof)) routed)
+  let fs_profile, fs_flat =
+    P.Merge.weighted_pairs ~kind:(Build.kind_of_shape cfg.f_shape)
+      (List.map2 (fun v ((prof, flat), _) -> (v.v_weight, prof, flat)) versions routed)
   in
-  let fs_flat =
-    match cfg.f_shape with
-    | Build.Ctx ->
-        let flats =
-          List.map
-            (fun (v, _prof, flat, _rep) ->
-              match flat with
-              | Some f -> (v.v_weight, P.Text_io.Probe_prof f)
-              | None -> assert false)
-            routed
-        in
-        (match P.Merge.weighted ~kind:P.Text_io.Probe flats with
-        | P.Text_io.Probe_prof pp -> Some pp
-        | _ -> assert false)
-    | Build.Lines | Build.Probes -> None
-  in
-  let inst_served = List.combine instances served in
   let per_version =
     List.map2
-      (fun (v, _prof, _flat, rep) (prof0, _flat0) ->
-        let stats =
-          List.filter_map
-            (fun ((_id, v', _block), rs) ->
-              if v'.v_id = v.v_id then Some rs else None)
-            inst_served
-        in
-        let sum f = List.fold_left (fun acc (r, _) -> acc + f r) 0 stats in
-        let batches = List.concat_map snd stats in
+      (fun v ((prof0, _flat0), (_, rep)) ->
+        let r, bytes = total (List.filter (fun s -> s.sv_version = v.v_id) served) in
         {
           pv_id = v.v_id;
           pv_instances = v.v_instances;
-          pv_requests = sum (fun r -> r.Instance.ir_requests);
-          pv_sampled = sum (fun r -> r.Instance.ir_sampled);
-          pv_samples = sum (fun r -> r.Instance.ir_samples);
-          pv_batches = List.length batches;
-          pv_bytes =
-            List.fold_left
-              (fun acc (b : Instance.batch) ->
-                acc + String.length b.Instance.b_blob)
-              0 batches;
+          pv_requests = r.Instance.ir_requests;
+          pv_sampled = r.Instance.ir_sampled;
+          pv_samples = r.Instance.ir_samples;
+          pv_batches = r.Instance.ir_batches;
+          pv_bytes = bytes;
           pv_profile = prof0;
           pv_stale = rep;
         })
-      routed profiles
+      versions (List.combine profiles routed)
   in
-  let sum f = List.fold_left (fun acc pv -> acc + f pv) 0 per_version in
-  let cycles =
-    List.fold_left
-      (fun acc (r, _) -> Int64.add acc r.Instance.ir_cycles)
-      0L served
-  in
+  let all, bytes = total served in
   let c name v = Obs.Metrics.bump (Obs.Metrics.counter obs name) v in
-  c "fleet.instances" (List.length instances);
-  c "fleet.requests" (sum (fun pv -> pv.pv_requests));
-  c "fleet.sampled" (sum (fun pv -> pv.pv_sampled));
-  c "fleet.samples" (sum (fun pv -> pv.pv_samples));
-  c "fleet.batches" (sum (fun pv -> pv.pv_batches));
+  c "fleet.instances" (List.length served);
+  c "fleet.requests" all.Instance.ir_requests;
+  c "fleet.sampled" all.Instance.ir_sampled;
+  c "fleet.samples" all.Instance.ir_samples;
+  c "fleet.batches" all.Instance.ir_batches;
   (* One telemetry window per collection window: the cumulative snapshot
      closes both the series window and the health window. *)
   (if windows then begin
@@ -301,10 +278,10 @@ let run ?obs ?series ?health cfg ~(workload : D.workload) ~versions =
     fs_flat;
     fs_target = target_b;
     fs_per_version = per_version;
-    fs_requests = sum (fun pv -> pv.pv_requests);
-    fs_sampled = sum (fun pv -> pv.pv_sampled);
-    fs_samples = sum (fun pv -> pv.pv_samples);
-    fs_batches = sum (fun pv -> pv.pv_batches);
-    fs_bytes = sum (fun pv -> pv.pv_bytes);
-    fs_cycles = cycles;
+    fs_requests = all.Instance.ir_requests;
+    fs_sampled = all.Instance.ir_sampled;
+    fs_samples = all.Instance.ir_samples;
+    fs_batches = all.Instance.ir_batches;
+    fs_bytes = bytes;
+    fs_cycles = all.Instance.ir_cycles;
   }

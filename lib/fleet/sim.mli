@@ -65,6 +65,44 @@ type outcome = {
   fs_cycles : int64;  (** total serving cycles across the fleet *)
 }
 
+(** {2 The collection path}
+
+    Serving and ingest as every fleet window runs them: {!run} serves one
+    unlabeled stream per version, [Tenancy.collect] one labeled mix. *)
+
+type served = {
+  sv_version : int;
+  sv_report : Instance.report;
+  sv_batches : Instance.batch list;  (** shipped, in [b_seq] order *)
+}
+
+val serve :
+  ?obs:Csspgo_obs.Metrics.t ->
+  jobs:int ->
+  duty:float ->
+  batch_requests:int ->
+  seed:int64 ->
+  pmu:Csspgo_vm.Machine.pmu ->
+  entry:string ->
+  (int * Csspgo_codegen.Mach.binary * int) list ->
+  (Csspgo_core.Driver.run_spec * Csspgo_support.Label_set.t) list ->
+  served list
+(** [serve cohorts requests]: every [(version, binary, n)] cohort serves
+    its own copy of [requests], partitioned contiguously over [n]
+    instances so the blocks concatenate back to the stream. Instance
+    ids run fleet-wide in cohort order, and instance [id] gates its
+    requests ({!Instance.serve_labeled}) with seed
+    [Fnv.int64 (Fnv.int seed id) version]. The result is in instance
+    order at any [jobs]. *)
+
+val ingest : ?obs:Csspgo_obs.Metrics.t -> shards:int -> served list -> Collector.t
+(** A fresh collector on [obs] with every served batch ingested. *)
+
+val total : served list -> Instance.report * int
+(** The reports summed, and the CSLG bytes of the batches. *)
+
+(** {2 One collection window} *)
+
 val registry :
   ?obs:Csspgo_obs.Metrics.t -> windows:bool -> unit -> Csspgo_obs.Metrics.t
 (** The registry a run that closes telemetry windows reports to: [obs]

@@ -4,7 +4,6 @@ module Obs = Csspgo_obs
 module Core = Csspgo_core
 module D = Core.Driver
 module S = Csspgo_sched.Scheduler
-module Fnv = Csspgo_support.Fnv
 module Label_set = Csspgo_support.Label_set
 module W = Csspgo_workloads
 
@@ -44,27 +43,6 @@ type collected = {
   co_cycles : int64;
 }
 
-(* Contiguous block partition, exactly [Sim]'s: concatenating the blocks
-   in slot order reproduces the stream. *)
-let partition k xs =
-  let n = List.length xs in
-  let base = n / k and extra = n mod k in
-  let rec take acc n xs =
-    if n = 0 then (List.rev acc, xs)
-    else
-      match xs with
-      | [] -> (List.rev acc, [])
-      | x :: tl -> take (x :: acc) (n - 1) tl
-  in
-  let rec go i xs =
-    if i = k then []
-    else
-      let sz = base + if i < extra then 1 else 0 in
-      let block, rest = take [] sz xs in
-      block :: go (i + 1) rest
-  in
-  go 0 xs
-
 let validate cfg =
   if cfg.ty_instances <= 0 then
     invalid_arg "Tenancy.collect: ty_instances must be positive";
@@ -81,31 +59,13 @@ let collect ?(obs = Obs.Metrics.null) cfg (mix : W.Mix.t) =
     Build.profiling_build ~options ~shape:cfg.ty_shape
       ~source:mix.W.Mix.mx_workload.D.w_source
   in
-  let blocks = partition cfg.ty_instances mix.W.Mix.mx_requests in
   let served =
-    S.map ~obs ~jobs
-      (fun (id, block) ->
-        let batches = ref [] in
-        let report =
-          Instance.serve_labeled
-            {
-              Instance.ic_instance = id;
-              ic_version = 0;
-              ic_duty = cfg.ty_duty;
-              ic_batch_requests = cfg.ty_batch_requests;
-              ic_seed = Fnv.int64 (Fnv.int cfg.ty_seed id) 0L;
-            }
-            ~pmu:options.D.pmu ~bin:build.Build.vb_bin
-            ~entry:mix.W.Mix.mx_workload.D.w_entry ~requests:block
-            ~ship:(fun batch -> batches := batch :: !batches)
-        in
-        (report, List.rev !batches))
-      (List.mapi (fun id block -> (id, block)) blocks)
+    Sim.serve ~obs ~jobs ~duty:cfg.ty_duty ~batch_requests:cfg.ty_batch_requests
+      ~seed:cfg.ty_seed ~pmu:options.D.pmu ~entry:mix.W.Mix.mx_workload.D.w_entry
+      [ (0, build.Build.vb_bin, cfg.ty_instances) ]
+      mix.W.Mix.mx_requests
   in
-  let collector = Collector.create ~obs ~shards:cfg.ty_shards () in
-  List.iter
-    (fun (_report, batches) -> List.iter (Collector.ingest collector) batches)
-    served;
+  let collector = Sim.ingest ~obs ~shards:cfg.ty_shards served in
   let log =
     match Collector.drain ~jobs collector with
     | [ m ] -> m.Collector.m_log
@@ -116,28 +76,19 @@ let collect ?(obs = Obs.Metrics.null) cfg (mix : W.Mix.t) =
     Build.correlate_labeled ~obs ~jobs ~options ~shape:cfg.ty_shape
       build log
   in
-  let sum f = List.fold_left (fun a (r, _) -> a + f r) 0 served in
+  let all, bytes = Sim.total served in
   {
     co_build = build;
     co_log = log;
     co_labeled = labeled;
     co_tenants =
       P.Labels.project labeled.Build.lc_slices ~keys:[ W.Mix.tenant_key ];
-    co_requests = sum (fun r -> r.Instance.ir_requests);
-    co_sampled = sum (fun r -> r.Instance.ir_sampled);
-    co_samples = sum (fun r -> r.Instance.ir_samples);
-    co_batches = sum (fun r -> r.Instance.ir_batches);
-    co_bytes =
-      List.fold_left
-        (fun a (_, bs) ->
-          List.fold_left
-            (fun a b -> a + String.length b.Instance.b_blob)
-            a bs)
-        0 served;
-    co_cycles =
-      List.fold_left
-        (fun a (r, _) -> Int64.add a r.Instance.ir_cycles)
-        0L served;
+    co_requests = all.Instance.ir_requests;
+    co_sampled = all.Instance.ir_sampled;
+    co_samples = all.Instance.ir_samples;
+    co_batches = all.Instance.ir_batches;
+    co_bytes = bytes;
+    co_cycles = all.Instance.ir_cycles;
   }
 
 (* --- per-tenant specialization ---------------------------------------- *)
@@ -162,11 +113,6 @@ let tenant_workload (mix : W.Mix.t) name =
 
 let specialize ?hooks cfg (mix : W.Mix.t) collected =
   let options = cfg.ty_options in
-  let flat =
-    match collected.co_labeled.Build.lc_flat with
-    | Some f -> Some f
-    | None -> None
-  in
   let run_plan plan = D.Plan.run ?hooks plan in
   S.map ~jobs:(max 1 cfg.ty_jobs)
     (fun (name, _evals) ->
@@ -184,7 +130,8 @@ let specialize ?hooks cfg (mix : W.Mix.t) collected =
       let blended =
         run_plan
           (D.Plan.make_with_profile ~options
-             ~profile:collected.co_labeled.Build.lc_blend ?flat w)
+             ~profile:collected.co_labeled.Build.lc_blend
+             ?flat:collected.co_labeled.Build.lc_flat w)
       in
       {
         sp_tenant = name;

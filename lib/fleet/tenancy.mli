@@ -4,10 +4,12 @@
     slices into per-tenant {e specialized} builds — the label-sliced PGO
     loop, end to end.
 
-    The blended profile out of {!collect} is byte-identical to what the
-    unlabeled fleet path produces on the same traffic (labels never
-    perturb sample payloads or batching), so a tenancy run is the plain
-    fleet run plus the per-label view. *)
+    {!collect} serves through {!Sim.serve}, so its blended profile is
+    byte-identical to what {!Sim.run} produces on the same traffic
+    without labels (one version, equal instances, shards, duty, batch
+    size and seed; labels never perturb sample payloads or batching):
+    a tenancy run is the plain fleet run plus the per-label view. Only
+    the shipped bytes differ, by the CSLG v3 label sections. *)
 
 type config = {
   ty_instances : int;  (** serving instances (requests partition contiguously) *)
@@ -44,11 +46,10 @@ val collect :
   config ->
   Csspgo_workloads.Mix.t ->
   collected
-(** Build the mix's profiling binary, serve the labeled train stream
-    ({!Instance.serve_labeled}; contiguous request partition over
-    [ty_instances], fleet-deterministic seeds), drain the collector, and
-    run {!Build.correlate_labeled}, all reporting to [obs]. Deterministic
-    for equal inputs at any [ty_jobs]. *)
+(** Build the mix's profiling binary, serve the labeled train stream as
+    one version-0 cohort of [ty_instances] ({!Sim.serve}), drain the
+    collector, and run {!Build.correlate_labeled}, all reporting to
+    [obs]. Deterministic for equal inputs at any [ty_jobs]. *)
 
 type specialized = {
   sp_tenant : string;

@@ -91,35 +91,20 @@ let run ?obs ?series ?health cfg (w : D.workload) =
             })
       in
       let fleet = Sim.run ~obs cfg.t_fleet ~workload:gen_w ~versions in
-      let profile, flat, carry_rep =
+      let (profile, flat), carry_rep =
         match !carried with
-        | None -> (fleet.Sim.fs_profile, fleet.Sim.fs_flat, None)
-        | Some (prev, prev_flat) ->
-            let target = fleet.Sim.fs_target.Build.vb_target in
-            let matched, rep = Build.match_onto ~obs ~target prev in
-            let profile =
-              P.Merge.weighted ~kind
+        | None -> ((fleet.Sim.fs_profile, fleet.Sim.fs_flat), None)
+        | Some prev ->
+            let (matched, matched_flat), rep =
+              Core.Stale_match.route ~obs
+                ~target:fleet.Sim.fs_target.Build.vb_target prev
+            in
+            ( P.Merge.weighted_pairs ~kind
                 [
-                  (cfg.t_carry_weight, matched);
-                  (cfg.t_fresh_weight, fleet.Sim.fs_profile);
-                ]
-            in
-            let flat =
-              match (prev_flat, fleet.Sim.fs_flat) with
-              | Some pf, Some ff ->
-                  let pf', _ = Core.Stale_match.match_probe ~target pf in
-                  (match
-                     P.Merge.weighted ~kind:P.Text_io.Probe
-                       [
-                         (cfg.t_carry_weight, P.Text_io.Probe_prof pf');
-                         (cfg.t_fresh_weight, P.Text_io.Probe_prof ff);
-                       ]
-                   with
-                  | P.Text_io.Probe_prof pp -> Some pp
-                  | _ -> assert false)
-              | _ -> fleet.Sim.fs_flat
-            in
-            (profile, flat, Some rep)
+                  (cfg.t_carry_weight, matched, matched_flat);
+                  (cfg.t_fresh_weight, fleet.Sim.fs_profile, fleet.Sim.fs_flat);
+                ],
+              Some rep )
       in
       carried := Some (profile, flat);
       (* One health/series window per generation, carrying the

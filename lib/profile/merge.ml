@@ -147,6 +147,20 @@ let weighted ~kind srcs =
   List.iter (fun (weight, src) -> into ~into:acc ~weight src) srcs;
   acc
 
+let weighted_pairs ~kind srcs =
+  let flats =
+    List.filter_map (fun (weight, _, flat) -> Option.map (fun f -> (weight, f)) flat) srcs
+  in
+  let flat =
+    if List.compare_lengths flats srcs <> 0 then None
+    else begin
+      let acc = PP.create () in
+      List.iter (fun (weight, f) -> probe ~into:acc ~weight f) flats;
+      Some acc
+    end
+  in
+  (weighted ~kind (List.map (fun (weight, p, _) -> (weight, p)) srcs), flat)
+
 let copy p = weighted ~kind:(Text_io.kind_of p) [ (1L, p) ]
 
 let flatten_ctx trie =

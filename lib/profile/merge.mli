@@ -48,6 +48,14 @@ val weighted : kind:Text_io.kind -> (int64 * Text_io.profile) list -> Text_io.pr
     the result is independent of list order. Every profile must be of
     [kind] ({!into}'s kind check applies). *)
 
+val weighted_pairs :
+  kind:Text_io.kind ->
+  (int64 * Text_io.profile * Probe_profile.t option) list ->
+  Text_io.profile * Probe_profile.t option
+(** {!weighted} over the profiles, paired with the same weighted merge of
+    their flat quality baselines when every entry carries one ([None]
+    when any entry has none). *)
+
 val copy : Text_io.profile -> Text_io.profile
 (** [weighted] of the singleton at weight 1: a deep copy. *)
 
