@@ -585,13 +585,25 @@ let format_bench () =
     D.Plan.make_stale ~variant:D.Csspgo_full ~stale_source:d.W.Drift.dr_source wc
   in
   let cache = O.Cache.create () in
-  let _, t_cold = time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks cache) plan) in
+  (* One plan run, timed whole and per stage through the hooks' span. *)
+  let staged (hooks : D.Plan.hooks) plan =
+    let stages = ref [] in
+    let span ~name f =
+      let r, t = time (fun () -> hooks.D.Plan.span ~name f) in
+      stages := (name, t) :: !stages;
+      r
+    in
+    let _, t = time (fun () -> D.Plan.run ~hooks:{ hooks with D.Plan.span } plan) in
+    (t, List.rev !stages)
+  in
+  let split stages =
+    String.concat "  " (List.map (fun (name, t) -> Printf.sprintf "%s %.3f" name t) stages)
+  in
+  let t_cold, cold_stages = staged (O.Orchestrate.hooks cache) plan in
   let _, t_warm = time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks cache) plan) in
   let _, t_a = time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks cache) (stale 3L)) in
   let obs = Obs.Metrics.create () in
-  let _, t_delta =
-    time (fun () -> D.Plan.run ~hooks:(O.Orchestrate.hooks ~obs cache) (stale 4L))
-  in
+  let t_delta, delta_stages = staged (O.Orchestrate.hooks ~obs cache) (stale 4L) in
   let plan_count name =
     Option.value ~default:0 (Obs.Metrics.find_counter (Obs.Metrics.snapshot obs) name)
   in
@@ -599,10 +611,12 @@ let format_bench () =
   let n_reu = plan_count "plan.rebuild.funcs-reused" in
   pf "incremental rebuild (clangish, full CSSPGO, in-memory cache):\n";
   pf "  cold build                 %7.3fs\n" t_cold;
+  pf "    stages (s): %s\n" (split cold_stages);
   pf "  warm rerun (binary hit)    %7.3fs   (%.1fx faster)\n" t_warm (t_cold /. t_warm);
   pf "  drifted rebuild (v2)       %7.3fs\n" t_a;
   pf "  delta rebuild (v2 -> v2')  %7.3fs   (%d recompiled, %d reused)\n" t_delta
     n_rec n_reu;
+  pf "    stages (s): %s\n" (split delta_stages);
   write_bench "BENCH_format.json"
     (Json.Obj
        [
@@ -1008,21 +1022,6 @@ let health_bench () =
   pf "collection window (adfinder, 4 instances):   %8.2f ms\n" (t_window *. 1e3);
   pf "window close (snapshot + series + health):   %8.2f us  (%.4f%% of the window)\n"
     (ns_close /. 1e3) overhead_pct;
-  (* End-to-end cross-check: whole windows with and without the layer. *)
-  let t_plain =
-    time_best (fun () ->
-        Fl.Sim.run ~obs:(Obs.Metrics.create ()) fleet_cfg ~workload:w ~versions)
-  in
-  let t_obs =
-    time_best (fun () ->
-        let m = Obs.Metrics.create () in
-        let s = Obs.Series.create () in
-        let h = Obs.Health.create () in
-        Fl.Sim.run ~obs:m ~series:s ~health:h fleet_cfg ~workload:w ~versions)
-  in
-  pf "end-to-end: metrics only %.2f ms | + series + health %.2f ms  (%+.2f%%)\n"
-    (t_plain *. 1e3) (t_obs *. 1e3)
-    (100. *. (t_obs /. t_plain -. 1.));
   (* Drift alarm: a 4-generation train drifting 2 edits per release, with a
      4-edit spike injected at the transition into generation 2. The EWMA
      detector must flag the spike window — and only the spike window — as a
@@ -1057,12 +1056,6 @@ let health_bench () =
           ("window_ms", Json.Float (t_window *. 1e3));
           ("close_us", Json.Float (ns_close /. 1e3));
           ("overhead_pct", Json.Float overhead_pct);
-          ( "end_to_end",
-            Json.Obj
-              [
-                ("plain_ms", Json.Float (t_plain *. 1e3));
-                ("telemetry_ms", Json.Float (t_obs *. 1e3));
-              ] );
           ("windows", Json.Int n_windows);
           ("crit_alerts", Json.Int (List.length crit_alerts));
         ]
