@@ -135,15 +135,6 @@ let next_addr b addr =
   | Some i when i + 1 < Array.length b.insts -> Some b.insts.(i + 1).i_addr
   | _ -> None
 
-let dloc_at b addr = Option.map (fun i -> i.i_dloc) (inst_at b addr)
-
-let inlined_frames_at b addr =
-  match inst_at b addr with
-  | None -> []
-  | Some i ->
-      let container = b.funcs.(i.i_func).bf_guid in
-      Ir.Dloc.frames ~container i.i_dloc
-
 let entry_addr b guid =
   let r = ref None in
   Array.iter (fun f -> if Ir.Guid.equal f.bf_guid guid then r := Some f.bf_start) b.funcs;

@@ -100,11 +100,5 @@ val inst_at : binary -> int -> inst option
 val next_addr : binary -> int -> int option
 (** Address of the instruction following the one at [addr]. *)
 
-val dloc_at : binary -> int -> Csspgo_ir.Dloc.t option
-
-val inlined_frames_at : binary -> int -> (Csspgo_ir.Guid.t * int * int) list
-(** [GetInlinedFrames(addr)]: innermost-first [(func, line, probe)] frames,
-    using the line table; empty if the address is unmapped. *)
-
 val entry_addr : binary -> Csspgo_ir.Guid.t -> int option
 val pp_mop : Format.formatter -> mop -> unit

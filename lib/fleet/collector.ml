@@ -2,17 +2,6 @@ module Vm = Csspgo_vm
 module Obs = Csspgo_obs
 module S = Csspgo_sched.Scheduler
 
-(* Cumulative per-shard ingest/drop totals: the raw material for the
-   per-shard series. Ingest is single-threaded (the parallel phases never
-   touch the collector), so plain mutable fields suffice; drops are
-   attributed serially after the parallel decode. *)
-type shard_stat = {
-  mutable ss_batches : int;
-  mutable ss_bytes : int;
-  mutable ss_samples : int;
-  mutable ss_dropped : int;
-}
-
 type t = {
   c_shards : Instance.batch list ref array;  (** newest-first per shard *)
   c_lossy : bool;
@@ -21,8 +10,6 @@ type t = {
   c_bytes : Obs.Metrics.counter;
   c_samples : Obs.Metrics.counter;
   c_dropped : Obs.Metrics.counter;
-  c_stats : shard_stat array;
-  c_series : Obs.Series.t array;
 }
 
 let create ?(obs = Obs.Metrics.null) ?(lossy = false) ~shards () =
@@ -35,10 +22,6 @@ let create ?(obs = Obs.Metrics.null) ?(lossy = false) ~shards () =
     c_bytes = Obs.Metrics.counter obs "collector.bytes";
     c_samples = Obs.Metrics.counter obs "collector.samples";
     c_dropped = Obs.Metrics.counter obs "collector.dropped-blobs";
-    c_stats =
-      Array.init shards (fun _ ->
-          { ss_batches = 0; ss_bytes = 0; ss_samples = 0; ss_dropped = 0 });
-    c_series = Array.init shards (fun _ -> Obs.Series.create ());
   }
 
 let shards t = Array.length t.c_shards
@@ -46,42 +29,11 @@ let shards t = Array.length t.c_shards
 let shard_of t instance = instance mod Array.length t.c_shards
 
 let ingest t (b : Instance.batch) =
-  let s = shard_of t b.Instance.b_instance in
-  let shard = t.c_shards.(s) in
+  let shard = t.c_shards.(shard_of t b.Instance.b_instance) in
   shard := b :: !shard;
-  let st = t.c_stats.(s) in
-  st.ss_batches <- st.ss_batches + 1;
-  st.ss_bytes <- st.ss_bytes + String.length b.Instance.b_blob;
-  st.ss_samples <- st.ss_samples + b.Instance.b_samples;
   Obs.Metrics.incr t.c_batches;
   Obs.Metrics.bump t.c_bytes (String.length b.Instance.b_blob);
   Obs.Metrics.bump t.c_samples b.Instance.b_samples
-
-(* Each drain closes one window per shard: the cumulative shard totals go
-   through [Series.record], whose delta discipline turns them into the
-   epoch's increments. Summing the per-shard series with [Series.merge]
-   reproduces the collector-wide counters — the merge-law the fuzz oracle
-   checks. *)
-let close_epoch t =
-  Array.iteri
-    (fun i st ->
-      let snap =
-        {
-          Obs.Metrics.s_counters =
-            [
-              ("collector.batches", st.ss_batches);
-              ("collector.bytes", st.ss_bytes);
-              ("collector.dropped-blobs", st.ss_dropped);
-              ("collector.samples", st.ss_samples);
-            ];
-          s_gauges = [];
-          s_histograms = [];
-        }
-      in
-      ignore (Obs.Series.record t.c_series.(i) snap))
-    t.c_stats
-
-let shard_series t = Array.copy t.c_series
 
 type merged = {
   m_version : int;
@@ -135,19 +87,7 @@ let drain_decoded ~jobs t =
   in
   (* Blob decode is the parallel stage; the batch order is already fixed,
      so map's index-placement keeps (version, instance, seq) order. *)
-  let results = S.map ~obs:t.c_obs ~jobs (decode t) ordered in
-  (* Serial epilogue: attribute lossy drops to their shards, then close
-     the per-shard series window for this drain epoch. *)
-  List.iter2
-    (fun (b : Instance.batch) r ->
-      match r with
-      | None ->
-          let st = t.c_stats.(shard_of t b.Instance.b_instance) in
-          st.ss_dropped <- st.ss_dropped + 1
-      | Some _ -> ())
-    ordered results;
-  close_epoch t;
-  let decoded = List.filter_map Fun.id results in
+  let decoded = List.filter_map Fun.id (S.map ~obs:t.c_obs ~jobs (decode t) ordered) in
   let by_version = Hashtbl.create 8 in
   List.iter
     (fun ((b : Instance.batch), parts) ->

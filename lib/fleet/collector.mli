@@ -34,14 +34,6 @@ val ingest : t -> Instance.batch -> unit
 (** Route a batch to shard [b_instance mod shards]. Cheap: the CSLG blob is
     stored undecoded; decoding is deferred to drain time. *)
 
-val shard_series : t -> Csspgo_obs.Series.t array
-(** One windowed series per shard ([collector.batches] / [.bytes] /
-    [.samples] / [.dropped-blobs]). Every drain closes one window per
-    shard from the shard's cumulative totals, so window [k] holds the
-    increments of the k-th collection epoch. Reducing the array with
-    {!Csspgo_obs.Series.merge} reproduces the collector-wide counters —
-    per-shard telemetry and the registry never disagree. *)
-
 type merged = {
   m_version : int;
   m_log : Csspgo_vm.Sample_log.t;  (** all of the version's samples *)

@@ -2,7 +2,6 @@ open Csspgo_support
 
 type t = {
   callee_map : (string, string list) Hashtbl.t;
-  caller_map : (string, string list) Hashtbl.t;
   order : string list;  (** bottom-up *)
   recursive : (string, unit) Hashtbl.t;
 }
@@ -27,16 +26,10 @@ let direct_callees f =
 
 let build p =
   let callee_map = Hashtbl.create 64 in
-  let caller_map = Hashtbl.create 64 in
   Program.iter_funcs
     (fun f ->
-      let cs = direct_callees f |> List.filter (fun c -> Program.find_func p c <> None) in
-      Hashtbl.replace callee_map f.Func.name cs;
-      List.iter
-        (fun c ->
-          let cur = Option.value (Hashtbl.find_opt caller_map c) ~default:[] in
-          Hashtbl.replace caller_map c (cur @ [ f.Func.name ]))
-        cs)
+      Hashtbl.replace callee_map f.Func.name
+        (direct_callees f |> List.filter (fun c -> Program.find_func p c <> None)))
     p;
   (* Tarjan-style DFS post-order gives bottom-up; mark SCC members recursive. *)
   let names = Program.func_names p in
@@ -73,10 +66,9 @@ let build p =
     go start
   in
   List.iter (fun n -> if reaches_self n then Hashtbl.replace recursive n ()) names;
-  { callee_map; caller_map; order = List.rev !order; recursive }
+  { callee_map; order = List.rev !order; recursive }
 
 let callees t name = Option.value (Hashtbl.find_opt t.callee_map name) ~default:[]
-let callers t name = Option.value (Hashtbl.find_opt t.caller_map name) ~default:[]
 let bottom_up t = t.order
 let top_down t = List.rev t.order
 let is_recursive t name = Hashtbl.mem t.recursive name

@@ -8,8 +8,6 @@ val build : Program.t -> t
 val callees : t -> string -> string list
 (** Unique callee names, deterministic order. *)
 
-val callers : t -> string -> string list
-
 val bottom_up : t -> string list
 (** Every function exactly once; a callee precedes its callers whenever the
     graph is acyclic between them. *)

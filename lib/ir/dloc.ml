@@ -18,8 +18,6 @@ let is_none t = Guid.equal t.origin 0L && t.line = 0
 
 let mk origin line = { origin; line; disc = 0; inlined_at = [] }
 
-let with_disc t disc = { t with disc }
-
 let push_inline t cs = { t with inlined_at = t.inlined_at @ [ cs ] }
 
 let frames ~container t =

@@ -27,7 +27,6 @@ val none : t
 
 val is_none : t -> bool
 val mk : Guid.t -> int -> t
-val with_disc : t -> int -> t
 
 val push_inline : t -> callsite -> t
 (** [push_inline d cs] records that the instruction carrying [d] was inlined

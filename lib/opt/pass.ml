@@ -94,9 +94,6 @@ let optimize_func_with ~(config : Config.t) ~steps ?(program : Ir.Program.t opti
   if config.Config.opt_level >= 2 && f.Ir.Func.annotated then
     Csspgo_inference.Infer.infer_func f
 
-let optimize_func ~(config : Config.t) (f : Ir.Func.t) =
-  optimize_func_with ~config ~steps:(steps_of_config config) f
-
 (* The program-level prefix of the pipeline: cleanup and cross-function
    phases (inlining, dead-function drop) that must see the whole program.
    After [prepare] the remaining work is purely per-function, which is

@@ -30,16 +30,14 @@ val run_step : config:Config.t -> step -> Csspgo_ir.Func.t -> bool
 (** Run one step unconditionally — the step list, not the config's
     [enable_*] flags, decides what runs. Returns true if the IR changed. *)
 
-val optimize_func : config:Config.t -> Csspgo_ir.Func.t -> unit
-(** The per-function (post-inline) part of the pipeline. *)
-
 val optimize_func_with :
   config:Config.t ->
   steps:step list ->
   ?program:Csspgo_ir.Program.t ->
   Csspgo_ir.Func.t ->
   unit
-(** Like [optimize_func] with an explicit step list. When [program] is
+(** The per-function (post-inline) part of the pipeline, running an
+    explicit step list. When [program] is
     given and [verify_between_passes] is set, the function is re-verified
     after every step and [Failure] raised on the first broken invariant. *)
 

@@ -235,10 +235,3 @@ let copy t =
   let roots = Ir.Guid.Tbl.copy t.roots in
   Ir.Guid.Tbl.filter_map_inplace (fun _ n -> Some (node n)) roots;
   { roots }
-
-let pp fmt t =
-  iter_nodes t (fun ctx node ->
-      List.iter (fun (g, s) -> Format.fprintf fmt "%a:%d @ " Ir.Guid.pp g s) ctx;
-      Format.fprintf fmt "%s total=%Ld head=%Ld%s@." node.n_name
-        node.n_prof.Probe_profile.fe_total node.n_prof.Probe_profile.fe_head
-        (if node.n_inlined then " [inlined]" else ""))

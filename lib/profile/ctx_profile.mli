@@ -82,4 +82,3 @@ val size_bytes : t -> int
 (** Rough serialized-size estimate, for the scalability experiment. *)
 
 val total_samples : t -> int64
-val pp : Format.formatter -> t -> unit

@@ -2,7 +2,6 @@ module Wire = Csspgo_support.Wire
 
 type form = Text | Binary
 
-let form_name = function Text -> "text" | Binary -> "binary"
 let sniff s = if Binary_io.is_binary s then Binary else Text
 
 let read s =
@@ -16,8 +15,3 @@ let read s =
       | p -> Ok p
       | exception Text_io.Parse_error (msg, line) ->
           Error (Printf.sprintf "text parse error at line %d: %s" line msg))
-
-let read_exn s = match read s with Ok p -> p | Error e -> failwith e
-
-let write ~form p =
-  match form with Text -> Text_io.to_string p | Binary -> Binary_io.encode p

@@ -1,17 +1,12 @@
-(** The profile I/O facade: one entry point for "read whatever profile this
-    is" and "write a profile in that form", dispatching between the
-    canonical text form ({!Text_io}) and the digest-framed binary form
-    ({!Binary_io}) — by sniffing on read, by flag on write.
+(** The profile reader: one entry point for "read whatever profile this
+    is", dispatching between the canonical text form ({!Text_io}) and the
+    digest-framed binary form ({!Binary_io}) by sniffing.
 
-    Consumers that move whole profiles around (the tool, the fleet
-    collector, bench, fuzz corpora) go through this module; {!Text_io} and
-    {!Binary_io} stay public for callers that need one specific form (the
-    plan cache's canonical text, golden fixtures, codec tests). *)
+    The tool's profile-file commands read through this module; writers
+    pick a form themselves with {!Text_io.to_string} or
+    {!Binary_io.encode}. *)
 
 type form = Text | Binary
-
-val form_name : form -> string
-(** ["text"] / ["binary"] — stable, used in CLI flags and reports. *)
 
 val sniff : string -> form
 (** [Binary] iff the data starts with the {!Binary_io.magic} blob prefix;
@@ -21,11 +16,3 @@ val read : string -> (Text_io.profile, string) result
 (** Sniff and decode: binary blobs via {!Binary_io.decode}, anything else
     via {!Text_io.of_string} (kind-sniffing text parse). Either failure
     mode becomes a human-readable message. *)
-
-val read_exn : string -> Text_io.profile
-(** {!read}, raising [Failure] with the message. *)
-
-val write : form:form -> Text_io.profile -> string
-(** Serialize: canonical {!Text_io.to_string} text or {!Binary_io.encode}
-    bytes. Both round-trip through {!read} to a profile with identical
-    canonical text. *)

@@ -98,8 +98,6 @@ let of_list l =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let of_array a = { data = Array.copy a; len = Array.length a }
-
 let copy t = { data = Array.copy t.data; len = t.len }
 
 let append dst src = iter (push dst) src

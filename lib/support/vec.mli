@@ -30,7 +30,6 @@ val find_opt : ('a -> bool) -> 'a t -> 'a option
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
 val to_array : 'a t -> 'a array
-val of_array : 'a array -> 'a t
 val copy : 'a t -> 'a t
 
 val append : 'a t -> 'a t -> unit

@@ -64,7 +64,6 @@ let intern_canonical t canon =
       id
 
 let set_label t ls = t.cur <- intern_canonical t (Label_set.canonical ls)
-let current_label t = Label_set.of_canonical t.lsets.(t.cur)
 
 let ensure_runs t extra =
   let need = t.runs_len + extra in

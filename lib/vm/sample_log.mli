@@ -31,9 +31,6 @@ val set_label : t -> Csspgo_support.Label_set.t -> unit
     set on first sight; repeat announcements of the same set are a hash
     lookup, and stamping itself never allocates. *)
 
-val current_label : t -> Csspgo_support.Label_set.t
-(** The set subsequent samples will be stamped with. *)
-
 val sink : t -> Machine.sink
 (** A recording sink: [Machine.run ~sink:(sink log)] fills [log]. The
     sink's label channel is {!set_label}, so [Machine.run ~labels] stamps
