@@ -48,17 +48,69 @@ let report_to_string r =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Verdict assembly shared by the three matchers.                      *)
+(* Verdicts: one accumulator per function, shared by the three matchers. *)
 (* ------------------------------------------------------------------ *)
 
-let status_of ~present ~exact ~recovered ~dropped ~total =
-  if not present then Dropped
-  else if exact && Int64.equal dropped 0L then Exact
-  else if Int64.equal recovered 0L && Int64.compare total 0L > 0 then Dropped
+type fmatch = { fm_exact : bool; fm_recovered : int64; fm_dropped : int64 }
+
+let node_status ~total fm =
+  if fm.fm_exact && Int64.equal fm.fm_dropped 0L then Exact
+  else if Int64.equal fm.fm_recovered 0L && Int64.compare total 0L > 0 then Dropped
   else Fuzzy
 
-let close_report ?(obs = Obs.Metrics.null) verdicts =
-  let verdicts = List.sort (fun a b -> compare a.v_name b.v_name) verdicts in
+(* A function's verdict aggregates its nodes: every context node of a
+   trie, or the single entry of a flat profile. *)
+type facc = {
+  fa_name : string;
+  mutable fa_nodes : int;
+  mutable fa_exact : int;
+  mutable fa_dropped : int;
+  mutable fa_total : int64;
+  mutable fa_recovered : int64;
+  mutable fa_dropped_counts : int64;
+}
+
+let record faccs g name ~total ~recovered ~dropped status =
+  let a =
+    match Ir.Guid.Tbl.find_opt faccs g with
+    | Some a -> a
+    | None ->
+        let a =
+          { fa_name = name; fa_nodes = 0; fa_exact = 0; fa_dropped = 0;
+            fa_total = 0L; fa_recovered = 0L; fa_dropped_counts = 0L }
+        in
+        Ir.Guid.Tbl.replace faccs g a;
+        a
+  in
+  a.fa_nodes <- a.fa_nodes + 1;
+  (match status with
+  | Exact -> a.fa_exact <- a.fa_exact + 1
+  | Dropped -> a.fa_dropped <- a.fa_dropped + 1
+  | Fuzzy -> ());
+  a.fa_total <- Int64.add a.fa_total total;
+  a.fa_recovered <- Int64.add a.fa_recovered recovered;
+  a.fa_dropped_counts <- Int64.add a.fa_dropped_counts dropped
+
+(* Verdicts sort by name; equal names (distinct guids) by descending
+   guid, so the order never depends on the table's layout. *)
+let close_report ?(obs = Obs.Metrics.null) faccs =
+  let verdicts =
+    Ir.Guid.Tbl.fold
+      (fun g a acc ->
+        let status =
+          if a.fa_exact = a.fa_nodes then Exact
+          else if a.fa_dropped = a.fa_nodes then Dropped
+          else Fuzzy
+        in
+        { v_name = a.fa_name; v_guid = g; v_status = status; v_total_in = a.fa_total;
+          v_recovered = a.fa_recovered; v_dropped = a.fa_dropped_counts }
+        :: acc)
+      faccs []
+    |> List.sort (fun a b ->
+           match compare a.v_name b.v_name with
+           | 0 -> Ir.Guid.compare b.v_guid a.v_guid
+           | c -> c)
+  in
   let count st = List.length (List.filter (fun v -> v.v_status = st) verdicts) in
   let sum f = List.fold_left (fun acc v -> Int64.add acc (f v)) 0L verdicts in
   let r =
@@ -83,9 +135,27 @@ let close_report ?(obs = Obs.Metrics.null) verdicts =
     (Int64.to_int r.r_dropped_counts);
   r
 
-(* Deterministic iteration order over a profile's functions. *)
-let sorted_guids tbl =
-  Ir.Guid.Tbl.fold (fun g _ acc -> g :: acc) tbl [] |> List.sort Ir.Guid.compare
+(* A flat profile's functions, in guid order, each one node. A function
+   missing from [target] drops whole; [transfer] moves any other onto
+   its new function and accounts every count. *)
+let match_flat ?obs ~target funcs ~names ~total ~transfer =
+  let faccs = Ir.Guid.Tbl.create 32 in
+  List.iter
+    (fun (g, fe) ->
+      let name = Option.value (Ir.Guid.Tbl.find_opt names g) ~default:"?" in
+      let total = total fe in
+      match Ir.Program.find_func_by_guid target g with
+      | None -> record faccs g name ~total ~recovered:0L ~dropped:total Dropped
+      | Some f ->
+          let fm = transfer f g name fe in
+          record faccs g name ~total ~recovered:fm.fm_recovered ~dropped:fm.fm_dropped
+            (node_status ~total fm))
+    funcs;
+  close_report ?obs faccs
+
+(* ------------------------------------------------------------------ *)
+(* Callee-anchor alignment, shared by the probe and line matchers.     *)
+(* ------------------------------------------------------------------ *)
 
 (* Highest-count callee of a callsite's target table; ties break toward the
    smaller guid so the anchor choice is schedule-independent. *)
@@ -98,6 +168,51 @@ let top_callee targets =
           best
       | _ -> Some (g, c))
     targets None
+
+(* (key, dominant callee) of every call record with a target. *)
+let dominant_callees calls =
+  Hashtbl.fold
+    (fun k targets acc ->
+      match top_callee targets with Some (g, _) -> (k, g) :: acc | None -> acc)
+    calls []
+
+(* Old keys whose callee is g pair up, in key order, with new keys
+   statically calling g; the anchors come back sorted. [old_keys] can name
+   one key twice (a context node's call record and a child frame key), so
+   each group is deduplicated before the zip. *)
+let callee_anchors old_keys new_keys =
+  let by_callee keys =
+    let tbl = Hashtbl.create 8 in
+    List.iter
+      (fun (k, g) ->
+        Hashtbl.replace tbl g (k :: Option.value (Hashtbl.find_opt tbl g) ~default:[]))
+      keys;
+    tbl
+  in
+  let new_by = by_callee new_keys in
+  let rec zip acc a b =
+    match (a, b) with x :: a', y :: b' -> zip ((x, y) :: acc) a' b' | _ -> acc
+  in
+  Hashtbl.fold
+    (fun g old acc ->
+      match Hashtbl.find_opt new_by g with
+      | None -> acc
+      | Some nw -> zip acc (List.sort_uniq compare old) (List.sort_uniq compare nw))
+    (by_callee old_keys) []
+  |> List.sort compare
+
+(* An anchor's key maps to its partner. Any other key moves by the delta
+   of the nearest preceding anchor, measured on [pos] (the probe id, or
+   the line number); the caller decides whether the shifted key is
+   valid. *)
+let shift ~pos ~move anchors k =
+  match List.assoc_opt k anchors with
+  | Some k' -> `Anchor k'
+  | None ->
+      let p = pos k in
+      `Shifted
+        (move k
+           (List.fold_left (fun d (o, n) -> if pos o <= p then pos n - pos o else d) 0 anchors))
 
 (* ------------------------------------------------------------------ *)
 (* Probe matching.                                                     *)
@@ -125,72 +240,40 @@ let probe_info (f : Ir.Func.t) =
     f;
   { tp_fn = f; tp_blocks = blocks; tp_sites = sites }
 
-(* Callee-guid anchor alignment: old call sites whose dominant target is g
-   pair up, in site order, with new call sites statically calling g. Sites
-   left unanchored shift by the delta of the nearest preceding anchor and
-   must land on a real callsite probe of the new function. [extra] supplies
-   additional (old site, callee) evidence beyond the fentry's own call
-   records — context-trie children carry their callee in the frame key even
-   when the node profile has no callsite counts. *)
-let site_mapping ?(extra = []) (fe : PP.fentry) (tp : tprobe) =
-  let push tbl k v =
-    Hashtbl.replace tbl k (v :: Option.value (Hashtbl.find_opt tbl k) ~default:[])
-  in
-  let old_by = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun site targets ->
-      match top_callee targets with Some (g, _) -> push old_by g site | None -> ())
-    fe.PP.fe_calls;
-  List.iter (fun (site, g) -> push old_by g site) extra;
-  let new_by = Hashtbl.create 8 in
-  Hashtbl.iter (fun site g -> push new_by g site) tp.tp_sites;
-  let pairs = ref [] in
-  Hashtbl.iter
-    (fun g old_sites ->
-      match Hashtbl.find_opt new_by g with
-      | None -> ()
-      | Some new_sites ->
-          let rec zip a b =
-            match (a, b) with
-            | x :: a', y :: b' ->
-                pairs := (x, y) :: !pairs;
-                zip a' b'
-            | _ -> ()
-          in
-          (* [extra] can repeat a site already in the call records —
-             dedupe so the order-zip stays aligned. *)
-          zip (List.sort_uniq compare old_sites) (List.sort_uniq compare new_sites))
-    old_by;
-  let anchors = List.sort compare !pairs in
-  fun s ->
-    match List.assoc_opt s anchors with
-    | Some s' -> Some s'
-    | None ->
-        let delta =
-          List.fold_left (fun d (o, n) -> if o <= s then n - o else d) 0 anchors
-        in
-        let s' = s + delta in
-        if Hashtbl.mem tp.tp_sites s' then Some s' else None
+let checksum_ok (fe : PP.fentry) tp =
+  Int64.equal fe.PP.fe_checksum 0L
+  || Int64.equal fe.PP.fe_checksum tp.tp_fn.Ir.Func.checksum
 
-type fmatch = { fm_exact : bool; fm_recovered : int64; fm_dropped : int64 }
+(* Where each old call site lands. A matching checksum keeps the id; on a
+   mismatch, sites re-anchor by callee. Either way the site must be a
+   callsite probe of the new function. [extra] supplies (old site, callee)
+   evidence beyond the fentry's own call records: context-trie children
+   carry their callee in the frame key even when the node profile has no
+   callsite counts. *)
+let site_mapping ?(extra = fun () -> []) (fe : PP.fentry) (tp : tprobe) =
+  let valid s = if Hashtbl.mem tp.tp_sites s then Some s else None in
+  if checksum_ok fe tp then valid
+  else
+    let anchors =
+      callee_anchors
+        (dominant_callees fe.PP.fe_calls @ extra ())
+        (Hashtbl.fold (fun s g acc -> (s, g) :: acc) tp.tp_sites [])
+    in
+    fun s ->
+      match shift ~pos:Fun.id ~move:( + ) anchors s with
+      | `Anchor s' -> Some s'
+      | `Shifted s' -> valid s'
 
 (* Transfer one probe fentry onto [out], mapping ids per the target's shape.
    Every input count lands in fm_recovered or fm_dropped. *)
 let match_probe_fentry ~(prog : Ir.Program.t) ~(tp : tprobe) (fe : PP.fentry)
     (out : PP.fentry) =
-  let checksum_ok =
-    Int64.equal fe.PP.fe_checksum 0L
-    || Int64.equal fe.PP.fe_checksum tp.tp_fn.Ir.Func.checksum
-  in
   (* Checksum match guarantees the block shape, so ids carry over; call
      sites are still validated (a deleted straight-line call changes no
      block). On a mismatch, blocks keep their id only if it still exists
      and call sites re-anchor by callee. *)
   let map_block p = if Hashtbl.mem tp.tp_blocks p then Some p else None in
-  let map_site =
-    if checksum_ok then fun s -> if Hashtbl.mem tp.tp_sites s then Some s else None
-    else site_mapping fe tp
-  in
+  let map_site = site_mapping fe tp in
   let recovered = ref 0L in
   let dropped = ref 0L in
   out.PP.fe_head <- Int64.add out.PP.fe_head fe.PP.fe_head;
@@ -217,10 +300,9 @@ let match_probe_fentry ~(prog : Ir.Program.t) ~(tp : tprobe) (fe : PP.fentry)
               else dropped := Int64.add !dropped c)
             targets)
     fe.PP.fe_calls;
+  let exact = checksum_ok fe tp && Int64.equal !dropped 0L in
   out.PP.fe_checksum <- tp.tp_fn.Ir.Func.checksum;
-  { fm_exact = checksum_ok && Int64.equal !dropped 0L;
-    fm_recovered = !recovered;
-    fm_dropped = !dropped }
+  { fm_exact = exact; fm_recovered = !recovered; fm_dropped = !dropped }
 
 let probe_fentry_total (fe : PP.fentry) =
   let t = ref fe.PP.fe_head in
@@ -232,32 +314,13 @@ let probe_fentry_total (fe : PP.fentry) =
 
 let match_probe ?obs ~target (prof : PP.t) =
   let out = PP.create () in
-  let verdicts = ref [] in
-  List.iter
-    (fun g ->
-      let fe = Ir.Guid.Tbl.find prof.PP.funcs g in
-      let name = Option.value (Ir.Guid.Tbl.find_opt prof.PP.names g) ~default:"?" in
-      let total = probe_fentry_total fe in
-      match Ir.Program.find_func_by_guid target g with
-      | None ->
-          verdicts :=
-            { v_name = name; v_guid = g; v_status = Dropped; v_total_in = total;
-              v_recovered = 0L; v_dropped = total }
-            :: !verdicts
-      | Some f ->
-          let tp = probe_info f in
-          let ofe = PP.get_or_add out g ~name in
-          let fm = match_probe_fentry ~prog:target ~tp fe ofe in
-          verdicts :=
-            { v_name = name; v_guid = g;
-              v_status =
-                status_of ~present:true ~exact:fm.fm_exact ~recovered:fm.fm_recovered
-                  ~dropped:fm.fm_dropped ~total;
-              v_total_in = total; v_recovered = fm.fm_recovered;
-              v_dropped = fm.fm_dropped }
-            :: !verdicts)
-    (sorted_guids prof.PP.funcs);
-  (out, close_report ?obs !verdicts)
+  let rep =
+    match_flat ?obs ~target (PP.sorted_funcs prof) ~names:prof.PP.names
+      ~total:probe_fentry_total ~transfer:(fun f g name fe ->
+        let tp = probe_info f in
+        match_probe_fentry ~prog:target ~tp fe (PP.get_or_add out g ~name))
+  in
+  (out, rep)
 
 (* ------------------------------------------------------------------ *)
 (* Line (DWARF/AutoFDO) matching.                                      *)
@@ -290,32 +353,24 @@ let line_info (f : Ir.Func.t) =
 
 let nn_radius = 2
 
-(* Map one key through the anchor deltas, then fall back to the nearest
-   valid key of [valid] within [nn_radius] lines. Full lexicographic tie
-   ordering keeps the choice deterministic. *)
-let map_key ~anchors ~valid ((l, d) : LP.key) =
-  match List.assoc_opt (l, d) anchors with
-  | Some k -> Some k
-  | None ->
-      let delta =
-        List.fold_left
-          (fun acc ((lo, _), (ln, _)) -> if lo <= l then ln - lo else acc)
-          0 anchors
-      in
-      let cand = (l + delta, d) in
-      if Hashtbl.mem valid cand then Some cand
-      else begin
-        let best = ref None in
-        Hashtbl.iter
-          (fun (l', d') _ ->
-            let cost = (abs (l' - (l + delta)), abs (d' - d), l', d') in
-            if abs (l' - (l + delta)) <= nn_radius then
-              match !best with
-              | Some (bcost, _) when compare bcost cost <= 0 -> ()
-              | _ -> best := Some (cost, (l', d')))
-          valid;
-        Option.map snd !best
-      end
+(* Map one key through the anchors; a shifted key that misses falls back
+   to the nearest valid key of [valid] within [nn_radius] lines. Full
+   lexicographic tie ordering keeps the choice deterministic. *)
+let map_key ~anchors ~valid (k : LP.key) =
+  match shift ~pos:fst ~move:(fun (l, d) delta -> (l + delta, d)) anchors k with
+  | `Anchor k' -> Some k'
+  | `Shifted cand when Hashtbl.mem valid cand -> Some cand
+  | `Shifted (l, d) ->
+      let best = ref None in
+      Hashtbl.iter
+        (fun (l', d') _ ->
+          let cost = (abs (l' - l), abs (d' - d), l', d') in
+          if abs (l' - l) <= nn_radius then
+            match !best with
+            | Some (bcost, _) when compare bcost cost <= 0 -> ()
+            | _ -> best := Some (cost, (l', d')))
+        valid;
+      Option.map snd !best
 
 let match_line_fentry ~(prog : Ir.Program.t) ~(tl : tline) (fe : LP.fentry)
     (out : LP.fentry) =
@@ -323,50 +378,21 @@ let match_line_fentry ~(prog : Ir.Program.t) ~(tl : tline) (fe : LP.fentry)
     Hashtbl.fold (fun k _ ok -> ok && Hashtbl.mem tl.tl_keys k) fe.LP.fe_lines true
     && Hashtbl.fold (fun k _ ok -> ok && Hashtbl.mem tl.tl_calls k) fe.LP.fe_calls true
   in
-  let anchors =
-    if identity_ok then []
-    else begin
-      (* Callee-guid anchors, like the probe matcher but in key space. *)
-      let push tbl k v =
-        Hashtbl.replace tbl k (v :: Option.value (Hashtbl.find_opt tbl k) ~default:[])
+  let map_line, map_call =
+    if identity_ok then (Option.some, Option.some)
+    else
+      let anchors =
+        callee_anchors
+          (dominant_callees fe.LP.fe_calls)
+          (Hashtbl.fold (fun k g acc -> (k, g) :: acc) tl.tl_calls [])
       in
-      let old_by = Hashtbl.create 8 in
-      Hashtbl.iter
-        (fun key targets ->
-          match top_callee targets with Some (g, _) -> push old_by g key | None -> ())
-        fe.LP.fe_calls;
-      let new_by = Hashtbl.create 8 in
-      Hashtbl.iter (fun key g -> push new_by g key) tl.tl_calls;
-      let pairs = ref [] in
-      Hashtbl.iter
-        (fun g old_keys ->
-          match Hashtbl.find_opt new_by g with
-          | None -> ()
-          | Some new_keys ->
-              let rec zip a b =
-                match (a, b) with
-                | x :: a', y :: b' ->
-                    pairs := (x, y) :: !pairs;
-                    zip a' b'
-                | _ -> ()
-              in
-              zip (List.sort compare old_keys) (List.sort compare new_keys))
-        old_by;
-      List.sort compare !pairs
-    end
-  in
-  let map_line k =
-    if identity_ok then Some k else map_key ~anchors ~valid:tl.tl_keys k
-  in
-  let map_call k =
-    if identity_ok then Some k else map_key ~anchors ~valid:tl.tl_calls k
+      (map_key ~anchors ~valid:tl.tl_keys, map_key ~anchors ~valid:tl.tl_calls)
   in
   let recovered = ref 0L in
   let dropped = ref 0L in
   out.LP.fe_head <- Int64.add out.LP.fe_head fe.LP.fe_head;
   recovered := Int64.add !recovered fe.LP.fe_head;
-  (* Sorted iteration: merged keys accumulate in a fixed order. *)
-  let sorted_keys tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare in
+  (* Canonical-order walk: merged keys accumulate in a fixed order. *)
   List.iter
     (fun (k, c) ->
       match map_line k with
@@ -374,21 +400,15 @@ let match_line_fentry ~(prog : Ir.Program.t) ~(tl : tline) (fe : LP.fentry)
           LP.add_line out k' c;
           recovered := Int64.add !recovered c
       | None -> dropped := Int64.add !dropped c)
-    (sorted_keys fe.LP.fe_lines);
+    (LP.sorted_lines fe);
   List.iter
-    (fun (k, targets) ->
+    (fun (k, g, c) ->
       match map_call k with
-      | None -> Hashtbl.iter (fun _ c -> dropped := Int64.add !dropped c) targets
-      | Some k' ->
-          List.iter
-            (fun (g, c) ->
-              if Option.is_some (Ir.Program.find_func_by_guid prog g) then begin
-                LP.add_call out k' g c;
-                recovered := Int64.add !recovered c
-              end
-              else dropped := Int64.add !dropped c)
-            (sorted_keys targets))
-    (sorted_keys fe.LP.fe_calls);
+      | Some k' when Option.is_some (Ir.Program.find_func_by_guid prog g) ->
+          LP.add_call out k' g c;
+          recovered := Int64.add !recovered c
+      | _ -> dropped := Int64.add !dropped c)
+    (LP.sorted_calls fe);
   { fm_exact = identity_ok && Int64.equal !dropped 0L;
     fm_recovered = !recovered;
     fm_dropped = !dropped }
@@ -403,72 +423,21 @@ let line_fentry_total (fe : LP.fentry) =
 
 let match_line ?obs ~target (prof : LP.t) =
   let out = LP.create () in
-  let verdicts = ref [] in
-  List.iter
-    (fun g ->
-      let fe = Ir.Guid.Tbl.find prof.LP.funcs g in
-      let name = Option.value (Ir.Guid.Tbl.find_opt prof.LP.names g) ~default:"?" in
-      let total = line_fentry_total fe in
-      match Ir.Program.find_func_by_guid target g with
-      | None ->
-          verdicts :=
-            { v_name = name; v_guid = g; v_status = Dropped; v_total_in = total;
-              v_recovered = 0L; v_dropped = total }
-            :: !verdicts
-      | Some f ->
-          let tl = line_info f in
-          let ofe = LP.get_or_add out g ~name in
-          let fm = match_line_fentry ~prog:target ~tl fe ofe in
-          verdicts :=
-            { v_name = name; v_guid = g;
-              v_status =
-                status_of ~present:true ~exact:fm.fm_exact ~recovered:fm.fm_recovered
-                  ~dropped:fm.fm_dropped ~total;
-              v_total_in = total; v_recovered = fm.fm_recovered;
-              v_dropped = fm.fm_dropped }
-            :: !verdicts)
-    (sorted_guids prof.LP.funcs);
-  (out, close_report ?obs !verdicts)
+  let rep =
+    match_flat ?obs ~target (LP.sorted_funcs prof) ~names:prof.LP.names
+      ~total:line_fentry_total ~transfer:(fun f g name fe ->
+        let tl = line_info f in
+        match_line_fentry ~prog:target ~tl fe (LP.get_or_add out g ~name))
+  in
+  (out, rep)
 
 (* ------------------------------------------------------------------ *)
 (* Context-trie matching.                                              *)
 (* ------------------------------------------------------------------ *)
 
-type facc = {
-  fa_name : string;
-  mutable fa_nodes : int;
-  mutable fa_exact : int;
-  mutable fa_dropped : int;
-  mutable fa_total : int64;
-  mutable fa_recovered : int64;
-  mutable fa_dropped_counts : int64;
-}
-
 let match_ctx ?obs ~target (trie : CP.t) =
   let out = CP.create () in
-  let faccs : facc Ir.Guid.Tbl.t = Ir.Guid.Tbl.create 32 in
-  let facc_of g name =
-    match Ir.Guid.Tbl.find_opt faccs g with
-    | Some a -> a
-    | None ->
-        let a =
-          { fa_name = name; fa_nodes = 0; fa_exact = 0; fa_dropped = 0;
-            fa_total = 0L; fa_recovered = 0L; fa_dropped_counts = 0L }
-        in
-        Ir.Guid.Tbl.replace faccs g a;
-        a
-  in
-  let record g name ~total ~recovered ~dropped ~node_status =
-    let a = facc_of g name in
-    a.fa_nodes <- a.fa_nodes + 1;
-    (match node_status with
-    | Exact -> a.fa_exact <- a.fa_exact + 1
-    | Dropped -> a.fa_dropped <- a.fa_dropped + 1
-    | Fuzzy -> ());
-    a.fa_total <- Int64.add a.fa_total total;
-    a.fa_recovered <- Int64.add a.fa_recovered recovered;
-    a.fa_dropped_counts <- Int64.add a.fa_dropped_counts dropped
-  in
+  let faccs = Ir.Guid.Tbl.create 32 in
   let sorted_children (n : CP.node) =
     Hashtbl.fold (fun k c acc -> (k, c) :: acc) n.CP.n_children []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -476,8 +445,7 @@ let match_ctx ?obs ~target (trie : CP.t) =
   (* Account a whole unattachable subtree as dropped. *)
   let rec drop_subtree (n : CP.node) =
     let total = probe_fentry_total n.CP.n_prof in
-    record n.CP.n_func n.CP.n_name ~total ~recovered:0L ~dropped:total
-      ~node_status:Dropped;
+    record faccs n.CP.n_func n.CP.n_name ~total ~recovered:0L ~dropped:total Dropped;
     List.iter (fun (_, c) -> drop_subtree c) (sorted_children n)
   in
   (* [path_rev]: node_at path to the current node's attachment point in the
@@ -498,29 +466,19 @@ let match_ctx ?obs ~target (trie : CP.t) =
     let total = probe_fentry_total n.CP.n_prof in
     let fm = match_probe_fentry ~prog:target ~tp n.CP.n_prof new_node.CP.n_prof in
     if n.CP.n_inlined then new_node.CP.n_inlined <- true;
-    let node_status =
-      let s =
-        status_of ~present:true ~exact:fm.fm_exact ~recovered:fm.fm_recovered
-          ~dropped:fm.fm_dropped ~total
-      in
-      if renamed && s = Exact then Fuzzy else s
+    let status =
+      match node_status ~total fm with Exact when renamed -> Fuzzy | s -> s
     in
-    record n.CP.n_func n.CP.n_name ~total ~recovered:fm.fm_recovered
-      ~dropped:fm.fm_dropped ~node_status;
+    record faccs n.CP.n_func n.CP.n_name ~total ~recovered:fm.fm_recovered
+      ~dropped:fm.fm_dropped status;
+    (* The children's frame keys are callsite evidence in their own right:
+       a node profile without callsite counts would otherwise leave the
+       mapping anchorless and drop spellable chains. *)
     let map_site =
-      if Int64.equal n.CP.n_prof.PP.fe_checksum 0L
-         || Int64.equal n.CP.n_prof.PP.fe_checksum fn.Ir.Func.checksum
-      then fun s -> if Hashtbl.mem tp.tp_sites s then Some s else None
-      else
-        (* The children's frame keys are callsite evidence in their own
-           right: a node profile without callsite counts would otherwise
-           leave the mapping anchorless and drop spellable chains. *)
-        let extra =
+      site_mapping n.CP.n_prof tp ~extra:(fun () ->
           Hashtbl.fold
             (fun ((site, g) : CP.frame_key) _ acc -> (site, g) :: acc)
-            n.CP.n_children []
-        in
-        site_mapping ~extra n.CP.n_prof tp
+            n.CP.n_children [])
     in
     List.iter
       (fun (((site, child_guid) : CP.frame_key), (child : CP.node)) ->
@@ -565,20 +523,7 @@ let match_ctx ?obs ~target (trie : CP.t) =
       | None -> drop_subtree n
       | Some f -> walk n ~fn:f ~renamed:false ~path_rev:[])
     roots;
-  let verdicts =
-    Ir.Guid.Tbl.fold
-      (fun g a acc ->
-        let status =
-          if a.fa_exact = a.fa_nodes then Exact
-          else if a.fa_dropped = a.fa_nodes then Dropped
-          else Fuzzy
-        in
-        { v_name = a.fa_name; v_guid = g; v_status = status; v_total_in = a.fa_total;
-          v_recovered = a.fa_recovered; v_dropped = a.fa_dropped_counts }
-        :: acc)
-      faccs []
-  in
-  (out, close_report ?obs verdicts)
+  (out, close_report ?obs faccs)
 
 let route ?obs ~target (profile, flat) =
   let profile, rep =

@@ -8,30 +8,43 @@
     dropped, and the per-function {!verdict}s account for both sides, so
     [v_total_in = v_recovered + v_dropped] always holds.
 
+    Both flat shapes re-anchor call sites with one callee-anchor rule: old
+    call sites, keyed by their dominant (highest-count) callee, pair up in
+    key order with the new function's call sites statically calling the
+    same GUID; a key that is not an anchor moves by the delta of the
+    nearest preceding anchor, measured on the probe id or the line number.
+    Each shape then validates the result its own way.
+
     {b Pseudo-probe profiles} use probe-ID anchor matching under a
     function-checksum guard: when the CFG-shape checksum recorded in the
     profile still matches the target function, every probe id is carried
-    over unchanged ([Exact]); on a mismatch, callsite probes are re-anchored
-    by callee GUID (call sites calling the same function are aligned in
-    order) and block probes keep their id when it still names a block in the
-    new function. The matched profile is stamped with the {e new} checksum,
-    so downstream annotation ({!Annotate.probes}) accepts it.
+    over unchanged ([Exact]); on a mismatch, callsite probes are
+    re-anchored by callee and must land on a callsite probe of the new
+    function, and block probes keep their id when it still names a block
+    in the new function. The matched profile is stamped with the {e new}
+    checksum, so downstream annotation ({!Annotate.probes}) accepts it.
 
-    {b Line profiles} (the DWARF/AutoFDO shape) have no checksums: call
-    sites are anchored by callee GUID, non-anchor keys are shifted by the
-    nearest preceding anchor's line delta, and keys that still miss fall
-    back to the nearest valid (line, discriminator) within a small radius.
-    This decays under drift — which is the paper's point.
+    {b Line profiles} (the DWARF/AutoFDO shape) have no checksums: keys are
+    re-anchored by callee unless every key still exists, and a shifted key
+    that misses falls back to the nearest valid (line, discriminator)
+    within a small radius. This decays under drift — which is the paper's
+    point.
 
     {b Context tries} apply the probe matcher at every context node and
-    remap the (callsite, callee) frame keys along each context chain; a
-    node whose chain can no longer be spelled in the new binary drops with
-    its subtree.
+    remap the (callsite, callee) frame keys along each context chain,
+    taking the children's frame keys as extra anchor evidence; a node
+    whose chain can no longer be spelled in the new binary drops with its
+    subtree.
 
-    Functions whose GUID no longer exists (renamed or removed) are
-    [Dropped] wholesale. All outputs are deterministic: verdicts are sorted
-    by function name and matched profiles serialize canonically through
-    {!Csspgo_profile.Text_io}. *)
+    Every matcher builds its verdicts through one per-function
+    accumulator: a trie function aggregates all of its context nodes, a
+    flat-profile function is one node. Functions whose GUID no longer
+    exists (renamed or removed) are [Dropped] wholesale. All outputs are
+    deterministic: verdicts are sorted by function name (equal names by
+    descending GUID), and matched profiles serialize canonically through
+    {!Csspgo_profile.Text_io}. The line matcher walks its input in the
+    profile's canonical order; the probe matchers walk their tables in
+    [Hashtbl] order, which fixes the matched trie's insertion order. *)
 
 type status = Exact | Fuzzy | Dropped
 
@@ -47,7 +60,7 @@ type verdict = {
 }
 
 type report = {
-  r_verdicts : verdict list;  (** sorted by function name *)
+  r_verdicts : verdict list;  (** sorted by name, then by descending guid *)
   r_exact : int;
   r_fuzzy : int;
   r_dropped : int;

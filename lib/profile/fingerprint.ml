@@ -4,48 +4,29 @@ module PP = Probe_profile
 module CP = Ctx_profile
 module LP = Line_profile
 
-let sorted_probes (fe : PP.fentry) =
-  Hashtbl.fold (fun id c acc -> (id, c) :: acc) fe.PP.fe_probes [] |> List.sort compare
-
-let sorted_calls (fe : PP.fentry) =
-  Hashtbl.fold
-    (fun site tbl acc ->
-      Hashtbl.fold (fun callee c acc -> (site, callee, c) :: acc) tbl acc)
-    fe.PP.fe_calls []
-  |> List.sort compare
-
 let fentry_digest acc (fe : PP.fentry) =
   let acc = Fnv.int64 acc fe.PP.fe_head in
   let acc = Fnv.int64 acc fe.PP.fe_checksum in
   let acc =
     List.fold_left
       (fun acc (id, c) -> Fnv.int64 (Fnv.int acc id) c)
-      (Fnv.int acc 1) (sorted_probes fe)
+      (Fnv.int acc 1) (PP.sorted_probes fe)
   in
   List.fold_left
     (fun acc (site, callee, c) -> Fnv.int64 (Fnv.int64 (Fnv.int acc site) callee) c)
-    (Fnv.int acc 2) (sorted_calls fe)
+    (Fnv.int acc 2) (PP.sorted_calls fe)
 
 let line_fentry_digest acc (fe : LP.fentry) =
   let acc = Fnv.int64 acc fe.LP.fe_head in
-  let lines =
-    Hashtbl.fold (fun k c acc -> (k, c) :: acc) fe.LP.fe_lines [] |> List.sort compare
-  in
   let acc =
     List.fold_left
       (fun acc ((l, d), c) -> Fnv.int64 (Fnv.int (Fnv.int acc l) d) c)
-      (Fnv.int acc 1) lines
-  in
-  let calls =
-    Hashtbl.fold
-      (fun k tbl acc -> Hashtbl.fold (fun g c acc -> (k, g, c) :: acc) tbl acc)
-      fe.LP.fe_calls []
-    |> List.sort compare
+      (Fnv.int acc 1) (LP.sorted_lines fe)
   in
   List.fold_left
     (fun acc ((l, d), g, c) ->
       Fnv.int64 (Fnv.int64 (Fnv.int (Fnv.int acc l) d) g) c)
-    (Fnv.int acc 2) calls
+    (Fnv.int acc 2) (LP.sorted_calls fe)
 
 (* Accumulate one digest per guid; tables keep insertion cheap, the final
    sort restores determinism. *)
@@ -62,14 +43,14 @@ let collect fold =
 let per_func = function
   | Text_io.Probe_prof t ->
       collect (fun bump ->
-          Ir.Guid.Tbl.fold (fun g fe acc -> (g, fe) :: acc) t.PP.funcs []
-          |> List.sort compare
-          |> List.iter (fun (g, fe) -> bump g (fun acc -> fentry_digest acc fe)))
+          List.iter
+            (fun (g, fe) -> bump g (fun acc -> fentry_digest acc fe))
+            (PP.sorted_funcs t))
   | Text_io.Line_prof t ->
       collect (fun bump ->
-          Ir.Guid.Tbl.fold (fun g fe acc -> (g, fe) :: acc) t.LP.funcs []
-          |> List.sort compare
-          |> List.iter (fun (g, fe) -> bump g (fun acc -> line_fentry_digest acc fe)))
+          List.iter
+            (fun (g, fe) -> bump g (fun acc -> line_fentry_digest acc fe))
+            (LP.sorted_funcs t))
   | Text_io.Ctx_prof t ->
       collect (fun bump ->
           (* iter_nodes is a sorted DFS, so per-leaf accumulation order is

@@ -70,16 +70,18 @@ let call_counts fe key =
 let total_samples t =
   Ir.Guid.Tbl.fold (fun _ fe acc -> Int64.add acc fe.fe_total) t.funcs 0L
 
-let pp fmt t =
-  Ir.Guid.Tbl.iter
-    (fun guid fe ->
-      let name =
-        match Ir.Guid.Tbl.find_opt t.names guid with
-        | Some n -> n
-        | None -> Format.asprintf "%a" Ir.Guid.pp guid
-      in
-      Format.fprintf fmt "%s: total=%Ld head=%Ld@." name fe.fe_total fe.fe_head;
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) fe.fe_lines []
-      |> List.sort compare
-      |> List.iter (fun ((l, d), c) -> Format.fprintf fmt "  %d.%d: %Ld@." l d c))
-    t.funcs
+(* The canonical entry order: functions by guid, lines by key, call
+   records by (key, callee). Every writer and digest reads entries through
+   these, so equal profiles serialize and fingerprint identically. *)
+let sorted_funcs t =
+  Ir.Guid.Tbl.fold (fun g fe acc -> (g, fe) :: acc) t.funcs []
+  |> List.sort (fun (a, _) (b, _) -> Ir.Guid.compare a b)
+
+let sorted_lines fe =
+  Hashtbl.fold (fun k c acc -> (k, c) :: acc) fe.fe_lines [] |> List.sort compare
+
+let sorted_calls fe =
+  Hashtbl.fold
+    (fun k tbl acc -> Hashtbl.fold (fun callee c acc -> (k, callee, c) :: acc) tbl acc)
+    fe.fe_calls []
+  |> List.sort compare

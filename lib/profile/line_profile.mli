@@ -28,4 +28,15 @@ val add_call : fentry -> key -> Csspgo_ir.Guid.t -> int64 -> unit
 val line_count : fentry -> key -> int64
 val call_counts : fentry -> key -> (Csspgo_ir.Guid.t * int64) list
 val total_samples : t -> int64
-val pp : Format.formatter -> t -> unit
+
+(** The canonical entry order, shared by {!Text_io}, {!Binary_io},
+    {!Fingerprint} and the stale matcher's line walk. *)
+
+val sorted_funcs : t -> (Csspgo_ir.Guid.t * fentry) list
+(** Every function, by guid. *)
+
+val sorted_lines : fentry -> (key * int64) list
+(** [(key, count)], by key. *)
+
+val sorted_calls : fentry -> (key * Csspgo_ir.Guid.t * int64) list
+(** [(call key, callee, count)], by key, then callee. *)

@@ -63,17 +63,18 @@ let call_counts fe id =
 let total_samples t =
   Ir.Guid.Tbl.fold (fun _ fe acc -> Int64.add acc fe.fe_total) t.funcs 0L
 
-let pp fmt t =
-  Ir.Guid.Tbl.iter
-    (fun guid fe ->
-      let name =
-        match Ir.Guid.Tbl.find_opt t.names guid with
-        | Some n -> n
-        | None -> Format.asprintf "%a" Ir.Guid.pp guid
-      in
-      Format.fprintf fmt "%s: total=%Ld head=%Ld checksum=%Lx@." name fe.fe_total fe.fe_head
-        fe.fe_checksum;
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) fe.fe_probes []
-      |> List.sort compare
-      |> List.iter (fun (id, c) -> Format.fprintf fmt "  #%d: %Ld@." id c))
-    t.funcs
+(* The canonical entry order: functions by guid, probes by id, call
+   records by (site, callee). Every writer and digest reads entries through
+   these, so equal profiles serialize and fingerprint identically. *)
+let sorted_funcs t =
+  Ir.Guid.Tbl.fold (fun g fe acc -> (g, fe) :: acc) t.funcs []
+  |> List.sort (fun (a, _) (b, _) -> Ir.Guid.compare a b)
+
+let sorted_probes fe =
+  Hashtbl.fold (fun id c acc -> (id, c) :: acc) fe.fe_probes [] |> List.sort compare
+
+let sorted_calls fe =
+  Hashtbl.fold
+    (fun site tbl acc -> Hashtbl.fold (fun callee c acc -> (site, callee, c) :: acc) tbl acc)
+    fe.fe_calls []
+  |> List.sort compare

@@ -26,4 +26,15 @@ val add_call : fentry -> int -> Csspgo_ir.Guid.t -> int64 -> unit
 val probe_count : fentry -> int -> int64
 val call_counts : fentry -> int -> (Csspgo_ir.Guid.t * int64) list
 val total_samples : t -> int64
-val pp : Format.formatter -> t -> unit
+
+(** The canonical entry order, shared by {!Text_io}, {!Binary_io} and
+    {!Fingerprint}. *)
+
+val sorted_funcs : t -> (Csspgo_ir.Guid.t * fentry) list
+(** Every function, by guid. *)
+
+val sorted_probes : fentry -> (int * int64) list
+(** [(probe id, count)], by id. *)
+
+val sorted_calls : fentry -> (int * Csspgo_ir.Guid.t * int64) list
+(** [(callsite probe id, callee, count)], by site, then callee. *)

@@ -6,36 +6,24 @@ module LP = Line_profile
 exception Parse_error of string * int
 
 (* ------------------------------------------------------------------ *)
-(* Writers. Deterministic: entries sorted by key.                      *)
-
-let sorted_probes (fe : PP.fentry) =
-  Hashtbl.fold (fun id c acc -> (id, c) :: acc) fe.PP.fe_probes [] |> List.sort compare
-
-let sorted_calls (fe : PP.fentry) =
-  Hashtbl.fold
-    (fun site tbl acc ->
-      Hashtbl.fold (fun callee c acc -> (site, callee, c) :: acc) tbl acc)
-    fe.PP.fe_calls []
-  |> List.sort compare
+(* Writers. Deterministic: entries in the profiles' canonical order.   *)
 
 let write_fentry fmt (fe : PP.fentry) =
-  List.iter (fun (id, c) -> Format.fprintf fmt " probe %d %Ld@." id c) (sorted_probes fe);
+  List.iter (fun (id, c) -> Format.fprintf fmt " probe %d %Ld@." id c) (PP.sorted_probes fe);
   List.iter
     (fun (site, callee, c) -> Format.fprintf fmt " call %d %Lx %Ld@." site callee c)
-    (sorted_calls fe)
+    (PP.sorted_calls fe)
+
+let name_or_guid names guid =
+  Option.value (Ir.Guid.Tbl.find_opt names guid) ~default:(Printf.sprintf "%Lx" guid)
 
 let write_probe fmt (t : PP.t) =
-  let guids = Ir.Guid.Tbl.fold (fun g _ acc -> g :: acc) t.PP.funcs [] in
   List.iter
-    (fun guid ->
-      let fe = Ir.Guid.Tbl.find t.PP.funcs guid in
-      let name =
-        Option.value (Ir.Guid.Tbl.find_opt t.PP.names guid) ~default:(Printf.sprintf "%Lx" guid)
-      in
-      Format.fprintf fmt "function %s guid=%Lx total=%Ld head=%Ld checksum=%Lx@." name guid
-        fe.PP.fe_total fe.PP.fe_head fe.PP.fe_checksum;
+    (fun (guid, (fe : PP.fentry)) ->
+      Format.fprintf fmt "function %s guid=%Lx total=%Ld head=%Ld checksum=%Lx@."
+        (name_or_guid t.PP.names guid) guid fe.PP.fe_total fe.PP.fe_head fe.PP.fe_checksum;
       write_fentry fmt fe)
-    (List.sort Ir.Guid.compare guids)
+    (PP.sorted_funcs t)
 
 let write_ctx fmt (t : CP.t) =
   CP.iter_nodes t (fun ctx node ->
@@ -47,26 +35,17 @@ let write_ctx fmt (t : CP.t) =
       write_fentry fmt node.CP.n_prof)
 
 let write_line fmt (t : LP.t) =
-  let guids = Ir.Guid.Tbl.fold (fun g _ acc -> g :: acc) t.LP.funcs [] in
   List.iter
-    (fun guid ->
-      let fe = Ir.Guid.Tbl.find t.LP.funcs guid in
-      let name =
-        Option.value (Ir.Guid.Tbl.find_opt t.LP.names guid) ~default:(Printf.sprintf "%Lx" guid)
-      in
-      Format.fprintf fmt "function %s guid=%Lx total=%Ld head=%Ld@." name guid fe.LP.fe_total
-        fe.LP.fe_head;
-      Hashtbl.fold (fun k c acc -> (k, c) :: acc) fe.LP.fe_lines []
-      |> List.sort compare
-      |> List.iter (fun ((l, d), c) -> Format.fprintf fmt " line %d.%d %Ld@." l d c);
-      Hashtbl.fold
-        (fun k tbl acc -> Hashtbl.fold (fun g c acc -> (k, g, c) :: acc) tbl acc)
-        fe.LP.fe_calls []
-      |> List.sort compare
-      |> List.iter (fun ((l, d), g, c) ->
-             Format.fprintf fmt " callline %d.%d %Lx %Ld@." l d g c))
-    (List.sort Ir.Guid.compare guids)
-
+    (fun (guid, (fe : LP.fentry)) ->
+      Format.fprintf fmt "function %s guid=%Lx total=%Ld head=%Ld@."
+        (name_or_guid t.LP.names guid) guid fe.LP.fe_total fe.LP.fe_head;
+      List.iter
+        (fun ((l, d), c) -> Format.fprintf fmt " line %d.%d %Ld@." l d c)
+        (LP.sorted_lines fe);
+      List.iter
+        (fun ((l, d), g, c) -> Format.fprintf fmt " callline %d.%d %Lx %Ld@." l d g c)
+        (LP.sorted_calls fe))
+    (LP.sorted_funcs t)
 
 (* ------------------------------------------------------------------ *)
 (* Readers.                                                            *)

@@ -50,6 +50,10 @@ val write : Format.formatter -> profile -> unit
 val to_string : profile -> string
 (** Canonical text: sorted, comment-free, byte-stable for equal profiles. *)
 
+val name_or_guid : string Csspgo_ir.Guid.Tbl.t -> Csspgo_ir.Guid.t -> string
+(** The name a flat profile's writers print for a function: its entry in
+    the names table, else the guid in hex. *)
+
 val read : kind -> string -> profile
 (** Parse text known to be of [kind]. Raises {!Parse_error}. *)
 

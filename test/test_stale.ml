@@ -263,6 +263,24 @@ let test_quality_recovery_guard () =
   Alcotest.(check (float 1e-9)) "identical -> ratio 1.0" 1.0 r'.Q.rec_ratio;
   Alcotest.(check (float 1e-9)) "identical -> overlap 1.0" 1.0 r'.Q.rec_stale
 
+(* --- verdict order ----------------------------------------------------- *)
+
+(* Verdicts sort by name; two functions sharing a name (distinct guids)
+   order by descending guid, for both flat shapes. *)
+let test_verdict_order_ties () =
+  let target = target_ir "fn main(a) { return a; }" in
+  let funcs = [ (1L, "f"); (3L, "a"); (2L, "f") ] in
+  let order (r : SM.report) = List.map (fun v -> v.SM.v_guid) r.SM.r_verdicts in
+  let pp = P.Probe_profile.create () in
+  let lp = P.Line_profile.create () in
+  List.iter
+    (fun (g, name) ->
+      P.Probe_profile.add_probe (P.Probe_profile.get_or_add pp g ~name) 1 5L;
+      P.Line_profile.add_line (P.Line_profile.get_or_add lp g ~name) (1, 0) 5L)
+    funcs;
+  Alcotest.(check (list int64)) "probe" [ 3L; 2L; 1L ] (order (snd (SM.match_probe ~target pp)));
+  Alcotest.(check (list int64)) "line" [ 3L; 2L; 1L ] (order (snd (SM.match_line ~target lp)))
+
 (* --- determinism across -j ------------------------------------------- *)
 
 let test_stale_parallel_deterministic () =
@@ -322,6 +340,8 @@ let suite =
         test_quality_zero_counts;
       Alcotest.test_case "quality: recovery ratio guard" `Quick
         test_quality_recovery_guard;
+      Alcotest.test_case "equal names order by descending guid" `Quick
+        test_verdict_order_ties;
       Alcotest.test_case "stale plans deterministic across -j" `Quick
         test_stale_parallel_deterministic;
     ] )
