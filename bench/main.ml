@@ -607,6 +607,7 @@ let format_bench () =
   let plan_count name =
     Option.value ~default:0 (Obs.Metrics.find_counter (Obs.Metrics.snapshot obs) name)
   in
+  let rebuild_s stages = Option.value ~default:0.0 (List.assoc_opt "rebuild" stages) in
   let n_rec = plan_count "plan.rebuild.funcs-recompiled" in
   let n_reu = plan_count "plan.rebuild.funcs-reused" in
   pf "incremental rebuild (clangish, full CSSPGO, in-memory cache):\n";
@@ -641,6 +642,8 @@ let format_bench () =
                ("warm_s", Json.Float t_warm);
                ("drifted_s", Json.Float t_a);
                ("delta_s", Json.Float t_delta);
+               ("cold_rebuild_s", Json.Float (rebuild_s cold_stages));
+               ("delta_rebuild_s", Json.Float (rebuild_s delta_stages));
                ("delta_recompiled", Json.Int n_rec);
                ("delta_reused", Json.Int n_reu);
              ] );

@@ -1166,8 +1166,9 @@ let labels_cmd =
 
 (* Schema guard for the committed BENCH_*.json artifacts: every file must
    be valid JSON recording the host core count, and the known experiments
-   must carry their headline fields — a bench refactor that silently stops
-   writing a field fails here, not in a reader months later. *)
+   must carry their headline fields (a dotted name reaches into an object)
+   — a bench refactor that silently stops writing a field fails here, not
+   in a reader months later. *)
 let bench_check_cmd =
   let files_arg =
     Arg.(
@@ -1176,7 +1177,11 @@ let bench_check_cmd =
   in
   let required = function
     | "BENCH_stale.json" -> [ "distances"; "workloads"; "aggregate_overlap" ]
-    | "BENCH_format.json" -> [ "workload"; "profiles"; "sample_log"; "incremental" ]
+    | "BENCH_format.json" ->
+        [
+          "workload"; "profiles"; "sample_log"; "incremental";
+          "incremental.cold_rebuild_s"; "incremental.delta_rebuild_s";
+        ]
     | "BENCH_fleet.json" ->
         [ "workload"; "fleet_sizes"; "duty_sweep"; "skew_sweep"; "train" ]
     | "BENCH_corr.json" -> [ "workload"; "n_samples"; "decode"; "correlate" ]
@@ -1202,8 +1207,12 @@ let bench_check_cmd =
         | None -> die "%s: missing \"cores\" (host core count)" path);
         List.iter
           (fun k ->
-            if Obs.Json.member k doc = None then
-              die "%s: missing field %S" path k)
+            let field =
+              List.fold_left
+                (fun j name -> Option.bind j (Obs.Json.member name))
+                (Some doc) (String.split_on_char '.' k)
+            in
+            if field = None then die "%s: missing field %S" path k)
           (required (Filename.basename path));
         Printf.printf "%s: ok\n" (Filename.basename path))
       files

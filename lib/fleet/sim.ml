@@ -147,6 +147,8 @@ let validate cfg versions =
   if cfg.f_shards <= 0 then invalid_arg "Sim.run: f_shards must be positive";
   if cfg.f_request_copies <= 0 then
     invalid_arg "Sim.run: f_request_copies must be positive";
+  if cfg.f_batch_requests <= 0 then
+    invalid_arg "Sim.run: f_batch_requests must be positive";
   if not (cfg.f_duty >= 0.0 && cfg.f_duty <= 1.0) then
     invalid_arg "Sim.run: f_duty must be in [0, 1]";
   let ids = List.map (fun v -> v.v_id) versions in
@@ -226,21 +228,24 @@ let run ?obs ?series ?health cfg ~(workload : D.workload) ~versions =
   (* Phase 5: stale-route old versions onto the newest, then merge. *)
   let target_v = List.nth versions (List.length versions - 1) in
   let target_b = List.nth builds (List.length builds - 1) in
-  let routed =
+  let routed, (fs_profile, fs_flat) =
     span "fleet-merge" (fun () ->
-        List.map2
-          (fun v pair ->
-            if v.v_id = target_v.v_id then (pair, None)
-            else
-              let pair, rep =
-                Core.Stale_match.route ~obs ~target:target_b.Build.vb_target pair
-              in
-              (pair, Some rep))
-          versions profiles)
-  in
-  let fs_profile, fs_flat =
-    P.Merge.weighted_pairs ~kind:(Build.kind_of_shape cfg.f_shape)
-      (List.map2 (fun v ((prof, flat), _) -> (v.v_weight, prof, flat)) versions routed)
+        let routed =
+          List.map2
+            (fun v pair ->
+              if v.v_id = target_v.v_id then (pair, None)
+              else
+                let pair, rep =
+                  Core.Stale_match.route ~obs ~target:target_b.Build.vb_target pair
+                in
+                (pair, Some rep))
+            versions profiles
+        in
+        ( routed,
+          P.Merge.weighted_pairs ~kind:(Build.kind_of_shape cfg.f_shape)
+            (List.map2
+               (fun v ((prof, flat), _) -> (v.v_weight, prof, flat))
+               versions routed) ))
   in
   let per_version =
     List.map2

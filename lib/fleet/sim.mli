@@ -118,14 +118,17 @@ val run :
   workload:Csspgo_core.Driver.workload ->
   versions:version list ->
   outcome
-(** [versions] must be non-empty with distinct ids and positive cohorts.
-    Deterministic: equal inputs yield a byte-identical [fs_profile]
+(** [versions] must be non-empty with distinct ids and positive cohorts,
+    and the config's shard count, request copies and batch size positive
+    with a duty in [0, 1]; otherwise [Invalid_argument] naming the field,
+    before any build. Deterministic: equal inputs yield a byte-identical [fs_profile]
     whatever [f_jobs] is. [obs] is the run's one telemetry handle: every
     layer below (scheduler, collector, correlation kernel, stale
     matcher) reports to it, the run adds the [fleet.*] counters, and
     its trace gets per-phase spans (tid 0, ["fleet-build"],
     ["fleet-serve"], ["fleet-drain"], ["fleet-correlate"],
-    ["fleet-merge"]). A collection window is a telemetry window: when
+    ["fleet-merge"]: the stale routing and the cross-version merge). A
+    collection window is a telemetry window: when
     [series] or [health] is given, the run closes exactly one
     {!Csspgo_obs.Series} window / {!Csspgo_obs.Health} window from the
     cumulative snapshot of {!registry}[ ?obs ~windows:true ()] at the

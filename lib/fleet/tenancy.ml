@@ -48,6 +48,8 @@ let validate cfg =
     invalid_arg "Tenancy.collect: ty_instances must be positive";
   if cfg.ty_shards <= 0 then
     invalid_arg "Tenancy.collect: ty_shards must be positive";
+  if cfg.ty_batch_requests <= 0 then
+    invalid_arg "Tenancy.collect: ty_batch_requests must be positive";
   if not (cfg.ty_duty >= 0.0 && cfg.ty_duty <= 1.0) then
     invalid_arg "Tenancy.collect: ty_duty must be in [0, 1]"
 

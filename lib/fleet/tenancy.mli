@@ -49,7 +49,10 @@ val collect :
 (** Build the mix's profiling binary, serve the labeled train stream as
     one version-0 cohort of [ty_instances] ({!Sim.serve}), drain the
     collector, and run {!Build.correlate_labeled}, all reporting to
-    [obs]. Deterministic for equal inputs at any [ty_jobs]. *)
+    [obs]. Deterministic for equal inputs at any [ty_jobs]. A
+    non-positive instance count, shard count or batch size, or a duty
+    outside [0, 1], raises [Invalid_argument] naming the field before
+    the build. *)
 
 type specialized = {
   sp_tenant : string;

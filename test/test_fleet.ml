@@ -93,6 +93,26 @@ let test_collector_drain () =
         (String.length msg > 0)
   | _ -> Alcotest.fail "corrupt blob drained"
 
+(* A zero batch size is refused by the caller's own validation, which runs
+   before any profiling build, so the message names the caller and its
+   field rather than [Instance.serve]'s. *)
+let test_batch_size_validated () =
+  let refuses what want f =
+    match f () with
+    | exception Invalid_argument msg -> Alcotest.(check string) what want msg
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  refuses "Sim.run batch 0" "Sim.run: f_batch_requests must be positive" (fun () ->
+      ignore (run ~cfg:{ cfg with Fl.Sim.f_batch_requests = 0 } 1));
+  refuses "Tenancy.collect batch 0" "Tenancy.collect: ty_batch_requests must be positive"
+    (fun () ->
+      let mix =
+        W.Mix.make ~seed:11L ~requests:2
+          [ { W.Mix.t_name = "acme"; t_workload = w; t_weight = 1 } ]
+      in
+      ignore
+        (Fl.Tenancy.collect { Fl.Tenancy.default with Fl.Tenancy.ty_batch_requests = 0 } mix))
+
 let test_train_smoke () =
   let tcfg =
     {
@@ -164,6 +184,7 @@ let suite =
         test_profile_injection;
       Alcotest.test_case "collector routing and drain" `Quick
         test_collector_drain;
+      Alcotest.test_case "batch size validated" `Quick test_batch_size_validated;
       Alcotest.test_case "release-train smoke" `Quick test_train_smoke;
       Alcotest.test_case "one handle reaches every layer" `Quick
         test_handle_reaches_layers;
