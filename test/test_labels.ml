@@ -214,20 +214,25 @@ let prop_chunks_and_append_carry_labels =
           if
             not
               (String.equal (counts_sig re) (counts_sig a)
-              && String.equal (SL.to_text re) (SL.to_text a))
+              && String.equal (SL.to_text re) (SL.to_text a)
+              && String.equal (SL.encode re) (SL.encode a))
           then QCheck.Test.fail_report "chunked labels do not reassemble");
       (* split carries labels the same way. *)
       let re = SL.create () in
       List.iter (fun p -> SL.append ~into:re p) (SL.split ~chunk a);
-      if not (String.equal (counts_sig re) (counts_sig a)) then
-        QCheck.Test.fail_report "split loses labels";
+      if
+        not
+          (String.equal (counts_sig re) (counts_sig a)
+          && String.equal (SL.encode re) (SL.encode a))
+      then QCheck.Test.fail_report "split loses labels";
       (* append remaps intern ids across logs. *)
       let ab = SL.create () in
       SL.append ~into:ab a;
       SL.append ~into:ab b;
       let whole = log_of_labeled (ra @ rb) in
       String.equal (counts_sig ab) (counts_sig whole)
-      && String.equal (SL.to_text ab) (SL.to_text whole))
+      && String.equal (SL.to_text ab) (SL.to_text whole)
+      && String.equal (SL.encode ab) (SL.encode whole))
 
 let test_label_free_is_implicit_slice () =
   let log = SL.create () in
