@@ -892,7 +892,7 @@ let corr_bench () =
      available parallelism on this substrate-sized log. *)
   let shard_target = max 256 (n / 16) in
   let n_shards =
-    List.length (Core.Par_corr.plan ~target:shard_target chunks)
+    List.length (Core.Correlate.plan ~target:shard_target chunks)
   in
   pf "correlation (ctx shape): %d shards (target %d samples/shard)\n" n_shards
     shard_target;

@@ -66,7 +66,107 @@ let of_agg ?obs t shape agg =
 let trim ~threshold trie =
   if Int64.compare threshold 0L > 0 then ignore (P.Ctx_profile.trim_cold trie ~threshold)
 
-type input = Log of Vm.Sample_log.t | Shards of Par_corr.shard list
+(* --- shards and their exact replay ------------------------------------ *)
+
+type shard = Vm.Sample_log.t list
+
+let shard_samples shard =
+  List.fold_left (fun acc log -> acc + Vm.Sample_log.n_samples log) 0 shard
+
+(* Group decoded chunks (which can be tiny — one per shipped fleet batch)
+   into shards of at least [target] samples. The grouping is a pure
+   function of the chunk list, never of a job count; and since every
+   replay below is exact under *any* whole-sample partition, the
+   partition choice can only affect wall-clock, not one output byte. *)
+let plan ?(target = Vm.Sample_log.chunk_samples) chunks =
+  if target <= 0 then invalid_arg "Correlate.plan: target must be positive";
+  let flush cur acc = match cur with [] -> acc | _ -> List.rev cur :: acc in
+  let rec go cur n acc = function
+    | [] -> List.rev (flush cur acc)
+    | c :: tl ->
+        let cn = Vm.Sample_log.n_samples c in
+        if cn = 0 then go cur n acc tl
+        else if n + cn >= target then go [] 0 (flush (c :: cur) acc) tl
+        else go (c :: cur) (n + cn) acc tl
+  in
+  go [] 0 [] chunks
+
+let bump obs name v = Obs.Metrics.bump (Obs.Metrics.counter obs name) v
+
+(* Every replay that walks samples counts its shards. *)
+let observe ?(obs = Obs.Metrics.null) shards =
+  bump obs "parcorr.shards" (List.length shards);
+  bump obs "parcorr.samples" (List.fold_left (fun a s -> a + shard_samples s) 0 shards)
+
+(* One fresh consumer per shard on up to [jobs] domains, fed the shard's
+   chunks in order; chunks are never copied or concatenated. *)
+let replay ?obs ~jobs ~start ~feed ~finish shards =
+  S.map ?obs ~jobs
+    (fun shard ->
+      let st = start () in
+      let f = feed st in
+      List.iter (fun log -> Vm.Sample_log.iter log f) shard;
+      finish st)
+    shards
+
+let aggregate ?obs ~jobs shards =
+  observe ?obs shards;
+  let aggs =
+    replay ?obs ~jobs shards ~start:Pg.Ranges.create ~finish:Fun.id
+      ~feed:(fun agg ~lbr ~lbr_len ~stack:_ ~stack_len:_ -> Pg.Ranges.feed agg ~lbr ~lbr_len)
+  in
+  (* [Ranges.merge] never mutates its inputs, as tree_reduce may hand a
+     node's operand to another node on the serial path. *)
+  ( aggs,
+    Option.value ~default:(Pg.Ranges.create ())
+      (S.tree_reduce ?obs ~jobs Pg.Ranges.merge aggs) )
+
+let missing_of ?(obs = Obs.Metrics.null) ~jobs index shards =
+  (* Per-shard builders run on a null registry: each shard counts the
+     edges *it* first saw, and duplicates across shards would overreport
+     against the serial run. The union's edge count is the serial count,
+     credited once below. *)
+  let start () = Missing_frame.start ~obs:Obs.Metrics.null index in
+  let tables =
+    replay ~obs ~jobs shards ~start ~finish:Missing_frame.finish
+      ~feed:(fun mb ~lbr ~lbr_len ~stack:_ ~stack_len:_ -> Missing_frame.feed mb ~lbr ~lbr_len)
+  in
+  let t =
+    match S.tree_reduce ~obs ~jobs Missing_frame.union tables with
+    | Some t -> t
+    | None -> Missing_frame.finish (start ())
+  in
+  bump obs "missing-frame.edges" (Missing_frame.n_edges t);
+  t
+
+let zero_stats =
+  {
+    Ctx_reconstruct.st_samples = 0;
+    st_dropped_misaligned = 0;
+    st_gaps_resolved = 0;
+    st_gaps_failed = 0;
+  }
+
+let add_stats (a : Ctx_reconstruct.stats) (b : Ctx_reconstruct.stats) =
+  {
+    Ctx_reconstruct.st_samples = a.st_samples + b.st_samples;
+    st_dropped_misaligned = a.st_dropped_misaligned + b.st_dropped_misaligned;
+    st_gaps_resolved = a.st_gaps_resolved + b.st_gaps_resolved;
+    st_gaps_failed = a.st_gaps_failed + b.st_gaps_failed;
+  }
+
+let merge_tries ?obs ~jobs parts =
+  let merge (ta, sa) (tb, sb) =
+    let trie = P.Ctx_profile.create () in
+    P.Merge.ctx ~into:trie ~weight:1L ta;
+    P.Merge.ctx ~into:trie ~weight:1L tb;
+    (trie, add_stats sa sb)
+  in
+  match S.tree_reduce ?obs ~jobs merge parts with
+  | Some r -> r
+  | None -> (P.Ctx_profile.create (), zero_stats)
+
+type input = Log of Vm.Sample_log.t | Shards of shard list
 
 type result = {
   profile : P.Text_io.profile;
@@ -88,27 +188,21 @@ let run ?obs ~jobs ~missing_frames ~trim:threshold ?recorded ?(keep_shards = fal
   (* A serial log is one shard: no trie merge and no second pass over it. *)
   let shards =
     match input with
-    | Log log when jobs > 1 -> Par_corr.shards_of_log log
+    | Log log when jobs > 1 -> List.map (fun l -> [ l ]) (Vm.Sample_log.split log)
     | Log log -> [ [ log ] ]
     | Shards shards -> shards
   in
   let aggs, agg =
     match recorded with
     | Some (agg, _) -> ([], agg)
-    | None ->
-        let aggs = Par_corr.aggregates ?obs ~jobs shards in
-        (* [Ranges.merge] never mutates its inputs, as tree_reduce may hand
-           a node's operand to another node on the serial path. *)
-        ( aggs,
-          Option.value ~default:(Pg.Ranges.create ())
-            (S.tree_reduce ?obs ~jobs Pg.Ranges.merge aggs) )
+    | None -> aggregate ?obs ~jobs shards
   in
   match shape with
   | Lines | Probes ->
       {
         profile = of_agg ?obs t shape agg;
         flat = None;
-        stats = Par_corr.zero_stats;
+        stats = zero_stats;
         slices =
           (if keep_shards then S.map ?obs ~jobs (of_agg ?obs t shape) aggs
            else []);
@@ -118,11 +212,19 @@ let run ?obs ~jobs ~missing_frames ~trim:threshold ?recorded ?(keep_shards = fal
         match recorded with
         | _ when not missing_frames -> None
         | Some (_, missing) -> missing
-        | None -> Some (Par_corr.missing ?obs ~jobs t.index shards)
+        | None -> Some (missing_of ?obs ~jobs t.index shards)
       in
+      (* The complete missing-frame table is shared by every shard (path
+         uniqueness needs the whole edge set), and attribution is
+         per-sample given that table, so shard tries partition the serial
+         trie's counts exactly. Per-shard flushes of the [ctx.*] counters
+         sum to the serial totals. *)
+      observe ?obs shards;
       let parts =
-        Par_corr.reconstructs ~name_of:(name_of t.sy) ?missing
-          ~checksum_of:(checksum_of t.sy) ?obs ~jobs t.index shards
+        replay ?obs ~jobs shards ~feed:Ctx_reconstruct.feed ~finish:Ctx_reconstruct.finish
+          ~start:(fun () ->
+            Ctx_reconstruct.start ~name_of:(name_of t.sy) ?missing
+              ~checksum_of:(checksum_of t.sy) ?obs t.index)
       in
       let trie, stats =
         match parts with
@@ -131,7 +233,7 @@ let run ?obs ~jobs ~missing_frames ~trim:threshold ?recorded ?(keep_shards = fal
             let copy = P.Ctx_profile.create () in
             P.Merge.ctx ~into:copy ~weight:1L trie;
             (copy, stats)
-        | _ -> Par_corr.merge_tries ?obs ~jobs parts
+        | _ -> merge_tries ?obs ~jobs parts
       in
       trim ~threshold trie;
       {

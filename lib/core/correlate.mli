@@ -6,10 +6,27 @@
     profile.
 
     It owns the reference symbol tables, the record-time tee sink, the
-    shape dispatch, the trim step and the shard replay. Replay runs
-    through {!Par_corr} over whole-sample shards, one shard for a serial
-    log, and the result is the shards' exact reduction: byte-identical
-    for any sharding and any [jobs]. *)
+    shape dispatch, the trim step and the shard replay. A stream is a list
+    of whole-sample shards (one shard for a serial log); each shard is
+    replayed on a scheduler domain and the per-shard results are reduced.
+    Every reduction is exact under any whole-sample partition of the
+    stream:
+
+    - range/branch aggregates are int count tables, which merge by
+      addition ({!Csspgo_profgen.Ranges.merge}: commutative, associative);
+    - tail-call edge tables merge by set union, and
+      {!Missing_frame.resolve} is edge-order-independent;
+    - per-shard context tries (each reconstructed against the {e complete}
+      missing-frame table) merge at equal weight under the
+      {!Csspgo_profile.Merge} laws, and reconstruction attributes each
+      sample independently given that table, so shard tries partition the
+      serial trie's counts.
+
+    So the output is byte-identical for any sharding and any [jobs];
+    parallelism changes wall-clock only. DWARF line correlation is not
+    additive (line counts take a {e max} across instructions sharing a
+    line), so it stays out of the parallel region and runs once on the
+    merged aggregate, which is the exact serial computation. *)
 
 type shape = Lines | Probes | Ctx
 (** DWARF line (AutoFDO), flat pseudo-probe, or context trie (CSSPGO). *)
@@ -53,10 +70,23 @@ val of_agg :
 val trim : threshold:int64 -> Csspgo_profile.Ctx_profile.t -> unit
 (** Cold-context trimming; a threshold of 0 or less keeps the trie. *)
 
+type shard = Csspgo_vm.Sample_log.t list
+(** One shard: a run of chunks fed in order. Chunks are never copied or
+    concatenated — replaying a shard replays each chunk in sequence. *)
+
+val plan : ?target:int -> Csspgo_vm.Sample_log.t list -> shard list
+(** Group already-decoded chunks (e.g. one per fleet batch) into shards of
+    at least [target] samples (default
+    {!Csspgo_vm.Sample_log.chunk_samples}), preserving order and dropping
+    empty chunks. A pure function of the chunk list — never of a job
+    count.
+    @raise Invalid_argument when [target] is not positive. *)
+
 type input =
   | Log of Csspgo_vm.Sample_log.t
-      (** one shard at [jobs = 1], {!Par_corr.shards_of_log} above *)
-  | Shards of Par_corr.shard list  (** as given, at any [jobs] *)
+      (** one shard at [jobs = 1]; above, one shard per
+          {!Csspgo_vm.Sample_log.split} chunk *)
+  | Shards of shard list  (** as given, at any [jobs] *)
 
 type result = {
   profile : Csspgo_profile.Text_io.profile;  (** [Ctx]: the trimmed merge *)

@@ -57,12 +57,12 @@ let correlate ?obs ~options ~shape b log =
   snd (run ?obs ~jobs:1 ~options ~shape b [ [ log ] ])
 
 (* The decoded chunk list is never concatenated: chunks group into shards
-   ([Par_corr.plan], a pure function of the chunk list), so the result is
+   ([Correlate.plan], a pure function of the chunk list), so the result is
    byte-identical to [correlate] on the concatenated log at any [jobs]. *)
 let correlate_chunks ?obs ?shard_target ~jobs ~options ~shape b chunks =
   snd
     (run ?obs ~jobs ~options ~shape b
-       (Core.Par_corr.plan ?target:shard_target chunks))
+       (Core.Correlate.plan ?target:shard_target chunks))
 
 (* --- label-sliced correlation ----------------------------------------- *)
 

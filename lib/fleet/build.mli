@@ -54,13 +54,13 @@ val correlate_chunks :
   Csspgo_vm.Sample_log.t list ->
   Csspgo_profile.Text_io.profile * Csspgo_profile.Probe_profile.t option
 (** The kernel run over a decoded chunk list (the [Collector.drain_chunks]
-    shape), with [Par_corr.plan]'s chunk groups as its shards — the
-    concatenated log is never materialized. Byte-identical to [correlate]
-    on the concatenation at any [jobs]: chunk grouping is a pure function
-    of the chunk list, and every per-shard reduction is exact
-    ({!Csspgo_core.Par_corr}). [jobs] is clamped to the core count. [obs]
-    takes the same counters as in {!correlate}, and its trace the
-    scheduler's spans. [shard_target] overrides [Par_corr.plan]'s
+    shape), with {!Csspgo_core.Correlate.plan}'s chunk groups as its
+    shards — the concatenated log is never materialized. Byte-identical to
+    [correlate] on the concatenation at any [jobs]: chunk grouping is a
+    pure function of the chunk list, and every per-shard reduction is
+    exact ({!Csspgo_core.Correlate}). [jobs] is clamped to the core count.
+    [obs] takes the same counters as in {!correlate}, and its trace the
+    scheduler's spans. [shard_target] overrides [Correlate.plan]'s
     samples-per-shard target — tests and oracles shrink it to force
     multi-shard merges on logs far smaller than production windows. *)
 

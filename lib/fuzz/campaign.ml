@@ -670,7 +670,7 @@ let check_fleet e =
       in
       laws P.Text_io.Probe "flat" (flatten p0) (flatten p1))
 
-(* Parallel-correlation oracle family (Core.Par_corr / Fleet.Build):
+(* Parallel-correlation oracle family (Core.Correlate / Fleet.Build):
    correlate one training log twice per profile shape — serially over the
    whole log, and sharded over its chunk-split form at several job counts
    — and demand byte-identical canonical text (trie plus flat baseline for

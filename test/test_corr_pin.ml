@@ -4,8 +4,8 @@
    ([Missing_frame]), and haas's canonical context text and stats
    (Algorithm 1) — and checks its FNV-1a digest against the value
    recorded from the [Hashtbl]-counted kernels that preceded the shared
-   int table. haas runs Algorithm 1 two ways (one stream, and [Par_corr]
-   at -j 2), and makes far more distinct (range, stack) pairs
+   int table. haas runs Algorithm 1 two ways (one stream, and
+   [Correlate.run] on shards at -j 2), and makes far more distinct (range, stack) pairs
    than the attribution memo holds, so both the memoized path and the
    past-cap path are pinned.
 
@@ -143,16 +143,17 @@ let haas_case =
         CR.finish st
       in
       let sharded =
-        Core.Par_corr.reconstruct ~name_of ?missing ~checksum_of ~jobs:2 index
-          (Core.Par_corr.shards_of_log log)
+        let r =
+          Core.Correlate.run ~jobs:2 ~missing_frames:true ~trim:0L Core.Correlate.Ctx
+            (Core.Correlate.target (Core.Correlate.symbols refp) bin)
+            (Core.Correlate.Shards (Core.Correlate.plan (SL.split log)))
+        in
+        (r.Core.Correlate.profile, r.Core.Correlate.stats)
       in
       List.concat_map
-        (fun (how, (trie, stats)) ->
-          [
-            (how ^ " text", P.Text_io.to_string (P.Text_io.Ctx_prof trie));
-            (how ^ " stats", stats_text stats);
-          ])
-        [ ("stream", stream); ("-j 2", sharded) ] )
+        (fun (how, (profile, stats)) ->
+          [ (how ^ " text", P.Text_io.to_string profile); (how ^ " stats", stats_text stats) ])
+        [ ("stream", (P.Text_io.Ctx_prof (fst stream), snd stream)); ("-j 2", sharded) ] )
 
 (* The seed pipeline's inputs: hhvm's probed -O2 build, every training
    input at a dense period, the untrimmed trie with missing-frame

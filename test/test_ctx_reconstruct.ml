@@ -3,7 +3,7 @@
    checks the digests against values recorded from the list-keyed
    reconstruction that preceded interned caller stacks. Every case runs
    two ways: one [start]/[feed]/[finish] stream over the sample log, and
-   [Par_corr.reconstruct] over small shards at -j 2. *)
+   [Correlate.run] over small shards at -j 2. *)
 module F = Csspgo_frontend
 module Ir = Csspgo_ir
 module Opt = Csspgo_opt
@@ -124,8 +124,7 @@ let stats_text (s : CR.stats) =
   Printf.sprintf "samples=%d dropped=%d resolved=%d failed=%d" s.CR.st_samples
     s.CR.st_dropped_misaligned s.CR.st_gaps_resolved s.CR.st_gaps_failed
 
-let digests (trie, stats) =
-  (hex (P.Text_io.to_string (P.Text_io.Ctx_prof trie)), hex (stats_text stats))
+let digests (profile, stats) = (hex (P.Text_io.to_string profile), hex (stats_text stats))
 
 (* The profiling build keeps the call structure (no inlining), as the
    paper's Algorithm 1 examples do. *)
@@ -159,27 +158,31 @@ let setup c =
     end
     else None
   in
-  (index, log, name_of, checksum_of, missing)
+  (index, log, name_of, checksum_of, missing, Core.Correlate.target (Core.Correlate.symbols refp) bin)
 
 let check_case c () =
-  let index, log, name_of, checksum_of, missing = setup c in
+  let index, log, name_of, checksum_of, missing, target = setup c in
   let stream =
     let st = CR.start ~name_of ?missing ~checksum_of index in
     SL.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
         CR.feed st ~lbr ~lbr_len ~stack ~stack_len);
     CR.finish st
   in
-  let shards = Core.Par_corr.plan ~target:64 (SL.split ~chunk:64 log) in
+  let shards = Core.Correlate.plan ~target:64 (SL.split ~chunk:64 log) in
   Alcotest.(check bool) (c.c_name ^ ": several shards") true (List.length shards > 1);
   let sharded =
-    Core.Par_corr.reconstruct ~name_of ?missing ~checksum_of ~jobs:2 index shards
+    let r =
+      Core.Correlate.run ~jobs:2 ~missing_frames:c.c_missing ~trim:0L Core.Correlate.Ctx
+        target (Core.Correlate.Shards shards)
+    in
+    (r.Core.Correlate.profile, r.Core.Correlate.stats)
   in
   List.iter
     (fun (how, r) ->
       let text, stats = digests r in
       Alcotest.(check string) (c.c_name ^ " " ^ how ^ ": ctx text digest") c.c_text text;
       Alcotest.(check string) (c.c_name ^ " " ^ how ^ ": stats digest") c.c_stats stats)
-    [ ("stream", stream); ("-j 2", sharded) ];
+    [ ("stream", (P.Text_io.Ctx_prof (fst stream), snd stream)); ("-j 2", sharded) ];
   (* The pins must cover what each case exists for. *)
   let _, (st : CR.stats) = stream in
   match c.c_name with

@@ -123,14 +123,14 @@ let test_plan () =
   let logs sizes =
     List.map (fun n -> log_of_records (List.init n (fun i -> ([ (i, i) ], [])))) sizes
   in
-  let sizes shards = List.map Core.Par_corr.shard_samples shards in
+  let sizes shards = List.map (List.fold_left (fun n l -> n + SL.n_samples l) 0) shards in
   Alcotest.(check (list int)) "chunks group up to the target" [ 4; 4; 2 ]
-    (sizes (Core.Par_corr.plan ~target:3 (logs [ 2; 2; 2; 2; 2 ])));
+    (sizes (Core.Correlate.plan ~target:3 (logs [ 2; 2; 2; 2; 2 ])));
   Alcotest.(check (list int)) "empty chunks are dropped" [ 3 ]
-    (sizes (Core.Par_corr.plan ~target:3 (logs [ 0; 1; 0; 2; 0 ])));
+    (sizes (Core.Correlate.plan ~target:3 (logs [ 0; 1; 0; 2; 0 ])));
   Alcotest.(check (list int)) "no chunks, no shards" []
-    (sizes (Core.Par_corr.plan ~target:3 []));
-  match Core.Par_corr.plan ~target:0 [] with
+    (sizes (Core.Correlate.plan ~target:3 []));
+  match Core.Correlate.plan ~target:0 [] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-positive target accepted"
 
@@ -182,7 +182,7 @@ let test_parallel_identity () =
       Alcotest.(check bool)
         (Fl.Build.shape_name shape ^ " multiple shards in play")
         true
-        (List.length (Core.Par_corr.plan ~target:16 chunks) > 1);
+        (List.length (Core.Correlate.plan ~target:16 chunks) > 1);
       List.iter
         (fun jobs ->
           Alcotest.(check string)
