@@ -73,17 +73,33 @@ let ensure_runs t extra =
     t.runs <- a
   end
 
-(* Stamp one sample with [id]: extend the last run in place when the label
-   has not changed (the zero-allocation steady state), else open a run. *)
-let stamp t id =
+(* The one writer of the run stream: [n] more samples labeled [id] extend
+   the last run in place when the label has not changed (the
+   zero-allocation steady state), else open a run. So a stream never holds
+   two adjacent runs of one id. *)
+let push_run t id n =
   if t.runs_len >= 2 && t.runs.(t.runs_len - 2) = id then
-    t.runs.(t.runs_len - 1) <- t.runs.(t.runs_len - 1) + 1
+    t.runs.(t.runs_len - 1) <- t.runs.(t.runs_len - 1) + n
   else begin
     ensure_runs t 2;
     t.runs.(t.runs_len) <- id;
-    t.runs.(t.runs_len + 1) <- 1;
+    t.runs.(t.runs_len + 1) <- n;
     t.runs_len <- t.runs_len + 2
   end
+
+(* The label window of a record slice: push onto [into] the runs covering
+   samples [first, first + count) of [src], each id re-interned into
+   [into] through its canonical bytes. *)
+let copy_runs ~into src ~first ~count =
+  let pos = ref 0 in
+  let i = ref 0 in
+  while !i < src.runs_len && !pos < first + count do
+    let cnt = src.runs.(!i + 1) in
+    let lo = max !pos first and hi = min (!pos + cnt) (first + count) in
+    if hi > lo then push_run into (intern_canonical into src.lsets.(src.runs.(!i))) (hi - lo);
+    pos := !pos + cnt;
+    i := !i + 2
+  done
 
 (* The sink's flat LBR layout is the arena's own, so a sample is two
    copies. *)
@@ -98,7 +114,7 @@ let add t ~lbr ~lbr_len ~stack ~stack_len =
   blit_ints stack 0 d (p + 1) stack_len;
   t.len <- p + 1 + stack_len;
   t.n <- t.n + 1;
-  stamp t t.cur
+  push_run t t.cur 1
 
 let sink t =
   {
@@ -126,40 +142,15 @@ let iter t f =
     f ~lbr:!lbr ~lbr_len:ln ~stack:!stack ~stack_len:sn
   done
 
-(* Append [extra] run ints from [runs] (id already remapped into [into]),
-   merging the boundary when the label does not change. *)
-let append_runs into runs lo extra =
-  let i = ref lo in
-  let stop = lo + extra in
-  while !i < stop do
-    let id = runs.(!i) and cnt = runs.(!i + 1) in
-    if into.runs_len >= 2 && into.runs.(into.runs_len - 2) = id then
-      into.runs.(into.runs_len - 1) <- into.runs.(into.runs_len - 1) + cnt
-    else begin
-      ensure_runs into 2;
-      into.runs.(into.runs_len) <- id;
-      into.runs.(into.runs_len + 1) <- cnt;
-      into.runs_len <- into.runs_len + 2
-    end;
-    i := !i + 2
-  done
-
+(* Replaying the result is replaying [into] then [src], labels included:
+   [src]'s runs are re-interned into [into] and merge at the boundary. *)
 let append ~into src =
+  let n = src.n in
   ensure into src.len;
   blit_ints src.data 0 into.data into.len src.len;
   into.len <- into.len + src.len;
-  into.n <- into.n + src.n;
-  (* Remap the source's label ids through [into]'s interning table, then
-     splice its runs — replaying the result is replaying [into] then
-     [src], labels included. *)
-  let remapped = Array.make src.runs_len 0 in
-  let i = ref 0 in
-  while !i < src.runs_len do
-    remapped.(!i) <- intern_canonical into src.lsets.(src.runs.(!i));
-    remapped.(!i + 1) <- src.runs.(!i + 1);
-    i := !i + 2
-  done;
-  append_runs into remapped 0 src.runs_len
+  into.n <- into.n + n;
+  copy_runs ~into src ~first:0 ~count:n
 
 let concat = function
   | [ t ] -> t
@@ -225,28 +216,6 @@ let walk_records data p count =
     p := !p + 1 + sn
   done
 
-(* The run sub-sequence covering samples [first, first + count) as a fresh
-   flat (id, count) array — the label counterpart of a record-walk slice. *)
-let runs_window t first count =
-  let out = ref [] in
-  let pos = ref 0 in
-  let i = ref 0 in
-  while !i < t.runs_len && !pos < first + count do
-    let id = t.runs.(!i) and cnt = t.runs.(!i + 1) in
-    let lo = max !pos first and hi = min (!pos + cnt) (first + count) in
-    if hi > lo then out := (id, hi - lo) :: !out;
-    pos := !pos + cnt;
-    i := !i + 2
-  done;
-  let lst = List.rev !out in
-  let a = Array.make (2 * List.length lst) 0 in
-  List.iteri
-    (fun j (id, cnt) ->
-      a.(2 * j) <- id;
-      a.((2 * j) + 1) <- cnt)
-    lst;
-  a
-
 let slice_by_label t =
   let ids = used_ids t in
   let slices =
@@ -270,9 +239,7 @@ let slice_by_label t =
     blit_ints t.data start s.data s.len (!p - start);
     s.len <- s.len + (!p - start);
     s.n <- s.n + cnt;
-    for _ = 1 to cnt do
-      stamp s s.cur
-    done;
+    push_run s s.cur cnt;
     i := !i + 2
   done;
   List.map
@@ -284,12 +251,7 @@ let unlabeled t =
   u.data <- Array.copy t.data;
   u.len <- t.len;
   u.n <- t.n;
-  if t.n > 0 then begin
-    ensure_runs u 2;
-    u.runs.(0) <- 0;
-    u.runs.(1) <- t.n;
-    u.runs_len <- 2
-  end;
+  if t.n > 0 then push_run u 0 t.n;
   u
 
 (* ------------------------------------------------------------------ *)
@@ -500,12 +462,7 @@ let decode_section payload =
   t.data <- data;
   t.len <- len;
   t.n <- n;
-  if n > 0 then begin
-    ensure_runs t 2;
-    t.runs.(0) <- 0;
-    t.runs.(1) <- n;
-    t.runs_len <- 2
-  end;
+  if n > 0 then push_run t 0 n;
   t
 
 (* The v3 label section -> (canonical set strings, flat run array). Every
@@ -562,10 +519,7 @@ let attach_labels t (sets, runs) =
   t.runs_len <- 0;
   let i = ref 0 in
   while !i < Array.length runs do
-    ensure_runs t 2;
-    t.runs.(t.runs_len) <- ids.(runs.(!i));
-    t.runs.(t.runs_len + 1) <- runs.(!i + 1);
-    t.runs_len <- t.runs_len + 2;
+    push_run t ids.(runs.(!i)) runs.(!i + 1);
     i := !i + 2
   done
 
@@ -629,19 +583,9 @@ let distribute_labels parts (sets, runs) =
   let first = ref 0 in
   List.map
     (fun part ->
-      let w = runs_window holder !first part.n in
-      (* Remap holder ids back to canonical strings, then into the part. *)
-      let i = ref 0 in
       part.runs <- [||];
       part.runs_len <- 0;
-      while !i < Array.length w do
-        ensure_runs part 2;
-        part.runs.(part.runs_len) <-
-          intern_canonical part holder.lsets.(w.(!i));
-        part.runs.(part.runs_len + 1) <- w.(!i + 1);
-        part.runs_len <- part.runs_len + 2;
-        i := !i + 2
-      done;
+      copy_runs ~into:part holder ~first:!first ~count:part.n;
       first := !first + part.n;
       part)
     parts
@@ -683,15 +627,7 @@ let split ?(chunk = chunk_samples) t =
     part.data <- Array.sub t.data start (!p - start);
     part.len <- !p - start;
     part.n <- n0;
-    let w = runs_window t !first n0 in
-    let i = ref 0 in
-    while !i < Array.length w do
-      ensure_runs part 2;
-      part.runs.(part.runs_len) <- intern_canonical part t.lsets.(w.(!i));
-      part.runs.(part.runs_len + 1) <- w.(!i + 1);
-      part.runs_len <- part.runs_len + 2;
-      i := !i + 2
-    done;
+    copy_runs ~into:part t ~first:!first ~count:n0;
     out := part :: !out;
     remaining := !remaining - n0;
     first := !first + n0
