@@ -28,44 +28,32 @@ let line_fentry_digest acc (fe : LP.fentry) =
       Fnv.int64 (Fnv.int64 (Fnv.int (Fnv.int acc l) d) g) c)
     (Fnv.int acc 2) (LP.sorted_calls fe)
 
-(* Accumulate one digest per guid; tables keep insertion cheap, the final
-   sort restores determinism. *)
-let collect fold =
-  let tbl = Ir.Guid.Tbl.create 64 in
-  let bump guid f =
-    let cur = Option.value (Ir.Guid.Tbl.find_opt tbl guid) ~default:Fnv.init in
-    Ir.Guid.Tbl.replace tbl guid (f cur)
-  in
-  fold bump;
-  Ir.Guid.Tbl.fold (fun g d acc -> (g, d) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Ir.Guid.compare a b)
-
 let per_func = function
   | Text_io.Probe_prof t ->
-      collect (fun bump ->
-          List.iter
-            (fun (g, fe) -> bump g (fun acc -> fentry_digest acc fe))
-            (PP.sorted_funcs t))
+      List.map (fun (g, fe) -> (g, fentry_digest Fnv.init fe)) (PP.sorted_funcs t)
   | Text_io.Line_prof t ->
-      collect (fun bump ->
-          List.iter
-            (fun (g, fe) -> bump g (fun acc -> line_fentry_digest acc fe))
-            (LP.sorted_funcs t))
+      List.map (fun (g, fe) -> (g, line_fentry_digest Fnv.init fe)) (LP.sorted_funcs t)
   | Text_io.Ctx_prof t ->
-      collect (fun bump ->
-          (* iter_nodes is a sorted DFS, so per-leaf accumulation order is
-             deterministic; the context chain is folded in so a count that
-             merely moves between contexts still changes the fingerprint. *)
-          CP.iter_nodes t (fun ctx node ->
-              bump node.CP.n_func (fun acc ->
-                  let acc =
-                    List.fold_left
-                      (fun acc (g, site) -> Fnv.int (Fnv.int64 acc g) site)
-                      (Fnv.int acc (List.length ctx))
-                      ctx
-                  in
-                  let acc = Fnv.int acc (if node.CP.n_inlined then 1 else 0) in
-                  fentry_digest acc node.CP.n_prof)))
+      (* A function recurs across contexts: accumulate one digest per guid
+         in a table, then sort. iter_nodes is a sorted DFS, so per-leaf
+         accumulation order is deterministic; the context chain is folded
+         in so a count that merely moves between contexts still changes
+         the fingerprint. *)
+      let tbl = Ir.Guid.Tbl.create 64 in
+      CP.iter_nodes t (fun ctx node ->
+          let acc =
+            Option.value (Ir.Guid.Tbl.find_opt tbl node.CP.n_func) ~default:Fnv.init
+          in
+          let acc =
+            List.fold_left
+              (fun acc (g, site) -> Fnv.int (Fnv.int64 acc g) site)
+              (Fnv.int acc (List.length ctx))
+              ctx
+          in
+          let acc = Fnv.int acc (if node.CP.n_inlined then 1 else 0) in
+          Ir.Guid.Tbl.replace tbl node.CP.n_func (fentry_digest acc node.CP.n_prof));
+      Ir.Guid.Tbl.fold (fun g d acc -> (g, d) :: acc) tbl []
+      |> List.sort (fun (a, _) (b, _) -> Ir.Guid.compare a b)
 
 let merged p =
   List.fold_left
