@@ -467,12 +467,8 @@ let contexts_cmd =
   let run name =
     let w = Option.get (W.Suite.find name) in
     let options = D.default_options in
-    let prog = F.Lower.compile w.D.w_source in
-    Core.Pseudo_probe.insert prog;
-    Opt.Pass.optimize ~config:options.D.opt_profiling prog;
-    let pbin = Cg.Emit.emit ~options:options.D.emit_opts prog in
-    let refp = F.Lower.compile w.D.w_source in
-    Core.Pseudo_probe.insert refp;
+    let b = Fl.Build.profiling_build ~options ~shape:Fl.Build.Ctx ~source:w.D.w_source in
+    let pbin = b.Fl.Build.vb_bin in
     let log = Vm.Sample_log.create () in
     List.iter
       (fun (spec : D.run_spec) ->
@@ -483,7 +479,7 @@ let contexts_cmd =
       w.D.w_train;
     let r =
       Core.Correlate.run ~jobs:1 ~missing_frames:true ~trim:0L Core.Correlate.Ctx
-        (Core.Correlate.target (Core.Correlate.symbols refp) pbin)
+        (Core.Correlate.target b.Fl.Build.vb_symbols pbin)
         (Core.Correlate.Log log)
     in
     let stats = r.Core.Correlate.stats and trie = r.Core.Correlate.profile in
@@ -574,80 +570,65 @@ let inspect_cmd =
   let run file funcs =
     let data = read_file file in
     if Vm.Sample_log.is_binary data then begin
-      match Vm.Sample_log.decode_chunks data with
-      | Ok parts ->
-          let samples =
-            List.fold_left (fun acc l -> acc + Vm.Sample_log.n_samples l) 0 parts
-          in
-          let words =
-            List.fold_left (fun acc l -> acc + Vm.Sample_log.words l) 0 parts
-          in
-          (* decode_chunks just validated the envelope, so framing_version
-             cannot fail here. v1 is the whole-log framing; v2 frames one
-             self-delimited section per chunk so shards can decode and
-             correlate without ever concatenating the log. *)
-          let version =
-            match Vm.Sample_log.framing_version data with
-            | Ok v -> v
-            | Error _ -> assert false
-          in
-          Printf.printf "format      sample-log (binary, framing v%d)\n" version;
-          Printf.printf "samples     %d\n" samples;
-          Printf.printf "arena words %d\n" words;
-          Printf.printf "chunks      %d\n" (List.length parts);
-          let distinct =
+      (* decode_chunks validates every section; the envelope's version and
+         raw sections come from one more unframe. *)
+      let parts, version, sections =
+        match
+          ( Vm.Sample_log.decode_chunks data,
+            Csspgo_support.Wire.unframe ~magic:Vm.Sample_log.magic ~max_version:max_int
+              data )
+        with
+        | Ok parts, Ok (version, sections) -> (parts, version, sections)
+        | Error e, _ | _, Error e -> die "%s: %s" file (Csspgo_support.Wire.error_to_string e)
+      in
+      let samples = List.fold_left (fun acc l -> acc + Vm.Sample_log.n_samples l) 0 parts in
+      let words = List.fold_left (fun acc l -> acc + Vm.Sample_log.words l) 0 parts in
+      (* v1 is the whole-log framing; v2 frames one self-delimited section
+         per chunk so shards can decode and correlate without ever
+         concatenating the log. *)
+      Printf.printf "format      sample-log (binary, framing v%d)\n" version;
+      Printf.printf "samples     %d\n" samples;
+      Printf.printf "arena words %d\n" words;
+      Printf.printf "chunks      %d\n" (List.length parts);
+      let distinct =
+        List.fold_left
+          (fun acc l ->
             List.fold_left
-              (fun acc l ->
-                List.fold_left
-                  (fun acc ls ->
-                    if List.exists (Csspgo_support.Label_set.equal ls) acc then acc
-                    else ls :: acc)
-                  acc (Vm.Sample_log.labels l))
-              [] parts
-          in
-          if List.exists Vm.Sample_log.is_labeled parts then
-            Printf.printf "labels      %d distinct sets\n" (List.length distinct);
-          (match
-             Csspgo_support.Wire.unframe ~magic:Vm.Sample_log.magic
-               ~max_version:max_int data
-           with
-          | Ok (_, sections) ->
-              (* The digest shown is recomputed from the payload — unframe
-                 already verified it against the trailer, so this line is
-                 what a corrupted-but-decodable section would contradict. *)
-              let payload_bytes =
-                List.fold_left
-                  (fun acc (_, payload) -> acc + String.length payload)
-                  0 sections
-              in
-              Printf.printf "overhead    %d bytes of %d (envelope)\n"
-                (String.length data - payload_bytes)
-                (String.length data);
-              (* v3 blobs carry one trailing label section alongside the
-                 record chunks; only the latter pair up with decoded parts. *)
-              let chunk_sections, label_sections =
-                List.partition
-                  (fun (tag, _) -> tag = Vm.Sample_log.tag_log)
-                  sections
-              in
-              List.iteri
-                (fun i ((tag, payload), chunk) ->
-                  Printf.printf
-                    "chunk       %d: tag %d, %d samples, %d bytes, fnv %016Lx\n"
-                    i tag
-                    (Vm.Sample_log.n_samples chunk)
-                    (String.length payload)
-                    (Csspgo_support.Wire.section_digest ~tag payload))
-                (List.combine chunk_sections parts);
-              List.iter
-                (fun (tag, payload) ->
-                  Printf.printf
-                    "labels      tag %d, %d distinct sets, %d bytes, fnv %016Lx\n"
-                    tag (List.length distinct) (String.length payload)
-                    (Csspgo_support.Wire.section_digest ~tag payload))
-                label_sections
-          | Error e -> die "%s: %s" file (Csspgo_support.Wire.error_to_string e))
-      | Error e -> die "%s: %s" file (Csspgo_support.Wire.error_to_string e)
+              (fun acc ls ->
+                if List.exists (Csspgo_support.Label_set.equal ls) acc then acc
+                else ls :: acc)
+              acc (Vm.Sample_log.labels l))
+          [] parts
+      in
+      if List.exists Vm.Sample_log.is_labeled parts then
+        Printf.printf "labels      %d distinct sets\n" (List.length distinct);
+      (* The digest shown is recomputed from the payload — unframe already
+         verified it against the trailer, so this line is what a
+         corrupted-but-decodable section would contradict. *)
+      let payload_bytes =
+        List.fold_left (fun acc (_, payload) -> acc + String.length payload) 0 sections
+      in
+      Printf.printf "overhead    %d bytes of %d (envelope)\n"
+        (String.length data - payload_bytes)
+        (String.length data);
+      (* v3 blobs carry one trailing label section alongside the record
+         chunks; only the latter pair up with decoded parts. *)
+      let chunk_sections, label_sections =
+        List.partition (fun (tag, _) -> tag = Vm.Sample_log.tag_log) sections
+      in
+      List.iteri
+        (fun i ((tag, payload), chunk) ->
+          Printf.printf "chunk       %d: tag %d, %d samples, %d bytes, fnv %016Lx\n" i tag
+            (Vm.Sample_log.n_samples chunk)
+            (String.length payload)
+            (Csspgo_support.Wire.section_digest ~tag payload))
+        (List.combine chunk_sections parts);
+      List.iter
+        (fun (tag, payload) ->
+          Printf.printf "labels      tag %d, %d distinct sets, %d bytes, fnv %016Lx\n" tag
+            (List.length distinct) (String.length payload)
+            (Csspgo_support.Wire.section_digest ~tag payload))
+        label_sections
     end
     else begin
       let p = load_profile file in

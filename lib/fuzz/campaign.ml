@@ -536,12 +536,11 @@ let check_format e =
   guarded_build site (fun () ->
       (* Probed profiling build, training runs streamed straight into a
          recording log. *)
-      let prog = F.Lower.compile w.D.w_source in
-      Core.Pseudo_probe.insert prog;
-      Opt.Pass.optimize ~config:driver_options.D.opt_profiling prog;
-      let log =
-        record_training w (Cg.Emit.emit ~options:driver_options.D.emit_opts prog)
+      let b =
+        Fl.Build.profiling_build ~options:driver_options ~shape:Fl.Build.Probes
+          ~source:w.D.w_source
       in
+      let log = record_training w b.Fl.Build.vb_bin in
       let txt = Vm.Sample_log.to_text log in
       (match Vm.Sample_log.of_text txt with
       | Ok log' when String.equal (Vm.Sample_log.to_text log') txt -> ()
