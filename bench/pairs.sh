@@ -20,7 +20,13 @@
 # tenths of the pairs and the medians differ by more than the parent's
 # interquartile range. A table follows with every end-to-end metric of
 # BENCHMARK.json: both medians, the share of the parent's median by which
-# the change is worse (negative when it is better), and that metric's bound.
+# the change is worse (negative when it is better), the parent's spread
+# (its IQR as a share of its median), that metric's bound and a verdict:
+#   ok            within the bound, the spread no wider than the bound;
+#   OUT OF BOUND  worse than the bound, the spread no wider than the bound;
+#   unresolved    the spread is wider than the bound, so the runs cannot
+#                 tell, unless every change run beats every parent run
+#                 (then ok).
 set -euo pipefail
 
 parent="" workload="" seed=1 seconds=20 pairs=10 metric=unit_s better=lower trace=0 out=""
@@ -71,12 +77,13 @@ value() {
   grep -o "\"$2\":{\"value\":[^,}]*" "$1" | sed 's/.*://' || true
 }
 
-# Median and quartiles by linear interpolation between order statistics.
+# Minimum, quartiles, median and maximum by linear interpolation between
+# order statistics.
 stats() {
   printf '%s\n' $1 | sort -g | awk '
     { x[NR - 1] = $1 }
     function q(p,  h, l) { h = (NR - 1) * p; l = int(h); return x[l] + (h - l) * (x[l + 1] - x[l]) }
-    END { printf "%.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75) }'
+    END { printf "%.6g %.6g %.6g %.6g %.6g\n", q(0), q(0.25), q(0.5), q(0.75), q(1) }'
 }
 
 # One run's last stdout line into DIR/<side>-<i>.json; a run whose checks
@@ -111,8 +118,8 @@ pairs_for() {
   done
 
   local pq1 pmed pq3 cq1 cmed cq3
-  read -r pq1 pmed pq3 <<< "$(stats "$p_vals")"
-  read -r cq1 cmed cq3 <<< "$(stats "$c_vals")"
+  read -r _ pq1 pmed pq3 _ <<< "$(stats "$p_vals")"
+  read -r _ cq1 cmed cq3 _ <<< "$(stats "$c_vals")"
   echo "$w seed $seed --seconds $seconds, $metric ($better is better), $pairs pairs"
   echo "parent  median $pmed  quartiles $pq1 .. $pq3"
   echo "change  median $cmed  quartiles $cq1 .. $cq3"
@@ -124,20 +131,24 @@ pairs_for() {
         w, n, d, q3 - q1, gain ? "gain" : "no claim"
     }'
 
-  local name b bound ps cs
-  printf '%-20s %14s %14s %9s %7s\n' metric parent change worse-by bound
+  local name b bound ps cs pmin pmax cmin cmax
+  printf '%-20s %14s %14s %9s %8s %7s  %s\n' metric parent change worse-by spread bound verdict
   while read -r name b bound; do
     ps="" cs=""
     for i in $(seq 1 "$pairs"); do
       ps="$ps $(value "$out/$w/parent-$i.json" "$name")"
       cs="$cs $(value "$out/$w/change-$i.json" "$name")"
     done
-    read -r _ pmed _ <<< "$(stats "$ps")"
-    read -r _ cmed _ <<< "$(stats "$cs")"
-    awk -v m="$name" -v p="$pmed" -v c="$cmed" -v b="$b" -v x="$bound" 'BEGIN {
+    read -r pmin pq1 pmed pq3 pmax <<< "$(stats "$ps")"
+    read -r cmin _ cmed _ cmax <<< "$(stats "$cs")"
+    awk -v m="$name" -v p="$pmed" -v c="$cmed" -v q1="$pq1" -v q3="$pq3" -v b="$b" -v x="$bound" \
+      -v pmin="$pmin" -v pmax="$pmax" -v cmin="$cmin" -v cmax="$cmax" 'BEGIN {
       worse = (p == 0) ? 0 : ((b == "lower") ? (c - p) / p : (p - c) / p)
-      printf "%-20s %14.6g %14.6g %+8.2f%% %6.0f%%%s\n", m, p, c, 100 * worse, 100 * x,
-        (worse > x) ? "  OUT OF BOUND" : ""
+      spread = (p == 0) ? 0 : (q3 - q1) / (p < 0 ? -p : p)
+      apart = (b == "lower") ? cmax < pmin : cmin > pmax
+      verdict = (spread > x && !apart) ? "unresolved" : (worse > x) ? "OUT OF BOUND" : "ok"
+      printf "%-20s %14.6g %14.6g %+8.2f%% %7.2f%% %6.0f%%  %s\n", m, p, c, 100 * worse,
+        100 * spread, 100 * x, verdict
     }'
   done <<< "$(end_to_end)"
   echo
