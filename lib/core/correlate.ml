@@ -70,9 +70,6 @@ let trim ~threshold trie =
 
 type shard = Vm.Sample_log.t list
 
-let shard_samples shard =
-  List.fold_left (fun acc log -> acc + Vm.Sample_log.n_samples log) 0 shard
-
 (* Group decoded chunks (which can be tiny — one per shipped fleet batch)
    into shards of at least [target] samples. The grouping is a pure
    function of the chunk list, never of a job count; and since every
@@ -96,7 +93,8 @@ let bump obs name v = Obs.Metrics.bump (Obs.Metrics.counter obs name) v
 (* Every replay that walks samples counts its shards. *)
 let observe ?(obs = Obs.Metrics.null) shards =
   bump obs "parcorr.shards" (List.length shards);
-  bump obs "parcorr.samples" (List.fold_left (fun a s -> a + shard_samples s) 0 shards)
+  bump obs "parcorr.samples"
+    (List.fold_left (List.fold_left (fun a log -> a + Vm.Sample_log.n_samples log)) 0 shards)
 
 (* One fresh consumer per shard on up to [jobs] domains, fed the shard's
    chunks in order; chunks are never copied or concatenated. *)

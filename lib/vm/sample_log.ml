@@ -145,12 +145,11 @@ let iter t f =
 (* Replaying the result is replaying [into] then [src], labels included:
    [src]'s runs are re-interned into [into] and merge at the boundary. *)
 let append ~into src =
-  let n = src.n in
   ensure into src.len;
   blit_ints src.data 0 into.data into.len src.len;
   into.len <- into.len + src.len;
-  into.n <- into.n + n;
-  copy_runs ~into src ~first:0 ~count:n
+  copy_runs ~into src ~first:0 ~count:src.n;
+  into.n <- into.n + src.n
 
 let concat = function
   | [ t ] -> t

@@ -13,7 +13,14 @@
     stamping a sample in the steady state is a single counter bump — the
     recording path stays allocation-free. A log that never saw a label is
     one all-empty run and behaves (and frames) exactly like a pre-label
-    log. *)
+    log.
+
+    The run stream is canonical: no two adjacent runs carry the same set.
+    Every cut of a log ({!split}, {!decode_chunks}, {!slice_by_label}) and
+    every join ({!append}, {!concat}) carries labels through one run
+    window that re-interns each set into the receiving log and merges
+    equal runs at the boundary, so cutting a log and joining the pieces
+    gives back the same runs, and the same v3 label section. *)
 
 type t
 
