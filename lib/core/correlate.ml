@@ -94,24 +94,24 @@ let bump obs name v = Obs.Metrics.bump (Obs.Metrics.counter obs name) v
 let observe ?(obs = Obs.Metrics.null) shards =
   bump obs "parcorr.shards" (List.length shards);
   bump obs "parcorr.samples"
-    (List.fold_left (List.fold_left (fun a log -> a + Vm.Sample_log.n_samples log)) 0 shards)
+    (List.fold_left
+       (fun a shard -> List.fold_left (fun a log -> a + Vm.Sample_log.n_samples log) a shard)
+       0 shards)
 
-(* One fresh consumer per shard on up to [jobs] domains, fed the shard's
-   chunks in order; chunks are never copied or concatenated. *)
-let replay ?obs ~jobs ~start ~feed ~finish shards =
-  S.map ?obs ~jobs
-    (fun shard ->
-      let st = start () in
-      let f = feed st in
-      List.iter (fun log -> Vm.Sample_log.iter log f) shard;
-      finish st)
-    shards
+(* A shard replays chunk by chunk; chunks are never copied or
+   concatenated. *)
+let iter_shard shard f = List.iter (fun log -> Vm.Sample_log.iter log f) shard
 
 let aggregate ?obs ~jobs shards =
   observe ?obs shards;
   let aggs =
-    replay ?obs ~jobs shards ~start:Pg.Ranges.create ~finish:Fun.id
-      ~feed:(fun agg ~lbr ~lbr_len ~stack:_ ~stack_len:_ -> Pg.Ranges.feed agg ~lbr ~lbr_len)
+    S.map ?obs ~jobs
+      (fun shard ->
+        let agg = Pg.Ranges.create () in
+        iter_shard shard (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
+            Pg.Ranges.feed agg ~lbr ~lbr_len);
+        agg)
+      shards
   in
   (* [Ranges.merge] never mutates its inputs, as tree_reduce may hand a
      node's operand to another node on the serial path. *)
@@ -119,22 +119,27 @@ let aggregate ?obs ~jobs shards =
     Option.value ~default:(Pg.Ranges.create ())
       (S.tree_reduce ?obs ~jobs Pg.Ranges.merge aggs) )
 
-let missing_of ?(obs = Obs.Metrics.null) ~jobs index shards =
-  (* Per-shard builders run on a null registry: each shard counts the
-     edges *it* first saw, and duplicates across shards would overreport
-     against the serial run. The union's edge count is the serial count,
-     credited once below. *)
-  let start () = Missing_frame.start ~obs:Obs.Metrics.null index in
+let missing_of ?obs ~jobs index shards =
   let tables =
-    replay ~obs ~jobs shards ~start ~finish:Missing_frame.finish
-      ~feed:(fun mb ~lbr ~lbr_len ~stack:_ ~stack_len:_ -> Missing_frame.feed mb ~lbr ~lbr_len)
+    S.map ?obs ~jobs
+      (fun shard ->
+        (* Per-shard builders run on a null registry: each shard counts
+           the edges *it* first saw, and duplicates across shards would
+           overreport against the serial run. The union's edge count is
+           the serial count, credited once below. *)
+        let mb = Missing_frame.start ~obs:Obs.Metrics.null index in
+        iter_shard shard (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
+            Missing_frame.feed mb ~lbr ~lbr_len);
+        Missing_frame.finish mb)
+      shards
   in
   let t =
-    match S.tree_reduce ~obs ~jobs Missing_frame.union tables with
+    match S.tree_reduce ?obs ~jobs Missing_frame.union tables with
     | Some t -> t
-    | None -> Missing_frame.finish (start ())
+    | None -> Missing_frame.finish (Missing_frame.start ~obs:Obs.Metrics.null index)
   in
-  bump obs "missing-frame.edges" (Missing_frame.n_edges t);
+  bump (Option.value obs ~default:Obs.Metrics.null) "missing-frame.edges"
+    (Missing_frame.n_edges t);
   t
 
 let zero_stats =
@@ -218,11 +223,15 @@ let run ?obs ~jobs ~missing_frames ~trim:threshold ?recorded ?(keep_shards = fal
          trie's counts exactly. Per-shard flushes of the [ctx.*] counters
          sum to the serial totals. *)
       observe ?obs shards;
+      let name_of = Some (name_of t.sy) and checksum_of = checksum_of t.sy in
       let parts =
-        replay ?obs ~jobs shards ~feed:Ctx_reconstruct.feed ~finish:Ctx_reconstruct.finish
-          ~start:(fun () ->
-            Ctx_reconstruct.start ~name_of:(name_of t.sy) ?missing
-              ~checksum_of:(checksum_of t.sy) ?obs t.index)
+        S.map ?obs ~jobs
+          (fun shard ->
+            let st = Ctx_reconstruct.start ?name_of ?missing ~checksum_of ?obs t.index in
+            iter_shard shard (fun ~lbr ~lbr_len ~stack ~stack_len ->
+                Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
+            Ctx_reconstruct.finish st)
+          shards
       in
       let trie, stats =
         match parts with
