@@ -16,11 +16,12 @@
     log.
 
     The run stream is canonical: no two adjacent runs carry the same set.
-    Every cut of a log ({!split}, {!decode_chunks}, {!slice_by_label}) and
-    every join ({!append}, {!concat}) carries labels through one run
-    window that re-interns each set into the receiving log and merges
-    equal runs at the boundary, so cutting a log and joining the pieces
-    gives back the same runs, and the same v3 label section. *)
+    Every cut of a log ({!split}, {!decode_chunks}) and every join
+    ({!append}, {!concat}) carries labels through one run window that
+    re-interns each set into the receiving log and merges equal runs at
+    the boundary, so cutting a log and joining the pieces gives back the
+    same runs, and the same v3 label section. {!slice_by_label} moves
+    each run whole into its set's slice. *)
 
 type t
 
