@@ -5,9 +5,9 @@
    (Algorithm 1) — and checks its FNV-1a digest against the value
    recorded from the [Hashtbl]-counted kernels that preceded the shared
    int table. haas runs Algorithm 1 two ways (one stream, and
-   [Correlate.run] on shards at -j 2), and makes far more distinct (range, stack) pairs
-   than the attribution memo holds, so both the memoized path and the
-   past-cap path are pinned.
+   [Correlate.run] on shards at -j 2), and makes far more distinct
+   (range, stack) pairs than the attribution memo holds, so both the
+   memoized path and the past-cap path are pinned.
 
    The production entry points are pinned the same way: the Driver's
    ["correlate"] memo values (as a cache would serialize them) for the
