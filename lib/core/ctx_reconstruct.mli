@@ -60,15 +60,21 @@ type stream
     parent id, undoing a return looks up a child id. Each stack id walks
     its return addresses once, extending its parent's walk (tail-call gaps
     included), and finds its trie node the first time an attribution
-    needs it. Attributions are memoized on [(range start, range end,
-    stack id)] in the shared {!Csspgo_support.Itab}, with the bumped
-    nodes and probe/callsite codes as the value, in at most 4,096
-    entries. A miss costs the leaf-level gap check, one pass over the
-    range's probes and call sites, and a trie step per inline frame; a
-    name is formatted only for a node being created. A miss applies its
-    bumps at once; a hit only increments the entry's hit count, and
-    [finish] applies each entry's bumps and gap counters once, times its
-    hits. So the trie and the stats are complete only after [finish]. *)
+    needs it.
+
+    Attribution is aggregate-then-resolve, as llvm-profgen unwinds each
+    distinct sample once. [feed] only counts: each [(range start, range
+    end, stack id)] key gets a slot in one {!Csspgo_support.Itab} the
+    first time it is seen, and a repeat bumps that slot's int count.
+    [finish] resolves each key once, in first-seen order: the leaf-level
+    gap check, one pass over the range's probes and call sites, and a
+    trie step per inline frame, with the key's count applied to every
+    bump and gap counter. A name is formatted only for a node being
+    created. Resolving in first-seen order creates every trie node and
+    probe/call table entry in the order a pass that applied each
+    attribution at once would create it, so iteration orders, and the
+    pre-inliner choices that read them, do not depend on the
+    aggregation. The trie and the stats exist only after [finish]. *)
 
 val start :
   ?name_of:(Csspgo_ir.Guid.t -> string option) ->
@@ -83,7 +89,9 @@ val feed :
 (** One sample, LBR in {!Csspgo_vm.Machine.sink}'s flat layout. *)
 
 val finish : stream -> Csspgo_profile.Ctx_profile.t * stats
-(** Applies the memo's pending hits, then returns the trie. Also flushes telemetry to [obs], accumulated locally during the run:
+(** Resolves every counted key, then returns the trie; call it once, after
+    the last [feed]. Also flushes telemetry to [obs], accumulated locally
+    during the run:
     [ctx.samples], [ctx.dropped-misaligned], [ctx.gaps-resolved],
     [ctx.gaps-failed], [ctx.inferred-frames] counters and the
     [ctx.context-depth] histogram (stack depth per aligned sample).

@@ -50,5 +50,3 @@ let bump (t : int t) a b c n =
   let i = slot t a b c in
   if t.keys.(3 * i) = min_int then add t a b c (t.absent + n)
   else t.vals.(i) <- t.vals.(i) + n
-
-let length t = t.count

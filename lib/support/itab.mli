@@ -2,9 +2,10 @@
 
     The one int-keyed table behind the sample-replay kernels: range and
     branch counts ([Profgen.Ranges]), the seen-pair set of
-    [Core.Missing_frame], and Algorithm 1's interned stacks and
-    attribution memo. A lookup or a count bump hashes every word of its
-    key, probes linearly, and allocates nothing; only growth allocates.
+    [Core.Missing_frame], and Algorithm 1's interned stacks and the
+    first-seen slot of each (range, stack) key it counts. A lookup or a
+    count bump hashes every word of its key, probes linearly, and
+    allocates nothing; only growth allocates.
 
     A pair key [(a, b)] is the triple [(a, b, 0)]. The first key word must
     not be [min_int], which marks a free slot. *)
@@ -24,9 +25,6 @@ val add : 'a t -> int -> int -> int -> 'a -> unit
 val bump : int t -> int -> int -> int -> int -> unit
 (** [bump t a b c n] adds [n] to the key's count, which starts at the
     table's [absent] value. *)
-
-val length : 'a t -> int
-(** Keys bound. *)
 
 val iter : (int -> int -> int -> 'a -> unit) -> 'a t -> unit
 (** Every binding, in slot order: an order that depends on the insertion

@@ -5,9 +5,9 @@
    (Algorithm 1) — and checks its FNV-1a digest against the value
    recorded from the [Hashtbl]-counted kernels that preceded the shared
    int table. haas runs Algorithm 1 two ways (one stream, and
-   [Correlate.run] on shards at -j 2), and makes far more distinct
-   (range, stack) pairs than the attribution memo holds, so both the
-   memoized path and the past-cap path are pinned.
+   [Correlate.run] on shards at -j 2), over tens of thousands of
+   distinct (range, stack) keys, most of them counted many times before
+   [finish] resolves them.
 
    The production entry points are pinned the same way: the Driver's
    ["correlate"] memo values (as a cache would serialize them) for the
@@ -134,7 +134,7 @@ let haas_case =
       in
       let missing = Some (missing_of bin log) in
       let index = Pg.Bindex.create bin in
-      Alcotest.(check bool) "more distinct pairs than the memo holds" true
+      Alcotest.(check bool) "more than 16,384 distinct pairs" true
         (distinct_pairs index log > 4 * 4096);
       let stream =
         let st = CR.start ~name_of ?missing ~checksum_of index in
