@@ -87,18 +87,30 @@ let push_run t id n =
     t.runs_len <- t.runs_len + 2
   end
 
+(* A position in a run stream: the offset of run [at_run] in [runs], and
+   the samples the runs before it cover. *)
+type run_cursor = { mutable at_run : int; mutable at_sample : int }
+
+let runs_start () = { at_run = 0; at_sample = 0 }
+
 (* The label window of a record slice: push onto [into] the runs covering
    samples [first, first + count) of [src], each id re-interned into
-   [into] through its canonical bytes. *)
-let copy_runs ~into src ~first ~count =
-  let pos = ref 0 in
-  let i = ref 0 in
-  while !i < src.runs_len && !pos < first + count do
-    let cnt = src.runs.(!i + 1) in
-    let lo = max !pos first and hi = min (!pos + cnt) (first + count) in
-    if hi > lo then push_run into (intern_canonical into src.lsets.(src.runs.(!i))) (hi - lo);
-    pos := !pos + cnt;
-    i := !i + 2
+   [into] through its canonical bytes. The walk starts at [at], which
+   must not lie past [first], and leaves it on the run holding the
+   window's end, so consecutive windows walk the stream once. *)
+let copy_runs ~into src ~at ~first ~count =
+  let stop = first + count in
+  let more = ref true in
+  while !more && at.at_run < src.runs_len do
+    let pos = at.at_sample and cnt = src.runs.(at.at_run + 1) in
+    let lo = max pos first and hi = min (pos + cnt) stop in
+    if hi > lo then
+      push_run into (intern_canonical into src.lsets.(src.runs.(at.at_run))) (hi - lo);
+    if pos + cnt <= stop then begin
+      at.at_run <- at.at_run + 2;
+      at.at_sample <- pos + cnt
+    end
+    else more := false
   done
 
 (* The sink's flat LBR layout is the arena's own, so a sample is two
@@ -148,7 +160,7 @@ let append ~into src =
   ensure into src.len;
   blit_ints src.data 0 into.data into.len src.len;
   into.len <- into.len + src.len;
-  copy_runs ~into src ~first:0 ~count:src.n;
+  copy_runs ~into src ~at:(runs_start ()) ~first:0 ~count:src.n;
   into.n <- into.n + src.n
 
 let concat = function
@@ -579,12 +591,12 @@ let distribute_labels parts (sets, runs) =
   let holder = create () in
   holder.n <- List.fold_left (fun acc p -> acc + p.n) 0 parts;
   attach_labels holder (sets, runs);
-  let first = ref 0 in
+  let at = runs_start () and first = ref 0 in
   List.map
     (fun part ->
       part.runs <- [||];
       part.runs_len <- 0;
-      copy_runs ~into:part holder ~first:!first ~count:part.n;
+      copy_runs ~into:part holder ~at ~first:!first ~count:part.n;
       first := !first + part.n;
       part)
     parts
@@ -617,7 +629,7 @@ let split ?(chunk = chunk_samples) t =
   let out = ref [] in
   let p = ref 0 in
   let remaining = ref t.n in
-  let first = ref 0 in
+  let at = runs_start () and first = ref 0 in
   while !remaining > 0 do
     let n0 = min chunk !remaining in
     let start = !p in
@@ -626,7 +638,7 @@ let split ?(chunk = chunk_samples) t =
     part.data <- Array.sub t.data start (!p - start);
     part.len <- !p - start;
     part.n <- n0;
-    copy_runs ~into:part t ~first:!first ~count:n0;
+    copy_runs ~into:part t ~at ~first:!first ~count:n0;
     out := part :: !out;
     remaining := !remaining - n0;
     first := !first + n0
