@@ -39,6 +39,21 @@ let profiling_build ~(options : D.options) ~shape ~source =
   { vb_source = source; vb_bin = bin; vb_target = target;
     vb_symbols = Core.Correlate.symbols target }
 
+(* The training runs on [b]'s binary under the options' PMU, recorded into
+   one log; [labels i] stamps the i-th run. *)
+let record ?labels ~(options : D.options) b (w : D.workload) =
+  let log = Vm.Sample_log.create () in
+  List.iteri
+    (fun i (spec : D.run_spec) ->
+      ignore
+        (Vm.Machine.run ~pmu:(Some options.D.pmu) ~sink:(Vm.Sample_log.sink log)
+           ?labels:(Option.map (fun f -> f i) labels)
+           ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args b.vb_bin
+           ~entry:w.D.w_entry))
+    w.D.w_train;
+  Vm.Sample_log.compact log;
+  log
+
 (* Every fleet correlation is one kernel run over a shard list, under the
    options' missing-frame and trim settings. *)
 let run ?obs ?keep_shards ~jobs ~(options : D.options) ~shape b shards =

@@ -29,6 +29,16 @@ type built = {
 val profiling_build :
   options:Csspgo_core.Driver.options -> shape:shape -> source:string -> built
 
+val record :
+  ?labels:(int -> Csspgo_support.Label_set.t) ->
+  options:Csspgo_core.Driver.options ->
+  built ->
+  Csspgo_core.Driver.workload ->
+  Csspgo_vm.Sample_log.t
+(** Run every training spec of the workload on [built]'s binary under
+    [options.pmu] into one fresh, compacted sample log, in [w_train]
+    order; [labels i] stamps the i-th run's samples. *)
+
 val correlate :
   ?obs:Csspgo_obs.Metrics.t ->
   options:Csspgo_core.Driver.options ->

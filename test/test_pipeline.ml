@@ -63,6 +63,81 @@ let test_stream_oracle () =
         all_variants)
     [ 1L; 2L; 3L ]
 
+(* --- the Driver's Correlate stage against the fleet's ---------------- *)
+
+module Fl = Csspgo_fleet
+module P = Csspgo_profile
+
+(* Every "correlate" memo value of the variant's plan as canonical text,
+   in the order the plan asks for them: the line or probe profile, or the
+   context trie and then its flat baseline. A cache stores the context
+   value as the marshaled (text, stats) pair. *)
+let driver_texts ~options v w =
+  let kept = ref [] in
+  let memo ~kind ~key:_ ~ser ~de:_ f =
+    let x = f () in
+    if String.equal kind "correlate" then kept := ser x :: !kept;
+    x
+  in
+  let o =
+    D.Plan.run ~hooks:{ D.Plan.default_hooks with D.Plan.memo }
+      (D.Plan.make ~options ~variant:v w)
+  in
+  let texts =
+    match (v, List.rev !kept) with
+    | D.Csspgo_full, ctx :: rest ->
+        let text, (_ : Core.Ctx_reconstruct.stats) = Marshal.from_string ctx 0 in
+        text :: rest
+    | _, texts -> texts
+  in
+  (o, texts)
+
+(* The same profiles from the fleet's road: its profiling build, the
+   training runs recorded into one log, one serial kernel run. *)
+let fleet_texts ~options shape (w : D.workload) =
+  let b = Fl.Build.profiling_build ~options ~shape ~source:w.D.w_source in
+  let p, flat = Fl.Build.correlate ~options ~shape b (Fl.Build.record ~options b w) in
+  P.Text_io.to_string p
+  :: Option.to_list
+       (Option.map (fun f -> P.Text_io.to_string (P.Text_io.Probe_prof f)) flat)
+
+let sampled =
+  [
+    (D.Autofdo, Fl.Build.Lines);
+    (D.Csspgo_probe_only, Fl.Build.Probes);
+    (D.Csspgo_full, Fl.Build.Ctx);
+  ]
+
+(* The generated programs are too short to be sampled at all, so the
+   suite workloads carry the weight: haas recurses, and adfinder built
+   without inlining keeps its tail calls, so its missing-frame table has
+   edges and gaps get resolved. *)
+let no_inline =
+  {
+    D.default_options with
+    D.opt_profiling = { Opt.Config.o2_nopgo with inline_mode = Opt.Config.Inline_none };
+  }
+
+let test_driver_matches_fleet () =
+  let cases =
+    List.map (fun seed -> (options, gen_workload seed)) [ 1L; 2L; 3L ]
+    @ [ (D.default_options, W.Suite.haas); (no_inline, W.Suite.adfinder) ]
+  in
+  List.iter
+    (fun (options, (w : D.workload)) ->
+      List.iter
+        (fun (v, shape) ->
+          let label = Printf.sprintf "%s %s" w.D.w_name (D.variant_name v) in
+          let o, driver = driver_texts ~options v w in
+          Alcotest.(check (list string)) label (fleet_texts ~options shape w) driver;
+          if w == W.Suite.haas || w == W.Suite.adfinder then
+            Alcotest.(check bool) (label ^ " sampled") false (List.mem "" driver);
+          if w == W.Suite.adfinder && v = D.Csspgo_full then
+            Alcotest.(check bool) "adfinder resolves tail-call gaps" true
+              ((Option.get o.D.o_recon_stats).Core.Ctx_reconstruct.st_gaps_resolved > 0))
+        sampled)
+    cases
+
 (* --- plan-level identity across domain counts ------------------------ *)
 
 (* Hooks that run every stage thunk directly but record the serialized
@@ -193,6 +268,8 @@ let suite =
     [
       Alcotest.test_case "stream oracle (3 seeds x 5 variants)" `Slow
         test_stream_oracle;
+      Alcotest.test_case "Driver profiles = Fleet.Build's" `Slow
+        test_driver_matches_fleet;
       Alcotest.test_case "plan identity at -j 1/2/4" `Slow
         test_plan_identity_across_jobs;
       Alcotest.test_case "debug poison catches aliasing" `Quick
