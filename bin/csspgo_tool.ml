@@ -468,19 +468,10 @@ let contexts_cmd =
     let w = Option.get (W.Suite.find name) in
     let options = D.default_options in
     let b = Fl.Build.profiling_build ~options ~shape:Fl.Build.Ctx ~source:w.D.w_source in
-    let pbin = b.Fl.Build.vb_bin in
-    let log = Vm.Sample_log.create () in
-    List.iter
-      (fun (spec : D.run_spec) ->
-        ignore
-          (Vm.Machine.run ~pmu:(Some options.D.pmu)
-             ~sink:(Vm.Sample_log.sink log) ~globals_init:spec.D.rs_globals
-             ~args:spec.D.rs_args pbin ~entry:w.D.w_entry))
-      w.D.w_train;
     let r =
       Core.Correlate.run ~jobs:1 ~missing_frames:true ~trim:0L Core.Correlate.Ctx
-        (Core.Correlate.target b.Fl.Build.vb_symbols pbin)
-        (Core.Correlate.Log log)
+        (Core.Correlate.target b.Fl.Build.vb_symbols b.Fl.Build.vb_bin)
+        (Core.Correlate.Log (Fl.Build.record ~options b w))
     in
     let stats = r.Core.Correlate.stats and trie = r.Core.Correlate.profile in
     Printf.printf "# samples=%d dropped=%d gaps: %d fixed / %d failed\n"

@@ -25,29 +25,6 @@ let symbols prog =
 let name_of sy g = Ir.Guid.Tbl.find_opt sy.names g
 let checksum_of sy g = Option.value (Ir.Guid.Tbl.find_opt sy.checksums g) ~default:0L
 
-(* The profiling run streams every sample into the range aggregate, the
-   tail-call table and a compact flat-int log, so peak live memory is the
-   aggregate plus the log words. *)
-let recorder ?obs ~missing bin =
-  let agg = Pg.Ranges.create () in
-  let log = Vm.Sample_log.create () in
-  let mb = if missing then Some (Missing_frame.start ?obs (Pg.Bindex.create bin)) else None in
-  let sink =
-    {
-      Vm.Machine.on_sample =
-        (fun ~lbr ~lbr_len ~stack ~stack_len ->
-          Pg.Ranges.feed agg ~lbr ~lbr_len;
-          (match mb with Some mb -> Missing_frame.feed mb ~lbr ~lbr_len | None -> ());
-          Vm.Sample_log.add log ~lbr ~lbr_len ~stack ~stack_len);
-      on_labels = Vm.Sample_log.set_label log;
-    }
-  in
-  let finish () =
-    Vm.Sample_log.compact log;
-    (agg, Option.map Missing_frame.finish mb, log)
-  in
-  (sink, finish)
-
 type target = { bin : Cg.Mach.binary; index : Pg.Bindex.t; sy : symbols }
 
 let target sy bin = { bin; index = Pg.Bindex.create bin; sy }
@@ -62,9 +39,6 @@ let of_agg ?obs t shape agg =
       P.Text_io.Line_prof
         (Pg.Dwarf_corr.correlate_agg ~name_of:(name_of t.sy) ~index:t.index ?obs t.bin agg)
   | Probes | Ctx -> P.Text_io.Probe_prof (flat ?obs t agg)
-
-let trim ~threshold trie =
-  if Int64.compare threshold 0L > 0 then ignore (P.Ctx_profile.trim_cold trie ~threshold)
 
 (* --- shards and their exact replay ------------------------------------ *)
 
@@ -185,8 +159,7 @@ let clamp ?(obs = Obs.Metrics.null) jobs =
   if jobs > cores then Obs.Metrics.incr (Obs.Metrics.counter obs "parcorr.jobs-clamped");
   min jobs cores
 
-let run ?obs ~jobs ~missing_frames ~trim:threshold ?recorded ?(keep_shards = false)
-    shape t input =
+let run ?obs ~jobs ~missing_frames ~trim:threshold ?(keep_shards = false) shape t input =
   let jobs = clamp ?obs jobs in
   (* A serial log is one shard: no trie merge and no second pass over it. *)
   let shards =
@@ -195,11 +168,7 @@ let run ?obs ~jobs ~missing_frames ~trim:threshold ?recorded ?(keep_shards = fal
     | Log log -> [ [ log ] ]
     | Shards shards -> shards
   in
-  let aggs, agg =
-    match recorded with
-    | Some (agg, _) -> ([], agg)
-    | None -> aggregate ?obs ~jobs shards
-  in
+  let aggs, agg = aggregate ?obs ~jobs shards in
   match shape with
   | Lines | Probes ->
       {
@@ -212,10 +181,7 @@ let run ?obs ~jobs ~missing_frames ~trim:threshold ?recorded ?(keep_shards = fal
       }
   | Ctx ->
       let missing =
-        match recorded with
-        | _ when not missing_frames -> None
-        | Some (_, missing) -> missing
-        | None -> Some (missing_of ?obs ~jobs t.index shards)
+        if missing_frames then Some (missing_of ?obs ~jobs t.index shards) else None
       in
       (* The complete missing-frame table is shared by every shard (path
          uniqueness needs the whole edge set), and attribution is
@@ -242,7 +208,8 @@ let run ?obs ~jobs ~missing_frames ~trim:threshold ?recorded ?(keep_shards = fal
             (copy, stats)
         | _ -> merge_tries ?obs ~jobs parts
       in
-      trim ~threshold trie;
+      if Int64.compare threshold 0L > 0 then
+        ignore (P.Ctx_profile.trim_cold trie ~threshold);
       {
         profile = P.Text_io.Ctx_prof trie;
         flat = Some (lazy (flat ?obs t agg));

@@ -1,12 +1,13 @@
 (** The log-to-profile correlation kernel: one sample stream in, one line,
     probe or context profile out, as the paper's profile generator does.
-    The Driver's [Correlate] stage, [Driver.profile_pipeline_texts], the
+    A profiling run records a plain {!Csspgo_vm.Sample_log}, and the
+    kernel correlates it afterwards. The Driver's [Correlate] stage, the
     fleet's serial, chunk-sharded and label-sliced correlation and the
     [contexts] command all run it; no other path turns samples into a
     profile.
 
-    It owns the reference symbol tables, the record-time tee sink, the
-    shape dispatch, the trim step and the shard replay. A stream is a list
+    It owns the reference symbol tables, the shape dispatch, the trim step
+    and the shard replay. A stream is a list
     of whole-sample shards (one shard for a serial log); each shard is
     replayed on a scheduler domain and the per-shard results are reduced.
     Every reduction is exact under any whole-sample partition of the
@@ -39,36 +40,11 @@ type symbols = {
     program that correlated profiles are keyed against. *)
 
 val symbols : Csspgo_ir.Program.t -> symbols
-val name_of : symbols -> Csspgo_ir.Guid.t -> string option
-val checksum_of : symbols -> Csspgo_ir.Guid.t -> int64  (** [0L] if unknown *)
-
-val recorder :
-  ?obs:Csspgo_obs.Metrics.t ->
-  missing:bool ->
-  Csspgo_codegen.Mach.binary ->
-  Csspgo_vm.Machine.sink
-  * (unit -> Csspgo_profgen.Ranges.agg * Missing_frame.t option * Csspgo_vm.Sample_log.t)
-(** A tee sink for a profiling run: each sample feeds the range aggregate,
-    the missing-frame builder (when [missing]; [obs] gets its edge count)
-    and a compact log. Call the finisher once after the run; its first two
-    results are {!run}'s [recorded]. *)
 
 type target
 (** A profiled binary with its dense instruction index and symbols. *)
 
 val target : symbols -> Csspgo_codegen.Mach.binary -> target
-
-val of_agg :
-  ?obs:Csspgo_obs.Metrics.t ->
-  target ->
-  shape ->
-  Csspgo_profgen.Ranges.agg ->
-  Csspgo_profile.Text_io.profile
-(** Correlate a range aggregate: a line profile for [Lines], the flat
-    probe profile for [Probes] and [Ctx]. *)
-
-val trim : threshold:int64 -> Csspgo_profile.Ctx_profile.t -> unit
-(** Cold-context trimming; a threshold of 0 or less keeps the trie. *)
 
 type shard = Csspgo_vm.Sample_log.t list
 (** One shard: a run of chunks fed in order. Chunks are never copied or
@@ -102,7 +78,6 @@ val run :
   jobs:int ->
   missing_frames:bool ->
   trim:int64 ->
-  ?recorded:Csspgo_profgen.Ranges.agg * Missing_frame.t option ->
   ?keep_shards:bool ->
   shape ->
   target ->
@@ -110,10 +85,11 @@ val run :
   result
 (** Correlate a sample stream. [jobs] is clamped to
     [Domain.recommended_domain_count ()], each clamp counted in
-    [parcorr.jobs-clamped] on [obs]. The aggregate and, for [Ctx] with
-    [missing_frames], the missing-frame table come from [recorded] or are
-    replayed from the shards. [Ctx] runs Algorithm 1 per shard against the
-    complete table, merges the tries and trims the merge at [trim].
+    [parcorr.jobs-clamped] on [obs]. Every shape replays the shards once
+    into the range aggregate; [Ctx] with [missing_frames] replays them
+    once more into the missing-frame table, then runs Algorithm 1 per
+    shard against the complete table, merges the tries and trims the
+    merge at [trim]. Its flat baseline is the aggregate's probe profile.
 
     [obs] is the run's one telemetry handle. It takes the correlator
     counters ([dwarf-corr.*], [probe-corr.*], [ctx.*],

@@ -395,15 +395,10 @@ module Plan = struct
 
   type instrumentation = { in_map : Instrument.t; in_vals : Instrument.values }
 
-  (* The profiling run streams every sample through the kernel's tee sink
-     ([Correlate.recorder]) into (a) the range/branch aggregate, (b) the
-     missing-frame tail-call table, and (c) a compact flat-int log that
-     context reconstruction replays once the missing table is complete.
-     Peak live memory is the aggregate + log words. *)
+  (* The profiling run records every sample into a compact flat-int log;
+     the Correlate stage runs the kernel on it afterwards. *)
   type profile_run_out = {
     pr_bin : Cg.Mach.binary;
-    pr_agg : Pg.Ranges.agg;
-    pr_missing : Missing_frame.t option;  (* present when the PMU sampled *)
     pr_log : Vm.Sample_log.t;
     pr_n_samples : int;
     pr_cycles : int64;
@@ -472,11 +467,11 @@ module Plan = struct
       | Compile cs -> compile_spec := Some cs
       | Instrument is -> instr_spec := Some is
       | Profile_run ps ->
-          (* "stream-v3": [profile_run_out] changed shape (aggregates + log
-             instead of a sample list in v2, int-table range counts in v3);
-             the version element keeps stale marshaled cache entries from
-             being unsafely decoded. *)
-          let key = [ "stream-v3"; src_fp; fp !compile_spec; fp !instr_spec; fp ps ] in
+          (* "stream-v4": [profile_run_out] changed shape (aggregates + log
+             instead of a sample list in v2, int-table range counts in v3,
+             the log alone in v4); the version element keeps stale
+             marshaled cache entries from being unsafely decoded. *)
+          let key = [ "stream-v4"; src_fp; fp !compile_spec; fp !instr_spec; fp ps ] in
           prof_key := key;
           let out =
             hooks.memo ~kind:"profile-run" ~key ~ser:mser ~de:mde (fun () ->
@@ -503,18 +498,14 @@ module Plan = struct
                 in
                 Opt.Pass.optimize ~config:ps.p_config prog;
                 let bin = Cg.Emit.emit ~options:ps.p_emit prog in
-                let sink, recorded =
-                  Correlate.recorder ~obs:hooks.obs ~missing:(Option.is_some ps.p_pmu) bin
-                in
+                let log = Vm.Sample_log.create () in
                 let r =
-                  run_specs ~pmu:ps.p_pmu ~sink ~obs:hooks.obs bin ~entry:ps.p_entry
-                    ps.p_train
+                  run_specs ~pmu:ps.p_pmu ~sink:(Vm.Sample_log.sink log) ~obs:hooks.obs bin
+                    ~entry:ps.p_entry ps.p_train
                 in
-                let agg, missing, log = recorded () in
+                Vm.Sample_log.compact log;
                 {
                   pr_bin = bin;
-                  pr_agg = agg;
-                  pr_missing = missing;
                   pr_log = log;
                   pr_n_samples = r.r_n_samples;
                   pr_cycles = r.r_cycles;
@@ -536,11 +527,18 @@ module Plan = struct
              reference symbols); built once per Correlate stage, shared by
              every consumer below. *)
           let target = lazy (Correlate.target (ref_info ()) po.pr_bin) in
+          (* Every sampled profile is one kernel run on the recorded log.
+             The result is byte-identical at any [hooks.jobs], so no memo
+             key below includes the job count. *)
+          let kernel ?(missing_frames = false) ?(trim = 0L) shape =
+            Correlate.run ~obs:hooks.obs ~jobs:hooks.jobs ~missing_frames ~trim shape
+              (Lazy.force target) (Correlate.Log po.pr_log)
+          in
           (* Correlated profiles memoize as values and serialize as
              canonical Text_io dumps. A hook may call [ser] long after this
              stage, so the stages below never mutate a memoized value: the
              context trie they prune and mark is the Driver's own copy. *)
-          let memo_profile shape =
+          let memo_profile shape f =
             let tag, kind =
               match shape with
               | Correlate.Lines -> ("lines", P.Text_io.Line)
@@ -548,8 +546,7 @@ module Plan = struct
             in
             hooks.memo ~kind:"correlate"
               ~key:(!prof_key @ [ tag; checksum_digest () ])
-              ~ser:P.Text_io.to_string ~de:(P.Text_io.read kind)
-              (fun () -> Correlate.of_agg ~obs:hooks.obs (Lazy.force target) shape po.pr_agg)
+              ~ser:P.Text_io.to_string ~de:(P.Text_io.read kind) f
           in
           (* The serialized size, for [plan.correlate.profile-bytes]: only a
              live registry records it, so only then is the text rendered. *)
@@ -557,14 +554,20 @@ module Plan = struct
           let bytes =
             match x_correlator with
             | Corr_lines | Corr_probes ->
-                let p =
-                  memo_profile
-                    (if x_correlator = Corr_lines then Correlate.Lines else Correlate.Probes)
+                let shape =
+                  if x_correlator = Corr_lines then Correlate.Lines else Correlate.Probes
                 in
+                let p = memo_profile shape (fun () -> (kernel shape).Correlate.profile) in
                 profile := Some (Prof_sampled { x_profile = p; x_flat = None });
                 profile_size := sampled_size p;
                 text_bytes p
             | Corr_ctx { cc_missing_frames; cc_trim_threshold } ->
+                (* One kernel run gives the trie and its flat baseline. *)
+                let ctx =
+                  lazy
+                    (kernel ~missing_frames:cc_missing_frames ~trim:cc_trim_threshold
+                       Correlate.Ctx)
+                in
                 let p, stats =
                   hooks.memo ~kind:"correlate"
                     ~key:
@@ -575,17 +578,7 @@ module Plan = struct
                       let text, stats = mde s in
                       (P.Text_io.read P.Text_io.Ctx text, stats))
                     (fun () ->
-                      (* The aggregate and the tail-call table were recorded
-                         during the profiling run; the kernel replays the
-                         compact log against the complete table. The result
-                         is byte-identical at any [hooks.jobs], so the memo
-                         key above deliberately excludes the job count. *)
-                      let r =
-                        Correlate.run ~obs:hooks.obs ~jobs:hooks.jobs
-                          ~missing_frames:cc_missing_frames ~trim:cc_trim_threshold
-                          ~recorded:(po.pr_agg, po.pr_missing)
-                          Correlate.Ctx (Lazy.force target) (Correlate.Log po.pr_log)
-                      in
+                      let r = Lazy.force ctx in
                       (r.Correlate.profile, r.Correlate.stats))
                 in
                 let trie =
@@ -594,9 +587,15 @@ module Plan = struct
                   | _ -> assert false
                 in
                 (* The probe-level (context-merged) correlation is the flat
-                   quality baseline. *)
+                   quality baseline: the trie's kernel run gives it, unless
+                   the trie came from a cache. *)
+                let flat () =
+                  match if Lazy.is_val ctx then (Lazy.force ctx).Correlate.flat else None with
+                  | Some flat -> P.Text_io.Probe_prof (Lazy.force flat)
+                  | None -> (kernel Correlate.Probes).Correlate.profile
+                in
                 let flat =
-                  match memo_profile Correlate.Probes with
+                  match memo_profile Correlate.Probes flat with
                   | P.Text_io.Probe_prof pp -> pp
                   | _ -> assert false
                 in
@@ -860,48 +859,3 @@ end
 
 let run_variant ?options variant (w : workload) =
   Plan.run (Plan.make ?options ~variant w)
-
-(* ------------------------------------------------------------------ *)
-(* Recorded-vs-replayed oracle: the profiling build's training runs feed
-   [Correlate.recorder]'s tee sink under scratch poisoning, and the kernel
-   correlates the recorded log either with the aggregate and missing-frame
-   table the tee built during the run or with both replayed from the log.
-   The VM is deterministic, so every call records the same log, and the
-   two forms must give equal canonical Text_io dumps. *)
-
-let profile_pipeline_texts ?(options = default_options) ~replay variant (w : workload) =
-  let shape =
-    match variant with
-    | Nopgo | Instr_pgo -> None
-    | Autofdo -> Some Correlate.Lines
-    | Csspgo_probe_only -> Some Correlate.Probes
-    | Csspgo_full -> Some Correlate.Ctx
-  in
-  match shape with
-  | None -> []
-  | Some shape ->
-      let sy = Correlate.symbols (reference w) in
-      let prog = compile w in
-      if shape <> Correlate.Lines then Pseudo_probe.insert prog;
-      Opt.Pass.optimize ~config:options.opt_profiling prog;
-      let bin = Cg.Emit.emit ~options:options.emit_opts prog in
-      let texts profile flat =
-        let text = P.Text_io.to_string in
-        match flat with
-        | Some flat -> [ ("ctx", text profile); ("probes", text (P.Text_io.Probe_prof flat)) ]
-        | None -> [ ((if shape = Correlate.Lines then "lines" else "probes"), text profile) ]
-      in
-      let sink, recorded = Correlate.recorder ~missing:true bin in
-      (* debug_poison: the oracle also proves the tee never aliases the
-         scratch buffers. *)
-      ignore
-        (run_specs ~pmu:(Some options.pmu) ~sink ~debug_poison:true bin ~entry:w.w_entry
-           w.w_train);
-      let agg, missing, log = recorded () in
-      let r =
-        Correlate.run ~jobs:1 ~missing_frames:options.use_missing_frame_inference
-          ~trim:options.trim_threshold
-          ?recorded:(if replay then None else Some (agg, missing))
-          shape (Correlate.target sy bin) (Correlate.Log log)
-      in
-      texts r.Correlate.profile (Option.map Lazy.force r.Correlate.flat)

@@ -256,16 +256,3 @@ end
 
 val run_variant : ?options:options -> variant -> workload -> outcome
 (** Thin wrapper: [Plan.run (Plan.make ?options ~variant w)]. *)
-
-val profile_pipeline_texts :
-  ?options:options -> replay:bool -> variant -> workload -> (string * string) list
-(** Build the variant's profiling binary, record its training runs through
-    {!Correlate.recorder}'s tee sink with scratch poisoning on, correlate
-    the recorded log with {!Correlate.run}, and return the canonical
-    {!Csspgo_profile.Text_io} dumps as [(tag, text)] pairs. With
-    [replay:false] the kernel uses the range aggregate and missing-frame
-    table the tee built during the run; with [replay:true] it replays both
-    from the log. The two must be byte-equal for every variant (oracle
-    family 4). [Nopgo]/[Instr_pgo] have no sampled profile and return [].
-    [Csspgo_full] yields both the context trie (trimmed as the plan would)
-    and the flat probe profile. *)

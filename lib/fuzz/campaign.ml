@@ -98,7 +98,7 @@ let site_to_string = function
   | Plan pl -> "plan " ^ plan_to_string pl
   | Variant v -> "pgo variant " ^ D.variant_name v
   | Quality -> "probe-vs-instrumentation profile quality"
-  | Stream v -> "recorded-vs-replayed profile (" ^ D.variant_name v ^ ")"
+  | Stream v -> "Driver-vs-fleet profile (" ^ D.variant_name v ^ ")"
   | Stale s ->
       (* Both seeds in the message: the campaign seed is on the FAIL line,
          the edit-script seed here, so any staleness counterexample replays
@@ -279,21 +279,6 @@ type env = {
   e_on_overlap : (float -> unit) option;
 }
 
-(* Run every training spec of [w] on [bin] under the driver's PMU into a
-   fresh sample log; [labels i] tags the i-th run. *)
-let record_training ?labels (w : D.workload) bin =
-  let log = Vm.Sample_log.create () in
-  List.iteri
-    (fun i (spec : D.run_spec) ->
-      ignore
-        (Vm.Machine.run ~pmu:(Some driver_options.D.pmu)
-           ~sink:(Vm.Sample_log.sink log)
-           ?labels:(Option.map (fun f -> f i) labels)
-           ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
-           ~entry:w.D.w_entry))
-    w.D.w_train;
-  log
-
 (* Canonical text of a [Fl.Build] correlation: the profile plus, for the
    context shape, its flat baseline. *)
 let build_text (p, flat) =
@@ -338,37 +323,57 @@ let check_variant e v =
            Printf.sprintf "reference=%Ld %s=%Ld" e.e_ref (D.variant_name v) r ));
   o
 
-(* Recorded-vs-replayed differential: the kernel given the aggregate and
-   missing-frame table that the tee sink built during the poisoned
-   profiling run must reproduce its own output from both replayed out of
-   the recorded log, canonical Text_io dumps byte for byte. Bounded to
-   AutoFDO + full CSSPGO — between them these exercise every tee consumer
-   (range aggregation, missing-frame inference) and every replay (ranges,
-   tail-call edges, context reconstruction). Sharded-vs-serial replay and
-   the sample-log round trips are the parcorr and format families'. *)
-let stream_variants = [ D.Autofdo; D.Csspgo_full ]
+(* Driver-vs-fleet differential: every profile the Driver's Correlate
+   stage produces (the line profile, the context trie and its flat
+   baseline) must equal, as canonical text, the fleet's road:
+   [Fl.Build.correlate] on the training runs recorded on
+   [Fl.Build.profiling_build]. Both roads run the one kernel, so this
+   guards what they still duplicate, the Driver's own profiling build and
+   recording against the fleet's. AutoFDO and full CSSPGO between them
+   produce every sampled shape. *)
+let stream_variants = [ (D.Autofdo, Fl.Build.Lines); (D.Csspgo_full, Fl.Build.Ctx) ]
+
+(* The fleet's road, as (tag, canonical text) pairs: the profile, then for
+   the context shape its flat baseline. *)
+let fleet_texts e shape =
+  let options = driver_options in
+  let b = Fl.Build.profiling_build ~options ~shape ~source:e.e_src in
+  let p, flat = Fl.Build.correlate ~options ~shape b (Fl.Build.record ~options b e.e_workload) in
+  (Fl.Build.shape_name shape, P.Text_io.to_string p)
+  :: Option.to_list
+       (Option.map (fun f -> ("flat", P.Text_io.to_string (P.Text_io.Probe_prof f))) flat)
+
+(* The Driver's side: every "correlate" memo value of the variant's plan,
+   in the order the plan asks for them, as canonical text. A cache stores
+   the context trie's value as the marshaled (text, stats) pair. *)
+let driver_texts e v =
+  let hooks = Option.value e.e_hooks ~default:D.Plan.default_hooks in
+  let kept = ref [] in
+  let memo ~kind ~key ~ser ~de f =
+    let x = hooks.D.Plan.memo ~kind ~key ~ser ~de f in
+    if String.equal kind "correlate" then kept := ser x :: !kept;
+    x
+  in
+  ignore
+    (D.Plan.run ~hooks:{ hooks with D.Plan.memo }
+       (D.Plan.make ~options:driver_options ~variant:v e.e_workload));
+  match (v, List.rev !kept) with
+  | D.Csspgo_full, ctx :: flat ->
+      let text, (_ : Core.Ctx_reconstruct.stats) = Marshal.from_string ctx 0 in
+      text :: flat
+  | _, texts -> texts
 
 let check_stream e v =
   let site = Stream v in
-  let texts replay =
-    guarded_build site (fun () ->
-        D.profile_pipeline_texts ~options:driver_options ~replay v e.e_workload)
-  in
-  let recorded = texts false and replayed = texts true in
-  if recorded <> replayed then begin
-    let tag =
-      match
-        List.find_opt (fun (t, x) -> List.assoc_opt t replayed <> Some x) recorded
-      with
-      | Some (t, _) -> t
-      | None -> "shape"
-    in
-    raise
-      (Fail
-         ( Result_mismatch,
-           site,
-           Printf.sprintf "recorded %s profile differs from replayed" tag ))
-  end
+  let fail detail = raise (Fail (Result_mismatch, site, detail)) in
+  guarded_build site (fun () ->
+      let driver = driver_texts e v and fleet = fleet_texts e (List.assoc v stream_variants) in
+      if List.length driver <> List.length fleet then fail "profile count differs";
+      List.iter2
+        (fun d (tag, f) ->
+          if not (String.equal d f) then
+            fail (Printf.sprintf "Driver's %s profile differs from the fleet's" tag))
+        driver fleet)
 
 (* The overlap oracle is only meaningful when the profiling run was long
    enough for the PMU to fire a useful number of times.  A program can
@@ -499,12 +504,9 @@ let bin_projection (b : Cg.Mach.binary) =
 let check_format e =
   let w = e.e_workload in
   List.iter
-    (fun v ->
+    (fun (v, shape) ->
       let site = Format ("text-binary round-trip " ^ D.variant_name v) in
-      let texts =
-        guarded_build site (fun () ->
-            D.profile_pipeline_texts ~options:driver_options ~replay:false v w)
-      in
+      let texts = guarded_build site (fun () -> fleet_texts e shape) in
       List.iter
         (fun (tag, text) ->
           (* Tiny fuzz programs can yield empty dumps (e.g. autofdo with no
@@ -540,7 +542,7 @@ let check_format e =
         Fl.Build.profiling_build ~options:driver_options ~shape:Fl.Build.Probes
           ~source:w.D.w_source
       in
-      let log = record_training w b.Fl.Build.vb_bin in
+      let log = Fl.Build.record ~options:driver_options b w in
       let txt = Vm.Sample_log.to_text log in
       (match Vm.Sample_log.of_text txt with
       | Ok log' when String.equal (Vm.Sample_log.to_text log') txt -> ()
@@ -688,7 +690,7 @@ let check_parcorr e =
           let b =
             Fl.Build.profiling_build ~options:driver_options ~shape ~source:e.e_src
           in
-          let log = record_training e.e_workload b.Fl.Build.vb_bin in
+          let log = Fl.Build.record ~options:driver_options b e.e_workload in
           let serial =
             build_text (Fl.Build.correlate ~options:driver_options ~shape b log)
           in
@@ -816,9 +818,7 @@ let check_labels e =
     S.Label_set.of_list
       [ ("tenant", if i land 1 = 0 then "even" else "odd") ]
   in
-  let record (b : Fl.Build.built) =
-    record_training ~labels:tenant e.e_workload b.Fl.Build.vb_bin
-  in
+  let record b = Fl.Build.record ~labels:tenant ~options:driver_options b e.e_workload in
   List.iter
     (fun shape ->
       let site = Labels (Fl.Build.shape_name shape) in
@@ -995,7 +995,7 @@ let families =
       fam_check =
         (fun e -> function
           | Some (Stream v) -> check_stream e v
-          | _ -> List.iter (check_stream e) stream_variants);
+          | _ -> List.iter (fun (v, _) -> check_stream e v) stream_variants);
     };
     whole "stale" (function Stale _ -> true | _ -> false) check_stale;
     whole "format" (function Format _ -> true | _ -> false) check_format;

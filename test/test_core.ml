@@ -14,6 +14,7 @@ module CP = P.Ctx_profile
 module Core = Csspgo_core
 module D = Core.Driver
 module W = Csspgo_workloads
+module Fl = Csspgo_fleet
 open Csspgo_support
 
 let probe_count_in (p : Ir.Program.t) =
@@ -119,21 +120,20 @@ let build_probed ?(config = Opt.Config.o2_nopgo) src =
 let no_inline = { Opt.Config.o2_nopgo with inline_mode = Opt.Config.Inline_none }
 let pmu_101 = { Vm.Machine.default_pmu with sample_period = 101 }
 
-(* One sampled run of [main] through the correlation kernel's tee sink:
-   the range aggregate, the missing-frame table when [missing], the log. *)
-let record ?(pmu = pmu_101) ~missing bin args =
-  let sink, recorded = Core.Correlate.recorder ~missing bin in
-  ignore (Vm.Machine.run ~pmu:(Some pmu) ~sink bin ~entry:"main" ~args);
-  recorded ()
+(* One sampled run of [main], recorded into a log. *)
+let record ?(pmu = pmu_101) bin args =
+  let log = Vm.Sample_log.create () in
+  ignore (Vm.Machine.run ~pmu:(Some pmu) ~sink:(Vm.Sample_log.sink log) bin ~entry:"main" ~args);
+  log
 
-(* A recorded run's untrimmed profile of [shape], keyed against [refp]. *)
-let kernel ~missing_frames shape refp bin (agg, missing, log) =
-  Core.Correlate.run ~jobs:1 ~missing_frames ~trim:0L ~recorded:(agg, missing) shape
+(* A recorded log's untrimmed profile of [shape], keyed against [refp]. *)
+let kernel ~missing_frames shape refp bin log =
+  Core.Correlate.run ~jobs:1 ~missing_frames ~trim:0L shape
     (Core.Correlate.target (Core.Correlate.symbols refp) bin)
     (Core.Correlate.Log log)
 
 let correlate ?pmu ?(missing_frames = false) shape refp bin args =
-  kernel ~missing_frames shape refp bin (record ?pmu ~missing:missing_frames bin args)
+  kernel ~missing_frames shape refp bin (record ?pmu bin args)
 
 let probes_of (r : Core.Correlate.result) =
   match r.Core.Correlate.profile with P.Text_io.Probe_prof p -> p | _ -> assert false
@@ -255,8 +255,13 @@ let test_missing_frame_inference () =
       bin.Mach.insts
   in
   Alcotest.(check bool) "TCE fired" true has_tail;
-  let ((_, missing, _) as recorded) = record ~missing:true bin [ 100L ] in
-  let mf = Option.get missing in
+  let log = record bin [ 100L ] in
+  let mf =
+    let mb = Core.Missing_frame.start (Csspgo_profgen.Bindex.create bin) in
+    Vm.Sample_log.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
+        Core.Missing_frame.feed mb ~lbr ~lbr_len);
+    Core.Missing_frame.finish mb
+  in
   Alcotest.(check bool) "tail edges found" true (Core.Missing_frame.n_edges mf > 0);
   let g = Ir.Guid.of_name in
   (match Core.Missing_frame.resolve mf ~from_func:(g "springboard") ~to_func:(g "worker") with
@@ -265,7 +270,7 @@ let test_missing_frame_inference () =
   | Some _ -> Alcotest.fail "chain too long"
   | None -> Alcotest.fail "unique path not found");
   (* Reconstruction with the inferrer should resolve gaps. *)
-  let r = kernel ~missing_frames:true Core.Correlate.Ctx refp bin recorded in
+  let r = kernel ~missing_frames:true Core.Correlate.Ctx refp bin log in
   let trie = trie_of r and stats = r.Core.Correlate.stats in
   Alcotest.(check bool) "gaps resolved" true (stats.Core.Ctx_reconstruct.st_gaps_resolved > 0);
   (* worker's context should include springboard *)
@@ -290,33 +295,16 @@ let test_size_extract () =
 
 let test_preinliner_marks_hot_chain () =
   let w = W.Suite.adretriever in
-  let pbin, log =
-    (* probed profiling build sampled over the training inputs *)
-    let options = D.default_options in
-    let prog = F.Lower.compile w.D.w_source in
-    Core.Pseudo_probe.insert prog;
-    Opt.Pass.optimize ~config:options.D.opt_profiling prog;
-    let bin = Cg.Emit.emit ~options:options.D.emit_opts prog in
-    let log = Vm.Sample_log.create () in
-    List.iter
-      (fun (spec : D.run_spec) ->
-        ignore
-          (Vm.Machine.run ~pmu:(Some options.D.pmu)
-             ~sink:(Vm.Sample_log.sink log) ~globals_init:spec.D.rs_globals
-             ~args:spec.D.rs_args bin ~entry:w.D.w_entry))
-      w.D.w_train;
-    (bin, log)
+  (* probed profiling build sampled over the training inputs, untrimmed *)
+  let options =
+    { D.default_options with D.trim_threshold = 0L; use_missing_frame_inference = false }
   in
-  let refp =
-    let p = F.Lower.compile w.D.w_source in
-    Core.Pseudo_probe.insert p;
-    p
-  in
+  let b = Fl.Build.profiling_build ~options ~shape:Fl.Build.Ctx ~source:w.D.w_source in
+  let pbin = b.Fl.Build.vb_bin in
   let trie =
-    trie_of
-      (Core.Correlate.run ~jobs:1 ~missing_frames:false ~trim:0L Core.Correlate.Ctx
-         (Core.Correlate.target (Core.Correlate.symbols refp) pbin)
-         (Core.Correlate.Log log))
+    match Fl.Build.correlate ~options ~shape:Fl.Build.Ctx b (Fl.Build.record ~options b w) with
+    | P.Text_io.Ctx_prof trie, _ -> trie
+    | _ -> assert false
   in
   ignore (CP.trim_cold trie ~threshold:8L);
   let sizes = Core.Size_extract.compute pbin in

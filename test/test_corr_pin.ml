@@ -218,20 +218,6 @@ let driver_cases =
 
 let shapes = [ Fl.Build.Lines; Fl.Build.Probes; Fl.Build.Ctx ]
 
-let fleet_log ?labeled (b : Fl.Build.built) (w : D.workload) =
-  let log = SL.create () in
-  let run ?labels (spec : D.run_spec) =
-    ignore
-      (M.run ~pmu:(Some fleet_options.D.pmu) ?labels ~sink:(SL.sink log)
-         ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args b.Fl.Build.vb_bin
-         ~entry:w.D.w_entry)
-  in
-  (match labeled with
-  | None -> List.iter (fun spec -> run spec) w.D.w_train
-  | Some requests -> List.iter (fun (spec, labels) -> run ~labels spec) requests);
-  SL.compact log;
-  log
-
 (* Counters, gauges and histograms a call left in its registry; [sched.*]
    depends on the domain schedule and is left out. *)
 let registry_text r =
@@ -268,7 +254,7 @@ let fleet_case shape =
     fun () ->
       let w = W.Suite.adfinder in
       let b = Fl.Build.profiling_build ~options:fleet_options ~shape ~source:w.D.w_source in
-      let log = fleet_log b w in
+      let log = Fl.Build.record ~options:fleet_options b w in
       let obs = Obs.Metrics.create () in
       let serial = Fl.Build.correlate ~obs ~options:fleet_options ~shape b log in
       let chunks jobs =
@@ -299,7 +285,8 @@ let labeled_case shape =
     fun () ->
       let w = mix.W.Mix.mx_workload in
       let b = Fl.Build.profiling_build ~options:fleet_options ~shape ~source:w.D.w_source in
-      let log = fleet_log ~labeled:mix.W.Mix.mx_requests b w in
+      let labels = Array.of_list (List.map snd mix.W.Mix.mx_requests) in
+      let log = Fl.Build.record ~labels:(Array.get labels) ~options:fleet_options b w in
       let run jobs =
         let obs = Obs.Metrics.create () in
         let lc = Fl.Build.correlate_labeled ~obs ~jobs ~options:fleet_options ~shape b log in

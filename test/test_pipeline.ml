@@ -1,22 +1,25 @@
-(* Streaming sample pipeline: the correlation kernel against itself, plan
-   identity across domain counts, and sink scratch-reuse safety.
+(* Streaming sample pipeline: the Driver's sampled profiles against the
+   fleet's record-then-correlate road, plan identity across domain counts,
+   and sink scratch-reuse safety.
 
-   Every PGO variant's canonical Text_io dump must be the same whether the
-   kernel takes the range aggregate and missing-frame table its tee sink
-   built during the profiling run or replays both from the recorded log,
-   and the same serially and across domain counts. *)
+   Every sampled variant's Correlate stage must give the same canonical
+   Text_io dumps as [Fleet.Build.correlate] on a log recorded on
+   [Fleet.Build.profiling_build], and every plan the same serially and
+   across domain counts. *)
 module F = Csspgo_frontend
 module Opt = Csspgo_opt
 module Cg = Csspgo_codegen
 module Vm = Csspgo_vm
 module Core = Csspgo_core
-module O = Csspgo_orchestrator
 module W = Csspgo_workloads
+module Fl = Csspgo_fleet
+module P = Csspgo_profile
 module D = Core.Driver
 
-(* Tiny generated programs finish in a handful of default-period samples;
-   sample densely so every profile has real weight (same knob the fuzz
-   campaign uses). *)
+(* The fuzz campaign's dense sampling period. The generated programs
+   below still finish in about 50 cycles, under one period, so their
+   sampled profiles come out empty; the suite workloads carry the
+   profile checks. *)
 let options =
   {
     D.default_options with
@@ -39,34 +42,7 @@ let gen_workload seed =
 let all_variants =
   [ D.Nopgo; D.Instr_pgo; D.Autofdo; D.Csspgo_probe_only; D.Csspgo_full ]
 
-(* --- byte-identity oracle: recorded vs replayed ----------------------- *)
-
-let test_stream_oracle () =
-  List.iter
-    (fun seed ->
-      let w = gen_workload seed in
-      List.iter
-        (fun v ->
-          let recorded = D.profile_pipeline_texts ~options ~replay:false v w in
-          let replayed = D.profile_pipeline_texts ~options ~replay:true v w in
-          let label tag =
-            Printf.sprintf "seed %Ld %s %s" seed (D.variant_name v) tag
-          in
-          Alcotest.(check int)
-            (label "profile count")
-            (List.length recorded) (List.length replayed);
-          List.iter2
-            (fun (tr, xr) (tp, xp) ->
-              Alcotest.(check string) (label "tag") tr tp;
-              Alcotest.(check string) (label tr) xr xp)
-            recorded replayed)
-        all_variants)
-    [ 1L; 2L; 3L ]
-
 (* --- the Driver's Correlate stage against the fleet's ---------------- *)
-
-module Fl = Csspgo_fleet
-module P = Csspgo_profile
 
 (* Every "correlate" memo value of the variant's plan as canonical text,
    in the order the plan asks for them: the line or probe profile, or the
@@ -165,7 +141,7 @@ let test_plan_identity_across_jobs () =
     let mutex = Mutex.create () in
     let hooks = recording_hooks tbl mutex in
     let plans = List.map (fun v -> D.Plan.make ~options ~variant:v w) all_variants in
-    let outcomes = O.Scheduler.map ~jobs (fun pl -> D.Plan.run ~hooks pl) plans in
+    let outcomes = Csspgo_sched.Scheduler.map ~jobs (fun pl -> D.Plan.run ~hooks pl) plans in
     let rows =
       List.map2
         (fun v (o : D.outcome) ->
@@ -266,8 +242,6 @@ let test_copying_sink_matches_recorded () =
 let suite =
   ( "pipeline",
     [
-      Alcotest.test_case "stream oracle (3 seeds x 5 variants)" `Slow
-        test_stream_oracle;
       Alcotest.test_case "Driver profiles = Fleet.Build's" `Slow
         test_driver_matches_fleet;
       Alcotest.test_case "plan identity at -j 1/2/4" `Slow

@@ -20,6 +20,7 @@ module Q = Core.Quality
 module D = Core.Driver
 module O = Csspgo_orchestrator
 module W = Csspgo_workloads
+module Fl = Csspgo_fleet
 
 (* Dense sampling for rich profiles (same knob the bench and fuzz
    harnesses use). The matcher properties run on suite workloads: tiny
@@ -45,20 +46,22 @@ let target_ir ?(probes = true) src =
   p
 
 (* All sampled profiles a workload produces, as parsed profile values:
-   Autofdo contributes the line profile, Csspgo_full the context trie and
-   the flat probe profile. *)
-let profiles_of w =
+   the line profile, the context trie and its flat probe profile. *)
+let profiles_of (w : D.workload) =
   List.concat_map
-    (fun v ->
+    (fun shape ->
+      let b = Fl.Build.profiling_build ~options ~shape ~source:w.D.w_source in
+      let p, flat = Fl.Build.correlate ~options ~shape b (Fl.Build.record ~options b w) in
       List.filter_map
-        (fun (_tag, text) ->
+        (fun p ->
           (* A kind can legitimately come out empty (fully trimmed context
              trie, branchless hot path) — nothing to stale-match then. *)
+          let text = P.Text_io.to_string p in
           match P.Text_io.detect_kind text with
           | None -> None
           | Some kind -> Some (P.Text_io.of_string ~kind text))
-        (D.profile_pipeline_texts ~options ~replay:false v w))
-    [ D.Autofdo; D.Csspgo_full ]
+        (p :: Option.to_list (Option.map (fun f -> P.Text_io.Probe_prof f) flat)))
+    [ Fl.Build.Lines; Fl.Build.Ctx ]
 
 (* Profiling a suite workload costs a full build+train pipeline; do it
    once per workload for the whole battery. *)

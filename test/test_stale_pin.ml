@@ -18,8 +18,8 @@ let per_func_text p =
   String.concat ""
     (List.map (fun (g, d) -> Printf.sprintf "%Lx %Lx\n" g d) (P.Fingerprint.per_func p))
 
-(* The stale battery's memoized profiles, each under the tag
-   [Driver.profile_pipeline_texts] gives its text. *)
+(* The stale battery's memoized profiles, each tagged by its kind as the
+   Driver's correlate memo keys name it. *)
 let profiles_of w =
   List.map
     (fun prof ->
