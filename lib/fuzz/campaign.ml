@@ -1180,60 +1180,41 @@ let run ?out_dir ?(progress = fun (_ : stats) -> ()) ?cache ?(obs = Obs.Metrics.
     st.st_failures <- fl :: st.st_failures;
     match out_dir with Some dir -> write_corpus dir cfg fl | None -> ()
   in
-  if jobs <= 1 then begin
-    let s = ref lo in
-    while !s <= hi && not (stop ()) do
-      let seed = Int64.of_int !s in
-      st.st_runs <- st.st_runs + 1;
-      mbump "fuzz.seeds" 1;
-      let d0 = st.st_discards in
-      (match run_seed ~stats:st ~cache cfg seed with
-      | None -> ()
-      | Some fl ->
-          record fl;
-          mbump "fuzz.failures" 1);
-      mbump "fuzz.discards" (st.st_discards - d0);
-      progress st;
-      incr s
-    done;
-    st
-  end
-  else begin
-    (* Seeds are independent, so batches run across domains; each seed
-       accumulates into a private stats record and the batch merges in seed
-       order, reproducing the serial campaign's statistics (and its
-       [cf_max_failures] early stop) exactly — a batch only overshoots in
-       wasted work, never in reported results. *)
-    let s = ref lo in
-    while !s <= hi && not (stop ()) do
-      let n = min (2 * jobs) (hi - !s + 1) in
-      let batch = List.init n (fun i -> Int64.of_int (!s + i)) in
-      let results =
-        O.Scheduler.map ~jobs
-          (fun seed ->
-            let local = fresh_stats () in
-            let fl = run_seed ~stats:local ~cache cfg seed in
-            (local, fl))
-          batch
-      in
-      List.iter
-        (fun (local, fl) ->
-          if not (stop ()) then begin
-            st.st_runs <- st.st_runs + 1;
-            mbump "fuzz.seeds" 1;
-            st.st_discards <- st.st_discards + local.st_discards;
-            mbump "fuzz.discards" local.st_discards;
-            if local.st_min_overlap < st.st_min_overlap then
-              st.st_min_overlap <- local.st_min_overlap;
-            (match fl with
-            | None -> ()
-            | Some fl ->
-                record fl;
-                mbump "fuzz.failures" 1);
-            progress st
-          end)
-        results;
-      s := !s + n
-    done;
-    st
-  end
+  (* Seeds are independent, so a batch runs across domains (inline at
+     [jobs = 1], one seed per batch); each seed accumulates into a private
+     stats record and the batch merges in seed order, so the statistics
+     and the [cf_max_failures] early stop are the same at any [jobs]. A
+     batch only overshoots in wasted work, never in reported results. *)
+  let batch_size = if jobs <= 1 then 1 else 2 * jobs in
+  let s = ref lo in
+  while !s <= hi && not (stop ()) do
+    let n = min batch_size (hi - !s + 1) in
+    let batch = List.init n (fun i -> Int64.of_int (!s + i)) in
+    let results =
+      Csspgo_sched.Scheduler.map ~jobs
+        (fun seed ->
+          let local = fresh_stats () in
+          let fl = run_seed ~stats:local ~cache cfg seed in
+          (local, fl))
+        batch
+    in
+    List.iter
+      (fun (local, fl) ->
+        if not (stop ()) then begin
+          st.st_runs <- st.st_runs + 1;
+          mbump "fuzz.seeds" 1;
+          st.st_discards <- st.st_discards + local.st_discards;
+          mbump "fuzz.discards" local.st_discards;
+          if local.st_min_overlap < st.st_min_overlap then
+            st.st_min_overlap <- local.st_min_overlap;
+          (match fl with
+          | None -> ()
+          | Some fl ->
+              record fl;
+              mbump "fuzz.failures" 1);
+          progress st
+        end)
+      results;
+    s := !s + n
+  done;
+  st

@@ -33,7 +33,7 @@ let run_plans ?cache ?obs ?stage_jobs ~jobs plans =
     | Some tr ->
         List.mapi (fun i p -> Some (Obs.Trace.track tr ~tid:i ~name:(plan_label p))) plans
   in
-  Scheduler.map ?obs ~jobs
+  Csspgo_sched.Scheduler.map ?obs ~jobs
     (fun (plan, track) ->
       let hooks = mk_hooks ?cache ?obs ?track ?stage_jobs () in
       match track with

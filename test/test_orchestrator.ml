@@ -51,9 +51,9 @@ let test_scheduler_map () =
       Alcotest.(check (list int))
         (Printf.sprintf "-j %d preserves input order" jobs)
         expect
-        (O.Scheduler.map ~jobs (fun x -> x * x) xs))
+        (Csspgo_sched.Scheduler.map ~jobs (fun x -> x * x) xs))
     [ 1; 2; 4; 7 ];
-  match O.Scheduler.map ~jobs:3 (fun x -> if x = 5 then failwith "boom" else x) xs with
+  match Csspgo_sched.Scheduler.map ~jobs:3 (fun x -> if x = 5 then failwith "boom" else x) xs with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "worker exception must propagate to the caller"
 
