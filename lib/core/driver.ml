@@ -590,7 +590,10 @@ module Plan = struct
                    quality baseline: the trie's kernel run gives it, unless
                    the trie came from a cache. *)
                 let flat () =
-                  match if Lazy.is_val ctx then (Lazy.force ctx).Correlate.flat else None with
+                  let from_ctx =
+                    if Lazy.is_val ctx then (Lazy.force ctx).Correlate.flat else None
+                  in
+                  match from_ctx with
                   | Some flat -> P.Text_io.Probe_prof (Lazy.force flat)
                   | None -> (kernel Correlate.Probes).Correlate.profile
                 in

@@ -1,13 +1,17 @@
-(** Per-version build and correlation support for the fleet loop.
+(** Per-version build and correlation support for the fleet loop, and
+    the one "build, record the training runs, correlate" road for every
+    other caller.
 
     Each binary version in flight gets one {!built}: the probed profiling
     binary its instances serve traffic on, plus the pre-optimization IR
-    that anchors correlation names/checksums and stale matching. Every
-    correlation below is one {!Csspgo_core.Correlate.run}, the kernel a
-    [Driver.Plan] [Correlate] stage runs too, so a single-version fleet
-    at full duty produces a profile byte-identical to the plan
-    pipeline's. The three forms differ only in their shards: the whole
-    log, the collector's chunk groups, or the request-label slices. *)
+    that anchors correlation names/checksums and stale matching.
+    {!record} takes a workload's training runs on it into a plain sample
+    log. Every correlation below is one {!Csspgo_core.Correlate.run}, the
+    kernel a [Driver.Plan] [Correlate] stage runs on its own recorded log
+    too, so {!correlate} on a {!record}ed log gives the plan pipeline's
+    profiles byte for byte (oracle family 4). The three correlation forms
+    differ only in their shards: the whole log, the collector's chunk
+    groups, or the request-label slices. *)
 
 type shape = Csspgo_core.Correlate.shape = Lines | Probes | Ctx
 (** The sampled profile shape: DWARF line (AutoFDO), flat pseudo-probe,

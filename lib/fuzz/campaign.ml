@@ -338,7 +338,8 @@ let stream_variants = [ (D.Autofdo, Fl.Build.Lines); (D.Csspgo_full, Fl.Build.Ct
 let fleet_texts e shape =
   let options = driver_options in
   let b = Fl.Build.profiling_build ~options ~shape ~source:e.e_src in
-  let p, flat = Fl.Build.correlate ~options ~shape b (Fl.Build.record ~options b e.e_workload) in
+  let log = Fl.Build.record ~options b e.e_workload in
+  let p, flat = Fl.Build.correlate ~options ~shape b log in
   (Fl.Build.shape_name shape, P.Text_io.to_string p)
   :: Option.to_list
        (Option.map (fun f -> ("flat", P.Text_io.to_string (P.Text_io.Probe_prof f))) flat)
@@ -367,7 +368,8 @@ let check_stream e v =
   let site = Stream v in
   let fail detail = raise (Fail (Result_mismatch, site, detail)) in
   guarded_build site (fun () ->
-      let driver = driver_texts e v and fleet = fleet_texts e (List.assoc v stream_variants) in
+      let driver = driver_texts e v in
+      let fleet = fleet_texts e (List.assoc v stream_variants) in
       if List.length driver <> List.length fleet then fail "profile count differs";
       List.iter2
         (fun d (tag, f) ->

@@ -16,12 +16,13 @@
     - {b profile quality} [variants]: [Core.Quality.block_overlap] of the
       probe profile against the instrumentation ground truth stays above
       [cf_quality_floor] (skipped for nearly-unexecuted programs);
-    - {b recorded-vs-replayed identity} [stream]: the correlation kernel
-      ([Core.Correlate]) given the range aggregate and missing-frame table
-      that its record-time tee sink built under scratch poisoning produces
-      byte-identical canonical profile dumps to the same kernel replaying
-      both from the recorded log ([Core.Driver.profile_pipeline_texts],
-      AutoFDO and full CSSPGO);
+    - {b Driver-vs-fleet identity} [stream]: every profile the Driver's
+      [Correlate] stage produces (the line profile, the context trie and
+      its flat baseline, for AutoFDO and full CSSPGO) equals, as canonical
+      text, [Fleet.Build.correlate] on the training runs recorded with
+      [Fleet.Build.record] on [Fleet.Build.profiling_build]. Both run the
+      one kernel ([Core.Correlate]), so this guards the Driver's own
+      profiling build against the fleet's;
     - {b stale matching} [stale]: the source is drifted with a seeded edit script
       ([Workloads.Drift], seed derived from the campaign seed) and each
       sampling variant stale-matches its build-N profile onto version N+1
@@ -88,8 +89,8 @@ type site =
   | Variant of Csspgo_core.Driver.variant
   | Quality
   | Stream of Csspgo_core.Driver.variant
-      (** recorded-vs-replayed profile byte-identity
-          ({!Csspgo_core.Driver.profile_pipeline_texts}) *)
+      (** Driver-vs-fleet profile byte-identity ([Correlate] stage
+          against {!Csspgo_fleet.Build.correlate}) *)
   | Stale of {
       sl_variant : Csspgo_core.Driver.variant option;
           (** [None] for the probe-vs-DWARF recovery comparison *)
@@ -219,13 +220,14 @@ val run :
     [seed-N.minic] (minimized), [seed-N.orig.minic] and [seed-N.repro].
     [progress] is called after every seed (in seed order).
 
-    [jobs > 1] fans independent seeds out over that many domains
-    ({!Csspgo_orchestrator.Scheduler}); batches merge in seed order, so
+    Seeds run in batches on {!Csspgo_sched.Scheduler}: one seed per batch
+    at [jobs <= 1], where the scheduler runs inline, and [2 * jobs] seeds
+    fanned out over [jobs] domains above. Batches merge in seed order, so
     the reported statistics — including the [cf_max_failures] stop point —
-    are identical to the serial campaign's. [cache] defaults to a private
+    are the same for any [jobs]. [cache] defaults to a private
     in-memory cache; pass a disk-backed one to reuse artifacts across
     campaign invocations.
 
     [obs] receives [fuzz.seeds], [fuzz.discards] and [fuzz.failures];
-    bumps fire at the seed-ordered merge points, so the totals match the
-    serial campaign for any [jobs]. *)
+    bumps fire at the seed-ordered merge points, so the totals are the
+    same for any [jobs]. *)

@@ -123,7 +123,8 @@ let pmu_101 = { Vm.Machine.default_pmu with sample_period = 101 }
 (* One sampled run of [main], recorded into a log. *)
 let record ?(pmu = pmu_101) bin args =
   let log = Vm.Sample_log.create () in
-  ignore (Vm.Machine.run ~pmu:(Some pmu) ~sink:(Vm.Sample_log.sink log) bin ~entry:"main" ~args);
+  let sink = Vm.Sample_log.sink log in
+  ignore (Vm.Machine.run ~pmu:(Some pmu) ~sink bin ~entry:"main" ~args);
   log
 
 (* A recorded log's untrimmed profile of [shape], keyed against [refp]. *)
@@ -301,8 +302,9 @@ let test_preinliner_marks_hot_chain () =
   in
   let b = Fl.Build.profiling_build ~options ~shape:Fl.Build.Ctx ~source:w.D.w_source in
   let pbin = b.Fl.Build.vb_bin in
+  let log = Fl.Build.record ~options b w in
   let trie =
-    match Fl.Build.correlate ~options ~shape:Fl.Build.Ctx b (Fl.Build.record ~options b w) with
+    match Fl.Build.correlate ~options ~shape:Fl.Build.Ctx b log with
     | P.Text_io.Ctx_prof trie, _ -> trie
     | _ -> assert false
   in

@@ -53,7 +53,8 @@ let test_scheduler_map () =
         expect
         (Csspgo_sched.Scheduler.map ~jobs (fun x -> x * x) xs))
     [ 1; 2; 4; 7 ];
-  match Csspgo_sched.Scheduler.map ~jobs:3 (fun x -> if x = 5 then failwith "boom" else x) xs with
+  let boom x = if x = 5 then failwith "boom" else x in
+  match Csspgo_sched.Scheduler.map ~jobs:3 boom xs with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "worker exception must propagate to the caller"
 

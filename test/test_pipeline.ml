@@ -141,7 +141,9 @@ let test_plan_identity_across_jobs () =
     let mutex = Mutex.create () in
     let hooks = recording_hooks tbl mutex in
     let plans = List.map (fun v -> D.Plan.make ~options ~variant:v w) all_variants in
-    let outcomes = Csspgo_sched.Scheduler.map ~jobs (fun pl -> D.Plan.run ~hooks pl) plans in
+    let outcomes =
+      Csspgo_sched.Scheduler.map ~jobs (fun pl -> D.Plan.run ~hooks pl) plans
+    in
     let rows =
       List.map2
         (fun v (o : D.outcome) ->
