@@ -5,7 +5,6 @@ module Opt = Csspgo_opt
 module Cg = Csspgo_codegen
 module Vm = Csspgo_vm
 module P = Csspgo_profile
-module Pg = Csspgo_profgen
 module Obs = Csspgo_obs
 
 type run_spec = {
@@ -92,11 +91,11 @@ type runs = {
   r_values : (int, (int64, int64) Hashtbl.t) Hashtbl.t;
 }
 
-let run_specs ?(pmu = None) ?sink ?debug_poison ?obs (bin : Cg.Mach.binary) ~entry specs =
+let run_specs ?(pmu = None) ?sink ?obs (bin : Cg.Mach.binary) ~entry specs =
   List.fold_left
     (fun acc spec ->
       let r =
-        Vm.Machine.run ~pmu ?sink ?debug_poison ?obs ~globals_init:spec.rs_globals
+        Vm.Machine.run ~pmu ?sink ?obs ~globals_init:spec.rs_globals
           ~args:spec.rs_args bin ~entry
       in
       let counters =
