@@ -396,7 +396,7 @@ let ablation () =
     (outcome
        ~options:
          { D.default_options with
-           D.emit_opts = { Cg.Emit.default_options with Cg.Emit.layout = `Hot_path } }
+           D.emit_opts = { Cg.Emit.layout = `Hot_path } }
        w D.Csspgo_full)
       .D.o_eval.D.ev_cycles
   in
@@ -1031,7 +1031,6 @@ let health_bench () =
      crit regression. *)
   let train_cfg =
     {
-      Fl.Train.default with
       Fl.Train.t_generations = 4;
       t_edits = 2;
       t_edit_schedule = [ 2; 4 ];

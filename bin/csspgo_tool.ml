@@ -925,7 +925,6 @@ let health_cmd =
     in
     let cfg =
       {
-        Fl.Train.default with
         Fl.Train.t_generations = generations;
         t_edits = edits;
         t_edit_schedule = schedule;

@@ -2,15 +2,9 @@ open Csspgo_support
 module Ir = Csspgo_ir
 module I = Ir.Instr
 
-type options = {
-  enable_tce : bool;
-  enable_split : bool;
-  order_by_hotness : bool;
-  layout : [ `Hot_path | `Ext_tsp ];
-}
+type options = { layout : [ `Hot_path | `Ext_tsp ] }
 
-let default_options =
-  { enable_tce = true; enable_split = true; order_by_hotness = true; layout = `Ext_tsp }
+let default_options = { layout = `Ext_tsp }
 
 type patch =
   | PJmp of int * Ir.Types.label                    (* func ordinal, target *)
@@ -39,7 +33,7 @@ let emit ~options (p : Ir.Program.t) =
   let fn_list = List.map (Ir.Program.func p) names in
   let any_annotated = List.exists (fun f -> f.Ir.Func.annotated) fn_list in
   let ordered =
-    if options.order_by_hotness && any_annotated then
+    if any_annotated then
       List.sort
         (fun a b ->
           let c = Int64.compare (Ir.Func.total_count b) (Ir.Func.total_count a) in
@@ -47,13 +41,13 @@ let emit ~options (p : Ir.Program.t) =
         fn_list
     else fn_list
   in
-  let mfuncs = List.map (Isel.select ~enable_tce:options.enable_tce) ordered in
+  let mfuncs = List.map Isel.select ordered in
   let layout_fn =
     match options.layout with
     | `Hot_path -> Layout.order
     | `Ext_tsp -> Layout.order_ext_tsp
   in
-  let layouts = List.map (layout_fn ~split:options.enable_split) ordered in
+  let layouts = List.map (layout_fn ~split:true) ordered in
   let insts : pending_inst Vec.t = Vec.create () in
   let patches : (int * patch) list ref = ref [] in
   let probes : pending_probe list ref = ref [] in

@@ -3,19 +3,15 @@
     metadata sections — symbol table, line table (debug info), pseudo-probe
     records anchored at the address of the probe's next real instruction.
 
-    Function order is profile-guided when a profile is present (hot
-    functions packed together); cold split parts of all functions are
-    placed after the last hot function. *)
+    Every binary is built with the production -O2 setup: tail-call
+    elimination ({!Isel.select}), hot/cold function splitting, and a
+    profile-guided function order when a profile is present (hot functions
+    packed together); cold split parts of all functions are placed after
+    the last hot function. *)
 
-type options = {
-  enable_tce : bool;       (** tail-call elimination *)
-  enable_split : bool;     (** hot/cold function splitting *)
-  order_by_hotness : bool; (** profile-guided function ordering *)
-  layout : [ `Hot_path | `Ext_tsp ];  (** block layout algorithm *)
-}
+type options = { layout : [ `Hot_path | `Ext_tsp ] (** block layout algorithm *) }
 
 val default_options : options
-(** TCE on, splitting on, hotness ordering on, Ext-TSP layout — the
-    production -O2 setup (the paper enables Ext-TSP for all variants). *)
+(** Ext-TSP layout (the paper enables Ext-TSP for all variants). *)
 
 val emit : options:options -> Csspgo_ir.Program.t -> Mach.binary

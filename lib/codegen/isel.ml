@@ -128,7 +128,7 @@ let select_instr ctx (i : I.t) =
       let o = use_loose ctx (T.Reg r) in
       emit ctx dloc (Mach.MValprof (site, o))
 
-let select ~enable_tce (f : Ir.Func.t) =
+let select (f : Ir.Func.t) =
   let ra = Regalloc.allocate f in
   let blocks = Hashtbl.create 16 in
   Ir.Func.iter_blocks
@@ -137,7 +137,7 @@ let select ~enable_tce (f : Ir.Func.t) =
       let n = Vec.length b.Ir.Block.instrs in
       (* Tail-call pattern: the block returns the result of its last call. *)
       let tce_idx =
-        if enable_tce && n > 0 then
+        if n > 0 then
           match (b.Ir.Block.term, (Vec.get b.Ir.Block.instrs (n - 1)).I.op) with
           | I.Ret (T.Reg rv), I.Call { c_ret = Some d; _ } when rv = d -> Some (n - 1)
           | _ -> None

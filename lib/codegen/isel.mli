@@ -5,9 +5,9 @@
     instructions. Call arguments and returns may address spill slots
     directly ([OSpill]), which the VM charges as a memory access.
 
-    With [enable_tce], a call immediately followed by a return of its result
-    becomes a tail call: the frame is replaced, and the caller disappears
-    from stack samples (the missing-frame problem of §III.B). *)
+    A call immediately followed by a return of its result becomes a tail
+    call (tail-call elimination): the frame is replaced, and the caller
+    disappears from stack samples (the missing-frame problem of §III.B). *)
 
 type term_prep =
   | TP_ret of Mach.moperand
@@ -32,4 +32,4 @@ type mfunc = {
   mf_ra : Regalloc.t;
 }
 
-val select : enable_tce:bool -> Csspgo_ir.Func.t -> mfunc
+val select : Csspgo_ir.Func.t -> mfunc

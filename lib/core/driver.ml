@@ -32,7 +32,6 @@ let variant_name = function
 type options = {
   pmu : Vm.Machine.pmu;
   opt_profiling : Opt.Config.t;
-  opt_final : Opt.Config.t;
   emit_opts : Cg.Emit.options;
   trim_threshold : int64;
   preinline : Preinliner.config option;
@@ -43,7 +42,6 @@ let default_options =
   {
     pmu = { Vm.Machine.default_pmu with sample_period = 1009 };
     opt_profiling = Opt.Config.o2_nopgo;
-    opt_final = Opt.Config.o2;
     emit_opts = Cg.Emit.default_options;
     trim_threshold = 8L;
     preinline = Some Preinliner.default_config;
@@ -214,7 +212,7 @@ module Plan = struct
         {
           r_probes = probes;
           r_prepass = prepass;
-          r_config = options.opt_final;
+          r_config = Opt.Config.o2;
           r_emit = options.emit_opts;
         }
     in
@@ -321,7 +319,7 @@ module Plan = struct
         {
           r_probes = probes;
           r_prepass = None;
-          r_config = options.opt_final;
+          r_config = Opt.Config.o2;
           r_emit = options.emit_opts;
         }
     in

@@ -32,7 +32,6 @@ val variant_name : variant -> string
 type options = {
   pmu : Csspgo_vm.Machine.pmu;
   opt_profiling : Csspgo_opt.Config.t;  (** pipeline for profiling builds *)
-  opt_final : Csspgo_opt.Config.t;      (** pipeline for optimized builds *)
   emit_opts : Csspgo_codegen.Emit.options;
   trim_threshold : int64;               (** cold-context trimming (0 = off) *)
   preinline : Preinliner.config option; (** [None] disables the pre-inliner *)
@@ -110,7 +109,7 @@ module Plan : sig
     r_probes : bool;
     r_prepass : Csspgo_opt.Config.t option;
         (** statically optimize before annotation (the no-PGO baseline) *)
-    r_config : Csspgo_opt.Config.t;       (** final optimization pipeline *)
+    r_config : Csspgo_opt.Config.t;       (** final pipeline, {!Csspgo_opt.Config.o2} *)
     r_emit : Csspgo_codegen.Emit.options;
   }
 

@@ -9,11 +9,8 @@ type config = {
   t_generations : int;
   t_edits : int;
   t_edit_schedule : int list;
-  t_drift_seed : int64;
   t_skew : int;
   t_cohort : int;
-  t_carry_weight : int64;
-  t_fresh_weight : int64;
   t_overlap : bool;
   t_fleet : Sim.config;
 }
@@ -23,11 +20,8 @@ let default =
     t_generations = 3;
     t_edits = 2;
     t_edit_schedule = [];
-    t_drift_seed = 7L;
     t_skew = 1;
     t_cohort = 2;
-    t_carry_weight = 1L;
-    t_fresh_weight = 3L;
     t_overlap = true;
     t_fleet = Sim.default;
   }
@@ -64,13 +58,11 @@ let run ?obs ?series ?health cfg (w : D.workload) =
      compound down the train the way real source history does. The edit
      schedule overrides the uniform count per transition — entry [g-1]
      is the drift applied between generation g-1 and g (a mid-train
-     spike is one large entry). *)
+     spike is one large entry). Generation g's edits are seeded from g. *)
   let sources = Array.make cfg.t_generations w.D.w_source in
   for g = 1 to cfg.t_generations - 1 do
     sources.(g) <-
-      (W.Drift.apply
-         ~seed:(Fnv.int cfg.t_drift_seed g)
-         ~edits:(edits_for cfg g) sources.(g - 1))
+      (W.Drift.apply ~seed:(Fnv.int 7L g) ~edits:(edits_for cfg g) sources.(g - 1))
         .W.Drift.dr_source
   done;
   let kind = Build.kind_of_shape cfg.t_fleet.Sim.f_shape in
@@ -101,15 +93,15 @@ let run ?obs ?series ?health cfg (w : D.workload) =
             in
             ( P.Merge.weighted_pairs ~kind
                 [
-                  (cfg.t_carry_weight, matched, matched_flat);
-                  (cfg.t_fresh_weight, fleet.Sim.fs_profile, fleet.Sim.fs_flat);
+                  (1L, matched, matched_flat);
+                  (3L, fleet.Sim.fs_profile, fleet.Sim.fs_flat);
                 ],
               Some rep )
       in
       carried := Some (profile, flat);
       (* One health/series window per generation, carrying the
          window-over-window overlap of the fresh fleet profiles — the
-         merge-dilution/drift signal thresholds can't see in counters. *)
+         merge-dilution/drift signal no counter limit can see. *)
       let wov =
         match !prev_window with
         | None -> None

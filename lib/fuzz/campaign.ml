@@ -230,9 +230,7 @@ let build_plan ?inject pl src =
       Ir.Program.iter_funcs g p;
       Ir.Verify.check_exn p
   | None -> ());
-  Cg.Emit.emit
-    ~options:{ Cg.Emit.default_options with Cg.Emit.layout = pl.pl_layout }
-    p
+  Cg.Emit.emit ~options:{ Cg.Emit.layout = pl.pl_layout } p
 
 (* Fuzz programs are tiny: at the driver's default sampling period they
    finish within a handful of samples and every probe profile comes out

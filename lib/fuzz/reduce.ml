@@ -86,7 +86,7 @@ let apply_rewrite lines i repl =
 let count_source_lines s =
   List.length (List.filter (fun l -> String.trim l <> "") (split_lines s))
 
-let minimize ?(max_rounds = 20) ~check src =
+let minimize ~check src =
   let current = ref src in
   let try_accept cand =
     if cand <> !current && check cand then begin
@@ -152,5 +152,5 @@ let minimize ?(max_rounds = 20) ~check src =
     !progress
   in
   let rec loop k = if k > 0 && round () then loop (k - 1) in
-  loop max_rounds;
+  loop 20;
   !current

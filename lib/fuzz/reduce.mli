@@ -8,11 +8,11 @@
     parse or that fail for a *different* reason, so reducers stay anchored
     to one bug. *)
 
-val minimize : ?max_rounds:int -> check:(string -> bool) -> string -> string
+val minimize : check:(string -> bool) -> string -> string
 (** Shrink [src] to a ~minimal source still satisfying [check]. [check] is
     never called on the original source; the caller guarantees it is
-    interesting. Runs simplification rounds to a fixpoint, at most
-    [max_rounds] (default 20) times. *)
+    interesting. Runs simplification rounds to a fixpoint, at most 20
+    times. *)
 
 val count_source_lines : string -> int
 (** Non-blank line count — the size metric reported for reproducers. *)

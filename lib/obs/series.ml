@@ -8,7 +8,6 @@ type window = {
 
 type t = {
   retain : int;
-  drop_prefixes : string list;
   cursor : Clock.cursor option;
   mutable prev : Metrics.snapshot option;  (* last cumulative snapshot *)
   mutable prev_at : int64;
@@ -17,12 +16,13 @@ type t = {
   mutable evicted : int;
 }
 
-let create ?(retain = 64) ?(drop_prefixes = [ "sched."; "parcorr.jobs-clamped" ]) ?clock
-    () =
+(* Schedule-dependent instruments, left out of every window. *)
+let schedule_dependent = [ "sched."; "parcorr.jobs-clamped" ]
+
+let create ?(retain = 64) ?clock () =
   let clock = match clock with Some c -> c | None -> Clock.fixed () in
   {
     retain = max 1 retain;
-    drop_prefixes;
     cursor = Some (Clock.cursor clock);
     prev = None;
     prev_at = 0L;
@@ -31,12 +31,12 @@ let create ?(retain = 64) ?(drop_prefixes = [ "sched."; "parcorr.jobs-clamped" ]
     evicted = 0;
   }
 
-let dropped t name =
+let dropped name =
   List.exists
     (fun p ->
       String.length name >= String.length p
       && String.equal (String.sub name 0 (String.length p)) p)
-    t.drop_prefixes
+    schedule_dependent
 
 (* Merge-walk two name-sorted cumulative counter lists into per-window
    deltas; names absent on the previous side count from zero. *)
@@ -61,9 +61,9 @@ let hist_counters (snap : Metrics.snapshot) =
       [ (name ^ "/count", h.Metrics.h_count); (name ^ "/sum", h.Metrics.h_sum) ])
     snap.Metrics.s_histograms
 
-let cumulative_counters t (snap : Metrics.snapshot) =
+let cumulative_counters (snap : Metrics.snapshot) =
   List.filter
-    (fun (n, _) -> not (dropped t n))
+    (fun (n, _) -> not (dropped n))
     (List.sort compare (snap.Metrics.s_counters @ hist_counters snap))
 
 let push t w =
@@ -84,11 +84,11 @@ let record t (snap : Metrics.snapshot) =
     match t.cursor with Some c -> Clock.now_us c | None -> Int64.of_int t.total
   in
   let prev_counters =
-    match t.prev with None -> [] | Some p -> cumulative_counters t p
+    match t.prev with None -> [] | Some p -> cumulative_counters p
   in
-  let counters = delta_counters prev_counters (cumulative_counters t snap) in
+  let counters = delta_counters prev_counters (cumulative_counters snap) in
   let gauges =
-    List.filter (fun (n, _) -> not (dropped t n)) snap.Metrics.s_gauges
+    List.filter (fun (n, _) -> not (dropped n)) snap.Metrics.s_gauges
   in
   let dur = if t.prev = None then 0L else Int64.sub at t.prev_at in
   let w =
@@ -160,7 +160,6 @@ let merge a b =
   let total = max a.total b.total in
   {
     retain;
-    drop_prefixes = a.drop_prefixes;
     cursor = None;
     prev = None;
     prev_at = 0L;

@@ -38,13 +38,12 @@ type window = {
 
 type t
 
-val create :
-  ?retain:int -> ?drop_prefixes:string list -> ?clock:Clock.t -> unit -> t
-(** A fresh series. [retain] (default 64, min 1) bounds the ring.
-    [drop_prefixes] (default [["sched."; "parcorr.jobs-clamped"]]) names
-    schedule-dependent instruments to exclude: the scheduler's own, and
-    the count of [-j] requests clamped to the host's cores. [clock] (default a fixed clock) provides the
-    per-record timestamps via its own cursor. *)
+val create : ?retain:int -> ?clock:Clock.t -> unit -> t
+(** A fresh series. [retain] (default 64, min 1) bounds the ring. [clock]
+    (default a fixed clock) provides the per-record timestamps via its own
+    cursor. Windows leave out the schedule-dependent instruments: the
+    scheduler's own ([sched.*]) and the count of [-j] requests clamped to
+    the host's cores ([parcorr.jobs-clamped]). *)
 
 val record : t -> Metrics.snapshot -> window
 (** Close one window: delta the cumulative snapshot against the previous

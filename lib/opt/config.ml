@@ -3,54 +3,19 @@ type inline_mode = Inline_none | Inline_static | Inline_profile
 type t = {
   opt_level : int;
   inline_mode : inline_mode;
-  inline_budget : int;
-  inline_callee_limit : int;
-  hot_callsite_count : int64;
-  enable_tail_merge : bool;
-  enable_licm : bool;
-  enable_ifcvt : bool;
-  enable_tail_dup : bool;
-  enable_unroll : bool;
-  unroll_factor : int;
   probes_strong : bool;
-  cross_module_inline : bool;
   verify_between_passes : bool;
 }
+
+let hot_count = 32L
 
 let o0 =
   {
     opt_level = 0;
     inline_mode = Inline_none;
-    inline_budget = 0;
-    inline_callee_limit = 0;
-    hot_callsite_count = Int64.max_int;
-    enable_tail_merge = false;
-    enable_licm = false;
-    enable_ifcvt = false;
-    enable_tail_dup = false;
-    enable_unroll = false;
-    unroll_factor = 1;
     probes_strong = false;
-    cross_module_inline = false;
     verify_between_passes = false;
   }
 
-let o2 =
-  {
-    opt_level = 2;
-    inline_mode = Inline_profile;
-    inline_budget = 500;
-    inline_callee_limit = 120;
-    hot_callsite_count = 32L;
-    enable_tail_merge = true;
-    enable_licm = true;
-    enable_ifcvt = true;
-    enable_tail_dup = true;
-    enable_unroll = true;
-    unroll_factor = 2;
-    probes_strong = false;
-    cross_module_inline = true;
-    verify_between_passes = false;
-  }
-
+let o2 = { o0 with opt_level = 2; inline_mode = Inline_profile }
 let o2_nopgo = { o2 with inline_mode = Inline_static }

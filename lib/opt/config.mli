@@ -1,6 +1,10 @@
 (** Optimization pipeline configuration.
 
-    The probe knobs implement the paper's "flexible framework" trade-off:
+    Every optimized build runs the one -O2 pipeline (inlining across
+    modules, LICM, unrolling, if-conversion, tail duplication and tail
+    merging); what varies is the inliner's mode and probe strength.
+
+    The probe knob implements the paper's "flexible framework" trade-off:
     pseudo-probes always block code *merge* (their different ids make merged
     blocks non-identical), while the fine-tuned default leaves if-conversion
     and empty-block forwarding unblocked to keep run-time overhead near zero
@@ -10,27 +14,19 @@
 type inline_mode =
   | Inline_none
   | Inline_static        (** size-heuristic only (no profile) *)
-  | Inline_profile       (** bottom-up, hotness-driven, intra-module *)
+  | Inline_profile       (** bottom-up, hotness-driven *)
 
 type t = {
-  opt_level : int;              (** 0 = almost nothing, 2 = full pipeline *)
+  opt_level : int;              (** 0 = initial cleanup only, 2 = full pipeline *)
   inline_mode : inline_mode;
-  inline_budget : int;          (** max estimated size growth per caller *)
-  inline_callee_limit : int;    (** max callee instr count considered *)
-  hot_callsite_count : int64;   (** hotness threshold for profile inlining *)
-  enable_tail_merge : bool;
-  enable_licm : bool;
-  enable_ifcvt : bool;
-  enable_tail_dup : bool;
-  enable_unroll : bool;
-  unroll_factor : int;
   probes_strong : bool;         (** probes block if-convert & forwarding too *)
-  cross_module_inline : bool;   (** ThinLTO-style importing: inlining across
-                                    modules is allowed, but the *profile* of an
-                                    imported callee is still scaled, never
-                                    adjusted (§III.B) *)
   verify_between_passes : bool;
 }
+
+val hot_count : int64
+(** Profile count (32) at which a call site, loop header or join block
+    counts as hot for profile-driven inlining, unrolling and tail
+    duplication. *)
 
 val o0 : t
 val o2 : t

@@ -16,8 +16,8 @@
 
     [run] is the in-compiler bottom-up inliner (LLVM CGSCC-style): cost =
     callee instruction count, benefit = callsite hotness when a profile is
-    present. It only sees callees in the same module unless
-    [cross_module_inline] is set — the ThinLTO-style limitation. *)
+    present. It inlines across modules, ThinLTO-style: an imported callee's
+    profile is still scaled, never adjusted (§III.B). *)
 
 type result = {
   block_map : (Csspgo_ir.Types.label * Csspgo_ir.Types.label) list;

@@ -34,27 +34,22 @@ let run_step ~(config : Config.t) step (f : Ir.Func.t) =
   | Constfold -> Constfold.run f
   | Simplify -> Simplify.run ~config f
   | Licm -> Licm.run f
-  | Unroll -> Unroll.run ~config f
+  | Unroll -> Unroll.run f
   | Ifcvt -> Ifcvt.run ~config f
-  | Tail_dup -> Tail_dup.run ~config f
+  | Tail_dup -> Tail_dup.run f
   | Tail_merge -> Tail_merge.run f
   | Dce -> Dce.run f
 
 let steps_of_config (config : Config.t) =
   if config.Config.opt_level < 1 then []
-  else if config.Config.opt_level = 1 then [ Constfold; Simplify ]
   else
-    [ Constfold; Simplify ]
-    @ (if config.Config.enable_licm then [ Licm ] else [])
-    @ (if config.Config.enable_unroll then [ Unroll ] else [])
     (* If-conversion before tail duplication: duplicating a join block into
        the arms destroys the diamond pattern (profitability, not safety —
        any order must stay semantics-preserving). *)
-    @ (if config.Config.enable_ifcvt then [ Ifcvt ] else [])
-    @ (if config.Config.enable_tail_dup then [ Tail_dup ] else [])
-    @ [ Constfold; Simplify ]
-    @ (if config.Config.enable_tail_merge then [ Tail_merge ] else [])
-    @ [ Dce; Simplify ]
+    [
+      Constfold; Simplify; Licm; Unroll; Ifcvt; Tail_dup;
+      Constfold; Simplify; Tail_merge; Dce; Simplify;
+    ]
 
 let verify_if ~(config : Config.t) p stage =
   if config.Config.verify_between_passes then

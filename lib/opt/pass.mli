@@ -27,8 +27,8 @@ val steps_of_config : Config.t -> step list
     -O0; includes the repeated cleanup steps at -O2). *)
 
 val run_step : config:Config.t -> step -> Csspgo_ir.Func.t -> bool
-(** Run one step unconditionally — the step list, not the config's
-    [enable_*] flags, decides what runs. Returns true if the IR changed. *)
+(** Run one step unconditionally — the step list decides what runs.
+    Returns true if the IR changed. *)
 
 val optimize_func_with :
   config:Config.t ->

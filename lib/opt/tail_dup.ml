@@ -6,12 +6,12 @@ module B = Ir.Block
 (* Candidate: a non-entry block with >= 2 predecessors, a short body, and a
    [Ret] or [Jmp] terminator (no branching tails — keeps the transform
    simple and profitable). *)
-let candidate ~(config : Config.t) (f : Ir.Func.t) preds (b : B.t) =
+let candidate (f : Ir.Func.t) preds (b : B.t) =
   let nb_preds = List.length (Option.value (Hashtbl.find_opt preds b.B.id) ~default:[]) in
   let small_enough =
     if f.Ir.Func.annotated then
       Vec.length b.B.instrs <= 4
-      && Int64.compare b.B.count config.Config.hot_callsite_count >= 0
+      && Int64.compare b.B.count Config.hot_count >= 0
     else Vec.length b.B.instrs <= 2
   in
   b.B.id <> f.Ir.Func.entry
@@ -40,11 +40,11 @@ let duplicate (f : Ir.Func.t) preds (b : B.t) =
       end)
     ps
 
-let run ~config (f : Ir.Func.t) =
+let run (f : Ir.Func.t) =
   let preds = Ir.Cfg.preds f in
   let cands =
     Ir.Func.fold_blocks
-      (fun acc b -> if candidate ~config f preds b then b :: acc else acc)
+      (fun acc b -> if candidate f preds b then b :: acc else acc)
       [] f
   in
   List.iter (duplicate f preds) cands;

@@ -3,4 +3,4 @@
     duplication* hazard for DWARF correlation; probe copies keep their id
     and are summed by probe correlation. *)
 
-val run : config:Config.t -> Csspgo_ir.Func.t -> bool
+val run : Csspgo_ir.Func.t -> bool

@@ -12,7 +12,7 @@ let body_size f (loop : Ir.Cfg.loop) =
     loop.Ir.Cfg.body 0
 
 (* A loop is worth replicating when it is small and (with a profile) hot. *)
-let should_unroll ~(config : Config.t) (f : Ir.Func.t) (loop : Ir.Cfg.loop) =
+let should_unroll (f : Ir.Func.t) (loop : Ir.Cfg.loop) =
   let n_blocks = Hashtbl.length loop.Ir.Cfg.body in
   let size = body_size f loop in
   if f.Ir.Func.annotated then
@@ -20,7 +20,7 @@ let should_unroll ~(config : Config.t) (f : Ir.Func.t) (loop : Ir.Cfg.loop) =
        (post-inline loops carry extra blocks from call splitting). *)
     let header = Ir.Func.block f loop.Ir.Cfg.header in
     n_blocks <= 6 && size <= 30
-    && Int64.compare header.B.count config.Config.hot_callsite_count >= 0
+    && Int64.compare header.B.count Config.hot_count >= 0
   else n_blocks <= 3 && size <= 12
 
 let replicate (f : Ir.Func.t) (loop : Ir.Cfg.loop) =
@@ -61,7 +61,7 @@ let replicate (f : Ir.Func.t) (loop : Ir.Cfg.loop) =
         I.map_term_labels (fun t -> if t = header then clone_of header else t) orig.B.term)
     loop.Ir.Cfg.body
 
-let run ~config (f : Ir.Func.t) =
+let run (f : Ir.Func.t) =
   let loops = Ir.Cfg.natural_loops f in
   (* Innermost-ish heuristic: smaller loops first; skip nested once a loop
      containing them was transformed this round. *)
@@ -77,7 +77,7 @@ let run ~config (f : Ir.Func.t) =
       let overlaps =
         Hashtbl.fold (fun l () acc -> acc || Hashtbl.mem touched l) loop.Ir.Cfg.body false
       in
-      if (not overlaps) && should_unroll ~config f loop then begin
+      if (not overlaps) && should_unroll f loop then begin
         replicate f loop;
         Hashtbl.iter (fun l () -> Hashtbl.replace touched l ()) loop.Ir.Cfg.body;
         changed := true

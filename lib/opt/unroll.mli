@@ -10,4 +10,4 @@
     max-heuristic reports roughly half the true line frequency, while cloned
     pseudo-probes keep their id and probe correlation sums the copies. *)
 
-val run : config:Config.t -> Csspgo_ir.Func.t -> bool
+val run : Csspgo_ir.Func.t -> bool

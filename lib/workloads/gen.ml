@@ -171,9 +171,9 @@ let gen_fn ctx name arity =
   Buffer.add_string ctx.buf (Printf.sprintf "  return %s;\n" (gen_expr ctx 2));
   Buffer.add_string ctx.buf "}\n\n"
 
-let random_source ?(n_funcs = 6) ?(n_globals = 2) ?(size = 2) ~seed () =
+let random_source ?(n_funcs = 6) ?(size = 2) ~seed () =
   let rng = Rng.create seed in
-  let globals = Array.init n_globals (fun i -> Printf.sprintf "g%d" i) in
+  let globals = [| "g0"; "g1" |] in
   let ctx =
     { rng; buf = Buffer.create 4096; globals; size = max 0 size; callable = [];
       vars = []; ro_vars = []; fresh = 0; depth = 0; calls_left = 3;

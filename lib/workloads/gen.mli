@@ -14,8 +14,8 @@
 
     The same seed always yields the same source text. *)
 
-val random_source :
-  ?n_funcs:int -> ?n_globals:int -> ?size:int -> seed:int64 -> unit -> string
-(** A full program with a [main(a, b)] entry point. [size] (default 2)
+val random_source : ?n_funcs:int -> ?size:int -> seed:int64 -> unit -> string
+(** A full program with a [main(a, b)] entry point and two global arrays,
+    [g0] and [g1]. [size] (default 2)
     scales statements per block and the per-function call budget; 0 gives
     near-minimal straight-line functions. *)

@@ -117,8 +117,8 @@ let test_ext_tsp_layout () =
       .Csspgo_vm.Machine.ret_value
   in
   Alcotest.(check int64) "semantics independent of layout"
-    (run Cg.Emit.default_options)
-    (run { Cg.Emit.default_options with Cg.Emit.layout = `Ext_tsp })
+    (run { Cg.Emit.layout = `Hot_path })
+    (run { Cg.Emit.layout = `Ext_tsp })
 
 let test_emit_addr_map () =
   let p = compile_o2 Csspgo_workloads.Suite.vecop_example in
@@ -195,33 +195,29 @@ let test_cold_split_ranges () =
       | None -> ())
     b.Mach.funcs
 
+(* Tail-call elimination: [outer] returns the result of its call, so the
+   call is emitted as [MTail_call]. Inlining is off so the call survives
+   the optimizer; without it the check would have nothing to look at. *)
 let test_tce_emits_tail_call () =
   let p =
-    compile_o2
-      "fn big_helper(x, y) { let s = 0; let i = 0; while (i < x) { s = s + y + i * 3; i = i + 1; if (s > 100000) { s = s - 7; } } return s; }\nfn outer(x) { return big_helper(x, 2); }\nfn main(a) { return outer(a) + big_helper(a, a); }"
+    F.Lower.compile
+      "fn helper(x) { let s = 0; let i = 0; while (i < x) { s = s + i * 3; i = i + 1; } return s; }\nfn outer(x) { return helper(x + 1); }\nfn main(a) { return outer(a) + 1; }"
   in
-  (* keep outer from being inlined by checking the IR first: if it was
-     inlined, the test is vacuous — just assert the binary is well-formed
-     and, when a call in tail position survived, it became MTail_call. *)
+  Opt.Pass.optimize
+    ~config:{ Opt.Config.o2_nopgo with Opt.Config.inline_mode = Opt.Config.Inline_none }
+    p;
   let b = Cg.Emit.emit ~options:Cg.Emit.default_options p in
-  let n_tail =
+  let tail_calls_in name =
     Array.fold_left
       (fun acc (i : Mach.inst) ->
-        match i.Mach.i_op with Mach.MTail_call _ -> acc + 1 | _ -> acc)
+        match i.Mach.i_op with
+        | Mach.MTail_call _ when String.equal b.Mach.funcs.(i.Mach.i_func).Mach.bf_name name ->
+            acc + 1
+        | _ -> acc)
       0 b.Mach.insts
   in
-  ignore n_tail;
-  (* disabled TCE must produce zero tail calls *)
-  let b2 =
-    Cg.Emit.emit ~options:{ Cg.Emit.default_options with Cg.Emit.enable_tce = false } p
-  in
-  let n_tail2 =
-    Array.fold_left
-      (fun acc (i : Mach.inst) ->
-        match i.Mach.i_op with Mach.MTail_call _ -> acc + 1 | _ -> acc)
-      0 b2.Mach.insts
-  in
-  Alcotest.(check int) "no tail calls when disabled" 0 n_tail2
+  Alcotest.(check int) "outer's call in tail position" 1 (tail_calls_in "outer");
+  Alcotest.(check int) "main's call is followed by an add" 0 (tail_calls_in "main")
 
 let test_size_accounting () =
   let p = F.Lower.compile Csspgo_workloads.Suite.vecop_example in
@@ -245,6 +241,6 @@ let suite =
       Alcotest.test_case "emit probe anchors" `Quick test_emit_probe_anchors;
       Alcotest.test_case "branch targets resolve" `Quick test_emit_branch_targets_resolve;
       Alcotest.test_case "cold split ranges" `Slow test_cold_split_ranges;
-      Alcotest.test_case "tce toggle" `Quick test_tce_emits_tail_call;
+      Alcotest.test_case "tail call emitted" `Quick test_tce_emits_tail_call;
       Alcotest.test_case "size accounting" `Quick test_size_accounting;
     ] )

@@ -168,7 +168,7 @@ let test_unroll_replicates () =
   let p = F.Lower.compile "fn main(n) { let s = 0; let i = 0; while (i < n) { s = s + i; i = i + 1; } return s; }" in
   Ir.Program.iter_funcs (fun f -> ignore (Opt.Simplify.run ~config:Opt.Config.o2_nopgo f)) p;
   let before = total_blocks p in
-  Ir.Program.iter_funcs (fun f -> ignore (Opt.Unroll.run ~config:Opt.Config.o2_nopgo f)) p;
+  Ir.Program.iter_funcs (fun f -> ignore (Opt.Unroll.run f)) p;
   Ir.Verify.check_exn p;
   Alcotest.(check bool) "blocks duplicated" true (total_blocks p > before);
   (* Correct for every trip count, including 0 and odd. *)
