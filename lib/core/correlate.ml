@@ -64,7 +64,8 @@ let plan ?(target = Vm.Sample_log.chunk_samples) chunks =
 
 let bump obs name v = Obs.Metrics.bump (Obs.Metrics.counter obs name) v
 
-(* Every replay that walks samples counts its shards. *)
+(* Each kernel run counts its shards and samples once, however many
+   replays of them it makes. *)
 let observe ?(obs = Obs.Metrics.null) shards =
   bump obs "parcorr.shards" (List.length shards);
   bump obs "parcorr.samples"
@@ -77,7 +78,6 @@ let observe ?(obs = Obs.Metrics.null) shards =
 let iter_shard shard f = List.iter (fun log -> Vm.Sample_log.iter log f) shard
 
 let aggregate ?obs ~jobs shards =
-  observe ?obs shards;
   let aggs =
     S.map ?obs ~jobs
       (fun shard ->
@@ -168,6 +168,7 @@ let run ?obs ~jobs ~missing_frames ~trim:threshold ?(keep_shards = false) shape 
     | Log log -> [ [ log ] ]
     | Shards shards -> shards
   in
+  observe ?obs shards;
   let aggs, agg = aggregate ?obs ~jobs shards in
   match shape with
   | Lines | Probes ->
@@ -188,7 +189,6 @@ let run ?obs ~jobs ~missing_frames ~trim:threshold ?(keep_shards = false) shape 
          per-sample given that table, so shard tries partition the serial
          trie's counts exactly. Per-shard flushes of the [ctx.*] counters
          sum to the serial totals. *)
-      observe ?obs shards;
       let name_of = Some (name_of t.sy) and checksum_of = checksum_of t.sy in
       let parts =
         S.map ?obs ~jobs

@@ -95,4 +95,6 @@ val run :
     counters ([dwarf-corr.*], [probe-corr.*], [ctx.*],
     [missing-frame.edges]) and the shard and scheduler counters
     ([parcorr.*], [sched.*]), and its trace the scheduler's spans. Every
-    run counts its shards, a one-shard serial run included. *)
+    run counts its shards and samples once ([parcorr.shards],
+    [parcorr.samples]), a one-shard serial run included, however many
+    times it replays them. *)

@@ -420,10 +420,13 @@ let tenancy_case shape =
    hand-written correlation copies that preceded [Correlate]. The serial
    [correlate] and labeled counter digests were re-recorded when the one
    [obs] registry began taking the shard counters: they gained only the
-   [parcorr.shards] and [parcorr.samples] lines. The [sim], [train] and
-   [tenancy] digests were recorded while [Sim], [Train] and [Tenancy]
-   each still wrote their own request partition, serve loop and
-   route-then-merge step. *)
+   [parcorr.shards] and [parcorr.samples] lines. The five ctx counter
+   digests ([fleet ctx] correlate and chunks, [labeled ctx], [sim ctx],
+   [tenancy ctx]) were re-recorded when a kernel run began counting its
+   shards once instead of once per replay: only those two lines changed,
+   each halved. The [sim], [train] and [tenancy] digests were recorded
+   while [Sim], [Train] and [Tenancy] each still wrote their own request
+   partition, serve loop and route-then-merge step. *)
 let pinned =
   [
     ("adranker ranges", "22227ac3c6ebe9ee");
@@ -476,12 +479,12 @@ let pinned =
     ("fleet probes chunks counters", "e46a86ec9a90f3c5");
     ("fleet ctx correlate profile", "930131de02d0373e");
     ("fleet ctx correlate flat", "e000c7c137a50f00");
-    ("fleet ctx correlate counters", "a3eab20f6a02ae9c");
+    ("fleet ctx correlate counters", "a9e92a038f1525eb");
     ("fleet ctx chunks -j 1 profile", "930131de02d0373e");
     ("fleet ctx chunks -j 1 flat", "e000c7c137a50f00");
     ("fleet ctx chunks -j 2 profile", "930131de02d0373e");
     ("fleet ctx chunks -j 2 flat", "e000c7c137a50f00");
-    ("fleet ctx chunks counters", "ff3cfa7af39275b8");
+    ("fleet ctx chunks counters", "e4da11340f4de911");
     ("labeled lines -j 1 slices", "7f32b6db730a58f9");
     ("labeled lines -j 1 blend", "972bc751263354ae");
     ("labeled lines -j 1 flat", "cbf29ce484222325");
@@ -502,7 +505,7 @@ let pinned =
     ("labeled ctx -j 2 slices", "8ec785234d1a4dd8");
     ("labeled ctx -j 2 blend", "708b9d73aba4305d");
     ("labeled ctx -j 2 flat", "7fe738e810731375");
-    ("labeled ctx counters", "288abc2cb5831c1e");
+    ("labeled ctx counters", "66ffd222c70f54df");
     ("sim ctx profile", "4dc73093a20b4281");
     ("sim ctx flat", "ae5013c66b638992");
     ("sim ctx v0 profile", "930131de02d0373e");
@@ -510,7 +513,7 @@ let pinned =
     ("sim ctx v1 profile", "3962e7cfd662b31c");
     ("sim ctx v1 stale", "cbf29ce484222325");
     ("sim ctx counts", "884e5123dd945052");
-    ("sim ctx counters", "602a725166244b7d");
+    ("sim ctx counters", "5e6cab45caf7bb2a");
     ("sim lines profile", "be1442ddca0c6da4");
     ("sim lines flat", "cbf29ce484222325");
     ("sim lines v0 profile", "885b9fea7ac78773");
@@ -548,7 +551,7 @@ let pinned =
     ("tenancy ctx slices", "8ec785234d1a4dd8");
     ("tenancy ctx tenants", "6cdacbac360bb727");
     ("tenancy ctx counts", "d66f6526228b84d0");
-    ("tenancy ctx counters", "28193f1082bff927");
+    ("tenancy ctx counters", "1df672621f8b5680");
   ]
 
 let check_case (name, run) () =
