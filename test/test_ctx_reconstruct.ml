@@ -4,8 +4,9 @@
    reconstruction that preceded interned caller stacks. Every case runs
    three ways: one [start]/[feed]/[finish] stream over the sample log,
    [Correlate.run] over small shards at -j 2, and [naive_reconstruct], an
-   independent Algorithm 1 written from the paper's pseudo-code. haas is
-   checked against that oracle too. *)
+   independent Algorithm 1 written from the paper's pseudo-code. haas and
+   adfinder built without inlining (whose samples cross tail-call gaps)
+   are checked against that oracle too. *)
 module F = Csspgo_frontend
 module Ir = Csspgo_ir
 module Opt = Csspgo_opt
@@ -328,17 +329,16 @@ let check_case c () =
       Alcotest.(check bool) "gaps resolved" true (st.CR.st_gaps_resolved > 0)
   | _ -> Alcotest.(check bool) "misaligned drops" true (st.CR.st_dropped_misaligned > 0)
 
-(* haas recurses through a dozen functions. Its probe build, profiled on
-   the first training input at period 1009 (25,976 samples) with
-   missing-frame inference on, makes 415,616 attributions over 91,520
-   distinct (range, stack) keys and 18,854 interned stacks. *)
-let test_oracle_haas () =
+(* A suite workload's probe build under [config], profiled on its first
+   training input at period 1009 with missing-frame inference on: the
+   kernel and the oracle must agree on the stats and the ctx text.
+   Returns the log and the kernel's stats for the case's own checks. *)
+let oracle_check ~config (w : Core.Driver.workload) =
   let module D = Core.Driver in
-  let w = Csspgo_workloads.Suite.haas in
   let p = F.Lower.compile w.D.w_source in
   Core.Pseudo_probe.insert p;
   let refp = Ir.Program.copy p in
-  Opt.Pass.optimize ~config:Opt.Config.o2_nopgo p;
+  Opt.Pass.optimize ~config p;
   let bin = Cg.Emit.emit ~options:Cg.Emit.default_options p in
   let spec = List.hd w.D.w_train in
   let log = SL.create () in
@@ -368,9 +368,28 @@ let test_oracle_haas () =
   let text (trie, _) = P.Text_io.to_string (P.Text_io.Ctx_prof trie) in
   Alcotest.(check string) "stats" (stats_text (snd naive)) (stats_text (snd kernel));
   Alcotest.(check string) "ctx text digest" (hex (text naive)) (hex (text kernel));
+  (log, snd kernel)
+
+(* haas recurses through a dozen functions. Its probe build (25,976
+   samples) makes 415,616 attributions over 91,520 distinct (range, stack)
+   keys and 18,854 interned stacks. It has no tail-call edges, so it never
+   reaches gap repair. *)
+let test_oracle_haas () =
+  let log, _ = oracle_check ~config:Opt.Config.o2_nopgo Csspgo_workloads.Suite.haas in
   let deepest = ref 0 in
   SL.iter log (fun ~lbr:_ ~lbr_len:_ ~stack:_ ~stack_len -> deepest := max !deepest stack_len);
   Alcotest.(check bool) "stacks deeper than 10 frames" true (!deepest > 11)
+
+(* adfinder built without inlining keeps its calls in tail position, so
+   its samples cross tail-call gaps and the two sides must repair them
+   alike. *)
+let test_oracle_adfinder () =
+  let _, stats =
+    oracle_check
+      ~config:{ Opt.Config.o2_nopgo with Opt.Config.inline_mode = Opt.Config.Inline_none }
+      Csspgo_workloads.Suite.adfinder
+  in
+  Alcotest.(check bool) "gaps resolved" true (stats.CR.st_gaps_resolved > 0)
 
 (* --- interned caller stacks ---------------------------------------------- *)
 
@@ -429,6 +448,7 @@ let suite =
     List.map (fun c -> Alcotest.test_case ("pinned: " ^ c.c_name) `Quick (check_case c)) cases
     @ [
         Alcotest.test_case "oracle: haas" `Quick test_oracle_haas;
+        Alcotest.test_case "oracle: adfinder without inlining" `Quick test_oracle_adfinder;
         Alcotest.test_case "interned stacks" `Quick test_stacks;
         QCheck_alcotest.to_alcotest prop_stacks_model;
       ] )

@@ -117,15 +117,23 @@ let test_driver_matches_fleet () =
 (* --- plan-level identity across domain counts ------------------------ *)
 
 (* Hooks that run every stage thunk directly but record the serialized
-   correlate output — the canonical profile bytes each plan produced. *)
+   correlate output — the canonical profile bytes each plan produced. A
+   context trie is cached as the marshaled (text, stats) pair; its text
+   is recorded. *)
 let recording_hooks tbl mutex =
   {
     D.Plan.memo =
       (fun ~kind ~key ~ser ~de:_ f ->
         let v = f () in
         if String.equal kind "correlate" then begin
+          let s = ser v in
+          let text =
+            if List.mem "ctx" key then
+              fst (Marshal.from_string s 0 : string * Core.Ctx_reconstruct.stats)
+            else s
+          in
           Mutex.lock mutex;
-          Hashtbl.replace tbl (String.concat "|" key) (ser v);
+          Hashtbl.replace tbl (String.concat "|" key) text;
           Mutex.unlock mutex
         end;
         v);
@@ -134,8 +142,10 @@ let recording_hooks tbl mutex =
     jobs = 1;
   }
 
+(* adfinder samples at the default period, so every sampled variant's
+   correlate output has content to compare. *)
 let test_plan_identity_across_jobs () =
-  let w = gen_workload 5L in
+  let w = W.Suite.adfinder and options = D.default_options in
   let run_at jobs =
     let tbl = Hashtbl.create 32 in
     let mutex = Mutex.create () in
@@ -157,6 +167,10 @@ let test_plan_identity_across_jobs () =
   in
   let ref_rows, ref_profiles = run_at 1 in
   Alcotest.(check bool) "correlate outputs recorded" true (ref_profiles <> []);
+  List.iter
+    (fun (key, text) ->
+      Alcotest.(check bool) (Printf.sprintf "%s not empty" key) true (text <> ""))
+    ref_profiles;
   List.iter
     (fun jobs ->
       let rows, profiles = run_at jobs in
