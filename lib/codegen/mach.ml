@@ -139,32 +139,3 @@ let entry_addr b guid =
   let r = ref None in
   Array.iter (fun f -> if Ir.Guid.equal f.bf_guid guid then r := Some f.bf_start) b.funcs;
   !r
-
-let pp_moperand fmt = function
-  | OReg r -> Format.fprintf fmt "p%d" r
-  | OImm i -> Format.fprintf fmt "%Ld" i
-  | OSpill s -> Format.fprintf fmt "[slot%d]" s
-
-let pp_mop fmt = function
-  | MArith (op, d, a, b) ->
-      Format.fprintf fmt "p%d = %a %a, %a" d T.pp_binop op pp_moperand a pp_moperand b
-  | MCmp (op, d, a, b) ->
-      Format.fprintf fmt "p%d = cmp.%a %a, %a" d T.pp_cmpop op pp_moperand a pp_moperand b
-  | MSelect (d, c, a, b) ->
-      Format.fprintf fmt "p%d = select p%d, %a, %a" d c pp_moperand a pp_moperand b
-  | MMov (d, a) -> Format.fprintf fmt "p%d = %a" d pp_moperand a
-  | MLoad (d, g, i) -> Format.fprintf fmt "p%d = load %s[%a]" d g pp_moperand i
-  | MStore (g, i, v) -> Format.fprintf fmt "store %s[%a], %a" g pp_moperand i pp_moperand v
-  | MSpill_ld (d, s) -> Format.fprintf fmt "p%d = reload slot%d" d s
-  | MSpill_st (s, r) -> Format.fprintf fmt "spill slot%d, p%d" s r
-  | MCall c -> Format.fprintf fmt "call %s/%d" c.m_callee_name (List.length c.m_args)
-  | MTail_call c -> Format.fprintf fmt "tailcall %s/%d" c.m_callee_name (List.length c.m_args)
-  | MRet o -> Format.fprintf fmt "ret %a" pp_moperand o
-  | MJmp a -> Format.fprintf fmt "jmp 0x%x" a
-  | MJcc (r, pol, a) -> Format.fprintf fmt "j%s p%d, 0x%x" (if pol then "nz" else "z") r a
-  | MSwitch (o, cases, d) ->
-      Format.fprintf fmt "switch %a (%d cases) default 0x%x" pp_moperand o
-        (List.length cases) d
-  | MInc i -> Format.fprintf fmt "inc counter[%d]" i
-  | MValprof (s, o) -> Format.fprintf fmt "valprof #%d, %a" s pp_moperand o
-  | MNop -> Format.pp_print_string fmt "nop"

@@ -101,4 +101,3 @@ val next_addr : binary -> int -> int option
 (** Address of the instruction following the one at [addr]. *)
 
 val entry_addr : binary -> Csspgo_ir.Guid.t -> int option
-val pp_mop : Format.formatter -> mop -> unit

@@ -175,17 +175,18 @@ let planted_bug =
 exception Discarded
 exception Fail of failure_kind * site * string
 
+let fail kind site fmt = Printf.ksprintf (fun detail -> raise (Fail (kind, site, detail))) fmt
+
 let guarded_run site f =
   try f () with
-  | Discarded -> raise Discarded
-  | Fail _ as e -> raise e
-  | e -> raise (Fail (Crash, site, Printexc.to_string e))
+  | (Discarded | Fail _) as e -> raise e
+  | e -> fail Crash site "%s" (Printexc.to_string e)
 
 let guarded_build site f =
   try f () with
   | (Discarded | Fail _) as e -> raise e
-  | Failure msg -> raise (Fail (Verify_error, site, msg))
-  | e -> raise (Fail (Crash, site, Printexc.to_string e))
+  | Failure msg -> fail Verify_error site "%s" msg
+  | e -> fail Crash site "%s" (Printexc.to_string e)
 
 let run_bin ~fuel bin args =
   match Vm.Machine.run ~pmu:None ~fuel bin ~entry:"main" ~args with
@@ -259,10 +260,75 @@ let args_of_seed seed = [ Int64.of_int (Int64.to_int seed land 0xff); 17L ]
 let all_variants =
   [ D.Nopgo; D.Autofdo; D.Csspgo_probe_only; D.Csspgo_full; D.Instr_pgo ]
 
+let all_shapes = [ Fl.Build.Lines; Fl.Build.Probes; Fl.Build.Ctx ]
+
 let total_counts p =
   let t = ref 0L in
   Ir.Program.iter_funcs (fun f -> t := Int64.add !t (Ir.Func.total_count f)) p;
   !t
+
+(* --- the per-seed fixture --------------------------------------------- *)
+
+(* Two synthetic tenants alternating over the training runs. *)
+let tenant i =
+  S.Label_set.of_list [ ("tenant", if i land 1 = 0 then "even" else "odd") ]
+
+(* One fleet-road profiling build, its training runs recorded plain and
+   under [tenant] labels, and per shape the build serves, [Fl.Build.correlate]
+   of the plain log as (tag, canonical text) pairs: the profile, then for
+   Ctx its flat baseline. *)
+type road = {
+  rd_build : Fl.Build.built Lazy.t;
+  rd_log : Vm.Sample_log.t Lazy.t;
+  rd_labeled : Vm.Sample_log.t Lazy.t;
+  rd_serial : (Fl.Build.shape * (string * string) list Lazy.t) list;
+}
+
+(* The fleet's "build, record, correlate" road for one seed, each part
+   computed on first use: the serial reference the [stream], [format],
+   [parcorr] and [labels] families hold their own roads against.
+   [Fl.Build.profiling_build] reads the shape only to decide on probes,
+   so the Probes and Ctx shapes share one road; a labeled log correlates
+   to the same text as its plain copy, so one serial correlation per shape
+   serves both (the [fuzz] tests pin both facts). Forced only on the
+   seed's own domain, never inside a [Scheduler.map] closure: OCaml 5
+   lazies are not domain-safe. *)
+type fixture = { fx_plain : road; fx_probed : road }
+
+let fixture ~src w =
+  let road_of shapes =
+    let b =
+      lazy
+        (Fl.Build.profiling_build ~options:driver_options ~shape:(List.hd shapes)
+           ~source:src)
+    in
+    let record ?labels () =
+      lazy (Fl.Build.record ?labels ~options:driver_options (Lazy.force b) w)
+    in
+    let log = record () in
+    let serial shape =
+      lazy
+        (let p, flat =
+           Fl.Build.correlate ~options:driver_options ~shape (Lazy.force b)
+             (Lazy.force log)
+         in
+         (Fl.Build.shape_name shape, P.Text_io.to_string p)
+         :: Option.to_list
+              (Option.map
+                 (fun f -> ("flat", P.Text_io.to_string (P.Text_io.Probe_prof f)))
+                 flat))
+    in
+    {
+      rd_build = b;
+      rd_log = log;
+      rd_labeled = record ~labels:tenant ();
+      rd_serial = List.map (fun shape -> (shape, serial shape)) shapes;
+    }
+  in
+  {
+    fx_plain = road_of [ Fl.Build.Lines ];
+    fx_probed = road_of [ Fl.Build.Probes; Fl.Build.Ctx ];
+  }
 
 (* Everything an oracle family sees of one seed. *)
 type env = {
@@ -272,16 +338,54 @@ type env = {
   e_args : int64 list;
   e_workload : D.workload;  (** [workload_of] the seed's source and args *)
   e_ref : int64;  (** the -O0 reference result *)
+  e_fx : fixture;  (** the fleet road's inputs for [e_workload] *)
   e_hooks : D.Plan.hooks option;
   e_cache : O.Cache.t option;
   e_on_overlap : (float -> unit) option;
 }
 
-(* Canonical text of a [Fl.Build] correlation: the profile plus, for the
-   context shape, its flat baseline. *)
+let road e = function
+  | Fl.Build.Lines -> e.e_fx.fx_plain
+  | Fl.Build.Probes | Fl.Build.Ctx -> e.e_fx.fx_probed
+
+let built e shape = Lazy.force (road e shape).rd_build
+let plain_log e shape = Lazy.force (road e shape).rd_log
+let labeled_log e shape = Lazy.force (road e shape).rd_labeled
+let serial_texts e shape = Lazy.force (List.assoc shape (road e shape).rd_serial)
+let serial_text e shape = String.concat "" (List.map snd (serial_texts e shape))
+
+(* Canonical text of a [Fl.Build] correlation, as [serial_text] renders
+   it: the profile plus, for the context shape, its flat baseline. *)
 let build_text (p, flat) =
   P.Text_io.to_string p
   ^ match flat with Some f -> P.Text_io.to_string (P.Text_io.Probe_prof f) | None -> ""
+
+(* Decode [input] and hold the value to [checks] in order, each a
+   predicate and the detail a result mismatch reports when it does not
+   hold. A decode error fails as [kind], with [rejected] before the wire
+   error. *)
+let check_decode site ~kind ~rejected decode input checks =
+  match decode input with
+  | Error err -> fail kind site "%s%s" rejected (S.Wire.error_to_string err)
+  | Ok v ->
+      List.iter
+        (fun (holds, detail) -> if not (holds v) then fail Result_mismatch site "%s" detail)
+        checks
+
+(* The merge laws on real operands, compared as canonical bytes: [merge]
+   is commutative, associative (over a distinct third operand [c]), keeps
+   the [extra] laws, and has [empty] as its identity. [fail law] reports
+   the first law that does not hold. *)
+let check_merge_laws ~fail ~bytes ~merge ~empty ?(extra = []) a b c =
+  let eq x y = String.equal (bytes x) (bytes y) in
+  List.iter
+    (fun (law, holds) -> if not (holds ()) then fail law)
+    ([
+       ("commutative", fun () -> eq (merge a b) (merge b a));
+       ("associative", fun () -> eq (merge (merge a b) c) (merge a (merge b c)));
+     ]
+    @ extra
+    @ [ ("identity-on-empty", fun () -> eq (merge a empty) a) ])
 
 type checked = C_pass | C_discard | C_fail of failure_kind * site * string
 
@@ -293,11 +397,7 @@ let check_plan e pl =
   in
   let r = guarded_run site (fun () -> run_bin ~fuel:build_fuel bin e.e_args) in
   if not (Int64.equal r e.e_ref) then
-    raise
-      (Fail
-         ( Result_mismatch,
-           site,
-           Printf.sprintf "reference=%Ld plan=%Ld" e.e_ref r ))
+    fail Result_mismatch site "reference=%Ld plan=%Ld" e.e_ref r
 
 (* Build one Driver PGO variant. Submitted as a staged plan so the cache
    hooks share stages across variants of a seed — the reference
@@ -314,33 +414,18 @@ let check_variant e v =
   let o = run_variant e v in
   let r = guarded_run site (fun () -> run_bin ~fuel:build_fuel o.D.o_binary e.e_args) in
   if not (Int64.equal r e.e_ref) then
-    raise
-      (Fail
-         ( Result_mismatch,
-           site,
-           Printf.sprintf "reference=%Ld %s=%Ld" e.e_ref (D.variant_name v) r ));
+    fail Result_mismatch site "reference=%Ld %s=%Ld" e.e_ref (D.variant_name v) r;
   o
 
 (* Driver-vs-fleet differential: every profile the Driver's Correlate
    stage produces (the line profile, the context trie and its flat
-   baseline) must equal, as canonical text, the fleet's road:
-   [Fl.Build.correlate] on the training runs recorded on
+   baseline) must equal, as canonical text, the fleet's road: the
+   fixture's [Fl.Build.correlate] on the training runs recorded on
    [Fl.Build.profiling_build]. Both roads run the one kernel, so this
    guards what they still duplicate, the Driver's own profiling build and
    recording against the fleet's. AutoFDO and full CSSPGO between them
    produce every sampled shape. *)
 let stream_variants = [ (D.Autofdo, Fl.Build.Lines); (D.Csspgo_full, Fl.Build.Ctx) ]
-
-(* The fleet's road, as (tag, canonical text) pairs: the profile, then for
-   the context shape its flat baseline. *)
-let fleet_texts e shape =
-  let options = driver_options in
-  let b = Fl.Build.profiling_build ~options ~shape ~source:e.e_src in
-  let log = Fl.Build.record ~options b e.e_workload in
-  let p, flat = Fl.Build.correlate ~options ~shape b log in
-  (Fl.Build.shape_name shape, P.Text_io.to_string p)
-  :: Option.to_list
-       (Option.map (fun f -> ("flat", P.Text_io.to_string (P.Text_io.Probe_prof f))) flat)
 
 (* The Driver's side: every "correlate" memo value of the variant's plan,
    in the order the plan asks for them, as canonical text. A cache stores
@@ -364,15 +449,15 @@ let driver_texts e v =
 
 let check_stream e v =
   let site = Stream v in
-  let fail detail = raise (Fail (Result_mismatch, site, detail)) in
   guarded_build site (fun () ->
       let driver = driver_texts e v in
-      let fleet = fleet_texts e (List.assoc v stream_variants) in
-      if List.length driver <> List.length fleet then fail "profile count differs";
+      let fleet = serial_texts e (List.assoc v stream_variants) in
+      if List.length driver <> List.length fleet then
+        fail Result_mismatch site "profile count differs";
       List.iter2
         (fun d (tag, f) ->
           if not (String.equal d f) then
-            fail (Printf.sprintf "Driver's %s profile differs from the fleet's" tag))
+            fail Result_mismatch site "Driver's %s profile differs from the fleet's" tag)
         driver fleet)
 
 (* The overlap oracle is only meaningful when the profiling run was long
@@ -398,12 +483,8 @@ let check_quality e ~(truth : D.outcome) ~(cand : D.outcome) =
     in
     (match e.e_on_overlap with Some f -> f ov | None -> ());
     if ov < e.e_cfg.cf_quality_floor then
-      raise
-        (Fail
-           ( Quality_low,
-             Quality,
-             Printf.sprintf "block overlap %.3f below floor %.2f" ov
-               e.e_cfg.cf_quality_floor ))
+      fail Quality_low Quality "block overlap %.3f below floor %.2f" ov
+        e.e_cfg.cf_quality_floor
   end
 
 (* Stale-matching oracle family. Drift the source with a seeded edit script
@@ -446,12 +527,8 @@ let check_stale e =
           run_bin ~fuel:build_fuel o.D.o_binary e.e_args)
     in
     if not (Int64.equal r new_ref) then
-      raise
-        (Fail
-           ( Result_mismatch,
-             site (Some v),
-             Printf.sprintf "N+1 reference=%Ld stale %s=%Ld" new_ref
-               (D.variant_name v) r ));
+      fail Result_mismatch (site (Some v)) "N+1 reference=%Ld stale %s=%Ld" new_ref
+        (D.variant_name v) r;
     o
   in
   let o_dwarf = check D.Autofdo in
@@ -467,11 +544,7 @@ let check_stale e =
   if Int64.compare expected_samples quality_min_samples >= 0 then begin
     let pr = rate o_probe and dr = rate o_dwarf in
     if pr +. 1e-9 < dr then
-      raise
-        (Fail
-           ( Quality_low,
-             site None,
-             Printf.sprintf "probe recovery %.4f below dwarf recovery %.4f" pr dr ))
+      fail Quality_low (site None) "probe recovery %.4f below dwarf recovery %.4f" pr dr
   end
 
 (* Format oracle family (Binary_io / Sample_log / incremental rebuilds):
@@ -506,7 +579,7 @@ let check_format e =
   List.iter
     (fun (v, shape) ->
       let site = Format ("text-binary round-trip " ^ D.variant_name v) in
-      let texts = guarded_build site (fun () -> fleet_texts e shape) in
+      let texts = guarded_build site (fun () -> serial_texts e shape) in
       List.iter
         (fun (tag, text) ->
           (* Tiny fuzz programs can yield empty dumps (e.g. autofdo with no
@@ -514,46 +587,32 @@ let check_format e =
           if String.length (String.trim text) = 0 then ()
           else
           guarded_build site (fun () ->
-              let p = P.Text_io.of_string text in
-              let b = P.Binary_io.encode p in
+              let b = P.Binary_io.encode (P.Text_io.of_string text) in
               if not (P.Binary_io.is_binary b) then
-                raise (Fail (Result_mismatch, site, tag ^ ": encoding not sniffable"));
-              match P.Binary_io.decode b with
-              | Error e ->
-                  raise
-                    (Fail
-                       ( Result_mismatch,
-                         site,
-                         tag ^ ": decode failed: " ^ S.Wire.error_to_string e ))
-              | Ok p' ->
-                  if not (String.equal (P.Text_io.to_string p') text) then
-                    raise
-                      (Fail
-                         ( Result_mismatch,
-                           site,
-                           tag ^ ": binary round-trip not byte-identical" ))))
+                fail Result_mismatch site "%s: encoding not sniffable" tag;
+              check_decode site ~kind:Result_mismatch ~rejected:(tag ^ ": decode failed: ")
+                P.Binary_io.decode b
+                [
+                  ( (fun p' -> String.equal (P.Text_io.to_string p') text),
+                    tag ^ ": binary round-trip not byte-identical" );
+                ]))
         texts)
     stream_variants;
   let site = Format "sample-log round-trip" in
   guarded_build site (fun () ->
-      (* Probed profiling build, training runs streamed straight into a
-         recording log. *)
-      let b =
-        Fl.Build.profiling_build ~options:driver_options ~shape:Fl.Build.Probes
-          ~source:w.D.w_source
-      in
-      let log = Fl.Build.record ~options:driver_options b w in
+      (* The probed build's training runs, recorded into one log. *)
+      let log = plain_log e Fl.Build.Probes in
       let txt = Vm.Sample_log.to_text log in
-      (match Vm.Sample_log.of_text txt with
-      | Ok log' when String.equal (Vm.Sample_log.to_text log') txt -> ()
-      | Ok _ ->
-          raise (Fail (Result_mismatch, site, "text round-trip not byte-identical"))
-      | Error e -> raise (Fail (Result_mismatch, site, S.Wire.error_to_string e)));
-      match Vm.Sample_log.decode (Vm.Sample_log.encode log) with
-      | Ok log' when String.equal (Vm.Sample_log.to_text log') txt -> ()
-      | Ok _ ->
-          raise (Fail (Result_mismatch, site, "binary round-trip not byte-identical"))
-      | Error e -> raise (Fail (Result_mismatch, site, S.Wire.error_to_string e)));
+      let same form =
+        [
+          ( (fun log' -> String.equal (Vm.Sample_log.to_text log') txt),
+            form ^ " round-trip not byte-identical" );
+        ]
+      in
+      check_decode site ~kind:Result_mismatch ~rejected:"" Vm.Sample_log.of_text txt
+        (same "text");
+      check_decode site ~kind:Result_mismatch ~rejected:"" Vm.Sample_log.decode
+        (Vm.Sample_log.encode log) (same "binary"));
   let site = Format "incremental-vs-clean rebuild" in
   guarded_build site (fun () ->
       let c = O.Cache.create () in
@@ -564,7 +623,7 @@ let check_format e =
       if
         not
           (String.equal (bin_projection cold.D.o_binary) (bin_projection warm.D.o_binary))
-      then raise (Fail (Result_mismatch, site, "warm rebuild differs from cold build"));
+      then fail Result_mismatch site "warm rebuild differs from cold build";
       let d = W.Drift.apply ~seed:(drift_seed_of e.e_seed) ~edits:1 e.e_src in
       let stale_plan =
         D.Plan.make_stale ~options:driver_options ~variant:D.Csspgo_full
@@ -575,9 +634,7 @@ let check_format e =
       if
         not
           (String.equal (bin_projection inc.D.o_binary) (bin_projection clean.D.o_binary))
-      then
-        raise
-          (Fail (Result_mismatch, site, "incremental rebuild differs from clean rebuild")))
+      then fail Result_mismatch site "incremental rebuild differs from clean rebuild")
 
 (* Fleet merge oracle family (Fleet.Sim / Profile.Merge):
    - a 3-instance 2-shard fleet at duty 1.0 must reproduce the profile of
@@ -597,22 +654,19 @@ let fleet_config =
     f_batch_requests = 3;
   }
 
+let version ?(id = 0) ~n source =
+  { Fl.Sim.v_id = id; v_source = source; v_weight = 1L; v_instances = n }
+
 let check_fleet e =
   let w = e.e_workload and src = e.e_src in
-  let version ?(id = 0) ~n source =
-    { Fl.Sim.v_id = id; v_source = source; v_weight = 1L; v_instances = n }
-  in
   let ts (o : Fl.Sim.outcome) = P.Text_io.to_string o.Fl.Sim.fs_profile in
   let site = Fleet "single-vs-sharded identity" in
   guarded_build site (fun () ->
       let single = Fl.Sim.run fleet_config ~workload:w ~versions:[ version ~n:1 src ] in
       let fleet = Fl.Sim.run fleet_config ~workload:w ~versions:[ version ~n:3 src ] in
       if not (String.equal (ts single) (ts fleet)) then
-        raise
-          (Fail
-             ( Result_mismatch,
-               site,
-               "3-instance fleet profile differs from single-instance baseline" ));
+        fail Result_mismatch site
+          "3-instance fleet profile differs from single-instance baseline";
       let fleet2 =
         Fl.Sim.run
           { fleet_config with Fl.Sim.f_jobs = 2 }
@@ -620,7 +674,7 @@ let check_fleet e =
           ~versions:[ version ~n:3 src ]
       in
       if not (String.equal (ts fleet) (ts fleet2)) then
-        raise (Fail (Result_mismatch, site, "-j 2 drain differs from -j 1")));
+        fail Result_mismatch site "-j 2 drain differs from -j 1");
   let site = Fleet "merge laws" in
   guarded_build site (fun () ->
       let d = W.Drift.apply ~seed:(drift_seed_of e.e_seed) ~edits:2 src in
@@ -632,53 +686,41 @@ let check_fleet e =
       let p0, p1 =
         match out.Fl.Sim.fs_per_version with
         | [ a; b ] -> (a.Fl.Sim.pv_profile, b.Fl.Sim.pv_profile)
-        | _ -> raise (Fail (Result_mismatch, site, "expected two versions"))
+        | _ -> fail Result_mismatch site "expected two versions"
       in
       let laws kind name p0 p1 =
-        let fail leg =
-          raise (Fail (Result_mismatch, site, name ^ ": merge not " ^ leg))
-        in
-        let wtd l = P.Text_io.to_string (P.Merge.weighted ~kind l) in
-        let merge2 a b = P.Merge.weighted ~kind [ (1L, a); (1L, b) ] in
-        (* a distinct third profile for associativity *)
-        let p2 = P.Merge.weighted ~kind [ (2L, p0) ] in
-        if not (String.equal (wtd [ (1L, p0); (1L, p1) ]) (wtd [ (1L, p1); (1L, p0) ]))
-        then fail "commutative";
-        if
-          not
-            (String.equal
-               (P.Text_io.to_string (merge2 (merge2 p0 p1) p2))
-               (P.Text_io.to_string (merge2 p0 (merge2 p1 p2))))
-        then fail "associative";
-        if
-          not
-            (String.equal
-               (wtd [ (3L, p0) ])
-               (wtd [ (1L, p0); (1L, p0); (1L, p0) ]))
-        then fail "weight-linear";
-        if
-          not
-            (String.equal
-               (P.Text_io.to_string (merge2 p0 (P.Merge.empty kind)))
-               (P.Text_io.to_string p0))
-        then fail "identity-on-empty"
+        let weighted l = P.Merge.weighted ~kind l in
+        let wtd l = P.Text_io.to_string (weighted l) in
+        check_merge_laws ~bytes:P.Text_io.to_string
+          ~merge:(fun a b -> weighted [ (1L, a); (1L, b) ])
+          ~empty:(P.Merge.empty kind)
+          ~extra:
+            [
+              ( "weight-linear",
+                fun () ->
+                  String.equal (wtd [ (3L, p0) ]) (wtd [ (1L, p0); (1L, p0); (1L, p0) ]) );
+            ]
+          ~fail:(fail Result_mismatch site "%s: merge not %s" name)
+          (* a distinct third profile for associativity *)
+          p0 p1 (weighted [ (2L, p0) ])
       in
       laws P.Text_io.Ctx "ctx" p0 p1;
       let flatten p =
         match p with
         | P.Text_io.Ctx_prof trie -> P.Text_io.Probe_prof (P.Merge.flatten_ctx trie)
-        | _ -> raise (Fail (Result_mismatch, site, "fleet profile not a ctx trie"))
+        | _ -> fail Result_mismatch site "fleet profile not a ctx trie"
       in
       laws P.Text_io.Probe "flat" (flatten p0) (flatten p1))
 
 (* Parallel-correlation oracle family (Core.Correlate / Fleet.Build):
-   correlate one training log twice per profile shape — serially over the
-   whole log, and sharded over its chunk-split form at several job counts
-   — and demand byte-identical canonical text (trie plus flat baseline for
-   Ctx). A tiny chunk size / shard target forces multiple shards even on
-   the fuzzer's short logs, so the exactness of every per-shard reduction
-   (counter addition, edge-set union, equal-weight Merge) is actually
-   exercised, not vacuously single-sharded. *)
+   correlate one training log twice per profile shape — the fixture's
+   serial run over the whole log, and sharded over its chunk-split form at
+   several job counts — and demand byte-identical canonical text (trie
+   plus flat baseline for Ctx). A tiny chunk size / shard target forces
+   multiple shards even on the fuzzer's short logs, so the exactness of
+   every per-shard reduction (counter addition, edge-set union,
+   equal-weight Merge) is actually exercised, not vacuously
+   single-sharded. *)
 
 let parcorr_chunk = 16
 
@@ -687,13 +729,9 @@ let check_parcorr e =
     (fun shape ->
       let site = Parcorr (Fl.Build.shape_name shape) in
       guarded_build site (fun () ->
-          let b =
-            Fl.Build.profiling_build ~options:driver_options ~shape ~source:e.e_src
-          in
-          let log = Fl.Build.record ~options:driver_options b e.e_workload in
-          let serial =
-            build_text (Fl.Build.correlate ~options:driver_options ~shape b log)
-          in
+          let b = built e shape in
+          let log = plain_log e shape in
+          let serial = serial_text e shape in
           let chunks = Vm.Sample_log.split ~chunk:parcorr_chunk log in
           List.iter
             (fun jobs ->
@@ -703,14 +741,10 @@ let check_parcorr e =
                      ~options:driver_options ~shape b chunks)
               in
               if not (String.equal serial par) then
-                raise
-                  (Fail
-                     ( Result_mismatch,
-                       site,
-                       Printf.sprintf
-                         "-j %d sharded correlation differs from serial" jobs )))
+                fail Result_mismatch site "-j %d sharded correlation differs from serial"
+                  jobs)
             [ 1; 2 ]))
-    [ Fl.Build.Lines; Fl.Build.Probes; Fl.Build.Ctx ]
+    all_shapes
 
 (* Health telemetry oracle family (Obs.Series / Obs.Health / Obs.Export):
    - a health-instrumented fleet window (fresh registry per run, fixed
@@ -727,9 +761,6 @@ let check_parcorr e =
 
 let check_health e =
   let w = e.e_workload in
-  let version n =
-    { Fl.Sim.v_id = 0; v_source = e.e_src; v_weight = 1L; v_instances = n }
-  in
   let window jobs =
     let metrics = Obs.Metrics.create () in
     let series = Obs.Series.create () in
@@ -737,7 +768,7 @@ let check_health e =
     let (_ : Fl.Sim.outcome) =
       Fl.Sim.run ~obs:metrics ~series ~health:tracker
         { fleet_config with Fl.Sim.f_jobs = jobs }
-        ~workload:w ~versions:[ version 2 ]
+        ~workload:w ~versions:[ version ~n:2 e.e_src ]
     in
     (series, tracker)
   in
@@ -751,60 +782,49 @@ let check_health e =
           Obs.Json.to_string (Obs.Health.report_to_json (Obs.Health.report t))
         in
         if not (String.equal (rj t1) (rj t2)) then
-          raise
-            (Fail (Result_mismatch, site, "-j 2 health report differs from -j 1"));
+          fail Result_mismatch site "-j 2 health report differs from -j 1";
         if not (String.equal (sj s1) (sj s2)) then
-          raise (Fail (Result_mismatch, site, "-j 2 series differs from -j 1"));
+          fail Result_mismatch site "-j 2 series differs from -j 1";
         List.iter
           (fun (tag, txt) ->
             match Obs.Json.parse txt with
             | Ok j when String.equal (Obs.Json.to_string j) txt -> ()
             | Ok _ ->
-                raise
-                  (Fail
-                     ( Result_mismatch,
-                       site,
-                       tag ^ ": canonical JSON not a print/parse fixed point" ))
-            | Error e -> raise (Fail (Crash, site, tag ^ ": " ^ e)))
+                fail Result_mismatch site "%s: canonical JSON not a print/parse fixed point"
+                  tag
+            | Error e -> fail Crash site "%s: %s" tag e)
           [ ("report", rj t1); ("series", sj s1) ];
         (s1, s2))
   in
   let site = Health "series merge laws" in
   guarded_build site (fun () ->
-      let fail leg = raise (Fail (Result_mismatch, site, "merge not " ^ leg)) in
-      let m = Obs.Series.merge in
-      if not (String.equal (sj (m s1 s2)) (sj (m s2 s1))) then fail "commutative";
-      (* a third operand with doubled deltas, so association is not vacuous *)
-      let s3 = m s1 s2 in
-      if not (String.equal (sj (m (m s1 s2) s3)) (sj (m s1 (m s2 s3)))) then
-        fail "associative";
-      if not (String.equal (sj (m s1 (Obs.Series.create ()))) (sj s1)) then
-        fail "identity-on-empty");
+      check_merge_laws ~bytes:sj ~merge:Obs.Series.merge ~empty:(Obs.Series.create ())
+        ~fail:(fail Result_mismatch site "merge not %s")
+        (* a third operand with doubled deltas, so association is not vacuous *)
+        s1 s2 (Obs.Series.merge s1 s2));
   let site = Health "openmetrics exposition" in
   guarded_build site (fun () ->
       let metrics = Obs.Metrics.create () in
       let series = Obs.Series.create () in
       let (_ : Fl.Sim.outcome) =
         Fl.Sim.run ~obs:metrics ~series fleet_config ~workload:w
-          ~versions:[ version 1 ]
+          ~versions:[ version ~n:1 e.e_src ]
       in
       let check tag txt =
         let eof = "# EOF\n" in
         let n = String.length txt and k = String.length eof in
         if n < k || not (String.equal (String.sub txt (n - k) k) eof) then
-          raise
-            (Fail
-               (Result_mismatch, site, tag ^ ": exposition missing # EOF trailer"))
+          fail Result_mismatch site "%s: exposition missing # EOF trailer" tag
       in
       check "snapshot" (Obs.Export.snapshot (Obs.Metrics.snapshot metrics));
       check "series" (Obs.Export.series series))
 
 (* Request-label oracle family (Vm.Sample_log labels / Fleet.Build
-   .correlate_labeled / Profile.Labels): label the training runs with two
-   alternating synthetic tenants, then demand
+   .correlate_labeled / Profile.Labels): take the fixture's training runs
+   labeled with two alternating synthetic tenants, then demand
    - slice-then-merge identity: the label-sliced correlation's blend is
-     byte-identical to the serial unlabeled correlator on the same log,
-     per profile shape and at -j 1 and -j 2, slice weights equal the
+     byte-identical to the fixture's serial correlation of the unlabeled
+     runs, per profile shape and at -j 1 and -j 2, slice weights equal the
      observed per-label sample counts, and (probe shape, where counts are
      additive with no trim in play) [Profile.Labels.blend] of the slices
      reconstructs the blend;
@@ -814,22 +834,13 @@ let check_health e =
      decoded log re-encodes to the plain v2 bytes. *)
 
 let check_labels e =
-  let tenant i =
-    S.Label_set.of_list
-      [ ("tenant", if i land 1 = 0 then "even" else "odd") ]
-  in
-  let record b = Fl.Build.record ~labels:tenant ~options:driver_options b e.e_workload in
   List.iter
     (fun shape ->
       let site = Labels (Fl.Build.shape_name shape) in
       guarded_build site (fun () ->
-          let b =
-            Fl.Build.profiling_build ~options:driver_options ~shape ~source:e.e_src
-          in
-          let log = record b in
-          let serial =
-            build_text (Fl.Build.correlate ~options:driver_options ~shape b log)
-          in
+          let b = built e shape in
+          let log = labeled_log e shape in
+          let serial = serial_text e shape in
           List.iter
             (fun jobs ->
               let lc =
@@ -841,14 +852,9 @@ let check_labels e =
                   (String.equal serial
                      (build_text (lc.Fl.Build.lc_blend, lc.Fl.Build.lc_flat)))
               then
-                raise
-                  (Fail
-                     ( Result_mismatch,
-                       site,
-                       Printf.sprintf
-                         "-j %d label-sliced blend differs from unlabeled \
-                          serial correlation"
-                         jobs ));
+                fail Result_mismatch site
+                  "-j %d label-sliced blend differs from unlabeled serial correlation"
+                  jobs;
               let weights =
                 List.map
                   (fun s ->
@@ -856,14 +862,8 @@ let check_labels e =
                   (P.Labels.slices lc.Fl.Build.lc_slices)
               in
               if weights <> Vm.Sample_log.label_counts log then
-                raise
-                  (Fail
-                     ( Result_mismatch,
-                       site,
-                       Printf.sprintf
-                         "-j %d slice weights differ from observed label \
-                          counts"
-                         jobs ));
+                fail Result_mismatch site
+                  "-j %d slice weights differ from observed label counts" jobs;
               match shape with
               | Fl.Build.Probes ->
                   if
@@ -874,78 +874,43 @@ let check_labels e =
                                (P.Labels.blend lc.Fl.Build.lc_slices))
                             (P.Text_io.to_string lc.Fl.Build.lc_blend))
                   then
-                    raise
-                      (Fail
-                         ( Result_mismatch,
-                           site,
-                           "Labels.blend of probe slices differs from blend" ))
+                    fail Result_mismatch site
+                      "Labels.blend of probe slices differs from blend"
               | Fl.Build.Lines | Fl.Build.Ctx -> ())
             [ 1; 2 ]))
-    [ Fl.Build.Lines; Fl.Build.Probes; Fl.Build.Ctx ];
+    all_shapes;
   let site = Labels "v3 framing" in
   guarded_build site (fun () ->
-      let b =
-        Fl.Build.profiling_build ~options:driver_options ~shape:Fl.Build.Probes
-          ~source:e.e_src
-      in
-      let log = record b in
+      let log = labeled_log e Fl.Build.Probes in
       let counts = Vm.Sample_log.label_counts in
+      let decode what input checks =
+        check_decode site ~kind:Crash ~rejected:(what ^ " blob rejected: ")
+          Vm.Sample_log.decode input checks
+      in
+      let encodes_to blob detail =
+        ((fun back -> String.equal (Vm.Sample_log.encode back) blob), detail)
+      in
       let blob = Vm.Sample_log.encode log in
-      (match Vm.Sample_log.decode blob with
-      | Error e ->
-          raise
-            (Fail
-               ( Crash,
-                 site,
-                 "labeled blob rejected: " ^ S.Wire.error_to_string e ))
-      | Ok back ->
-          if counts back <> counts log then
-            raise
-              (Fail
-                 (Result_mismatch, site, "decode does not preserve label counts"));
-          if not (String.equal (Vm.Sample_log.encode back) blob) then
-            raise
-              (Fail
-                 ( Result_mismatch,
-                   site,
-                   "labeled blob not an encode/decode fixed point" )));
+      decode "labeled" blob
+        [
+          ((fun back -> counts back = counts log), "decode does not preserve label counts");
+          encodes_to blob "labeled blob not an encode/decode fixed point";
+        ];
       let plain = Vm.Sample_log.unlabeled log in
       let pblob = Vm.Sample_log.encode plain in
-      (match Vm.Sample_log.decode pblob with
-      | Error e ->
-          raise
-            (Fail
-               ( Crash,
-                 site,
-                 "unlabeled blob rejected: " ^ S.Wire.error_to_string e ))
-      | Ok back -> (
-          match counts back with
-          | [] when Vm.Sample_log.n_samples back = 0 -> ()
-          | [ (ls, n) ]
-            when S.Label_set.is_empty ls && n = Vm.Sample_log.n_samples back ->
-              ()
-          | _ ->
-              raise
-                (Fail
-                   ( Result_mismatch,
-                     site,
-                     "label-free log is not the single implicit slice" ))));
-      let forced = Vm.Sample_log.encode ~frame:`V3 plain in
-      match Vm.Sample_log.decode forced with
-      | Error e ->
-          raise
-            (Fail
-               ( Crash,
-                 site,
-                 "forced-v3 unlabeled blob rejected: "
-                 ^ S.Wire.error_to_string e ))
-      | Ok back ->
-          if not (String.equal (Vm.Sample_log.encode back) pblob) then
-            raise
-              (Fail
-                 ( Result_mismatch,
-                   site,
-                   "v3 -> v2 downgrade of an unlabeled log is not lossless" )))
+      decode "unlabeled" pblob
+        [
+          ( (fun back ->
+              match counts back with
+              | [] -> Vm.Sample_log.n_samples back = 0
+              | [ (ls, n) ] ->
+                  S.Label_set.is_empty ls && n = Vm.Sample_log.n_samples back
+              | _ -> false),
+            "label-free log is not the single implicit slice" );
+        ];
+      decode "forced-v3 unlabeled"
+        (Vm.Sample_log.encode ~frame:`V3 plain)
+        [ encodes_to pblob "v3 -> v2 downgrade of an unlabeled log is not lossless" ])
 
 (* --- the family table ------------------------------------------------ *)
 
@@ -1018,14 +983,16 @@ let classify ?(reducing = false) ?only ?on_overlap ?cache (cfg : config) ~seed s
       let bin = guarded_build Reference (fun () -> build_reference ?cache src) in
       guarded_run Reference (fun () -> run_bin ~fuel bin args)
     in
+    let workload = workload_of ~seed src args in
     let e =
       {
         e_cfg = cfg;
         e_seed = seed;
         e_src = src;
         e_args = args;
-        e_workload = workload_of ~seed src args;
+        e_workload = workload;
         e_ref = ref_result;
+        e_fx = fixture ~src workload;
         e_hooks = Option.map O.Orchestrate.hooks cache;
         e_cache = cache;
         e_on_overlap = on_overlap;

@@ -61,6 +61,19 @@
       framing on an unlabeled log downgrades losslessly to the plain v2
       bytes.
 
+    The [stream], [format], [parcorr] and [labels] families share one
+    per-seed fixture of fleet-road inputs, each built on first use: the
+    plain and the probed profiling build
+    ({!Csspgo_fleet.Build.profiling_build} reads the shape only to decide
+    on probes, so Probes and Ctx share one binary), each build's training
+    runs recorded plain and under two alternating tenant labels, and one
+    serial {!Csspgo_fleet.Build.correlate} of the plain log per shape.
+    That is 2 builds, 4 recordings and 3 serial correlations per seed,
+    where the four families used to make 12, 12 and 10. The side each
+    family checks against it (the Driver's memo texts, the binary round
+    trip, the chunked correlation, the label-sliced blend) stays its own
+    computation.
+
     Programs that exhaust the reference fuel budget are discards, not
     passes — campaign statistics report them separately so a campaign
     cannot silently become vacuous. Failures are shrunk with [Reduce] and
@@ -149,6 +162,11 @@ type config = {
 
 val default_config : config
 
+val driver_options : Csspgo_core.Driver.options
+(** The options every Driver plan and fleet road of the campaign runs
+    under: the Driver's defaults with a dense sampling period (101), so
+    the tiny generated programs still record samples. *)
+
 val planted_bug : string * (Csspgo_ir.Func.t -> unit)
 (** A deliberately broken pass (conditional guards dropped, false edge
     always taken) used to prove the harness detects and minimizes planted
@@ -156,8 +174,9 @@ val planted_bug : string * (Csspgo_ir.Func.t -> unit)
 
 type env
 (** What every family sees of one seed: the config, seed, source, its
-    arguments and driver workload, the -O0 result, the artifact cache and
-    its plan hooks, and the quality oracle's overlap callback. *)
+    arguments and driver workload, the -O0 result, the fleet-road
+    fixture, the artifact cache and its plan hooks, and the quality
+    oracle's overlap callback. *)
 
 type family = {
   fam_name : string;  (** the [cf_skip] / [--skip] name *)

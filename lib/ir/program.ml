@@ -27,16 +27,6 @@ let iter_funcs f t = List.iter (fun name -> f (func t name)) (func_names t)
 
 let add_global t name size = t.globals <- t.globals @ [ (name, size) ]
 
-let global_size t name =
-  match List.assoc_opt name t.globals with
-  | Some n -> n
-  | None -> invalid_arg ("Program.global_size: unknown global " ^ name)
-
-let same_module t a b =
-  match (find_func t a, find_func t b) with
-  | Some fa, Some fb -> String.equal fa.Func.modname fb.Func.modname
-  | _ -> false
-
 let copy t =
   let funcs = Hashtbl.create (Hashtbl.length t.funcs) in
   Hashtbl.iter (fun name f -> Hashtbl.replace funcs name (Func.copy f)) t.funcs;

@@ -19,9 +19,6 @@ val func_names : t -> string list
 
 val iter_funcs : (Func.t -> unit) -> t -> unit
 val add_global : t -> string -> int -> unit
-val global_size : t -> string -> int
-val same_module : t -> string -> string -> bool
-(** Whether two functions (by name) live in the same compilation module. *)
 
 val copy : t -> t
 val pp : Format.formatter -> t -> unit

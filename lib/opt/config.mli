@@ -17,7 +17,7 @@ type inline_mode =
   | Inline_profile       (** bottom-up, hotness-driven *)
 
 type t = {
-  opt_level : int;              (** 0 = initial cleanup only, 2 = full pipeline *)
+  optimize : bool;              (** false = initial cleanup only, true = full pipeline *)
   inline_mode : inline_mode;
   probes_strong : bool;         (** probes block if-convert & forwarding too *)
   verify_between_passes : bool;

@@ -41,7 +41,7 @@ let run_step ~(config : Config.t) step (f : Ir.Func.t) =
   | Dce -> Dce.run f
 
 let steps_of_config (config : Config.t) =
-  if config.Config.opt_level < 1 then []
+  if not config.Config.optimize then []
   else
     (* If-conversion before tail duplication: duplicating a join block into
        the arms destroys the diamond pattern (profitability, not safety —
@@ -86,7 +86,7 @@ let optimize_func_with ~(config : Config.t) ~steps ?(program : Ir.Program.t opti
     steps;
   (* Passes maintain counts only approximately; re-infer a consistent
      profile for codegen (edge flows re-derived from block counts). *)
-  if config.Config.opt_level >= 2 && f.Ir.Func.annotated then
+  if config.Config.optimize && f.Ir.Func.annotated then
     Csspgo_inference.Infer.infer_func f
 
 (* The program-level prefix of the pipeline: cleanup and cross-function
@@ -99,7 +99,7 @@ let prepare ~(config : Config.t) (p : Ir.Program.t) =
   (* Even at -O0 the lowering junk blocks must go. *)
   Ir.Program.iter_funcs (fun f -> ignore (Simplify.run ~config f)) p;
   verify_if ~config p "initial simplify";
-  if config.Config.opt_level < 1 then false
+  if not config.Config.optimize then false
   else begin
     Ir.Program.iter_funcs
       (fun f ->

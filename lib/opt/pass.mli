@@ -49,7 +49,7 @@ val prepare : config:Config.t -> Csspgo_ir.Program.t -> bool
     functions (the incremental rebuild engine in [Core.Driver]) can run
     [prepare] and then choose per function between replaying the step
     list and splicing in a cached body. Returns [true] when the
-    per-function pipeline should run (i.e. [opt_level >= 1]). *)
+    per-function pipeline should run (i.e. [config.optimize]). *)
 
 val optimize : config:Config.t -> Csspgo_ir.Program.t -> unit
 (** Full pipeline, including inlining and dead-function elimination.

@@ -67,21 +67,11 @@ let node_at t ~path =
         | Some n -> n
         | None -> base t root_guid ~name:(Format.asprintf "%a" Ir.Guid.pp root_guid)
       in
-      let cur = ref root in
-      List.iter
-        (fun (((_, site) : frame), child_guid, child_name) ->
-          let key = (site, child_guid) in
-          let child =
-            match Hashtbl.find_opt !cur.n_children key with
-            | Some c -> c
-            | None ->
-                let c = mk_node child_guid child_name in
-                Hashtbl.replace !cur.n_children key c;
-                c
-          in
-          cur := child)
-        path;
-      Some !cur
+      Some
+        (List.fold_left
+           (fun parent (((_, site) : frame), guid, name) ->
+             attach t ~parent:(Some parent) ~site guid ~name)
+           root path)
 
 let iter_nodes t f =
   let rec go ctx node =

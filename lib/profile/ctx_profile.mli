@@ -43,7 +43,7 @@ val attach :
 (** Find-or-create one trie step: the root for the guid when [parent] is
     [None] ([site] is ignored), else [parent]'s child at callsite probe
     [site]. The O(1) primitive the binary profile reader uses; [node_at]
-    walks a whole path through the same tables. *)
+    steps a whole path through it. *)
 
 val node_at : t -> path:(frame * Csspgo_ir.Guid.t * string) list -> node option
 (** Resolve a context: the path starts at a root function and each element

@@ -153,7 +153,7 @@ let test_module_assignment () =
   in
   Alcotest.(check string) "alpha" "alpha" (Ir.Program.func p "a1").Ir.Func.modname;
   Alcotest.(check string) "beta" "beta" (Ir.Program.func p "b1").Ir.Func.modname;
-  Alcotest.(check bool) "same module" true (Ir.Program.same_module p "b1" "main")
+  Alcotest.(check string) "main in beta" "beta" (Ir.Program.func p "main").Ir.Func.modname
 
 let test_unknown_variable () =
   Alcotest.(check bool) "unknown var raises" true

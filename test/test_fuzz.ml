@@ -128,6 +128,57 @@ let test_sites_have_families () =
         (fun v -> (Fz.Campaign.Stream v, Some "stream"))
         [ D.Autofdo; D.Csspgo_full ])
 
+(* The campaign's per-seed fixture builds one probed binary for the Probes
+   and Ctx shapes and correlates only the plain training log, holding the
+   label-sliced blend against that text. Pin both assumptions on a real
+   workload at the campaign's sampling period. *)
+let test_fixture_assumptions () =
+  let module Fl = Csspgo_fleet in
+  let module D = Csspgo_core.Driver in
+  let module P = Csspgo_profile in
+  let options = Fz.Campaign.driver_options in
+  (* adfinder's training and evaluation inputs as two training runs, one
+     per tenant below *)
+  let w =
+    let a = Csspgo_workloads.Suite.adfinder in
+    { a with D.w_train = a.D.w_train @ a.D.w_eval }
+  in
+  let build shape = Fl.Build.profiling_build ~options ~shape ~source:w.D.w_source in
+  let probes = build Fl.Build.Probes and ctx = build Fl.Build.Ctx in
+  let same what f =
+    Alcotest.(check bool) ("probes and ctx builds: same " ^ what) true (f probes = f ctx)
+  in
+  same "instructions" (fun b -> b.Fl.Build.vb_bin.Csspgo_codegen.Mach.insts);
+  same "functions" (fun b -> b.Fl.Build.vb_bin.Csspgo_codegen.Mach.funcs);
+  same "probes" (fun b -> b.Fl.Build.vb_bin.Csspgo_codegen.Mach.probes);
+  same "target" (fun b -> Format.asprintf "%a" Csspgo_ir.Program.pp b.Fl.Build.vb_target);
+  let tenant i =
+    Csspgo_support.Label_set.of_list
+      [ ("tenant", if i land 1 = 0 then "even" else "odd") ]
+  in
+  List.iter
+    (fun (shape, b) ->
+      let name = Fl.Build.shape_name shape in
+      let text log =
+        let p, flat = Fl.Build.correlate ~options ~shape b log in
+        P.Text_io.to_string p
+        ^ Option.fold ~none:""
+            ~some:(fun f -> P.Text_io.to_string (P.Text_io.Probe_prof f))
+            flat
+      in
+      let plain = text (Fl.Build.record ~options b w) in
+      let labeled_log = Fl.Build.record ~labels:tenant ~options b w in
+      Alcotest.(check int)
+        (name ^ ": two tenants") 2
+        (List.length (Csspgo_vm.Sample_log.labels labeled_log));
+      Alcotest.(check bool)
+        (name ^ ": non-empty profile") true
+        (String.trim plain <> "");
+      Alcotest.(check string)
+        (name ^ ": labeled log correlates as its plain copy") plain
+        (text labeled_log))
+    [ (Fl.Build.Lines, build Fl.Build.Lines); (Fl.Build.Probes, probes); (Fl.Build.Ctx, ctx) ]
+
 let suite =
   ( "fuzz",
     [
@@ -138,4 +189,6 @@ let suite =
       Alcotest.test_case "skip is honoured" `Quick test_skip_honoured;
       Alcotest.test_case "every site belongs to a family" `Quick
         test_sites_have_families;
+      Alcotest.test_case "fixture shares builds and serial text" `Quick
+        test_fixture_assumptions;
     ] )
