@@ -101,6 +101,13 @@ fn main(n) {
 
 let spec args = { D.rs_args = args; rs_globals = [] }
 
+let tail_call_bin =
+  lazy
+    (fst
+       (build ~probes:true
+          ~config:{ Opt.Config.o2_nopgo with inline_mode = Opt.Config.Inline_none }
+          tail_call_src))
+
 let other_cases =
   [
     ( "haas skid",
@@ -111,11 +118,7 @@ let other_cases =
         [ ("counters", counters); ("log", log) ] );
     ( "tail call skid",
       fun () ->
-        let bin, _ =
-          build ~probes:true
-            ~config:{ Opt.Config.o2_nopgo with inline_mode = Opt.Config.Inline_none }
-            tail_call_src
-        in
+        let bin = Lazy.force tail_call_bin in
         let has_tail =
           Array.exists
             (fun (i : Cg.Mach.inst) ->
@@ -157,7 +160,26 @@ let other_cases =
         [ ("counters", counters); ("log", log) ] );
   ]
 
-(* Digests recorded from the boxed interpreter, keyed by case and aspect. *)
+(* The tail-call program sampled below and near the worst-case cost of
+   one straight-line run. *)
+let period_cases =
+  List.concat_map
+    (fun period ->
+      List.map
+        (fun (name, pmu) ->
+          ( Printf.sprintf "tail call %s %d" name period,
+            fun () ->
+              let counters, log =
+                logged { pmu with M.sample_period = period } (Lazy.force tail_call_bin)
+                  ~entry:"main" (spec [ 100L ])
+              in
+              [ ("counters", counters); ("log", log) ] ))
+        [ ("PEBS", pebs); ("skid", skid) ])
+    [ 7; 61 ]
+
+(* Digests recorded from the boxed interpreter, keyed by case and aspect.
+   The tail-call cases at periods 7 and 61 were recorded later, from the
+   interpreter that stepped every instruction on its own. *)
 let pinned =
   [
     ("adranker pmu off counters", "d0a9559bd076446c");
@@ -182,6 +204,14 @@ let pinned =
     ("haas skid log", "9d89af2a5c05d673");
     ("tail call skid counters", "e27392569938d0c8");
     ("tail call skid log", "dfb94c8fd135887e");
+    ("tail call PEBS 7 counters", "1a85b1c1e1d4f236");
+    ("tail call PEBS 7 log", "44cdb4fc9c5fda8e");
+    ("tail call skid 7 counters", "1a85b1c1e1d4f236");
+    ("tail call skid 7 log", "bdc49c5294fcb78c");
+    ("tail call PEBS 61 counters", "9c322b2621782c8f");
+    ("tail call PEBS 61 log", "3b333f2fafe1c65e");
+    ("tail call skid 61 counters", "9c322b2621782c8f");
+    ("tail call skid 61 log", "a403d8278e901efd");
     ("instrumented counters", "023221ef9160fa32");
     ("instrumented profiles", "67a9105425ff7944");
     ("labeled counters", "008d7d50a9db3b9c");
@@ -204,4 +234,4 @@ let suite =
   ( "vm-pin",
     List.map
       (fun ((name, _) as c) -> Alcotest.test_case name `Quick (check_case c))
-      (suite_cases @ other_cases) )
+      (suite_cases @ other_cases @ period_cases) )
