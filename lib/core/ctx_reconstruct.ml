@@ -289,7 +289,7 @@ let start ?(name_of = fun _ -> None) ?missing ~checksum_of
       in
       if not aligned then incr dropped
       else begin
-        let d = min (stack_len - 1) 63 in
+        let d = if stack_len <= 64 then stack_len - 1 else 63 in
         depth_hist.(d) <- depth_hist.(d) + 1;
         let id = ref Stacks.empty in
         for i = stack_len - 1 downto 1 do

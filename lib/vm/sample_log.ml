@@ -103,7 +103,8 @@ let copy_runs ~into src ~at ~first ~count =
   let more = ref true in
   while !more && at.at_run < src.runs_len do
     let pos = at.at_sample and cnt = src.runs.(at.at_run + 1) in
-    let lo = max pos first and hi = min (pos + cnt) stop in
+    let lo = if pos > first then pos else first
+    and hi = if pos + cnt < stop then pos + cnt else stop in
     if hi > lo then
       push_run into (intern_canonical into src.lsets.(src.runs.(at.at_run))) (hi - lo);
     if pos + cnt <= stop then begin

@@ -1,14 +1,16 @@
 (* Allocation measurement for the allocation guards. *)
 
-(* Words [f ()] allocates, counted on both heaps (a large table or array
-   goes straight to the major heap) and taken as the least of three
-   passes: the runtime's word counter can jump by most of a minor heap
-   once in a process, wherever that lands. *)
+(* Words [f ()] allocates on both heaps. [Gc.minor_words] counts minor
+   allocations exactly at any moment; a large table or array goes
+   straight to the major heap, counted as the major words no minor
+   collection promoted. *)
 let words f =
-  let once () =
-    let minor, promoted, major = Gc.counters () in
-    f ();
-    let minor', promoted', major' = Gc.counters () in
-    minor' -. minor +. (major' -. major) -. (promoted' -. promoted)
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
   in
-  List.fold_left Float.min (once ()) [ once (); once () ]
+  let d = direct () in
+  let m = Gc.minor_words () in
+  f ();
+  let m' = Gc.minor_words () in
+  m' -. m +. (direct () -. d)
