@@ -597,7 +597,7 @@ let inspect_cmd =
          verified it against the trailer, so this line is what a
          corrupted-but-decodable section would contradict. *)
       let payload_bytes =
-        List.fold_left (fun acc (_, payload) -> acc + String.length payload) 0 sections
+        List.fold_left (fun acc sp -> acc + sp.Csspgo_support.Wire.s_len) 0 sections
       in
       Printf.printf "overhead    %d bytes of %d (envelope)\n"
         (String.length data - payload_bytes)
@@ -605,20 +605,23 @@ let inspect_cmd =
       (* v3 blobs carry one trailing label section alongside the record
          chunks; only the latter pair up with decoded parts. *)
       let chunk_sections, label_sections =
-        List.partition (fun (tag, _) -> tag = Vm.Sample_log.tag_log) sections
+        List.partition
+          (fun sp -> sp.Csspgo_support.Wire.s_tag = Vm.Sample_log.tag_log)
+          sections
       in
       List.iteri
-        (fun i ((tag, payload), chunk) ->
-          Printf.printf "chunk       %d: tag %d, %d samples, %d bytes, fnv %016Lx\n" i tag
+        (fun i ((sp : Csspgo_support.Wire.span), chunk) ->
+          Printf.printf "chunk       %d: tag %d, %d samples, %d bytes, fnv %016Lx\n" i
+            sp.s_tag
             (Vm.Sample_log.n_samples chunk)
-            (String.length payload)
-            (Csspgo_support.Wire.section_digest ~tag payload))
+            sp.s_len
+            (Csspgo_support.Wire.section_digest data sp))
         (List.combine chunk_sections parts);
       List.iter
-        (fun (tag, payload) ->
-          Printf.printf "labels      tag %d, %d distinct sets, %d bytes, fnv %016Lx\n" tag
-            (List.length distinct) (String.length payload)
-            (Csspgo_support.Wire.section_digest ~tag payload))
+        (fun (sp : Csspgo_support.Wire.span) ->
+          Printf.printf "labels      tag %d, %d distinct sets, %d bytes, fnv %016Lx\n"
+            sp.s_tag (List.length distinct) sp.s_len
+            (Csspgo_support.Wire.section_digest data sp))
         label_sections
     end
     else begin
@@ -645,17 +648,17 @@ let inspect_cmd =
          | Ok (_, sections) ->
              let payload_bytes =
                List.fold_left
-                 (fun acc (_, payload) -> acc + String.length payload)
+                 (fun acc sp -> acc + sp.Csspgo_support.Wire.s_len)
                  0 sections
              in
              Printf.printf "overhead    %d bytes of %d (envelope)\n"
                (String.length data - payload_bytes)
                (String.length data);
              List.iteri
-               (fun i (tag, payload) ->
+               (fun i (sp : Csspgo_support.Wire.span) ->
                  Printf.printf "section     %d: tag %d, %d bytes, fnv %016Lx\n"
-                   i tag (String.length payload)
-                   (Csspgo_support.Wire.section_digest ~tag payload))
+                   i sp.s_tag sp.s_len
+                   (Csspgo_support.Wire.section_digest data sp))
                sections
          | Error e -> die "%s: %s" file (Csspgo_support.Wire.error_to_string e));
       if funcs then

@@ -464,11 +464,13 @@ module Plan = struct
       | Compile cs -> compile_spec := Some cs
       | Instrument is -> instr_spec := Some is
       | Profile_run ps ->
-          (* "stream-v4": [profile_run_out] changed shape (aggregates + log
+          (* "stream-v5": [profile_run_out] changed shape (aggregates + log
              instead of a sample list in v2, int-table range counts in v3,
-             the log alone in v4); the version element keeps stale
-             marshaled cache entries from being unsafely decoded. *)
-          let key = [ "stream-v4"; src_fp; fp !compile_spec; fp !instr_spec; fp ps ] in
+             the log alone in v4, and in v5 a log made of record windows
+             onto fixed-capacity blocks instead of one flat arena); the
+             version element keeps stale marshaled cache entries from being
+             unsafely decoded. *)
+          let key = [ "stream-v5"; src_fp; fp !compile_spec; fp !instr_spec; fp ps ] in
           prof_key := key;
           let out =
             hooks.memo ~kind:"profile-run" ~key ~ser:mser ~de:mde (fun () ->

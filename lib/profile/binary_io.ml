@@ -43,7 +43,7 @@ let enc_probe (t : PP.t) =
       Wire.Enc.varint64 e fe.PP.fe_checksum;
       enc_fentry e fe)
     funcs;
-  Wire.Enc.contents e
+  e
 
 let enc_line (t : LP.t) =
   let e = Wire.Enc.create () in
@@ -72,7 +72,7 @@ let enc_line (t : LP.t) =
           Wire.Enc.varint64 e c)
         calls)
     funcs;
-  Wire.Enc.contents e
+  e
 
 (* Nodes are written in [iter_nodes] pre-order (parents strictly before
    children), so each node's context collapses to the emission index of
@@ -103,16 +103,16 @@ let enc_ctx (t : CP.t) =
       Wire.Enc.varint64 e node.CP.n_prof.PP.fe_checksum;
       enc_fentry e node.CP.n_prof)
     nodes;
-  Wire.Enc.contents e
+  e
 
 let encode (p : Text_io.profile) =
-  let tag, payload =
+  let section =
     match p with
-    | Text_io.Line_prof t -> (tag_line, enc_line t)
-    | Text_io.Probe_prof t -> (tag_probe, enc_probe t)
-    | Text_io.Ctx_prof t -> (tag_ctx, enc_ctx t)
+    | Text_io.Line_prof t -> Wire.section ~tag:tag_line (enc_line t)
+    | Text_io.Probe_prof t -> Wire.section ~tag:tag_probe (enc_probe t)
+    | Text_io.Ctx_prof t -> Wire.section ~tag:tag_ctx (enc_ctx t)
   in
-  Wire.frame ~magic ~version [ (tag, payload) ]
+  Wire.frame ~magic ~version [ section ]
 
 (* ------------------------------------------------------------------ *)
 (* Decoders. Profiles are rebuilt through the same accumulation API the
@@ -139,8 +139,7 @@ let dec_fentry d (fe : PP.fentry) =
       let c = Wire.Dec.varint64 d in
       PP.add_call fe site callee c)
 
-let dec_probe payload =
-  let d = Wire.Dec.of_string payload in
+let dec_probe d =
   let t = PP.create () in
   counted d (fun () ->
       let guid = Wire.Dec.varint64 d in
@@ -152,8 +151,7 @@ let dec_probe payload =
   if not (Wire.Dec.at_end d) then fail "trailing bytes in probe section";
   Text_io.Probe_prof t
 
-let dec_line payload =
-  let d = Wire.Dec.of_string payload in
+let dec_line d =
   let t = LP.create () in
   counted d (fun () ->
       let guid = Wire.Dec.varint64 d in
@@ -174,8 +172,7 @@ let dec_line payload =
   if not (Wire.Dec.at_end d) then fail "trailing bytes in line section";
   Text_io.Line_prof t
 
-let dec_ctx payload =
-  let d = Wire.Dec.of_string payload in
+let dec_ctx d =
   let t = CP.create () in
   let n = Wire.Dec.varint d in
   if n < 0 then fail "negative entry count";
@@ -208,11 +205,12 @@ let decode s =
   | Ok (_version, sections) -> (
       try
         match sections with
-        | [ (tag, payload) ] when tag = tag_line -> Ok (dec_line payload)
-        | [ (tag, payload) ] when tag = tag_probe -> Ok (dec_probe payload)
-        | [ (tag, payload) ] when tag = tag_ctx -> Ok (dec_ctx payload)
-        | [ (tag, _) ] ->
-            Error (Wire.Malformed (Printf.sprintf "unknown section tag %d" tag))
+        | [ sp ] when sp.Wire.s_tag = tag_line -> Ok (dec_line (Wire.Dec.of_span s sp))
+        | [ sp ] when sp.Wire.s_tag = tag_probe -> Ok (dec_probe (Wire.Dec.of_span s sp))
+        | [ sp ] when sp.Wire.s_tag = tag_ctx -> Ok (dec_ctx (Wire.Dec.of_span s sp))
+        | [ sp ] ->
+            Error
+              (Wire.Malformed (Printf.sprintf "unknown section tag %d" sp.Wire.s_tag))
         | _ ->
             Error
               (Wire.Malformed

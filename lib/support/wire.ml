@@ -20,11 +20,30 @@ exception Error of error
 
 let fail e = raise (Error e)
 
-module Enc = struct
-  type t = Buffer.t
+type span = { s_tag : int; s_off : int; s_len : int }
 
-  let create () = Buffer.create 256
-  let byte t b = Buffer.add_char t (Char.chr (b land 0xff))
+module Enc = struct
+  (* A byte buffer written at [pos]. A frame's encoder is sized exactly,
+     so writing a frame never regrows it. *)
+  type t = { mutable buf : Bytes.t; mutable pos : int }
+
+  let sized n = { buf = Bytes.create n; pos = 0 }
+  let create () = sized 256
+  let length t = t.pos
+
+  let reserve t n =
+    if t.pos + n > Bytes.length t.buf then begin
+      let b = Bytes.create (max (t.pos + n) (2 * Bytes.length t.buf)) in
+      Bytes.blit t.buf 0 b 0 t.pos;
+      t.buf <- b
+    end
+
+  let raw t c =
+    if t.pos >= Bytes.length t.buf then reserve t 1;
+    Bytes.unsafe_set t.buf t.pos c;
+    t.pos <- t.pos + 1
+
+  let byte t b = raw t (Char.chr (b land 0xff))
 
   (* Unsigned LEB128 over the 64-bit pattern: logical shifts, so negative
      int64s (checksums are arbitrary bit patterns) encode in 10 bytes. *)
@@ -49,23 +68,50 @@ module Enc = struct
     else begin
       let v = ref v in
       while !v >= 0x80 do
-        Buffer.add_char t (Char.unsafe_chr ((!v land 0x7f) lor 0x80));
+        raw t (Char.unsafe_chr ((!v land 0x7f) lor 0x80));
         v := !v lsr 7
       done;
-      Buffer.add_char t (Char.unsafe_chr !v)
+      raw t (Char.unsafe_chr !v)
     end
+
+  let blit_string t s =
+    let n = String.length s in
+    reserve t n;
+    Bytes.blit_string s 0 t.buf t.pos n;
+    t.pos <- t.pos + n
 
   let string t s =
     varint t (String.length s);
-    Buffer.add_string t s
+    blit_string t s
 
-  let contents = Buffer.contents
+  let append t e =
+    reserve t e.pos;
+    Bytes.blit e.buf 0 t.buf t.pos e.pos;
+    t.pos <- t.pos + e.pos
+
+  let contents t = Bytes.sub_string t.buf 0 t.pos
 end
+
+let varint_size v =
+  if v < 0 then 10
+  else begin
+    let v = ref (v lsr 7) and n = ref 1 in
+    while !v > 0 do
+      v := !v lsr 7;
+      incr n
+    done;
+    !n
+  end
 
 module Dec = struct
   type t = { buf : string; mutable pos : int; limit : int }
 
   let of_string s = { buf = s; pos = 0; limit = String.length s }
+
+  let of_span s sp =
+    if sp.s_off < 0 || sp.s_len < 0 || sp.s_off > String.length s - sp.s_len then
+      invalid_arg "Wire.Dec.of_span: span outside the string";
+    { buf = s; pos = sp.s_off; limit = sp.s_off + sp.s_len }
   let remaining t = t.limit - t.pos
   let at_end t = t.pos >= t.limit
 
@@ -180,51 +226,57 @@ module Dec = struct
     done
 end
 
-let digest ~tag payload =
-  Fnv.string (Fnv.int Fnv.init tag) payload
+type section = { tag : int; len : int; write : Enc.t -> unit }
 
-let section_digest = digest
+let section ~tag e = { tag; len = Enc.length e; write = (fun out -> Enc.append out e) }
 
-let add_digest buf d =
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.shift_right_logical d (8 * i)) land 0xff))
-  done
+let section_sized ~tag ~len write =
+  if len < 0 then invalid_arg "Wire.section_sized: negative length";
+  { tag; len; write }
 
+let digest ~tag b off len = Fnv.bytes (Fnv.int Fnv.init tag) b ~off ~len
+
+let section_digest blob sp =
+  digest ~tag:sp.s_tag (Bytes.unsafe_of_string blob) sp.s_off sp.s_len
+
+(* The one framer: the blob's size is known before a byte is written, so
+   header, section heads, payloads and digest trailers all go straight
+   into one exact-size buffer, and each digest is taken over the payload
+   where it lies. *)
 let frame ~magic ~version sections =
   if String.length magic <> 4 then invalid_arg "Wire.frame: magic must be 4 bytes";
-  let hdr = Enc.create () in
-  Enc.varint hdr version;
-  Enc.varint hdr (List.length sections);
-  let heads =
-    List.map
-      (fun (tag, payload) ->
-        let sec = Enc.create () in
-        Enc.varint sec tag;
-        Enc.varint sec (String.length payload);
-        Enc.contents sec)
+  let size =
+    List.fold_left
+      (fun acc s -> acc + varint_size s.tag + varint_size s.len + s.len + 8)
+      (4 + varint_size version + varint_size (List.length sections))
       sections
   in
-  (* Sized up front: the blob is assembled without regrowing. *)
-  let size =
-    List.fold_left2
-      (fun acc head (_, payload) -> acc + String.length head + String.length payload + 8)
-      (4 + Buffer.length hdr) heads sections
-  in
-  let buf = Buffer.create size in
-  Buffer.add_string buf magic;
-  Buffer.add_buffer buf hdr;
-  List.iter2
-    (fun head (tag, payload) ->
-      Buffer.add_string buf head;
-      Buffer.add_string buf payload;
-      add_digest buf (digest ~tag payload))
-    heads sections;
-  Buffer.contents buf
+  let e = Enc.sized size in
+  Enc.blit_string e magic;
+  Enc.varint e version;
+  Enc.varint e (List.length sections);
+  List.iter
+    (fun s ->
+      Enc.varint e s.tag;
+      Enc.varint e s.len;
+      let off = e.Enc.pos in
+      s.write e;
+      if e.Enc.pos - off <> s.len then
+        invalid_arg
+          (Printf.sprintf "Wire.frame: section %d wrote %d bytes, declared %d" s.tag
+             (e.Enc.pos - off) s.len);
+      let d = digest ~tag:s.tag e.Enc.buf off s.len in
+      for i = 0 to 7 do
+        Enc.byte e (Int64.to_int (Int64.shift_right_logical d (8 * i)))
+      done)
+    sections;
+  Bytes.unsafe_to_string e.Enc.buf
 
 let sniff ~magic s =
   String.length s >= String.length magic && String.sub s 0 (String.length magic) = magic
 
+(* The one unframer: validates the whole envelope and hands back each
+   section as a span of the blob, so no payload is copied. *)
 let unframe ~magic ~max_version s =
   try
     if String.length s < 4 then
@@ -243,9 +295,9 @@ let unframe ~magic ~max_version s =
       let tag = Dec.varint d in
       let len = Dec.varint d in
       if len < 0 || len > Dec.remaining d then fail (Truncated "section payload");
-      let payload = String.sub d.Dec.buf d.Dec.pos len in
+      let sp = { s_tag = tag; s_off = d.Dec.pos; s_len = len } in
       d.Dec.pos <- d.Dec.pos + len;
-      let want = digest ~tag payload in
+      let want = section_digest s sp in
       if Dec.remaining d < 8 then fail (Truncated "section digest");
       let got = ref 0L in
       for j = 0 to 7 do
@@ -253,7 +305,7 @@ let unframe ~magic ~max_version s =
           Int64.logor !got (Int64.shift_left (Int64.of_int (Dec.byte d)) (8 * j))
       done;
       if not (Int64.equal !got want) then fail (Digest_mismatch { section = i });
-      sections := (tag, payload) :: !sections
+      sections := sp :: !sections
     done;
     if not (Dec.at_end d) then
       fail (Malformed "trailing bytes after the last section");

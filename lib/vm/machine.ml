@@ -665,7 +665,7 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = [])
              [src] prepended to the walk with the newest k frames dropped
              (k = 2 after a call, 0 after a return, 1 otherwise), computed
              in place on the scratch. *)
-          let src = st.lbr_src.((st.lbr_pos - 1 + ring) mod ring) in
+          let src = st.lbr_src.(if st.lbr_pos = 0 then ring - 1 else st.lbr_pos - 1) in
           ensure_stack_scratch (stack_len + 1);
           let sbuf = !stack_scratch in
           let k = match st.last_kind with `Call -> 2 | `Ret -> 0 | `Other -> 1 in
@@ -683,12 +683,18 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = [])
           kept + 1
       | _ -> stack_len
     in
-    (* Flush the LBR ring oldest-first into the scratch. *)
+    (* Flush the LBR ring oldest-first into the scratch: the oldest entry
+       up to the ring's end, then its start up to [lbr_pos]. *)
     let n = st.lbr_len in
-    for i = 0 to n - 1 do
-      let pos = (st.lbr_pos - n + i + ring) mod ring in
-      lbr_scratch.(2 * i) <- st.lbr_src.(pos);
-      lbr_scratch.((2 * i) + 1) <- st.lbr_tgt.(pos)
+    let first = if st.lbr_pos >= n then st.lbr_pos - n else st.lbr_pos - n + ring in
+    let head = if first + n <= ring then n else ring - first in
+    for i = 0 to head - 1 do
+      lbr_scratch.(2 * i) <- st.lbr_src.(first + i);
+      lbr_scratch.((2 * i) + 1) <- st.lbr_tgt.(first + i)
+    done;
+    for i = head to n - 1 do
+      lbr_scratch.(2 * i) <- st.lbr_src.(i - head);
+      lbr_scratch.((2 * i) + 1) <- st.lbr_tgt.(i - head)
     done;
     the_sink.on_sample ~lbr:lbr_scratch ~lbr_len:n ~stack:!stack_scratch ~stack_len;
     if debug_poison then begin

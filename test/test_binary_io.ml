@@ -86,9 +86,9 @@ let test_version_rejection () =
     (* a structurally valid (empty) probe section under a future version *)
     let e = Wire.Enc.create () in
     Wire.Enc.varint e 0;
-    Wire.Enc.contents e
+    Wire.section ~tag:2 e
   in
-  let blob = Wire.frame ~magic:B.magic ~version:(B.version + 1) [ (2, payload) ] in
+  let blob = Wire.frame ~magic:B.magic ~version:(B.version + 1) [ payload ] in
   (match B.decode blob with
   | Error (Wire.Unsupported_version { version; max }) ->
       Alcotest.(check int) "reported version" (B.version + 1) version;
@@ -96,7 +96,7 @@ let test_version_rejection () =
   | Error e -> Alcotest.fail ("wrong error: " ^ Wire.error_to_string e)
   | Ok _ -> Alcotest.fail "future version accepted");
   (* and version-0 is below the floor *)
-  let blob0 = Wire.frame ~magic:B.magic ~version:0 [ (2, payload) ] in
+  let blob0 = Wire.frame ~magic:B.magic ~version:0 [ payload ] in
   match B.decode blob0 with
   | Error (Wire.Unsupported_version _) -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ Wire.error_to_string e)
@@ -336,7 +336,7 @@ let test_sample_log_corruption () =
   Wire.Enc.varint e 1;
   Wire.Enc.varint e 0;
   rejected "record stream overrun"
-    (Wire.frame ~magic:SL.magic ~version:1 [ (1, Wire.Enc.contents e) ]);
+    (Wire.frame ~magic:SL.magic ~version:1 [ Wire.section ~tag:1 e ]);
   (* bad text forms *)
   let text_rejected what s =
     match SL.of_text s with

@@ -412,19 +412,29 @@ let test_fuel_bounds () =
   Alcotest.(check bool) "fuel 100 traps" true (trapped_at 100L)
 
 (* Allocation guard: the interpreter loop allocates nothing per simulated
-   instruction, global stores included, so a run's minor words stay far
-   below one per instruction (what remains is decoding and setup, once
-   per run). *)
+   instruction, global stores included. A fuel-0 run of the same binary
+   and inputs pays the run's decoding and setup and then traps, so the
+   words it allocates are subtracted: the bound holds the loop alone. *)
 let test_no_allocation_per_instruction () =
   let check name src args =
     let bin = build ~config:Opt.Config.o0 src in
-    let before = Gc.minor_words () in
-    let r = Vm.Machine.run ~pmu:None bin ~entry:"main" ~args in
-    let words = Gc.minor_words () -. before in
-    let per = words /. Int64.to_float r.Vm.Machine.instructions in
-    if per >= 0.01 then
-      Alcotest.failf "%s: %.4f minor words per instruction (%Ld instructions)" name per
-        r.Vm.Machine.instructions
+    let run fuel =
+      let before = Gc.minor_words () in
+      let r =
+        match Vm.Machine.run ~pmu:None ?fuel bin ~entry:"main" ~args with
+        | r -> Some r
+        | exception Vm.Machine.Trap _ -> None
+      in
+      (Gc.minor_words () -. before, r)
+    in
+    let setup, _ = run (Some 0L) in
+    match run None with
+    | _, None -> Alcotest.failf "%s: trapped" name
+    | words, Some r ->
+        let per = (words -. setup) /. Int64.to_float r.Vm.Machine.instructions in
+        if per >= 0.01 then
+          Alcotest.failf "%s: %.4f minor words per instruction (%Ld instructions)" name per
+            r.Vm.Machine.instructions
   in
   check "hot loop"
     "fn main(n) { let s = 0; let i = 0; while (i < n) { s = s + i * 3 % 7 - (i >> 1); i = i + 1; } return s; }"
@@ -540,37 +550,72 @@ let test_ctx_words_per_attribution () =
     Alcotest.failf "Ctx_reconstruct on haas: %.1f words per attribution (%d attributions)" per
       !attributions
 
-(* Allocation guard for the CSLG codec: encoding an adfinder log and
-   decoding it back to chunks each allocate at most 2 words per arena int
-   — the decoded arena itself is one, the framed bytes a fraction. Boxing
-   per byte or per varint costs several times that. *)
+(* Allocation budgets for the sample stream, one per hop, in words per
+   arena int of an adfinder training log at period 499. Each hop copies a
+   sample at most once: recording fills fixed blocks that are never
+   regrown ([compact] trims only the open one), [encode] writes one
+   exact-size blob, [decode_chunks] reads each section in place into its
+   decoded arena, and the cuts and joins hand out windows onto existing
+   blocks without copying a record. A hop that copied its records once
+   more would read about one word per int higher. *)
 let test_codec_allocation () =
   let module D = Csspgo_core.Driver in
+  let module Ls = Csspgo_support.Label_set in
   let w = Csspgo_workloads.Suite.adfinder in
   let bin = build ~probes:true w.D.w_source in
+  let record sink =
+    List.iter
+      (fun (spec : D.run_spec) ->
+        ignore
+          (Vm.Machine.run
+             ~pmu:(Some { Vm.Machine.default_pmu with Vm.Machine.sample_period = 499 })
+             ~sink ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
+             ~entry:w.D.w_entry))
+      w.D.w_train
+  in
   let log = SL.create () in
-  List.iter
-    (fun (spec : D.run_spec) ->
-      ignore
-        (Vm.Machine.run
-           ~pmu:(Some { Vm.Machine.default_pmu with Vm.Machine.sample_period = 499 })
-           ~sink:(SL.sink log) ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
-           ~entry:w.D.w_entry))
-    w.D.w_train;
+  record (SL.sink log);
+  SL.compact log;
   let ints = ref 0 in
   SL.iter log (fun ~lbr:_ ~lbr_len ~stack:_ ~stack_len ->
       ints := !ints + 2 + (2 * lbr_len) + stack_len);
+  (* The same records under two tenants, switching every 1,000 samples. *)
+  let labeled = SL.create () in
+  let i = ref 0 in
+  SL.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
+      if !i mod 1000 = 0 then
+        SL.set_label labeled
+          (Ls.of_list [ ("tenant", if !i mod 2000 = 0 then "acme" else "zeta") ]);
+      incr i;
+      SL.add labeled ~lbr ~lbr_len ~stack ~stack_len);
   let blob = SL.encode log in
-  let check name f =
-    let per = Alloc.words f /. float_of_int !ints in
-    if per > 2.0 then
-      Alcotest.failf "%s: %.3f words per arena int (%d ints)" name per !ints
+  let parts = SL.split labeled in
+  let check name budget words =
+    let per = words /. float_of_int !ints in
+    if per > budget then
+      Alcotest.failf "%s: %.3f words per arena int (%d ints), budget %.2f" name per !ints
+        budget
   in
-  check "encode" (fun () -> ignore (SL.encode log));
-  check "decode_chunks" (fun () ->
-      match SL.decode_chunks blob with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail (Csspgo_support.Wire.error_to_string e))
+  let noop =
+    { Vm.Machine.on_sample = (fun ~lbr:_ ~lbr_len:_ ~stack:_ ~stack_len:_ -> ());
+      on_labels = Vm.Machine.no_labels }
+  in
+  check "record, compact included" 1.25
+    (Alloc.words (fun () ->
+         let l = SL.create () in
+         record (SL.sink l);
+         SL.compact l)
+    -. Alloc.words (fun () -> record noop));
+  check "encode" 0.35 (Alloc.words (fun () -> ignore (SL.encode log)));
+  check "decode_chunks" 1.05
+    (Alloc.words (fun () ->
+         match SL.decode_chunks blob with
+         | Ok _ -> ()
+         | Error e -> Alcotest.fail (Csspgo_support.Wire.error_to_string e)));
+  check "split" 0.05 (Alloc.words (fun () -> ignore (SL.split labeled)));
+  check "concat" 0.05 (Alloc.words (fun () -> ignore (SL.concat parts)));
+  check "append" 0.05 (Alloc.words (fun () -> SL.append ~into:(SL.create ()) labeled));
+  check "slice_by_label" 0.05 (Alloc.words (fun () -> ignore (SL.slice_by_label labeled)))
 
 let suite =
   ( "vm",

@@ -1,6 +1,7 @@
 (* Differential tests and allocation guards for the wire kernels: the
-   FNV-1a digest, LEB128 encode and the bulk varint decoder. Each kernel is
-   compared against its plain boxed form, kept here as the reference. *)
+   FNV-1a digest, LEB128 encode, the bulk varint decoder and the framer
+   and unframer, which write and read every section in place. Each kernel
+   is compared against its plain form, kept here as the reference. *)
 open Csspgo_support
 
 module Ref = struct
@@ -108,6 +109,26 @@ module Ref = struct
       end
     done
 end
+
+(* The envelope assembled from copies: each section head and payload
+   appended to a growing buffer, each digest over a payload string. *)
+let ref_frame ~magic ~version sections =
+  let b = Buffer.create 64 in
+  Buffer.add_string b magic;
+  let varint v = Buffer.add_string b (Ref.enc_varint v) in
+  varint version;
+  varint (List.length sections);
+  List.iter
+    (fun (tag, payload) ->
+      varint tag;
+      varint (String.length payload);
+      Buffer.add_string b payload;
+      let d = Ref.fnv_string (Fnv.int Fnv.init tag) payload in
+      for i = 0 to 7 do
+        Buffer.add_char b (Char.chr (Int64.to_int (Int64.shift_right_logical d (8 * i)) land 0xff))
+      done)
+    sections;
+  Buffer.contents b
 
 let boundaries =
   [ 0; 1; 127; 128; 16383; 16384; (1 lsl 56) - 1; 1 lsl 56; max_int; min_int; -1 ]
@@ -219,6 +240,47 @@ let prop_fnv =
     QCheck.(pair int64 string)
     (fun (h, s) -> Int64.equal (Fnv.string h s) (Ref.fnv_string h s))
 
+(* Both ways of giving [frame] a payload (an encoder's bytes, or a writer
+   straight into the blob) frame the reference bytes, and [unframe] hands
+   back every section's tag and payload as a span of the blob. *)
+let prop_frame =
+  QCheck.Test.make ~name:"frame and unframe match the copying envelope" ~count:500
+    QCheck.(pair (int_range 1 200) (small_list (pair (int_range 0 300) string)))
+    (fun (version, sections) ->
+      let expected = ref_frame ~magic:"TEST" ~version sections in
+      let encoded =
+        List.map
+          (fun (tag, p) ->
+            let e = Wire.Enc.create () in
+            String.iter (fun c -> Wire.Enc.byte e (Char.code c)) p;
+            Wire.section ~tag e)
+          sections
+      and written =
+        List.map
+          (fun (tag, p) ->
+            Wire.section_sized ~tag ~len:(String.length p) (fun e ->
+                String.iter (fun c -> Wire.Enc.byte e (Char.code c)) p))
+          sections
+      in
+      let blob = Wire.frame ~magic:"TEST" ~version encoded in
+      String.equal blob expected
+      && String.equal (Wire.frame ~magic:"TEST" ~version written) expected
+      &&
+      match Wire.unframe ~magic:"TEST" ~max_version:200 blob with
+      | Error _ -> false
+      | Ok (v, spans) ->
+          v = version
+          && List.map
+               (fun (sp : Wire.span) -> (sp.s_tag, String.sub blob sp.s_off sp.s_len))
+               spans
+             = sections)
+
+let test_frame_checks_length () =
+  let short = Wire.section_sized ~tag:1 ~len:3 (fun e -> Wire.Enc.byte e 0) in
+  match Wire.frame ~magic:"TEST" ~version:1 [ short ] with
+  | _ -> Alcotest.fail "a section shorter than declared was framed"
+  | exception Invalid_argument _ -> ()
+
 (* Allocation guards: each kernel allocates nothing per byte or value
    (well under 0.01 words; a boxed [Int64] per step is 3). *)
 let guard name words per =
@@ -257,7 +319,25 @@ let test_no_allocation () =
   guard "Dec.varint_into"
     (Alloc.words (fun () -> Wire.Dec.varint_into (Wire.Dec.of_string blob) a n))
     n;
-  Alcotest.(check bool) "decoded back" true (a = values)
+  Alcotest.(check bool) "decoded back" true (a = values);
+  (* The framer allocates the blob and nothing per payload byte; the
+     unframer nothing per byte at all. *)
+  let sections =
+    List.init 16 (fun tag ->
+        Wire.section_sized ~tag ~len:(String.length s / 16) (fun e ->
+            for i = tag * (String.length s / 16) to ((tag + 1) * (String.length s / 16)) - 1 do
+              Wire.Enc.byte e (Char.code s.[i])
+            done))
+  in
+  let framed = Wire.frame ~magic:"TEST" ~version:1 sections in
+  let blob_words = float_of_int (String.length framed / 8) in
+  guard "Wire.frame"
+    (Alloc.words (fun () -> ignore (Wire.frame ~magic:"TEST" ~version:1 sections))
+    -. blob_words)
+    (String.length framed);
+  guard "Wire.unframe"
+    (Alloc.words (fun () -> ignore (Wire.unframe ~magic:"TEST" ~max_version:1 framed)))
+    (String.length framed)
 
 let suite =
   ( "wire",
@@ -267,4 +347,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_varint_into;
       QCheck_alcotest.to_alcotest prop_enc_varint;
       QCheck_alcotest.to_alcotest prop_fnv;
+      QCheck_alcotest.to_alcotest prop_frame;
+      Alcotest.test_case "frame checks each section's length" `Quick test_frame_checks_length;
     ] )
