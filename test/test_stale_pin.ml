@@ -10,6 +10,8 @@ module Core = Csspgo_core
 module SM = Core.Stale_match
 module D = Core.Driver
 module W = Csspgo_workloads
+module Fl = Csspgo_fleet
+module Ir = Csspgo_ir
 module Fnv = Csspgo_support.Fnv
 
 let hex s = Printf.sprintf "%016Lx" (Fnv.hash_string s)
@@ -176,9 +178,163 @@ let test_golden_merged () =
         (Printf.sprintf "%016Lx" (P.Fingerprint.merged (P.Text_io.of_string text))))
     golden_merged
 
+(* Hash-table iteration order pinned. Canonical text sorts every table,
+   so it cannot see the order [Hashtbl.iter] visits a profile in, yet the
+   pre-inliner's [top_down_order] and the probe matcher read that order.
+   Each rendering walks the tables themselves: a trie's roots and every
+   node's children, a flat profile's functions, and each entry's count
+   table and call tables (outer and inner), all in [Hashtbl.iter] order.
+   The cases cover every path that builds or rebuilds those tables from
+   haas: the context correlation (untrimmed), [Ctx_profile.copy] and
+   [trim_cold], [Merge.ctx] of two tries, [Stale_match.route] onto a
+   drifted haas, [Text_io] and [Binary_io] round trips, and the flat
+   profiles after [Merge.probe] and [Merge.line]. *)
+let render_calls b calls key =
+  Hashtbl.iter
+    (fun k tbl ->
+      Buffer.add_string b " @";
+      key b k;
+      Hashtbl.iter (fun g c -> Printf.bprintf b " %Lx=%Ld" g c) tbl)
+    calls
+
+let render_counts b counts calls key =
+  Hashtbl.iter
+    (fun k c ->
+      Buffer.add_char b ' ';
+      key b k;
+      Printf.bprintf b "=%Ld" c)
+    counts;
+  Buffer.add_string b " |";
+  render_calls b calls key;
+  Buffer.add_char b '\n'
+
+let probe_key b id = Printf.bprintf b "%d" id
+let line_key b (l, d) = Printf.bprintf b "%d.%d" l d
+
+let ctx_order (trie : P.Ctx_profile.t) =
+  let b = Buffer.create 65536 in
+  let rec node depth (n : P.Ctx_profile.node) =
+    Printf.bprintf b "%d %Lx" depth n.P.Ctx_profile.n_func;
+    Hashtbl.iter (fun (s, g) _ -> Printf.bprintf b " >%d:%Lx" s g) n.P.Ctx_profile.n_children;
+    let fe = n.P.Ctx_profile.n_prof in
+    render_counts b fe.P.Probe_profile.fe_probes fe.P.Probe_profile.fe_calls probe_key;
+    Hashtbl.iter (fun _ c -> node (depth + 1) c) n.P.Ctx_profile.n_children
+  in
+  Ir.Guid.Tbl.iter (fun _ n -> node 0 n) trie.P.Ctx_profile.roots;
+  Buffer.contents b
+
+let probe_order (t : P.Probe_profile.t) =
+  let b = Buffer.create 16384 in
+  Ir.Guid.Tbl.iter
+    (fun g (fe : P.Probe_profile.fentry) ->
+      Printf.bprintf b "%Lx" g;
+      render_counts b fe.P.Probe_profile.fe_probes fe.P.Probe_profile.fe_calls probe_key)
+    t.P.Probe_profile.funcs;
+  Buffer.contents b
+
+let line_order (t : P.Line_profile.t) =
+  let b = Buffer.create 16384 in
+  Ir.Guid.Tbl.iter
+    (fun g (fe : P.Line_profile.fentry) ->
+      Printf.bprintf b "%Lx" g;
+      render_counts b fe.P.Line_profile.fe_lines fe.P.Line_profile.fe_calls line_key)
+    t.P.Line_profile.funcs;
+  Buffer.contents b
+
+let order_of = function
+  | P.Text_io.Ctx_prof t -> ctx_order t
+  | P.Text_io.Probe_prof t -> probe_order t
+  | P.Text_io.Line_prof t -> line_order t
+
+let haas_order () =
+  let w = W.Suite.haas in
+  let options = { Test_stale.options with D.trim_threshold = 0L } in
+  let correlate shape =
+    let b = Fl.Build.profiling_build ~options ~shape ~source:w.D.w_source in
+    Fl.Build.correlate ~options ~shape b (Fl.Build.record ~options b w)
+  in
+  let trie, flat =
+    match correlate Fl.Build.Ctx with
+    | P.Text_io.Ctx_prof t, Some f -> (t, f)
+    | _ -> Alcotest.fail "haas: no context trie and flat profile"
+  in
+  let lines =
+    match correlate Fl.Build.Lines with
+    | P.Text_io.Line_prof t, _ -> t
+    | _ -> Alcotest.fail "haas: no line profile"
+  in
+  let copied = P.Ctx_profile.copy trie in
+  let trimmed = P.Ctx_profile.copy trie in
+  (* At period 101 every haas context holds at least 8 counts; 500
+     promotes about half the trie's 9,523 nodes. *)
+  ignore (P.Ctx_profile.trim_cold trimmed ~threshold:500L);
+  let merged = P.Ctx_profile.create () in
+  P.Merge.ctx ~into:merged ~weight:1L trie;
+  P.Merge.ctx ~into:merged ~weight:2L trimmed;
+  let target =
+    Test_stale.target_ir
+      (W.Drift.apply ~seed:3L ~edits:6 w.D.w_source).W.Drift.dr_source
+  in
+  let (routed, routed_flat), _ =
+    Csspgo_core.Stale_match.route ~target (P.Text_io.Ctx_prof trimmed, Some flat)
+  in
+  let round_trip p =
+    match P.Binary_io.decode (P.Binary_io.encode p) with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "binary round trip: %s" (Csspgo_support.Wire.error_to_string e)
+  in
+  let flat_merged = P.Probe_profile.create () in
+  P.Merge.probe ~into:flat_merged ~weight:1L flat;
+  P.Merge.probe ~into:flat_merged ~weight:3L (Option.get routed_flat);
+  let lines_merged = P.Line_profile.create () in
+  P.Merge.line ~into:lines_merged ~weight:2L lines;
+  P.Merge.line ~into:lines_merged ~weight:1L lines;
+  [
+    ("correlate", ctx_order trie);
+    ("copy", ctx_order copied);
+    ("trim_cold", ctx_order trimmed);
+    ("merge ctx", ctx_order merged);
+    ("route", ctx_order (match routed with P.Text_io.Ctx_prof t -> t | _ -> assert false));
+    ("route flat", probe_order (Option.get routed_flat));
+    ("text", order_of (P.Text_io.of_string (P.Text_io.to_string (P.Text_io.Ctx_prof trimmed))));
+    ("binary", order_of (round_trip (P.Text_io.Ctx_prof trimmed)));
+    ("merge probe", probe_order flat_merged);
+    ("merge line", line_order lines_merged);
+  ]
+
+(* Recorded while [Line_profile] and [Probe_profile] each wrote their own
+   accumulators and [Merge] and [Ctx_profile] their own entry merges. *)
+let order_pinned =
+  [
+    ("correlate", "b19c2635bcef29bb");
+    ("copy", "b19c2635bcef29bb");
+    ("trim_cold", "685b1ab294faca0b");
+    ("merge ctx", "1d601d465f0c7c52");
+    ("route", "8cfc6162951c4a21");
+    ("route flat", "9513b3a74e26b077");
+    ("text", "37b81b98b6493c29");
+    ("binary", "37b81b98b6493c29");
+    ("merge probe", "bc57e6685a12eb65");
+    ("merge line", "34b118c5f41273e1");
+  ]
+
+let test_haas_order () =
+  let got = List.map (fun (aspect, rendering) -> (aspect, hex rendering)) (haas_order ()) in
+  let unpinned = List.filter (fun (aspect, _) -> not (List.mem_assoc aspect order_pinned)) got in
+  if unpinned <> [] then
+    Alcotest.failf "no pin for %s"
+      (String.concat ", " (List.map (fun (a, d) -> Printf.sprintf "%s (digest %s)" a d) unpinned));
+  List.iter
+    (fun (aspect, d) ->
+      Alcotest.(check string) (aspect ^ " order digest") (List.assoc aspect order_pinned) d)
+    got
+
 let suite =
   ( "stale-pin",
     List.map
       (fun ((name, _) as c) -> Alcotest.test_case name `Quick (check_case c))
       (List.map workload_case [ W.Suite.adretriever; W.Suite.haas ])
-    @ [ Alcotest.test_case "golden merged fingerprints" `Quick test_golden_merged ] )
+    @ [
+        Alcotest.test_case "golden merged fingerprints" `Quick test_golden_merged;
+        Alcotest.test_case "haas table order" `Quick test_haas_order;
+      ] )
