@@ -47,23 +47,19 @@ let profile_counts (p : Csspgo_profile.Text_io.profile) =
       let prev = try Hashtbl.find tbl key with Not_found -> 0L in
       Hashtbl.replace tbl key (Int64.add prev c)
   in
-  let probe (pp : P.Probe_profile.t) =
+  let flat sh key funcs =
     Ir.Guid.Tbl.iter
-      (fun guid fe ->
-        Hashtbl.iter
-          (fun id c -> add (guid, id, 0) c)
-          fe.P.Probe_profile.fe_probes)
-      pp.P.Probe_profile.funcs
+      (fun guid fe -> Hashtbl.iter (fun k c -> add (key guid k) c) (sh.P.Counts.counts fe))
+      funcs
   in
+  let probe_key guid id = (guid, id, 0) in
   (match p with
-  | P.Text_io.Probe_prof pp -> probe pp
-  | P.Text_io.Ctx_prof cp -> probe (P.Merge.flatten_ctx cp)
+  | P.Text_io.Probe_prof pp -> flat P.Probe_profile.shape probe_key pp.P.Probe_profile.funcs
+  | P.Text_io.Ctx_prof cp ->
+      flat P.Probe_profile.shape probe_key (P.Merge.flatten_ctx cp).P.Probe_profile.funcs
   | P.Text_io.Line_prof lp ->
-      Ir.Guid.Tbl.iter
-        (fun guid fe ->
-          Hashtbl.iter
-            (fun (line, disc) c -> add (guid, line, disc) c)
-            fe.P.Line_profile.fe_lines)
+      flat P.Line_profile.shape
+        (fun guid (line, disc) -> (guid, line, disc))
         lp.P.Line_profile.funcs);
   tbl
 

@@ -14,65 +14,50 @@ let tag_ctx = 3
    Text_io's writers, so the blob is canonical: equal profiles encode to
    equal bytes.                                                         *)
 
-let enc_fentry e (fe : PP.fentry) =
-  let probes = PP.sorted_probes fe in
-  Wire.Enc.varint e (List.length probes);
+(* One entry loop for every shape: the counts, then the call records,
+   each prefixed by its length. [key] writes a key. *)
+let enc_counts sh key e fe =
+  let counts = Counts.sorted sh fe in
+  Wire.Enc.varint e (List.length counts);
   List.iter
-    (fun (id, c) ->
-      Wire.Enc.varint e id;
+    (fun (k, c) ->
+      key e k;
       Wire.Enc.varint64 e c)
-    probes;
-  let calls = PP.sorted_calls fe in
+    counts;
+  let calls = Counts.sorted_calls sh fe in
   Wire.Enc.varint e (List.length calls);
   List.iter
-    (fun (site, callee, c) ->
-      Wire.Enc.varint e site;
+    (fun (k, callee, c) ->
+      key e k;
       Wire.Enc.varint64 e callee;
       Wire.Enc.varint64 e c)
     calls
 
-let enc_probe (t : PP.t) =
+let enc_probe_key = Wire.Enc.varint
+
+let enc_line_key e (l, d) =
+  Wire.Enc.varint e l;
+  Wire.Enc.varint e d
+
+(* One function loop for both flat shapes: guid, name, head, the shape's
+   own fields ([meta]), then the entry. *)
+let enc_flat sh key meta funcs names =
   let e = Wire.Enc.create () in
-  let funcs = PP.sorted_funcs t in
+  let funcs = Counts.sorted_funcs funcs in
   Wire.Enc.varint e (List.length funcs);
   List.iter
-    (fun (guid, (fe : PP.fentry)) ->
+    (fun (guid, fe) ->
       Wire.Enc.varint64 e guid;
-      Wire.Enc.string e (Text_io.name_or_guid t.PP.names guid);
-      Wire.Enc.varint64 e fe.PP.fe_head;
-      Wire.Enc.varint64 e fe.PP.fe_checksum;
-      enc_fentry e fe)
+      Wire.Enc.string e (Text_io.name_or_guid names guid);
+      Wire.Enc.varint64 e (sh.Counts.head fe);
+      meta e fe;
+      enc_counts sh key e fe)
     funcs;
   e
 
-let enc_line (t : LP.t) =
-  let e = Wire.Enc.create () in
-  let funcs = LP.sorted_funcs t in
-  Wire.Enc.varint e (List.length funcs);
-  List.iter
-    (fun (guid, (fe : LP.fentry)) ->
-      Wire.Enc.varint64 e guid;
-      Wire.Enc.string e (Text_io.name_or_guid t.LP.names guid);
-      Wire.Enc.varint64 e fe.LP.fe_head;
-      let lines = LP.sorted_lines fe in
-      Wire.Enc.varint e (List.length lines);
-      List.iter
-        (fun ((l, d), c) ->
-          Wire.Enc.varint e l;
-          Wire.Enc.varint e d;
-          Wire.Enc.varint64 e c)
-        lines;
-      let calls = LP.sorted_calls fe in
-      Wire.Enc.varint e (List.length calls);
-      List.iter
-        (fun ((l, d), g, c) ->
-          Wire.Enc.varint e l;
-          Wire.Enc.varint e d;
-          Wire.Enc.varint64 e g;
-          Wire.Enc.varint64 e c)
-        calls)
-    funcs;
-  e
+let enc_checksum e (fe : PP.fentry) = Wire.Enc.varint64 e fe.fe_checksum
+let enc_probe (t : PP.t) = enc_flat PP.shape enc_probe_key enc_checksum t.funcs t.names
+let enc_line (t : LP.t) = enc_flat LP.shape enc_line_key (fun _ _ -> ()) t.funcs t.names
 
 (* Nodes are written in [iter_nodes] pre-order (parents strictly before
    children), so each node's context collapses to the emission index of
@@ -101,7 +86,7 @@ let enc_ctx (t : CP.t) =
       Wire.Enc.byte e (if node.CP.n_inlined then 1 else 0);
       Wire.Enc.varint64 e node.CP.n_prof.PP.fe_head;
       Wire.Enc.varint64 e node.CP.n_prof.PP.fe_checksum;
-      enc_fentry e node.CP.n_prof)
+      enc_counts PP.shape enc_probe_key e node.CP.n_prof)
     nodes;
   e
 
@@ -128,54 +113,59 @@ let counted d f =
     f ()
   done
 
-let dec_fentry d (fe : PP.fentry) =
+(* [put] adds a decoded count: the readers' accumulation API, so a
+   repeated key decodes as it parses from text. *)
+let dec_counts sh key put d fe =
   counted d (fun () ->
-      let id = Wire.Dec.varint d in
+      let k = key d in
       let c = Wire.Dec.varint64 d in
-      PP.add_probe fe id c);
+      put fe k c);
   counted d (fun () ->
-      let site = Wire.Dec.varint d in
+      let k = key d in
       let callee = Wire.Dec.varint64 d in
       let c = Wire.Dec.varint64 d in
-      PP.add_call fe site callee c)
+      Counts.add_call sh fe k callee c)
 
-let dec_probe d =
-  let t = PP.create () in
+let dec_probe_key = Wire.Dec.varint
+
+let dec_line_key d =
+  let l = Wire.Dec.varint d in
+  let dc = Wire.Dec.varint d in
+  (l, dc)
+
+let dec_flat sh key put meta ~what ~funcs ~names d =
   counted d (fun () ->
       let guid = Wire.Dec.varint64 d in
       let name = Wire.Dec.string d in
-      let fe = PP.get_or_add t guid ~name in
-      fe.PP.fe_head <- Wire.Dec.varint64 d;
-      fe.PP.fe_checksum <- Wire.Dec.varint64 d;
-      dec_fentry d fe);
-  if not (Wire.Dec.at_end d) then fail "trailing bytes in probe section";
+      let fe = Counts.get_or_add sh ~funcs ~names guid ~name in
+      sh.Counts.set_head fe (Wire.Dec.varint64 d);
+      meta d fe;
+      dec_counts sh key put d fe);
+  if not (Wire.Dec.at_end d) then fail ("trailing bytes in " ^ what ^ " section")
+
+let dec_checksum d (fe : PP.fentry) = fe.fe_checksum <- Wire.Dec.varint64 d
+
+let dec_probe d =
+  let t = PP.create () in
+  dec_flat PP.shape dec_probe_key PP.add_probe dec_checksum ~what:"probe" ~funcs:t.funcs
+    ~names:t.names d;
   Text_io.Probe_prof t
 
 let dec_line d =
   let t = LP.create () in
-  counted d (fun () ->
-      let guid = Wire.Dec.varint64 d in
-      let name = Wire.Dec.string d in
-      let fe = LP.get_or_add t guid ~name in
-      fe.LP.fe_head <- Wire.Dec.varint64 d;
-      counted d (fun () ->
-          let l = Wire.Dec.varint d in
-          let dc = Wire.Dec.varint d in
-          let c = Wire.Dec.varint64 d in
-          LP.set_line_max fe (l, dc) c);
-      counted d (fun () ->
-          let l = Wire.Dec.varint d in
-          let dc = Wire.Dec.varint d in
-          let g = Wire.Dec.varint64 d in
-          let c = Wire.Dec.varint64 d in
-          LP.add_call fe (l, dc) g c));
-  if not (Wire.Dec.at_end d) then fail "trailing bytes in line section";
+  dec_flat LP.shape dec_line_key LP.set_line_max (fun _ _ -> ()) ~what:"line" ~funcs:t.funcs
+    ~names:t.names d;
   Text_io.Line_prof t
 
 let dec_ctx d =
   let t = CP.create () in
   let n = Wire.Dec.varint d in
   if n < 0 then fail "negative entry count";
+  (* Nine bytes is a node's least encoding: seven one-byte fields (parent
+     reference, site, guid, name length, inlined mark, head, checksum) and
+     its two entry counts. A count the section cannot hold is rejected
+     before the node table is allocated. *)
+  if n > Wire.Dec.remaining d / 9 then fail "more context nodes than the section holds";
   let nodes = Array.make (max n 1) None in
   for i = 0 to n - 1 do
     let pref = Wire.Dec.varint d in
@@ -193,7 +183,7 @@ let dec_ctx d =
     if inlined then node.CP.n_inlined <- true;
     node.CP.n_prof.PP.fe_head <- head;
     node.CP.n_prof.PP.fe_checksum <- checksum;
-    dec_fentry d node.CP.n_prof;
+    dec_counts PP.shape dec_probe_key PP.add_probe d node.CP.n_prof;
     nodes.(i) <- Some node
   done;
   if not (Wire.Dec.at_end d) then fail "trailing bytes in ctx section";

@@ -15,7 +15,11 @@
     [Text_io.to_string p].
 
     Decoding validates the envelope before touching any payload; bad input
-    yields a typed [Error _], never an exception. Version-1 blobs are a
+    yields a typed [Error _], never an exception. A declared count
+    allocates nothing the payload cannot back: a ctx section declaring
+    more nodes than a ninth of its remaining bytes (nine bytes is a node's
+    least encoding) is [Malformed] before its node table is allocated,
+    and flat entry counts allocate nothing up front. Version-1 blobs are a
     compatibility contract: future format bumps must keep decoding them
     (the golden [.bprof] fixtures under test/ pin this). *)
 

@@ -17,21 +17,12 @@ type t = {
   roots : node Ir.Guid.Tbl.t;
 }
 
-let fresh_fentry () =
-  {
-    Probe_profile.fe_total = 0L;
-    fe_head = 0L;
-    fe_probes = Hashtbl.create 16;
-    fe_calls = Hashtbl.create 4;
-    fe_checksum = 0L;
-  }
-
 let mk_node guid name =
   {
     n_func = guid;
     n_name = name;
     n_inlined = false;
-    n_prof = fresh_fentry ();
+    n_prof = Counts.fresh Probe_profile.shape 16;
     n_children = Hashtbl.create 4;
     n_sub = 0L;
   }
@@ -92,22 +83,15 @@ let find_node t ~leaf pred =
       if !found = None && Ir.Guid.equal node.n_func leaf && pred ctx then found := Some node);
   !found
 
-let merge_fentry ~(into : Probe_profile.fentry) (src : Probe_profile.fentry) =
-  Hashtbl.iter (fun id c -> Probe_profile.add_probe into id c) src.Probe_profile.fe_probes;
-  Hashtbl.iter
-    (fun site tbl ->
-      Hashtbl.iter (fun callee c -> Probe_profile.add_call into site callee c) tbl)
-    src.Probe_profile.fe_calls;
-  into.Probe_profile.fe_head <- Int64.add into.Probe_profile.fe_head src.Probe_profile.fe_head;
-  if Int64.equal into.Probe_profile.fe_checksum 0L then
-    into.Probe_profile.fe_checksum <- src.Probe_profile.fe_checksum
-
 (* Merge [src] into [dst] recursively (same function). Returns how much
    the totals under [dst] grew, so a trim can keep the cached subtree total
    of every node the merge reaches. *)
 let rec merge_node ~(dst : node) (src : node) =
   let before = dst.n_prof.Probe_profile.fe_total in
-  merge_fentry ~into:dst.n_prof src.n_prof;
+  Counts.merge Probe_profile.shape ~into:dst.n_prof ~weight:1L src.n_prof;
+  (* A promotion keeps the base's checksum, or takes the first non-zero. *)
+  if Int64.equal dst.n_prof.Probe_profile.fe_checksum 0L then
+    dst.n_prof.Probe_profile.fe_checksum <- src.n_prof.Probe_profile.fe_checksum;
   let added = ref (Int64.sub dst.n_prof.Probe_profile.fe_total before) in
   Hashtbl.iter
     (fun key child ->

@@ -6,6 +6,8 @@
     instance of the leaf function — e.g. [main:3 @ foo:2 @ bar] in LLVM's
     notation. Root nodes hold the *base* (context-merged) profiles.
 
+    Every node's [n_prof] is a probe entry, {!Counts}' layout at
+    {!Probe_profile.shape}: the trie adds no count operations of its own.
     The trie supports the operations the §III.B pipeline needs:
     - accumulation of probe/call counts at a context,
     - cold-context trimming (merge into base) for profile-size control,
@@ -58,12 +60,12 @@ val iter_nodes : t -> (frame list -> node -> unit) -> unit
 (** Depth-first over all nodes; the frame list is the node's full context
     (outermost first, excluding the node itself). *)
 
-val merge_fentry : into:Probe_profile.fentry -> Probe_profile.fentry -> unit
-
 val promote_to_base : t -> parent:node -> key:frame_key -> unit
 (** Detach the child at [key] from [parent], merge its profile into the
     leaf function's base, and re-root its children under that base
-    (recursively merging). Implements MoveContextProfileToBaseProfile. *)
+    (recursively merging). Implements MoveContextProfileToBaseProfile.
+    Counts merge by {!Counts.merge} at weight 1; the base keeps its
+    checksum, or takes the first non-zero one it meets. *)
 
 val trim_cold : t -> threshold:int64 -> int
 (** Promote every context node (depth >= 1) whose subtree total is below

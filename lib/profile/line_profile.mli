@@ -1,7 +1,10 @@
 (** AutoFDO-style flat sample profile: per function, counts keyed by
     (function-relative line, discriminator), plus per-callsite callee target
     counts and a head (entry) count. This is the profile shape produced by
-    DWARF-based correlation. *)
+    DWARF-based correlation. Its entries are {!Counts}' layout over the
+    line key; the operations below are {!Counts}' at {!shape}, and the
+    canonical entry order is {!Counts.sorted_funcs}, {!Counts.sorted} and
+    {!Counts.sorted_calls}. *)
 
 type key = int * int  (** line offset, discriminator *)
 
@@ -17,6 +20,10 @@ type t = {
   names : string Csspgo_ir.Guid.Tbl.t;  (** guid -> symbol name, for reports *)
 }
 
+val shape : (fentry, key) Counts.shape
+(** Where an entry holds the layout: [fe_lines], [fe_calls], [fe_head],
+    [fe_total]. *)
+
 val create : unit -> t
 val get : t -> Csspgo_ir.Guid.t -> fentry option
 val get_or_add : t -> Csspgo_ir.Guid.t -> name:string -> fentry
@@ -28,15 +35,3 @@ val add_call : fentry -> key -> Csspgo_ir.Guid.t -> int64 -> unit
 val line_count : fentry -> key -> int64
 val call_counts : fentry -> key -> (Csspgo_ir.Guid.t * int64) list
 val total_samples : t -> int64
-
-(** The canonical entry order, shared by {!Text_io}, {!Binary_io},
-    {!Fingerprint} and the stale matcher's line walk. *)
-
-val sorted_funcs : t -> (Csspgo_ir.Guid.t * fentry) list
-(** Every function, by guid. *)
-
-val sorted_lines : fentry -> (key * int64) list
-(** [(key, count)], by key. *)
-
-val sorted_calls : fentry -> (key * Csspgo_ir.Guid.t * int64) list
-(** [(call key, callee, count)], by key, then callee. *)

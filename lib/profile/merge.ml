@@ -6,8 +6,6 @@ module CP = Ctx_profile
 let check_weight w =
   if Int64.compare w 0L < 0 then invalid_arg "Merge: negative weight"
 
-let scale w c = Int64.mul w c
-
 (* Names merge by minimum non-empty string — a commutative, associative,
    idempotent resolution, so merge order can never change the serialized
    name. Entries absent from the source stay absent (the writers' hex-guid
@@ -30,85 +28,46 @@ let resolve_name names guid cand =
    and max is the commutative/associative tie-break when two non-zero
    checksums meet (possible only for unmatched cross-version merges —
    stale matching stamps the target checksum before profiles get here). *)
-let merge_checksum ~into:d s =
-  if Int64.unsigned_compare s d > 0 then s else d
+let merge_probe ~into:(d : PP.fentry) ~weight (s : PP.fentry) =
+  Counts.merge PP.shape ~into:d ~weight s;
+  if Int64.unsigned_compare s.PP.fe_checksum d.PP.fe_checksum > 0 then
+    d.PP.fe_checksum <- s.PP.fe_checksum
 
-(* Weighted accumulation of a probe-shaped fentry (shared with ctx nodes).
-   [add_probe] maintains [fe_total], so totals stay the sum of entries. *)
-let merge_fentry ~into:(d : PP.fentry) ~weight (s : PP.fentry) =
-  Hashtbl.iter (fun id c -> PP.add_probe d id (scale weight c)) s.PP.fe_probes;
-  Hashtbl.iter
-    (fun site tbl ->
-      Hashtbl.iter (fun callee c -> PP.add_call d site callee (scale weight c)) tbl)
-    s.PP.fe_calls;
-  d.PP.fe_head <- Int64.add d.PP.fe_head (scale weight s.PP.fe_head);
-  d.PP.fe_checksum <- merge_checksum ~into:d.PP.fe_checksum s.PP.fe_checksum
-
-let probe_fentry_of (t : PP.t) guid =
-  match Ir.Guid.Tbl.find_opt t.PP.funcs guid with
+(* A merge adds a function's entry at size 16 and resolves its name
+   separately, so an absent source name stays absent. *)
+let entry_of sh funcs guid =
+  match Ir.Guid.Tbl.find_opt funcs guid with
   | Some fe -> fe
   | None ->
-      let fe =
-        {
-          PP.fe_total = 0L;
-          fe_head = 0L;
-          fe_probes = Hashtbl.create 16;
-          fe_calls = Hashtbl.create 4;
-          fe_checksum = 0L;
-        }
-      in
-      Ir.Guid.Tbl.replace t.PP.funcs guid fe;
+      let fe = Counts.fresh sh 16 in
+      Ir.Guid.Tbl.replace funcs guid fe;
       fe
 
-let probe ~into ~weight (src : PP.t) =
+(* One flat merge for both shapes: the shape's entry merge per function. *)
+let flat sh merge_entry ~funcs ~names ~weight src_funcs src_names =
   check_weight weight;
   if not (Int64.equal weight 0L) then
     Ir.Guid.Tbl.iter
       (fun guid fe ->
-        let d = probe_fentry_of into guid in
-        (match Ir.Guid.Tbl.find_opt src.PP.names guid with
-        | Some n -> resolve_name into.PP.names guid n
+        let d = entry_of sh funcs guid in
+        (match Ir.Guid.Tbl.find_opt src_names guid with
+        | Some n -> resolve_name names guid n
         | None -> ());
-        merge_fentry ~into:d ~weight fe)
-      src.PP.funcs
+        merge_entry ~into:d ~weight fe)
+      src_funcs
 
-let line_fentry_of (t : LP.t) guid =
-  match Ir.Guid.Tbl.find_opt t.LP.funcs guid with
-  | Some fe -> fe
-  | None ->
-      let fe =
-        {
-          LP.fe_total = 0L;
-          fe_head = 0L;
-          fe_lines = Hashtbl.create 16;
-          fe_calls = Hashtbl.create 4;
-        }
-      in
-      Ir.Guid.Tbl.replace t.LP.funcs guid fe;
-      fe
+let probe ~(into : PP.t) ~weight (src : PP.t) =
+  flat PP.shape merge_probe ~funcs:into.funcs ~names:into.names ~weight src.funcs src.names
 
-let line ~into ~weight (src : LP.t) =
-  check_weight weight;
-  if not (Int64.equal weight 0L) then
-    Ir.Guid.Tbl.iter
-      (fun guid fe ->
-        let d = line_fentry_of into guid in
-        (match Ir.Guid.Tbl.find_opt src.LP.names guid with
-        | Some n -> resolve_name into.LP.names guid n
-        | None -> ());
-        Hashtbl.iter (fun key c -> LP.add_line d key (scale weight c)) fe.LP.fe_lines;
-        Hashtbl.iter
-          (fun key tbl ->
-            Hashtbl.iter (fun callee c -> LP.add_call d key callee (scale weight c)) tbl)
-          fe.LP.fe_calls;
-        d.LP.fe_head <- Int64.add d.LP.fe_head (scale weight fe.LP.fe_head))
-      src.LP.funcs
+let line ~(into : LP.t) ~weight (src : LP.t) =
+  flat LP.shape (Counts.merge LP.shape) ~funcs:into.funcs ~names:into.names ~weight src.funcs
+    src.names
 
 (* Trie unification: walk the source trie and find-or-create the same
    (callsite, callee) chain in the destination via [Ctx_profile.attach] —
    the O(1) step primitive — accumulating each node's fentry on the way. *)
 let rec merge_ctx_node t ~dst ~weight (s : CP.node) =
-  merge_fentry ~into:dst.CP.n_prof ~weight s.CP.n_prof;
+  merge_probe ~into:dst.CP.n_prof ~weight s.CP.n_prof;
   if s.CP.n_inlined then dst.CP.n_inlined <- true;
   dst.CP.n_name <- better_name dst.CP.n_name s.CP.n_name;
   Hashtbl.iter
@@ -166,7 +125,7 @@ let copy p = weighted ~kind:(Text_io.kind_of p) [ (1L, p) ]
 let flatten_ctx trie =
   let flat = PP.create () in
   CP.iter_nodes trie (fun _ node ->
-      let fe = probe_fentry_of flat node.CP.n_func in
+      let fe = entry_of PP.shape flat.PP.funcs node.CP.n_func in
       resolve_name flat.PP.names node.CP.n_func node.CP.n_name;
-      merge_fentry ~into:fe ~weight:1L node.CP.n_prof);
+      merge_probe ~into:fe ~weight:1L node.CP.n_prof);
   flat

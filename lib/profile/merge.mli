@@ -15,7 +15,8 @@
       [p] byte-for-byte.
 
     Count semantics: probe/line/call/head counts are scaled by the weight
-    and added (totals follow, maintained by the accumulation API).
+    and added, by the one count merge every shape shares,
+    {!Counts.merge} (totals follow, maintained by the accumulation API).
     Metadata must merge through commutative-monoid operations for the laws
     to hold: checksums combine by {e unsigned} max (0 = absent, so a real
     checksum always wins over a missing one), names by minimum non-empty

@@ -13,68 +13,24 @@ type t = {
   names : string Ir.Guid.Tbl.t;
 }
 
+let shape =
+  {
+    Counts.make =
+      (fun fe_probes fe_calls ->
+        { fe_total = 0L; fe_head = 0L; fe_probes; fe_calls; fe_checksum = 0L });
+    counts = (fun fe -> fe.fe_probes);
+    calls = (fun fe -> fe.fe_calls);
+    total = (fun fe -> fe.fe_total);
+    set_total = (fun fe n -> fe.fe_total <- n);
+    head = (fun fe -> fe.fe_head);
+    set_head = (fun fe n -> fe.fe_head <- n);
+  }
+
 let create () = { funcs = Ir.Guid.Tbl.create 64; names = Ir.Guid.Tbl.create 64 }
-
 let get t guid = Ir.Guid.Tbl.find_opt t.funcs guid
-
-let get_or_add t guid ~name =
-  match Ir.Guid.Tbl.find_opt t.funcs guid with
-  | Some fe -> fe
-  | None ->
-      let fe =
-        {
-          fe_total = 0L;
-          fe_head = 0L;
-          fe_probes = Hashtbl.create 32;
-          fe_calls = Hashtbl.create 8;
-          fe_checksum = 0L;
-        }
-      in
-      Ir.Guid.Tbl.replace t.funcs guid fe;
-      Ir.Guid.Tbl.replace t.names guid name;
-      fe
-
-let add_probe fe id n =
-  let cur = Option.value (Hashtbl.find_opt fe.fe_probes id) ~default:0L in
-  Hashtbl.replace fe.fe_probes id (Int64.add cur n);
-  fe.fe_total <- Int64.add fe.fe_total n
-
-let add_call fe id callee n =
-  let tbl =
-    match Hashtbl.find_opt fe.fe_calls id with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create 4 in
-        Hashtbl.replace fe.fe_calls id tbl;
-        tbl
-  in
-  let cur = Option.value (Hashtbl.find_opt tbl callee) ~default:0L in
-  Hashtbl.replace tbl callee (Int64.add cur n)
-
-let probe_count fe id = Option.value (Hashtbl.find_opt fe.fe_probes id) ~default:0L
-
-let call_counts fe id =
-  match Hashtbl.find_opt fe.fe_calls id with
-  | None -> []
-  | Some tbl ->
-      Hashtbl.fold (fun g c acc -> (g, c) :: acc) tbl []
-      |> List.sort (fun (g1, _) (g2, _) -> Ir.Guid.compare g1 g2)
-
-let total_samples t =
-  Ir.Guid.Tbl.fold (fun _ fe acc -> Int64.add acc fe.fe_total) t.funcs 0L
-
-(* The canonical entry order: functions by guid, probes by id, call
-   records by (site, callee). Every writer and digest reads entries through
-   these, so equal profiles serialize and fingerprint identically. *)
-let sorted_funcs t =
-  Ir.Guid.Tbl.fold (fun g fe acc -> (g, fe) :: acc) t.funcs []
-  |> List.sort (fun (a, _) (b, _) -> Ir.Guid.compare a b)
-
-let sorted_probes fe =
-  Hashtbl.fold (fun id c acc -> (id, c) :: acc) fe.fe_probes [] |> List.sort compare
-
-let sorted_calls fe =
-  Hashtbl.fold
-    (fun site tbl acc -> Hashtbl.fold (fun callee c acc -> (site, callee, c) :: acc) tbl acc)
-    fe.fe_calls []
-  |> List.sort compare
+let get_or_add t guid ~name = Counts.get_or_add shape ~funcs:t.funcs ~names:t.names guid ~name
+let add_probe fe id n = Counts.add shape fe id n
+let add_call fe id callee n = Counts.add_call shape fe id callee n
+let probe_count fe id = Counts.count shape fe id
+let call_counts fe id = Counts.call_counts shape fe id
+let total_samples t = Counts.total_samples shape t.funcs

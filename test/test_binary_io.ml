@@ -182,6 +182,31 @@ let test_garbage () =
     (fun s -> check_rejected (Printf.sprintf "garbage %S" s) s)
     [ ""; "C"; "CSP"; "CSPB"; "CSPB\x01"; "not a profile at all"; String.make 3 '\xff' ]
 
+(* A digest-valid ctx section whose node count outruns its payload is
+   rejected as malformed, and before the node table is allocated: a count
+   of 2^60 would make [Array.make] raise, and one of 20,000,000 in four
+   payload bytes would allocate 160 MB before failing. *)
+let test_node_count_bounds () =
+  let blob count =
+    let e = Wire.Enc.create () in
+    Wire.Enc.varint e count;
+    Wire.frame ~magic:B.magic ~version:B.version [ Wire.section ~tag:3 e ]
+  in
+  let malformed what s =
+    match B.decode s with
+    | Error (Wire.Malformed _) -> ()
+    | Error e -> Alcotest.failf "%s: unexpected error %s" what (Wire.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | exception e ->
+        Alcotest.failf "%s escaped the typed error channel: %s" what (Printexc.to_string e)
+  in
+  malformed "2^60 context nodes" (blob (1 lsl 60));
+  let small = blob 20_000_000 in
+  malformed "20,000,000 context nodes in 4 bytes" small;
+  let words = Alloc.words (fun () -> ignore (B.decode small)) in
+  if words >= 1000. then
+    Alcotest.failf "decoding 20,000,000 declared nodes allocated %.0f words" words
+
 (* --- QCheck round-trip properties (mirror Text_io's generators) ------- *)
 
 let fentry_spec_gen =
@@ -433,6 +458,7 @@ let suite =
       Alcotest.test_case "corruption: truncations" `Quick test_truncations;
       Alcotest.test_case "corruption: extensions" `Quick test_extensions;
       Alcotest.test_case "corruption: garbage input" `Quick test_garbage;
+      Alcotest.test_case "corruption: ctx node counts" `Quick test_node_count_bounds;
       Alcotest.test_case "sample log edge cases" `Quick test_sample_log_edges;
       Alcotest.test_case "sample log corruption" `Quick test_sample_log_corruption;
       Alcotest.test_case "labeled log corruption" `Quick test_labeled_log_corruption;
