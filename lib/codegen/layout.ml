@@ -6,6 +6,7 @@ type t = {
   cold : Ir.Types.label list;
 }
 
+(* Profile edge weights when annotated, loop-heuristic weights otherwise. *)
 let edge_weights (f : Ir.Func.t) =
   if f.Ir.Func.annotated then
     Ir.Func.fold_blocks

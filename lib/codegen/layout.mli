@@ -23,11 +23,6 @@ val order_ext_tsp : split:bool -> Csspgo_ir.Func.t -> t
     [ext_tsp_max_blocks] blocks. Compared against the DFS placement in the
     ablation bench. *)
 
-val edge_weights :
-  Csspgo_ir.Func.t -> (Csspgo_ir.Types.label * Csspgo_ir.Types.label * int64) list
-(** Profile edge weights when annotated, loop-heuristic weights otherwise.
-    Exposed for tests and the ablation bench. *)
-
 val ext_tsp_score : Csspgo_ir.Func.t -> Csspgo_ir.Types.label list -> float
 (** The Ext-TSP objective of a given order: weighted sum over edges, 1.0 per
     fallthrough, 0.1 per short forward jump (< 1024 B est.), 0.05 per short

@@ -15,6 +15,7 @@ let checksum (f : Ir.Func.t) =
     f;
   !h
 
+(* Raises [Invalid_argument] if the function already has probes. *)
 let insert_func (f : Ir.Func.t) =
   let has_probes =
     Ir.Func.fold_blocks

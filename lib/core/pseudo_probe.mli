@@ -12,9 +12,6 @@
     mismatch, while CFG-preserving edits (comments, renames) keep the
     profile usable. *)
 
-val insert_func : Csspgo_ir.Func.t -> unit
-(** Idempotent per function (raises [Invalid_argument] if probes exist). *)
-
 val insert : Csspgo_ir.Program.t -> unit
 
 val checksum : Csspgo_ir.Func.t -> int64

@@ -49,3 +49,33 @@ type program = {
   pglobals : (string * int) list;
   pfns : fndef list;
 }
+
+(** {1 The one walk} *)
+
+val map :
+  ?block:(block -> block) ->
+  ?stmt:(stmt -> stmt) ->
+  ?expr:(expr -> expr) ->
+  block ->
+  block
+(** [map ?block ?stmt ?expr b] rebuilds [b] bottom-up from a pre-order,
+    left-to-right walk. Each node is first passed to its callback (the
+    identity when absent), and the walk then descends into the children of
+    the callback's result: a block's statements in order; a statement's
+    expressions, then its blocks in source order ([If]'s condition, then
+    and else; [While]'s condition and body; [Switch]'s scrutinee, cases in
+    order and default; [Store]'s index before its value); an expression's
+    operands and arguments left to right.
+
+    Callbacks run in exactly that order, so two walks that count nodes
+    (blocks, call sites) with stateful callbacks number them the same way:
+    an enumeration by {!iter} and a rewrite by [map] agree by construction.
+    With no callbacks the result is structurally equal to [b]. *)
+
+val iter :
+  ?block:(block -> unit) ->
+  ?stmt:(stmt -> unit) ->
+  ?expr:(expr -> unit) ->
+  block ->
+  unit
+(** [map] with callbacks that only look: the same nodes in the same order. *)

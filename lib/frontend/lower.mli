@@ -10,7 +10,5 @@
 
 exception Lower_error of string * int  (** message, absolute line *)
 
-val lower_program : Ast.program -> Csspgo_ir.Program.t
-
 val compile : string -> Csspgo_ir.Program.t
-(** [parse] + [lower_program]. *)
+(** Parse, then lower the whole program. *)

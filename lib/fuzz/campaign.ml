@@ -1084,6 +1084,11 @@ let write_corpus dir cfg fl =
        (Reduce.count_source_lines fl.fl_source)
        (repro_command cfg ~seed:fl.fl_seed))
 
+(* Check a single seed; [None] is a pass or a discard (discards and the
+   minimum overlap are recorded in [stats]). Minimization runs when the
+   config asks for it. With [cache], the -O0 reference and the shareable
+   plan stages (reference symbol info, probed profiling run, flat
+   correlation) each compute once per seed instead of once per variant. *)
 let run_seed ~(stats : stats) ?cache (cfg : config) seed =
   let src = W.Gen.random_source ~n_funcs:cfg.cf_n_funcs ~size:cfg.cf_size ~seed () in
   let on_overlap ov = if ov < stats.st_min_overlap then stats.st_min_overlap <- ov in

@@ -88,8 +88,6 @@ type plan = {
   pl_layout : [ `Ext_tsp | `Hot_path ];
 }
 
-val plan_to_string : plan -> string
-
 val sample_plan : Csspgo_support.Rng.t -> plan
 
 type failure_kind = Result_mismatch | Verify_error | Quality_low | Crash
@@ -209,19 +207,6 @@ type stats = {
 
 val n_failures : stats -> int
 val pp_stats : Format.formatter -> stats -> unit
-
-val run_seed :
-  stats:stats ->
-  ?cache:Csspgo_orchestrator.Cache.t ->
-  config ->
-  int64 ->
-  failure option
-(** Check a single seed; [None] is a pass or a discard (discards and the
-    minimum overlap are recorded in [stats]). Minimization runs when the
-    config asks for it. With [cache], the -O0 reference and the shareable
-    plan stages (reference symbol info, probed profiling run, flat
-    correlation) each compute once per seed instead of once per
-    variant. *)
 
 val run :
   ?out_dir:string ->

@@ -41,8 +41,6 @@ val frames : container:Guid.t -> t -> (Guid.t * int * int) list
     for the outermost frame when the location carries no better info. *)
 
 val equal : t -> t -> bool
-val equal_callsite : callsite -> callsite -> bool
 val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
-val pp_callsite : Format.formatter -> callsite -> unit

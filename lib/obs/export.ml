@@ -1,4 +1,7 @@
-let metric_name ?(prefix = "csspgo_") name =
+(* Sanitized exposition name: the prefix, then the instrument name with
+   every byte outside [[a-zA-Z0-9_:]] replaced by [_]. *)
+let metric_name name =
+  let prefix = "csspgo_" in
   let buf = Buffer.create (String.length prefix + String.length name) in
   Buffer.add_string buf prefix;
   String.iter
@@ -11,23 +14,23 @@ let metric_name ?(prefix = "csspgo_") name =
 
 let add_family buf name kind = Printf.bprintf buf "# TYPE %s %s\n" name kind
 
-let snapshot ?prefix (snap : Metrics.snapshot) =
+let snapshot (snap : Metrics.snapshot) =
   let buf = Buffer.create 1024 in
   List.iter
     (fun (name, v) ->
-      let m = metric_name ?prefix name in
+      let m = metric_name name in
       add_family buf m "counter";
       Printf.bprintf buf "%s_total %d\n" m v)
     snap.Metrics.s_counters;
   List.iter
     (fun (name, v) ->
-      let m = metric_name ?prefix name in
+      let m = metric_name name in
       add_family buf m "gauge";
       Printf.bprintf buf "%s %d\n" m v)
     snap.Metrics.s_gauges;
   List.iter
     (fun (name, (h : Metrics.hist_summary)) ->
-      let m = metric_name ?prefix name in
+      let m = metric_name name in
       add_family buf m "histogram";
       (* Cumulative counts at each bucket's inclusive upper bound. A log2
          bucket k >= 1 holds [2^(k-1), 2^k), so its bound is 2^k - 1;
@@ -53,7 +56,7 @@ let snapshot ?prefix (snap : Metrics.snapshot) =
 
 let timestamp us = Printf.sprintf "%.6f" (Int64.to_float us /. 1e6)
 
-let series ?prefix s =
+let series s =
   let ws = Series.windows s in
   (* Re-accumulate per-window deltas into cumulative counter samples and
      collect gauge readings, keyed by name so families group together. *)
@@ -81,7 +84,7 @@ let series ?prefix s =
   let buf = Buffer.create 1024 in
   List.iter
     (fun name ->
-      let m = metric_name ?prefix name in
+      let m = metric_name name in
       match Hashtbl.find_opt counters name with
       | Some samples ->
           add_family buf m "counter";

@@ -5,7 +5,7 @@
     Instrument names are sanitized into the OpenMetrics grammar (every
     character outside [[a-zA-Z0-9_:]] becomes [_]; histogram-derived
     series names gain the standard [_total]/[_bucket]/[_sum]/[_count]
-    suffixes) and prefixed (default ["csspgo_"]). Counters expose as
+    suffixes) and prefixed with ["csspgo_"]. Counters expose as
     cumulative [counter] families, max-gauges as [gauge], and log2-bucket
     histograms as cumulative [histogram] families whose [le] bounds are
     the buckets' inclusive upper bounds ([2^k - 1], [+Inf] last).
@@ -14,14 +14,10 @@
     with the [# EOF] terminator, so equal snapshots render byte-identically
     — the exporter determinism contract matches {!Json}'s. *)
 
-val metric_name : ?prefix:string -> string -> string
-(** Sanitized exposition name: [prefix] (default ["csspgo_"]) + the
-    instrument name with every non-[[a-zA-Z0-9_:]] byte replaced by [_]. *)
-
-val snapshot : ?prefix:string -> Metrics.snapshot -> string
+val snapshot : Metrics.snapshot -> string
 (** One-point exposition of a cumulative snapshot. *)
 
-val series : ?prefix:string -> Series.t -> string
+val series : Series.t -> string
 (** Exposition of a windowed series: counters re-accumulate across the
     retained windows into cumulative samples, one timestamped point per
     window ([w_at_us] in seconds); gauges expose each window's reading. *)

@@ -42,9 +42,6 @@
 
 type level = Ok | Warn | Crit
 
-val level_name : level -> string
-(** ["ok"], ["warn"], ["crit"]. *)
-
 val worst : level -> level -> level
 
 type indicator = {

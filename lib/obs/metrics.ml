@@ -41,15 +41,10 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let create ?shards ?trace () =
-  let shards =
-    match shards with
-    | Some s -> next_pow2 (max 1 s)
-    | None -> next_pow2 (max 8 (Domain.recommended_domain_count ()))
-  in
+let create ?trace () =
   {
     m_live = true;
-    m_shards = shards;
+    m_shards = next_pow2 (max 8 (Domain.recommended_domain_count ()));
     m_lock = Mutex.create ();
     m_counters = Hashtbl.create 32;
     m_gauges = Hashtbl.create 16;

@@ -23,10 +23,10 @@ val null : t
 (** The disabled registry: registration returns no-op handles, [enabled]
     is false, snapshots are empty, and no trace is attached. *)
 
-val create : ?shards:int -> ?trace:Trace.t -> unit -> t
-(** A live registry. [shards] (rounded up to a power of two) defaults to
-    at least 8 and at least [Domain.recommended_domain_count ()]. [trace]
-    is the run's span trace, handed back by {!trace}. *)
+val create : ?trace:Trace.t -> unit -> t
+(** A live registry, with a power-of-two shard count of at least 8 and at
+    least [Domain.recommended_domain_count ()]. [trace] is the run's span
+    trace, handed back by {!trace}. *)
 
 val enabled : t -> bool
 

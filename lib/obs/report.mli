@@ -33,5 +33,3 @@ val to_text : t -> string
 val metrics_to_json : Metrics.snapshot -> Json.t
 (** [{"counters": {...}, "gauges": {...}, "histograms": {...}}] — also the
     payload of the [--metrics FILE] dumps. *)
-
-val metrics_to_text : Metrics.snapshot -> string

@@ -33,12 +33,10 @@ val track : t -> tid:int -> name:string -> track
     thread name. Callers pick stable tids (plan index) for deterministic
     traces. *)
 
-val begin_span : track -> string -> unit
-val end_span : track -> string -> unit
 val instant : track -> string -> unit
 
 val with_span : track -> string -> (unit -> 'a) -> 'a
-(** [begin_span]/[end_span] around [f], ending the span on exceptions. *)
+(** A span named by the string around [f], ended on exceptions too. *)
 
 val n_events : t -> int
 

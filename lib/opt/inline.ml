@@ -10,6 +10,7 @@ type result = {
   continuation : T.label;
 }
 
+(* Instruction count excluding pseudo-probes (they cost nothing). *)
 let callee_size (f : Ir.Func.t) =
   Ir.Func.fold_blocks
     (fun acc b ->

@@ -25,9 +25,6 @@ type result = {
   continuation : Csspgo_ir.Types.label;
 }
 
-val callee_size : Csspgo_ir.Func.t -> int
-(** Instruction count excluding pseudo-probes (they cost nothing). *)
-
 val inline_at :
   Csspgo_ir.Program.t ->
   caller:Csspgo_ir.Func.t ->

@@ -29,6 +29,8 @@ let step_name = function
 
 let all_steps = [ Constfold; Simplify; Licm; Unroll; Ifcvt; Tail_dup; Tail_merge; Dce ]
 
+(* Run one step unconditionally (the step list decides what runs); true if
+   the IR changed. *)
 let run_step ~(config : Config.t) step (f : Ir.Func.t) =
   match step with
   | Constfold -> Constfold.run f

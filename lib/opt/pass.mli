@@ -26,10 +26,6 @@ val steps_of_config : Config.t -> step list
 (** The per-function pipeline [optimize] runs for this config (empty at
     -O0; includes the repeated cleanup steps at -O2). *)
 
-val run_step : config:Config.t -> step -> Csspgo_ir.Func.t -> bool
-(** Run one step unconditionally — the step list decides what runs.
-    Returns true if the IR changed. *)
-
 val optimize_func_with :
   config:Config.t ->
   steps:step list ->

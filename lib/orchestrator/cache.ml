@@ -54,6 +54,8 @@ let join_key key = String.concat "\x1f" key
 let entry_file ~kind ~key =
   Printf.sprintf "%s.%Lx%s" kind (Fnv.hash_string (join_key key)) suffix
 
+(* Where the entry lives on disk, whether or not it exists yet; [None] for
+   in-memory caches. *)
 let entry_path t ~kind ~key =
   Option.map (fun d -> Filename.concat d (entry_file ~kind ~key)) t.cdir
 

@@ -49,10 +49,6 @@ val memo :
     serialization. A payload that [de] rejects counts as corrupt and falls
     back to the thunk — the {!Csspgo_core.Driver.Plan.hooks} contract. *)
 
-val entry_path : t -> kind:string -> key:string list -> string option
-(** Where the entry lives on disk (whether or not it exists yet);
-    [None] for in-memory caches. Exposed for tests and tooling. *)
-
 type stats = {
   hits : int;
   misses : int;

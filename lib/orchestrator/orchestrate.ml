@@ -1,6 +1,7 @@
 module D = Csspgo_core.Driver
 module Obs = Csspgo_obs
 
+(* ["<workload>/<variant>"]: span and track naming for a plan. *)
 let plan_label (p : D.Plan.t) =
   p.D.Plan.pl_workload.D.w_name ^ "/" ^ D.variant_name p.D.Plan.pl_variant
 

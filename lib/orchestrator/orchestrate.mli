@@ -8,9 +8,6 @@
     deterministic: binaries, profiles, and [Text_io] dumps are byte-identical
     to the serial ([jobs = 1]) schedule. *)
 
-val plan_label : Csspgo_core.Driver.Plan.t -> string
-(** ["<workload>/<variant>"] — span and track naming for a plan. *)
-
 val hooks :
   ?obs:Csspgo_obs.Metrics.t ->
   ?track:Csspgo_obs.Trace.track ->
@@ -40,7 +37,7 @@ val run_plans :
     plan reports to the one [obs] registry: [plan.*] counters sum over
     plans in a schedule-independent way, so a snapshot's name list and
     values are the same at every [jobs]. When [obs] carries a trace, each
-    plan gets its own track (tid = plan index, name = {!plan_label}),
+    plan gets its own track (tid = plan index, name = ["<workload>/<variant>"]),
     registered serially before scheduling, carrying one whole-plan span
     plus one span per stage; on a fixed-clock trace the exported bytes
     are identical for every [jobs] level. *)

@@ -29,7 +29,6 @@ val for_all : ('a -> bool) -> 'a t -> bool
 val find_opt : ('a -> bool) -> 'a t -> 'a option
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
-val to_array : 'a t -> 'a array
 val copy : 'a t -> 'a t
 
 val append : 'a t -> 'a t -> unit

@@ -146,9 +146,6 @@ val chunk_samples : int
 val tag_log : int
 (** Section tag of a record chunk (1). *)
 
-val tag_labels : int
-(** Section tag of the v3 trailing label section (2). *)
-
 val to_text : t -> string
 
 val of_text : string -> (t, Csspgo_support.Wire.error) result

@@ -37,146 +37,44 @@ let distances = [ 0; 1; 2; 4; 8 ]
 let entry_name = "main"
 
 (* ------------------------------------------------------------------ *)
-(* AST traversal helpers.                                             *)
-(*                                                                    *)
-(* Blocks inside one function body are numbered in DFS pre-order; the *)
-(* numbering is the contract between candidate collection and the     *)
-(* rewrite pass, which both walk the unedited tree in the same order. *)
+(* Numbering. Blocks and call sites of one function body are numbered *)
+(* in [Ast.map]'s walk order; candidate enumeration and the rewrite   *)
+(* both number through these, so their numbers agree.                 *)
 (* ------------------------------------------------------------------ *)
 
-(* All rewrite passes below mirror a stateful enumeration pass (block
-   numbering, expression occurrence counting), so every recursive call must
-   happen left to right. OCaml evaluates constructor and tuple arguments
-   right to left — sequence explicitly with [let] and use this in-order map
-   instead of relying on [List.map]'s application order. *)
-let rec map_in_order f = function
-  | [] -> []
-  | x :: tl ->
-      let y = f x in
-      let rest = map_in_order f tl in
-      y :: rest
+(* [f id b] gets each block with its number and returns its replacement. *)
+let number_blocks f body =
+  let next = ref (-1) in
+  Ast.map body ~block:(fun b ->
+      incr next;
+      f !next b)
 
-let iter_blocks (body : Ast.block) (f : int -> Ast.block -> unit) =
-  let next = ref 0 in
-  let rec go_block b =
-    let id = !next in
-    incr next;
-    f id b;
-    List.iter go_stmt b
-  and go_stmt (st : Ast.stmt) =
-    match st.s with
-    | If (_, t, e) ->
-        go_block t;
-        go_block e
-    | While (_, b) -> go_block b
-    | Switch (_, cases, d) ->
-        List.iter (fun (_, b) -> go_block b) cases;
-        go_block d
-    | _ -> ()
-  in
-  go_block body
+(* [f occ e callee args] gets each call with its number and returns its
+   replacement. *)
+let number_calls f body =
+  let next = ref (-1) in
+  Ast.map body ~expr:(fun (e : Ast.expr) ->
+      match e.e with
+      | Call (callee, args) ->
+          incr next;
+          f !next e callee args
+      | _ -> e)
 
-let rewrite_block (body : Ast.block) ~target (edit : Ast.block -> Ast.block) =
-  let next = ref 0 in
-  let rec go_block b =
-    let id = !next in
-    incr next;
-    let b = if id = target then edit b else b in
-    map_in_order go_stmt b
-  and go_stmt (st : Ast.stmt) : Ast.stmt =
-    match st.s with
-    | If (c, t, e) ->
-        let t = go_block t in
-        let e = go_block e in
-        { st with s = If (c, t, e) }
-    | While (c, b) -> { st with s = While (c, go_block b) }
-    | Switch (c, cases, d) ->
-        let cases = map_in_order (fun (v, b) -> (v, go_block b)) cases in
-        let d = go_block d in
-        { st with s = Switch (c, cases, d) }
-    | _ -> st
-  in
-  go_block body
-
-let rec iter_exprs_stmt f (st : Ast.stmt) =
-  match st.s with
-  | Let (_, e) | Assign (_, e) | Return e | Expr e -> iter_exprs f e
-  | Store (_, i, v) ->
-      iter_exprs f i;
-      iter_exprs f v
-  | If (c, t, e) ->
-      iter_exprs f c;
-      List.iter (iter_exprs_stmt f) t;
-      List.iter (iter_exprs_stmt f) e
-  | While (c, b) ->
-      iter_exprs f c;
-      List.iter (iter_exprs_stmt f) b
-  | Switch (c, cases, d) ->
-      iter_exprs f c;
-      List.iter (fun (_, b) -> List.iter (iter_exprs_stmt f) b) cases;
-      List.iter (iter_exprs_stmt f) d
-  | Break | Continue -> ()
-
-and iter_exprs f (e : Ast.expr) =
-  f e;
-  match e.e with
-  | Int _ | Var _ -> ()
-  | Binary (_, a, b) ->
-      iter_exprs f a;
-      iter_exprs f b
-  | Unary (_, a) -> iter_exprs f a
-  | Call (_, args) -> List.iter (iter_exprs f) args
-  | Index (_, i) -> iter_exprs f i
-
-let rec map_exprs_stmt f (st : Ast.stmt) : Ast.stmt =
-  match st.s with
-  | Let (n, e) -> { st with s = Let (n, map_exprs f e) }
-  | Assign (n, e) -> { st with s = Assign (n, map_exprs f e) }
-  | Return e -> { st with s = Return (map_exprs f e) }
-  | Expr e -> { st with s = Expr (map_exprs f e) }
-  | Store (n, i, v) ->
-      let i = map_exprs f i in
-      let v = map_exprs f v in
-      { st with s = Store (n, i, v) }
-  | If (c, t, e) ->
-      let c = map_exprs f c in
-      let t = map_in_order (map_exprs_stmt f) t in
-      let e = map_in_order (map_exprs_stmt f) e in
-      { st with s = If (c, t, e) }
-  | While (c, b) ->
-      let c = map_exprs f c in
-      { st with s = While (c, map_in_order (map_exprs_stmt f) b) }
-  | Switch (c, cases, d) ->
-      let c = map_exprs f c in
-      let cases =
-        map_in_order (fun (v, b) -> (v, map_in_order (map_exprs_stmt f) b)) cases
-      in
-      let d = map_in_order (map_exprs_stmt f) d in
-      { st with s = Switch (c, cases, d) }
-  | Break | Continue -> st
-
-and map_exprs f (e : Ast.expr) : Ast.expr =
-  (* Pre-order, like [iter_exprs], so occurrence counters agree between an
-     enumeration pass and a rewrite pass. *)
-  let e : Ast.expr = f e in
-  match e.e with
-  | Int _ | Var _ -> e
-  | Binary (op, a, b) ->
-      let a = map_exprs f a in
-      let b = map_exprs f b in
-      { e with e = Binary (op, a, b) }
-  | Unary (op, a) -> { e with e = Unary (op, map_exprs f a) }
-  | Call (n, args) -> { e with e = Call (n, map_in_order (map_exprs f) args) }
-  | Index (n, i) -> { e with e = Index (n, map_exprs f i) }
-
-let map_fn_exprs f (fn : Ast.fndef) =
-  { fn with fbody = map_in_order (map_exprs_stmt f) fn.fbody }
+(* Rewrite the body of the [fi]-th function with [f]. *)
+let map_body (p : Ast.program) fi f =
+  List.mapi
+    (fun i (fn : Ast.fndef) -> if i = fi then { fn with fbody = f fn.fbody } else fn)
+    p.pfns
 
 (* ------------------------------------------------------------------ *)
 (* Program facts.                                                     *)
 (* ------------------------------------------------------------------ *)
 
 module SS = Set.Make (String)
+
+let iter_callees f (fn : Ast.fndef) =
+  Ast.iter fn.fbody ~expr:(fun (e : Ast.expr) ->
+      match e.e with Call (n, _) -> f n | _ -> ())
 
 let used_names (p : Ast.program) =
   let acc = ref SS.empty in
@@ -186,48 +84,24 @@ let used_names (p : Ast.program) =
     (fun (fn : Ast.fndef) ->
       add fn.fname;
       List.iter add fn.fparams;
-      List.iter
-        (iter_exprs_stmt (fun (e : Ast.expr) ->
-             match e.e with
-             | Var n | Call (n, _) | Index (n, _) -> add n
-             | _ -> ()))
-        fn.fbody)
+      Ast.iter fn.fbody
+        ~stmt:(fun (st : Ast.stmt) ->
+          match st.s with Let (n, _) | Assign (n, _) | Store (n, _, _) -> add n | _ -> ())
+        ~expr:(fun (e : Ast.expr) ->
+          match e.e with Var n | Call (n, _) | Index (n, _) -> add n | _ -> ()))
     p.pfns;
-  let rec add_stmt_names (st : Ast.stmt) =
-    match st.s with
-    | Let (n, _) | Assign (n, _) -> add n
-    | Store (n, _, _) -> add n
-    | If (_, t, e) ->
-        List.iter add_stmt_names t;
-        List.iter add_stmt_names e
-    | While (_, b) -> List.iter add_stmt_names b
-    | Switch (_, cases, d) ->
-        List.iter (fun (_, b) -> List.iter add_stmt_names b) cases;
-        List.iter add_stmt_names d
-    | _ -> ()
-  in
-  List.iter (fun (fn : Ast.fndef) -> List.iter add_stmt_names fn.fbody) p.pfns;
   !acc
 
 (* Called-by-anyone set, over the whole program. *)
 let callees (p : Ast.program) =
   let acc = ref SS.empty in
-  List.iter
-    (fun (fn : Ast.fndef) ->
-      List.iter
-        (iter_exprs_stmt (fun (e : Ast.expr) ->
-             match e.e with Call (n, _) -> acc := SS.add n !acc | _ -> ()))
-        fn.fbody)
-    p.pfns;
+  List.iter (iter_callees (fun n -> acc := SS.add n !acc)) p.pfns;
   !acc
 
-let is_leaf (fn : Ast.fndef) =
-  let has_call = ref false in
-  List.iter
-    (iter_exprs_stmt (fun (e : Ast.expr) ->
-         match e.e with Call _ -> has_call := true | _ -> ()))
-    fn.fbody;
-  not !has_call
+let is_leaf fn =
+  let leaf = ref true in
+  iter_callees (fun _ -> leaf := false) fn;
+  !leaf
 
 let arity_of (p : Ast.program) name =
   List.find_map
@@ -263,31 +137,43 @@ let dummy_expr e : Ast.expr = { e; eline = 0 }
 
 let small_const rng = dummy_expr (Ast.Int (Int64.of_int (Rng.int_in rng 1 97)))
 
-(* Uniform (function, block, slot) choice for insertions. *)
-let pick_insertion rng (p : Ast.program) =
-  let slots = ref [] in
+let insert_at l at x =
+  let rec go i = function
+    | rest when i = at -> x :: rest
+    | y :: rest -> y :: go (i + 1) rest
+    | [] -> [ x ]
+  in
+  go 0 l
+
+(* The three block edits. A site is a (function, block, slot) triple, with
+   [slots b] the slots of block [b]; one is drawn uniformly and its block
+   rewritten by [edit slot]. Returns the program, the function's name and
+   the 1-based slot. *)
+let edit_block rng (p : Ast.program) ~slots edit =
+  let sites = ref [] in
   List.iteri
     (fun fi (fn : Ast.fndef) ->
-      iter_blocks fn.fbody (fun bid b ->
-          for at = 0 to List.length b do
-            slots := (fi, bid, at) :: !slots
-          done))
+      ignore
+        (number_blocks
+           (fun bid b ->
+             List.iter (fun at -> sites := (fi, bid, at) :: !sites) (slots b);
+             b)
+           fn.fbody))
     p.pfns;
-  let arr = Array.of_list (List.rev !slots) in
-  if Array.length arr = 0 then None else Some (Rng.choose rng arr)
+  match List.rev !sites with
+  | [] -> None
+  | l ->
+      let fi, bid, at = Rng.choose rng (Array.of_list l) in
+      let edit = edit at in
+      let pfns =
+        map_body p fi (number_blocks (fun id b -> if id = bid then edit b else b))
+      in
+      Some ({ p with pfns }, (List.nth p.pfns fi).fname, at + 1)
 
-let insert_at b at st =
-  let rec go i = function
-    | rest when i = at -> st :: rest
-    | x :: rest -> x :: go (i + 1) rest
-    | [] -> [ st ]
-  in
-  go 0 b
+let every_slot b = List.init (List.length b + 1) Fun.id
 
-let edit_insert_stmt rng names (p : Ast.program) =
-  match pick_insertion rng p with
-  | None -> None
-  | Some (fi, bid, at) ->
+let edit_insert_stmt rng names p =
+  edit_block rng p ~slots:every_slot (fun at ->
       let name = fresh names "drift_v" in
       let st =
         dummy_stmt
@@ -297,21 +183,11 @@ let edit_insert_stmt rng names (p : Ast.program) =
                  (Ast.Binary (Ast.Arith Csspgo_ir.Types.Add, small_const rng, small_const rng))
              ))
       in
-      let pfns =
-        List.mapi
-          (fun i (fn : Ast.fndef) ->
-            if i = fi then
-              { fn with fbody = rewrite_block fn.fbody ~target:bid (fun b -> insert_at b at st) }
-            else fn)
-          p.pfns
-      in
-      let in_fn = (List.nth p.pfns fi).fname in
-      Some ({ p with pfns }, Insert_stmt { in_fn; at_line = at + 1 })
+      fun b -> insert_at b at st)
+  |> Option.map (fun (p, in_fn, at_line) -> (p, Insert_stmt { in_fn; at_line }))
 
-let edit_insert_block rng names (p : Ast.program) =
-  match pick_insertion rng p with
-  | None -> None
-  | Some (fi, bid, at) ->
+let edit_insert_block rng names p =
+  edit_block rng p ~slots:every_slot (fun at ->
       let name = fresh names "drift_b" in
       (* Statically dead: the condition is the literal 0. The block still
          lowers to real CFG nodes, so the function's shape checksum moves. *)
@@ -322,48 +198,20 @@ let edit_insert_block rng names (p : Ast.program) =
                [ dummy_stmt (Ast.Let (name, small_const rng)) ],
                [] ))
       in
-      let pfns =
-        List.mapi
-          (fun i (fn : Ast.fndef) ->
-            if i = fi then
-              { fn with fbody = rewrite_block fn.fbody ~target:bid (fun b -> insert_at b at st) }
-            else fn)
-          p.pfns
-      in
-      let in_fn = (List.nth p.pfns fi).fname in
-      Some ({ p with pfns }, Insert_block { in_fn; at_line = at + 1 })
+      fun b -> insert_at b at st)
+  |> Option.map (fun (p, in_fn, at_line) -> (p, Insert_block { in_fn; at_line }))
 
-let edit_delete_stmt rng (p : Ast.program) =
-  (* Only side-effect-only statements: deleting a [let] breaks later uses,
-     deleting an assignment can break a loop induction. *)
-  let cands = ref [] in
-  List.iteri
-    (fun fi (fn : Ast.fndef) ->
-      iter_blocks fn.fbody (fun bid b ->
-          List.iteri
-            (fun at (st : Ast.stmt) ->
-              match st.s with
-              | Expr _ | Store _ -> cands := (fi, bid, at) :: !cands
-              | _ -> ())
-            b))
-    p.pfns;
-  match List.rev !cands with
-  | [] -> None
-  | l ->
-      let fi, bid, at = Rng.choose rng (Array.of_list l) in
-      let pfns =
-        List.mapi
-          (fun i (fn : Ast.fndef) ->
-            if i = fi then
-              { fn with
-                fbody =
-                  rewrite_block fn.fbody ~target:bid (fun b ->
-                      List.filteri (fun j _ -> j <> at) b) }
-            else fn)
-          p.pfns
-      in
-      let in_fn = (List.nth p.pfns fi).fname in
-      Some ({ p with pfns }, Delete_stmt { in_fn; at_line = at + 1 })
+(* Only side-effect-only statements: deleting a [let] breaks later uses,
+   deleting an assignment can break a loop induction. *)
+let deletable b =
+  List.concat
+    (List.mapi
+       (fun at (st : Ast.stmt) -> match st.s with Expr _ | Store _ -> [ at ] | _ -> [])
+       b)
+
+let edit_delete_stmt rng p =
+  edit_block rng p ~slots:deletable (fun at b -> List.filteri (fun j _ -> j <> at) b)
+  |> Option.map (fun (p, in_fn, at_line) -> (p, Delete_stmt { in_fn; at_line }))
 
 let edit_add_fn rng names (p : Ast.program) =
   let name = fresh names "drift_fn" in
@@ -409,17 +257,16 @@ let edit_rename_fn rng names (p : Ast.program) =
       let pfns =
         List.map
           (fun (fn : Ast.fndef) ->
-            let fn =
-              map_fn_exprs
-                (fun (e : Ast.expr) ->
+            let fbody =
+              Ast.map fn.fbody ~expr:(fun (e : Ast.expr) ->
                   match e.e with
                   | Call (n, args) when String.equal n old_name ->
                       incr sites;
                       { e with e = Call (new_name, args) }
                   | _ -> e)
-                fn
             in
-            if String.equal fn.fname old_name then { fn with fname = new_name } else fn)
+            let fname = if String.equal fn.fname old_name then new_name else fn.fname in
+            { fn with fname; fbody })
           p.pfns
       in
       Some
@@ -432,78 +279,53 @@ let edit_reorder_defs rng (p : Ast.program) =
   else begin
     let from = Rng.int rng n in
     let to_ = (from + 1 + Rng.int rng (n - 1)) mod n in
-    let arr = Array.of_list p.pfns in
-    let moved = arr.(from) in
+    let moved = List.nth p.pfns from in
     let rest = List.filteri (fun i _ -> i <> from) p.pfns in
-    let rec insert i = function
-      | rest when i = to_ -> moved :: rest
-      | x :: tl -> x :: insert (i + 1) tl
-      | [] -> [ moved ]
-    in
-    Some ({ p with pfns = insert 0 rest }, Reorder_defs { moved = moved.Ast.fname })
+    Some
+      ({ p with pfns = insert_at rest to_ moved }, Reorder_defs { moved = moved.Ast.fname })
   end
 
 let edit_retarget_call rng (p : Ast.program) =
-  let leaves =
-    List.filter (fun (fn : Ast.fndef) -> is_leaf fn) p.pfns
-  in
+  let leaves = List.filter is_leaf p.pfns in
   if leaves = [] then None
   else begin
-    (* Enumerate call sites as (function index, occurrence index) with the
-       set of viable replacement leaves: same arity, not the enclosing
-       function (no recursion), not the current callee. *)
+    (* Enumerate call sites as (function index, call number) with the set
+       of viable replacement leaves: same arity, not the enclosing function
+       (no recursion), not the current callee. *)
     let cands = ref [] in
     List.iteri
       (fun fi (fn : Ast.fndef) ->
-        let occ = ref (-1) in
-        List.iter
-          (iter_exprs_stmt (fun (e : Ast.expr) ->
-               match e.e with
-               | Call (callee, args) ->
-                   incr occ;
-                   let nargs = List.length args in
-                   (match arity_of p callee with
-                   | None -> ()
-                   | Some _ ->
-                       let viable =
-                         List.filter
-                           (fun (l : Ast.fndef) ->
-                             List.length l.fparams = nargs
-                             && (not (String.equal l.fname fn.fname))
-                             && not (String.equal l.fname callee))
-                           leaves
-                       in
-                       if viable <> [] then cands := (fi, !occ, callee, viable) :: !cands)
-               | _ -> ()))
-          fn.fbody)
+        ignore
+          (number_calls
+             (fun occ e callee args ->
+               if arity_of p callee <> None then begin
+                 let viable =
+                   List.filter
+                     (fun (l : Ast.fndef) ->
+                       List.length l.fparams = List.length args
+                       && (not (String.equal l.fname fn.fname))
+                       && not (String.equal l.fname callee))
+                     leaves
+                 in
+                 if viable <> [] then cands := (fi, occ, callee, viable) :: !cands
+               end;
+               e)
+             fn.fbody))
       p.pfns;
     match List.rev !cands with
     | [] -> None
     | l ->
         let fi, occ, old_callee, viable = Rng.choose rng (Array.of_list l) in
         let new_callee = (Rng.choose rng (Array.of_list viable)).Ast.fname in
-        (* Occurrence numbering counts every call in the function, matching
-           the enumeration pass above. *)
-        let seen = ref (-1) in
         let pfns =
-          List.mapi
-            (fun i (fn : Ast.fndef) ->
-              if i <> fi then fn
-              else
-                map_fn_exprs
-                  (fun (e : Ast.expr) ->
-                    match e.e with
-                    | Call (_, args) ->
-                        incr seen;
-                        if !seen = occ then { e with e = Call (new_callee, args) }
-                        else e
-                    | _ -> e)
-                  fn)
-            p.pfns
+          map_body p fi
+            (number_calls (fun o (e : Ast.expr) _ args ->
+                 if o = occ then { e with e = Call (new_callee, args) } else e))
         in
         let in_fn = (List.nth p.pfns fi).fname in
         Some ({ p with pfns }, Retarget_call { in_fn; old_callee; new_callee })
   end
+
 
 (* ------------------------------------------------------------------ *)
 (* The script driver.                                                 *)

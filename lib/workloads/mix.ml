@@ -33,34 +33,17 @@ let rename prefix (p : Ast.program) =
   List.iter (fun (g, _) -> Hashtbl.replace globals g ()) p.Ast.pglobals;
   let fn name = if Hashtbl.mem fns name then prefix ^ name else name in
   let glob name = if Hashtbl.mem globals name then prefix ^ name else name in
-  let rec expr (e : Ast.expr) =
-    let k =
-      match e.Ast.e with
-      | Ast.Int _ | Ast.Var _ -> e.Ast.e
-      | Ast.Binary (op, a, b) -> Ast.Binary (op, expr a, expr b)
-      | Ast.Unary (op, a) -> Ast.Unary (op, expr a)
-      | Ast.Call (name, args) -> Ast.Call (fn name, List.map expr args)
-      | Ast.Index (g, i) -> Ast.Index (glob g, expr i)
-    in
-    { e with Ast.e = k }
+  let rename_globals (st : Ast.stmt) =
+    match st.s with
+    | Ast.Store (g, i, v) -> { st with s = Ast.Store (glob g, i, v) }
+    | _ -> st
   in
-  let rec stmt (s : Ast.stmt) =
-    let k =
-      match s.Ast.s with
-      | Ast.Let (x, e) -> Ast.Let (x, expr e)
-      | Ast.Assign (x, e) -> Ast.Assign (x, expr e)
-      | Ast.Store (g, i, v) -> Ast.Store (glob g, expr i, expr v)
-      | Ast.If (c, a, b) -> Ast.If (expr c, block a, block b)
-      | Ast.While (c, b) -> Ast.While (expr c, block b)
-      | Ast.Switch (e, cases, d) ->
-          Ast.Switch
-            (expr e, List.map (fun (v, b) -> (v, block b)) cases, block d)
-      | Ast.Return e -> Ast.Return (expr e)
-      | Ast.Expr e -> Ast.Expr (expr e)
-      | Ast.Break | Ast.Continue -> s.Ast.s
-    in
-    { s with Ast.s = k }
-  and block b = List.map stmt b in
+  let rename_refs (e : Ast.expr) =
+    match e.e with
+    | Ast.Call (name, args) -> { e with e = Ast.Call (fn name, args) }
+    | Ast.Index (g, i) -> { e with e = Ast.Index (glob g, i) }
+    | _ -> e
+  in
   {
     Ast.pglobals = List.map (fun (g, n) -> (prefix ^ g, n)) p.Ast.pglobals;
     pfns =
@@ -69,7 +52,7 @@ let rename prefix (p : Ast.program) =
           {
             f with
             Ast.fname = prefix ^ f.Ast.fname;
-            fbody = block f.Ast.fbody;
+            fbody = Ast.map ~stmt:rename_globals ~expr:rename_refs f.Ast.fbody;
             fmodule = prefix ^ f.Ast.fmodule;
           })
         p.Ast.pfns;

@@ -43,13 +43,6 @@ val tenant_key : string
 (** ["tenant"] — the label key carrying {!tenant.t_name}; project label
     sets onto [[tenant_key]] to group per-request slices by tenant. *)
 
-val endpoint_key : string
-(** ["endpoint"] — the label key carrying the underlying workload name. *)
-
-val label_of_tenant : tenant -> Csspgo_support.Label_set.t
-(** [tenant=<name>,endpoint=<workload>] — the set stamped on the tenant's
-    requests. *)
-
 val make :
   ?seed:int64 ->
   ?requests:int ->

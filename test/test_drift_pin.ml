@@ -43,7 +43,8 @@ let drift_grid () =
                 List.iter
                   (fun e ->
                     let k = kind_name e in
-                    Hashtbl.replace seen k (1 + Option.value ~default:0 (Hashtbl.find_opt seen k));
+                    let n = Option.value ~default:0 (Hashtbl.find_opt seen k) in
+                    Hashtbl.replace seen k (n + 1);
                     Printf.bprintf b "%s\n" (W.Drift.edit_to_string e))
                   r.W.Drift.dr_edits)
               seeds;
@@ -99,7 +100,8 @@ let test_drift () =
   check_pins drift_pinned cells;
   List.iter
     (fun k ->
-      if not (Hashtbl.mem seen k) then Alcotest.failf "edit kind %s never occurs in the grid" k)
+      if not (Hashtbl.mem seen k) then
+        Alcotest.failf "edit kind %s never occurs in the grid" k)
     kinds
 
 let tenant_sets =

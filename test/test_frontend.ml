@@ -229,6 +229,78 @@ let test_params_default_zero () =
   Alcotest.(check int64) "missing args are zero" 0L
     (run_main ~args:[] "fn main(a, b) { return a + b; }")
 
+(* --- The one walk: [Ast.map] and [Ast.iter] over generated programs ---- *)
+
+let parsed_gen =
+  QCheck.make
+    ~print:(fun (seed, _) -> Printf.sprintf "Gen.random_source ~seed:%Ld" seed)
+    QCheck.Gen.(
+      map
+        (fun seed ->
+          let seed = Int64.of_int seed in
+          (seed, F.Parser.parse (Csspgo_workloads.Gen.random_source ~seed ())))
+        (int_range 1 100_000))
+
+let map_bodies f (p : F.Ast.program) =
+  let fns = List.map (fun (fn : F.Ast.fndef) -> { fn with fbody = f fn.fbody }) p.pfns in
+  { p with pfns = fns }
+
+let prop_map_identity =
+  QCheck.Test.make ~name:"Ast.map without callbacks prints its input" ~count:100
+    parsed_gen (fun (_, p) ->
+      String.equal (F.Pretty.program p) (F.Pretty.program (map_bodies F.Ast.map p)))
+
+(* Each visit tagged with its node: a block by its length, a statement and
+   an expression by their line and a structural hash. *)
+let tag_block (b : F.Ast.block) = Printf.sprintf "b%d" (List.length b)
+let tag_stmt (st : F.Ast.stmt) = Printf.sprintf "s%d:%x" st.sline (Hashtbl.hash st.s)
+let tag_expr (e : F.Ast.expr) = Printf.sprintf "e%d:%x" e.eline (Hashtbl.hash e.e)
+
+let visits walk (p : F.Ast.program) =
+  let acc = ref [] in
+  let log tag x = acc := tag x :: !acc in
+  List.iter
+    (fun (fn : F.Ast.fndef) -> walk (log tag_block) (log tag_stmt) (log tag_expr) fn.fbody)
+    p.pfns;
+  List.rev !acc
+
+let prop_iter_is_map =
+  QCheck.Test.make ~name:"Ast.iter and Ast.map visit the same nodes" ~count:100 parsed_gen
+    (fun (_, p) ->
+      let by_iter = visits (fun block stmt expr b -> F.Ast.iter ~block ~stmt ~expr b) p in
+      let seen f x =
+        f x;
+        x
+      in
+      let by_map =
+        visits
+          (fun block stmt expr b ->
+            ignore (F.Ast.map ~block:(seen block) ~stmt:(seen stmt) ~expr:(seen expr) b))
+          p
+      in
+      by_iter <> [] && by_iter = by_map)
+
+(* Generated sources put every statement on its own line and keep each
+   expression on its statement's line, so a pre-order, left-to-right walk
+   meets statements at strictly rising lines and expressions at rising or
+   equal ones. *)
+let prop_walk_in_source_order =
+  QCheck.Test.make ~name:"Ast.iter walks in source order" ~count:100 parsed_gen
+    (fun (_, p) ->
+      List.for_all
+        (fun (fn : F.Ast.fndef) ->
+          let last_stmt = ref 0 and last = ref 0 and ok = ref true in
+          F.Ast.iter fn.fbody
+            ~stmt:(fun st ->
+              ok := !ok && st.sline > !last_stmt && st.sline >= !last;
+              last_stmt := st.sline;
+              last := st.sline)
+            ~expr:(fun e ->
+              ok := !ok && e.eline >= !last;
+              last := e.eline);
+          !ok)
+        p.pfns)
+
 let suite =
   ( "frontend",
     [
@@ -249,4 +321,7 @@ let suite =
       Alcotest.test_case "empty return" `Quick test_empty_return;
       Alcotest.test_case "extra args ignored" `Quick test_args_beyond_params_ignored;
       Alcotest.test_case "missing args zero" `Quick test_params_default_zero;
+      QCheck_alcotest.to_alcotest prop_map_identity;
+      QCheck_alcotest.to_alcotest prop_iter_is_map;
+      QCheck_alcotest.to_alcotest prop_walk_in_source_order;
     ] )
