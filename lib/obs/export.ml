@@ -1,16 +1,8 @@
-(* Sanitized exposition name: the prefix, then the instrument name with
-   every byte outside [[a-zA-Z0-9_:]] replaced by [_]. *)
 let metric_name name =
-  let prefix = "csspgo_" in
-  let buf = Buffer.create (String.length prefix + String.length name) in
-  Buffer.add_string buf prefix;
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> Buffer.add_char buf c
-      | _ -> Buffer.add_char buf '_')
-    name;
-  Buffer.contents buf
+  "csspgo_"
+  ^ String.map
+      (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':') as c -> c | _ -> '_')
+      name
 
 let add_family buf name kind = Printf.bprintf buf "# TYPE %s %s\n" name kind
 

@@ -326,7 +326,6 @@ let edit_retarget_call rng (p : Ast.program) =
         Some ({ p with pfns }, Retarget_call { in_fn; old_callee; new_callee })
   end
 
-
 (* ------------------------------------------------------------------ *)
 (* The script driver.                                                 *)
 (* ------------------------------------------------------------------ *)
