@@ -104,28 +104,27 @@ let globals () =
 
 let profile_v1 () =
   (* Sample v1 once, producing both a line profile and a probe profile. *)
-  let build ~probes =
+  let correlate ~probes shape =
     let p = F.Lower.compile v1 in
     if probes then Core.Pseudo_probe.insert p;
-    let refp = Ir.Program.copy p in
+    let symbols = Core.Correlate.symbols p in
     Opt.Pass.optimize ~config:Opt.Config.o2_nopgo p;
     let bin = Cg.Emit.emit ~options:Cg.Emit.default_options p in
-    let agg = Csspgo_profgen.Ranges.create () in
+    let log = Vm.Sample_log.create () in
     ignore
       (Vm.Machine.run
          ~pmu:(Some { Vm.Machine.default_pmu with sample_period = 503 })
-         ~sink:(Csspgo_profgen.Ranges.sink agg) ~globals_init:(globals ()) bin ~entry:"main"
+         ~sink:(Vm.Sample_log.sink log) ~globals_init:(globals ()) bin ~entry:"main"
          ~args:[ 4000L ]);
-    (refp, bin, agg)
+    (Core.Correlate.run ~jobs:1 ~missing_frames:false ~trim:0L shape
+       (Core.Correlate.target symbols bin) (Core.Correlate.Log log))
+      .Core.Correlate.profile
   in
-  let _, dbin, dagg = build ~probes:false in
-  let line_prof = Csspgo_profgen.Dwarf_corr.correlate_agg dbin dagg in
-  let refp, pbin, pagg = build ~probes:true in
-  let checksum_of g =
-    match Ir.Program.find_func_by_guid refp g with Some f -> f.Ir.Func.checksum | None -> 0L
-  in
-  let probe_prof = Core.Probe_corr.correlate_agg ~checksum_of pbin pagg in
-  (line_prof, probe_prof)
+  let line_prof = correlate ~probes:false Core.Correlate.Lines in
+  let probe_prof = correlate ~probes:true Core.Correlate.Probes in
+  match (line_prof, probe_prof) with
+  | Csspgo_profile.Text_io.Line_prof lp, Csspgo_profile.Text_io.Probe_prof pp -> (lp, pp)
+  | _ -> assert false
 
 let eval_with src annotate =
   let p = F.Lower.compile src in

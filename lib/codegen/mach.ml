@@ -130,11 +130,6 @@ let inst_at b addr =
   | Some i -> Some b.insts.(i)
   | None -> None
 
-let next_addr b addr =
-  match Hashtbl.find_opt b.addr_index addr with
-  | Some i when i + 1 < Array.length b.insts -> Some b.insts.(i + 1).i_addr
-  | _ -> None
-
 let entry_addr b guid =
   let r = ref None in
   Array.iter (fun f -> if Ir.Guid.equal f.bf_guid guid then r := Some f.bf_start) b.funcs;

@@ -97,7 +97,5 @@ type binary = {
 
 val func_index_of_addr : binary -> int -> int option
 val inst_at : binary -> int -> inst option
-val next_addr : binary -> int -> int option
-(** Address of the instruction following the one at [addr]. *)
 
 val entry_addr : binary -> Csspgo_ir.Guid.t -> int option

@@ -189,11 +189,11 @@ let run ?obs ~jobs ~missing_frames ~trim:threshold ?(keep_shards = false) shape 
          per-sample given that table, so shard tries partition the serial
          trie's counts exactly. Per-shard flushes of the [ctx.*] counters
          sum to the serial totals. *)
-      let name_of = Some (name_of t.sy) and checksum_of = checksum_of t.sy in
+      let name_of = name_of t.sy and checksum_of = checksum_of t.sy in
       let parts =
         S.map ?obs ~jobs
           (fun shard ->
-            let st = Ctx_reconstruct.start ?name_of ?missing ~checksum_of ?obs t.index in
+            let st = Ctx_reconstruct.start ~name_of ?missing ~checksum_of ?obs t.index in
             iter_shard shard (fun ~lbr ~lbr_len ~stack ~stack_len ->
                 Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
             Ctx_reconstruct.finish st)

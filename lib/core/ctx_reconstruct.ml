@@ -71,7 +71,7 @@ type walk = {
 (* How a walk crosses from a call site to the function found below it. *)
 type gap = No_gap | Gap_failed | Gap_bridged of int * (Ir.Guid.t * int) list
 
-let start ?(name_of = fun _ -> None) ?missing ~checksum_of
+let start ~name_of ?missing ~checksum_of
     ?(obs = Csspgo_obs.Metrics.null) (ix : Pg.Bindex.t) =
   let b = Pg.Bindex.binary ix in
   let trie = CP.create () in

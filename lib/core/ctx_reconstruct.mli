@@ -77,7 +77,7 @@ type stream
     aggregation. The trie and the stats exist only after [finish]. *)
 
 val start :
-  ?name_of:(Csspgo_ir.Guid.t -> string option) ->
+  name_of:(Csspgo_ir.Guid.t -> string option) ->
   ?missing:Missing_frame.t ->
   checksum_of:(Csspgo_ir.Guid.t -> int64) ->
   ?obs:Csspgo_obs.Metrics.t ->

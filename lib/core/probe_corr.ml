@@ -23,7 +23,7 @@ let probes_in_range (b : Mach.binary) (lo, hi) =
 
 let default_name guid = Format.asprintf "%a" Ir.Guid.pp guid
 
-let correlate_agg ?(name_of = fun _ -> None) ?index ~checksum_of
+let correlate_agg ~name_of ~index ~checksum_of
     ?(obs = Csspgo_obs.Metrics.null) (b : Mach.binary) (agg : Pg.Ranges.agg) =
   let prof = P.Probe_profile.create () in
   let n_ranges = ref 0 and n_unmatched = ref 0 and n_hits = ref 0 and n_calls = ref 0 in
@@ -57,7 +57,7 @@ let correlate_agg ?(name_of = fun _ -> None) ?index ~checksum_of
     agg;
   (* Callsite targets: executed calls attributed to their callsite probe in
      the probe's owner function (the innermost inline frame's origin). *)
-  let totals = Pg.Ranges.addr_totals ?index b agg in
+  let totals = Pg.Ranges.addr_totals ~index agg in
   Array.iter
     (fun (inst : Mach.inst) ->
       if inst.Mach.i_cs_probe > 0 then

@@ -10,18 +10,18 @@
     for drift detection at annotation time. *)
 
 val correlate_agg :
-  ?name_of:(Csspgo_ir.Guid.t -> string option) ->
-  ?index:Csspgo_profgen.Bindex.t ->
+  name_of:(Csspgo_ir.Guid.t -> string option) ->
+  index:Csspgo_profgen.Bindex.t ->
   checksum_of:(Csspgo_ir.Guid.t -> int64) ->
   ?obs:Csspgo_obs.Metrics.t ->
   Csspgo_codegen.Mach.binary ->
   Csspgo_profgen.Ranges.agg ->
   Csspgo_profile.Probe_profile.t
-(** Correlate an online-built aggregate. With [?index], range expansion
-    walks the dense instruction index. [obs] receives [probe-corr.ranges],
-    [probe-corr.ranges-unmatched] (ranges covering no probe),
-    [probe-corr.probe-hits] and [probe-corr.callsites], each bumped once
-    at the end. *)
+(** Correlate an online-built aggregate; [index] is built on the binary.
+    A guid [name_of] misses is named in hex. [obs] receives
+    [probe-corr.ranges], [probe-corr.ranges-unmatched] (ranges covering no
+    probe), [probe-corr.probe-hits] and [probe-corr.callsites], each bumped
+    once at the end. *)
 
 val probes_in_range :
   Csspgo_codegen.Mach.binary -> int * int -> Csspgo_codegen.Mach.probe_rec list

@@ -95,9 +95,6 @@ let infer_func (f : Ir.Func.t) =
     labels;
   f.Ir.Func.annotated <- true
 
-let infer (p : Ir.Program.t) =
-  Ir.Program.iter_funcs (fun f -> if f.Ir.Func.annotated then infer_func f) p
-
 let consistency_errors (f : Ir.Func.t) =
   let reach = Ir.Cfg.reachable f in
   let inflow = Hashtbl.create 16 in

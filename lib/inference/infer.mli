@@ -9,9 +9,6 @@ val infer_func : Csspgo_ir.Func.t -> unit
 (** Rewrites [Block.count] and [Block.edge_counts] with consistent values
     and sets [annotated]. Input counts are the raw measurements. *)
 
-val infer : Csspgo_ir.Program.t -> unit
-(** [infer_func] on every annotated function. *)
-
 val consistency_errors : Csspgo_ir.Func.t -> (Csspgo_ir.Types.label * int64 * int64 * int64) list
 (** Blocks where inflow / count / outflow disagree: (label, inflow, count,
     outflow). Entry inflow and exit outflow are exempt. Used by tests. *)

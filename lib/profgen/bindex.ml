@@ -88,7 +88,7 @@ let iter_range t (lo, hi) f =
     let insts = t.bx_bin.Mach.insts in
     let n = Array.length insts in
     let i = ref i0 in
-    (* Same step cap as [Ranges.iter_range_insts]. *)
+    (* A corrupt log's range can span the whole text: cap the walk. *)
     while !i < n && !i - i0 <= 100_000 && insts.(!i).Mach.i_addr <= hi do
       f !i;
       incr i

@@ -57,5 +57,6 @@ val cs_probe : t -> int -> int
 
 val iter_range : t -> int * int -> (int -> unit) -> unit
 (** Iterate the indices of instructions with [lo <= addr <= hi], in address
-    order; a [lo] that maps to no instruction yields nothing (same contract
-    as [Ranges.iter_range_insts], without the per-step hash lookups). *)
+    order; a [lo] that maps to no instruction yields nothing. A walk stops
+    after 100,001 instructions, since a corrupt log's range can span the
+    whole text. *)

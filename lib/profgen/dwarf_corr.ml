@@ -3,9 +3,9 @@ module Mach = Csspgo_codegen.Mach
 module P = Csspgo_profile
 module Itab = Csspgo_support.Itab
 
-let correlate_agg ?(name_of = fun _ -> None) ?index ?(obs = Csspgo_obs.Metrics.null)
-    (b : Mach.binary) (agg : Ranges.agg) =
-  let totals = Ranges.addr_totals ?index b agg in
+let correlate_agg ~name_of ~index ?(obs = Csspgo_obs.Metrics.null) (b : Mach.binary)
+    (agg : Ranges.agg) =
+  let totals = Ranges.addr_totals ~index agg in
   let prof = P.Line_profile.create () in
   let n_addrs = ref 0 and n_unmapped = ref 0 and n_calls = ref 0 in
   let name_for guid =

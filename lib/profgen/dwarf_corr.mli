@@ -13,12 +13,14 @@
     profile (AutoFDO without inline replay; see DESIGN.md). *)
 
 val correlate_agg :
-  ?name_of:(Csspgo_ir.Guid.t -> string option) ->
-  ?index:Bindex.t ->
+  name_of:(Csspgo_ir.Guid.t -> string option) ->
+  index:Bindex.t ->
   ?obs:Csspgo_obs.Metrics.t ->
   Csspgo_codegen.Mach.binary ->
   Ranges.agg ->
   Csspgo_profile.Line_profile.t
-(** Correlate an online-built aggregate. [obs] receives [dwarf-corr.addrs],
-    [dwarf-corr.addrs-unmapped] (no instruction or no debug location at the
-    sampled address) and [dwarf-corr.callsites], bumped once at the end. *)
+(** Correlate an online-built aggregate; [index] is built on the binary.
+    A guid [name_of] misses is named from the binary, else in hex. [obs]
+    receives [dwarf-corr.addrs], [dwarf-corr.addrs-unmapped] (no
+    instruction or no debug location at the sampled address) and
+    [dwarf-corr.callsites], bumped once at the end. *)

@@ -1,5 +1,4 @@
 module Mach = Csspgo_codegen.Mach
-module Vm = Csspgo_vm
 module Itab = Csspgo_support.Itab
 
 (* Counts keyed on pairs: [(lo, hi, 0)] for a range, [(src, tgt, 0)] for
@@ -32,40 +31,11 @@ let merge a b =
     [ a; b ];
   m
 
-let sink agg =
-  {
-    Vm.Machine.on_sample =
-      (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ -> feed agg ~lbr ~lbr_len);
-    on_labels = Vm.Machine.no_labels;
-  }
-
-let iter_range_insts (b : Mach.binary) (lo, hi) f =
-  let rec go addr steps =
-    if steps > 100_000 then ()
-    else
-      match Mach.inst_at b addr with
-      | None -> ()
-      | Some inst ->
-          if inst.Mach.i_addr <= hi then begin
-            f inst;
-            match Mach.next_addr b addr with
-            | Some next when next > addr -> go next (steps + 1)
-            | _ -> ()
-          end
-  in
-  go lo 0
-
-let addr_totals ?index (b : Mach.binary) agg =
+let addr_totals ~index agg =
   let totals = Itab.create 0 in
-  let bump addr n = Itab.bump totals addr 0 0 n in
-  (match index with
-  | Some ix ->
-      iter_ranges
-        (fun lo hi n ->
-          Bindex.iter_range ix (lo, hi) (fun i -> bump (Bindex.inst ix i).Mach.i_addr n))
-        agg
-  | None ->
-      iter_ranges
-        (fun lo hi n -> iter_range_insts b (lo, hi) (fun inst -> bump inst.Mach.i_addr n))
-        agg);
+  iter_ranges
+    (fun lo hi n ->
+      Bindex.iter_range index (lo, hi) (fun i ->
+          Itab.bump totals (Bindex.inst index i).Mach.i_addr 0 0 n))
+    agg;
   totals

@@ -4,12 +4,9 @@
     front half of both AutoFDO and CSSPGO profile generation.
 
     Aggregation is online: [create] an empty aggregate and [feed] it each
-    sample's LBR as it streams out of the PMU (or attach [sink] to
-    [Vm.Machine.run]) or out of a replayed sample log. Counts are unboxed
+    sample's LBR as a recorded sample log replays. Counts are unboxed
     ints in the shared pair-keyed {!Csspgo_support.Itab}: a bump per LBR
     entry allocates nothing. *)
-
-module Mach = Csspgo_codegen.Mach
 
 type agg
 (** Range counts (each range [\[begin, end\]] inclusive) and branch
@@ -35,15 +32,7 @@ val merge : agg -> agg -> agg
     per-slice aggregates in any order gives exactly the counts one [feed]
     pass over the whole stream would. *)
 
-val sink : agg -> Csspgo_vm.Machine.sink
-(** A sink that [feed]s every sample into [agg] (stack ignored). *)
-
-val addr_totals : ?index:Bindex.t -> Mach.binary -> agg -> int Csspgo_support.Itab.t
-(** Expand ranges to per-instruction-address execution totals, keyed
-    [(addr, 0, 0)]; an address never executed finds 0. With
-    [?index], range walks use the dense instruction index instead of
-    per-step hash lookups (same results). *)
-
-val iter_range_insts : Mach.binary -> int * int -> (Mach.inst -> unit) -> unit
-(** Walk the instructions covered by one range; tolerates ranges whose
-    endpoints fall outside the text map (stops walking). *)
+val addr_totals : index:Bindex.t -> agg -> int Csspgo_support.Itab.t
+(** Expand ranges to per-instruction-address execution totals over the
+    index's binary, keyed [(addr, 0, 0)]; an address never executed finds
+    0. A range whose start maps to no instruction adds nothing. *)

@@ -58,18 +58,3 @@ let merged p =
   List.fold_left
     (fun acc (g, d) -> Fnv.int64 (Fnv.int64 acc g) d)
     Fnv.init (per_func p)
-
-let delta old_fps new_fps =
-  let rec go acc a b =
-    match (a, b) with
-    | [], [] -> List.rev acc
-    | (g, _) :: a', [] -> go (g :: acc) a' []
-    | [], (g, _) :: b' -> go (g :: acc) [] b'
-    | (ga, da) :: a', (gb, db) :: b' ->
-        let c = Ir.Guid.compare ga gb in
-        if c < 0 then go (ga :: acc) a' b
-        else if c > 0 then go (gb :: acc) a b'
-        else if Int64.equal da db then go acc a' b'
-        else go (ga :: acc) a' b'
-  in
-  go [] old_fps new_fps

@@ -2,13 +2,13 @@
     profile says about one function — CFG checksum, head/entry count, and
     every (location, count) and callsite record, context frames included
     for trie profiles. Two profiles assign a function equal fingerprints
-    iff their canonical text agrees on that function, so fingerprint
-    deltas are exactly profile drift at function granularity.
+    iff their canonical text agrees on that function.
 
-    This is the delta signal behind incremental PGO rebuilds
-    ([Core.Driver.Plan]): a rebuild keys its cached artifacts on the
-    merged fingerprint, and a per-function comparison of two profiles
-    names the drifted-hot functions that actually need recompiling. *)
+    Incremental PGO rebuilds ([Core.Driver.Plan]) key the whole-binary
+    cache on {!merged}, so a refreshed but equal profile reuses the cached
+    artifact; which functions recompile is decided by each function's
+    annotated IR digest ([Ir.Func.digest]), not by comparing
+    fingerprints. *)
 
 val per_func : Text_io.profile -> (Csspgo_ir.Guid.t * int64) list
 (** One (guid, fingerprint) pair per function mentioned by the profile,
@@ -18,11 +18,3 @@ val per_func : Text_io.profile -> (Csspgo_ir.Guid.t * int64) list
 val merged : Text_io.profile -> int64
 (** Whole-profile digest: FNV over the sorted {!per_func} list. Equal to
     [merged] of another profile iff no function drifted. *)
-
-val delta :
-  (Csspgo_ir.Guid.t * int64) list ->
-  (Csspgo_ir.Guid.t * int64) list ->
-  Csspgo_ir.Guid.t list
-(** [delta old new_] is the sorted guid list where the two fingerprint
-    maps disagree — changed, added, or removed functions. Inputs must be
-    sorted by guid (as {!per_func} returns them). *)

@@ -22,9 +22,7 @@ let make ~kind slices =
     slices;
   { kind; slices }
 
-let kind t = t.kind
 let slices t = t.slices
-let labels t = List.map (fun s -> s.sl_label) t.slices
 let n_slices t = List.length t.slices
 let total_weight t = List.fold_left (fun a s -> Int64.add a s.sl_weight) 0L t.slices
 
@@ -33,19 +31,6 @@ let find t label =
 
 let blend t =
   Merge.weighted ~kind:t.kind (List.map (fun s -> (1L, s.sl_profile)) t.slices)
-
-let reblend t weights =
-  Merge.weighted ~kind:t.kind
-    (List.map
-       (fun (w, label) ->
-         if Int64.compare w 0L < 0 then invalid_arg "Labels.reblend: negative weight";
-         match find t label with
-         | Some s -> (w, s.sl_profile)
-         | None ->
-             invalid_arg
-               (Printf.sprintf "Labels.reblend: unknown label %s"
-                  (Label_set.to_string label)))
-       weights)
 
 let project t ~keys =
   (* Group by projected label in first-appearance order; colliding slices
@@ -93,90 +78,3 @@ let to_string t =
       Buffer.add_string buf (Text_io.to_string s.sl_profile))
     t.slices;
   Buffer.contents buf
-
-let kind_of_name = function
-  | "line" -> Some Text_io.Line
-  | "probe" -> Some Text_io.Probe
-  | "ctx" -> Some Text_io.Ctx
-  | _ -> None
-
-let of_string s =
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match String.index_opt s '\n' with
-  | None -> err "labeledprofile: missing header"
-  | Some nl -> (
-      let header = String.sub s 0 nl in
-      let rest = String.sub s (nl + 1) (String.length s - nl - 1) in
-      match String.split_on_char ' ' header with
-      | [ "labeledprofile"; kname; n ] -> (
-          match (kind_of_name kname, int_of_string_opt n) with
-          | None, _ -> err "labeledprofile: unknown kind %S" kname
-          | _, None -> err "labeledprofile: bad slice count %S" n
-          | Some kind, Some n -> (
-              (* Split the body at each "label " header line. *)
-              let lines = String.split_on_char '\n' rest in
-              let sections = ref [] in
-              let cur = ref None in
-              let flush () =
-                match !cur with
-                | Some (hdr, body) ->
-                    sections :=
-                      (hdr, String.concat "\n" (List.rev body)) :: !sections;
-                    cur := None
-                | None -> ()
-              in
-              let stray = ref false in
-              List.iter
-                (fun line ->
-                  if String.length line >= 6 && String.equal (String.sub line 0 6) "label "
-                  then begin
-                    flush ();
-                    cur := Some (String.sub line 6 (String.length line - 6), [])
-                  end
-                  else
-                    match !cur with
-                    | Some (hdr, body) -> cur := Some (hdr, line :: body)
-                    | None -> if not (String.equal (String.trim line) "") then stray := true)
-                lines;
-              flush ();
-              if !stray then err "labeledprofile: text before first label record"
-              else
-                let sections = List.rev !sections in
-                if List.length sections <> n then
-                  err "labeledprofile: header declares %d slices, found %d" n
-                    (List.length sections)
-                else
-                  let parse (hdr, body) acc =
-                    match acc with
-                    | Error _ as e -> e
-                    | Ok slices -> (
-                        match String.split_on_char ' ' hdr with
-                        | [ label_s; weight_s ]
-                          when String.length weight_s > 7
-                               && String.equal (String.sub weight_s 0 7) "weight=" -> (
-                            let w_s =
-                              String.sub weight_s 7 (String.length weight_s - 7)
-                            in
-                            match
-                              (Label_set.of_string label_s, Int64.of_string_opt w_s)
-                            with
-                            | Error e, _ -> err "labeledprofile: %s" e
-                            | _, None -> err "labeledprofile: bad weight %S" w_s
-                            | Ok label, Some w when Int64.compare w 0L >= 0 -> (
-                                try
-                                  let p = Text_io.read kind body in
-                                  Ok
-                                    ({ sl_label = label; sl_weight = w; sl_profile = p }
-                                    :: slices)
-                                with Text_io.Parse_error (m, l) ->
-                                  err "labeledprofile: slice %s: %s (line %d)" label_s
-                                    m l)
-                            | _ -> err "labeledprofile: negative weight %S" w_s)
-                        | _ -> err "labeledprofile: bad label record %S" hdr)
-                  in
-                  match List.fold_right parse sections (Ok []) with
-                  | Error _ as e -> e
-                  | Ok slices -> (
-                      try Ok (make ~kind slices)
-                      with Invalid_argument m -> Error m)))
-      | _ -> err "labeledprofile: bad header %S" header)

@@ -29,9 +29,7 @@ val make : kind:Text_io.kind -> slice list -> t
     @raise Invalid_argument on a kind mismatch, a duplicate label, or a
     negative weight. *)
 
-val kind : t -> Text_io.kind
 val slices : t -> slice list
-val labels : t -> Csspgo_support.Label_set.t list
 val n_slices : t -> int
 
 val total_weight : t -> int64
@@ -44,12 +42,6 @@ val blend : t -> Text_io.profile
     already carries exactly its observed sample mass, so weight 1 {e is}
     the observed-weight blend. Slice order cannot matter (merge is
     commutative). *)
-
-val reblend : t -> (int64 * Csspgo_support.Label_set.t) list -> Text_io.profile
-(** Blend with explicit per-label weights (a what-if mix): each listed
-    label's slice is merged at the given weight; unlisted slices are
-    dropped.
-    @raise Invalid_argument on a negative weight or an unknown label. *)
 
 val project : t -> keys:string list -> t
 (** Re-key every slice by {!Csspgo_support.Label_set.project} onto [keys]
@@ -67,10 +59,8 @@ val project : t -> keys:string list -> t
     label <k=v,...|-> weight=<n>
     <profile text...>
     v}
-    Canonical and byte-stable for equal bundles, like {!Text_io}. *)
+    Canonical and byte-stable for equal bundles, like {!Text_io}. The form
+    is write-only: a digest and display form that nothing parses back. *)
 
 val to_string : t -> string
 
-val of_string : string -> (t, string) result
-(** Parse the text form; [Error] carries a human-readable reason
-    ({!Text_io.Parse_error}s are caught and rendered). *)

@@ -46,8 +46,6 @@ let pop t =
     Some top
   end
 
-let peek t = if is_empty t then None else Some (Vec.get t.data 0)
-
 let of_list cmp l =
   let t = create cmp in
   List.iter (push t) l;

@@ -11,7 +11,6 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 (** Remove and return the highest-priority element. *)
 
-val peek : 'a t -> 'a option
 val of_list : ('a -> 'a -> int) -> 'a list -> 'a t
 val to_sorted_list : 'a t -> 'a list
 (** Drains the heap; highest priority first. *)

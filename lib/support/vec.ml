@@ -46,10 +46,6 @@ let pop t =
   t.len <- t.len - 1;
   t.data.(t.len)
 
-let last t =
-  if t.len = 0 then invalid_arg "Vec.last: empty";
-  t.data.(t.len - 1)
-
 let clear t = t.len <- 0
 
 let iter f t =
@@ -101,17 +97,6 @@ let to_array t = Array.sub t.data 0 t.len
 let copy t = { data = Array.copy t.data; len = t.len }
 
 let append dst src = iter (push dst) src
-
-let filter_in_place p t =
-  let j = ref 0 in
-  for i = 0 to t.len - 1 do
-    let x = t.data.(i) in
-    if p x then begin
-      t.data.(!j) <- x;
-      incr j
-    end
-  done;
-  t.len <- !j
 
 let sort cmp t =
   let a = to_array t in

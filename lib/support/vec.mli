@@ -18,7 +18,6 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 (** Remove and return the last element. Raises [Invalid_argument] on empty. *)
 
-val last : 'a t -> 'a
 val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
@@ -33,8 +32,5 @@ val copy : 'a t -> 'a t
 
 val append : 'a t -> 'a t -> unit
 (** [append dst src] pushes all elements of [src] onto [dst]. *)
-
-val filter_in_place : ('a -> bool) -> 'a t -> unit
-(** Keep only elements satisfying the predicate, preserving order. *)
 
 val sort : ('a -> 'a -> int) -> 'a t -> unit

@@ -15,7 +15,6 @@ module SL = Vm.Sample_log
 module Wire = S.Wire
 
 let g name = Ir.Guid.of_name name
-let fname i = Printf.sprintf "fn%d" i
 
 (* text -> binary -> text must be byte-identical *)
 let rt_ok p =
@@ -207,90 +206,22 @@ let test_node_count_bounds () =
   if words >= 1000. then
     Alcotest.failf "decoding 20,000,000 declared nodes allocated %.0f words" words
 
-(* --- QCheck round-trip properties (mirror Text_io's generators) ------- *)
-
-let fentry_spec_gen =
-  QCheck.(
-    pair
-      (pair (int_range 0 5) (int_range 0 1000))
-      (pair
-         (small_list (pair (int_range 1 60) (int_range 1 100_000)))
-         (small_list (triple (int_range 1 60) (int_range 0 5) (int_range 1 5000)))))
+(* --- QCheck round-trip properties (Test_profile's generators) -------- *)
 
 let prop_probe_binary_roundtrip =
   QCheck.Test.make ~name:"probe profiles round-trip through binary" ~count:200
-    QCheck.(small_list fentry_spec_gen)
-    (fun specs ->
-      let t = PP.create () in
-      List.iter
-        (fun ((fi, head), (probes, calls)) ->
-          let fe = PP.get_or_add t (g (fname fi)) ~name:(fname fi) in
-          fe.PP.fe_head <- Int64.of_int head;
-          fe.PP.fe_checksum <- Int64.of_int (fi * 7919);
-          List.iter (fun (id, c) -> PP.add_probe fe id (Int64.of_int c)) probes;
-          List.iter
-            (fun (site, callee, c) ->
-              PP.add_call fe site (g (fname callee)) (Int64.of_int c))
-            calls)
-        specs;
-      rt_ok (P.Text_io.Probe_prof t))
+    QCheck.(small_list Test_profile.fentry_spec_gen)
+    (fun specs -> rt_ok (P.Text_io.Probe_prof (Test_profile.build_probe specs)))
 
 let prop_line_binary_roundtrip =
   QCheck.Test.make ~name:"line profiles round-trip through binary" ~count:200
-    QCheck.(small_list fentry_spec_gen)
-    (fun specs ->
-      let t = LP.create () in
-      List.iter
-        (fun ((fi, head), (lines, calls)) ->
-          let fe = LP.get_or_add t (g (fname fi)) ~name:(fname fi) in
-          fe.LP.fe_head <- Int64.of_int head;
-          List.iter (fun (l, c) -> LP.add_line fe (l, l mod 3) (Int64.of_int c)) lines;
-          List.iter
-            (fun (l, callee, c) ->
-              LP.add_call fe (l, l mod 3) (g (fname callee)) (Int64.of_int c))
-            calls)
-        specs;
-      rt_ok (P.Text_io.Line_prof t))
-
-let ctx_spec_gen =
-  QCheck.(
-    pair
-      (pair (int_range 0 3) (small_list (pair (int_range 1 9) (int_range 0 3))))
-      (pair (small_list (pair (int_range 1 30) (int_range 1 10_000))) bool))
+    QCheck.(small_list Test_profile.fentry_spec_gen)
+    (fun specs -> rt_ok (P.Text_io.Line_prof (Test_profile.build_line specs)))
 
 let prop_ctx_binary_roundtrip =
   QCheck.Test.make ~name:"context profiles round-trip through binary" ~count:200
-    QCheck.(pair (small_list ctx_spec_gen) (option (int_range 1 5000)))
-    (fun (specs, trim) ->
-      let t = CP.create () in
-      List.iter
-        (fun ((root_fi, frames), (probes, inlined)) ->
-          let node =
-            match frames with
-            | [] -> CP.base t (g (fname root_fi)) ~name:(fname root_fi)
-            | _ ->
-                let path =
-                  List.rev
-                    (fst
-                       (List.fold_left
-                          (fun (acc, parent) (site, child_fi) ->
-                            ( ((g (fname parent), site), g (fname child_fi),
-                               fname child_fi)
-                              :: acc,
-                              child_fi ))
-                          ([], root_fi) frames))
-                in
-                Option.get (CP.node_at t ~path)
-          in
-          node.CP.n_inlined <- inlined;
-          List.iter
-            (fun (id, c) -> PP.add_probe node.CP.n_prof id (Int64.of_int c))
-            probes)
-        specs;
-      (match trim with
-      | Some threshold -> ignore (CP.trim_cold t ~threshold:(Int64.of_int threshold))
-      | None -> ());
-      rt_ok (P.Text_io.Ctx_prof t))
+    QCheck.(pair (small_list Test_profile.ctx_spec_gen) (option (int_range 1 5000)))
+    (fun spec -> rt_ok (P.Text_io.Ctx_prof (Test_profile.build_trimmed_ctx spec)))
 
 (* --- sample logs ------------------------------------------------------ *)
 
@@ -434,11 +365,6 @@ let test_fingerprint_delta () =
     (Int64.equal (P.Fingerprint.merged p1) (P.Fingerprint.merged p2));
   Alcotest.(check bool) "drift changes merged fp" false
     (Int64.equal (P.Fingerprint.merged p1) (P.Fingerprint.merged p3));
-  Alcotest.(check (list int64)) "no drift, empty delta" []
-    (P.Fingerprint.delta (P.Fingerprint.per_func p1) (P.Fingerprint.per_func p2));
-  Alcotest.(check (list int64)) "delta names exactly the drifted function"
-    [ g "a" ]
-    (P.Fingerprint.delta (P.Fingerprint.per_func p1) (P.Fingerprint.per_func p3));
   (* binary round-trip preserves fingerprints *)
   match B.decode (B.encode p1) with
   | Ok p1' ->

@@ -483,12 +483,6 @@ let test_labels_container_laws () =
   in
   let l = Fl.Build.correlate_labeled ~options ~shape:Fl.Build.Probes b log in
   let bundle = l.Fl.Build.lc_slices in
-  (* Text round-trip. *)
-  (match P.Labels.of_string (P.Labels.to_string bundle) with
-  | Ok bundle' ->
-      Alcotest.(check string) "labeled-profile text round-trips"
-        (P.Labels.to_string bundle) (P.Labels.to_string bundle')
-  | Error e -> Alcotest.fail e);
   (* Projection onto the tenant key: mass is conserved and blending the
      projection equals blending the original (merge associativity). *)
   let proj = P.Labels.project bundle ~keys:[ W.Mix.tenant_key ] in
@@ -503,14 +497,7 @@ let test_labels_container_laws () =
         (List.for_all
            (fun (k, _) -> String.equal k W.Mix.tenant_key)
            (LS.to_list s.P.Labels.sl_label)))
-    (P.Labels.slices proj);
-  (* Re-blending a single label at its weight-1 reproduces that slice. *)
-  match P.Labels.slices proj with
-  | s :: _ ->
-      Alcotest.(check string) "reblend singleton"
-        (profile_sig s.P.Labels.sl_profile)
-        (profile_sig (P.Labels.reblend proj [ (1L, s.P.Labels.sl_label) ]))
-  | [] -> Alcotest.fail "no projected slices"
+    (P.Labels.slices proj)
 
 (* [Tenancy.collect]'s blend is the unlabeled fleet path on the same
    traffic: one [Sim.run] version whose cohort serves the mix's requests

@@ -13,67 +13,13 @@ module PP = P.Probe_profile
 module CP = P.Ctx_profile
 
 let g name = Ir.Guid.of_name name
-let fname = Test_profile.fname
 let text = P.Text_io.to_string
 
-(* --- random profile builders (specs from Test_profile's generators) --- *)
+(* --- random profiles (Test_profile's generators and builders) --------- *)
 
-let build_probe specs =
-  let t = PP.create () in
-  List.iter
-    (fun ((fi, head), (probes, calls)) ->
-      let fe = PP.get_or_add t (g (fname fi)) ~name:(fname fi) in
-      fe.PP.fe_head <- Int64.of_int head;
-      fe.PP.fe_checksum <- Int64.of_int (fi * 7919);
-      List.iter (fun (id, c) -> PP.add_probe fe id (Int64.of_int c)) probes;
-      List.iter
-        (fun (site, callee, c) ->
-          PP.add_call fe site (g (fname callee)) (Int64.of_int c))
-        calls)
-    specs;
-  P.Text_io.Probe_prof t
-
-let build_line specs =
-  let t = LP.create () in
-  List.iter
-    (fun ((fi, head), (lines, calls)) ->
-      let fe = LP.get_or_add t (g (fname fi)) ~name:(fname fi) in
-      fe.LP.fe_head <- Int64.of_int head;
-      List.iter (fun (l, c) -> LP.add_line fe (l, l mod 3) (Int64.of_int c)) lines;
-      List.iter
-        (fun (l, callee, c) ->
-          LP.add_call fe (l, l mod 3) (g (fname callee)) (Int64.of_int c))
-        calls)
-    specs;
-  P.Text_io.Line_prof t
-
-let build_ctx specs =
-  let t = CP.create () in
-  List.iter
-    (fun ((root_fi, frames), (probes, inlined)) ->
-      let node =
-        match frames with
-        | [] -> CP.base t (g (fname root_fi)) ~name:(fname root_fi)
-        | _ ->
-            let path =
-              List.rev
-                (fst
-                   (List.fold_left
-                      (fun (acc, parent) (site, child_fi) ->
-                        ( ((g (fname parent), site), g (fname child_fi),
-                           fname child_fi)
-                          :: acc,
-                          child_fi ))
-                      ([], root_fi) frames))
-            in
-            Option.get (CP.node_at t ~path)
-      in
-      node.CP.n_inlined <- inlined;
-      List.iter
-        (fun (id, c) -> PP.add_probe node.CP.n_prof id (Int64.of_int c))
-        probes)
-    specs;
-  P.Text_io.Ctx_prof t
+let build_probe specs = P.Text_io.Probe_prof (Test_profile.build_probe specs)
+let build_line specs = P.Text_io.Line_prof (Test_profile.build_line specs)
+let build_ctx specs = P.Text_io.Ctx_prof (Test_profile.build_ctx specs)
 
 (* One law battery per shape: a generator of spec pairs plus a builder. *)
 let laws ~shape ~arb ~build =
@@ -202,10 +148,8 @@ let test_ctx_inline_mark_or () =
 let prop_flatten_conserves =
   QCheck.Test.make ~name:"flatten_ctx conserves totals" ~count:100 ctx_gen
     (fun specs ->
-      match build_ctx specs with
-      | P.Text_io.Ctx_prof t ->
-          Int64.equal (CP.total_samples t) (PP.total_samples (M.flatten_ctx t))
-      | _ -> false)
+      let t = Test_profile.build_ctx specs in
+      Int64.equal (CP.total_samples t) (PP.total_samples (M.flatten_ctx t)))
 
 let suite =
   ( "merge",

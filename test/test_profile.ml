@@ -257,45 +257,6 @@ let fentry_spec_gen =
          (small_list (pair (int_range 1 60) (int_range 1 100_000)))
          (small_list (triple (int_range 1 60) (int_range 0 5) (int_range 1 5000)))))
 
-let prop_probe_profile_roundtrip =
-  QCheck.Test.make ~name:"probe profiles round-trip (multi-function)" ~count:200
-    QCheck.(small_list fentry_spec_gen)
-    (fun specs ->
-      let t = PP.create () in
-      List.iter
-        (fun ((fi, head), (probes, calls)) ->
-          let fe = PP.get_or_add t (g (fname fi)) ~name:(fname fi) in
-          fe.PP.fe_head <- Int64.of_int head;
-          fe.PP.fe_checksum <- Int64.of_int (fi * 7919);
-          List.iter (fun (id, c) -> PP.add_probe fe id (Int64.of_int c)) probes;
-          List.iter
-            (fun (site, callee, c) ->
-              PP.add_call fe site (g (fname callee)) (Int64.of_int c))
-            calls)
-        specs;
-      let s = probe_to_string t in
-      String.equal s (probe_to_string (read_probe s)))
-
-let prop_line_profile_roundtrip =
-  QCheck.Test.make ~name:"line profiles round-trip (multi-function)" ~count:200
-    QCheck.(small_list fentry_spec_gen)
-    (fun specs ->
-      let t = LP.create () in
-      List.iter
-        (fun ((fi, head), (lines, calls)) ->
-          let fe = LP.get_or_add t (g (fname fi)) ~name:(fname fi) in
-          fe.LP.fe_head <- Int64.of_int head;
-          List.iter
-            (fun (l, c) -> LP.add_line fe (l, l mod 3) (Int64.of_int c))
-            lines;
-          List.iter
-            (fun (l, callee, c) ->
-              LP.add_call fe (l, l mod 3) (g (fname callee)) (Int64.of_int c))
-            calls)
-        specs;
-      let s = line_to_string t in
-      String.equal s (line_to_string (read_line s)))
-
 let ctx_spec_gen =
   (* one context: a root function, a chain of (callsite, callee) frames,
      probe counts at the leaf, and the pre-inliner mark *)
@@ -304,40 +265,95 @@ let ctx_spec_gen =
       (pair (int_range 0 3) (small_list (pair (int_range 1 9) (int_range 0 3))))
       (pair (small_list (pair (int_range 1 30) (int_range 1 10_000))) bool))
 
+(* Profiles built from the generators' specs, shared with the binary
+   codec and merge suites. *)
+let build_probe specs =
+  let t = PP.create () in
+  List.iter
+    (fun ((fi, head), (probes, calls)) ->
+      let fe = PP.get_or_add t (g (fname fi)) ~name:(fname fi) in
+      fe.PP.fe_head <- Int64.of_int head;
+      fe.PP.fe_checksum <- Int64.of_int (fi * 7919);
+      List.iter (fun (id, c) -> PP.add_probe fe id (Int64.of_int c)) probes;
+      List.iter
+        (fun (site, callee, c) ->
+          PP.add_call fe site (g (fname callee)) (Int64.of_int c))
+        calls)
+    specs;
+  t
+
+let build_line specs =
+  let t = LP.create () in
+  List.iter
+    (fun ((fi, head), (lines, calls)) ->
+      let fe = LP.get_or_add t (g (fname fi)) ~name:(fname fi) in
+      fe.LP.fe_head <- Int64.of_int head;
+      List.iter
+        (fun (l, c) -> LP.add_line fe (l, l mod 3) (Int64.of_int c))
+        lines;
+      List.iter
+        (fun (l, callee, c) ->
+          LP.add_call fe (l, l mod 3) (g (fname callee)) (Int64.of_int c))
+        calls)
+    specs;
+  t
+
+let build_ctx specs =
+  let t = CP.create () in
+  List.iter
+    (fun ((root_fi, frames), (probes, inlined)) ->
+      let node =
+        match frames with
+        | [] -> CP.base t (g (fname root_fi)) ~name:(fname root_fi)
+        | _ ->
+            let path =
+              List.rev
+                (fst
+                   (List.fold_left
+                      (fun (acc, parent) (site, child_fi) ->
+                        ( ((g (fname parent), site), g (fname child_fi),
+                           fname child_fi)
+                          :: acc,
+                          child_fi ))
+                      ([], root_fi) frames))
+            in
+            Option.get (CP.node_at t ~path)
+      in
+      node.CP.n_inlined <- inlined;
+      List.iter
+        (fun (id, c) -> PP.add_probe node.CP.n_prof id (Int64.of_int c))
+        probes)
+    specs;
+  t
+
+(* The context property trims [build_ctx specs] at [trim], if any. *)
+let build_trimmed_ctx (specs, trim) =
+  let t = build_ctx specs in
+  (match trim with
+  | Some threshold -> ignore (CP.trim_cold t ~threshold:(Int64.of_int threshold))
+  | None -> ());
+  t
+
+let prop_probe_profile_roundtrip =
+  QCheck.Test.make ~name:"probe profiles round-trip (multi-function)" ~count:200
+    QCheck.(small_list fentry_spec_gen)
+    (fun specs ->
+      let s = probe_to_string (build_probe specs) in
+      String.equal s (probe_to_string (read_probe s)))
+
+let prop_line_profile_roundtrip =
+  QCheck.Test.make ~name:"line profiles round-trip (multi-function)" ~count:200
+    QCheck.(small_list fentry_spec_gen)
+    (fun specs ->
+      let s = line_to_string (build_line specs) in
+      String.equal s (line_to_string (read_line s)))
+
 let prop_ctx_profile_roundtrip =
   QCheck.Test.make ~name:"context profiles round-trip (incl. cold-trimmed)"
     ~count:200
     QCheck.(pair (small_list ctx_spec_gen) (option (int_range 1 5000)))
-    (fun (specs, trim) ->
-      let t = CP.create () in
-      List.iter
-        (fun ((root_fi, frames), (probes, inlined)) ->
-          let node =
-            match frames with
-            | [] -> CP.base t (g (fname root_fi)) ~name:(fname root_fi)
-            | _ ->
-                let path =
-                  List.rev
-                    (fst
-                       (List.fold_left
-                          (fun (acc, parent) (site, child_fi) ->
-                            ( ((g (fname parent), site), g (fname child_fi),
-                               fname child_fi)
-                              :: acc,
-                              child_fi ))
-                          ([], root_fi) frames))
-                in
-                Option.get (CP.node_at t ~path)
-          in
-          node.CP.n_inlined <- inlined;
-          List.iter
-            (fun (id, c) -> PP.add_probe node.CP.n_prof id (Int64.of_int c))
-            probes)
-        specs;
-      (match trim with
-      | Some threshold -> ignore (CP.trim_cold t ~threshold:(Int64.of_int threshold))
-      | None -> ());
-      let s = ctx_to_string t in
+    (fun spec ->
+      let s = ctx_to_string (build_trimmed_ctx spec) in
       String.equal s (ctx_to_string (read_ctx s)))
 
 (* --- one-pass trim against the seed's re-walking trim ----------------- *)

@@ -503,7 +503,10 @@ let test_no_allocation_per_lbr_entry () =
       SL.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ -> Pg.Ranges.feed agg ~lbr ~lbr_len));
   check "Missing_frame" (fun () -> ignore (missing_of ()));
   check "Ctx_reconstruct" (fun () ->
-      let st = Core.Ctx_reconstruct.start ~missing ~checksum_of:(fun _ -> 0L) index in
+      let st =
+        Core.Ctx_reconstruct.start ~name_of:(fun _ -> None) ~missing
+          ~checksum_of:(fun _ -> 0L) index
+      in
       SL.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
           Core.Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
       ignore (Core.Ctx_reconstruct.finish st))
@@ -540,7 +543,10 @@ let test_ctx_words_per_attribution () =
       if stack_len > 0 then attributions := !attributions + lbr_len);
   let words =
     Alloc.words (fun () ->
-        let st = Core.Ctx_reconstruct.start ~missing ~checksum_of:(fun _ -> 0L) index in
+        let st =
+          Core.Ctx_reconstruct.start ~name_of:(fun _ -> None) ~missing
+            ~checksum_of:(fun _ -> 0L) index
+        in
         SL.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
             Core.Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
         ignore (Core.Ctx_reconstruct.finish st))
