@@ -197,8 +197,6 @@ let emit ~options (p : Ir.Program.t) =
           i_cs_probe = pi.p_cs;
         })
   in
-  let addr_index = Hashtbl.create (Array.length inst_arr) in
-  Array.iteri (fun i inst -> Hashtbl.replace addr_index inst.Mach.i_addr i) inst_arr;
   let probe_arr =
     !probes
     |> List.map (fun pp ->
@@ -259,7 +257,6 @@ let emit ~options (p : Ir.Program.t) =
   {
     Mach.funcs;
     insts = inst_arr;
-    addr_index;
     probes = probe_arr;
     n_counters;
     globals = p.Ir.Program.globals;

@@ -89,7 +89,6 @@ type bfunc = {
 type binary = {
   funcs : bfunc array;
   insts : inst array;
-  addr_index : (int, int) Hashtbl.t;
   probes : probe_rec array;
   n_counters : int;
   globals : (string * int) list;
@@ -98,39 +97,14 @@ type binary = {
   probe_meta_size : int;
 }
 
-let func_index_of_addr b addr =
-  let n = Array.length b.funcs in
-  let found = ref None in
-  (* Hot ranges are sorted by start; cold ranges live past all hot code.
-     A linear scan is fine for our function counts but use the hot ordering
-     for the common case. *)
-  let rec bsearch lo hi =
-    if lo >= hi then ()
-    else
-      let mid = (lo + hi) / 2 in
-      let f = b.funcs.(mid) in
-      if addr < f.bf_start then bsearch lo mid
-      else if addr >= f.bf_end then bsearch (mid + 1) hi
-      else found := Some mid
-  in
-  bsearch 0 n;
-  (match !found with
-  | Some _ -> ()
-  | None ->
-      Array.iteri
-        (fun i f ->
-          match f.bf_cold with
-          | Some (s, e) when addr >= s && addr < e -> found := Some i
-          | _ -> ())
-        b.funcs);
-  !found
+(* Top level, not a local closure: a lookup allocates nothing. *)
+let rec search insts addr lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let a = (Array.unsafe_get insts mid).i_addr in
+    if addr < a then search insts addr lo mid
+    else if addr > a then search insts addr (mid + 1) hi
+    else mid
 
-let inst_at b addr =
-  match Hashtbl.find_opt b.addr_index addr with
-  | Some i -> Some b.insts.(i)
-  | None -> None
-
-let entry_addr b guid =
-  let r = ref None in
-  Array.iter (fun f -> if Ir.Guid.equal f.bf_guid guid then r := Some f.bf_start) b.funcs;
-  !r
+let idx_of_addr b addr = search b.insts addr 0 (Array.length b.insts)

@@ -86,16 +86,14 @@ type bfunc = {
 type binary = {
   funcs : bfunc array;
   insts : inst array;              (** sorted by address *)
-  addr_index : (int, int) Hashtbl.t;  (** address -> index into [insts] *)
   probes : probe_rec array;        (** sorted by address *)
   n_counters : int;
   globals : (string * int) list;
-  text_size : int;
+  text_size : int;  (** bytes from the first instruction to the end of the last range *)
   debug_size : int;       (** encoded line-table bytes *)
   probe_meta_size : int;  (** encoded pseudo-probe section bytes *)
 }
 
-val func_index_of_addr : binary -> int -> int option
-val inst_at : binary -> int -> inst option
-
-val entry_addr : binary -> Csspgo_ir.Guid.t -> int option
+val idx_of_addr : binary -> int -> int
+(** Index into [insts] of the instruction starting at an address, or -1
+    for any other address; a binary search that allocates nothing. *)

@@ -73,7 +73,6 @@ type gap = No_gap | Gap_failed | Gap_bridged of int * (Ir.Guid.t * int) list
 
 let start ~name_of ?missing ~checksum_of
     ?(obs = Csspgo_obs.Metrics.null) (ix : Pg.Bindex.t) =
-  let b = Pg.Bindex.binary ix in
   let trie = CP.create () in
   (* Only a node being created needs a name. *)
   let name_for guid =
@@ -215,15 +214,13 @@ let start ~name_of ?missing ~checksum_of
       ensure_checksum node;
       node.CP.n_prof
     in
-    List.iter
-      (fun (pr : Mach.probe_rec) ->
+    Pg.Bindex.iter_probes ix (lo, hi) (fun pr ->
         let cur =
           List.fold_right
             (fun cs cur -> step cur (cs.Ir.Dloc.cs_func, cs.Ir.Dloc.cs_probe))
             pr.Mach.pr_chain (Lazy.force ctx)
         in
-        P.Probe_profile.add_probe (hit (node cur pr.Mach.pr_func)) pr.Mach.pr_id n)
-      (Probe_corr.probes_in_range b (lo, hi));
+        P.Probe_profile.add_probe (hit (node cur pr.Mach.pr_func)) pr.Mach.pr_id n);
     Pg.Bindex.iter_range ix (lo, hi) (fun ii ->
         match Pg.Bindex.callee ix ii with
         | Some callee when Pg.Bindex.cs_probe ix ii > 0 -> (

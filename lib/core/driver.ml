@@ -462,13 +462,14 @@ module Plan = struct
       | Compile cs -> compile_spec := Some cs
       | Instrument is -> instr_spec := Some is
       | Profile_run ps ->
-          (* "stream-v5": [profile_run_out] changed shape (aggregates + log
+          (* "stream-v6": [profile_run_out] changed shape (aggregates + log
              instead of a sample list in v2, int-table range counts in v3,
-             the log alone in v4, and in v5 a log made of record windows
-             onto fixed-capacity blocks instead of one flat arena); the
-             version element keeps stale marshaled cache entries from being
-             unsafely decoded. *)
-          let key = [ "stream-v5"; src_fp; fp !compile_spec; fp !instr_spec; fp ps ] in
+             the log alone in v4, in v5 a log made of record windows onto
+             fixed-capacity blocks instead of one flat arena, and in v6 a
+             [pr_bin] without its address hash table); the version element
+             keeps stale marshaled cache entries from being unsafely
+             decoded. *)
+          let key = [ "stream-v6"; src_fp; fp !compile_spec; fp !instr_spec; fp ps ] in
           prof_key := key;
           let out =
             hooks.memo ~kind:"profile-run" ~key ~ser:mser ~de:mde (fun () ->
@@ -759,7 +760,10 @@ module Plan = struct
             | Some (Prof_counters { x_counts; x_dominant }) -> fp (x_counts, x_dominant)
             | None -> fp_string ""
           in
-          let key = [ fp_string !rebuild_source; fp rs; profile_fp ] in
+          (* "bin-v2" tags the marshaled [Mach.binary]'s layout (v1 still
+             carried an address hash table): an entry of another layout
+             misses instead of decoding into this one. *)
+          let key = [ "bin-v2"; fp_string !rebuild_source; fp rs; profile_fp ] in
           final_key := key;
           let bin =
             hooks.memo ~kind:"final-build" ~key ~ser:mser ~de:mde (fun () ->

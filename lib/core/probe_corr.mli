@@ -17,12 +17,12 @@ val correlate_agg :
   Csspgo_codegen.Mach.binary ->
   Csspgo_profgen.Ranges.agg ->
   Csspgo_profile.Probe_profile.t
-(** Correlate an online-built aggregate; [index] is built on the binary.
+(** Correlate an online-built aggregate; [index] must be built on the
+    binary itself, or [Invalid_argument] is raised. Ranges, calls and
+    head counts are read through [index] alone, so a range whose start
+    maps to no instruction adds nothing.
     A guid [name_of] misses is named in hex. [obs] receives
     [probe-corr.ranges], [probe-corr.ranges-unmatched] (ranges covering no
     probe), [probe-corr.probe-hits] and [probe-corr.callsites], each bumped
     once at the end. *)
 
-val probes_in_range :
-  Csspgo_codegen.Mach.binary -> int * int -> Csspgo_codegen.Mach.probe_rec list
-(** Probe records anchored within [lo, hi], by binary search. *)

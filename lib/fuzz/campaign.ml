@@ -558,21 +558,11 @@ let check_stale e =
      binary outright and an incremental rebuild of a drifted source must
      produce a binary byte-identical to a cold clean rebuild. *)
 
-(* Everything deterministic in a [Mach.binary] except [addr_index], whose
-   hash-table layout depends on insertion history. [No_sharing] keeps the
-   projection structural: binaries respliced from cached functions carry
-   different subterm sharing than freshly emitted ones. *)
-let bin_projection (b : Cg.Mach.binary) =
-  Marshal.to_string
-    ( b.Cg.Mach.funcs,
-      b.Cg.Mach.insts,
-      b.Cg.Mach.probes,
-      b.Cg.Mach.n_counters,
-      b.Cg.Mach.globals,
-      b.Cg.Mach.text_size,
-      b.Cg.Mach.debug_size,
-      b.Cg.Mach.probe_meta_size )
-    [ Marshal.No_sharing ]
+(* A binary's marshaled image; every field of a [Mach.binary] is
+   deterministic. [No_sharing] keeps the image structural: binaries
+   respliced from cached functions carry different subterm sharing than
+   freshly emitted ones. *)
+let bin_image (b : Cg.Mach.binary) = Marshal.to_string b [ Marshal.No_sharing ]
 
 let check_format e =
   let w = e.e_workload in
@@ -622,7 +612,7 @@ let check_format e =
       let warm = D.Plan.run ~hooks:h plan in
       if
         not
-          (String.equal (bin_projection cold.D.o_binary) (bin_projection warm.D.o_binary))
+          (String.equal (bin_image cold.D.o_binary) (bin_image warm.D.o_binary))
       then fail Result_mismatch site "warm rebuild differs from cold build";
       let d = W.Drift.apply ~seed:(drift_seed_of e.e_seed) ~edits:1 e.e_src in
       let stale_plan =
@@ -633,7 +623,7 @@ let check_format e =
       let clean = D.Plan.run stale_plan in
       if
         not
-          (String.equal (bin_projection inc.D.o_binary) (bin_projection clean.D.o_binary))
+          (String.equal (bin_image inc.D.o_binary) (bin_image clean.D.o_binary))
       then fail Result_mismatch site "incremental rebuild differs from clean rebuild")
 
 (* Fleet merge oracle family (Fleet.Sim / Profile.Merge):

@@ -1,15 +1,15 @@
-(** Dense per-binary index tables for streaming sample consumption.
+(** The one address map of profile correlation.
 
-    The binary's [addr_index] is a hashtable, and the hot paths of sample
-    aggregation and context reconstruction (Algorithm 1) used to pay one or
-    more hash lookups per LBR entry ([inst_at] for branch classification,
-    [call_inst_before], per-range instruction walks). Text addresses are
-    compact, so all of it flattens into arrays computed once per binary:
-    address → instruction index, per-instruction branch kind, containing
-    function, callsite-probe level paths (the inline expansion of a call
-    instruction), and static callees. Keys are stable instruction indices —
-    the same motivation as stale-profile matching's move away from raw
-    addresses (PAPERS.md). *)
+    Every correlator — line, probe and context — reads the binary through
+    this index, built once per profiled binary: the hot paths of sample
+    aggregation and context reconstruction (Algorithm 1) pay an array load
+    per LBR entry, where a search over the binary would pay a log. Text
+    addresses are compact, so all of it flattens into arrays: address →
+    instruction index, address → containing function over every hot and
+    cold range, per-instruction branch kind, probe records, callsite-probe
+    level paths (the inline expansion of a call instruction) and static
+    callees. Keys are stable instruction indices — the same motivation as
+    stale-profile matching's move away from raw addresses (PAPERS.md). *)
 
 module Mach = Csspgo_codegen.Mach
 
@@ -24,7 +24,7 @@ val binary : t -> Mach.binary
 
 val idx_of_addr : t -> int -> int
 (** Instruction index at an address, or -1 if the address maps to no
-    instruction (mirrors [Mach.addr_index]). *)
+    instruction (the dense form of [Mach.idx_of_addr]). *)
 
 val inst : t -> int -> Mach.inst
 (** The instruction at a (valid) index. *)
@@ -34,13 +34,16 @@ val kind_of_addr : t -> int -> kind
     (matches Algorithm 1's [classify]). *)
 
 val func_guid_of_addr : t -> int -> Csspgo_ir.Guid.t option
-(** Containing function of an address. Dense lookup for instruction
-    addresses, falling back to [Mach.func_index_of_addr]'s range search for
-    addresses between instructions — exact same answers as the original. *)
+(** Containing function of any byte of its hot or cold range, instruction
+    or not; [None] for padding between ranges and outside the text. *)
+
+val entry_func : t -> int -> int
+(** Index into [funcs] of the function whose first instruction is at an
+    address, or -1. *)
 
 val call_idx_before : t -> int -> int
 (** Index of the [MCall] instruction immediately preceding the instruction
-    at a return address, or -1 (the dense form of [call_inst_before]). *)
+    at a return address, or -1. *)
 
 val container : t -> int -> Csspgo_ir.Guid.t
 (** Guid of the function containing the instruction at an index. *)
@@ -60,3 +63,7 @@ val iter_range : t -> int * int -> (int -> unit) -> unit
     order; a [lo] that maps to no instruction yields nothing. A walk stops
     after 100,001 instructions, since a corrupt log's range can span the
     whole text. *)
+
+val iter_probes : t -> int * int -> (Mach.probe_rec -> unit) -> unit
+(** The probe records anchored at the instructions {!iter_range} visits,
+    by address, then id; nothing when [lo] maps to no instruction. *)

@@ -19,7 +19,8 @@ val correlate_agg :
   Csspgo_codegen.Mach.binary ->
   Ranges.agg ->
   Csspgo_profile.Line_profile.t
-(** Correlate an online-built aggregate; [index] is built on the binary.
+(** Correlate an online-built aggregate; [index] must be built on the
+    binary itself, or [Invalid_argument] is raised.
     A guid [name_of] misses is named from the binary, else in hex. [obs]
     receives [dwarf-corr.addrs], [dwarf-corr.addrs-unmapped] (no
     instruction or no debug location at the sampled address) and

@@ -39,3 +39,20 @@ let addr_totals ~index agg =
           Itab.bump totals (Bindex.inst index i).Mach.i_addr 0 0 n))
     agg;
   totals
+
+let iter_calls ~index totals f =
+  Array.iter
+    (fun (inst : Mach.inst) ->
+      match inst.Mach.i_op with
+      | Mach.MCall c | Mach.MTail_call c -> (
+          match Itab.find totals inst.Mach.i_addr 0 0 with
+          | total when total > 0 -> f inst c.Mach.m_callee total
+          | _ -> ())
+      | _ -> ())
+    (Bindex.binary index).Mach.insts
+
+let iter_heads ~index agg f =
+  let funcs = (Bindex.binary index).Mach.funcs in
+  iter_branches
+    (fun _ tgt n -> match Bindex.entry_func index tgt with -1 -> () | fi -> f funcs.(fi) n)
+    agg

@@ -36,3 +36,16 @@ val addr_totals : index:Bindex.t -> agg -> int Csspgo_support.Itab.t
 (** Expand ranges to per-instruction-address execution totals over the
     index's binary, keyed [(addr, 0, 0)]; an address never executed finds
     0. A range whose start maps to no instruction adds nothing. *)
+
+val iter_calls :
+  index:Bindex.t ->
+  int Csspgo_support.Itab.t ->
+  (Csspgo_codegen.Mach.inst -> Csspgo_ir.Guid.t -> int -> unit) ->
+  unit
+(** [f inst callee total] for every call or tail call whose total in
+    {!addr_totals}' table is positive, in instruction order. *)
+
+val iter_heads :
+  index:Bindex.t -> agg -> (Csspgo_codegen.Mach.bfunc -> int -> unit) -> unit
+(** [f func n] for every branch seen [n] times that lands on a function's
+    first instruction: its head count. *)

@@ -237,14 +237,14 @@ let decode st (b : Mach.binary) ~globals_init ~counters ~value_profiles =
   Array.iteri
     (fun i (f : Mach.bfunc) ->
       Ir.Guid.Tbl.replace func_by_guid f.Mach.bf_guid i;
-      match Hashtbl.find_opt b.Mach.addr_index f.Mach.bf_start with
-      | Some idx -> Ir.Guid.Tbl.replace entry_idx f.Mach.bf_guid idx
-      | None -> ())
+      match Mach.idx_of_addr b f.Mach.bf_start with
+      | -1 -> ()
+      | idx -> Ir.Guid.Tbl.replace entry_idx f.Mach.bf_guid idx)
     b.Mach.funcs;
   let idx_of_addr addr =
-    match Hashtbl.find_opt b.Mach.addr_index addr with
-    | Some i -> i
-    | None -> raise (Trap (Printf.sprintf "jump to unmapped address 0x%x" addr))
+    match Mach.idx_of_addr b addr with
+    | -1 -> raise (Trap (Printf.sprintf "jump to unmapped address 0x%x" addr))
+    | i -> i
   in
   let reg_idx r = if r < 0 || r >= n_phys then raise (Trap (Printf.sprintf "bad register r%d" r)) else r in
   let slot s = if s < 0 then raise (Trap (Printf.sprintf "bad spill slot %d" s)) else n_phys + s in

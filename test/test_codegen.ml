@@ -120,28 +120,75 @@ let test_ext_tsp_layout () =
     (run { Cg.Emit.layout = `Hot_path })
     (run { Cg.Emit.layout = `Ext_tsp })
 
+(* Binaries the address-map checks walk: plain and probed -O2 builds,
+   and a profile-guided build whose functions have cold split ranges. *)
+let addr_map_inputs =
+  lazy
+    (let plain = compile_o2 Csspgo_workloads.Suite.vecop_example in
+     let probed = F.Lower.compile Csspgo_workloads.Suite.vecop_example in
+     Csspgo_core.Pseudo_probe.insert probed;
+     Opt.Pass.optimize ~config:Opt.Config.o2_nopgo probed;
+     let w = List.hd Csspgo_workloads.Suite.server_workloads in
+     let split = Csspgo_core.Driver.run_variant Csspgo_core.Driver.Csspgo_probe_only w in
+     let emit p = Cg.Emit.emit ~options:Cg.Emit.default_options p in
+     let b = split.Csspgo_core.Driver.o_binary in
+     if not (Array.exists (fun f -> f.Mach.bf_cold <> None) b.Mach.funcs) then
+       Alcotest.fail "no cold split range to check";
+     [ emit plain; emit probed; b ])
+
 let test_emit_addr_map () =
-  let p = compile_o2 Csspgo_workloads.Suite.vecop_example in
-  let b = Cg.Emit.emit ~options:Cg.Emit.default_options p in
-  (* Addresses strictly increase and the index maps back. *)
-  Array.iteri
-    (fun i (inst : Mach.inst) ->
-      if i > 0 then begin
-        let prev = b.Mach.insts.(i - 1) in
-        if inst.Mach.i_addr < prev.Mach.i_addr + prev.Mach.i_size then
-          Alcotest.fail "overlapping instructions"
-      end;
-      match Mach.inst_at b inst.Mach.i_addr with
-      | Some inst' when inst' == inst -> ()
-      | _ -> Alcotest.fail "addr_index inconsistent")
-    b.Mach.insts;
-  (* Every function range contains its instructions. *)
-  Array.iter
-    (fun (inst : Mach.inst) ->
-      match Mach.func_index_of_addr b inst.Mach.i_addr with
-      | Some fi when fi = inst.Mach.i_func -> ()
-      | _ -> Alcotest.fail "func_index_of_addr mismatch")
-    b.Mach.insts
+  List.iter
+    (fun (b : Mach.binary) ->
+      (* Addresses strictly increase and the index maps back. *)
+      Array.iteri
+        (fun i (inst : Mach.inst) ->
+          if i > 0 then begin
+            let prev = b.Mach.insts.(i - 1) in
+            if inst.Mach.i_addr < prev.Mach.i_addr + prev.Mach.i_size then
+              Alcotest.fail "overlapping instructions"
+          end;
+          if Mach.idx_of_addr b inst.Mach.i_addr <> i then Alcotest.fail "idx_of_addr inconsistent")
+        b.Mach.insts;
+      (* Every function range contains its instructions, and starts at one. *)
+      let ix = Csspgo_profgen.Bindex.create b in
+      let guid fi = Some b.Mach.funcs.(fi).Mach.bf_guid in
+      Array.iter
+        (fun (inst : Mach.inst) ->
+          if Csspgo_profgen.Bindex.func_guid_of_addr ix inst.Mach.i_addr <> guid inst.Mach.i_func
+          then Alcotest.fail "func_guid_of_addr mismatch")
+        b.Mach.insts;
+      Array.iteri
+        (fun fi (f : Mach.bfunc) ->
+          match Mach.idx_of_addr b f.Mach.bf_start with
+          | -1 -> Alcotest.failf "%s starts at no instruction" f.Mach.bf_name
+          | i ->
+              if b.Mach.insts.(i).Mach.i_func <> fi then Alcotest.fail "entry in another function";
+              if Csspgo_profgen.Bindex.entry_func ix f.Mach.bf_start <> fi then
+                Alcotest.fail "entry_func mismatch")
+        b.Mach.funcs;
+      (* Every other byte, mid-instruction or padding, maps to no
+         instruction; a byte in a range maps to its function, padding to
+         none. *)
+      let owner = Hashtbl.create 64 in
+      Array.iteri
+        (fun fi (f : Mach.bfunc) ->
+          let mark (s, e) = for a = s to e - 1 do Hashtbl.replace owner a fi done in
+          mark (f.Mach.bf_start, f.Mach.bf_end);
+          Option.iter mark f.Mach.bf_cold)
+        b.Mach.funcs;
+      let last = b.Mach.insts.(Array.length b.Mach.insts - 1) in
+      for a = b.Mach.insts.(0).Mach.i_addr - 4 to last.Mach.i_addr + last.Mach.i_size + 4 do
+        let i = Mach.idx_of_addr b a in
+        if i >= 0 && b.Mach.insts.(i).Mach.i_addr <> a then Alcotest.fail "idx_of_addr off";
+        if i < 0 && Csspgo_profgen.Bindex.idx_of_addr ix a >= 0 then
+          Alcotest.failf "byte 0x%x maps to an instruction" a;
+        if i < 0 && Csspgo_profgen.Bindex.entry_func ix a >= 0 then
+          Alcotest.failf "byte 0x%x is an entry" a;
+        let want = Option.bind (Hashtbl.find_opt owner a) guid in
+        if Csspgo_profgen.Bindex.func_guid_of_addr ix a <> want then
+          Alcotest.failf "byte 0x%x in the wrong function" a
+      done)
+    (Lazy.force addr_map_inputs)
 
 let test_emit_probe_anchors () =
   let p = F.Lower.compile Csspgo_workloads.Suite.vecop_example in
@@ -151,9 +198,8 @@ let test_emit_probe_anchors () =
   Alcotest.(check bool) "probes materialized" true (Array.length b.Mach.probes > 0);
   Array.iter
     (fun (pr : Mach.probe_rec) ->
-      match Mach.inst_at b pr.Mach.pr_addr with
-      | Some _ -> ()
-      | None -> Alcotest.fail "probe anchored at unmapped address")
+      if Mach.idx_of_addr b pr.Mach.pr_addr < 0 then
+        Alcotest.fail "probe anchored at unmapped address")
     b.Mach.probes;
   (* sorted by address *)
   Array.iteri
@@ -169,7 +215,7 @@ let test_emit_branch_targets_resolve () =
   Array.iter
     (fun (inst : Mach.inst) ->
       let check_target a =
-        if Mach.inst_at b a = None then Alcotest.failf "dangling target 0x%x" a
+        if Mach.idx_of_addr b a < 0 then Alcotest.failf "dangling target 0x%x" a
       in
       match inst.Mach.i_op with
       | Mach.MJmp a -> check_target a

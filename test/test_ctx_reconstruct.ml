@@ -178,6 +178,28 @@ module CP = P.Ctx_profile
    walk cache and no counting of repeated ranges: it shares only the
    binary index, the probe table and the missing-frame table with the
    kernel. *)
+
+(* Probe records anchored within [lo, hi], by binary search over the
+   probe table: a probe walk independent of the kernel's per-instruction
+   spans. *)
+let probes_in_range (b : Cg.Mach.binary) (lo, hi) =
+  let probes = b.Cg.Mach.probes in
+  let n = Array.length probes in
+  (* First index with pr_addr >= lo. *)
+  let rec lower l r =
+    if l >= r then l
+    else
+      let m = (l + r) / 2 in
+      if probes.(m).Cg.Mach.pr_addr < lo then lower (m + 1) r else lower l m
+  in
+  let out = ref [] in
+  let i = ref (lower 0 n) in
+  while !i < n && probes.(!i).Cg.Mach.pr_addr <= hi do
+    out := probes.(!i) :: !out;
+    incr i
+  done;
+  List.rev !out
+
 let naive_reconstruct ~name_of ?missing ~checksum_of index log =
   let bin = Pg.Bindex.binary index in
   let trie = CP.create () in
@@ -250,7 +272,7 @@ let naive_reconstruct ~name_of ?missing ~checksum_of index log =
           P.Probe_profile.add_probe
             (node_at (ctx @ chain) pr.Cg.Mach.pr_func)
             pr.Cg.Mach.pr_id 1L)
-        (Core.Probe_corr.probes_in_range bin (lo, hi));
+        (probes_in_range bin (lo, hi));
       Pg.Bindex.iter_range index (lo, hi) (fun ii ->
           match (Pg.Bindex.callee index ii, List.rev (Pg.Bindex.level_path index ii)) with
           | Some callee, (owner, _) :: outer when Pg.Bindex.cs_probe index ii > 0 ->

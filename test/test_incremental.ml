@@ -35,24 +35,10 @@ let stale_plan_of seed =
 let stale_plan_a = stale_plan_of 3L
 let stale_plan = stale_plan_of 4L
 
-(* Everything deterministic in a [Mach.binary] except [addr_index], whose
-   hash-table layout depends on insertion history (and therefore on which
-   build path produced the binary). [No_sharing] keeps the projection
-   structural: a binary respliced from cached (marshal round-tripped)
-   functions has different subterm sharing than a freshly emitted one. *)
-let bin_projection (b : Cg.Mach.binary) =
-  Marshal.to_string
-    ( b.Cg.Mach.funcs,
-      b.Cg.Mach.insts,
-      b.Cg.Mach.probes,
-      b.Cg.Mach.n_counters,
-      b.Cg.Mach.globals,
-      b.Cg.Mach.text_size,
-      b.Cg.Mach.debug_size,
-      b.Cg.Mach.probe_meta_size )
-    [ Marshal.No_sharing ]
-
-let proj (o : D.outcome) = bin_projection o.D.o_binary
+(* A binary's marshaled image. [No_sharing] keeps it structural: a binary
+   respliced from cached (marshal round-tripped) functions has different
+   subterm sharing than a freshly emitted one. *)
+let proj (o : D.outcome) = Marshal.to_string o.D.o_binary [ Marshal.No_sharing ]
 let plan_count name obs = Option.value ~default:0 (M.find_counter (M.snapshot obs) name)
 let recompiled = plan_count "plan.rebuild.funcs-recompiled"
 let reused = plan_count "plan.rebuild.funcs-reused"
@@ -172,6 +158,35 @@ let test_jobs_determinism () =
         outs)
     [ 1; 2; 4 ]
 
+(* The profile-run and final-build entries hold marshaled binaries, so
+   their keys carry a layout tag: a warm cache written before a change to
+   [Mach.binary]'s shape misses rather than decode into the new one. *)
+let test_keys_carry_layout_tags () =
+  let cache, _, _ = Lazy.force cold in
+  let h = O.Orchestrate.hooks cache in
+  let calls = ref [] in
+  let hooks =
+    {
+      h with
+      D.Plan.memo =
+        (fun ~kind ~key ~ser ~de thunk ->
+          calls := (kind, key) :: !calls;
+          h.D.Plan.memo ~kind ~key ~ser ~de thunk);
+    }
+  in
+  ignore (D.Plan.run ~hooks plan);
+  List.iter
+    (fun (kind, tag) ->
+      match List.filter (fun (k, _) -> String.equal k kind) !calls with
+      | [] -> Alcotest.failf "no %s memo call" kind
+      | keys ->
+          List.iter
+            (fun (_, key) ->
+              Alcotest.(check (list string)) (kind ^ " key tag") [ tag ]
+                (List.filteri (fun i _ -> i = 0) key))
+            keys)
+    [ ("profile-run", "stream-v6"); ("final-build", "bin-v2") ]
+
 let suite =
   ( "incremental",
     [
@@ -185,4 +200,6 @@ let suite =
         `Quick test_profile_delta_subset;
       Alcotest.test_case "incremental rebuild deterministic at -j 1/2/4" `Slow
         test_jobs_determinism;
+      Alcotest.test_case "binary cache keys carry layout tags" `Quick
+        test_keys_carry_layout_tags;
     ] )

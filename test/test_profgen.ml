@@ -40,7 +40,7 @@ let test_aggregate_shapes () =
   Pg.Ranges.iter_ranges
     (fun lo hi _ ->
       if hi < lo then Alcotest.fail "inverted range";
-      if Cg.Mach.inst_at bin lo = None then Alcotest.fail "range start unmapped")
+      if Cg.Mach.idx_of_addr bin lo < 0 then Alcotest.fail "range start unmapped")
     agg
 
 let test_addr_totals_cover_hot_loop () =
@@ -118,7 +118,17 @@ let test_faulty_records_add_nothing () =
           insts
       in
       let lo = (List.hd plain).Cg.Mach.i_addr
-      and hi = (List.nth plain (List.length plain - 1)).Cg.Mach.i_addr in
+      and last_plain = List.nth plain (List.length plain - 1) in
+      let hi = last_plain.Cg.Mach.i_addr in
+      (* A mid-instruction leaf in [hi]'s own function passes Algorithm 1's
+         synchronization check, so the range [2, hi] reaches the trie walk. *)
+      let mid2 =
+        (List.find
+           (fun (i : Cg.Mach.inst) ->
+             i.Cg.Mach.i_size > 1 && i.Cg.Mach.i_func = last_plain.Cg.Mach.i_func)
+           insts)
+          .Cg.Mach.i_addr + 1
+      in
       let junk = SL.create () in
       List.iter
         (fun (lbr, leaf) ->
@@ -129,6 +139,8 @@ let test_faulty_records_add_nothing () =
           ([ 1; 2; 3; 4 ], 3);
           ([ mid; mid; mid; mid ], mid);
           ([ lo; hi; lo; hi ], past);
+          ([ 1; 2; hi; past ], past);
+          ([ 1; 2; hi; mid2 ], mid2);
         ];
       let clean = Fl.Build.record ~options b w in
       let faulty =
@@ -136,7 +148,7 @@ let test_faulty_records_add_nothing () =
         | Ok log -> log
         | Error e -> Alcotest.fail (Csspgo_support.Wire.error_to_string e)
       in
-      Alcotest.(check int) "junk shipped" (SL.n_samples clean + 8) (SL.n_samples faulty);
+      Alcotest.(check int) "junk shipped" (SL.n_samples clean + 12) (SL.n_samples faulty);
       let text log =
         let p, flat = Fl.Build.correlate ~options ~shape b log in
         ( P.Text_io.to_string p,
@@ -148,6 +160,24 @@ let test_faulty_records_add_nothing () =
       Alcotest.(check (option string)) (name ^ " flat baseline") flat flat')
     [ Fl.Build.Lines; Fl.Build.Probes; Fl.Build.Ctx ]
 
+(* An index built on another binary, even an identical build, is refused
+   rather than read against the wrong text. *)
+let test_index_of_another_binary () =
+  let bin, agg = profile_run loop_src [ 400L ] in
+  let other, _ = profile_run loop_src [ 400L ] in
+  let index = Pg.Bindex.create other in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a mismatched index" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "Dwarf_corr" (fun () ->
+      ignore (Pg.Dwarf_corr.correlate_agg ~name_of:(fun _ -> None) ~index bin agg));
+  raises "Probe_corr" (fun () ->
+      ignore
+        (Csspgo_core.Probe_corr.correlate_agg ~name_of:(fun _ -> None) ~index
+           ~checksum_of:(fun _ -> 0L) bin agg))
+
 let suite =
   ( "profgen",
     [
@@ -156,4 +186,5 @@ let suite =
       Alcotest.test_case "dwarf lines" `Quick test_dwarf_correlation_produces_lines;
       Alcotest.test_case "dwarf call targets" `Quick test_dwarf_call_targets;
       Alcotest.test_case "faulty records add nothing" `Quick test_faulty_records_add_nothing;
+      Alcotest.test_case "index of another binary" `Quick test_index_of_another_binary;
     ] )

@@ -281,7 +281,7 @@ let test_tail_call_into_bigger_frame () =
 
 (* Overwrite the first instructions of [main] in an emitted binary. *)
 let patch_main bin ops =
-  let start = Hashtbl.find bin.Mach.addr_index (func_named bin "main").Mach.bf_start in
+  let start = Mach.idx_of_addr bin (func_named bin "main").Mach.bf_start in
   List.iteri (fun k op -> bin.Mach.insts.(start + k).Mach.i_op <- op) ops
 
 let loop_src = "fn main(a) { let s = a; let i = 0; while (i < 3) { s = s + i; i = i + 1; } return s; }"
